@@ -58,9 +58,9 @@ pub mod prelude {
     pub use dyndens_density::{AvgDegree, AvgWeight, DensityMeasure, SqrtDens, ThresholdFamily};
     pub use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
     pub use dyndens_shard::{
-        FsyncPolicy, IngestHandle, MergePhase, MergeReport, PersistenceConfig, RebalanceError,
-        RebalancePolicy, Rebalancer, RecoveryReport, ShardConfig, ShardFn, ShardedDynDens,
-        ShardedFleet, SplitPhase, SplitReport, StoryView,
+        FsyncPolicy, IngestHandle, MergeReport, PersistenceConfig, RebalanceError, RebalancePolicy,
+        RebalanceStage, Rebalancer, RecoveryReport, ShardConfig, ShardFn, ShardedDynDens,
+        ShardedFleet, SplitReport, StoryView,
     };
 }
 

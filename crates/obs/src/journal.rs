@@ -25,8 +25,9 @@ pub const LIFECYCLE_RING_CAPACITY: usize = 256;
 /// Retained chatty records (batches, fsyncs, checkpoints, connections).
 pub const CHATTY_RING_CAPACITY: usize = 1024;
 
-/// The stage of a split or merge lifecycle, mirroring the observer hooks on
-/// the rebalance protocol (`SplitPhase` / `MergePhase` in `dyndens-shard`).
+/// The stage of a split or merge lifecycle: what the journal's
+/// `SplitPhase` / `MergePhase` records carry, and what the observer hooks of
+/// the rebalance protocol in `dyndens-shard` are called with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceStage {
     /// The affected worker(s) quiesced; routing holds updates parked.
@@ -101,8 +102,8 @@ pub enum ObsEvent {
         /// `true` if a torn WAL tail was truncated during recovery.
         repaired_torn_tail: bool,
     },
-    /// A phase transition of a live shard split (the journal form of
-    /// `SplitPhase`, enriched at `Committed` with the `SplitReport` counts).
+    /// A phase transition of a live shard split (enriched at `Committed`
+    /// with the `SplitReport` counts).
     SplitPhase {
         /// The slot being split.
         slot: u32,
@@ -115,8 +116,8 @@ pub enum ObsEvent {
         /// WAL updates replayed into the children (known at `Committed`).
         replayed: u64,
     },
-    /// A phase transition of a live shard merge (the journal form of
-    /// `MergePhase`, enriched at `Committed` with the `MergeReport` counts).
+    /// A phase transition of a live shard merge (enriched at `Committed`
+    /// with the `MergeReport` counts).
     MergePhase {
         /// The surviving slot.
         slot: u32,

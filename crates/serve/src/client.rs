@@ -262,13 +262,6 @@ impl Client {
         ClientBuilder::new()
     }
 
-    /// Connects with default settings.
-    #[deprecated(note = "use `Client::builder().connect(addr)` to configure \
-                         timeouts, retries and the resync policy")]
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        ClientBuilder::new().connect(addr)
-    }
-
     /// Sends one request and reads its reply.
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         write_frame(
@@ -585,11 +578,6 @@ pub struct Mirror {
     events_applied: u64,
     resyncs: u64,
 }
-
-/// The old name of [`Mirror`].
-#[deprecated(note = "renamed to `Mirror`; it now also applies subscription \
-                     push batches")]
-pub type Follower = Mirror;
 
 impl Mirror {
     /// A mirror at the bootstrap cursor: its first batch resynchronises (or

@@ -97,8 +97,6 @@ mod poller;
 pub mod protocol;
 pub mod server;
 
-#[allow(deprecated)]
-pub use client::Follower;
 pub use client::{
     Client, ClientBuilder, ClientError, Mirror, PushBatch, ResyncPolicy, Subscription,
 };

@@ -96,15 +96,12 @@
 //! Routing is a level of indirection, not a fixed function: updates flow
 //! through a **generational shard map** ([`dyndens_graph::ShardMap`], a
 //! route trie refined one split at a time and persisted in the deployment
-//! `MANIFEST`). [`ShardedDynDens::split_shard`] splits a hot shard online —
-//! quiesce that one worker, rebuild two children from its newest checkpoint
-//! plus its WAL slice filtered through the refined map, commit atomically —
-//! while ingest on every other shard continues and readers resynchronise
-//! through the ordinary [`StoryView`] plumbing.
-//! [`ShardedDynDens::merge_shards`] is the exact inverse: two cold sibling
-//! slots quiesce, recover from their own durable state, are absorbed into
-//! one merged engine and committed through the same manifest rewrite. The
-//! [`rebalance`] module documents both protocols, the equivalence guarantee
+//! `MANIFEST`). [`ShardedDynDens::split_shard`] splits a hot shard online
+//! and [`ShardedDynDens::merge_shards`] folds two cold sibling slots back
+//! into one, as two parameterisations of one reshape transaction that pauses
+//! only the affected slots while ingest everywhere else continues and
+//! readers resynchronise through the ordinary [`StoryView`] plumbing. The
+//! [`rebalance`] module documents the protocol, the equivalence guarantee
 //! (split-or-merge-mid-stream == never-refined, bit for bit, under the
 //! partitioning invariant) and the failure semantics;
 //! [`rebalance::Rebalancer`] turns the fleet's queue depth and skew signals
@@ -134,9 +131,8 @@ pub mod wal;
 mod worker;
 
 pub use config::{FsyncPolicy, PersistenceConfig, ShardConfig, ShardFn};
-pub use rebalance::{
-    MergePhase, MergeReport, RebalanceError, RebalancePolicy, Rebalancer, SplitPhase, SplitReport,
-};
+pub use dyndens_obs::RebalanceStage;
+pub use rebalance::{MergeReport, RebalanceError, RebalancePolicy, Rebalancer, SplitReport};
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use sharded::{IngestHandle, ShardedDynDens, ShardedFleet};
 pub use view::{

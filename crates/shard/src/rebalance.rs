@@ -1,134 +1,141 @@
-//! Live shard rebalancing: splitting a hot shard by snapshot + WAL-slice
-//! replay — and merging cold siblings back together — while the rest of the
-//! fleet keeps ingesting. Split and merge are one generational-map
-//! mechanism: both refine the routing trie, quiesce only the affected
-//! slots, rebuild from durable state, and commit via the same atomic
-//! `MANIFEST` rewrite.
+//! Live shard rebalancing: **one reshape transaction** that moves entity
+//! partitions between workers while the rest of the fleet keeps ingesting.
 //!
 //! A fixed shard count means one hot entity partition caps whole-pipeline
-//! throughput forever. This module removes the cap with an **online split**:
+//! throughput forever, and on decaying workloads a fleet split for a
+//! long-gone hot spot pays the per-shard overhead forever. Splitting a hot
+//! shard ([`ShardedFleet::split_shard`]) and merging cold **siblings** back
+//! together ([`ShardedFleet::merge_shards`]; leaves of one `Split` trie node
+//! — see [`ShardMap::merge_candidates`]) are the two parameterisations of a
+//! single transaction over the generational [`ShardMap`]: a set of *source*
+//! slots is replaced by a set of *target* slots under a refined or coarsened
+//! map. This is the one place the protocol is written down:
 //!
 //! ```text
-//!  1. park     routing[slot] := Parked        (other slots: untouched)
-//!  2. quiesce  flush + stop the slot's worker → its WAL is complete to S
-//!  3. rebuild  newest snapshot ──partition──► child₀ │ child₁
-//!              WAL slice [S₀..S) ──filter through the refined map──► replay
-//!  4. persist  child dirs (snapshot @ S, fresh WAL) + MANIFEST rewrite
-//!  5. commit   publish grown roster; spawn children; drain parked updates
-//!              through the refined map; routing[slot] := child₀, new slot
-//!              := child₁
+//!  phase       split (1 source → 2 targets)          merge (2 sources → 1 target)
+//!  ──────────  ────────────────────────────────────  ────────────────────────────────────
+//!  1 park      routing[slot] := Parked               routing[a] := routing[b] := Parked
+//!              (other slots: untouched)              (one shared queue)
+//!  2 quiesce   flush + stop every source worker → each source's WAL is complete to
+//!              its quiesce sequence number S
+//!  3 rebuild   parent@S ─partition_by(new map)─►     child₀@S₀ ─absorb(child₁@S₁)─►
+//!              child₀ │ child₁                       merged
+//!              sources: recover_shard (newest checkpoint + WAL tail, seq-checked) when
+//!              persistent, clones of the live engines otherwise
+//!  4 persist   per target: directory, snapshot @ ΣS, fresh WAL; then ONE atomic MANIFEST
+//!              rewrite — the commit point
+//!  5 commit    install targets (fresh cell @ ΣS, empty delta ring, worker) and publish
+//!              the roster in one store:
+//!              grown by the new slot                 shrunk; last slot renumbered into
+//!                                                    the freed one, worker not respawned
+//!  6 drain     parked backlog re-routed, in arrival order, through the new map; routing
+//!              serves the new map; source directories retired
+//!  ──────────  ───────────────────────────────────────────────────────────────────────────
+//!  abort       any failure in 3–4: resurrect every source from its intact state and
+//!              drain the backlog through the *unchanged* map
 //! ```
 //!
-//! Only the split shard pauses (updates routed to it park in an unbounded
-//! queue and are re-routed, in order, at commit); ingest on every other
-//! shard never stops. Readers need no coordination either: the
-//! [`StoryView`](crate::StoryView) roster grows at commit, the split slot's
-//! delta ring restarts empty — pollers resynchronise from its snapshot,
-//! exactly as after crash recovery — and the new slot appears at the split
-//! point's sequence number.
+//! Only the source slots pause (updates routed to them park in an unbounded
+//! queue and are re-routed at commit); ingest on every other shard never
+//! stops. Readers need no coordination either: the
+//! [`StoryView`](crate::StoryView) roster changes in one epoch store, a
+//! target slot's delta ring restarts empty — pollers resynchronise from its
+//! snapshot, exactly as after crash recovery — and a slot renumbered by a
+//! merge keeps its cell and ring, so its pollers follow deltas seamlessly
+//! under the new index.
 //!
 //! ## Equivalence
 //!
-//! The children are rebuilt by *filtered replay*: the parent's newest
-//! checkpoint is partitioned by the refined routing
-//! ([`MaintenanceEngine::partition_by`]), then the WAL slice past it is replayed with
-//! each update routed to the child that now owns its minimum endpoint.
 //! Under the partitioning invariant (no maintained subgraph spans the two
-//! children — see the crate docs) each child is **bit-identical** to an
-//! engine that only ever saw its own slice, so splitting mid-stream yields
-//! exactly the story sets of a never-split run
-//! (`tests/rebalance_equivalence.rs`). The work ledger is preserved too:
-//! rebuild replay counts nothing and child 0 adopts the parent's live
-//! counters.
+//! children — see the crate docs) [`MaintenanceEngine::partition_by`] yields
+//! children **bit-identical** to engines that only ever saw their own slice,
+//! and [`MaintenanceEngine::absorb`] is its exact inverse, so reshaping
+//! mid-stream yields exactly the story sets of a fleet that never changed
+//! topology (`tests/rebalance_equivalence.rs`, and the oracle's rebalance
+//! leg on every backend). The work ledger is preserved too: rebuild replay
+//! counts nothing and the first target adopts the sources' live counters.
 //!
 //! ## Crash safety
 //!
-//! The manifest rewrite is the commit point. The children's snapshots and
-//! WALs are durable *before* it; the parent directory is retired *after* it.
-//! A crash before the rewrite recovers the parent (orphan child directories
-//! are overwritten by the next split attempt — engine ids are persisted in
-//! the manifest and never reused); a crash after recovers the children.
+//! The manifest rewrite is the commit point. The targets' snapshots and WALs
+//! are durable *before* it; the sources' directories are retired *after* it.
+//! A crash before the rewrite recovers the sources (orphan target
+//! directories are overwritten by the next attempt — engine ids are
+//! persisted in the manifest and never reused); a crash after recovers the
+//! targets.
 //!
 //! ## Failure containment
 //!
-//! If rebuilding fails (damaged snapshot, torn WAL, disk errors), the split
-//! **resurrects the parent**: its on-disk state is complete up to the
-//! quiesce point, so the standard recovery path rebuilds it, parked updates
-//! are drained to it unchanged, and the fleet continues un-split with the
-//! error reported to the caller.
+//! If rebuilding or persisting fails (damaged snapshot, torn WAL, disk
+//! errors), every source is **resurrected** from its own state — complete up
+//! to the quiesce point — the parked backlog is drained to it unchanged, and
+//! the fleet continues with its old topology and the error reported. If
+//! resurrection fails too, the caller gets [`RebalanceError::Stranded`].
 //!
-//! ## Merge: the split's inverse
-//!
-//! On decaying workloads, slices go cold: their stories decay out, their
-//! traffic dries up, and a fleet split for a long-gone hot spot pays the
-//! per-shard overhead forever. [`ShardedFleet::merge_shards`] coarsens two
-//! **sibling** slots (leaves of one `Split` trie node — see
-//! [`ShardMap::merge_candidates`]) back into one:
-//!
-//! ```text
-//!  1. park     routing[a] := routing[b] := Parked   (one shared queue)
-//!  2. quiesce  flush + stop both workers → both WALs complete
-//!  3. rebuild  child₀ (recovered) ──absorb──► merged ◄── child₁ (recovered)
-//!  4. persist  merged dir (snapshot @ Sₐ+S_b, fresh WAL) + MANIFEST rewrite
-//!  5. commit   publish shrunk roster (last slot renumbered into the freed
-//!              one, its worker *not* respawned); drain the parked backlog
-//!              to the merged worker; routing serves the coarsened map
-//! ```
-//!
-//! The merged engine is the children's union ([`MaintenanceEngine::absorb`]), so a
-//! merge mid-stream yields bit-identical story sets to a fleet that never
-//! split at all (`tests/rebalance_equivalence.rs`). Failure containment
-//! mirrors the split: a failed rebuild resurrects **both** children from
-//! their intact per-child state. [`Rebalancer::maybe_merge`] drives merges
-//! from a cold-slot policy, the mirror image of the hot-slot split policy.
+//! [`Rebalancer`] drives both directions from policy: hot slots split, cold
+//! sibling pairs merge.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, SyncSender};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dyndens_core::{EngineBlueprint, EngineStats, MaintenanceEngine};
-use dyndens_graph::{MergeSpec, ShardMap, VertexId};
+use dyndens_graph::{EdgeUpdate, ShardMap};
 use dyndens_obs::{names, ObsEvent, RebalanceStage};
 
 use crate::config::PersistenceConfig;
-use crate::recovery::{self, RecoveryError};
-use crate::sharded::{spawn_worker, ShardTx, ShardedFleet};
-use crate::view::{DeltaRing, EpochCell, ShardRoster, ShardSnapshot};
-use crate::wal::{self, WalWriter};
-use crate::worker::{self, WorkerMsg, WorkerPersistence};
+use crate::recovery::{self, RecoveredShard, RecoveryError};
+use crate::sharded::{install_slot, spawn_worker, ShardSeed, ShardTx, ShardedFleet};
+use crate::view::ShardRoster;
+use crate::wal::WalWriter;
+use crate::worker::{WorkerMsg, WorkerPersistence};
 
-/// An error splitting a shard. The fleet is left routing exactly as before
-/// the attempt (the parent is resurrected from its own persistent state)
-/// unless resurrection itself fails — a double fault — in which case the
-/// slot stays parked: updates routed to it are still accepted and accumulate
-/// in memory (never applied or logged, so they are lost on restart), every
-/// other shard keeps working, and the deployment should be restarted so
-/// recovery rebuilds the parent from disk.
+/// An error splitting or merging shards. Unless it is
+/// [`Stranded`](RebalanceError::Stranded), the fleet is left routing exactly
+/// as before the attempt: every quiesced shard was resurrected from its own
+/// state and the parked updates were applied.
 #[derive(Debug)]
 pub enum RebalanceError {
-    /// Filesystem failure while rebuilding or persisting the children.
+    /// Filesystem failure while rebuilding or persisting the new shards.
     Io(io::Error),
-    /// The parent's persisted state could not be read back (damaged
+    /// A quiesced shard's persisted state could not be read back (damaged
     /// snapshot, corrupt WAL segment, …).
     Recovery(RecoveryError),
     /// The slot does not name a live worker (or its route-trie leaf already
-    /// sits at the maximum split depth).
+    /// sits at the maximum split depth, or it is stranded).
     UnknownShard(usize),
     /// The two slots handed to a merge are not sibling leaves of the routing
     /// trie (only pairs produced by one split — see
     /// [`ShardMap::merge_candidates`] — can be merged).
     NotSiblings(usize, usize),
-    /// The parent's snapshot + WAL slice did not reach the quiesce point:
+    /// A quiesced shard's snapshot + WAL did not reach its quiesce point:
     /// replay rebuilt state up to `found` but the worker had applied
     /// `expected` updates. Indicates missing WAL records.
     HistoryGap {
-        /// The parent's sequence number at quiesce.
+        /// The shard's sequence number at quiesce.
         expected: u64,
-        /// The sequence number filtered replay actually reached.
+        /// The sequence number replay actually reached.
         found: u64,
+    },
+    /// A double fault: the attempt failed with `cause` **and** bringing the
+    /// quiesced shards back failed with `resurrection`. The listed slots
+    /// stay parked: updates routed to them are still accepted and accumulate
+    /// in memory (never applied or logged, so they are lost on restart),
+    /// every other shard keeps ingesting and serving, but nothing will ever
+    /// acknowledge for the parked slots — [`ShardedFleet::flush`] and every
+    /// authoritative read that flushes **block forever**. Drop the fleet and
+    /// reopen the deployment so recovery rebuilds the shards from disk; the
+    /// journal span of the attempt stays open, ending in a repeated `Parked`
+    /// record.
+    Stranded {
+        /// The worker slots left parked.
+        slots: Vec<usize>,
+        /// Why the split or merge aborted.
+        cause: Box<RebalanceError>,
+        /// Why the shards could not be resurrected.
+        resurrection: Box<RebalanceError>,
     },
 }
 
@@ -157,33 +164,23 @@ impl std::fmt::Display for RebalanceError {
             }
             RebalanceError::HistoryGap { expected, found } => write!(
                 f,
-                "split replay reached sequence {found} but the shard had applied {expected}; \
+                "rebuild replay reached sequence {found} but the shard had applied {expected}; \
                  WAL records are missing"
+            ),
+            RebalanceError::Stranded {
+                slots,
+                cause,
+                resurrection,
+            } => write!(
+                f,
+                "shards {slots:?} are stranded (parked until restart): rebalance failed ({cause}) \
+                 and resurrection failed ({resurrection})"
             ),
         }
     }
 }
 
 impl std::error::Error for RebalanceError {}
-
-/// The milestones of one split, reported to the observer callback of
-/// [`ShardedFleet::split_shard_with`]. Operational monitoring can hang off
-/// these; the equivalence tests use [`Parked`](SplitPhase::Parked) to ingest
-/// concurrently and prove that untouched shards keep applying updates while
-/// the split shard is down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitPhase {
-    /// The slot's worker is quiesced and stopped; updates routed to the slot
-    /// are parking. Every other shard is ingesting normally.
-    Parked,
-    /// Both children are rebuilt (and, for persistent deployments, durable
-    /// on disk with the manifest rewritten — the split is now the committed
-    /// topology even across a crash).
-    Rebuilt,
-    /// Routing serves the refined map; parked updates have been re-routed;
-    /// the children's workers are live.
-    Committed,
-}
 
 /// What a completed split did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,29 +198,12 @@ pub struct SplitReport {
     /// Sequence number of the checkpoint the rebuild started from (0 when
     /// the rebuild partitioned live in-memory state or started fresh).
     pub snapshot_seq: u64,
-    /// WAL updates replayed (filtered) past the checkpoint.
+    /// WAL updates replayed past the checkpoint.
     pub replayed_updates: u64,
     /// Updates that parked during the split and were re-routed at commit.
     pub parked_updates: u64,
     /// The routing-table generation after the split.
     pub generation: u64,
-}
-
-/// The milestones of one merge, reported to the observer callback of
-/// [`ShardedFleet::merge_shards_with`]. The mirror image of
-/// [`SplitPhase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergePhase {
-    /// Both sibling slots' workers are quiesced and stopped; updates routed
-    /// to either slot are parking. Every other shard is ingesting normally.
-    Parked,
-    /// The merged shard is rebuilt (and, for persistent deployments, durable
-    /// on disk with the manifest rewritten — the coarsened map is now the
-    /// committed topology even across a crash).
-    Rebuilt,
-    /// Routing serves the coarsened map; parked updates have been drained to
-    /// the merged worker; the displaced last slot (if any) is renumbered.
-    Committed,
 }
 
 /// What a completed merge did.
@@ -299,7 +279,7 @@ impl Default for RebalancePolicy {
 /// **ingest queue depth** ([`ShardedFleet::queue_depths`], routed minus
 /// applied — the backpressure measure) and the per-slot share of updates
 /// applied **since the previous check**, derived from the published
-/// [`ShardSnapshot`] stats (the skew measure). The share signal is a *rate*,
+/// [`ShardSnapshot`](crate::ShardSnapshot) stats (the skew measure). The share signal is a *rate*,
 /// not a lifetime counter, for two reasons: a slot that was hot an hour ago
 /// but is balanced now must not be split, and the child that adopts the
 /// parent's cumulative ledger after a split must not look eternally hot.
@@ -355,27 +335,37 @@ impl Rebalancer {
         &self.policy
     }
 
+    /// Per-slot updates applied since the previous call with this
+    /// `baseline`, which advances to now. `None` while the window is only
+    /// being established (first call, or the slot count changed).
+    fn window_deltas<B: EngineBlueprint>(
+        baseline: &mut Vec<u64>,
+        fleet: &ShardedFleet<B>,
+    ) -> Option<Vec<u64>> {
+        let view = fleet.view();
+        let applied: Vec<u64> = (0..view.n_shards())
+            .map(|s| view.shard_snapshot(s).stats.updates)
+            .collect();
+        let deltas = (baseline.len() == applied.len()).then(|| {
+            applied
+                .iter()
+                .zip(baseline.iter())
+                .map(|(now, base)| now.saturating_sub(*base))
+                .collect()
+        });
+        *baseline = applied;
+        deltas
+    }
+
     /// The hottest splittable slot, or `None` while no slot crosses the
     /// policy thresholds. Queue depth dominates (a shard actively falling
     /// behind); the applied-share skew signal backs it up, computed over the
     /// window since the previous `pick` (the first call after construction
     /// or a topology change only establishes the window).
     pub fn pick<B: EngineBlueprint>(&mut self, fleet: &ShardedFleet<B>) -> Option<usize> {
-        let view = fleet.view();
-        let applied: Vec<u64> = (0..view.n_shards())
-            .map(|s| view.shard_snapshot(s).stats.updates)
-            .collect();
-        let window_valid = self.baseline.len() == applied.len();
-        let deltas: Vec<u64> = if window_valid {
-            applied
-                .iter()
-                .zip(&self.baseline)
-                .map(|(now, base)| now.saturating_sub(*base))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.baseline = applied;
+        let window = Self::window_deltas(&mut self.baseline, fleet);
+        let window_valid = window.is_some();
+        let deltas = window.unwrap_or_default();
 
         let depths = fleet.queue_depths();
         let total: u64 = deltas.iter().sum();
@@ -441,24 +431,7 @@ impl Rebalancer {
         &mut self,
         fleet: &ShardedFleet<B>,
     ) -> Option<(usize, usize)> {
-        let view = fleet.view();
-        let applied: Vec<u64> = (0..view.n_shards())
-            .map(|s| view.shard_snapshot(s).stats.updates)
-            .collect();
-        let window_valid = self.merge_baseline.len() == applied.len();
-        let deltas: Vec<u64> = if window_valid {
-            applied
-                .iter()
-                .zip(&self.merge_baseline)
-                .map(|(now, base)| now.saturating_sub(*base))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.merge_baseline = applied;
-        if !window_valid {
-            return None;
-        }
+        let deltas = Self::window_deltas(&mut self.merge_baseline, fleet)?;
         let total: u64 = deltas.iter().sum();
         if total < self.policy.min_total_updates {
             return None;
@@ -488,10 +461,80 @@ impl Rebalancer {
     }
 }
 
-/// What the disk rebuild measured, folded into the [`SplitReport`].
-struct RebuildDetail {
+/// One end of a reshape: a worker slot and the engine id naming its
+/// persistence directory.
+#[derive(Debug, Clone, Copy)]
+struct Seat {
+    slot: usize,
+    engine: u64,
+}
+
+impl Seat {
+    fn new(slot: usize, engine: u64) -> Self {
+        Seat { slot, engine }
+    }
+}
+
+/// What one reshape does; split and merge differ only in the plan they
+/// build. The engine transform follows from the shape:
+/// [`partition_by`](MaintenanceEngine::partition_by) for 1 → 2,
+/// [`absorb`](MaintenanceEngine::absorb) for 2 → 1.
+struct ReshapePlan {
+    /// The slots parked, quiesced and retired, in routing-bit order.
+    sources: Vec<Seat>,
+    /// The slots installed at commit, in routing-bit order. The first reuses
+    /// a source slot and adopts the sources' work ledger.
+    targets: Vec<Seat>,
+    /// The refined (split) or coarsened (merge) map the commit installs.
+    map: ShardMap,
+    /// Merge only: the source slot no target reuses. The roster's last slot
+    /// is renumbered into it so slot numbering stays dense.
+    freed_slot: Option<usize>,
+}
+
+impl ReshapePlan {
+    /// The journal record of `stage` — wire-compatible with the events
+    /// splits and merges have always emitted.
+    fn event(&self, stage: RebalanceStage, parked: u64, replayed: u64) -> ObsEvent {
+        let slot = self.targets[0].slot as u32;
+        match self.freed_slot {
+            None => ObsEvent::SplitPhase {
+                slot,
+                new_slot: self.targets[1].slot as u32,
+                stage,
+                parked,
+                replayed,
+            },
+            Some(freed) => ObsEvent::MergePhase {
+                slot,
+                freed_slot: freed as u32,
+                stage,
+                parked,
+            },
+        }
+    }
+}
+
+/// What a committed reshape measured, shaped into a [`SplitReport`] or a
+/// [`MergeReport`] by the public wrappers.
+struct Reshaped {
+    /// The sources' sequence numbers at quiesce, in plan order.
+    source_seqs: Vec<u64>,
+    /// From the sources' [`RecoveryReport`](recovery::RecoveryReport)s (0
+    /// for in-memory deployments), summed over the sources — a split, the
+    /// only direction that reports them, has one.
     snapshot_seq: u64,
     replayed: u64,
+    parked: u64,
+}
+
+/// Overwrites `items[slot]`, or appends when `slot` is the next new index.
+fn place<T>(items: &mut Vec<T>, slot: usize, item: T) {
+    if slot == items.len() {
+        items.push(item);
+    } else {
+        items[slot] = item;
+    }
 }
 
 impl<B: EngineBlueprint> ShardedFleet<B> {
@@ -503,268 +546,47 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         self.split_shard_with(slot, |_| {})
     }
 
-    /// Splits worker `slot`, invoking `observer` at each [`SplitPhase`].
+    /// Splits worker `slot`, invoking `observer` at each [`RebalanceStage`]:
+    /// `Parked` once the parent is quiesced (every other shard is ingesting
+    /// normally — the equivalence tests ingest concurrently from here),
+    /// `Rebuilt` once both children exist (and, when persistent, the split
+    /// is the committed topology even across a crash), `Committed` once
+    /// routing serves the refined map and the children's workers are live.
     ///
-    /// Only the split shard pauses: updates routed to it during the split
-    /// park (unbounded) and are re-routed through the refined map at commit;
-    /// every other shard — and every [`IngestHandle`](crate::IngestHandle)
-    /// and [`StoryView`](crate::StoryView) — keeps working throughout,
-    /// including from other threads. Pollers of the split slot resynchronise
-    /// from its post-split snapshot (its delta ring restarts empty, exactly
-    /// like after crash recovery).
-    ///
-    /// For persistent deployments the children are rebuilt from the parent's
-    /// newest checkpoint plus its WAL slice, both filtered through the
-    /// refined routing, and the split commits durably via a manifest
-    /// rewrite. In-memory deployments partition the live engine instead.
-    /// See the [module docs](crate::rebalance) for the full protocol,
-    /// equivalence guarantees and failure semantics.
+    /// Only the split shard pauses; every other shard — and every
+    /// [`IngestHandle`](crate::IngestHandle) and
+    /// [`StoryView`](crate::StoryView) — keeps working throughout, including
+    /// from other threads. See the [module docs](crate::rebalance) for the
+    /// protocol, equivalence guarantees and failure semantics.
     pub fn split_shard_with(
         &mut self,
         slot: usize,
-        mut observer: impl FnMut(SplitPhase),
+        mut observer: impl FnMut(RebalanceStage),
     ) -> Result<SplitReport, RebalanceError> {
         // Refine the map first: it also validates the slot.
-        let mut new_map = {
-            let routing = self.routing.read().expect("routing poisoned");
-            routing.map.clone()
+        let mut map = self.shard_map();
+        let spec = map.split(slot).ok_or(RebalanceError::UnknownShard(slot))?;
+        let generation = map.generation();
+        let plan = ReshapePlan {
+            sources: vec![Seat::new(slot, spec.parent_engine)],
+            targets: vec![
+                Seat::new(slot, spec.child_zero_engine),
+                Seat::new(spec.new_slot, spec.child_one_engine),
+            ],
+            map,
+            freed_slot: None,
         };
-        let spec = new_map
-            .split(slot)
-            .ok_or(RebalanceError::UnknownShard(slot))?;
-
-        // 1. Park the slot: new ingest for it accumulates unconsumed. The
-        // pause clock runs from here to commit — the whole window in which
-        // the slot is not applying updates.
-        let pause_started = Instant::now();
-        let (park_tx, park_rx) = channel();
-        let old_tx = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            match std::mem::replace(&mut routing.senders[slot], ShardTx::Parked(park_tx)) {
-                ShardTx::Live(tx) => tx,
-                parked @ ShardTx::Parked(_) => {
-                    // Defensive: a slot can only be parked by a split, and
-                    // splits are serialised by `&mut self`. Restore and bail.
-                    routing.senders[slot] = parked;
-                    return Err(RebalanceError::UnknownShard(slot));
-                }
-            }
-        };
-
-        // 2. Quiesce the parent: everything routed before the park is
-        // applied (and, when persistent, in the WAL), then the worker stops.
-        let (ack_tx, ack_rx) = channel();
-        let _ = old_tx.send(WorkerMsg::Flush(ack_tx));
-        let _ = ack_rx.recv();
-        let _ = old_tx.send(WorkerMsg::Shutdown);
-        drop(old_tx);
-        if let Some(handle) = self.workers[slot].take() {
-            let _ = handle.join();
-        }
-        let roster = self.roster.load();
-        let parent_seq = roster.cells[slot].seq();
-        observer(SplitPhase::Parked);
-        // One journal span covers the whole split; the Committed record is
-        // enriched with the report counts. An aborted split leaves the span
-        // open — a Begin without an End marks the failed attempt.
-        let split_event =
-            |stage: RebalanceStage, parked: u64, replayed: u64| ObsEvent::SplitPhase {
-                slot: slot as u32,
-                new_slot: spec.new_slot as u32,
-                stage,
-                parked,
-                replayed,
-            };
-        let obs_span = self
-            .config
-            .obs
-            .registry()
-            .map(|registry| registry.begin(split_event(RebalanceStage::Parked, 0, 0)));
-
-        // 3. Rebuild the children; on failure, resurrect the parent.
-        let keep = |v: VertexId| new_map.route(v) == slot;
-        let built = self.build_children(&keep, slot, parent_seq, &spec, &new_map);
-        let (mut child_zero, mut child_one, persist, detail) = match built {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.resurrect_parent(slot, parent_seq, park_rx);
-                return Err(e);
-            }
-        };
-        observer(SplitPhase::Rebuilt);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.note(
-                span,
-                split_event(RebalanceStage::Rebuilt, 0, detail.replayed),
-            );
-        }
-
-        // 4. Publish the grown roster in ONE epoch store, so readers switch
-        // from "parent owns the slot" to "both children exist" atomically —
-        // no interleaving can observe child zero without child one (which
-        // would transiently lose the moved slice's stories). Both children
-        // get *fresh* cells initialised at the split point: the split slot's
-        // sequence numbers stay monotone (its old cell sat at `parent_seq`
-        // too, holding the parent's final snapshot until the swap), and both
-        // delta rings start empty, so pollers resync exactly as after crash
-        // recovery.
-        let (persist_zero, persist_one) = persist;
-        let fresh_cell = |shard: usize, engine: &mut B::Engine| {
-            let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(shard)));
-            cell.store_with_seq(
-                Arc::new(worker::build_snapshot(
-                    shard,
-                    engine,
-                    parent_seq,
-                    parent_seq,
-                    &[],
-                    self.config.top_k,
-                )),
-                parent_seq,
-            );
-            cell
-        };
-        let mut cells = roster.cells.clone();
-        let mut rings = roster.rings.clone();
-        cells[slot] = fresh_cell(slot, &mut child_zero);
-        rings[slot] = Arc::new(DeltaRing::new(self.config.delta_retention));
-        cells.push(fresh_cell(spec.new_slot, &mut child_one));
-        rings.push(Arc::new(DeltaRing::new(self.config.delta_retention)));
-        let engine_zero = Arc::new(Mutex::new(child_zero));
-        let engine_one = Arc::new(Mutex::new(child_one));
-        let (tx_zero, handle_zero, slot_zero) = spawn_worker(
-            slot,
-            &self.config,
-            parent_seq,
-            persist_zero,
-            &engine_zero,
-            &cells[slot],
-            &rings[slot],
-        );
-        let (tx_one, handle_one, slot_one) = spawn_worker(
-            spec.new_slot,
-            &self.config,
-            parent_seq,
-            persist_one,
-            &engine_one,
-            &cells[spec.new_slot],
-            &rings[spec.new_slot],
-        );
-        self.engines[slot] = engine_zero;
-        self.engines.push(engine_one);
-        self.workers[slot] = Some(handle_zero);
-        self.workers.push(Some(handle_one));
-        self.slots[slot] = slot_zero;
-        self.slots.push(slot_one);
-        self.roster.store(Arc::new(ShardRoster { cells, rings }));
-
-        // 5. Commit routing: install the refined map and drain the parked
-        // backlog through it, in arrival order. Holding the write lock here
-        // guarantees no sender is mid-send, so the drain is complete.
-        let parked_updates = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            let (mut to_zero, mut to_one) = (0u64, 0u64);
-            let route_one = |u: &dyndens_graph::EdgeUpdate| new_map.route(u.a.min(u.b)) != slot;
-            while let Ok(msg) = park_rx.try_recv() {
-                match msg {
-                    WorkerMsg::Update(u) => {
-                        if route_one(&u) {
-                            to_one += 1;
-                            let _ = tx_one.send(WorkerMsg::Update(u));
-                        } else {
-                            to_zero += 1;
-                            let _ = tx_zero.send(WorkerMsg::Update(u));
-                        }
-                    }
-                    WorkerMsg::Batch(batch) => {
-                        let (mut zero, mut one) = (Vec::new(), Vec::new());
-                        for u in batch {
-                            if route_one(&u) {
-                                one.push(u);
-                            } else {
-                                zero.push(u);
-                            }
-                        }
-                        to_zero += zero.len() as u64;
-                        to_one += one.len() as u64;
-                        if !zero.is_empty() {
-                            let _ = tx_zero.send(WorkerMsg::Batch(zero));
-                        }
-                        if !one.is_empty() {
-                            let _ = tx_one.send(WorkerMsg::Batch(one));
-                        }
-                    }
-                    // A flush parked mid-split must cover both children.
-                    WorkerMsg::Flush(ack) => {
-                        let _ = tx_zero.send(WorkerMsg::Flush(ack.clone()));
-                        let _ = tx_one.send(WorkerMsg::Flush(ack));
-                    }
-                    // So must a compaction pass; the waiter's sum simply
-                    // receives two acknowledgements for the parked slot.
-                    WorkerMsg::Compact { min_weight, ack } => {
-                        let _ = tx_zero.send(WorkerMsg::Compact {
-                            min_weight,
-                            ack: ack.clone(),
-                        });
-                        let _ = tx_one.send(WorkerMsg::Compact { min_weight, ack });
-                    }
-                    WorkerMsg::Shutdown => {
-                        let _ = tx_zero.send(WorkerMsg::Shutdown);
-                        let _ = tx_one.send(WorkerMsg::Shutdown);
-                    }
-                }
-            }
-            routing.senders[slot] = ShardTx::Live(tx_zero);
-            routing.senders.push(ShardTx::Live(tx_one));
-            routing.routed[slot] = Arc::new(AtomicU64::new(parent_seq + to_zero));
-            routing
-                .routed
-                .push(Arc::new(AtomicU64::new(parent_seq + to_one)));
-            // The routed cells were re-seeded: point the registry's
-            // per-shard routed series at the fresh cells.
-            if let Some(registry) = self.config.obs.registry() {
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &slot.to_string())],
-                    Arc::clone(&routing.routed[slot]),
-                );
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &spec.new_slot.to_string())],
-                    Arc::clone(&routing.routed[spec.new_slot]),
-                );
-            }
-            routing.map = new_map.clone();
-            to_zero + to_one
-        };
-
-        // 6. Retire the parent's directory (the manifest no longer
-        // references it; best-effort — an orphan is harmless).
-        if let Some(p) = &self.persistence {
-            let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, spec.parent_engine));
-        }
-        observer(SplitPhase::Committed);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.end(
-                span,
-                split_event(RebalanceStage::Committed, parked_updates, detail.replayed),
-            );
-            registry.counter(names::SPLITS_TOTAL, &[]).inc();
-            registry
-                .histogram(names::REBALANCE_PAUSE_US, &[])
-                .record_micros(pause_started.elapsed());
-        }
-
+        let done = self.reshape(plan, &mut observer)?;
         Ok(SplitReport {
             slot,
             new_slot: spec.new_slot,
             parent_engine: spec.parent_engine,
             child_engines: (spec.child_zero_engine, spec.child_one_engine),
-            parent_seq,
-            snapshot_seq: detail.snapshot_seq,
-            replayed_updates: detail.replayed,
-            parked_updates,
-            generation: new_map.generation(),
+            parent_seq: done.source_seqs[0],
+            snapshot_seq: done.snapshot_seq,
+            replayed_updates: done.replayed,
+            parked_updates: done.parked,
+            generation,
         })
     }
 
@@ -776,264 +598,37 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     }
 
     /// Merges sibling worker slots `a` and `b` — the exact inverse of the
-    /// split that created them — invoking `observer` at each [`MergePhase`].
+    /// split that created them — invoking `observer` at each
+    /// [`RebalanceStage`], as [`split_shard_with`](Self::split_shard_with)
+    /// does.
     ///
-    /// Only the two siblings pause: updates routed to either park
-    /// (unbounded, on one shared queue) and are drained to the merged worker
-    /// at commit; every other shard keeps working throughout. The merged
-    /// shard keeps the smaller slot of the pair; the larger slot is freed,
-    /// and the previous last slot is renumbered into it without respawning
-    /// its worker (see [`MergeReport::moved_slot`]). Pollers of the merged
-    /// slot resynchronise from its post-merge snapshot, exactly as after a
-    /// split or crash recovery; a renumbered slot keeps its delta ring, so
-    /// its pollers follow deltas seamlessly under the new index.
-    ///
-    /// For persistent deployments the merged engine is rebuilt from the two
-    /// children's own durable state — each recovered to its quiesce point,
-    /// then absorbed into one engine ([`MaintenanceEngine::absorb`]) — and the merge
-    /// commits durably via the same atomic manifest rewrite as a split.
-    /// In-memory deployments absorb the live engines directly. If the
-    /// rebuild fails, both children are resurrected from their intact state
-    /// and the fleet continues un-merged with the error reported.
+    /// Only the two siblings pause. The merged shard keeps the smaller slot
+    /// of the pair; the larger slot is freed, and the previous last slot is
+    /// renumbered into it without respawning its worker (see
+    /// [`MergeReport::moved_slot`]). See the [module docs](crate::rebalance)
+    /// for the protocol, equivalence guarantees and failure semantics.
     pub fn merge_shards_with(
         &mut self,
         a: usize,
         b: usize,
-        mut observer: impl FnMut(MergePhase),
+        mut observer: impl FnMut(RebalanceStage),
     ) -> Result<MergeReport, RebalanceError> {
         // Coarsen the map first: it also validates that the pair is a
         // sibling pair.
-        let mut new_map = {
-            let routing = self.routing.read().expect("routing poisoned");
-            routing.map.clone()
+        let mut map = self.shard_map();
+        let spec = map.merge(a, b).ok_or(RebalanceError::NotSiblings(a, b))?;
+        let generation = map.generation();
+        let plan = ReshapePlan {
+            sources: vec![
+                Seat::new(spec.zero_slot, spec.zero_engine),
+                Seat::new(spec.one_slot, spec.one_engine),
+            ],
+            targets: vec![Seat::new(spec.slot, spec.merged_engine)],
+            map,
+            freed_slot: Some(spec.freed_slot),
         };
-        let spec = new_map
-            .merge(a, b)
-            .ok_or(RebalanceError::NotSiblings(a, b))?;
-
-        // 1. Park both siblings on one shared queue: new ingest for either
-        // accumulates unconsumed (per-sender order is preserved, which is
-        // all the merged engine needs — the two slices touch disjoint
-        // edges). The pause clock runs from here to commit.
-        let pause_started = Instant::now();
-        let (park_tx, park_rx) = channel();
-        let (old_tx_kept, old_tx_freed) = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            let kept = match std::mem::replace(
-                &mut routing.senders[spec.slot],
-                ShardTx::Parked(park_tx.clone()),
-            ) {
-                ShardTx::Live(tx) => tx,
-                parked @ ShardTx::Parked(_) => {
-                    routing.senders[spec.slot] = parked;
-                    return Err(RebalanceError::UnknownShard(spec.slot));
-                }
-            };
-            let freed = match std::mem::replace(
-                &mut routing.senders[spec.freed_slot],
-                ShardTx::Parked(park_tx),
-            ) {
-                ShardTx::Live(tx) => tx,
-                parked @ ShardTx::Parked(_) => {
-                    routing.senders[spec.freed_slot] = parked;
-                    routing.senders[spec.slot] = ShardTx::Live(kept);
-                    return Err(RebalanceError::UnknownShard(spec.freed_slot));
-                }
-            };
-            (kept, freed)
-        };
-
-        // 2. Quiesce both: everything routed before the park is applied
-        // (and, when persistent, in each child's WAL), then the workers
-        // stop.
-        let quiesce = |tx: SyncSender<WorkerMsg>, handle: Option<JoinHandle<()>>| {
-            let (ack_tx, ack_rx) = channel();
-            let _ = tx.send(WorkerMsg::Flush(ack_tx));
-            let _ = ack_rx.recv();
-            let _ = tx.send(WorkerMsg::Shutdown);
-            drop(tx);
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-        };
-        quiesce(old_tx_kept, self.workers[spec.slot].take());
-        quiesce(old_tx_freed, self.workers[spec.freed_slot].take());
-        let roster = self.roster.load();
-        let seq_zero = roster.cells[spec.zero_slot].seq();
-        let seq_one = roster.cells[spec.one_slot].seq();
-        let merged_seq = seq_zero + seq_one;
-        observer(MergePhase::Parked);
-        // One journal span covers the whole merge, mirroring the split span;
-        // an aborted merge leaves it open (Begin without End).
-        let merge_event = |stage: RebalanceStage, parked: u64| ObsEvent::MergePhase {
-            slot: spec.slot as u32,
-            freed_slot: spec.freed_slot as u32,
-            stage,
-            parked,
-        };
-        let obs_span = self
-            .config
-            .obs
-            .registry()
-            .map(|registry| registry.begin(merge_event(RebalanceStage::Parked, 0)));
-
-        // 3. Rebuild the merged shard; on failure, resurrect both children.
-        let live_stats = {
-            let mut stats = self.engines[spec.slot]
-                .lock()
-                .expect("shard engine poisoned")
-                .stats()
-                .clone();
-            stats.merge(
-                self.engines[spec.freed_slot]
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .stats(),
-            );
-            stats
-        };
-        let built = self.build_merged(&spec, (seq_zero, seq_one), live_stats, &new_map);
-        let (mut merged, persist) = match built {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.resurrect_merge_children(&spec, park_rx);
-                return Err(e);
-            }
-        };
-        observer(MergePhase::Rebuilt);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.note(span, merge_event(RebalanceStage::Rebuilt, 0));
-        }
-
-        // 4. Publish the shrunk roster in ONE epoch store: readers switch
-        // from "two siblings" to "one merged shard, last slot renumbered"
-        // atomically. The merged slot gets a fresh cell at the merged
-        // sequence number and an empty delta ring (pollers resync, exactly
-        // as after a split); the renumbered slot keeps its cell and ring
-        // objects, just at a new index.
-        let last = roster.cells.len() - 1;
-        let mut cells = roster.cells.clone();
-        let mut rings = roster.rings.clone();
-        let fresh = Arc::new(EpochCell::new(ShardSnapshot::empty(spec.slot)));
-        fresh.store_with_seq(
-            Arc::new(worker::build_snapshot(
-                spec.slot,
-                &mut merged,
-                merged_seq,
-                merged_seq,
-                &[],
-                self.config.top_k,
-            )),
-            merged_seq,
-        );
-        cells[spec.slot] = fresh;
-        rings[spec.slot] = Arc::new(DeltaRing::new(self.config.delta_retention));
-        if spec.moved_slot.is_some() {
-            cells.swap(spec.freed_slot, last);
-            rings.swap(spec.freed_slot, last);
-        }
-        cells.pop();
-        rings.pop();
-        let merged_engine = Arc::new(Mutex::new(merged));
-        let (tx_merged, handle_merged, slot_cell) = spawn_worker(
-            spec.slot,
-            &self.config,
-            merged_seq,
-            persist,
-            &merged_engine,
-            &cells[spec.slot],
-            &rings[spec.slot],
-        );
-        self.engines[spec.slot] = merged_engine;
-        self.workers[spec.slot] = Some(handle_merged);
-        self.slots[spec.slot] = slot_cell;
-        if spec.moved_slot.is_some() {
-            self.engines.swap(spec.freed_slot, last);
-            self.workers.swap(spec.freed_slot, last);
-            self.slots.swap(spec.freed_slot, last);
-        }
-        self.engines.pop();
-        self.workers.pop();
-        self.slots.pop();
-        if spec.moved_slot.is_some() {
-            // Renumber the moved worker in place (no respawn): it stamps
-            // every snapshot it publishes from now on with the freed slot
-            // number.
-            self.slots[spec.freed_slot].store(spec.freed_slot as u32, Ordering::Relaxed);
-        }
-        self.roster.store(Arc::new(ShardRoster { cells, rings }));
-
-        // 5. Commit routing: install the coarsened map and drain the shared
-        // parked backlog to the merged worker, in arrival order. Holding the
-        // write lock guarantees no sender is mid-send, so the drain is
-        // complete.
-        let parked_updates = {
-            let mut routing = self.routing.write().expect("routing poisoned");
-            let mut drained = 0u64;
-            while let Ok(msg) = park_rx.try_recv() {
-                match msg {
-                    WorkerMsg::Update(u) => {
-                        drained += 1;
-                        let _ = tx_merged.send(WorkerMsg::Update(u));
-                    }
-                    WorkerMsg::Batch(batch) => {
-                        drained += batch.len() as u64;
-                        let _ = tx_merged.send(WorkerMsg::Batch(batch));
-                    }
-                    // Flushes, compaction passes and shutdowns parked
-                    // against either sibling all target the one merged
-                    // worker now.
-                    other => {
-                        let _ = tx_merged.send(other);
-                    }
-                }
-            }
-            routing.senders[spec.slot] = ShardTx::Live(tx_merged);
-            if spec.moved_slot.is_some() {
-                routing.senders.swap(spec.freed_slot, last);
-                routing.routed.swap(spec.freed_slot, last);
-            }
-            routing.senders.pop();
-            routing.routed.pop();
-            routing.routed[spec.slot] = Arc::new(AtomicU64::new(merged_seq + drained));
-            // Re-point the registry's routed series at the surviving cells:
-            // the merged slot got a fresh cell, the renumbered slot carries
-            // the previous last slot's cell, and slot `last` no longer
-            // exists (when nothing moved, `last == freed_slot`).
-            if let Some(registry) = self.config.obs.registry() {
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &spec.slot.to_string())],
-                    Arc::clone(&routing.routed[spec.slot]),
-                );
-                if spec.moved_slot.is_some() {
-                    registry.adopt_counter(
-                        names::SHARD_ROUTED_TOTAL,
-                        &[("shard", &spec.freed_slot.to_string())],
-                        Arc::clone(&routing.routed[spec.freed_slot]),
-                    );
-                }
-                registry.unregister(names::SHARD_ROUTED_TOTAL, &[("shard", &last.to_string())]);
-            }
-            routing.map = new_map.clone();
-            drained
-        };
-
-        // 6. Retire the children's directories (the manifest no longer
-        // references them; best-effort — an orphan is harmless).
-        if let Some(p) = &self.persistence {
-            let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, spec.zero_engine));
-            let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, spec.one_engine));
-        }
-        observer(MergePhase::Committed);
-        if let (Some(registry), Some(span)) = (self.config.obs.registry(), obs_span) {
-            registry.end(span, merge_event(RebalanceStage::Committed, parked_updates));
-            registry.counter(names::MERGES_TOTAL, &[]).inc();
-            registry
-                .histogram(names::REBALANCE_PAUSE_US, &[])
-                .record_micros(pause_started.elapsed());
-        }
-
+        let done = self.reshape(plan, &mut observer)?;
+        let (seq_zero, seq_one) = (done.source_seqs[0], done.source_seqs[1]);
         Ok(MergeReport {
             slot: spec.slot,
             freed_slot: spec.freed_slot,
@@ -1041,438 +636,430 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             child_engines: (spec.zero_engine, spec.one_engine),
             merged_engine: spec.merged_engine,
             child_seqs: (seq_zero, seq_one),
-            merged_seq,
-            parked_updates,
-            generation: new_map.generation(),
+            merged_seq: seq_zero + seq_one,
+            parked_updates: done.parked,
+            generation,
         })
     }
 
-    /// Rebuilds the merged engine (disk path for persistent deployments,
-    /// absorbing clones of the live engines otherwise), adopts the pair's
-    /// live work ledger, persists the merged shard and commits the manifest.
-    fn build_merged(
-        &self,
-        spec: &MergeSpec,
-        (seq_zero, seq_one): (u64, u64),
-        live_stats: EngineStats,
-        new_map: &ShardMap,
-    ) -> Result<(B::Engine, Option<WorkerPersistence>), RebalanceError> {
-        let mut merged = match &self.persistence {
-            Some(p) => {
-                // Each child recovers from its own durable state, which a
-                // clean quiesce left complete: its newest checkpoint plus
-                // its WAL tail must reach the quiesce point exactly.
-                let recover =
-                    |engine_id: u64, slot: usize, want: u64| -> Result<B::Engine, RebalanceError> {
-                        let dir = recovery::shard_dir(&p.dir, engine_id);
-                        let rec = recovery::recover_shard(&self.blueprint, slot, &dir, p)?;
-                        if rec.seq != want {
-                            return Err(RebalanceError::HistoryGap {
-                                expected: want,
-                                found: rec.seq,
-                            });
-                        }
-                        Ok(rec.engine)
-                    };
-                let mut zero = recover(spec.zero_engine, spec.zero_slot, seq_zero)?;
-                let one = recover(spec.one_engine, spec.one_slot, seq_one)?;
-                zero.absorb(one);
-                zero
-            }
-            None => {
-                let mut zero = self.engines[spec.zero_slot]
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .clone();
-                let one = self.engines[spec.one_slot]
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .clone();
-                zero.absorb(one);
-                zero
-            }
-        };
-        // The disk path recovers checkpoint-time counters; the pair's live
-        // ledger is authoritative either way (for the in-memory path this
-        // re-adopts the value absorb already merged).
-        merged.adopt_stats(live_stats);
-        let persist = match &self.persistence {
-            Some(p) => {
-                let wp = persist_child(p, spec.merged_engine, seq_zero + seq_one, &merged)?;
-                // The commit point: from here, recovery reopens the
-                // coarsened topology.
-                recovery::rewrite_manifest(
-                    &p.dir,
-                    self.blueprint.kind(),
-                    self.blueprint.measure_name(),
-                    &self.blueprint.params(),
-                    new_map,
-                )?;
-                Some(wp)
-            }
-            None => None,
-        };
-        Ok((merged, persist))
-    }
-
-    /// Brings both parked siblings back to life after a failed merge
-    /// rebuild. Their engines (in-memory deployments) or their on-disk
-    /// state (complete to the quiesce point) are intact, so both respawn
-    /// and the shared parked backlog is re-routed through the unchanged
-    /// map. If either resurrection fails, the pair stays parked — the same
-    /// double-fault posture as a failed split (see [`RebalanceError`]).
-    fn resurrect_merge_children(
+    /// The reshape transaction — see the [module docs](crate::rebalance) for
+    /// the phase table. On `Err` the fleet routes exactly as before (every
+    /// source resurrected) unless the error is
+    /// [`Stranded`](RebalanceError::Stranded).
+    fn reshape(
         &mut self,
-        spec: &MergeSpec,
-        park_rx: std::sync::mpsc::Receiver<WorkerMsg>,
-    ) {
+        mut plan: ReshapePlan,
+        observer: &mut dyn FnMut(RebalanceStage),
+    ) -> Result<Reshaped, RebalanceError> {
+        // 1–2. Park and quiesce the sources. The pause clock runs from here
+        // to commit — the whole window in which they apply nothing.
+        let pause_started = Instant::now();
+        let source_slots: Vec<usize> = plan.sources.iter().map(|s| s.slot).collect();
+        let park_rx = self.park_and_quiesce(&source_slots)?;
         let roster = self.roster.load();
-        let pair = [spec.slot, spec.freed_slot];
-        let mut spawned: Vec<(usize, SyncSender<WorkerMsg>)> = Vec::with_capacity(2);
-        if let Some(p) = self.persistence.clone() {
-            // Recover both engines before spawning anything, so a failure
-            // leaves no half-resurrected pair.
-            let mut recovered = Vec::with_capacity(2);
-            for slot in pair {
-                let engine_id = {
-                    let routing = self.routing.read().expect("routing poisoned");
-                    routing.map.engine_of(slot).unwrap_or(slot as u64)
-                };
-                let dir = recovery::shard_dir(&p.dir, engine_id);
-                match recovery::recover_shard(&self.blueprint, slot, &dir, &p) {
-                    Ok(rec) => recovered.push((slot, dir, rec)),
-                    Err(e) => {
-                        // Double fault: both siblings stay parked until a
-                        // process restart recovers them. The shared backlog
-                        // keeps accumulating in memory (never applied or
-                        // logged) and is lost on restart.
-                        eprintln!(
-                            "shard {slot}: sibling resurrection failed after aborted merge: {e}"
-                        );
-                        self.dead_parked.push(Mutex::new(park_rx));
-                        return;
-                    }
-                }
-            }
-            for (slot, dir, rec) in recovered {
-                debug_assert_eq!(rec.seq, roster.cells[slot].seq());
-                let persist = WorkerPersistence {
-                    wal: rec.wal,
-                    dir,
-                    snapshot_every: p.snapshot_every_batches,
-                    retained: p.retained_snapshots,
-                    batches_since_snapshot: 0,
-                };
-                self.engines[slot] = Arc::new(Mutex::new(rec.engine));
-                let (tx, handle, slot_cell) = spawn_worker(
-                    slot,
-                    &self.config,
-                    rec.seq,
-                    Some(persist),
-                    &self.engines[slot],
-                    &roster.cells[slot],
-                    &roster.rings[slot],
-                );
-                self.workers[slot] = Some(handle);
-                self.slots[slot] = slot_cell;
-                spawned.push((slot, tx));
-            }
-        } else {
-            for slot in pair {
-                let (tx, handle, slot_cell) = spawn_worker(
-                    slot,
-                    &self.config,
-                    roster.cells[slot].seq(),
-                    None,
-                    &self.engines[slot],
-                    &roster.cells[slot],
-                    &roster.rings[slot],
-                );
-                self.workers[slot] = Some(handle);
-                self.slots[slot] = slot_cell;
-                spawned.push((slot, tx));
-            }
-        }
-        // Drain the shared backlog through the unchanged routing map, then
-        // swap the live senders in — all under the write lock, so no
-        // producer can interleave ahead of the backlog.
-        let mut routing = self.routing.write().expect("routing poisoned");
-        let tx_of = |slot: usize| {
-            &spawned
-                .iter()
-                .find(|(s, _)| *s == slot)
-                .expect("resurrected pair")
-                .1
-        };
-        while let Ok(msg) = park_rx.try_recv() {
-            match msg {
-                WorkerMsg::Update(u) => {
-                    let slot = routing.map.route(u.a.min(u.b));
-                    let _ = tx_of(slot).send(WorkerMsg::Update(u));
-                }
-                WorkerMsg::Batch(batch) => {
-                    // A parked batch was pre-routed to one sibling: all its
-                    // updates share an owner under the unchanged map.
-                    let slot = batch
-                        .first()
-                        .map(|u| routing.map.route(u.a.min(u.b)))
-                        .unwrap_or(spec.slot);
-                    let _ = tx_of(slot).send(WorkerMsg::Batch(batch));
-                }
-                // Which sibling a parked flush / compaction targeted is
-                // unknowable: cover both. Waiters ignore surplus flush acks,
-                // and a duplicate compaction pass evicts nothing new.
-                WorkerMsg::Flush(ack) => {
-                    let _ = tx_of(spec.slot).send(WorkerMsg::Flush(ack.clone()));
-                    let _ = tx_of(spec.freed_slot).send(WorkerMsg::Flush(ack));
-                }
-                WorkerMsg::Compact { min_weight, ack } => {
-                    let _ = tx_of(spec.slot).send(WorkerMsg::Compact {
-                        min_weight,
-                        ack: ack.clone(),
-                    });
-                    let _ = tx_of(spec.freed_slot).send(WorkerMsg::Compact { min_weight, ack });
-                }
-                WorkerMsg::Shutdown => {
-                    let _ = tx_of(spec.slot).send(WorkerMsg::Shutdown);
-                    let _ = tx_of(spec.freed_slot).send(WorkerMsg::Shutdown);
-                }
-            }
-        }
-        for (slot, tx) in spawned {
-            routing.senders[slot] = ShardTx::Live(tx);
-        }
-    }
+        let source_seqs: Vec<u64> = source_slots
+            .iter()
+            .map(|&slot| roster.cells[slot].seq())
+            .collect();
+        // Every target starts where the sources stopped.
+        let seq: u64 = source_seqs.iter().sum();
+        observer(RebalanceStage::Parked);
+        // One journal span covers the whole reshape; the Committed record is
+        // enriched with the report counts. An aborted reshape leaves the
+        // span open — a Begin without an End marks the failed attempt.
+        let registry = self.config.obs.registry().cloned();
+        let span = registry
+            .as_ref()
+            .map(|r| r.begin(plan.event(RebalanceStage::Parked, 0, 0)));
 
-    /// Rebuilds the two child engines (disk path for persistent deployments,
-    /// live partition otherwise), persists them and commits the manifest.
-    #[allow(clippy::type_complexity)]
-    fn build_children(
-        &self,
-        keep: &impl Fn(VertexId) -> bool,
-        slot: usize,
-        parent_seq: u64,
-        spec: &dyndens_graph::SplitSpec,
-        new_map: &ShardMap,
-    ) -> Result<
-        (
-            B::Engine,
-            B::Engine,
-            (Option<WorkerPersistence>, Option<WorkerPersistence>),
-            RebuildDetail,
-        ),
-        RebalanceError,
-    > {
-        let live_stats = self.engines[slot]
-            .lock()
-            .expect("shard engine poisoned")
-            .stats()
-            .clone();
-        let (mut child_zero, mut child_one, detail) = match &self.persistence {
-            Some(p) => {
-                let dir = recovery::shard_dir(&p.dir, spec.parent_engine);
-                rebuild_from_disk(&self.blueprint, &dir, parent_seq, keep)?
-            }
-            None => {
-                let parent = self.engines[slot].lock().expect("shard engine poisoned");
-                let (zero, one) = parent.partition_by(&mut |v| keep(v));
-                (
-                    zero,
-                    one,
-                    RebuildDetail {
-                        snapshot_seq: 0,
-                        replayed: 0,
-                    },
-                )
-            }
-        };
-        // The ledger survives the split exactly: replay counted nothing, the
-        // slot-keeping child adopts the parent's counters wholesale.
-        child_zero.adopt_stats(live_stats);
-        child_one.adopt_stats(EngineStats::default());
-
-        let persist = match &self.persistence {
-            Some(p) => {
-                let zero = persist_child(p, spec.child_zero_engine, parent_seq, &child_zero)?;
-                let one = persist_child(p, spec.child_one_engine, parent_seq, &child_one)?;
-                // The commit point: from here, recovery reopens the refined
-                // topology.
-                recovery::rewrite_manifest(
-                    &p.dir,
-                    self.blueprint.kind(),
-                    self.blueprint.measure_name(),
-                    &self.blueprint.params(),
-                    new_map,
-                )?;
-                (Some(zero), Some(one))
-            }
-            None => (None, None),
-        };
-        Ok((child_zero, child_one, persist, detail))
-    }
-
-    /// Brings the parked slot back to life on the parent engine after a
-    /// failed rebuild: respawn a worker (recovering the engine and WAL
-    /// writer from disk for persistent deployments — the parent's state is
-    /// complete up to the quiesce point) and hand it the parked backlog
-    /// unchanged.
-    fn resurrect_parent(
-        &mut self,
-        slot: usize,
-        parent_seq: u64,
-        park_rx: std::sync::mpsc::Receiver<WorkerMsg>,
-    ) {
-        let roster = self.roster.load();
-        let persist = match &self.persistence {
-            Some(p) => {
-                let engine_id = {
-                    let routing = self.routing.read().expect("routing poisoned");
-                    routing.map.engine_of(slot).unwrap_or(slot as u64)
-                };
-                let dir = recovery::shard_dir(&p.dir, engine_id);
-                match recovery::recover_shard(&self.blueprint, slot, &dir, p) {
-                    Ok(rec) => {
-                        debug_assert_eq!(rec.seq, parent_seq);
-                        self.engines[slot] = Arc::new(Mutex::new(rec.engine));
-                        Some(WorkerPersistence {
-                            wal: rec.wal,
-                            dir,
-                            snapshot_every: p.snapshot_every_batches,
-                            retained: p.retained_snapshots,
-                            batches_since_snapshot: 0,
-                        })
-                    }
-                    Err(e) => {
-                        // Double fault: the slot stays parked until a
-                        // process restart recovers it. Keep the receiver
-                        // alive so the slot's parked sender stays open —
-                        // ingest routed here keeps parking in memory rather
-                        // than panicking the sending thread. The parked
-                        // backlog is unrecoverable in-process (never applied
-                        // or logged) and is lost on restart.
-                        eprintln!(
-                            "shard {slot}: parent resurrection failed after aborted split: {e}"
-                        );
-                        self.dead_parked.push(Mutex::new(park_rx));
-                        return;
-                    }
-                }
-            }
-            None => None,
-        };
-        let (tx, handle, slot_cell) = spawn_worker(
-            slot,
-            &self.config,
-            parent_seq,
-            persist,
-            &self.engines[slot],
-            &roster.cells[slot],
-            &roster.rings[slot],
-        );
-        self.workers[slot] = Some(handle);
-        self.slots[slot] = slot_cell;
-        let mut routing = self.routing.write().expect("routing poisoned");
-        while let Ok(msg) = park_rx.try_recv() {
-            let _ = tx.send(msg);
-        }
-        routing.senders[slot] = ShardTx::Live(tx);
-    }
-}
-
-/// Restores the parent's newest checkpoint, partitions it by `keep`, then
-/// replays the WAL slice past it with every update filtered to its owning
-/// child. Mirrors `recovery::recover_shard`, with the same torn-tail /
-/// mid-log-corruption discipline — except that after a clean quiesce a torn
-/// tail is genuine corruption, so any dirty segment is a hard error.
-fn rebuild_from_disk<B: EngineBlueprint>(
-    blueprint: &B,
-    dir: &std::path::Path,
-    target_seq: u64,
-    keep: &impl Fn(VertexId) -> bool,
-) -> Result<(B::Engine, B::Engine, RebuildDetail), RebalanceError> {
-    // Newest parseable snapshot, falling back to older retained ones.
-    let mut base: Option<B::Engine> = None;
-    let mut snapshot_seq = 0u64;
-    let mut last_snapshot_error: Option<RecoveryError> = None;
-    for (_, path) in recovery::list_snapshots(dir)?.into_iter().rev() {
-        match recovery::read_snapshot(&path).and_then(|(s, bytes)| {
-            match blueprint.restore(&bytes) {
-                Ok(e) => Ok((s, e)),
-                Err(e) => Err(RecoveryError::Snapshot(e)),
-            }
-        }) {
-            Ok((s, e)) => {
-                base = Some(e);
-                snapshot_seq = s;
-                break;
-            }
-            Err(e) => last_snapshot_error = Some(e),
-        }
-    }
-    let base = match base {
-        Some(e) => e,
-        None => blueprint.fresh(),
-    };
-    let (mut zero, mut one) = base.partition_by(&mut |v| keep(v));
-    let mut seq = snapshot_seq;
-    let mut replayed = 0u64;
-    zero.set_recovering(true);
-    one.set_recovering(true);
-    let mut events = Vec::new();
-    for (no, path) in wal::list_segments(dir)? {
-        let scan = wal::scan_segment(&path)?;
-        if !scan.clean {
-            return Err(RecoveryError::CorruptWal { segment: no }.into());
-        }
-        for record in scan.records {
-            if record.first_seq > seq {
-                if let Some(e) = last_snapshot_error.take() {
-                    return Err(e.into());
-                }
-                return Err(RecoveryError::SequenceGap {
-                    expected: seq,
-                    found: record.first_seq,
-                }
-                .into());
-            }
-            let skip = (seq - record.first_seq) as usize;
-            if skip >= record.updates.len() {
-                continue;
-            }
-            for u in &record.updates[skip..] {
-                let side = if keep(u.a.min(u.b)) {
-                    &mut zero
-                } else {
-                    &mut one
-                };
-                side.apply_update_into(*u, &mut events);
-                events.clear();
-                seq += 1;
-                replayed += 1;
-            }
-        }
-    }
-    zero.set_recovering(false);
-    one.set_recovering(false);
-    if seq != target_seq {
-        return Err(RebalanceError::HistoryGap {
-            expected: target_seq,
-            found: seq,
+        // 3–4. Rebuild and persist the targets; on failure, resurrect the
+        // sources.
+        let built = self.rebuild(&plan, &source_seqs).and_then(|built| {
+            let persists = self.persist(&plan, seq, &built.0)?;
+            Ok((built, persists))
         });
-    }
-    Ok((
-        zero,
-        one,
-        RebuildDetail {
+        let ((engines, snapshot_seq, replayed), persists) = match built {
+            Ok(parts) => parts,
+            Err(cause) => {
+                let Err(resurrection) = self.resurrect(&plan.sources, &source_seqs, park_rx) else {
+                    return Err(cause);
+                };
+                if let (Some(r), Some(span)) = (&registry, span) {
+                    r.note(span, plan.event(RebalanceStage::Parked, 0, 0));
+                }
+                return Err(RebalanceError::Stranded {
+                    slots: source_slots,
+                    cause: Box::new(cause),
+                    resurrection: Box::new(resurrection),
+                });
+            }
+        };
+        observer(RebalanceStage::Rebuilt);
+        if let (Some(r), Some(span)) = (&registry, span) {
+            r.note(span, plan.event(RebalanceStage::Rebuilt, 0, replayed));
+        }
+
+        // 5. Install the targets and publish the new roster in ONE epoch
+        // store, so readers switch topology atomically — no interleaving
+        // can observe one split child without the other (which would
+        // transiently lose the moved slice's stories). Sequence numbers stay
+        // monotone: a reused slot's old cell sat at or below `seq` too.
+        let last = roster.cells.len() - 1;
+        let mut cells = roster.cells.clone();
+        let mut rings = roster.rings.clone();
+        let mut senders = Vec::with_capacity(plan.targets.len());
+        let mut routed = Vec::with_capacity(plan.targets.len());
+        for ((seat, engine), persist) in plan.targets.iter().zip(engines).zip(persists) {
+            let seed = ShardSeed {
+                engine,
+                seq,
+                persist,
+            };
+            let live = install_slot(seat.slot, &self.config, seed);
+            place(&mut cells, seat.slot, live.cell);
+            place(&mut rings, seat.slot, live.ring);
+            place(&mut self.engines, seat.slot, live.engine);
+            place(&mut self.workers, seat.slot, Some(live.handle));
+            place(&mut self.slots, seat.slot, live.slot_cell);
+            senders.push((seat.slot, live.tx));
+            routed.push(live.routed);
+        }
+        if let Some(freed) = plan.freed_slot {
+            // The last slot moves into the freed one keeping its cell, ring
+            // and worker: the worker is renumbered in place (no respawn) and
+            // stamps every snapshot it publishes from now on with its new
+            // slot number.
+            cells.swap_remove(freed);
+            rings.swap_remove(freed);
+            self.engines.swap_remove(freed);
+            self.workers.swap_remove(freed);
+            self.slots.swap_remove(freed);
+            if freed != last {
+                self.slots[freed].store(freed as u32, Ordering::Relaxed);
+            }
+        }
+        self.roster.store(Arc::new(ShardRoster { cells, rings }));
+
+        // 6. Commit routing: drain the parked backlog through the new map,
+        // in arrival order, then install the map. Holding the write lock
+        // guarantees no sender is mid-send, so the drain is complete.
+        let parked = {
+            let mut routing = self.routing.write().expect("routing poisoned");
+            let drained = drain_parked(&park_rx, &plan.map, &senders);
+            for (((slot, tx), routed), n) in senders.into_iter().zip(routed).zip(&drained) {
+                routed.fetch_add(*n, Ordering::Relaxed);
+                place(&mut routing.senders, slot, ShardTx::Live(tx));
+                place(&mut routing.routed, slot, routed);
+            }
+            if let Some(freed) = plan.freed_slot {
+                routing.senders.swap_remove(freed);
+                routing.routed.swap_remove(freed);
+                // Re-point the registry's routed series: the renumbered slot
+                // carries the previous last slot's counter, and slot `last`
+                // no longer exists.
+                if let Some(r) = &registry {
+                    if freed != last {
+                        r.adopt_counter(
+                            names::SHARD_ROUTED_TOTAL,
+                            &[("shard", &freed.to_string())],
+                            Arc::clone(&routing.routed[freed]),
+                        );
+                    }
+                    r.unregister(names::SHARD_ROUTED_TOTAL, &[("shard", &last.to_string())]);
+                }
+            }
+            // The old map dies with the plan.
+            std::mem::swap(&mut routing.map, &mut plan.map);
+            drained.iter().sum()
+        };
+
+        // Retire the sources' directories (the manifest no longer references
+        // them; best-effort — an orphan is harmless).
+        if let Some(p) = &self.persistence {
+            for seat in &plan.sources {
+                let _ = std::fs::remove_dir_all(recovery::shard_dir(&p.dir, seat.engine));
+            }
+        }
+        observer(RebalanceStage::Committed);
+        if let (Some(r), Some(span)) = (&registry, span) {
+            r.end(
+                span,
+                plan.event(RebalanceStage::Committed, parked, replayed),
+            );
+            let total = match plan.freed_slot {
+                None => names::SPLITS_TOTAL,
+                Some(_) => names::MERGES_TOTAL,
+            };
+            r.counter(total, &[]).inc();
+            r.histogram(names::REBALANCE_PAUSE_US, &[])
+                .record_micros(pause_started.elapsed());
+        }
+        Ok(Reshaped {
+            source_seqs,
             snapshot_seq,
             replayed,
-        },
-    ))
+            parked,
+        })
+    }
+
+    /// Phases 1–2: swaps every slot's live sender for one shared parked
+    /// queue (new ingest for the slots accumulates unconsumed; per-sender
+    /// order is preserved, which is all the targets need — distinct sources
+    /// touch disjoint edges), then flushes and stops the workers, so
+    /// everything routed before the park is applied and, when persistent,
+    /// in each source's WAL.
+    fn park_and_quiesce(&mut self, slots: &[usize]) -> Result<Receiver<WorkerMsg>, RebalanceError> {
+        let (park_tx, park_rx) = channel();
+        let live: Vec<SyncSender<WorkerMsg>> = {
+            let mut routing = self.routing.write().expect("routing poisoned");
+            // Reshapes are serialised by `&mut self`, so a slot is only ever
+            // found parked after a stranded attempt.
+            if let Some(&slot) = slots
+                .iter()
+                .find(|&&slot| matches!(routing.senders[slot], ShardTx::Parked(_)))
+            {
+                return Err(RebalanceError::UnknownShard(slot));
+            }
+            slots
+                .iter()
+                .map(|&slot| {
+                    let parked = ShardTx::Parked(park_tx.clone());
+                    match std::mem::replace(&mut routing.senders[slot], parked) {
+                        ShardTx::Live(tx) => tx,
+                        ShardTx::Parked(_) => unreachable!("checked live above"),
+                    }
+                })
+                .collect()
+        };
+        for (tx, &slot) in live.into_iter().zip(slots) {
+            let (ack_tx, ack_rx) = channel();
+            let _ = tx.send(WorkerMsg::Flush(ack_tx));
+            let _ = ack_rx.recv();
+            let _ = tx.send(WorkerMsg::Shutdown);
+            drop(tx);
+            if let Some(handle) = self.workers[slot].take() {
+                let _ = handle.join();
+            }
+        }
+        Ok(park_rx)
+    }
+
+    /// Recovers one quiesced source from its own durable state, which a
+    /// clean quiesce left complete: its newest checkpoint plus its WAL tail
+    /// must reach the quiesce point exactly.
+    fn recover_at(
+        &self,
+        p: &PersistenceConfig,
+        seat: Seat,
+        seq: u64,
+    ) -> Result<RecoveredShard<B::Engine>, RebalanceError> {
+        let dir = recovery::shard_dir(&p.dir, seat.engine);
+        let rec = recovery::recover_shard(&self.blueprint, seat.slot, &dir, p)?;
+        if rec.seq != seq {
+            return Err(RebalanceError::HistoryGap {
+                expected: seq,
+                found: rec.seq,
+            });
+        }
+        Ok(rec)
+    }
+
+    /// Phase 3: the sources at their quiesce points (recovered from disk
+    /// when persistent, clones of the live engines otherwise), transformed
+    /// into the targets. Returns the target engines in plan order plus the
+    /// recovery's `(snapshot_seq, replayed_updates)`.
+    #[allow(clippy::type_complexity)]
+    fn rebuild(
+        &self,
+        plan: &ReshapePlan,
+        source_seqs: &[u64],
+    ) -> Result<(Vec<B::Engine>, u64, u64), RebalanceError> {
+        let mut ledger = EngineStats::default();
+        let (mut snapshot_seq, mut replayed) = (0, 0);
+        let mut sources = Vec::with_capacity(plan.sources.len());
+        for (seat, &seq) in plan.sources.iter().zip(source_seqs) {
+            let live = self.engines[seat.slot]
+                .lock()
+                .expect("shard engine poisoned");
+            ledger.merge(live.stats());
+            sources.push(match &self.persistence {
+                Some(p) => {
+                    let rec = self.recover_at(p, *seat, seq)?;
+                    snapshot_seq += rec.report.snapshot_seq;
+                    replayed += rec.report.replayed_updates;
+                    rec.engine
+                }
+                None => live.clone(),
+            });
+        }
+        let mut sources = sources.into_iter();
+        let first = sources.next().expect("a reshape has a source");
+        let mut targets = if plan.targets.len() == 2 {
+            let kept = plan.targets[0].slot;
+            let (zero, one) = first.partition_by(&mut |v| plan.map.route(v) == kept);
+            vec![zero, one]
+        } else {
+            let mut merged = first;
+            for sibling in sources {
+                merged.absorb(sibling);
+            }
+            vec![merged]
+        };
+        // The ledger survives exactly: recovery replay counted nothing (and
+        // restored checkpoint-time counters), so the first target adopts the
+        // sources' live counters wholesale and any other starts at zero.
+        let mut ledger = Some(ledger);
+        for target in &mut targets {
+            target.adopt_stats(ledger.take().unwrap_or_default());
+        }
+        Ok((targets, snapshot_seq, replayed))
+    }
+
+    /// Phase 4: every target's directory, then the manifest rewrite — the
+    /// commit point, from which recovery reopens the new topology. A no-op
+    /// (`None` per target) for in-memory deployments.
+    fn persist(
+        &self,
+        plan: &ReshapePlan,
+        seq: u64,
+        engines: &[B::Engine],
+    ) -> Result<Vec<Option<WorkerPersistence>>, RebalanceError> {
+        let Some(p) = &self.persistence else {
+            return Ok(engines.iter().map(|_| None).collect());
+        };
+        let mut persists = Vec::with_capacity(engines.len());
+        for (seat, engine) in plan.targets.iter().zip(engines) {
+            persists.push(Some(persist_child(p, seat.engine, seq, engine)?));
+        }
+        recovery::rewrite_manifest(
+            &p.dir,
+            self.blueprint.kind(),
+            self.blueprint.measure_name(),
+            &self.blueprint.params(),
+            &plan.map,
+        )?;
+        Ok(persists)
+    }
+
+    /// The abort path: brings the parked sources back to life on their own
+    /// engines (intact, ledger included: their workers stopped cleanly at
+    /// the quiesce point), cells and rings (no resync for their pollers) and
+    /// re-routes the parked backlog through the unchanged map. Persistent
+    /// sources also need their WAL writers back, which recovery rebuilds —
+    /// seq-checked against the engine, and for all of them before anything
+    /// is spawned, so a failure leaves no half-resurrected set. On `Err`
+    /// the slots stay parked: the receiver is kept alive so ingest routed
+    /// to them keeps parking in memory rather than panicking the sending
+    /// thread.
+    fn resurrect(
+        &mut self,
+        sources: &[Seat],
+        source_seqs: &[u64],
+        park_rx: Receiver<WorkerMsg>,
+    ) -> Result<(), RebalanceError> {
+        let persists: Result<Vec<_>, RebalanceError> = match &self.persistence {
+            Some(p) => sources
+                .iter()
+                .zip(source_seqs)
+                .map(|(seat, &seq)| {
+                    let wal = self.recover_at(p, *seat, seq)?.wal;
+                    let dir = recovery::shard_dir(&p.dir, seat.engine);
+                    Ok(Some(WorkerPersistence::new(wal, dir, p)))
+                })
+                .collect(),
+            None => Ok(sources.iter().map(|_| None).collect()),
+        };
+        let persists = match persists {
+            Ok(persists) => persists,
+            Err(e) => {
+                self.dead_parked.push(Mutex::new(park_rx));
+                return Err(e);
+            }
+        };
+        let roster = self.roster.load();
+        let mut senders = Vec::with_capacity(sources.len());
+        for ((seat, &seq), persist) in sources.iter().zip(source_seqs).zip(persists) {
+            let slot = seat.slot;
+            let (tx, handle, slot_cell) = spawn_worker(
+                slot,
+                &self.config,
+                seq,
+                persist,
+                &self.engines[slot],
+                &roster.cells[slot],
+                &roster.rings[slot],
+            );
+            self.workers[slot] = Some(handle);
+            self.slots[slot] = slot_cell;
+            senders.push((slot, tx));
+        }
+        // Swap the live senders in under the write lock, so no producer can
+        // interleave ahead of the backlog.
+        let mut routing = self.routing.write().expect("routing poisoned");
+        drain_parked(&park_rx, &routing.map, &senders);
+        for (slot, tx) in senders {
+            routing.senders[slot] = ShardTx::Live(tx);
+        }
+        Ok(())
+    }
 }
 
-/// Writes one child's initial state: its directory (clobbering an orphan
-/// from a previously crashed, uncommitted split — engine ids are only
-/// consumed by the manifest rewrite), a snapshot at the split point, and a
+/// Empties a parked queue, in arrival order, into the workers of whichever
+/// `map` is being installed (the new map on commit, the unchanged one on
+/// abort): every update goes to the sender of the slot `map` routes it to.
+/// Returns the number of updates forwarded per sender. The caller holds the
+/// routing write lock, so no producer is mid-send and the drain is complete.
+fn drain_parked(
+    park_rx: &Receiver<WorkerMsg>,
+    map: &ShardMap,
+    senders: &[(usize, SyncSender<WorkerMsg>)],
+) -> Vec<u64> {
+    let owner = |u: &EdgeUpdate| {
+        let slot = map.route(u.a.min(u.b));
+        senders
+            .iter()
+            .position(|(s, _)| *s == slot)
+            .expect("a parked update routes to a reshaped slot")
+    };
+    let mut counts = vec![0u64; senders.len()];
+    while let Ok(msg) = park_rx.try_recv() {
+        match msg {
+            WorkerMsg::Update(u) => {
+                let i = owner(&u);
+                counts[i] += 1;
+                let _ = senders[i].1.send(WorkerMsg::Update(u));
+            }
+            WorkerMsg::Batch(batch) => {
+                let mut groups = vec![Vec::new(); senders.len()];
+                for u in batch {
+                    groups[owner(&u)].push(u);
+                }
+                for (i, group) in groups.into_iter().enumerate() {
+                    if !group.is_empty() {
+                        counts[i] += group.len() as u64;
+                        let _ = senders[i].1.send(WorkerMsg::Batch(group));
+                    }
+                }
+            }
+            // No control message can be parked: `Flush` and `Compact` are
+            // only sent by `&self` methods of the fleet (`flush`,
+            // `compact_below`) and `Shutdown` by its `Drop`, none of which
+            // can run while a reshape holds `&mut self` from park to drain,
+            // and an `IngestHandle` sends only updates and batches. Should
+            // that ever change, fanning out keeps every waiter acknowledged.
+            control => {
+                for (_, tx) in senders {
+                    let _ = tx.send(control.clone());
+                }
+            }
+        }
+    }
+    counts
+}
+
+/// Writes one target's initial state: its directory (clobbering an orphan
+/// from a previously crashed or aborted attempt — engine ids are only
+/// consumed by the manifest rewrite), a snapshot at the reshape point, and a
 /// fresh WAL positioned to append from it.
 fn persist_child<E: MaintenanceEngine>(
     p: &PersistenceConfig,
@@ -1487,13 +1074,7 @@ fn persist_child<E: MaintenanceEngine>(
     std::fs::create_dir_all(&dir)?;
     recovery::write_snapshot(&dir, seq, &child.snapshot(), p.retained_snapshots)?;
     let wal = WalWriter::open(&dir, seq, Vec::new(), p.fsync, p.segment_max_bytes)?;
-    Ok(WorkerPersistence {
-        wal,
-        dir,
-        snapshot_every: p.snapshot_every_batches,
-        retained: p.retained_snapshots,
-        batches_since_snapshot: 0,
-    })
+    Ok(WorkerPersistence::new(wal, dir, p))
 }
 
 #[cfg(test)]
@@ -1503,7 +1084,7 @@ mod tests {
     use crate::sharded::ShardedDynDens;
     use dyndens_core::DynDensConfig;
     use dyndens_density::AvgWeight;
-    use dyndens_graph::{EdgeUpdate, VertexSet};
+    use dyndens_graph::{EdgeUpdate, VertexId, VertexSet};
 
     fn update(a: u32, b: u32, delta: f64) -> EdgeUpdate {
         EdgeUpdate::new(VertexId(a), VertexId(b), delta)
@@ -1558,9 +1139,9 @@ mod tests {
         assert_eq!(
             phases,
             vec![
-                SplitPhase::Parked,
-                SplitPhase::Rebuilt,
-                SplitPhase::Committed
+                RebalanceStage::Parked,
+                RebalanceStage::Rebuilt,
+                RebalanceStage::Committed
             ]
         );
         assert_eq!(report.slot, 0);
@@ -1587,7 +1168,7 @@ mod tests {
         let view = fleet.view();
         let report = fleet
             .split_shard_with(0, |phase| {
-                if phase == SplitPhase::Parked {
+                if phase == RebalanceStage::Parked {
                     // Routed to the parked slot: must wait for the commit.
                     handle.apply_update(update(0, 8, 0.9));
                     handle.apply_update(update(2, 10, 0.8));
@@ -1675,6 +1256,78 @@ mod tests {
     }
 
     #[test]
+    fn double_fault_strands_the_slot_with_a_typed_error() {
+        use dyndens_obs::{Registry, SpanMark};
+
+        let dir = std::env::temp_dir().join(format!("dyndens-strand-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Arc::new(Registry::new());
+        let mut fleet = ShardedDynDens::with_persistence(
+            AvgWeight,
+            engine_config(),
+            shard_config(2).with_obs(Arc::clone(&registry)),
+            PersistenceConfig::new(&dir).with_fsync(FsyncPolicy::Never),
+        )
+        .unwrap();
+        fleet.apply_batch(&skewed_updates());
+        fleet.flush();
+        let parent_seq = fleet.view().shard_seq(0);
+        assert!(parent_seq > 0);
+
+        // Losing the parent's directory while it is quiesced fails the
+        // rebuild (nothing to recover) and the resurrection (no WAL to
+        // continue) alike.
+        let parent_dir = recovery::shard_dir(&dir, 0);
+        let err = fleet
+            .split_shard_with(0, |stage| {
+                if stage == RebalanceStage::Parked {
+                    std::fs::remove_dir_all(&parent_dir).unwrap();
+                }
+            })
+            .unwrap_err();
+        let gap = |e: &RebalanceError| matches!(e, RebalanceError::HistoryGap { expected, found: 0 } if *expected == parent_seq);
+        match &err {
+            RebalanceError::Stranded {
+                slots,
+                cause,
+                resurrection,
+            } => {
+                assert_eq!(slots, &[0]);
+                assert!(gap(cause), "{cause}");
+                assert!(gap(resurrection), "{resurrection}");
+            }
+            other => panic!("expected Stranded, got {other}"),
+        }
+        // The span stays open: Begin(Parked), a second Parked note, no End.
+        let marks: Vec<SpanMark> = registry
+            .recent_events()
+            .iter()
+            .filter(|r| r.event.kind() == "split_phase")
+            .map(|r| r.mark)
+            .collect();
+        assert_eq!(marks, vec![SpanMark::Begin, SpanMark::Instant]);
+
+        // The stranded slot keeps accepting (and parking) ingest, every
+        // other shard keeps working, and a retry is refused, not re-parked.
+        assert_eq!(fleet.n_shards(), 2);
+        fleet.apply_update(update(0, 4, 0.1));
+        let view = fleet.view();
+        let before = view.shard_seq(1);
+        fleet.apply_update(update(1, 5, 0.1));
+        while view.shard_seq(1) == before {
+            std::thread::yield_now();
+        }
+        assert_eq!(view.shard_seq(0), parent_seq);
+        assert!(matches!(
+            fleet.split_shard(0),
+            Err(RebalanceError::UnknownShard(0))
+        ));
+        // Dropping a stranded fleet must not hang.
+        drop(fleet);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn split_rejects_unknown_slots() {
         let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
         assert!(matches!(
@@ -1703,9 +1356,9 @@ mod tests {
         assert_eq!(
             phases,
             vec![
-                MergePhase::Parked,
-                MergePhase::Rebuilt,
-                MergePhase::Committed
+                RebalanceStage::Parked,
+                RebalanceStage::Rebuilt,
+                RebalanceStage::Committed
             ]
         );
         assert_eq!(report.slot, 0);

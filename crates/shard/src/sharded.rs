@@ -26,17 +26,18 @@ use crate::worker::{self, WorkerMsg, WorkerPersistence};
 ///
 /// A slot is normally [`Live`](ShardTx::Live): a bounded channel consumed by
 /// the slot's worker thread (backpressure by blocking the producer). While
-/// the slot is being **split**, it is temporarily [`Parked`](ShardTx::Parked):
-/// an unbounded channel nobody consumes — updates routed to the slot simply
-/// accumulate until the split commits and re-routes them, in order, through
-/// the refined shard map. Parking is unbounded deliberately: a bounded
+/// the slot is being **split or merged**, it is temporarily
+/// [`Parked`](ShardTx::Parked): an unbounded channel nobody consumes —
+/// updates routed to the slot simply accumulate until the reshape commits
+/// and re-routes them, in order, through the new shard map (see
+/// [`crate::rebalance`]). Parking is unbounded deliberately: a bounded
 /// parking queue could block an ingest thread that holds the routing read
-/// lock while the split needs the write lock to drain it.
+/// lock while the reshape needs the write lock to drain it.
 #[derive(Debug)]
 pub(crate) enum ShardTx {
     /// A worker thread is consuming this slot's inbox.
     Live(SyncSender<WorkerMsg>),
-    /// The slot is mid-split; messages park until the split commits.
+    /// The slot is mid-reshape; messages park until the reshape commits.
     Parked(Sender<WorkerMsg>),
 }
 
@@ -137,10 +138,11 @@ impl IngestHandle {
 /// non-blocking reads that tolerate a bounded lag, use the [`StoryView`]
 /// returned by [`view`].
 ///
-/// The worker count starts at [`ShardConfig::n_shards`] and can grow at
+/// The worker count starts at [`ShardConfig::n_shards`] and changes at
 /// runtime: [`split_shard`] rebuilds a hot shard's state into two fresh
-/// engines (snapshot + WAL-slice replay filtered through the refined shard
-/// map) while every other shard keeps ingesting. See [`crate::rebalance`].
+/// engines, and [`merge_shards`](ShardedFleet::merge_shards) folds cold
+/// siblings back into one, while every other shard keeps ingesting. See
+/// [`crate::rebalance`].
 ///
 /// See the crate docs for the partitioning invariant that governs when the
 /// sharded answer is identical to the single-engine answer.
@@ -172,12 +174,13 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     /// directories, WALs and a manifest rewrite). `None` for in-memory
     /// deployments.
     pub(crate) persistence: Option<PersistenceConfig>,
-    /// Receivers of slots whose split aborted *and* whose parent could not
-    /// be resurrected (a double fault). Keeping the receiver alive keeps the
-    /// slot's parked sender open, so ingest routed to the slot continues to
-    /// park in memory instead of panicking; the backlog is unrecoverable
-    /// in-process (it was never applied or logged) and is dropped on
-    /// restart. Mutex-wrapped only so the facade stays `Sync`.
+    /// Receivers of slots left stranded by a double fault (see
+    /// [`RebalanceError::Stranded`](crate::RebalanceError::Stranded)).
+    /// Keeping the receiver alive keeps the slots' parked sender open, so
+    /// ingest routed to them continues to park in memory instead of
+    /// panicking; the backlog is unrecoverable in-process (it was never
+    /// applied or logged) and is dropped on restart. Mutex-wrapped only so
+    /// the facade stays `Sync`.
     pub(crate) dead_parked: Vec<Mutex<std::sync::mpsc::Receiver<WorkerMsg>>>,
 }
 
@@ -234,6 +237,71 @@ pub(crate) fn spawn_worker<E: MaintenanceEngine>(
         .spawn(move || worker::run(setup, rx, engine, cell, ring))
         .expect("failed to spawn shard worker");
     (tx, handle, slot_cell)
+}
+
+/// Everything one live worker slot consists of, as built by [`install_slot`];
+/// the caller files the parts into the fleet, the roster and the routing
+/// state.
+pub(crate) struct LiveSlot<E: MaintenanceEngine> {
+    pub(crate) engine: Arc<Mutex<E>>,
+    pub(crate) cell: Arc<EpochCell<ShardSnapshot>>,
+    pub(crate) ring: Arc<DeltaRing>,
+    pub(crate) tx: SyncSender<WorkerMsg>,
+    pub(crate) handle: JoinHandle<()>,
+    pub(crate) slot_cell: Arc<AtomicU32>,
+    pub(crate) routed: Arc<AtomicU64>,
+}
+
+/// Brings `slot` to life on `seed`: a fresh epoch cell already publishing
+/// the seed engine's answer at `seed.seq` (readers see recovered or rebuilt
+/// state immediately, not an empty snapshot that fills in after the first
+/// micro-batch), an **empty** delta ring (there is no event stream from
+/// before `seed.seq`, so pollers resynchronise from the snapshot), a worker
+/// thread, and a routed-update counter seeded at `seed.seq` and adopted by
+/// the registry's per-shard routed series (zero added cost on the routing
+/// path). Used at fleet start-up and at the commit of every reshape.
+pub(crate) fn install_slot<E: MaintenanceEngine>(
+    slot: usize,
+    config: &ShardConfig,
+    seed: ShardSeed<E>,
+) -> LiveSlot<E> {
+    let ShardSeed {
+        mut engine,
+        seq,
+        persist,
+    } = seed;
+    let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(slot)));
+    cell.store_with_seq(
+        Arc::new(worker::build_snapshot(
+            slot,
+            &mut engine,
+            seq,
+            seq,
+            &[],
+            config.top_k,
+        )),
+        seq,
+    );
+    let ring = Arc::new(DeltaRing::new(config.delta_retention));
+    let engine = Arc::new(Mutex::new(engine));
+    let (tx, handle, slot_cell) = spawn_worker(slot, config, seq, persist, &engine, &cell, &ring);
+    let routed = Arc::new(AtomicU64::new(seq));
+    if let Some(registry) = config.obs.registry() {
+        registry.adopt_counter(
+            names::SHARD_ROUTED_TOTAL,
+            &[("shard", &slot.to_string())],
+            Arc::clone(&routed),
+        );
+    }
+    LiveSlot {
+        engine,
+        cell,
+        ring,
+        tx,
+        handle,
+        slot_cell,
+        routed,
+    }
 }
 
 impl<B: EngineBlueprint> ShardedFleet<B> {
@@ -344,13 +412,11 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             seeds.push(ShardSeed {
                 engine: recovered.engine,
                 seq: recovered.seq,
-                persist: Some(WorkerPersistence {
-                    wal: recovered.wal,
-                    dir: recovery::shard_dir(&persistence.dir, engine_ids[slot]),
-                    snapshot_every: persistence.snapshot_every_batches,
-                    retained: persistence.retained_snapshots,
-                    batches_since_snapshot: 0,
-                }),
+                persist: Some(WorkerPersistence::new(
+                    recovered.wal,
+                    recovery::shard_dir(&persistence.dir, engine_ids[slot]),
+                    &persistence,
+                )),
             });
         }
         Ok(Self::spawn(
@@ -381,49 +447,14 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         let mut workers = Vec::with_capacity(n);
         let mut slots = Vec::with_capacity(n);
         for (slot, seed) in seeds.into_iter().enumerate() {
-            let ShardSeed {
-                mut engine,
-                seq,
-                persist,
-            } = seed;
-            // Readers see the recovered state immediately, not an empty
-            // snapshot that only fills in after the first post-recovery
-            // micro-batch. The delta ring deliberately starts empty: a
-            // recovered deployment has no pre-crash event stream, so pollers
-            // resync from this snapshot.
-            let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(slot)));
-            cell.store_with_seq(
-                Arc::new(worker::build_snapshot(
-                    slot,
-                    &mut engine,
-                    seq,
-                    seq,
-                    &[],
-                    config.top_k,
-                )),
-                seq,
-            );
-            let ring = Arc::new(DeltaRing::new(config.delta_retention));
-            let engine = Arc::new(Mutex::new(engine));
-            let (tx, handle, slot_cell) =
-                spawn_worker(slot, &config, seq, persist, &engine, &cell, &ring);
-            cells.push(cell);
-            rings.push(ring);
-            senders.push(ShardTx::Live(tx));
-            let routed_cell = Arc::new(AtomicU64::new(seq));
-            if let Some(registry) = config.obs.registry() {
-                // Adopt the router's hot-path cell as a counter: zero added
-                // cost on the routing path.
-                registry.adopt_counter(
-                    names::SHARD_ROUTED_TOTAL,
-                    &[("shard", &slot.to_string())],
-                    Arc::clone(&routed_cell),
-                );
-            }
-            routed.push(routed_cell);
-            engines.push(engine);
-            workers.push(Some(handle));
-            slots.push(slot_cell);
+            let live = install_slot(slot, &config, seed);
+            cells.push(live.cell);
+            rings.push(live.ring);
+            senders.push(ShardTx::Live(live.tx));
+            routed.push(live.routed);
+            engines.push(live.engine);
+            workers.push(Some(live.handle));
+            slots.push(live.slot_cell);
         }
         ShardedFleet {
             route_scratch: vec![Vec::new(); n],
@@ -557,9 +588,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     }
 
     /// Blocks until every update routed so far has been applied and
-    /// published. A flush issued while a shard is mid-split completes once
-    /// the split has committed and the parked updates have been applied by
-    /// the children.
+    /// published.
     pub fn flush(&self) {
         let (ack_tx, ack_rx) = channel();
         let expected = {
@@ -588,9 +617,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// message reaches its queue, so it is safe to call concurrently with
     /// ingest. On a decaying workload, a periodic `compact_below` is what
     /// keeps both the engines' memory and the persistence directory bounded
-    /// — see `docs/RETENTION.md` for cadence guidance. Like
-    /// [`flush`](Self::flush), a pass issued while a shard is mid-split
-    /// completes once the split commits.
+    /// — see `docs/RETENTION.md` for cadence guidance.
     pub fn compact_below(&self, min_weight: f64) -> u64 {
         let receivers: Vec<_> = {
             let routing = self.routing.read().expect("routing poisoned");
@@ -606,9 +633,8 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
                 })
                 .collect()
         };
-        // Each receiver yields one ack per worker that executed the pass —
-        // normally one, but a pass parked during a split is fanned out to
-        // both children — and closes when the last ack sender is dropped.
+        // Each receiver yields one ack per worker that executed the pass and
+        // closes when the last ack sender is dropped.
         let evicted: u64 = receivers.into_iter().flat_map(|rx| rx.into_iter()).sum();
         if let Some(registry) = self.config.obs.registry() {
             registry.counter(names::COMPACTION_PASSES_TOTAL, &[]).inc();

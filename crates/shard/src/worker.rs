@@ -9,12 +9,14 @@ use std::time::{Duration, Instant};
 use dyndens_core::{DenseEvent, MaintenanceEngine};
 use dyndens_graph::{EdgeUpdate, VertexSet};
 
+use crate::config::PersistenceConfig;
 use crate::obs::{ShardObs, WalObs};
 use crate::recovery;
 use crate::view::{DeltaBatch, DeltaRing, EpochCell, ShardSnapshot};
 use crate::wal::WalWriter;
 
 /// Messages a shard worker consumes.
+#[derive(Clone)]
 pub(crate) enum WorkerMsg {
     /// Apply one update.
     Update(EdgeUpdate),
@@ -55,6 +57,20 @@ pub(crate) struct WorkerPersistence {
     pub retained: usize,
     /// Micro-batches applied since the last snapshot.
     pub batches_since_snapshot: usize,
+}
+
+impl WorkerPersistence {
+    /// The durability half of a worker appending to `wal` in `dir`, with the
+    /// deployment's checkpoint cadence and retention.
+    pub(crate) fn new(wal: WalWriter, dir: PathBuf, p: &PersistenceConfig) -> Self {
+        WorkerPersistence {
+            wal,
+            dir,
+            snapshot_every: p.snapshot_every_batches,
+            retained: p.retained_snapshots,
+            batches_since_snapshot: 0,
+        }
+    }
 }
 
 /// Everything a worker thread is parameterised by at spawn time (beyond its

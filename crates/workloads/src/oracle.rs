@@ -35,7 +35,8 @@
 //! bench emits one `BENCH_backends.json` row per backend × workload from
 //! the resulting [`BackendReport`]s.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use dyndens_baselines::{RecomputeBlueprint, TopKPeelingBlueprint};
@@ -252,11 +253,7 @@ impl Oracle {
 
     fn recovery_leg(&self, want: &[(VertexSet, u64)]) -> LegReport {
         let dir = self.temp_dir("recovery");
-        let persistence = || {
-            PersistenceConfig::new(&dir)
-                .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(8)
-        };
+        let persistence = || leg_persistence(&dir);
         let chunks: Vec<&[EdgeUpdate]> = self.updates.chunks(CHUNK).collect();
         let kill_at = chunks.len() / 2;
         {
@@ -314,41 +311,7 @@ impl Oracle {
     }
 
     fn rebalance_leg(&self, want: &[(VertexSet, u64)]) -> LegReport {
-        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
-        let third = self.updates.len() / 3;
-        for chunk in self.updates[..third].chunks(CHUNK) {
-            fleet.apply_batch(chunk);
-        }
-        let split = match fleet.split_shard(0) {
-            Ok(report) => report,
-            Err(e) => return leg_failed("rebalance", format!("split: {e}")),
-        };
-        for chunk in self.updates[third..2 * third].chunks(CHUNK) {
-            fleet.apply_batch(chunk);
-        }
-        if let Err(e) = fleet.merge_shards(split.slot, split.new_slot) {
-            return leg_failed("rebalance", format!("merge: {e}"));
-        }
-        for chunk in self.updates[2 * third..].chunks(CHUNK) {
-            fleet.apply_batch(chunk);
-        }
-        fleet.flush();
-        if let Err(e) = fleet.validate() {
-            return leg_failed("rebalance", e.to_string());
-        }
-        if fleet.stats().updates != self.updates.len() as u64 {
-            return leg_failed(
-                "rebalance",
-                "split+merge lost or double-counted updates".into(),
-            );
-        }
-        match compare(want, &sorted_bits(fleet.output_dense())) {
-            Ok(()) => leg_ok(
-                "rebalance",
-                "split @1/3 + merge @2/3 == untouched topology".into(),
-            ),
-            Err(detail) => leg_failed("rebalance", detail),
-        }
+        self.backend_rebalance_leg(&DynDensBlueprint::new(AvgWeight, engine_config()), want)
     }
 
     fn serve_leg(&self, want: &[(VertexSet, u64)]) -> LegReport {
@@ -440,10 +403,14 @@ impl Oracle {
     }
 
     fn temp_dir(&self, tag: &str) -> PathBuf {
+        // Unique per call: the classic and the backend harness run the same
+        // leg body, possibly from parallel test threads of one process.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "dyndens-oracle-{}-{tag}-{}",
+            "dyndens-oracle-{}-{tag}-{}-{}",
             self.name,
-            std::process::id()
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
@@ -713,11 +680,7 @@ impl Oracle {
         want: &[(VertexSet, u64)],
     ) -> LegReport {
         let dir = self.temp_dir(&format!("{}-recovery", backend.kind()));
-        let persistence = || {
-            PersistenceConfig::new(&dir)
-                .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(8)
-        };
+        let persistence = || leg_persistence(&dir);
         let chunks: Vec<&[EdgeUpdate]> = self.updates.chunks(CHUNK).collect();
         let kill_at = chunks.len() / 2;
         {
@@ -770,46 +733,85 @@ impl Oracle {
         }
     }
 
+    /// Split at 1/3, merge the pair back at 2/3, over both rebuild inputs:
+    /// an in-memory fleet (the transform runs on clones of the live
+    /// engines) and a persistent one (on engines recovered from checkpoint +
+    /// WAL), the latter also reopened from its coarsened manifest.
     fn backend_rebalance_leg<B: EngineBlueprint>(
         &self,
         blueprint: &B,
         want: &[(VertexSet, u64)],
     ) -> LegReport {
-        let mut fleet = ShardedFleet::with_backend(blueprint.clone(), shard_config(2));
-        let third = self.updates.len() / 3;
-        for chunk in self.updates[..third].chunks(CHUNK) {
-            fleet.apply_batch(chunk);
+        let dir = self.temp_dir(&format!("{}-rebalance", blueprint.kind()));
+        let persistence = || leg_persistence(&dir);
+        for persistent in [false, true] {
+            let input = if persistent {
+                "persistent"
+            } else {
+                "in-memory"
+            };
+            let failed = |detail: String| leg_failed("rebalance", format!("{input}: {detail}"));
+            let open = || {
+                if persistent {
+                    ShardedFleet::with_backend_persistence(
+                        blueprint.clone(),
+                        shard_config(2),
+                        persistence(),
+                    )
+                } else {
+                    Ok(ShardedFleet::with_backend(
+                        blueprint.clone(),
+                        shard_config(2),
+                    ))
+                }
+            };
+            let mut fleet = match open() {
+                Ok(fleet) => fleet,
+                Err(e) => return failed(format!("fresh deployment: {e}")),
+            };
+            let third = self.updates.len() / 3;
+            for chunk in self.updates[..third].chunks(CHUNK) {
+                fleet.apply_batch(chunk);
+            }
+            let split = match fleet.split_shard(0) {
+                Ok(report) => report,
+                Err(e) => return failed(format!("split: {e}")),
+            };
+            for chunk in self.updates[third..2 * third].chunks(CHUNK) {
+                fleet.apply_batch(chunk);
+            }
+            if let Err(e) = fleet.merge_shards(split.slot, split.new_slot) {
+                return failed(format!("merge: {e}"));
+            }
+            for chunk in self.updates[2 * third..].chunks(CHUNK) {
+                fleet.apply_batch(chunk);
+            }
+            fleet.flush();
+            if let Err(e) = fleet.validate() {
+                return failed(e);
+            }
+            if fleet.stats().updates != self.updates.len() as u64 {
+                return failed("split+merge lost or double-counted updates".into());
+            }
+            if let Err(detail) = compare(want, &sorted_bits(fleet.output_dense())) {
+                return failed(detail);
+            }
+            if persistent {
+                drop(fleet);
+                let verdict = match open() {
+                    Ok(reopened) => compare(want, &sorted_bits(reopened.output_dense())),
+                    Err(e) => Err(e.to_string()),
+                };
+                let _ = std::fs::remove_dir_all(&dir);
+                if let Err(detail) = verdict {
+                    return failed(format!("reopen after merge: {detail}"));
+                }
+            }
         }
-        let split = match fleet.split_shard(0) {
-            Ok(report) => report,
-            Err(e) => return leg_failed("rebalance", format!("split: {e}")),
-        };
-        for chunk in self.updates[third..2 * third].chunks(CHUNK) {
-            fleet.apply_batch(chunk);
-        }
-        if let Err(e) = fleet.merge_shards(split.slot, split.new_slot) {
-            return leg_failed("rebalance", format!("merge: {e}"));
-        }
-        for chunk in self.updates[2 * third..].chunks(CHUNK) {
-            fleet.apply_batch(chunk);
-        }
-        fleet.flush();
-        if let Err(e) = fleet.validate() {
-            return leg_failed("rebalance", e.to_string());
-        }
-        if fleet.stats().updates != self.updates.len() as u64 {
-            return leg_failed(
-                "rebalance",
-                "split+merge lost or double-counted updates".into(),
-            );
-        }
-        match compare(want, &sorted_bits(fleet.output_dense())) {
-            Ok(()) => leg_ok(
-                "rebalance",
-                "split @1/3 + merge @2/3 == untouched topology".into(),
-            ),
-            Err(detail) => leg_failed("rebalance", detail),
-        }
+        leg_ok(
+            "rebalance",
+            "split @1/3 + merge @2/3 == untouched topology (in-memory, persistent + reopen)".into(),
+        )
     }
 
     /// The backend serve leg uses the late-join resync path only: backends
@@ -861,6 +863,14 @@ impl Oracle {
             Err(detail) => leg_failed("serve", format!("resync mirror: {detail}")),
         }
     }
+}
+
+/// The persistent legs' setup: no fsync (their kills are polite drops) and a
+/// checkpoint every 8 micro-batches, so rebuilds see snapshot + WAL tail.
+fn leg_persistence(dir: &Path) -> PersistenceConfig {
+    PersistenceConfig::new(dir)
+        .with_fsync(FsyncPolicy::Never)
+        .with_snapshot_every_batches(8)
 }
 
 fn leg_ok(leg: &'static str, detail: String) -> LegReport {

@@ -7,18 +7,14 @@
 //! ```bash
 //! cargo run --release --example story_client                      # 127.0.0.1:7171
 //! cargo run --release --example story_client -- 127.0.0.1:9000 10
-//! cargo run --release --example story_client -- 127.0.0.1:7171 10 --legacy
 //! ```
 //!
-//! Arguments: `[server_addr] [watch_seconds] [--legacy]` (defaults
-//! `127.0.0.1:7171`, 10 seconds). The default mode registers one
-//! `Subscribe` cursor and lets the server push exact per-shard
-//! `DenseEvent` suffixes as shards publish — the out-of-process
-//! counterpart of holding a `StoryView`, with a resync snapshot pushed
-//! only if the mirror lags behind the server's delta retention (or the
-//! shard topology changes). `--legacy` drives the same mirror through the
-//! deprecated pull-mode shims (`Client::connect` + `Follower`) to show
-//! both generations of the API compile against one server.
+//! Arguments: `[server_addr] [watch_seconds]` (defaults `127.0.0.1:7171`,
+//! 10 seconds). The client registers one `Subscribe` cursor and lets the
+//! server push exact per-shard `DenseEvent` suffixes as shards publish —
+//! the out-of-process counterpart of holding a `StoryView`, with a resync
+//! snapshot pushed only if the mirror lags behind the server's delta
+//! retention (or the shard topology changes).
 
 use std::time::{Duration, Instant};
 
@@ -102,58 +98,9 @@ fn watch_pushed(addr: &str, watch_secs: u64) {
     );
 }
 
-/// Pull mode through the deprecated shims: `Client::connect` + `Follower`
-/// still compile and poll, so readers built against the v2 API keep working.
-#[allow(deprecated)]
-fn watch_polled(addr: &str, watch_secs: u64) {
-    use dyndens::serve::Follower;
-
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut follower = Follower::new();
-    let start = Instant::now();
-    let mut next_report = Duration::ZERO;
-    while start.elapsed() < Duration::from_secs(watch_secs) {
-        follower.poll(&mut client).expect("poll request");
-        if start.elapsed() >= next_report {
-            next_report += Duration::from_secs(2);
-            let seq: u64 = follower.cursor().iter().sum();
-            println!(
-                "\nt+{:>4.1}s  cursor seq {seq}  mirrored stories {}  (events {}, resyncs {})",
-                start.elapsed().as_secs_f64(),
-                follower.story_sets().len(),
-                follower.events_applied(),
-                follower.resyncs(),
-            );
-            print_top(&mut client);
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let seq: u64 = follower.cursor().iter().sum();
-    println!(
-        "\nwatched {watch_secs}s (legacy pull mode): mirror at seq {seq} with {} stories",
-        follower.story_sets().len(),
-    );
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let legacy = args.iter().any(|a| a == "--legacy");
-    let mut positional = args.iter().filter(|a| !a.starts_with("--"));
-    let addr = positional
-        .next()
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7171".to_string());
-    let watch_secs: u64 = positional.next().and_then(|s| s.parse().ok()).unwrap_or(10);
-
-    if legacy {
-        watch_polled(&addr, watch_secs);
-    } else {
-        watch_pushed(&addr, watch_secs);
-    }
+    let mut args = std::env::args().skip(1);
+    let addr = args.next().unwrap_or_else(|| "127.0.0.1:7171".to_string());
+    let watch_secs: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(10);
+    watch_pushed(&addr, watch_secs);
 }

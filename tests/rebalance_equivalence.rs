@@ -72,7 +72,7 @@ fn split_mid_stream_matches_never_split_bit_identically() {
     let concurrent_applied = std::cell::Cell::new(0u64);
     let report = fleet
         .split_shard_with(0, |phase| {
-            if phase == SplitPhase::Parked {
+            if phase == RebalanceStage::Parked {
                 seq0_at_park.set(view.shard_seq(0));
                 let untouched_before = view.shard_seq(1);
                 for chunk in mid.chunks(128) {
@@ -210,7 +210,7 @@ fn merge_mid_stream_matches_never_merged_bit_identically() {
     let concurrent_applied = std::cell::Cell::new(0u64);
     let report = fleet
         .merge_shards_with(0, 2, |phase| {
-            if phase == MergePhase::Parked {
+            if phase == RebalanceStage::Parked {
                 merged_seq_at_park.set(view.shard_seq(0) + view.shard_seq(2));
                 let untouched_before = view.shard_seq(1);
                 for chunk in during.chunks(128) {
@@ -285,6 +285,137 @@ fn merge_mid_stream_matches_never_merged_bit_identically() {
     assert_eq!(sorted_bits(reopened.dense_subgraphs()), want);
     drop(reopened);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Which direction an abort case drives.
+#[derive(Clone, Copy, PartialEq)]
+enum Direction {
+    Split,
+    Merge,
+}
+
+/// The abort path, end to end, on a persistent fleet: from inside `Parked` a
+/// regular file squats on a target engine's directory path, so persisting
+/// the rebuilt targets fails with `Io` *after* the rebuild succeeded. The
+/// call must err, the journal span must stay open, every quiesced source
+/// must be resurrected — updates parked from another thread are applied,
+/// the stream continues, and the final answer and ledger equal a fleet that
+/// never attempted anything — and the same call must succeed once the
+/// obstacle is gone.
+fn aborted_reshape_resurrects_and_retries(direction: Direction) {
+    use dyndens_obs::{Registry, SpanMark};
+    use std::sync::Arc;
+
+    let updates = support::shard_aligned_stream(16_000, 8, 31);
+    let mut reference = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
+    for chunk in updates.chunks(CHUNK) {
+        reference.apply_batch(chunk);
+    }
+    let want = sorted_bits(reference.dense_subgraphs());
+    assert!(want.len() >= 10, "degenerate workload");
+    drop(reference);
+
+    let tag = match direction {
+        Direction::Split => "abort-split",
+        Direction::Merge => "abort-merge",
+    };
+    let dir = temp_dir(tag);
+    let registry = Arc::new(Registry::new());
+    let mut fleet = ShardedDynDens::with_persistence(
+        AvgWeight,
+        engine_config(),
+        shard_config(2).with_obs(Arc::clone(&registry)),
+        persistence_every(&dir, 16),
+    )
+    .unwrap();
+    let (head, rest) = updates.split_at(6_000);
+    let (during, tail) = rest.split_at(4_000);
+    for chunk in head.chunks(CHUNK) {
+        fleet.apply_batch(chunk);
+    }
+    if direction == Direction::Merge {
+        // Setup, not under test: the pair the merge will try to fold.
+        assert_eq!(fleet.split_shard(0).unwrap().new_slot, 2);
+    }
+    fleet.flush();
+    let workers = fleet.n_shards();
+
+    // The last engine id the attempt will allocate: a split's bit-1 child
+    // (its bit-0 sibling's directory is written first and left an orphan the
+    // retry must clobber), a merge's only target.
+    let next = fleet.shard_map().next_engine();
+    let (kind, target) = match direction {
+        Direction::Split => ("split_phase", next + 1),
+        Direction::Merge => ("merge_phase", next),
+    };
+    let squatter = dir.join(format!("shard-{target:04}"));
+    let handle = fleet.ingest_handle();
+    let mut at_parked = |stage: RebalanceStage| {
+        if stage == RebalanceStage::Parked {
+            std::fs::write(&squatter, b"not a directory").unwrap();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for chunk in during.chunks(128) {
+                        handle.apply_batch(chunk);
+                    }
+                });
+            });
+        }
+    };
+    let attempt = match direction {
+        Direction::Split => fleet.split_shard_with(0, &mut at_parked).map(drop),
+        Direction::Merge => fleet.merge_shards_with(0, 2, &mut at_parked).map(drop),
+    };
+    assert!(
+        matches!(attempt, Err(RebalanceError::Io(_))),
+        "expected the squatted directory to fail the persist phase: {attempt:?}"
+    );
+    let marks = |mark: SpanMark| {
+        registry
+            .recent_events()
+            .iter()
+            .filter(|r| r.event.kind() == kind && r.mark == mark)
+            .count()
+    };
+    assert_eq!(
+        (marks(SpanMark::Begin), marks(SpanMark::End)),
+        (1, 0),
+        "an aborted attempt leaves its journal span open"
+    );
+
+    // Resurrected: the topology is unchanged and everything parked during
+    // the attempt is applied.
+    assert_eq!(fleet.n_shards(), workers);
+    assert_eq!(fleet.stats().updates, (head.len() + during.len()) as u64);
+    for chunk in tail.chunks(CHUNK) {
+        fleet.apply_batch(chunk);
+    }
+    fleet.validate().unwrap();
+    assert_eq!(sorted_bits(fleet.dense_subgraphs()), want);
+    assert_eq!(fleet.stats().updates, updates.len() as u64);
+
+    // The retry: same call, obstacle gone.
+    std::fs::remove_file(&squatter).unwrap();
+    match direction {
+        Direction::Split => drop(fleet.split_shard(0).unwrap()),
+        Direction::Merge => drop(fleet.merge_shards(0, 2).unwrap()),
+    }
+    assert_eq!(marks(SpanMark::End), 1);
+    assert_ne!(fleet.n_shards(), workers);
+    assert_eq!(sorted_bits(fleet.dense_subgraphs()), want);
+    assert_eq!(fleet.stats().updates, updates.len() as u64);
+    drop(fleet);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn aborted_split_resurrects_the_parent_and_retries() {
+    aborted_reshape_resurrects_and_retries(Direction::Split);
+}
+
+#[test]
+fn aborted_merge_resurrects_both_children_and_retries() {
+    aborted_reshape_resurrects_and_retries(Direction::Merge);
 }
 
 /// The backend-parameterized run: for every pluggable maintenance backend,
