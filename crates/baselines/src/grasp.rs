@@ -134,15 +134,16 @@ impl<D: DensityMeasure> Grasp<D> {
         }
         let mut set = VertexSet::pair(a, b);
         let mut score = self.graph.weight(a, b);
+        let mut gamma = Vec::new();
         loop {
             if set.len() >= self.config.n_max {
                 break;
             }
-            let gamma = self.graph.neighborhood_scores(&set);
+            self.graph.neighborhood_into(set.as_slice(), &mut gamma);
             let candidates: Vec<(VertexId, f64)> = gamma
                 .iter()
-                .filter(|(&v, _)| !set.contains(v))
-                .map(|(&v, &g)| (v, g))
+                .copied()
+                .filter(|&(v, _)| !set.contains(v))
                 .filter(|&(_, g)| self.thresholds.is_output_dense(score + g, set.len() + 1))
                 .collect();
             if candidates.is_empty() {
@@ -170,15 +171,16 @@ impl<D: DensityMeasure> Grasp<D> {
     /// preserving output-density.
     fn local_search(&mut self, mut set: VertexSet) -> VertexSet {
         let mut improved = true;
+        let mut gamma = Vec::new();
         while improved {
             improved = false;
             let score = self.graph.score(&set);
             let members: Vec<VertexId> = set.iter().collect();
             'swap: for &out in &members {
                 let without = set.without(out);
-                let without_score = score - self.graph.degree_into(out, &without);
-                let gamma = self.graph.neighborhood_scores(&without);
-                for (&inp, &gain) in &gamma {
+                let without_score = score - self.graph.degree_into(out, without.as_slice());
+                self.graph.neighborhood_into(without.as_slice(), &mut gamma);
+                for &(inp, gain) in &gamma {
                     if set.contains(inp) {
                         continue;
                     }

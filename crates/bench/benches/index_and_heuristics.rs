@@ -47,8 +47,12 @@ fn index_operations(c: &mut Criterion) {
             found
         })
     });
-    c.bench_function("index_containing_vertex_scan", |b| {
-        b.iter(|| index.subgraphs_containing(VertexId(100)).len())
+    let (mut stack, mut out) = (Vec::new(), Vec::new());
+    c.bench_function("index_containing_either_scan", |b| {
+        b.iter(|| {
+            index.subgraphs_containing_either(VertexId(100), VertexId(101), &mut stack, &mut out);
+            out.len()
+        })
     });
 }
 

@@ -8,6 +8,36 @@ use crate::config::{DeltaIt, DynDensConfig};
 use crate::events::{DenseEvent, EngineStats};
 use crate::heuristics::{DegreePrioritize, MaxExploreBound};
 use crate::index::{NodeId, SubgraphIndex, SubgraphInfo};
+use crate::scratch::Scratch;
+
+/// `Γ_C · ê_v` from a merged neighbourhood (ascending by vertex); `0.0` for a
+/// vertex with no edge into `C`.
+pub(crate) fn gamma_of(gamma: &[(VertexId, f64)], v: VertexId) -> f64 {
+    gamma
+        .binary_search_by_key(&v, |&(u, _)| u)
+        .map_or(0.0, |i| gamma[i].1)
+}
+
+/// Adds `v` to the ascending vertex path `set`.
+fn insert_sorted(set: &mut Vec<VertexId>, v: VertexId) {
+    if let Err(pos) = set.binary_search(&v) {
+        set.insert(pos, v);
+    }
+}
+
+/// Writes `base ∪ extra` into `out`, ascending (`base` already is).
+fn union_into(out: &mut Vec<VertexId>, base: &[VertexId], extra: &[VertexId]) {
+    out.clear();
+    out.extend_from_slice(base);
+    for &v in extra {
+        insert_sorted(out, v);
+    }
+}
+
+/// The owned form of a vertex path, for events.
+fn set_of(verts: &[VertexId]) -> VertexSet {
+    VertexSet::from_vertices(verts.iter().copied())
+}
 
 /// Per-update exploration context shared by the recursive exploration
 /// procedures.
@@ -54,8 +84,8 @@ pub struct DynDens<D: DensityMeasure> {
     /// engines do not double-count replayed work (see
     /// [`set_recovering`](Self::set_recovering)).
     pub(crate) recovering: bool,
-    /// Scratch buffer reused by `canonical_order` (hot path, per update).
-    pub(crate) order_scratch: Vec<([u32; SubgraphIndex::PATH_KEY_WIDTH], NodeId)>,
+    /// Working memory of the exploration kernel (hot path, per update).
+    pub(crate) scratch: Scratch,
 }
 
 impl<D: DensityMeasure> DynDens<D> {
@@ -94,7 +124,7 @@ impl<D: DensityMeasure> DynDens<D> {
             epoch: 0,
             stats: EngineStats::default(),
             recovering: false,
-            order_scratch: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -173,7 +203,7 @@ impl<D: DensityMeasure> DynDens<D> {
             epoch: self.epoch,
             stats: EngineStats::default(),
             recovering: false,
-            order_scratch: Vec::new(),
+            scratch: Scratch::default(),
         };
         let (mut zero, mut one) = (child(), child());
         for (a, b, w) in self.graph.edges() {
@@ -356,6 +386,7 @@ impl<D: DensityMeasure> DynDens<D> {
         }
         self.epoch += 1;
         self.graph.apply_update(&update);
+        self.scratch.invalidate_edges();
         if update.delta < 0.0 {
             self.stats.negative_updates += 1;
             self.process_negative(update, events);
@@ -390,14 +421,12 @@ impl<D: DensityMeasure> DynDens<D> {
         // snapshot-restored engine does not share, and the coverage repairs
         // below are order-sensitive at the floating-point-bit level. The
         // canonical order makes replay-after-restore bit-identical.
-        let affected = self.canonical_order(
-            self.index
-                .subgraphs_containing(a)
-                .into_iter()
-                .filter(|&id| self.index.contains_vertex(id, b))
-                .collect(),
-        );
-        for id in affected {
+        let mut stack = self.scratch.nodes.take();
+        let mut affected = self.scratch.nodes.take();
+        self.index
+            .subgraphs_containing_both(a, b, &mut stack, &mut affected);
+        self.canonical_order(&mut affected);
+        for &id in &affected {
             let card = self.index.cardinality(id);
             let old_score = self.index.score(id);
             let new_score = old_score + delta;
@@ -446,6 +475,8 @@ impl<D: DensityMeasure> DynDens<D> {
                 self.stats.subgraphs_evicted += 1;
             }
         }
+        self.scratch.nodes.give(affected);
+        self.scratch.nodes.give(stack);
     }
 
     /// Orders index nodes by their vertex sets, making iteration a function
@@ -458,33 +489,27 @@ impl<D: DensityMeasure> DynDens<D> {
     /// Runs on every update, hence the allocation-free
     /// [`SubgraphIndex::path_key`] fast path (stack-array keys built once
     /// per node into a reused scratch buffer, instead of a `VertexSet`
-    /// allocation each).
-    fn canonical_order(&mut self, mut ids: Vec<NodeId>) -> Vec<NodeId> {
+    /// allocation each). Vertex sets are distinct, so the result does not
+    /// depend on the order `ids` arrive in.
+    fn canonical_order(&mut self, ids: &mut Vec<NodeId>) {
         if ids.len() <= 1 {
-            return ids;
+            return;
         }
-        let mut keyed = std::mem::take(&mut self.order_scratch);
+        let mut keyed = std::mem::take(&mut self.scratch.keyed);
         keyed.clear();
-        for &id in &ids {
-            match self.index.path_key(id) {
-                Some(key) => keyed.push((key, id)),
-                None => {
-                    // Nmax beyond the key width: materialise the sets.
-                    self.order_scratch = keyed;
-                    let mut slow: Vec<(VertexSet, NodeId)> = ids
-                        .into_iter()
-                        .map(|id| (self.index.vertices(id), id))
-                        .collect();
-                    slow.sort_unstable_by(|x, y| x.0.cmp(&y.0));
-                    return slow.into_iter().map(|(_, id)| id).collect();
-                }
-            }
+        keyed.extend(
+            ids.iter()
+                .map_while(|&id| Some((self.index.path_key(id)?, id))),
+        );
+        if keyed.len() == ids.len() {
+            keyed.sort_unstable_by_key(|x| x.0);
+            ids.clear();
+            ids.extend(keyed.iter().map(|&(_, id)| id));
+        } else {
+            // Nmax beyond the key width: materialise the sets.
+            ids.sort_by_cached_key(|&id| self.index.vertices(id));
         }
-        keyed.sort_unstable_by_key(|x| x.0);
-        ids.clear();
-        ids.extend(keyed.iter().map(|&(_, id)| id));
-        self.order_scratch = keyed;
-        ids
+        self.scratch.keyed = keyed;
     }
 
     /// The largest cardinality whose subgraphs are covered by a `*` marker on
@@ -525,48 +550,36 @@ impl<D: DensityMeasure> DynDens<D> {
         events: &mut Vec<DenseEvent>,
     ) {
         let base_set = self.index.vertices(base);
-        // The graph does not change during the expansion; collect its edge
-        // list once for the disjoint-edge steps below (sorted: adjacency-map
-        // iteration order is not reproducible across snapshot/restore).
-        let all_edges: Vec<(VertexId, VertexId, f64)> = if base_set.len() + 2 <= old_radius {
-            let mut edges: Vec<_> = self.graph.edges().collect();
-            edges.sort_unstable_by_key(|&(y, z, _)| (y, z));
-            edges
-        } else {
-            Vec::new()
-        };
+        let mut gamma = self.scratch.gammas.take();
         let mut seen: std::collections::BTreeSet<VertexSet> = std::collections::BTreeSet::new();
         let mut stack: Vec<(VertexSet, f64)> = vec![(base_set, new_base_score)];
+        let mut candidates: Vec<(VertexSet, f64)> = Vec::new();
         while let Some((set, score)) = stack.pop() {
             let card = set.len();
             if card >= old_radius {
                 // Larger supersets were never covered by the old marker.
                 continue;
             }
-            let gamma = self.graph.neighborhood_scores(&set);
-            let mut candidates: Vec<(VertexSet, f64)> = Vec::new();
-            for (&y, &gamma_y) in &gamma {
-                if !set.contains(y) {
-                    candidates.push((set.with(y), score + gamma_y));
-                }
-            }
-            // Canonical expansion order (gamma is a hash map; see
-            // `canonical_order`): which path first reaches a superset decides
-            // the score bits it is stored with.
-            candidates.sort_unstable_by(|x, y| x.0.cmp(&y.0));
-            if card + 2 <= old_radius {
-                for &(y, z, w) in all_edges
+            // Canonical expansion order — one-vertex extensions by ascending
+            // vertex, then disjoint edges by ascending `(y, z)`, both as the
+            // graph hands them out: which path first reaches a superset
+            // decides the score bits it is stored with.
+            self.graph.neighborhood_into(set.as_slice(), &mut gamma);
+            candidates.extend(
+                gamma
                     .iter()
-                    .filter(|&&(y, z, _)| !set.contains(y) && !set.contains(z))
-                {
-                    let ext_score = w
-                        + score
-                        + gamma.get(&y).copied().unwrap_or(0.0)
-                        + gamma.get(&z).copied().unwrap_or(0.0);
-                    candidates.push((set.with(y).with(z), ext_score));
+                    .filter(|&&(y, _)| !set.contains(y))
+                    .map(|&(y, gamma_y)| (set.with(y), score + gamma_y)),
+            );
+            if card + 2 <= old_radius {
+                for &(y, z, w) in self.scratch.edges(&self.graph) {
+                    if !set.contains(y) && !set.contains(z) {
+                        let ext_score = w + score + gamma_of(&gamma, y) + gamma_of(&gamma, z);
+                        candidates.push((set.with(y).with(z), ext_score));
+                    }
                 }
             }
-            for (ext, ext_score) in candidates {
+            for (ext, ext_score) in candidates.drain(..) {
                 let ext_card = ext.len();
                 if ext_card > old_radius
                     || !self.thresholds.is_dense(ext_score, ext_card)
@@ -607,6 +620,7 @@ impl<D: DensityMeasure> DynDens<D> {
                 stack.push((ext, ext_score));
             }
         }
+        self.scratch.gammas.give(gamma);
     }
 
     // ------------------------------------------------------------------
@@ -644,24 +658,27 @@ impl<D: DensityMeasure> DynDens<D> {
         // depend on which base reaches a candidate first, so arena order
         // would make the resulting score bits depend on index history and
         // break snapshot/replay bit-equivalence.
-        let affected = self.canonical_order(self.index.subgraphs_containing_either(a, b));
-        let stars = if self.config.implicit_too_dense {
-            self.canonical_order(self.index.star_bases())
-        } else {
-            Vec::new()
-        };
+        let mut stack = self.scratch.nodes.take();
+        let mut affected = self.scratch.nodes.take();
+        let mut stars = self.scratch.nodes.take();
+        self.index
+            .subgraphs_containing_either(a, b, &mut stack, &mut affected);
+        self.canonical_order(&mut affected);
+        if self.config.implicit_too_dense {
+            stars.extend_from_slice(self.index.star_bases());
+            self.canonical_order(&mut stars);
+        }
 
         // Base case of Algorithm 1, line 4: the edge {a, b} itself, if it is
         // newly-dense and not already maintained.
-        if self.index.find(&[a.min(b), a.max(b)]).is_none()
-            && self.thresholds.is_dense(new_weight, 2)
-        {
-            let pair = VertexSet::pair(a, b);
-            self.insert_newly_dense(&pair, new_weight, 0, &ctx, events);
+        let pair = [a.min(b), a.max(b)];
+        if self.index.find(&pair).is_none() && self.thresholds.is_dense(new_weight, 2) {
+            self.note_candidate(&pair, new_weight, 0, &ctx, events);
             self.explore(&pair, new_weight, 1, true, &ctx, events);
         }
 
-        for id in affected {
+        let mut verts = self.scratch.verts.take();
+        for &id in &affected {
             if !self.index.has_info(id) {
                 // May have been restructured by earlier work in this update.
                 continue;
@@ -681,7 +698,7 @@ impl<D: DensityMeasure> DynDens<D> {
                         density: self.thresholds.measure().density(new_score, card),
                     });
                 }
-                let verts = self.index.vertices(id);
+                self.index.path_into(id, &mut verts);
                 self.explore(&verts, new_score, 1, true, &ctx, events);
             } else {
                 // Algorithm 1, lines 5-8: cheap exploration.
@@ -692,12 +709,16 @@ impl<D: DensityMeasure> DynDens<D> {
         // ImplicitTooDense star bases: their covered extensions may need to be
         // grown around, and two-vertex extensions by {a, b} may be newly-dense
         // (Section 3.2.3).
-        for base in stars {
+        for &base in &stars {
             if !self.index.has_info(base) || !self.index.has_star(base) {
                 continue;
             }
             self.process_star_base(base, &ctx, events);
         }
+        self.scratch.verts.give(verts);
+        self.scratch.nodes.give(stars);
+        self.scratch.nodes.give(affected);
+        self.scratch.nodes.give(stack);
     }
 
     /// Cheap exploration (Algorithm 1 line 6): augments a dense subgraph
@@ -714,6 +735,7 @@ impl<D: DensityMeasure> DynDens<D> {
         if card + 1 > self.thresholds.n_max() {
             return;
         }
+        let other = if contains_a { ctx.b } else { ctx.a };
         // A subgraph that was too-dense before the update normally need not be
         // cheap-explored: its extension by the other endpoint was already
         // dense before the update (its score is unchanged by this update since
@@ -723,53 +745,54 @@ impl<D: DensityMeasure> DynDens<D> {
         // vertex creation: if `other` did not exist yet when the base became
         // too-dense, explore-all could not materialise the extension, so
         // materialise (and explore around) it now that `other` is connected.
-        if self.thresholds.is_too_dense(score, card) {
-            if !self.config.implicit_too_dense {
-                let other = if contains_a { ctx.b } else { ctx.a };
-                let verts = self.index.vertices(id);
-                let ext = verts.with(other);
-                if self.index.find(ext.as_slice()).is_none() {
-                    self.stats.candidates_examined += 1;
-                    let ext_score = score + self.graph.degree_into(other, &verts);
-                    if self.note_candidate(&ext, ext_score, 1, ctx, events) {
-                        self.explore(&ext, ext_score, 2, true, ctx, events);
-                    }
-                }
-            }
+        let too_dense = self.thresholds.is_too_dense(score, card);
+        if too_dense && self.config.implicit_too_dense {
             return;
         }
-        if self.config.max_explore && !ctx.bound.should_cheap_explore(contains_a, card) {
+        if !too_dense
+            && self.config.max_explore
+            && !ctx.bound.should_cheap_explore(contains_a, card)
+        {
             self.stats.max_explore_skips += 1;
             return;
         }
-        let other = if contains_a { ctx.b } else { ctx.a };
-        let verts = self.index.vertices(id);
-        let other_degree = self.graph.degree_into(other, &verts);
-        // The updated edge connects `other` to the endpoint inside `C`, so its
-        // pre-update degree into `C` is lower by exactly delta.
-        if self.config.degree_prioritize
-            && DegreePrioritize::skip_cheap_exploration(card, other_degree - ctx.delta, score)
-        {
-            self.stats.degree_prioritize_skips += 1;
-            return;
-        }
-        self.stats.cheap_explorations += 1;
-        self.stats.candidates_examined += 1;
+        // The path of `C`, then of `C ∪ {other}`, in one pooled buffer: most
+        // cheap explorations end at a threshold test and need neither owned.
+        let mut ext = self.scratch.verts.take();
+        self.index.path_into(id, &mut ext);
+        let other_degree = self.graph.degree_into(other, &ext);
         let ext_score = score + other_degree;
         let ext_card = card + 1;
-        // Newly-dense check: dense now, and not dense before the update (the
-        // extension contains both endpoints, so its pre-update score is lower
-        // by exactly delta).
-        if self.thresholds.is_dense(ext_score, ext_card)
-            && !self.thresholds.is_dense(ext_score - ctx.delta, ext_card)
-        {
-            let ext = verts.with(other);
-            if self.note_candidate(&ext, ext_score, 1, ctx, events) {
-                // Algorithm 1, line 8: newly-dense subgraphs found via cheap
-                // exploration are explored starting from iteration 2.
-                self.explore(&ext, ext_score, 2, true, ctx, events);
+        insert_sorted(&mut ext, other);
+        let newly_dense = if too_dense {
+            // The lazy-vertex exception above: whatever is not stored yet.
+            let missing = self.index.find(&ext).is_none();
+            if missing {
+                self.stats.candidates_examined += 1;
             }
+            missing
+        } else if self.config.degree_prioritize
+            && DegreePrioritize::skip_cheap_exploration(card, other_degree - ctx.delta, score)
+        {
+            // (The updated edge connects `other` to the endpoint inside `C`,
+            // so its pre-update degree into `C` is lower by exactly delta.)
+            self.stats.degree_prioritize_skips += 1;
+            false
+        } else {
+            self.stats.cheap_explorations += 1;
+            self.stats.candidates_examined += 1;
+            // Dense now, and not dense before the update (the extension
+            // contains both endpoints, so its pre-update score is lower by
+            // exactly delta).
+            self.thresholds.is_dense(ext_score, ext_card)
+                && !self.thresholds.is_dense(ext_score - ctx.delta, ext_card)
+        };
+        if newly_dense && self.note_candidate(&ext, ext_score, 1, ctx, events) {
+            // Algorithm 1, line 8: newly-dense subgraphs found via cheap
+            // exploration are explored starting from iteration 2.
+            self.explore(&ext, ext_score, 2, true, ctx, events);
         }
+        self.scratch.verts.give(ext);
     }
 
     /// Handles one `*` marker during a positive update: extensions of the
@@ -777,30 +800,37 @@ impl<D: DensityMeasure> DynDens<D> {
     /// newly-dense supergraphs that regular exploration cannot reach, because
     /// the extensions themselves are only represented implicitly.
     fn process_star_base(&mut self, base: NodeId, ctx: &UpdateCtx, events: &mut Vec<DenseEvent>) {
-        let verts = self.index.vertices(base);
-        let card = verts.len();
-        let contains_a = verts.contains(ctx.a);
-        let contains_b = verts.contains(ctx.b);
+        let card = self.index.cardinality(base);
+        let contains_a = self.index.contains_vertex(base, ctx.a);
+        let contains_b = self.index.contains_vertex(base, ctx.b);
         if contains_a && contains_b {
             // The base's own score was already updated through the regular
             // iteration; all covered extensions only became denser.
             return;
         }
+        let ext_card = if contains_a || contains_b {
+            card + 1
+        } else {
+            card + 2
+        };
+        if ext_card > self.thresholds.n_max() {
+            return;
+        }
         let base_score = self.index.score(base);
+        // The path of the base, then of its extension, in one pooled buffer.
+        let mut ext = self.scratch.verts.take();
+        self.index.path_into(base, &mut ext);
         if !contains_a && !contains_b {
             // The two-vertex extension C ∪ {a, b} is the only covered-adjacent
             // subgraph whose score changed.
-            if card + 2 > self.thresholds.n_max() {
-                return;
-            }
-            let deg_a = self.graph.degree_into(ctx.a, &verts);
-            let deg_b = self.graph.degree_into(ctx.b, &verts);
+            let deg_a = self.graph.degree_into(ctx.a, &ext);
+            let deg_b = self.graph.degree_into(ctx.b, &ext);
             let w_ab = self.graph.weight(ctx.a, ctx.b);
             let score = base_score + deg_a + deg_b + w_ab;
-            let ext_card = card + 2;
             self.stats.candidates_examined += 1;
             if self.thresholds.is_dense(score, ext_card) {
-                let ext = verts.with(ctx.a).with(ctx.b);
+                insert_sorted(&mut ext, ctx.a);
+                insert_sorted(&mut ext, ctx.b);
                 let newly = !self.thresholds.is_dense(score - ctx.delta, ext_card);
                 let covered = self.thresholds.is_dense(base_score, ext_card);
                 if newly && !covered {
@@ -822,23 +852,20 @@ impl<D: DensityMeasure> DynDens<D> {
             // Exactly one endpoint inside the base: the covered extension
             // C ∪ {other} contains both endpoints and acts as a stable-dense
             // subgraph that must be explored.
-            if card + 1 > self.thresholds.n_max() {
-                return;
-            }
             let other = if contains_a { ctx.b } else { ctx.a };
-            let deg_other = self.graph.degree_into(other, &verts);
-            let score = base_score + deg_other;
-            let ext = verts.with(other);
+            let score = base_score + self.graph.degree_into(other, &ext);
+            insert_sorted(&mut ext, other);
             self.explore(&ext, score, 1, false, ctx, events);
         }
+        self.scratch.verts.give(ext);
     }
 
     /// The exploration procedure (Algorithm 2): tries to augment a dense
-    /// subgraph (given by `verts` and its current `score`) with one more
-    /// vertex, recursing on newly-dense discoveries.
+    /// subgraph (given by `verts`, ascending, and its current `score`) with
+    /// one more vertex, recursing on newly-dense discoveries.
     fn explore(
         &mut self,
-        verts: &VertexSet,
+        verts: &[VertexId],
         score: f64,
         iteration: usize,
         use_max_explore: bool,
@@ -849,7 +876,8 @@ impl<D: DensityMeasure> DynDens<D> {
         if card >= self.thresholds.n_max() {
             return;
         }
-        let contains_both = verts.contains(ctx.a) && verts.contains(ctx.b);
+        let member = |v: VertexId| verts.binary_search(&v).is_ok();
+        let contains_both = member(ctx.a) && member(ctx.b);
         let was_too_dense_before =
             contains_both && self.thresholds.is_too_dense(score - ctx.delta, card);
         let too_dense_now = self.thresholds.is_too_dense(score, card);
@@ -866,204 +894,177 @@ impl<D: DensityMeasure> DynDens<D> {
         }
         self.stats.explorations += 1;
 
-        let ext_card = card + 1;
+        // Regular neighbour exploration is subject to the iteration bounds.
+        if !too_dense_now {
+            if iteration > ctx.max_iterations {
+                return;
+            }
+            if use_max_explore
+                && self.config.max_explore
+                && iteration > ctx.bound.iterations_for(card)
+            {
+                self.stats.max_explore_skips += 1;
+                return;
+            }
+        }
 
-        if too_dense_now {
-            // Every one-vertex extension is dense. Either cover the
-            // disconnected ones with a * marker (ImplicitTooDense) or fall back
-            // to the full explore-all expansion.
-            if self.config.implicit_too_dense {
-                // The subgraph may itself only exist virtually (covered by an
-                // ancestor's * marker, e.g. when it is reached through
-                // `process_star_base`). A * marker needs an explicit node to
-                // live on, and the marker is required so that the subgraph's
-                // own (possibly disconnected) extensions stay covered.
-                let id = match self.index.find(verts.as_slice()) {
-                    Some(id) => id,
-                    None => {
-                        let newly = !self.thresholds.is_dense(score - ctx.delta, card);
-                        let id = self.index.insert(
-                            verts.as_slice(),
-                            SubgraphInfo {
-                                score,
-                                discovered_epoch: ctx.epoch,
-                                discovered_iteration: iteration as u32,
-                            },
-                        );
-                        self.stats.subgraphs_inserted += 1;
-                        if newly && self.thresholds.is_output_dense(score, card) {
-                            events.push(DenseEvent::BecameOutputDense {
-                                vertices: verts.clone(),
-                                density: self.thresholds.measure().density(score, card),
-                            });
-                        }
-                        id
+        let ext_card = card + 1;
+        // Γ_C, ascending by candidate, and the buffer every extension of this
+        // frame is spelled out in; recursive frames take their own.
+        let mut gamma = self.scratch.gammas.take();
+        let mut ext = self.scratch.verts.take();
+        self.graph.neighborhood_into(verts, &mut gamma);
+
+        if too_dense_now && self.config.implicit_too_dense {
+            // Every one-vertex extension is dense; the disconnected ones are
+            // covered with a * marker (ImplicitTooDense).
+            //
+            // The subgraph may itself only exist virtually (covered by an
+            // ancestor's * marker, e.g. when it is reached through
+            // `process_star_base`). A * marker needs an explicit node to
+            // live on, and the marker is required so that the subgraph's
+            // own (possibly disconnected) extensions stay covered.
+            let id = match self.index.find(verts) {
+                Some(id) => id,
+                None => {
+                    let newly = !self.thresholds.is_dense(score - ctx.delta, card);
+                    let id = self.index.insert(
+                        verts,
+                        SubgraphInfo {
+                            score,
+                            discovered_epoch: ctx.epoch,
+                            discovered_iteration: iteration as u32,
+                        },
+                    );
+                    self.stats.subgraphs_inserted += 1;
+                    if newly && self.thresholds.is_output_dense(score, card) {
+                        events.push(DenseEvent::BecameOutputDense {
+                            vertices: set_of(verts),
+                            density: self.thresholds.measure().density(score, card),
+                        });
                     }
-                };
-                if !self.index.has_star(id) {
-                    self.index.set_star(id, true);
-                    self.stats.star_markers_created += 1;
+                    id
                 }
-                let gamma = self.graph.neighborhood_scores(verts);
-                let mut candidates: Vec<(VertexId, f64)> = gamma
-                    .iter()
-                    .filter(|(&y, _)| !verts.contains(y))
-                    .map(|(&y, &g)| (y, g))
-                    .collect();
-                candidates.sort_unstable_by_key(|&(y, _)| y);
-                for (y, gamma_y) in candidates {
-                    self.stats.candidates_examined += 1;
-                    let ext_score = score + gamma_y;
-                    let ext = verts.with(y);
-                    if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
-                        if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                            self.explore(
-                                &ext,
-                                ext_score,
-                                iteration + 1,
-                                use_max_explore,
-                                ctx,
-                                events,
-                            );
-                        }
-                    } else if contains_both && self.index.find(ext.as_slice()).is_none() {
-                        // The extension was already dense before the update but
-                        // is only represented through the * marker. Its score
-                        // changed together with the base's, so its own
-                        // supergraphs may be newly-dense; it is a stable-dense
-                        // subgraph containing both endpoints and must be
-                        // explored just like the explicit ones in the main loop.
+            };
+            if !self.index.has_star(id) {
+                self.index.set_star(id, true);
+                self.stats.star_markers_created += 1;
+            }
+            for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !member(y)) {
+                self.stats.candidates_examined += 1;
+                let ext_score = score + gamma_y;
+                if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
+                    union_into(&mut ext, verts, &[y]);
+                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
+                    }
+                } else if contains_both {
+                    // The extension was already dense before the update but
+                    // is only represented through the * marker. Its score
+                    // changed together with the base's, so its own
+                    // supergraphs may be newly-dense; it is a stable-dense
+                    // subgraph containing both endpoints and must be
+                    // explored just like the explicit ones in the main loop.
+                    union_into(&mut ext, verts, &[y]);
+                    if self.index.find(&ext).is_none() {
                         self.explore(&ext, ext_score, 1, false, ctx, events);
                     }
                 }
-                // "Exploring C ∪ {*}": the one-vertex extensions represented by
-                // the marker may in turn have newly-dense supergraphs obtained
-                // by adding an edge that is not incident on the base at all
-                // (Section 3.2.3). Those are exactly the subgraphs
-                // C ∪ {y, z} for an edge (y, z) disjoint from C with
-                // sufficiently high weight.
-                if card + 2 <= self.thresholds.n_max() {
-                    let mut disjoint: Vec<(VertexId, VertexId, f64)> = self
-                        .graph
-                        .edges()
-                        .filter(|&(y, z, _)| !verts.contains(y) && !verts.contains(z))
-                        .collect();
-                    // Canonical order: edges() iterates hash maps, whose
-                    // order is not reproducible across snapshot/restore.
-                    disjoint.sort_unstable_by_key(|&(y, z, _)| (y, z));
-                    for (y, z, w) in disjoint {
-                        self.stats.candidates_examined += 1;
-                        let ext_score = score
-                            + gamma.get(&y).copied().unwrap_or(0.0)
-                            + gamma.get(&z).copied().unwrap_or(0.0)
-                            + w;
-                        if !self.thresholds.is_dense(ext_score, card + 2) {
-                            continue;
-                        }
-                        let ext = verts.with(y).with(z);
-                        let ext_has_both = ext.contains(ctx.a) && ext.contains(ctx.b);
-                        let before = ext_score - if ext_has_both { ctx.delta } else { 0.0 };
-                        if self.thresholds.is_dense(before, card + 2) {
-                            // Dense before the update: already tracked. If its
-                            // score changed (both endpoints inside) and it is
-                            // only represented implicitly, its supergraphs may
-                            // nevertheless be newly-dense — explore it like
-                            // the explicit stable-dense subgraphs.
-                            if ext_has_both && self.index.find(ext.as_slice()).is_none() {
-                                self.explore(&ext, ext_score, 1, false, ctx, events);
-                            }
-                            continue;
-                        }
-                        if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                            self.explore(
-                                &ext,
-                                ext_score,
-                                iteration + 1,
-                                use_max_explore,
-                                ctx,
-                                events,
-                            );
-                        }
-                    }
-                }
+            }
+            // "Exploring C ∪ {*}": the one-vertex extensions represented by
+            // the marker may in turn have newly-dense supergraphs obtained
+            // by adding an edge that is not incident on the base at all
+            // (Section 3.2.3). Those are exactly the subgraphs
+            // C ∪ {y, z} for an edge (y, z) disjoint from C with
+            // sufficiently high weight, visited in the graph's canonical
+            // edge order. By index, not by borrow: the recursion below needs
+            // `self`, and cannot change the graph.
+            let n_edges = if card + 2 <= self.thresholds.n_max() {
+                self.scratch.edges(&self.graph).len()
             } else {
-                // Explore-all (Algorithm 2, lines 2-5).
-                self.stats.explore_all_invocations += 1;
-                let gamma = self.graph.neighborhood_scores(verts);
-                for raw in 0..self.graph.vertex_count() as u32 {
-                    let y = VertexId(raw);
-                    if verts.contains(y) {
-                        continue;
-                    }
-                    self.stats.candidates_examined += 1;
-                    let ext_score = score + gamma.get(&y).copied().unwrap_or(0.0);
-                    if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
-                        let ext = verts.with(y);
-                        if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                            self.explore(
-                                &ext,
-                                ext_score,
-                                iteration + 1,
-                                use_max_explore,
-                                ctx,
-                                events,
-                            );
-                        }
-                    }
+                0
+            };
+            for i in 0..n_edges {
+                let (y, z, w) = self.scratch.edges(&self.graph)[i];
+                if member(y) || member(z) {
+                    continue;
                 }
-            }
-            return;
-        }
-
-        // Regular neighbour exploration is subject to the iteration bounds.
-        if iteration > ctx.max_iterations {
-            return;
-        }
-        if use_max_explore && self.config.max_explore && iteration > ctx.bound.iterations_for(card)
-        {
-            self.stats.max_explore_skips += 1;
-            return;
-        }
-
-        let gamma = self.graph.neighborhood_scores(verts);
-        let mut candidates: Vec<(VertexId, f64)> = gamma
-            .iter()
-            .filter(|(&y, _)| !verts.contains(y))
-            .map(|(&y, &g)| (y, g))
-            .collect();
-        candidates.sort_unstable_by_key(|&(y, _)| y);
-        for (y, gamma_y) in candidates {
-            if self.config.degree_prioritize
-                && DegreePrioritize::skip_exploration(card, gamma_y, score)
-            {
-                self.stats.degree_prioritize_skips += 1;
-                continue;
-            }
-            self.stats.candidates_examined += 1;
-            let ext_score = score + gamma_y;
-            if !self.thresholds.is_dense(ext_score, ext_card) {
-                continue;
-            }
-            if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
-                let ext = verts.with(y);
+                self.stats.candidates_examined += 1;
+                let ext_score = score + gamma_of(&gamma, y) + gamma_of(&gamma, z) + w;
+                if !self.thresholds.is_dense(ext_score, card + 2) {
+                    continue;
+                }
+                union_into(&mut ext, verts, &[y, z]);
+                let ext_has_both =
+                    ext.binary_search(&ctx.a).is_ok() && ext.binary_search(&ctx.b).is_ok();
+                let before = ext_score - if ext_has_both { ctx.delta } else { 0.0 };
+                if self.thresholds.is_dense(before, card + 2) {
+                    // Dense before the update: already tracked. If its
+                    // score changed (both endpoints inside) and it is
+                    // only represented implicitly, its supergraphs may
+                    // nevertheless be newly-dense — explore it like
+                    // the explicit stable-dense subgraphs.
+                    if ext_has_both && self.index.find(&ext).is_none() {
+                        self.explore(&ext, ext_score, 1, false, ctx, events);
+                    }
+                    continue;
+                }
                 if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
                     self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
                 }
-            } else if contains_both {
-                // The extension was already dense before the update. It is
-                // normally in the index — and then the affected-subgraph loop
-                // explores it — but it may only be represented implicitly
-                // (covered by a `*` marker below it, or lost to lazy vertex
-                // creation in the explicit mode). Its score changed together
-                // with this subgraph's (both endpoints inside), so its own
-                // supergraphs may be newly-dense: explore it like the
-                // explicit stable-dense subgraphs of the main loop.
-                let ext = verts.with(y);
-                if self.index.find(ext.as_slice()).is_none() {
-                    self.explore(&ext, ext_score, 1, false, ctx, events);
+            }
+        } else if too_dense_now {
+            // Explore-all (Algorithm 2, lines 2-5).
+            self.stats.explore_all_invocations += 1;
+            for y in (0..self.graph.vertex_count() as u32).map(VertexId) {
+                if member(y) {
+                    continue;
+                }
+                self.stats.candidates_examined += 1;
+                let ext_score = score + gamma_of(&gamma, y);
+                if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
+                    union_into(&mut ext, verts, &[y]);
+                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
+                    }
+                }
+            }
+        } else {
+            for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !member(y)) {
+                if self.config.degree_prioritize
+                    && DegreePrioritize::skip_exploration(card, gamma_y, score)
+                {
+                    self.stats.degree_prioritize_skips += 1;
+                    continue;
+                }
+                self.stats.candidates_examined += 1;
+                let ext_score = score + gamma_y;
+                if !self.thresholds.is_dense(ext_score, ext_card) {
+                    continue;
+                }
+                if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
+                    union_into(&mut ext, verts, &[y]);
+                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
+                    }
+                } else if contains_both {
+                    // The extension was already dense before the update. It is
+                    // normally in the index — and then the affected-subgraph loop
+                    // explores it — but it may only be represented implicitly
+                    // (covered by a `*` marker below it, or lost to lazy vertex
+                    // creation in the explicit mode). Its score changed together
+                    // with this subgraph's (both endpoints inside), so its own
+                    // supergraphs may be newly-dense: explore it like the
+                    // explicit stable-dense subgraphs of the main loop.
+                    union_into(&mut ext, verts, &[y]);
+                    if self.index.find(&ext).is_none() {
+                        self.explore(&ext, ext_score, 1, false, ctx, events);
+                    }
                 }
             }
         }
+        self.scratch.verts.give(ext);
+        self.scratch.gammas.give(gamma);
     }
 
     /// Records a newly-dense candidate in the index, reporting it if it is
@@ -1072,13 +1073,13 @@ impl<D: DensityMeasure> DynDens<D> {
     /// equal exploration iteration within this update are not re-examined).
     fn note_candidate(
         &mut self,
-        verts: &VertexSet,
+        verts: &[VertexId],
         score: f64,
         iteration: usize,
         ctx: &UpdateCtx,
         events: &mut Vec<DenseEvent>,
     ) -> bool {
-        if let Some(existing) = self.index.find(verts.as_slice()) {
+        if let Some(existing) = self.index.find(verts) {
             let info = *self.index.info(existing);
             if info.discovered_epoch != ctx.epoch {
                 // It was dense before the update; handled by the main loop.
@@ -1091,7 +1092,7 @@ impl<D: DensityMeasure> DynDens<D> {
             return true;
         }
         let id = self.index.insert(
-            verts.as_slice(),
+            verts,
             SubgraphInfo {
                 score,
                 discovered_epoch: ctx.epoch,
@@ -1101,7 +1102,7 @@ impl<D: DensityMeasure> DynDens<D> {
         self.stats.subgraphs_inserted += 1;
         if self.thresholds.is_output_dense(score, verts.len()) {
             events.push(DenseEvent::BecameOutputDense {
-                vertices: verts.clone(),
+                vertices: set_of(verts),
                 density: self.thresholds.measure().density(score, verts.len()),
             });
         }
@@ -1114,19 +1115,6 @@ impl<D: DensityMeasure> DynDens<D> {
             self.stats.star_markers_created += 1;
         }
         true
-    }
-
-    /// Inserts a newly-dense subgraph discovered outside of exploration (the
-    /// `{a, b}` base case).
-    fn insert_newly_dense(
-        &mut self,
-        verts: &VertexSet,
-        score: f64,
-        iteration: usize,
-        ctx: &UpdateCtx,
-        events: &mut Vec<DenseEvent>,
-    ) {
-        self.note_candidate(verts, score, iteration, ctx, events);
     }
 
     // ------------------------------------------------------------------

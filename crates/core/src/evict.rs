@@ -60,12 +60,9 @@ impl<D: DensityMeasure> DynDens<D> {
     /// list to its WAL *before* the eviction mutates the engine — crash
     /// replay of those records then reproduces the eviction bit-for-bit.
     pub fn edges_below(&self, min_weight: f64) -> Vec<EdgeUpdate> {
-        let graph = self.graph();
-        let mut victims: Vec<(dyndens_graph::VertexId, dyndens_graph::VertexId, f64)> =
-            graph.edges().filter(|&(_, _, w)| w <= min_weight).collect();
-        victims.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        victims
-            .into_iter()
+        self.graph()
+            .edges()
+            .filter(|&(_, _, w)| w <= min_weight)
             .map(|(a, b, w)| EdgeUpdate::new(a, b, -w))
             .collect()
     }

@@ -29,6 +29,10 @@ pub struct MaxExploreBound {
     pub max_explore: usize,
 }
 
+/// Up to this `Nmax` the top-weight selection of [`MaxExploreBound::compute`]
+/// lives on the stack; beyond it, it pays one allocation per endpoint.
+const TOP_STACK_WIDTH: usize = 16;
+
 impl MaxExploreBound {
     /// A bound that never prunes anything (used when the heuristic is
     /// disabled, and for multi-iteration updates where the Section 7.1
@@ -93,47 +97,38 @@ impl MaxExploreBound {
         delta_it: f64,
         n_max: usize,
     ) -> usize {
-        // best(0) = w + delta, best(i >= 1) = i-th largest weight in Γ_other \ {this}.
-        let mut weights: Vec<f64> = graph
-            .neighbors(other)
-            .filter(|&(v, _)| v != this)
-            .map(|(_, w)| w)
-            .collect();
-        weights.sort_unstable_by(|x, y| y.partial_cmp(x).unwrap());
-
-        let best = |i: usize| -> f64 {
-            if i == 0 {
-                new_weight
-            } else {
-                weights.get(i - 1).copied().unwrap_or(0.0)
-            }
+        // best(0) = w + delta, best(i >= 1) = i-th largest weight in
+        // Γ_other \ {this}, 0 beyond the degree of `other`. Only best(1..=Nmax)
+        // are ever read, so one pass keeps the Nmax largest, descending — on
+        // the stack for every realistic Nmax.
+        let mut on_stack = [0.0f64; TOP_STACK_WIDTH];
+        let mut on_heap = Vec::new();
+        let top: &mut [f64] = if n_max <= TOP_STACK_WIDTH {
+            &mut on_stack[..n_max]
+        } else {
+            on_heap.resize(n_max, 0.0);
+            &mut on_heap
         };
+        let mut kept = 0;
+        for (_, w) in graph.neighbors(other).filter(|&(v, _)| v != this) {
+            let rank = top[..kept].partition_point(|&t| t >= w);
+            if rank < top.len() {
+                kept = (kept + 1).min(top.len());
+                top[rank..kept].rotate_right(1);
+                top[rank] = w;
+            }
+        }
+        let best = |i: usize| if i <= kept { top[i - 1] } else { 0.0 };
 
-        let mut top = new_weight; // top(0)
-        let mut result = n_max + 1;
+        // top(i-1) = best(0) + ... + best(i-1), kept as a running sum.
+        let mut top_sum = new_weight + best(1);
         for i in 3..=n_max {
-            // top(i-1) = best(0) + ... + best(i-1)
-            while_top(&mut top, best, i);
-            if top <= z * (i as f64 - 1.0) - delta_it && best(i) < z {
-                result = i;
-                break;
+            top_sum += best(i - 1);
+            if top_sum <= z * (i as f64 - 1.0) - delta_it && best(i) < z {
+                return i;
             }
         }
-        return result;
-
-        /// Advances `top` so that it equals `top(i - 1)`.
-        fn while_top(top: &mut f64, best: impl Fn(usize) -> f64, i: usize) {
-            // On entry for i = 3, `top` holds top(0); we need top(2). In general
-            // we add best(i-2) and best(i-1) the first time and best(i-1) after.
-            // Simpler: recompute incrementally by tracking how far we've summed.
-            // To keep this helper stateless we recompute from scratch; the
-            // cardinalities involved are tiny (Nmax is a small constant).
-            let mut t = 0.0;
-            for j in 0..i {
-                t += best(j);
-            }
-            *top = t;
-        }
+        n_max + 1
     }
 
     /// `true` if no regular exploration is necessary at all for this update:

@@ -16,10 +16,16 @@
 //! Too-dense subgraphs may additionally carry a `*` marker (the
 //! `ImplicitTooDense` optimisation of Section 3.2.3): the marker represents
 //! all one-vertex extensions of the subgraph without materialising them.
-//! Marked nodes are tracked in a separate set so the engine can iterate over
+//! Marked nodes are tracked in a separate list so the engine can iterate over
 //! them on every update (the paper's `*` inverted list).
+//!
+//! The traversals the engine runs on every update
+//! ([`subgraphs_containing_either`](SubgraphIndex::subgraphs_containing_either),
+//! [`subgraphs_containing_both`](SubgraphIndex::subgraphs_containing_both),
+//! [`path_into`](SubgraphIndex::path_into)) write into caller-owned buffers
+//! and allocate nothing once those have grown to size.
 
-use dyndens_graph::{FxHashMap, FxHashSet, VertexId, VertexSet};
+use dyndens_graph::{FxHashMap, VertexId, VertexSet};
 
 /// Identifier of a node in the prefix tree (an index into the node arena).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,6 +67,8 @@ impl SubgraphInfo {
     }
 }
 
+const NO_STAR: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct Node {
     vertex: VertexId,
@@ -70,8 +78,9 @@ struct Node {
     children: Vec<(VertexId, NodeId)>,
     info: Option<SubgraphInfo>,
     /// `ImplicitTooDense` marker: this subgraph is too-dense and its
-    /// one-vertex extensions are represented implicitly.
-    star: bool,
+    /// one-vertex extensions are represented implicitly. Holds the node's
+    /// position in `SubgraphIndex::star_bases`, [`NO_STAR`] when unmarked.
+    star_slot: u32,
     inv_prev: Option<NodeId>,
     inv_next: Option<NodeId>,
     in_use: bool,
@@ -85,7 +94,7 @@ impl Node {
             depth,
             children: Vec::new(),
             info: None,
-            star: false,
+            star_slot: NO_STAR,
             inv_prev: None,
             inv_next: None,
             in_use: true,
@@ -100,8 +109,9 @@ pub struct SubgraphIndex {
     free: Vec<NodeId>,
     /// Heads of the per-vertex inverted lists.
     inverted: FxHashMap<VertexId, NodeId>,
-    /// Nodes currently carrying a `*` marker.
-    star_bases: FxHashSet<NodeId>,
+    /// Nodes currently carrying a `*` marker, in no particular order (each
+    /// node knows its position, so unmarking is a `swap_remove`).
+    star_bases: Vec<NodeId>,
     /// Number of subgraphs (nodes with info).
     len: usize,
 }
@@ -121,7 +131,7 @@ impl SubgraphIndex {
             nodes: vec![root],
             free: Vec::new(),
             inverted: FxHashMap::default(),
-            star_bases: FxHashSet::default(),
+            star_bases: Vec::new(),
             len: 0,
         }
     }
@@ -291,7 +301,7 @@ impl SubgraphIndex {
             let (prune, parent, vertex) = {
                 let n = self.node(cur);
                 (
-                    n.info.is_none() && n.children.is_empty() && !n.star,
+                    n.info.is_none() && n.children.is_empty() && n.star_slot == NO_STAR,
                     n.parent,
                     n.vertex,
                 )
@@ -317,14 +327,22 @@ impl SubgraphIndex {
     /// the parent pointers.
     pub fn vertices(&self, id: NodeId) -> VertexSet {
         let mut vs = Vec::with_capacity(self.node(id).depth as usize);
+        self.path_into(id, &mut vs);
+        VertexSet::from_vertices(vs)
+    }
+
+    /// Writes the vertices of the subgraph (or tree node) `id` into `out`
+    /// (cleared first), ascending: [`vertices`](Self::vertices) without the
+    /// allocation, for callers that only need a slice.
+    pub fn path_into(&self, id: NodeId, out: &mut Vec<VertexId>) {
+        out.clear();
         let mut cur = id;
         while cur != NodeId::ROOT {
             let n = self.node(cur);
-            vs.push(n.vertex);
+            out.push(n.vertex);
             cur = n.parent;
         }
-        vs.reverse();
-        VertexSet::from_vertices(vs)
+        out.reverse();
     }
 
     /// The cardinality of the subgraph at `id`.
@@ -424,27 +442,30 @@ impl SubgraphIndex {
     /// Sets or clears the `*` (implicit too-dense) marker on the subgraph at
     /// `id`.
     pub fn set_star(&mut self, id: NodeId, star: bool) {
-        if self.node(id).star == star {
+        let slot = self.node(id).star_slot;
+        if (slot != NO_STAR) == star {
             return;
         }
-        self.node_mut(id).star = star;
         if star {
-            self.star_bases.insert(id);
+            self.node_mut(id).star_slot = self.star_bases.len() as u32;
+            self.star_bases.push(id);
         } else {
-            self.star_bases.remove(&id);
+            self.star_bases.swap_remove(slot as usize);
+            if let Some(&moved) = self.star_bases.get(slot as usize) {
+                self.node_mut(moved).star_slot = slot;
+            }
+            self.node_mut(id).star_slot = NO_STAR;
         }
     }
 
     /// `true` if the subgraph at `id` carries a `*` marker.
     pub fn has_star(&self, id: NodeId) -> bool {
-        self.node(id).star
+        self.node(id).star_slot != NO_STAR
     }
 
-    /// The subgraphs currently carrying a `*` marker.
-    pub fn star_bases(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.star_bases.iter().copied().collect();
-        v.sort_unstable();
-        v
+    /// The subgraphs currently carrying a `*` marker, in no particular order.
+    pub fn star_bases(&self) -> &[NodeId] {
+        &self.star_bases
     }
 
     /// Number of `*` markers in the index.
@@ -465,7 +486,7 @@ impl SubgraphIndex {
         let mut out = Vec::new();
         let mut stack: Vec<(NodeId, usize)> = vec![(NodeId::ROOT, 0)];
         while let Some((node, start)) = stack.pop() {
-            if self.node(node).star {
+            if self.has_star(node) {
                 out.push(node);
             }
             for (i, &v) in set.iter().enumerate().skip(start) {
@@ -477,64 +498,85 @@ impl SubgraphIndex {
         out
     }
 
+    /// Appends every subgraph stored in the subtree of `root` to `out`,
+    /// skipping the subtrees below `root` whose top is labelled `stop_at`.
+    /// `stack` is working space and is left empty.
     fn push_subtree_subgraphs(
         &self,
         root: NodeId,
         stop_at: Option<VertexId>,
+        stack: &mut Vec<NodeId>,
         out: &mut Vec<NodeId>,
     ) {
-        let mut stack = vec![root];
+        stack.push(root);
         while let Some(id) = stack.pop() {
             let n = self.node(id);
-            if id != root {
-                if let Some(stop) = stop_at {
-                    if n.vertex == stop {
-                        continue;
-                    }
-                }
+            if id != root && Some(n.vertex) == stop_at {
+                continue;
             }
             if n.info.is_some() {
                 out.push(id);
             }
-            for &(_, child) in &n.children {
-                stack.push(child);
-            }
+            stack.extend(n.children.iter().map(|&(_, child)| child));
         }
     }
 
-    /// All subgraphs containing vertex `v`, each exactly once.
-    pub fn subgraphs_containing(&self, v: VertexId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.inverted.get(&v).copied();
-        while let Some(id) = cur {
-            self.push_subtree_subgraphs(id, None, &mut out);
-            cur = self.node(id).inv_next;
-        }
-        out
+    /// The nodes labelled `v`: `v`'s inverted list.
+    fn inverted_list(&self, v: VertexId) -> impl Iterator<Item = NodeId> + '_ {
+        let head = self.inverted.get(&v).copied();
+        std::iter::successors(head, move |&id| self.node(id).inv_next)
     }
 
-    /// All subgraphs containing vertex `a` or vertex `b`, each exactly once.
+    /// Writes all subgraphs containing vertex `a` or vertex `b` into `out`
+    /// (cleared first), each exactly once, in no particular order. `stack` is
+    /// working space.
     ///
     /// Following Section 3.2.2: the subtrees hanging off the inverted list of
     /// the larger vertex are traversed first; the subtrees of the smaller
     /// vertex are then traversed, stopping whenever a node labelled with the
     /// larger vertex is encountered (those subgraphs contain both vertices and
     /// have already been visited).
-    pub fn subgraphs_containing_either(&self, a: VertexId, b: VertexId) -> Vec<NodeId> {
+    pub fn subgraphs_containing_either(
+        &self,
+        a: VertexId,
+        b: VertexId,
+        stack: &mut Vec<NodeId>,
+        out: &mut Vec<NodeId>,
+    ) {
         assert!(a != b);
         let (small, large) = if a < b { (a, b) } else { (b, a) };
-        let mut out = Vec::new();
-        let mut cur = self.inverted.get(&large).copied();
-        while let Some(id) = cur {
-            self.push_subtree_subgraphs(id, None, &mut out);
-            cur = self.node(id).inv_next;
+        out.clear();
+        for id in self.inverted_list(large) {
+            self.push_subtree_subgraphs(id, None, stack, out);
         }
-        let mut cur = self.inverted.get(&small).copied();
-        while let Some(id) = cur {
-            self.push_subtree_subgraphs(id, Some(large), &mut out);
-            cur = self.node(id).inv_next;
+        for id in self.inverted_list(small) {
+            self.push_subtree_subgraphs(id, Some(large), stack, out);
         }
-        out
+    }
+
+    /// Writes all subgraphs containing both `a` and `b` into `out` (cleared
+    /// first), each exactly once, in no particular order. `stack` is working
+    /// space.
+    ///
+    /// Section 3.2.2 again: a subgraph contains both exactly when its path
+    /// passes through a node labelled with the larger vertex that has the
+    /// smaller one among its ancestors (paths ascend), so only the inverted
+    /// list of the larger vertex is walked, with one ancestor check per node.
+    pub fn subgraphs_containing_both(
+        &self,
+        a: VertexId,
+        b: VertexId,
+        stack: &mut Vec<NodeId>,
+        out: &mut Vec<NodeId>,
+    ) {
+        assert!(a != b);
+        let (small, large) = if a < b { (a, b) } else { (b, a) };
+        out.clear();
+        for id in self.inverted_list(large) {
+            if self.contains_vertex(self.node(id).parent, small) {
+                self.push_subtree_subgraphs(id, None, stack, out);
+            }
+        }
     }
 
     /// Iterates over every stored subgraph as `(node, vertices, info)`.
@@ -572,11 +614,13 @@ impl SubgraphIndex {
             if n.info.is_some() {
                 info_count += 1;
             }
-            if n.star && self.nodes[i].info.is_none() {
+            if n.star_slot != NO_STAR && n.info.is_none() {
                 return Err(format!("star marker on info-less node {i}"));
             }
-            if n.star && !self.star_bases.contains(&NodeId(i as u32)) {
-                return Err(format!("star marker on node {i} missing from star set"));
+            if n.star_slot != NO_STAR
+                && self.star_bases.get(n.star_slot as usize) != Some(&NodeId(i as u32))
+            {
+                return Err(format!("star marker on node {i} missing from star list"));
             }
         }
         if info_count != self.len {
@@ -585,8 +629,9 @@ impl SubgraphIndex {
                 self.len
             ));
         }
-        for id in &self.star_bases {
-            if !self.nodes[id.idx()].in_use || !self.nodes[id.idx()].star {
+        for (slot, id) in self.star_bases.iter().enumerate() {
+            let n = &self.nodes[id.idx()];
+            if !n.in_use || n.star_slot as usize != slot {
                 return Err("stale star base".to_string());
             }
         }
@@ -716,30 +761,59 @@ mod tests {
         assert!(index.find_extension(base45, VertexId(1)).is_none());
     }
 
+    fn either(index: &SubgraphIndex, a: u32, b: u32) -> Vec<NodeId> {
+        let (mut stack, mut out) = (Vec::new(), vec![NodeId::ROOT]); // stale content is cleared
+        index.subgraphs_containing_either(VertexId(a), VertexId(b), &mut stack, &mut out);
+        assert!(stack.is_empty());
+        out
+    }
+
+    fn both(index: &SubgraphIndex, a: u32, b: u32) -> Vec<VertexSet> {
+        let (mut stack, mut out) = (Vec::new(), vec![NodeId::ROOT]);
+        index.subgraphs_containing_both(VertexId(a), VertexId(b), &mut stack, &mut out);
+        assert!(stack.is_empty());
+        let mut sets: Vec<VertexSet> = out.iter().map(|&id| index.vertices(id)).collect();
+        sets.sort();
+        sets
+    }
+
     #[test]
-    fn subgraphs_containing_single_vertex() {
-        let index = figure3_index();
-        let mut got: Vec<VertexSet> = index
-            .subgraphs_containing(VertexId(4))
-            .into_iter()
-            .map(|id| index.vertices(id))
-            .collect();
-        got.sort();
+    fn subgraphs_containing_both_is_the_filtered_single_vertex_walk() {
+        let mut index = figure3_index();
+        insert(&mut index, &[1, 4, 5, 6], 3.0); // 1 is an ancestor of this 5, not its parent
+        for (a, b) in [(1, 3), (3, 5), (1, 5), (4, 5), (1, 6), (1, 9), (2, 4)] {
+            let mut want: Vec<VertexSet> = index
+                .iter()
+                .map(|(_, set, _)| set)
+                .filter(|set| set.contains(VertexId(a)) && set.contains(VertexId(b)))
+                .collect();
+            want.sort();
+            assert_eq!(both(&index, a, b), want, "({a}, {b})");
+            assert_eq!(both(&index, b, a), want, "({b}, {a})");
+        }
         assert_eq!(
-            got,
+            both(&index, 1, 5),
             vec![
-                VertexSet::from_ids(&[1, 3, 4]),
-                VertexSet::from_ids(&[3, 4, 5]),
-                VertexSet::from_ids(&[4, 5]),
+                VertexSet::from_ids(&[1, 3, 5]),
+                VertexSet::from_ids(&[1, 4, 5, 6])
             ]
         );
-        assert!(index.subgraphs_containing(VertexId(9)).is_empty());
+    }
+
+    #[test]
+    fn path_into_matches_vertices() {
+        let index = figure3_index();
+        let mut path = vec![VertexId(42)];
+        for id in index.all_subgraphs() {
+            index.path_into(id, &mut path);
+            assert_eq!(path, index.vertices(id).as_slice());
+        }
     }
 
     #[test]
     fn subgraphs_containing_either_visits_each_once() {
         let index = figure3_index();
-        let got = index.subgraphs_containing_either(VertexId(1), VertexId(4));
+        let got = either(&index, 1, 4);
         let mut sets: Vec<VertexSet> = got.iter().map(|&id| index.vertices(id)).collect();
         sets.sort();
         sets.dedup();
@@ -759,8 +833,7 @@ mod tests {
             ]
         );
         // Order-insensitive to which argument is larger.
-        let got2 = index.subgraphs_containing_either(VertexId(4), VertexId(1));
-        assert_eq!(got.len(), got2.len());
+        assert_eq!(got.len(), either(&index, 4, 1).len());
     }
 
     #[test]
@@ -811,13 +884,24 @@ mod tests {
         index.set_star(id13, true);
         index.set_star(id13, true); // idempotent
         assert!(index.has_star(id13));
-        assert_eq!(index.star_bases(), vec![id13]);
+        assert_eq!(index.star_bases(), [id13]);
         assert_eq!(index.star_count(), 1);
         index.check_invariants().unwrap();
 
+        // Unmarking from the front of the list re-seats the moved marker.
+        let id45 = index.find(&vs(&[4, 5])).unwrap();
+        let id345 = index.find(&vs(&[3, 4, 5])).unwrap();
+        index.set_star(id45, true);
+        index.set_star(id345, true);
+        index.set_star(id13, false);
+        index.check_invariants().unwrap();
+        assert!(!index.has_star(id13) && index.has_star(id45) && index.has_star(id345));
+        index.set_star(id13, true);
+
         // Removing the subgraph clears the marker.
         index.remove(id13);
-        assert_eq!(index.star_count(), 0);
+        assert_eq!(index.star_count(), 2);
+        assert!(index.has_star(id45) && index.has_star(id345));
         index.check_invariants().unwrap();
     }
 

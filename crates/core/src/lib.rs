@@ -59,6 +59,7 @@ pub mod evict;
 pub mod heuristics;
 pub mod index;
 pub mod maintenance;
+mod scratch;
 pub mod snapshot;
 pub mod threshold_update;
 

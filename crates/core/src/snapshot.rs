@@ -10,8 +10,8 @@
 //!
 //! Recovery is `restore(snapshot)` followed by replaying the write-ahead-log
 //! tail. The engine's update processing is canonicalised (see
-//! `DynDens::canonical_order` and `DynamicGraph::DETERMINISTIC_SET_BOUND`)
-//! so that this replay is **bit-exact**: every score stored after recovery
+//! `DynDens::canonical_order` and the summation-order contract in the
+//! [`dyndens_graph::graph`] module docs) so that this replay is **bit-exact**: every score stored after recovery
 //! carries the same `f64` bit pattern as in an engine that never crashed.
 //!
 //! ## Format (version 1)
@@ -170,13 +170,12 @@ impl<D: DensityMeasure> DynDens<D> {
             put_u64(&mut buf, counter);
         }
 
-        // Graph: edges in canonical (a, b) order so snapshots of equal state
-        // are byte-identical regardless of update history.
+        // Graph: edges in canonical (a, b) order — the order `edges()` has by
+        // construction — so snapshots of equal state are byte-identical
+        // regardless of update history.
         put_u64(&mut buf, self.graph.vertex_count() as u64);
-        let mut edges: Vec<(VertexId, VertexId, f64)> = self.graph.edges().collect();
-        edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        put_u64(&mut buf, edges.len() as u64);
-        for (a, b, w) in edges {
+        put_u64(&mut buf, self.graph.edge_count() as u64);
+        for (a, b, w) in self.graph.edges() {
             put_u32(&mut buf, a.0);
             put_u32(&mut buf, b.0);
             put_f64(&mut buf, w);
@@ -370,7 +369,7 @@ impl<D: DensityMeasure> DynDens<D> {
             epoch,
             stats,
             recovering: false,
-            order_scratch: Vec::new(),
+            scratch: Default::default(),
         })
     }
 }

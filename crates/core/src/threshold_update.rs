@@ -10,7 +10,7 @@
 use dyndens_density::DensityMeasure;
 use dyndens_graph::{VertexId, VertexSet};
 
-use crate::engine::DynDens;
+use crate::engine::{gamma_of, DynDens};
 use crate::events::DenseEvent;
 use crate::index::{NodeId, SubgraphInfo};
 
@@ -170,25 +170,20 @@ impl<D: DensityMeasure> DynDens<D> {
             }
         }
 
-        let gamma = self.graph().neighborhood_scores(verts);
-        let mut candidates: Vec<(VertexId, f64)> = if too_dense && !self.config().implicit_too_dense
-        {
-            // Explore-all (Algorithm 4, lines 2-5).
-            (0..self.graph().vertex_count() as u32)
-                .map(VertexId)
-                .filter(|&y| !verts.contains(y))
-                .map(|y| (y, gamma.get(&y).copied().unwrap_or(0.0)))
-                .collect()
-        } else {
-            gamma
-                .iter()
-                .filter(|(&y, _)| !verts.contains(y))
-                .map(|(&y, &g)| (y, g))
-                .collect()
-        };
-        candidates.sort_unstable_by_key(|&(y, _)| y);
+        // Candidates in ascending vertex order, as the merge hands them out.
+        let mut gamma = self.scratch.gammas.take();
+        self.graph.neighborhood_into(verts.as_slice(), &mut gamma);
+        if too_dense && !self.config().implicit_too_dense {
+            // Explore-all (Algorithm 4, lines 2-5): every vertex is a candidate.
+            let mut all = self.scratch.gammas.take();
+            all.extend(
+                (0..self.graph.vertex_count() as u32)
+                    .map(|y| (VertexId(y), gamma_of(&gamma, VertexId(y)))),
+            );
+            self.scratch.gammas.give(std::mem::replace(&mut gamma, all));
+        }
 
-        for (y, gamma_y) in candidates {
+        for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !verts.contains(y)) {
             let ext_score = score + gamma_y;
             if !self.thresholds().is_dense(ext_score, ext_card) {
                 continue;
@@ -207,6 +202,7 @@ impl<D: DensityMeasure> DynDens<D> {
                 }
             }
         }
+        self.scratch.gammas.give(gamma);
     }
 
     fn insert_for_threshold(
@@ -244,20 +240,16 @@ impl<D: DensityMeasure> DynDens<D> {
             return;
         }
         let verts = self.index.vertices(base);
-        let gamma = self.graph().neighborhood_scores(&verts);
-        let mut to_insert: Vec<(VertexSet, f64)> = Vec::new();
-        for (&y, &gamma_y) in &gamma {
-            if verts.contains(y) {
+        let mut gamma = self.scratch.gammas.take();
+        self.graph.neighborhood_into(verts.as_slice(), &mut gamma);
+        for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !verts.contains(y)) {
+            let ext_score = base_score + gamma_y;
+            let ext = verts.with(y);
+            if !self.thresholds().is_dense(ext_score, card + 1)
+                || self.index.find(ext.as_slice()).is_some()
+            {
                 continue;
             }
-            let ext_score = base_score + gamma_y;
-            if self.thresholds().is_dense(ext_score, card + 1)
-                && self.index.find(verts.with(y).as_slice()).is_none()
-            {
-                to_insert.push((verts.with(y), ext_score));
-            }
-        }
-        for (ext, ext_score) in to_insert {
             let id = self.index.insert(
                 ext.as_slice(),
                 SubgraphInfo {
@@ -272,6 +264,7 @@ impl<D: DensityMeasure> DynDens<D> {
                 self.index.set_star(id, true);
             }
         }
+        self.scratch.gammas.give(gamma);
     }
 }
 

@@ -1,0 +1,162 @@
+//! The discover-nothing path allocates nothing.
+//!
+//! An update that neither creates nor destroys a dense subgraph — by far the
+//! common case on a stream in steady state — still runs the whole kernel:
+//! the graph edit, the index walks, the MaxExplore bound, cheap and regular
+//! explorations with their merged `Γ_C`, `*` bases and their disjoint-edge
+//! scans. All of that works out of engine-owned scratch, so once the scratch
+//! has grown to size the allocator is not called at all. This binary owns
+//! its `#[global_allocator]` (hence its own file) and counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use dyndens_core::{DynDens, DynDensConfig};
+use dyndens_density::AvgWeight;
+use dyndens_graph::{EdgeUpdate, VertexId};
+
+/// Forwards to the system allocator, counting the calls the armed thread
+/// makes (the test harness's own threads allocate whenever they like).
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only an atomic and
+// a const-initialised, destructor-free thread-local, neither of which
+// allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn update(a: u32, b: u32, delta: f64) -> EdgeUpdate {
+    EdgeUpdate::new(VertexId(a), VertexId(b), delta)
+}
+
+/// Three communities of five vertices with comfortably output-dense pairs
+/// and triangles, light bridges between them (so neighbourhoods reach across
+/// and cheap explorations have something to reject), and one very heavy pair
+/// that carries a `*` marker.
+fn stationary_engine() -> (DynDens<AvgWeight>, Vec<(u32, u32)>) {
+    let config = DynDensConfig::new(1.0, 4).with_delta_it(0.15);
+    let mut engine = DynDens::new(AvgWeight, config);
+    let mut edges = Vec::new();
+    for community in 0..3u32 {
+        let base = community * 5;
+        for i in 0..5 {
+            for j in i + 1..5 {
+                let weight = 1.05 + 0.03 * f64::from((i * 5 + j + community) % 7);
+                engine.apply_update(update(base + i, base + j, weight));
+                edges.push((base + i, base + j));
+            }
+        }
+    }
+    for (a, b) in [(0, 5), (1, 6), (5, 10), (7, 12), (4, 14), (2, 11)] {
+        engine.apply_update(update(a, b, 0.3));
+        edges.push((a, b));
+    }
+    engine.apply_update(update(20, 21, 9.0));
+    edges.push((20, 21));
+    engine.apply_update(update(21, 22, 0.4));
+    edges.push((21, 22));
+    engine.validate().expect("consistent engine");
+    assert!(engine.index().star_count() >= 1, "no * marker to walk");
+    (engine, edges)
+}
+
+/// One pass over every edge: a small reinforcement, then the same weight
+/// taken away again — 2 × `edges.len()` updates that leave every density on
+/// the side of every threshold it started on.
+fn wiggle(
+    engine: &mut DynDens<AvgWeight>,
+    edges: &[(u32, u32)],
+    events: &mut Vec<dyndens_core::DenseEvent>,
+) {
+    for &(a, b) in edges {
+        engine.apply_update_into(update(a, b, 0.002), events);
+        engine.apply_update_into(update(a, b, -0.002), events);
+    }
+}
+
+#[test]
+fn updates_that_discover_nothing_do_not_allocate() {
+    let (mut engine, edges) = stationary_engine();
+    let mut events = Vec::new();
+
+    // Warm-up: the scratch pools grow to the deepest recursion and the
+    // widest neighbourhood this graph has.
+    for _ in 0..3 {
+        wiggle(&mut engine, &edges, &mut events);
+    }
+    assert!(
+        events.is_empty(),
+        "the warm-up is not stationary: {events:?}"
+    );
+    let before = engine.stats().clone();
+    let dense_before = engine.dense_count();
+
+    // The counter counts: one boxed value, one allocation.
+    ARMED.with(|armed| armed.set(true));
+    drop(std::hint::black_box(Box::new(0u64)));
+    ARMED.with(|armed| armed.set(false));
+    assert_eq!(ALLOCATIONS.swap(0, Ordering::Relaxed), 1);
+
+    let passes = 1_000usize.div_ceil(edges.len());
+    ARMED.with(|armed| armed.set(true));
+    for _ in 0..passes {
+        wiggle(&mut engine, &edges, &mut events);
+    }
+    ARMED.with(|armed| armed.set(false));
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+
+    // The measured stretch did real work and changed nothing.
+    let after = engine.stats();
+    let n = (passes * edges.len()) as u64;
+    assert!(n >= 1_000);
+    assert_eq!(after.positive_updates - before.positive_updates, n);
+    assert_eq!(after.negative_updates - before.negative_updates, n);
+    assert!(after.explorations > before.explorations);
+    assert!(after.cheap_explorations > before.cheap_explorations);
+    assert!(after.candidates_examined > before.candidates_examined + n);
+    assert_eq!(after.subgraphs_inserted, before.subgraphs_inserted);
+    assert_eq!(after.subgraphs_evicted, before.subgraphs_evicted);
+    assert_eq!(after.star_markers_created, before.star_markers_created);
+    assert_eq!(engine.dense_count(), dense_before);
+    assert!(events.is_empty());
+    engine.validate().expect("consistent engine");
+
+    assert_eq!(
+        allocations, 0,
+        "apply_update_into allocated on the discover-nothing path"
+    );
+}

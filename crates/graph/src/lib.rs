@@ -7,20 +7,25 @@
 //! over `N` vertices, where `w_ij` is the weight of the edge between vertices `i`
 //! and `j`, together with a stream of edge weight updates `(a, b, delta)`.
 //! Edges with weight zero (or below) are simply "absent": the graph is stored
-//! sparsely as per-vertex adjacency maps, which is also exactly the graph index
-//! the paper prescribes in Section 3.2.1 ("maintaining node adjacency lists is
-//! sufficient"), and enables the efficient exploration of a subgraph by merging
-//! the relevant adjacency lists.
+//! sparsely as per-vertex adjacency lists sorted by neighbour id, which is also
+//! exactly the graph index the paper prescribes in Section 3.2.1 ("maintaining
+//! node adjacency lists is sufficient"), and enables the efficient exploration
+//! of a subgraph by merging the relevant adjacency lists
+//! ([`DynamicGraph::neighborhood_into`]). The [`graph`] module docs state the
+//! ordering guarantees that fall out of the layout, and why the summation
+//! order among them is what keeps snapshot + replay bit-exact.
 //!
 //! The crate provides:
 //!
 //! * [`VertexId`] — a compact vertex identifier (`u32` newtype).
 //! * [`EdgeUpdate`] — a single `(a, b, delta)` item of the update stream.
-//! * [`DynamicGraph`] — the evolving weighted graph with O(1) expected weight
-//!   lookups, neighbourhood iteration and subgraph scoring.
+//! * [`DynamicGraph`] — the evolving weighted graph with binary-search weight
+//!   lookups, ordered neighbourhood and edge iteration, the merged `Γ_C` and
+//!   subgraph scoring.
 //! * [`VertexSet`] — a small, sorted vertex subset used to denote subgraphs.
-//! * [`hash`] — a fast, non-cryptographic hasher used for the adjacency maps
-//!   (the keys are small integers; HashDoS resistance is not a concern here).
+//! * [`hash`] — a fast, non-cryptographic hasher for the workspace's
+//!   integer-keyed maps (the keys are small integers; HashDoS resistance is
+//!   not a concern here) and for hashed shard routing.
 //! * [`codec`] — the little-endian binary codec (and CRC-32) shared by the
 //!   persistence layer: WAL records and engine snapshots.
 //! * [`shard_map`] — the generational shard routing table ([`ShardMap`]): the
@@ -39,7 +44,7 @@ pub mod update;
 pub mod vertex_set;
 
 pub use codec::{ByteReader, CodecError};
-pub use graph::{DynamicGraph, NeighborhoodScores};
+pub use graph::DynamicGraph;
 pub use hash::{shard_of, FxBuildHasher, FxHashMap, FxHashSet};
 pub use shard_map::{MergeSpec, ShardFn, ShardMap, SplitSpec};
 pub use update::EdgeUpdate;

@@ -1,0 +1,206 @@
+//! Model-based property tests for [`DynamicGraph`]'s sorted-vector layout:
+//! whatever sequence of updates the stream throws at it — deltas that cancel
+//! an edge to within `WEIGHT_EPSILON`, re-insertion after a prune, vertices
+//! that only come into being when an update names them — the graph must
+//! agree with a `BTreeMap<(u32, u32), f64>` on every read, hand out
+//! neighbours and edges in strictly ascending order (the one place edge
+//! order is asserted; snapshots, eviction lists and the engine's
+//! disjoint-edge steps rely on it without sorting), and merge `Γ_C` to the
+//! same bits as its reference definition.
+
+use std::collections::BTreeMap;
+
+use dyndens_graph::graph::WEIGHT_EPSILON;
+use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
+use proptest::prelude::*;
+
+/// Mostly a dozen vertices (so pairs repeat), now and then a far one that
+/// makes the vertex array grow lazily.
+const NEAR: u32 = 12;
+const FAR: u32 = 40;
+
+/// Deltas and absolute weights that do not add up exactly, so a summation
+/// order shows in the bits; the small ones straddle the pruning epsilon.
+const VALUES: [f64; 10] = [
+    0.1,
+    0.7,
+    1.0 / 3.0,
+    -0.1,
+    -1.0 / 3.0,
+    2.5,
+    4e-13,
+    -4e-13,
+    3e-12,
+    0.0,
+];
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `apply_update(a, b, VALUES[i])` (skipped for a zero delta: the engine
+    /// never forwards one).
+    Add(u32, u32, usize),
+    /// `set_weight(a, b, VALUES[i])`.
+    Set(u32, u32, usize),
+    /// The update that cancels the pair's current weight up to a residue
+    /// below the epsilon: the edge must disappear, not linger as dust.
+    Cancel(u32, u32),
+    /// `reclaim_isolated()`: must change nothing observable.
+    Reclaim,
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        (0..10u8, 0..NEAR, 0..NEAR, 0..FAR, 0..VALUES.len()).prop_filter_map(
+            "self loop",
+            |(kind, a, b, far, value)| {
+                let b = if kind == 9 { far } else { b };
+                if a == b {
+                    return None;
+                }
+                Some(match kind {
+                    0..=3 | 9 => Op::Add(a, b, value),
+                    4..=5 => Op::Set(a, b, value),
+                    6..=7 => Op::Cancel(a, b),
+                    _ => Op::Reclaim,
+                })
+            },
+        ),
+        1..120,
+    )
+}
+
+type Model = BTreeMap<(u32, u32), f64>;
+
+fn key(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
+}
+
+fn model_set(model: &mut Model, a: u32, b: u32, weight: f64) {
+    if weight.abs() > WEIGHT_EPSILON {
+        model.insert(key(a, b), weight);
+    } else {
+        model.remove(&key(a, b));
+    }
+}
+
+fn run(ops: &[Op]) -> (DynamicGraph, Model) {
+    let mut graph = DynamicGraph::new();
+    let mut model = Model::new();
+    for &op in ops {
+        match op {
+            Op::Add(a, b, i) if VALUES[i] != 0.0 => {
+                let old = model.get(&key(a, b)).copied().unwrap_or(0.0);
+                let got = graph.apply_update(&EdgeUpdate::new(VertexId(a), VertexId(b), VALUES[i]));
+                assert_eq!(got, (old, old + VALUES[i]));
+                model_set(&mut model, a, b, old + VALUES[i]);
+            }
+            Op::Add(..) => {}
+            Op::Set(a, b, i) => {
+                let old = model.get(&key(a, b)).copied().unwrap_or(0.0);
+                assert_eq!(graph.set_weight(VertexId(a), VertexId(b), VALUES[i]), old);
+                model_set(&mut model, a, b, VALUES[i]);
+            }
+            Op::Cancel(a, b) => {
+                let old = model.get(&key(a, b)).copied().unwrap_or(0.0);
+                let delta = 2e-13 - old;
+                graph.apply_update(&EdgeUpdate::new(VertexId(a), VertexId(b), delta));
+                model_set(&mut model, a, b, old + delta);
+                assert_eq!(graph.weight(VertexId(a), VertexId(b)), 0.0);
+            }
+            Op::Reclaim => {
+                let before: Vec<_> = graph.edges().collect();
+                let isolated = graph.reclaim_isolated();
+                let by_degree = (0..graph.vertex_count())
+                    .filter(|&v| graph.degree(VertexId(v as u32)) == 0)
+                    .count();
+                assert_eq!(isolated, by_degree);
+                assert_eq!(graph.edges().collect::<Vec<_>>(), before);
+            }
+        }
+    }
+    (graph, model)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn reads_agree_with_the_map_model_and_are_ordered(ops in arb_ops()) {
+        let (graph, model) = run(&ops);
+
+        // Point reads, both argument orders, including pairs never touched
+        // and vertices beyond the array.
+        for a in 0..FAR + 2 {
+            for b in 0..FAR + 2 {
+                let want = if a == b { 0.0 } else { model.get(&key(a, b)).copied().unwrap_or(0.0) };
+                prop_assert_eq!(graph.weight(VertexId(a), VertexId(b)).to_bits(), want.to_bits());
+            }
+        }
+        prop_assert_eq!(graph.edge_count(), model.len());
+        let total: f64 = model.values().sum();
+        prop_assert!((graph.total_weight() - total).abs() < 1e-9);
+
+        // edges(): exactly the model, a < b, strictly ascending in (a, b) —
+        // which is the BTreeMap's own iteration order.
+        let edges: Vec<((u32, u32), u64)> =
+            graph.edges().map(|(a, b, w)| ((a.0, b.0), w.to_bits())).collect();
+        let want: Vec<((u32, u32), u64)> = model.iter().map(|(&k, w)| (k, w.to_bits())).collect();
+        prop_assert!(edges.iter().all(|&((a, b), _)| a < b));
+        prop_assert!(edges.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert_eq!(edges, want);
+
+        // neighbors(u): strictly ascending, symmetric with the model.
+        let mut max_degree = 0;
+        for u in 0..FAR + 2 {
+            let got: Vec<(u32, u64)> =
+                graph.neighbors(VertexId(u)).map(|(v, w)| (v.0, w.to_bits())).collect();
+            let want: Vec<(u32, u64)> = (0..FAR + 2)
+                .filter_map(|v| model.get(&key(u, v)).filter(|_| u != v).map(|w| (v, w.to_bits())))
+                .collect();
+            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert_eq!(graph.degree(VertexId(u)), want.len());
+            max_degree = max_degree.max(want.len());
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(graph.max_degree(), max_degree);
+    }
+
+    #[test]
+    fn the_merged_neighbourhood_is_its_reference_definition_bit_for_bit(
+        ops in arb_ops(),
+        sets in prop::collection::vec(prop::collection::vec(0..FAR + 2, 1..7), 1..8),
+    ) {
+        let (graph, model) = run(&ops);
+        let mut merged = vec![(VertexId(0), f64::NAN)]; // stale content must go
+        for ids in sets {
+            // Cardinality 1..=6 after de-duplication; members may be isolated,
+            // beyond the vertex array, or each other's only neighbours.
+            let set = VertexSet::from_ids(&ids);
+
+            // Reference: for each member in ascending order, for each
+            // neighbour, acc[u] += w.
+            let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
+            for member in set.iter() {
+                for (&(a, b), &w) in &model {
+                    if a == member.0 || b == member.0 {
+                        let u = if a == member.0 { b } else { a };
+                        *acc.entry(u).or_insert(0.0) += w;
+                    }
+                }
+            }
+            let want: Vec<(u32, u64)> = acc.into_iter().map(|(u, g)| (u, g.to_bits())).collect();
+
+            graph.neighborhood_into(set.as_slice(), &mut merged);
+            let got: Vec<(u32, u64)> = merged.iter().map(|&(u, g)| (u.0, g.to_bits())).collect();
+            prop_assert_eq!(&got, &want);
+
+            // degree_into is the same sum restricted to one candidate.
+            for &(u, _) in &merged {
+                if !set.contains(u) {
+                    let d = graph.degree_into(u, set.as_slice());
+                    prop_assert_eq!(d.to_bits(), merged.iter().find(|e| e.0 == u).unwrap().1.to_bits());
+                }
+            }
+        }
+    }
+}

@@ -1,0 +1,287 @@
+//! Golden-bits test: the engine's observable state on three streams, pinned
+//! to constants computed at the commit *before* the adjacency layout changed
+//! (hash-map adjacency, PR 14). A layout or traversal change that keeps this
+//! green is bit-identical to that engine: same dense subgraphs with the same
+//! score bits, same `DenseEvent` sequence, same work ledger, same DDSN
+//! snapshot bytes.
+//!
+//! To regenerate after a *deliberate* algorithm change, run
+//! `cargo test --test engine_golden -- --nocapture`: every case prints its
+//! row in the shape of the `GOLDEN` table.
+
+use dyndens::prelude::*;
+use dyndens::stream::{ChiSquareCorrelation, EdgeUpdateGenerator};
+use dyndens::workloads::tweets::default_stories;
+use dyndens::workloads::{
+    oracle, AlignedCommunities, FlashCrowd, TweetSimulator, TweetSimulatorConfig, Workload as _,
+};
+
+/// FNV-1a, 64 bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn set(&mut self, set: &VertexSet) {
+        self.u64(set.len() as u64);
+        for v in set.iter() {
+            self.bytes(&v.0.to_le_bytes());
+        }
+    }
+}
+
+/// What one run leaves behind, one fingerprint per observable.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// Sorted `dense_subgraphs()`: vertex ids and `score.to_bits()`.
+    dense: u64,
+    /// The emitted `DenseEvent` sequence: kind, vertices, density bits.
+    events: u64,
+    /// All thirteen `EngineStats` counters, in declaration order.
+    stats: u64,
+    /// The `snapshot()` bytes.
+    snapshot: u64,
+    /// Two of the counters in the clear: the first says which regime the
+    /// stream reached, the second pins the MaxExplore bound.
+    star_markers_created: u64,
+    max_explore_skips: u64,
+}
+
+fn run(config: DynDensConfig, updates: &[EdgeUpdate]) -> Golden {
+    let mut engine = DynDens::new(AvgWeight, config);
+    let mut events = Vec::new();
+    for &u in updates {
+        engine.apply_update_into(u, &mut events);
+    }
+    engine.validate().expect("engine state is consistent");
+
+    let mut dense = engine.dense_subgraphs();
+    dense.sort_by(|x, y| x.0.cmp(&y.0));
+    let mut dense_fp = Fnv::new();
+    for (set, score) in &dense {
+        dense_fp.set(set);
+        dense_fp.u64(score.to_bits());
+    }
+
+    let mut events_fp = Fnv::new();
+    for e in &events {
+        events_fp.u64(u64::from(e.is_became()));
+        events_fp.set(e.vertices());
+        events_fp.u64(e.density().to_bits());
+    }
+
+    let EngineStats {
+        updates,
+        positive_updates,
+        negative_updates,
+        explorations,
+        cheap_explorations,
+        candidates_examined,
+        subgraphs_inserted,
+        subgraphs_evicted,
+        explore_all_invocations,
+        star_markers_created,
+        star_markers_removed,
+        max_explore_skips,
+        degree_prioritize_skips,
+    } = engine.stats().clone();
+    let mut stats_fp = Fnv::new();
+    for counter in [
+        updates,
+        positive_updates,
+        negative_updates,
+        explorations,
+        cheap_explorations,
+        candidates_examined,
+        subgraphs_inserted,
+        subgraphs_evicted,
+        explore_all_invocations,
+        star_markers_created,
+        star_markers_removed,
+        max_explore_skips,
+        degree_prioritize_skips,
+    ] {
+        stats_fp.u64(counter);
+    }
+
+    let mut snapshot_fp = Fnv::new();
+    snapshot_fp.bytes(&engine.snapshot());
+
+    Golden {
+        dense: dense_fp.0,
+        events: events_fp.0,
+        stats: stats_fp.0,
+        snapshot: snapshot_fp.0,
+        star_markers_created,
+        max_explore_skips,
+    }
+}
+
+/// The weighted tweet stream of the repo benchmark's `weighted_dense`
+/// workload at its run size (blog entity mix over 2 000 background entities,
+/// 18 000 posts in 2.4 simulated hours, `ChiSquareCorrelation` with the
+/// paper's two-hour decay), first `len` updates.
+fn tweet_stream(seed: u64, len: usize) -> Vec<EdgeUpdate> {
+    const STRETCH: f64 = 2.0 * 0.05;
+    let stories = default_stories()
+        .into_iter()
+        .map(|s| {
+            let (start, end) = (s.start * STRETCH, s.end * STRETCH);
+            s.with_window(start, end)
+        })
+        .collect();
+    let corpus = TweetSimulator::new(TweetSimulatorConfig {
+        n_posts: 18_000,
+        n_background_entities: 2_000,
+        duration: 24.0 * 3600.0 * STRETCH,
+        entity_count_mix: (0.40, 0.25, 0.20, 0.15),
+        stories,
+        seed,
+        ..TweetSimulatorConfig::default()
+    })
+    .generate();
+    let mut generator = EdgeUpdateGenerator::new(ChiSquareCorrelation::default(), 7200.0);
+    let mut updates = Vec::with_capacity(len + 64);
+    for post in &corpus.posts {
+        generator.process_post_into(post, &mut updates);
+        if updates.len() >= len {
+            break;
+        }
+    }
+    assert!(updates.len() >= len, "the corpus lowers to too few updates");
+    updates.truncate(len);
+    updates
+}
+
+fn tweet_config() -> DynDensConfig {
+    DynDensConfig::new(0.25, 5).with_delta_it_fraction(0.25)
+}
+
+fn case(name: &str, seed: u64) -> Golden {
+    match name {
+        "aligned_communities" => run(
+            oracle::engine_config(),
+            &AlignedCommunities::new(20_000, seed).updates(),
+        ),
+        "flash_crowd" => run(
+            oracle::engine_config(),
+            &FlashCrowd::new(20_000, seed).updates(),
+        ),
+        "tweets_chi_square" => run(tweet_config(), &tweet_stream(seed, 10_000)),
+        _ => unreachable!("unknown case {name}"),
+    }
+}
+
+/// Computed at the parent of the flat-adjacency change (hash-map adjacency).
+const GOLDEN: [(&str, u64, Golden); 6] = [
+    (
+        "aligned_communities",
+        7,
+        Golden {
+            dense: 0xa443_fc1b_56dc_a6d8,
+            events: 0x468e_bd8d_3bc8_72cf,
+            stats: 0x2b6a_2865_a944_071a,
+            snapshot: 0x5d83_6931_0df2_e9f9,
+            star_markers_created: 0,
+            max_explore_skips: 11,
+        },
+    ),
+    (
+        "aligned_communities",
+        2012,
+        Golden {
+            dense: 0x6790_02ed_8f51_8859,
+            events: 0xba10_8591_3bbb_e4f5,
+            stats: 0xd3e9_71d6_d3a3_646c,
+            snapshot: 0x4574_86e7_b9a9_5921,
+            star_markers_created: 0,
+            max_explore_skips: 12,
+        },
+    ),
+    (
+        "flash_crowd",
+        7,
+        Golden {
+            dense: 0xe20a_f4f5_25e3_3998,
+            events: 0xcc24_d4ca_fdbe_93bc,
+            stats: 0x950b_d66c_f3ef_c03d,
+            snapshot: 0x0e6c_cc78_8ab3_51c9,
+            star_markers_created: 0,
+            max_explore_skips: 3,
+        },
+    ),
+    (
+        "flash_crowd",
+        2012,
+        Golden {
+            dense: 0xf9e3_ca1f_e1d8_a187,
+            events: 0x9ea5_1185_8f6f_2312,
+            stats: 0x188d_7cb5_2fdc_2ef1,
+            snapshot: 0xfd94_7050_ef51_4901,
+            star_markers_created: 0,
+            max_explore_skips: 0,
+        },
+    ),
+    (
+        "tweets_chi_square",
+        7,
+        Golden {
+            dense: 0xaa7d_74dd_20d1_0148,
+            events: 0xb693_1f4b_5645_2e42,
+            stats: 0xd490_0109_525e_8fa4,
+            snapshot: 0x1663_8c0e_5768_7dec,
+            star_markers_created: 90,
+            max_explore_skips: 10,
+        },
+    ),
+    (
+        "tweets_chi_square",
+        2012,
+        Golden {
+            dense: 0xf3bb_64ee_8db8_42c6,
+            events: 0x51d3_a18c_a024_42e1,
+            stats: 0x8764_412f_78e2_8fb3,
+            snapshot: 0x33da_8e3d_7137_8fb3,
+            star_markers_created: 93,
+            max_explore_skips: 16,
+        },
+    ),
+];
+
+#[test]
+fn engine_state_matches_the_hash_map_layout_bit_for_bit() {
+    let mut mismatches = Vec::new();
+    for (name, seed, want) in &GOLDEN {
+        let got = case(name, *seed);
+        println!("(\"{name}\", {seed}, {got:#x?}),");
+        if &got != want {
+            mismatches.push(format!("{name} seed {seed}: got {got:x?}, want {want:x?}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn the_tweet_stream_reaches_the_too_dense_regime() {
+    // The only one of the three streams that creates `*` markers, covered
+    // bands and disjoint-edge steps; without them the golden constants would
+    // not cover the too-dense branch of `explore` at all.
+    for (name, _, want) in &GOLDEN {
+        let stars = want.star_markers_created > 0;
+        assert_eq!(stars, *name == "tweets_chi_square", "{name}");
+    }
+    assert!(GOLDEN.iter().any(|(_, _, g)| g.max_explore_skips > 0));
+}
