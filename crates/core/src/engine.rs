@@ -8,6 +8,7 @@ use crate::config::{DeltaIt, DynDensConfig};
 use crate::events::{DenseEvent, EngineStats};
 use crate::heuristics::{DegreePrioritize, MaxExploreBound};
 use crate::index::{NodeId, SubgraphIndex, SubgraphInfo};
+use crate::maintenance::{story_order, top_of};
 use crate::scratch::Scratch;
 
 /// `Γ_C · ê_v` from a merged neighbourhood (ascending by vertex); `0.0` for a
@@ -37,6 +38,14 @@ fn union_into(out: &mut Vec<VertexId>, base: &[VertexId], extra: &[VertexId]) {
 /// The owned form of a vertex path, for events.
 fn set_of(verts: &[VertexId]) -> VertexSet {
     VertexSet::from_vertices(verts.iter().copied())
+}
+
+/// A story held by [`DynDens::top_stories`] while it scans, its vertex set
+/// standing in as the [`path_key`](SubgraphIndex::path_key).
+struct Pick {
+    density: f64,
+    key: [u32; SubgraphIndex::PATH_KEY_WIDTH],
+    id: NodeId,
 }
 
 /// Per-update exploration context shared by the recursive exploration
@@ -307,27 +316,72 @@ impl<D: DensityMeasure> DynDens<D> {
             .collect()
     }
 
+    /// The stored subgraphs that clear the *output* threshold, as `(node,
+    /// cardinality, score)` in index-arena order, nothing materialised.
+    fn output_dense_nodes(&self) -> impl Iterator<Item = (NodeId, usize, f64)> + '_ {
+        self.index
+            .scores()
+            .filter(|&(_, card, score)| self.thresholds.is_output_dense(score, card))
+    }
+
     /// All explicitly maintained output-dense subgraphs together with their
     /// densities, i.e. the answer to the Engagement problem at the current
     /// point of the stream (excluding subgraphs only represented implicitly
     /// through `*` markers, matching the accounting of the paper's Table 2).
     pub fn output_dense_subgraphs(&self) -> Vec<(VertexSet, f64)> {
-        self.index
-            .iter()
-            .filter(|(_, v, info)| self.thresholds.is_output_dense(info.score, v.len()))
-            .map(|(_, v, info)| {
-                let density = self.thresholds.measure().density(info.score, v.len());
-                (v, density)
-            })
+        let measure = self.thresholds.measure();
+        self.output_dense_nodes()
+            .map(|(id, card, score)| (self.index.vertices(id), measure.density(score, card)))
             .collect()
     }
 
     /// Number of explicitly maintained output-dense subgraphs.
     pub fn output_dense_count(&self) -> usize {
-        self.index
+        self.output_dense_nodes().count()
+    }
+
+    /// The `k` first of [`output_dense_subgraphs`](Self::output_dense_subgraphs)
+    /// in [`story_order`], and how many output-dense subgraphs there are in
+    /// all — what a publication needs, at the cost of one pass over the
+    /// stored scores plus `k` vertex sets, however many subgraphs lose.
+    ///
+    /// The pass collects candidates keyed by their allocation-free
+    /// [`path_key`](SubgraphIndex::path_key) (whose order is vertex-set
+    /// order) and, whenever `2k` have gathered, cuts back to the best `k`;
+    /// from then on a subgraph less dense than the `k`-th of the last cut is
+    /// dropped on that one comparison. With `k` at or above half the output
+    /// size no cut happens and this is a full sort. Engines whose `Nmax`
+    /// exceeds the key width sort materialised sets instead ([`top_of`]).
+    pub fn top_stories(&self, k: usize) -> (Vec<(VertexSet, f64)>, usize) {
+        if self.thresholds.n_max() > SubgraphIndex::PATH_KEY_WIDTH {
+            return top_of(self.output_dense_subgraphs(), k);
+        }
+        let measure = self.thresholds.measure();
+        let order = |a: &Pick, b: &Pick| story_order((&a.key, a.density), (&b.key, b.density));
+        let mut best: Vec<Pick> = Vec::with_capacity(k.saturating_mul(2).min(self.index.len()));
+        let mut kth_density = f64::NEG_INFINITY;
+        let mut total = 0;
+        for (id, card, score) in self.output_dense_nodes() {
+            total += 1;
+            let density = measure.density(score, card);
+            if k == 0 || density < kth_density {
+                continue;
+            }
+            let key = self.index.path_key(id).expect("Nmax within the key width");
+            best.push(Pick { density, key, id });
+            if best.len() / 2 >= k {
+                best.select_nth_unstable_by(k - 1, order);
+                best.truncate(k);
+                kth_density = best[k - 1].density;
+            }
+        }
+        best.sort_unstable_by(order);
+        best.truncate(k);
+        let stories = best
             .iter()
-            .filter(|(_, v, info)| self.thresholds.is_output_dense(info.score, v.len()))
-            .count()
+            .map(|pick| (self.index.vertices(pick.id), pick.density))
+            .collect();
+        (stories, total)
     }
 
     /// `true` if the subgraph is tracked as dense: either it is explicitly

@@ -579,25 +579,27 @@ impl SubgraphIndex {
         }
     }
 
-    /// Iterates over every stored subgraph as `(node, vertices, info)`.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, VertexSet, &SubgraphInfo)> + '_ {
-        self.nodes.iter().enumerate().filter_map(move |(i, n)| {
-            if !n.in_use {
-                return None;
-            }
-            let id = NodeId(i as u32);
-            n.info.as_ref().map(|info| (id, self.vertices(id), info))
+    /// Every stored subgraph as `(node, cardinality, score)`, in arena order:
+    /// one pass over the node arena that reads each node in place and
+    /// materialises nothing. What counting and top-k selection run on — a
+    /// subgraph's density class is a function of exactly these two numbers.
+    pub fn scores(&self) -> impl Iterator<Item = (NodeId, usize, f64)> + '_ {
+        self.nodes.iter().enumerate().filter_map(|(i, n)| {
+            let info = n.info.as_ref().filter(|_| n.in_use)?;
+            Some((NodeId(i as u32), n.depth as usize, info.score))
         })
+    }
+
+    /// Iterates over every stored subgraph as `(node, vertices, info)`,
+    /// allocating each vertex set.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, VertexSet, &SubgraphInfo)> + '_ {
+        self.scores()
+            .map(|(id, _, _)| (id, self.vertices(id), self.info(id)))
     }
 
     /// The node ids of every stored subgraph.
     pub fn all_subgraphs(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.in_use && n.info.is_some())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+        self.scores().map(|(id, _, _)| id).collect()
     }
 
     /// Internal consistency check used by tests: inverted lists reference

@@ -69,7 +69,10 @@ pub use events::{DenseEvent, EngineStats};
 pub use evict::EvictionReport;
 pub use heuristics::{DegreePrioritize, MaxExploreBound};
 pub use index::{NodeId, SubgraphIndex, SubgraphInfo};
-pub use maintenance::{encode_config_params, DynDensBlueprint, EngineBlueprint, MaintenanceEngine};
+pub use maintenance::{
+    encode_config_params, sort_stories, story_order, top_of, DynDensBlueprint, EngineBlueprint,
+    MaintenanceEngine,
+};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 // Re-export the substrate crates so downstream users only need one dependency.

@@ -35,6 +35,8 @@
 //! engines that answer from always-fresh state (like [`DynDens`]) simply
 //! ignore the mutability.
 
+use std::cmp::Ordering;
+
 use dyndens_density::DensityMeasure;
 use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
 
@@ -43,6 +45,32 @@ use crate::engine::DynDens;
 use crate::events::{DenseEvent, EngineStats};
 use crate::evict::EvictionReport;
 use crate::snapshot::SnapshotError;
+
+/// The order stories are published in: densest first, ties broken by vertex
+/// set (ascending) so that snapshots are deterministic. This is the only
+/// definition; per-shard publication, the merged view and every backend's
+/// top-k go through it. `K` is the vertex set or anything that orders like
+/// it ([`SubgraphIndex::path_key`](crate::SubgraphIndex::path_key)).
+pub fn story_order<K: Ord>(a: (&K, f64), b: (&K, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.0.cmp(b.0))
+}
+
+/// Sorts stories into [`story_order`].
+pub fn sort_stories(stories: &mut [(VertexSet, f64)]) {
+    stories.sort_unstable_by(|a, b| story_order((&a.0, a.1), (&b.0, b.1)));
+}
+
+/// The reference definition of [`MaintenanceEngine::top_stories`]: all of
+/// `stories` sorted into [`story_order`] and cut to the first `k`, beside
+/// how many there were.
+pub fn top_of(mut stories: Vec<(VertexSet, f64)>, k: usize) -> (Vec<(VertexSet, f64)>, usize) {
+    let total = stories.len();
+    sort_stories(&mut stories);
+    stories.truncate(k);
+    (stories, total)
+}
 
 /// One shard's worth of dense-subgraph maintenance state, behind a
 /// backend-agnostic interface. See the [module docs](self) for the
@@ -67,6 +95,17 @@ pub trait MaintenanceEngine: Clone + std::fmt::Debug + Send + 'static {
     /// Number of output-dense subgraphs.
     fn output_dense_count(&mut self) -> usize {
         self.output_dense_subgraphs().len()
+    }
+
+    /// What a shard publishes: the first `k` of
+    /// [`output_dense_subgraphs`](Self::output_dense_subgraphs) in
+    /// [`story_order`], and the total number of output-dense subgraphs.
+    /// `k` may be `usize::MAX` (the whole answer, sorted). The provided
+    /// implementation is the definition ([`top_of`]); a backend that can pick
+    /// the `k` without materialising the rest overrides it and must return
+    /// the same bits.
+    fn top_stories(&mut self, k: usize) -> (Vec<(VertexSet, f64)>, usize) {
+        top_of(self.output_dense_subgraphs(), k)
     }
 
     /// Number of maintained subgraphs.
@@ -239,6 +278,10 @@ impl<D: DensityMeasure> MaintenanceEngine for DynDens<D> {
 
     fn output_dense_count(&mut self) -> usize {
         DynDens::output_dense_count(self)
+    }
+
+    fn top_stories(&mut self, k: usize) -> (Vec<(VertexSet, f64)>, usize) {
+        DynDens::top_stories(self, k)
     }
 
     fn dense_count(&mut self) -> usize {

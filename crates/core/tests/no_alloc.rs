@@ -1,42 +1,54 @@
-//! The discover-nothing path allocates nothing.
+//! The discover-nothing path allocates nothing, and a publication allocates
+//! for its `k` winners only.
 //!
 //! An update that neither creates nor destroys a dense subgraph — by far the
 //! common case on a stream in steady state — still runs the whole kernel:
 //! the graph edit, the index walks, the MaxExplore bound, cheap and regular
 //! explorations with their merged `Γ_C`, `*` bases and their disjoint-edge
 //! scans. All of that works out of engine-owned scratch, so once the scratch
-//! has grown to size the allocator is not called at all. This binary owns
-//! its `#[global_allocator]` (hence its own file) and counts.
+//! has grown to size the allocator is not called at all. Publication
+//! ([`DynDens::top_stories`]) selects over the stored scores and builds vertex
+//! sets for the `k` it returns, so its allocation count does not depend on
+//! how many subgraphs are stored. This binary owns its `#[global_allocator]`
+//! (hence its own file) and counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use dyndens_core::{DynDens, DynDensConfig};
 use dyndens_density::AvgWeight;
 use dyndens_graph::{EdgeUpdate, VertexId};
 
-/// Forwards to the system allocator, counting the calls the armed thread
-/// makes (the test harness's own threads allocate whenever they like).
+/// Forwards to the system allocator, counting per thread the calls an armed
+/// thread makes (the harness's own threads, and the other test's, allocate
+/// whenever they like).
 struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
     // `try_with`: the allocator also runs while a thread's locals are torn down.
     if ARMED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
 }
 
+/// The number of allocator calls `work` makes on this thread.
+fn allocations_in(work: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
+    work();
+    ARMED.with(|armed| armed.set(false));
+    ALLOCATIONS.with(Cell::get)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counting touches only an atomic and
-// a const-initialised, destructor-free thread-local, neither of which
-// allocates or unwinds.
+// upholds the `GlobalAlloc` contract; the counting touches only
+// const-initialised, destructor-free thread-locals, which neither allocate
+// nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -126,18 +138,17 @@ fn updates_that_discover_nothing_do_not_allocate() {
     let dense_before = engine.dense_count();
 
     // The counter counts: one boxed value, one allocation.
-    ARMED.with(|armed| armed.set(true));
-    drop(std::hint::black_box(Box::new(0u64)));
-    ARMED.with(|armed| armed.set(false));
-    assert_eq!(ALLOCATIONS.swap(0, Ordering::Relaxed), 1);
+    assert_eq!(
+        allocations_in(|| drop(std::hint::black_box(Box::new(0u64)))),
+        1
+    );
 
     let passes = 1_000usize.div_ceil(edges.len());
-    ARMED.with(|armed| armed.set(true));
-    for _ in 0..passes {
-        wiggle(&mut engine, &edges, &mut events);
-    }
-    ARMED.with(|armed| armed.set(false));
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = allocations_in(|| {
+        for _ in 0..passes {
+            wiggle(&mut engine, &edges, &mut events);
+        }
+    });
 
     // The measured stretch did real work and changed nothing.
     let after = engine.stats();
@@ -159,4 +170,43 @@ fn updates_that_discover_nothing_do_not_allocate() {
         allocations, 0,
         "apply_update_into allocated on the discover-nothing path"
     );
+}
+
+/// `pairs` disjoint output-dense pairs of distinct densities, and as many
+/// stored subgraphs.
+fn engine_of_pairs(pairs: u32) -> DynDens<AvgWeight> {
+    let mut engine = DynDens::new(AvgWeight, DynDensConfig::new(1.0, 4).with_delta_it(0.15));
+    for i in 0..pairs {
+        // Neither ascending nor descending in arena order.
+        let weight = 1.05 + 0.0001 * f64::from((i * 37) % pairs);
+        engine.apply_update(update(2 * i, 2 * i + 1, weight));
+    }
+    assert_eq!(engine.output_dense_count(), pairs as usize);
+    engine
+}
+
+#[test]
+fn publication_allocates_for_its_winners_only() {
+    /// The result vector and the selection buffer.
+    const OVERHEAD: u64 = 2;
+    const K: usize = 16;
+
+    for pairs in [250u32, 2_000] {
+        let engine = engine_of_pairs(pairs);
+        let mut published = (Vec::new(), 0);
+        let allocations = allocations_in(|| published = engine.top_stories(K));
+
+        let (stories, output_dense) = published;
+        assert_eq!(output_dense, pairs as usize);
+        assert_eq!(stories.len(), K);
+        assert!(stories.windows(2).all(|w| w[0].1 > w[1].1), "densest first");
+        assert_eq!(
+            allocations,
+            K as u64 + OVERHEAD,
+            "top_stories({K}) over {pairs} stored subgraphs"
+        );
+        let mut count = 0;
+        assert_eq!(allocations_in(|| count = engine.output_dense_count()), 0);
+        assert_eq!(count, output_dense);
+    }
 }

@@ -126,6 +126,9 @@ pub mod names {
     pub const SHARD_UPDATES_APPLIED_TOTAL: &str = "dyndens_shard_updates_applied_total";
     /// Histogram `{shard}`: engine apply latency per micro-batch, µs.
     pub const SHARD_APPLY_LATENCY_US: &str = "dyndens_shard_apply_latency_us";
+    /// Histogram `{shard}`: publication latency per micro-batch — top-k
+    /// selection, delta-ring push, epoch swap and wakers — µs.
+    pub const SHARD_PUBLISH_LATENCY_US: &str = "dyndens_shard_publish_latency_us";
     /// Histogram `{shard}`: updates per applied micro-batch.
     pub const SHARD_BATCH_SIZE: &str = "dyndens_shard_batch_size";
     /// Gauge `{shard}`: routed-minus-applied backlog, refreshed on

@@ -59,6 +59,7 @@ pub(crate) struct ShardObs {
     batches: Counter,
     updates: Counter,
     apply_us: Histogram,
+    publish_us: Histogram,
     batch_size: Histogram,
     checkpoints: Counter,
     checkpoint_us: Histogram,
@@ -76,6 +77,7 @@ impl ShardObs {
             batches: registry.counter(names::SHARD_BATCHES_APPLIED_TOTAL, labels),
             updates: registry.counter(names::SHARD_UPDATES_APPLIED_TOTAL, labels),
             apply_us: registry.histogram(names::SHARD_APPLY_LATENCY_US, labels),
+            publish_us: registry.histogram(names::SHARD_PUBLISH_LATENCY_US, labels),
             batch_size: registry.histogram(names::SHARD_BATCH_SIZE, labels),
             checkpoints: registry.counter(names::CHECKPOINTS_TOTAL, labels),
             checkpoint_us: registry.histogram(names::CHECKPOINT_LATENCY_US, labels),
@@ -87,13 +89,16 @@ impl ShardObs {
         }
     }
 
-    /// Records one applied micro-batch: counters, latency/size histograms
-    /// and a chatty `WorkerBatch` journal record.
-    pub(crate) fn record_batch(&self, batch: usize, apply: Duration) {
+    /// Records one applied and published micro-batch: counters, latency/size
+    /// histograms and a chatty `WorkerBatch` journal record. `publish` runs
+    /// from the applied batch to its snapshot being visible and its wakers
+    /// fired.
+    pub(crate) fn record_batch(&self, batch: usize, apply: Duration, publish: Duration) {
         let apply_us = apply.as_micros().min(u64::MAX as u128) as u64;
         self.batches.inc();
         self.updates.add(batch as u64);
         self.apply_us.record(apply_us);
+        self.publish_us.record_micros(publish);
         self.batch_size.record(batch as u64);
         self.registry.emit(ObsEvent::WorkerBatch {
             shard: self.slot,

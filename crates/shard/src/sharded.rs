@@ -277,7 +277,7 @@ pub(crate) fn install_slot<E: MaintenanceEngine>(
             &mut engine,
             seq,
             seq,
-            &[],
+            Arc::new([]),
             config.top_k,
         )),
         seq,
@@ -901,6 +901,33 @@ mod tests {
         assert_eq!(view.snapshot().seq, 3);
         assert_eq!(view.per_shard_seq(), vec![2, 1]);
         assert_eq!(sharded.queue_depths(), vec![0, 0]);
+    }
+
+    #[test]
+    fn every_applied_batch_records_one_publish_latency() {
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let mut fleet = ShardedDynDens::new(
+            AvgWeight,
+            DynDensConfig::new(1.0, 4).with_delta_it(0.15),
+            ShardConfig::new(2)
+                .with_shard_fn(ShardFn::Modulo)
+                .with_max_batch(4)
+                .with_obs(Arc::clone(&registry)),
+        );
+        for round in 0..5 {
+            fleet.apply_batch(&[update(round, round + 2, 1.2), update(round, round + 4, 1.1)]);
+            fleet.flush();
+        }
+        let scrape = registry.snapshot();
+        let published = scrape.merged_histogram(names::SHARD_PUBLISH_LATENCY_US);
+        let batches: u64 = scrape
+            .counters
+            .iter()
+            .filter(|c| c.name.name == names::SHARD_BATCHES_APPLIED_TOTAL)
+            .map(|c| c.value)
+            .sum();
+        assert!(batches >= 5, "a flush after every round");
+        assert_eq!(published.count, batches);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-use dyndens_core::{DenseEvent, EngineStats};
+use dyndens_core::{sort_stories, DenseEvent, EngineStats};
 use dyndens_graph::VertexSet;
 
 /// A publication callback attached to an [`EpochCell`] (or, through
@@ -23,17 +23,6 @@ pub trait PublishWaker: Send + Sync {
     /// sequence number at publication (unchanged for plain [`EpochCell::store`]
     /// publications such as roster swaps).
     fn wake(&self, seq: u64);
-}
-
-/// Sorts stories densest first, with ties broken by vertex set so snapshots
-/// are deterministic. Shared by the per-shard publication path and the merged
-/// view so the two orderings can never diverge.
-pub(crate) fn sort_stories(stories: &mut [(VertexSet, f64)]) {
-    stories.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
 }
 
 /// An ArcSwap-style epoch pointer: writers publish immutable snapshots by
@@ -183,22 +172,27 @@ impl DeltaRing {
 
     /// The events after `since_seq`, if the ring still covers it.
     pub fn catch_up(&self, since_seq: u64) -> DeltaCatchUp {
-        let batches = self.batches.lock().expect("delta ring poisoned");
-        let Some(newest) = batches.back() else {
-            return DeltaCatchUp::Resync;
+        // Under the lock (which the worker's `push` needs) only the batches'
+        // `Arc`s are cloned; the events are copied out after it is released.
+        let (to_seq, suffix): (u64, Vec<Arc<[DenseEvent]>>) = {
+            let batches = self.batches.lock().expect("delta ring poisoned");
+            let Some(newest) = batches.back() else {
+                return DeltaCatchUp::Resync;
+            };
+            if since_seq >= newest.seq {
+                return DeltaCatchUp::Current;
+            }
+            if batches.front().expect("non-empty ring").base_seq > since_seq {
+                return DeltaCatchUp::Resync;
+            }
+            let suffix = batches
+                .iter()
+                .filter(|b| b.seq > since_seq && !b.events.is_empty())
+                .map(|b| Arc::clone(&b.events))
+                .collect();
+            (newest.seq, suffix)
         };
-        if since_seq >= newest.seq {
-            return DeltaCatchUp::Current;
-        }
-        if batches.front().expect("non-empty ring").base_seq > since_seq {
-            return DeltaCatchUp::Resync;
-        }
-        let to_seq = newest.seq;
-        let events = batches
-            .iter()
-            .filter(|b| b.seq > since_seq)
-            .flat_map(|b| b.events.iter().cloned())
-            .collect();
+        let events = suffix.iter().flat_map(|e| e.iter().cloned()).collect();
         DeltaCatchUp::Events { to_seq, events }
     }
 }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dyndens_core::{DenseEvent, MaintenanceEngine};
-use dyndens_graph::{EdgeUpdate, VertexSet};
+use dyndens_graph::EdgeUpdate;
 
 use crate::config::PersistenceConfig;
 use crate::obs::{ShardObs, WalObs};
@@ -119,6 +119,8 @@ pub(crate) fn run<E: MaintenanceEngine>(
     let mut pending: Vec<EdgeUpdate> = Vec::with_capacity(max_batch);
     let mut acks: Vec<Sender<()>> = Vec::new();
     let mut events: Vec<DenseEvent> = Vec::new();
+    // Nearly every micro-batch emits no event; those publications share this.
+    let no_events: Arc<[DenseEvent]> = Arc::new([]);
 
     loop {
         let first = match inbox.recv() {
@@ -163,12 +165,11 @@ pub(crate) fn run<E: MaintenanceEngine>(
                     .append(seq, &pending)
                     .unwrap_or_else(|e| panic!("shard {shard}: WAL append failed: {e}"));
             }
-            events.clear();
             let delta_base_seq = seq;
             let batch_len = pending.len();
             let apply_started = obs.as_ref().map(|_| Instant::now());
             let mut apply_elapsed = Duration::ZERO;
-            let (snapshot, checkpoint) = {
+            let (snapshot, checkpoint, publish_started) = {
                 let mut guard = engine.lock().expect("shard engine poisoned");
                 for update in pending.drain(..) {
                     guard.apply_update_into(update, &mut events);
@@ -192,24 +193,21 @@ pub(crate) fn run<E: MaintenanceEngine>(
                     }
                     None => None,
                 };
+                // Publish latency: top-k selection, ring push, epoch swap and
+                // wakers — neither the apply above nor the checkpoint image.
+                let publish_started = obs.as_ref().map(|_| Instant::now());
+                let delta = take_events(&mut events, &no_events);
                 (
-                    build_snapshot(shard, &mut *guard, seq, delta_base_seq, &events, top_k),
+                    build_snapshot(shard, &mut *guard, seq, delta_base_seq, delta, top_k),
                     checkpoint,
+                    publish_started,
                 )
             };
-            // Retention before visibility: the ring covers the new seq before
-            // the epoch pointer announces it, so a poller that observes the
-            // new seq can always fetch its deltas.
-            ring.push(DeltaBatch {
-                base_seq: delta_base_seq,
-                seq,
-                events: Arc::clone(&snapshot.delta_events),
-            });
-            if let Some(o) = obs.as_ref() {
-                o.record_batch(batch_len, apply_elapsed);
-                o.set_engine_gauges(&snapshot.stats);
+            let published = publish(snapshot, &ring, &cell);
+            if let (Some(o), Some(t)) = (obs.as_ref(), publish_started) {
+                o.record_batch(batch_len, apply_elapsed, t.elapsed());
+                o.set_engine_gauges(&published.stats);
             }
-            cell.store_with_seq(Arc::new(snapshot), seq);
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
                 // A failed checkpoint is not fatal: the WAL still covers the
                 // whole history since the last good snapshot.
@@ -239,7 +237,6 @@ pub(crate) fn run<E: MaintenanceEngine>(
             // prune the WAL behind the checkpoint — the "fold evicted state
             // out of the snapshot, truncate the log" half of bounded-state
             // operation.
-            events.clear();
             let delta_base_seq = seq;
             let (snapshot, checkpoint, evicted) = {
                 let mut guard = engine.lock().expect("shard engine poisoned");
@@ -255,18 +252,14 @@ pub(crate) fn run<E: MaintenanceEngine>(
                 debug_assert_eq!(report.edges_evicted as usize, victims.len());
                 seq += report.edges_evicted;
                 let checkpoint = persist.is_some().then(|| guard.snapshot());
+                let delta = take_events(&mut events, &no_events);
                 (
-                    build_snapshot(shard, &mut *guard, seq, delta_base_seq, &events, top_k),
+                    build_snapshot(shard, &mut *guard, seq, delta_base_seq, delta, top_k),
                     checkpoint,
                     report.edges_evicted,
                 )
             };
-            ring.push(DeltaBatch {
-                base_seq: delta_base_seq,
-                seq,
-                events: Arc::clone(&snapshot.delta_events),
-            });
-            cell.store_with_seq(Arc::new(snapshot), seq);
+            publish(snapshot, &ring, &cell);
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
                 let ckpt_started = obs.as_ref().map(|_| Instant::now());
                 match recovery::write_snapshot(&p.dir, seq, &bytes, p.retained) {
@@ -318,26 +311,51 @@ fn absorb(
     None
 }
 
+/// Moves a micro-batch's events out of the worker's buffer (left empty, its
+/// capacity kept) into the slice a publication shares with the delta ring.
+fn take_events(events: &mut Vec<DenseEvent>, none: &Arc<[DenseEvent]>) -> Arc<[DenseEvent]> {
+    if events.is_empty() {
+        Arc::clone(none)
+    } else {
+        events.drain(..).collect()
+    }
+}
+
 /// Renders the engine's current answer into an immutable snapshot.
 pub(crate) fn build_snapshot<E: MaintenanceEngine>(
     shard: usize,
     engine: &mut E,
     seq: u64,
     delta_base_seq: u64,
-    events: &[DenseEvent],
+    delta_events: Arc<[DenseEvent]>,
     top_k: usize,
 ) -> ShardSnapshot {
-    let mut stories: Vec<(VertexSet, f64)> = engine.output_dense_subgraphs();
-    let output_dense = stories.len();
-    crate::view::sort_stories(&mut stories);
-    stories.truncate(top_k);
+    let (top_stories, output_dense) = engine.top_stories(top_k);
     ShardSnapshot {
         shard,
         seq,
-        top_stories: stories,
+        top_stories,
         output_dense,
         stats: engine.stats().clone(),
         delta_base_seq,
-        delta_events: events.into(),
+        delta_events,
     }
+}
+
+/// Makes `snapshot` visible. Retention before visibility: the ring covers the
+/// new seq before the epoch pointer announces it, so a poller that observes
+/// the new seq can always fetch its deltas.
+fn publish(
+    snapshot: ShardSnapshot,
+    ring: &DeltaRing,
+    cell: &EpochCell<ShardSnapshot>,
+) -> Arc<ShardSnapshot> {
+    let snapshot = Arc::new(snapshot);
+    ring.push(DeltaBatch {
+        base_seq: snapshot.delta_base_seq,
+        seq: snapshot.seq,
+        events: Arc::clone(&snapshot.delta_events),
+    });
+    cell.store_with_seq(Arc::clone(&snapshot), snapshot.seq);
+    snapshot
 }

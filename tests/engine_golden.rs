@@ -3,18 +3,19 @@
 //! (hash-map adjacency, PR 14). A layout or traversal change that keeps this
 //! green is bit-identical to that engine: same dense subgraphs with the same
 //! score bits, same `DenseEvent` sequence, same work ledger, same DDSN
-//! snapshot bytes.
+//! snapshot bytes. A second table pins what a shard worker *publishes* (top-16
+//! and output-dense count at every 64-update boundary) to constants computed
+//! at the commit before publication became a selection over the index.
 //!
 //! To regenerate after a *deliberate* algorithm change, run
 //! `cargo test --test engine_golden -- --nocapture`: every case prints its
 //! row in the shape of the `GOLDEN` table.
 
+mod support;
+
 use dyndens::prelude::*;
-use dyndens::stream::{ChiSquareCorrelation, EdgeUpdateGenerator};
-use dyndens::workloads::tweets::default_stories;
-use dyndens::workloads::{
-    oracle, AlignedCommunities, FlashCrowd, TweetSimulator, TweetSimulatorConfig, Workload as _,
-};
+use dyndens::workloads::{oracle, AlignedCommunities, FlashCrowd, Workload as _};
+use support::{tweet_config, tweet_stream};
 
 /// FNV-1a, 64 bit.
 struct Fnv(u64);
@@ -130,59 +131,47 @@ fn run(config: DynDensConfig, updates: &[EdgeUpdate]) -> Golden {
     }
 }
 
-/// The weighted tweet stream of the repo benchmark's `weighted_dense`
-/// workload at its run size (blog entity mix over 2 000 background entities,
-/// 18 000 posts in 2.4 simulated hours, `ChiSquareCorrelation` with the
-/// paper's two-hour decay), first `len` updates.
-fn tweet_stream(seed: u64, len: usize) -> Vec<EdgeUpdate> {
-    const STRETCH: f64 = 2.0 * 0.05;
-    let stories = default_stories()
-        .into_iter()
-        .map(|s| {
-            let (start, end) = (s.start * STRETCH, s.end * STRETCH);
-            s.with_window(start, end)
-        })
-        .collect();
-    let corpus = TweetSimulator::new(TweetSimulatorConfig {
-        n_posts: 18_000,
-        n_background_entities: 2_000,
-        duration: 24.0 * 3600.0 * STRETCH,
-        entity_count_mix: (0.40, 0.25, 0.20, 0.15),
-        stories,
-        seed,
-        ..TweetSimulatorConfig::default()
-    })
-    .generate();
-    let mut generator = EdgeUpdateGenerator::new(ChiSquareCorrelation::default(), 7200.0);
-    let mut updates = Vec::with_capacity(len + 64);
-    for post in &corpus.posts {
-        generator.process_post_into(post, &mut updates);
-        if updates.len() >= len {
-            break;
-        }
+fn stream(name: &str, seed: u64) -> (DynDensConfig, Vec<EdgeUpdate>) {
+    match name {
+        "aligned_communities" => (
+            oracle::engine_config(),
+            AlignedCommunities::new(20_000, seed).updates(),
+        ),
+        "flash_crowd" => (
+            oracle::engine_config(),
+            FlashCrowd::new(20_000, seed).updates(),
+        ),
+        "tweets_chi_square" => (tweet_config(), tweet_stream(seed, 10_000)),
+        _ => unreachable!("unknown case {name}"),
     }
-    assert!(updates.len() >= len, "the corpus lowers to too few updates");
-    updates.truncate(len);
-    updates
-}
-
-fn tweet_config() -> DynDensConfig {
-    DynDensConfig::new(0.25, 5).with_delta_it_fraction(0.25)
 }
 
 fn case(name: &str, seed: u64) -> Golden {
-    match name {
-        "aligned_communities" => run(
-            oracle::engine_config(),
-            &AlignedCommunities::new(20_000, seed).updates(),
-        ),
-        "flash_crowd" => run(
-            oracle::engine_config(),
-            &FlashCrowd::new(20_000, seed).updates(),
-        ),
-        "tweets_chi_square" => run(tweet_config(), &tweet_stream(seed, 10_000)),
-        _ => unreachable!("unknown case {name}"),
+    let (config, updates) = stream(name, seed);
+    run(config, &updates)
+}
+
+/// What a shard worker publishes, fingerprinted over the whole run: after
+/// every 64 updates (the default micro-batch) the top-16 sets in published
+/// order, their density bits, and the output-dense count.
+fn published(config: DynDensConfig, updates: &[EdgeUpdate]) -> u64 {
+    let mut engine = DynDens::new(AvgWeight, config);
+    let mut events = Vec::new();
+    let mut fp = Fnv::new();
+    for batch in updates.chunks(64) {
+        for &u in batch {
+            engine.apply_update_into(u, &mut events);
+        }
+        events.clear();
+        let (stories, output_dense) = MaintenanceEngine::top_stories(&mut engine, 16);
+        fp.u64(stories.len() as u64);
+        for (set, density) in &stories {
+            fp.set(set);
+            fp.u64(density.to_bits());
+        }
+        fp.u64(output_dense as u64);
     }
+    fp.0
 }
 
 /// Computed at the parent of the flat-adjacency change (hash-map adjacency).
@@ -269,6 +258,32 @@ fn engine_state_matches_the_hash_map_layout_bit_for_bit() {
         println!("(\"{name}\", {seed}, {got:#x?}),");
         if &got != want {
             mismatches.push(format!("{name} seed {seed}: got {got:x?}, want {want:x?}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Computed at the parent of the publish-by-selection change, where a
+/// publication was `output_dense_subgraphs()`, sorted densest first with ties
+/// by vertex set, truncated to 16. Same cases as [`GOLDEN`].
+const PUBLISHED: [(&str, u64, u64); 6] = [
+    ("aligned_communities", 7, 0x7c59_ae19_0b1f_f5d7),
+    ("aligned_communities", 2012, 0x280e_9fd5_5df5_13d5),
+    ("flash_crowd", 7, 0xf56c_c81c_63af_4afc),
+    ("flash_crowd", 2012, 0xd093_b3ff_29d6_d489),
+    ("tweets_chi_square", 7, 0x2cab_5472_e3ce_b7c8),
+    ("tweets_chi_square", 2012, 0x18e9_e9d8_23e3_121a),
+];
+
+#[test]
+fn published_top_k_matches_extract_sort_truncate_bit_for_bit() {
+    let mut mismatches = Vec::new();
+    for &(name, seed, want) in &PUBLISHED {
+        let (config, updates) = stream(name, seed);
+        let got = published(config, &updates);
+        println!("(\"{name}\", {seed}, {got:#018x}),");
+        if got != want {
+            mismatches.push(format!("{name} seed {seed}: got {got:#x}, want {want:#x}"));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));

@@ -14,6 +14,9 @@
 use std::path::{Path, PathBuf};
 
 use dyndens::prelude::*;
+use dyndens::stream::{ChiSquareCorrelation, EdgeUpdateGenerator};
+use dyndens::workloads::tweets::default_stories;
+use dyndens::workloads::{TweetSimulator, TweetSimulatorConfig};
 
 pub use dyndens::workloads::oracle::{engine_config, shard_config, sorted_bits};
 pub use dyndens::workloads::{shard_aligned_stream, Backend, Leg, Oracle, ALL_BACKENDS};
@@ -87,4 +90,46 @@ pub fn persistence_every(dir: &Path, snapshot_every_batches: usize) -> Persisten
     PersistenceConfig::new(dir)
         .with_fsync(FsyncPolicy::Never)
         .with_snapshot_every_batches(snapshot_every_batches)
+}
+
+/// The weighted tweet stream of the repo benchmark's `weighted_dense`
+/// workload at its run size (blog entity mix over 2 000 background entities,
+/// 18 000 posts in 2.4 simulated hours, `ChiSquareCorrelation` with the
+/// paper's two-hour decay), first `len` updates.
+pub fn tweet_stream(seed: u64, len: usize) -> Vec<EdgeUpdate> {
+    const STRETCH: f64 = 2.0 * 0.05;
+    let stories = default_stories()
+        .into_iter()
+        .map(|s| {
+            let (start, end) = (s.start * STRETCH, s.end * STRETCH);
+            s.with_window(start, end)
+        })
+        .collect();
+    let corpus = TweetSimulator::new(TweetSimulatorConfig {
+        n_posts: 18_000,
+        n_background_entities: 2_000,
+        duration: 24.0 * 3600.0 * STRETCH,
+        entity_count_mix: (0.40, 0.25, 0.20, 0.15),
+        stories,
+        seed,
+        ..TweetSimulatorConfig::default()
+    })
+    .generate();
+    let mut generator = EdgeUpdateGenerator::new(ChiSquareCorrelation::default(), 7200.0);
+    let mut updates = Vec::with_capacity(len + 64);
+    for post in &corpus.posts {
+        generator.process_post_into(post, &mut updates);
+        if updates.len() >= len {
+            break;
+        }
+    }
+    assert!(updates.len() >= len, "the corpus lowers to too few updates");
+    updates.truncate(len);
+    updates
+}
+
+/// The engine configuration [`tweet_stream`] is driven at (the benchmark's
+/// `weighted_dense` operating point: `*` markers and covered bands appear).
+pub fn tweet_config() -> DynDensConfig {
+    DynDensConfig::new(0.25, 5).with_delta_it_fraction(0.25)
 }
