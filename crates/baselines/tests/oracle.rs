@@ -6,6 +6,8 @@
 //! update, the resulting dense / output-dense sets are compared against
 //! exhaustive enumeration over the final graph.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use dyndens_baselines::BruteForce;
 use dyndens_core::{DynDens, DynDensConfig};
 use dyndens_density::{AvgDegree, AvgWeight, DensityMeasure, SqrtDens, ThresholdFamily};
@@ -120,12 +122,14 @@ fn check_against_oracle<D: DensityMeasure>(engine: &DynDens<D>, context: &str) {
     }
 }
 
+/// Runs the stream, checking after every update; returns how many `*`
+/// markers the run created.
 fn run_stream<D: DensityMeasure>(
     measure: D,
     config: DynDensConfig,
     updates: &[EdgeUpdate],
     label: &str,
-) {
+) -> u64 {
     // Pre-declare the vertex universe, matching the paper's fixed-N model (and
     // the oracle, which enumerates over the graph's full vertex set).
     let universe = 1 + updates.iter().map(|u| u.b.index()).max().unwrap_or(0);
@@ -134,10 +138,51 @@ fn run_stream<D: DensityMeasure>(
         engine.apply_update(*u);
         check_against_oracle(&engine, &format!("{label}, after update {i} ({u:?})"));
     }
+    engine.stats().star_markers_created
 }
 
+/// Random cases per property: 48 in tier-1, `ORACLE_CASES` in the nightly
+/// job (2 000) and whenever the exploration schedule changed.
+fn cases() -> u32 {
+    match std::env::var("ORACLE_CASES") {
+        Ok(n) => n.parse().expect("ORACLE_CASES is a case count"),
+        Err(_) => 48,
+    }
+}
+
+/// Cases of `nested_star_regime` run so far, and how many of them created a
+/// `*` marker.
+static NESTED_RUN: AtomicU32 = AtomicU32::new(0);
+static NESTED_WITH_STARS: AtomicU32 = AtomicU32::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(), .. ProptestConfig::default() })]
+
+    /// The regime the repo benchmark's `weighted_dense` runs in — a low
+    /// threshold at `Nmax = 5`, where most dense subgraphs exist only under
+    /// nested `*` markers and are reached by many paths per update, explored
+    /// once, and scanned for disjoint edges — and the same past the path-key
+    /// width (`Nmax = 13`), where nothing is remembered between arrivals.
+    #[test]
+    fn nested_star_regime(raws in prop::collection::vec(raw_update_strategy(8), 1..32)) {
+        let updates = materialise(&raws);
+        let config = DynDensConfig::new(0.25, 5).with_delta_it_fraction(0.25);
+        let stars = run_stream(AvgWeight, config, &updates, "AvgWeight/nested-star");
+        let wide = DynDensConfig::new(0.25, 13).with_delta_it_fraction(0.25);
+        run_stream(AvgWeight, wide, &updates, "AvgWeight/nested-star, Nmax 13");
+
+        // Over the whole run, not per case: a short stream of cancelling
+        // deltas legitimately creates none.
+        let reached = u32::from(stars > 0);
+        let with_stars = NESTED_WITH_STARS.fetch_add(reached, Ordering::Relaxed) + reached;
+        if NESTED_RUN.fetch_add(1, Ordering::Relaxed) + 1 == cases() {
+            prop_assert!(
+                with_stars * 4 >= cases() * 3,
+                "only {with_stars} of {} cases reached the `*` regime",
+                cases()
+            );
+        }
+    }
 
     /// AvgWeight, all optimisations enabled (the paper's default setup).
     #[test]

@@ -1,5 +1,20 @@
 //! The DynDens engine: incremental maintenance of dense subgraphs under
 //! streaming edge weight updates (Algorithms 1 and 2 of the paper).
+//!
+//! ## Once per update
+//!
+//! Within one update a subgraph is explored at most once per exploration
+//! iteration (Section 3.2.2, point ii). A subgraph with an index node
+//! remembers its visit in `SubgraphInfo::discovered_iteration`. Under
+//! `ImplicitTooDense` (Section 3.2.3) most dense subgraphs of a weighted
+//! stream have no node — they exist under a `*` marker — and nested markers
+//! reach the same covered extension again and again; those explorations go
+//! through `DynDens::explore_once`, which keeps the `(vertex path,
+//! iteration)` of what it ran for the length of the update and returns on a
+//! repeat. The skip is exact: the repeat's twin ran earlier in the same
+//! update, on the same graph, in the same unpruned mode, so everything the
+//! repeat could discover is already in the index at an earlier-or-equal
+//! iteration (the argument is spelled out on the function).
 
 use dyndens_density::{DensityMeasure, ThresholdFamily};
 use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
@@ -626,12 +641,16 @@ impl<D: DensityMeasure> DynDens<D> {
                     .map(|&(y, gamma_y)| (set.with(y), score + gamma_y)),
             );
             if card + 2 <= old_radius {
+                let n_vertices = self.graph.vertex_count();
+                let column = self.scratch.scatter(n_vertices, &gamma, set.as_slice());
                 for &(y, z, w) in self.scratch.edges(&self.graph) {
-                    if !set.contains(y) && !set.contains(z) {
-                        let ext_score = w + score + gamma_of(&gamma, y) + gamma_of(&gamma, z);
+                    let (gamma_y, gamma_z) = (column[y.index()], column[z.index()]);
+                    if !gamma_y.is_nan() && !gamma_z.is_nan() {
+                        let ext_score = w + score + gamma_y + gamma_z;
                         candidates.push((set.with(y).with(z), ext_score));
                     }
                 }
+                self.scratch.gather(column, &gamma, set.as_slice());
             }
             for (ext, ext_score) in candidates.drain(..) {
                 let ext_card = ext.len();
@@ -719,8 +738,11 @@ impl<D: DensityMeasure> DynDens<D> {
             .subgraphs_containing_either(a, b, &mut stack, &mut affected);
         self.canonical_order(&mut affected);
         if self.config.implicit_too_dense {
+            // Canonical as the index keeps it.
             stars.extend_from_slice(self.index.star_bases());
-            self.canonical_order(&mut stars);
+        }
+        if !self.scratch.explored.is_empty() {
+            self.scratch.explored.clear();
         }
 
         // Base case of Algorithm 1, line 4: the edge {a, b} itself, if it is
@@ -899,7 +921,7 @@ impl<D: DensityMeasure> DynDens<D> {
                     // loop, i.e. starting at iteration 1 — starting at 2
                     // would fall outside the `ceil(delta / delta_it)` budget
                     // for single-iteration updates and lose discoveries.
-                    self.explore(&ext, score, 1, false, ctx, events);
+                    self.explore_once(&ext, score, 1, ctx, events);
                 }
             }
         } else {
@@ -909,9 +931,57 @@ impl<D: DensityMeasure> DynDens<D> {
             let other = if contains_a { ctx.b } else { ctx.a };
             let score = base_score + self.graph.degree_into(other, &ext);
             insert_sorted(&mut ext, other);
-            self.explore(&ext, score, 1, false, ctx, events);
+            self.explore_once(&ext, score, 1, ctx, events);
         }
         self.scratch.verts.give(ext);
+    }
+
+    /// [`explore`](Self::explore), unpruned, for a stable-dense subgraph the
+    /// caller did not take from the index — so it has no
+    /// `discovered_iteration` to say it was visited — at most once per update
+    /// and iteration (Section 3.2.2 point ii, for subgraphs that exist only
+    /// under a `*` marker). Nested `*` bases reach the same covered
+    /// `C ∪ {y}` / `C ∪ {a, b}` again and again; the first visit's key goes
+    /// into [`Scratch::explored`] and a later one returns here.
+    ///
+    /// Skipping is exact, not a heuristic. A skipped call has a twin — same
+    /// vertex set, same iteration, same unpruned mode — that ran earlier in
+    /// this update on the same graph, and since then the index has only
+    /// gained subgraphs and lowered `discovered_iteration`s. Whatever
+    /// newly-dense extension the repeat could reach, the twin recorded with
+    /// `discovered_iteration <= iteration`, so `note_candidate` would refuse
+    /// to recurse on it; every stable-dense extension it could pass on comes
+    /// back here and finds the twin's key; a `*` marker it could set is set.
+    /// A repeat may arrive with a `score` that differs from the twin's in
+    /// its last bits (another summation path to the same set) and could in
+    /// principle classify a candidate within one rounding of a threshold
+    /// differently: as everywhere in the engine, the first canonical path to
+    /// a subgraph decides its bits (see [`canonical_order`](Self::canonical_order)).
+    ///
+    /// A key enters the table only when the exploration really runs. Engines
+    /// whose `Nmax` exceeds the key width explore unconditionally.
+    fn explore_once(
+        &mut self,
+        verts: &[VertexId],
+        score: f64,
+        iteration: usize,
+        ctx: &UpdateCtx,
+        events: &mut Vec<DenseEvent>,
+    ) {
+        let n_max = self.thresholds.n_max();
+        if verts.len() >= n_max {
+            return;
+        }
+        if n_max <= SubgraphIndex::PATH_KEY_WIDTH {
+            let mut key = [0; SubgraphIndex::PATH_KEY_WIDTH];
+            for (at, v) in key.iter_mut().zip(verts) {
+                *at = v.0;
+            }
+            if !self.scratch.explored.insert((key, iteration as u32)) {
+                return;
+            }
+        }
+        self.explore(verts, score, iteration, false, ctx, events);
     }
 
     /// The exploration procedure (Algorithm 2): tries to augment a dense
@@ -926,8 +996,8 @@ impl<D: DensityMeasure> DynDens<D> {
         ctx: &UpdateCtx,
         events: &mut Vec<DenseEvent>,
     ) {
-        let card = verts.len();
-        if card >= self.thresholds.n_max() {
+        let (card, n_max) = (verts.len(), self.thresholds.n_max());
+        if card >= n_max {
             return;
         }
         let member = |v: VertexId| verts.binary_search(&v).is_ok();
@@ -947,6 +1017,8 @@ impl<D: DensityMeasure> DynDens<D> {
             return;
         }
         self.stats.explorations += 1;
+        #[cfg(test)]
+        (self.scratch.trace).push((verts.to_vec(), iteration, self.index.find(verts).is_some()));
 
         // Regular neighbour exploration is subject to the iteration bounds.
         if !too_dense_now {
@@ -1012,7 +1084,7 @@ impl<D: DensityMeasure> DynDens<D> {
                     if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
                         self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
                     }
-                } else if contains_both {
+                } else if contains_both && ext_card < n_max {
                     // The extension was already dense before the update but
                     // is only represented through the * marker. Its score
                     // changed together with the base's, so its own
@@ -1021,7 +1093,7 @@ impl<D: DensityMeasure> DynDens<D> {
                     // explored just like the explicit ones in the main loop.
                     union_into(&mut ext, verts, &[y]);
                     if self.index.find(&ext).is_none() {
-                        self.explore(&ext, ext_score, 1, false, ctx, events);
+                        self.explore_once(&ext, ext_score, 1, ctx, events);
                     }
                 }
             }
@@ -1032,40 +1104,43 @@ impl<D: DensityMeasure> DynDens<D> {
             // C ∪ {y, z} for an edge (y, z) disjoint from C with
             // sufficiently high weight, visited in the graph's canonical
             // edge order. By index, not by borrow: the recursion below needs
-            // `self`, and cannot change the graph.
-            let n_edges = if card + 2 <= self.thresholds.n_max() {
-                self.scratch.edges(&self.graph).len()
-            } else {
-                0
-            };
-            for i in 0..n_edges {
-                let (y, z, w) = self.scratch.edges(&self.graph)[i];
-                if member(y) || member(z) {
-                    continue;
-                }
-                self.stats.candidates_examined += 1;
-                let ext_score = score + gamma_of(&gamma, y) + gamma_of(&gamma, z) + w;
-                if !self.thresholds.is_dense(ext_score, card + 2) {
-                    continue;
-                }
-                union_into(&mut ext, verts, &[y, z]);
-                let ext_has_both =
-                    ext.binary_search(&ctx.a).is_ok() && ext.binary_search(&ctx.b).is_ok();
-                let before = ext_score - if ext_has_both { ctx.delta } else { 0.0 };
-                if self.thresholds.is_dense(before, card + 2) {
-                    // Dense before the update: already tracked. If its
-                    // score changed (both endpoints inside) and it is
-                    // only represented implicitly, its supergraphs may
-                    // nevertheless be newly-dense — explore it like
-                    // the explicit stable-dense subgraphs.
-                    if ext_has_both && self.index.find(&ext).is_none() {
-                        self.explore(&ext, ext_score, 1, false, ctx, events);
+            // `self`, and cannot change the graph. `Γ_C` is read from a dense
+            // column this frame owns until the scan is over.
+            if card + 2 <= n_max {
+                let n_edges = self.scratch.edges(&self.graph).len();
+                let n_vertices = self.graph.vertex_count();
+                let column = self.scratch.scatter(n_vertices, &gamma, verts);
+                for i in 0..n_edges {
+                    let (y, z, w) = self.scratch.edges(&self.graph)[i];
+                    let (gamma_y, gamma_z) = (column[y.index()], column[z.index()]);
+                    if gamma_y.is_nan() || gamma_z.is_nan() {
+                        continue;
                     }
-                    continue;
+                    self.stats.candidates_examined += 1;
+                    let ext_score = score + gamma_y + gamma_z + w;
+                    if !self.thresholds.is_dense(ext_score, card + 2) {
+                        continue;
+                    }
+                    union_into(&mut ext, verts, &[y, z]);
+                    let ext_has_both =
+                        ext.binary_search(&ctx.a).is_ok() && ext.binary_search(&ctx.b).is_ok();
+                    let before = ext_score - if ext_has_both { ctx.delta } else { 0.0 };
+                    if self.thresholds.is_dense(before, card + 2) {
+                        // Dense before the update: already tracked. If its
+                        // score changed (both endpoints inside) and it is
+                        // only represented implicitly, its supergraphs may
+                        // nevertheless be newly-dense — explore it like
+                        // the explicit stable-dense subgraphs.
+                        if ext_has_both && card + 2 < n_max && self.index.find(&ext).is_none() {
+                            self.explore_once(&ext, ext_score, 1, ctx, events);
+                        }
+                        continue;
+                    }
+                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
+                    }
                 }
-                if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                    self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
-                }
+                self.scratch.gather(column, &gamma, verts);
             }
         } else if too_dense_now {
             // Explore-all (Algorithm 2, lines 2-5).
@@ -1101,7 +1176,7 @@ impl<D: DensityMeasure> DynDens<D> {
                     if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
                         self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
                     }
-                } else if contains_both {
+                } else if contains_both && ext_card < n_max {
                     // The extension was already dense before the update. It is
                     // normally in the index — and then the affected-subgraph loop
                     // explores it — but it may only be represented implicitly
@@ -1112,7 +1187,7 @@ impl<D: DensityMeasure> DynDens<D> {
                     // explicit stable-dense subgraphs of the main loop.
                     union_into(&mut ext, verts, &[y]);
                     if self.index.find(&ext).is_none() {
-                        self.explore(&ext, ext_score, 1, false, ctx, events);
+                        self.explore_once(&ext, ext_score, 1, ctx, events);
                     }
                 }
             }
@@ -1499,11 +1574,15 @@ mod tests {
         want.sort_by(|a, b| a.0.cmp(&b.0));
         let stars = engine.index().star_count();
         let want_stats = engine.stats().clone();
+        let want_edges: Vec<_> = engine.graph().edges().collect();
 
         let (mut zero, one) = engine.partition_by(|v| v.index() % 2 == 0);
+        let dealt = zero.graph().edges().chain(one.graph().edges()).count();
+        assert_eq!(dealt, want_edges.len());
         zero.adopt_stats(want_stats.clone());
         zero.absorb(one);
         zero.validate().unwrap();
+        assert_eq!(zero.graph().edges().collect::<Vec<_>>(), want_edges);
         let mut got: Vec<(VertexSet, u64)> = zero
             .dense_subgraphs()
             .into_iter()
@@ -1538,6 +1617,76 @@ mod tests {
             v
         };
         assert_eq!(left, right);
+    }
+
+    /// A 4-clique {0, 1, 2, 3} so heavy (12 per edge) that each of its pairs
+    /// alone covers every superset up to `Nmax`, with satellite 4 hanging
+    /// off member 0 and satellite 5 off member 1: a nest of `*` bases — the
+    /// clique, its triangles and pairs, and their materialised extensions by
+    /// one satellite — around the pair (4, 5).
+    fn nest(n_max: usize) -> DynDens<AvgWeight> {
+        let config = DynDensConfig::new(1.0, n_max).with_delta_it(0.15);
+        let mut engine = DynDens::with_vertex_capacity(AvgWeight, config, 6);
+        for i in 0..4u32 {
+            for j in i + 1..4 {
+                engine.apply_update(update(i, j, 12.0));
+            }
+        }
+        engine.apply_update(update(0, 4, 1.5));
+        engine.apply_update(update(1, 5, 1.5));
+        engine.validate().unwrap();
+        engine
+    }
+
+    #[test]
+    fn nested_star_bases_explore_a_covered_subgraph_once() {
+        let mut engine = nest(5);
+        assert!(engine.index().star_count() > 10, "not a nest");
+        // Left over from the last positive update: cleared when the next one
+        // starts, never copied, never snapshotted.
+        assert!(!engine.scratch.explored.is_empty());
+        assert!(engine.clone().scratch.explored.is_empty());
+        let mut restored = DynDens::restore(AvgWeight, &engine.snapshot()).unwrap();
+
+        // Every {x, y, 4, 5} with x, y in the clique was dense before this
+        // update and contains both endpoints. Only {0, 1, 4, 5} is stored
+        // (the main loop explores it); the others exist under their pair's
+        // marker. They are reached as
+        //   {0,1,4,5}  from the bases {0,1} (+ 4, 5), {0,1,4} (+ 5), {0,1,5} (+ 4)
+        //   {0,2,4,5}  from {0,2}, {0,2,4}        {0,3,4,5}  from {0,3}, {0,3,4}
+        //   {1,2,4,5}  from {1,2}, {1,2,5}        {1,3,4,5}  from {1,3}, {1,3,5}
+        //   {2,3,4,5}  from {2,3}
+        // which is 1 + 12 = 13 explorations where every arrival explores (the
+        // count before the once-per-update rule covered implicit subgraphs)
+        // and 1 + 6 = 7 with one exploration per set.
+        let before = engine.stats().explorations;
+        engine.scratch.trace.clear();
+        let events = engine.apply_update(update(4, 5, 0.1));
+        engine.validate().unwrap();
+        assert_eq!(engine.stats().explorations - before, 7);
+        assert_eq!(engine.scratch.explored.len(), 6);
+        let mut implicit: Vec<_> = engine.scratch.trace.iter().filter(|t| !t.2).collect();
+        assert_eq!(implicit.len(), 5, "{:?}", engine.scratch.trace);
+        implicit.sort();
+        implicit.dedup_by_key(|t| (&t.0, t.1));
+        assert_eq!(implicit.len(), 5, "an implicit (set, iteration) ran twice");
+
+        // The table is working memory: an engine that starts the update with
+        // an empty one does the same work and lands on the same bytes,
+        // ledger included.
+        assert_eq!(restored.apply_update(update(4, 5, 0.1)), events);
+        assert_eq!(restored.snapshot(), engine.snapshot());
+    }
+
+    #[test]
+    fn past_the_key_width_nothing_is_remembered() {
+        // Nmax = 13 > PATH_KEY_WIDTH: the same nest, explored unconditionally
+        // (against brute force: `crates/baselines/tests/oracle.rs`).
+        let mut engine = nest(13);
+        engine.apply_update(update(4, 5, 0.1));
+        engine.validate().unwrap();
+        assert!(engine.index().star_count() > 10, "not a nest");
+        assert!(engine.scratch.explored.is_empty());
     }
 
     #[test]

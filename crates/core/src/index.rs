@@ -16,8 +16,9 @@
 //! Too-dense subgraphs may additionally carry a `*` marker (the
 //! `ImplicitTooDense` optimisation of Section 3.2.3): the marker represents
 //! all one-vertex extensions of the subgraph without materialising them.
-//! Marked nodes are tracked in a separate list so the engine can iterate over
-//! them on every update (the paper's `*` inverted list).
+//! Marked nodes are tracked in a separate list, kept in vertex-set order, so
+//! the engine can iterate over them canonically on every update (the paper's
+//! `*` inverted list).
 //!
 //! The traversals the engine runs on every update
 //! ([`subgraphs_containing_either`](SubgraphIndex::subgraphs_containing_either),
@@ -67,8 +68,6 @@ impl SubgraphInfo {
     }
 }
 
-const NO_STAR: u32 = u32::MAX;
-
 #[derive(Debug, Clone)]
 struct Node {
     vertex: VertexId,
@@ -78,9 +77,9 @@ struct Node {
     children: Vec<(VertexId, NodeId)>,
     info: Option<SubgraphInfo>,
     /// `ImplicitTooDense` marker: this subgraph is too-dense and its
-    /// one-vertex extensions are represented implicitly. Holds the node's
-    /// position in `SubgraphIndex::star_bases`, [`NO_STAR`] when unmarked.
-    star_slot: u32,
+    /// one-vertex extensions are represented implicitly. Marked nodes are
+    /// listed in `SubgraphIndex::star_bases`.
+    star: bool,
     inv_prev: Option<NodeId>,
     inv_next: Option<NodeId>,
     in_use: bool,
@@ -94,7 +93,7 @@ impl Node {
             depth,
             children: Vec::new(),
             info: None,
-            star_slot: NO_STAR,
+            star: false,
             inv_prev: None,
             inv_next: None,
             in_use: true,
@@ -109,8 +108,10 @@ pub struct SubgraphIndex {
     free: Vec<NodeId>,
     /// Heads of the per-vertex inverted lists.
     inverted: FxHashMap<VertexId, NodeId>,
-    /// Nodes currently carrying a `*` marker, in no particular order (each
-    /// node knows its position, so unmarking is a `swap_remove`).
+    /// Nodes currently carrying a `*` marker, strictly ascending in
+    /// vertex-set order ([`path_order`](Self::path_order)): markers change
+    /// rarely and are walked on every positive update, so the list is kept
+    /// canonical where it changes instead of sorted where it is read.
     star_bases: Vec<NodeId>,
     /// Number of subgraphs (nodes with info).
     len: usize,
@@ -301,7 +302,7 @@ impl SubgraphIndex {
             let (prune, parent, vertex) = {
                 let n = self.node(cur);
                 (
-                    n.info.is_none() && n.children.is_empty() && n.star_slot == NO_STAR,
+                    n.info.is_none() && n.children.is_empty() && !n.star,
                     n.parent,
                     n.vertex,
                 )
@@ -439,31 +440,40 @@ impl SubgraphIndex {
         info.score
     }
 
+    /// Vertex-set order of two tree nodes' paths: by [`path_key`](Self::path_key)
+    /// when both fit one, by materialised sets otherwise.
+    fn path_order(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
+        match (self.path_key(a), self.path_key(b)) {
+            (Some(x), Some(y)) => x.cmp(&y),
+            _ => self.vertices(a).cmp(&self.vertices(b)),
+        }
+    }
+
     /// Sets or clears the `*` (implicit too-dense) marker on the subgraph at
-    /// `id`.
+    /// `id`, keeping [`star_bases`](Self::star_bases) in vertex-set order.
     pub fn set_star(&mut self, id: NodeId, star: bool) {
-        let slot = self.node(id).star_slot;
-        if (slot != NO_STAR) == star {
+        if self.node(id).star == star {
             return;
         }
-        if star {
-            self.node_mut(id).star_slot = self.star_bases.len() as u32;
-            self.star_bases.push(id);
-        } else {
-            self.star_bases.swap_remove(slot as usize);
-            if let Some(&moved) = self.star_bases.get(slot as usize) {
-                self.node_mut(moved).star_slot = slot;
+        self.node_mut(id).star = star;
+        let at = self
+            .star_bases
+            .binary_search_by(|&base| self.path_order(base, id));
+        match at {
+            Ok(at) => {
+                self.star_bases.remove(at);
             }
-            self.node_mut(id).star_slot = NO_STAR;
+            Err(at) => self.star_bases.insert(at, id),
         }
     }
 
     /// `true` if the subgraph at `id` carries a `*` marker.
     pub fn has_star(&self, id: NodeId) -> bool {
-        self.node(id).star_slot != NO_STAR
+        self.node(id).star
     }
 
-    /// The subgraphs currently carrying a `*` marker, in no particular order.
+    /// The subgraphs currently carrying a `*` marker, strictly ascending in
+    /// vertex-set order.
     pub fn star_bases(&self) -> &[NodeId] {
         &self.star_bases
     }
@@ -604,9 +614,10 @@ impl SubgraphIndex {
 
     /// Internal consistency check used by tests: inverted lists reference
     /// exactly the in-use nodes with the corresponding vertex label, the
-    /// subgraph count matches, and star markers refer to stored subgraphs.
+    /// subgraph count matches, and star markers refer to stored subgraphs and
+    /// are listed once each, in vertex-set order.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut info_count = 0usize;
+        let (mut info_count, mut stars) = (0usize, 0usize);
         let mut labelled: FxHashMap<VertexId, usize> = FxHashMap::default();
         for (i, n) in self.nodes.iter().enumerate() {
             if !n.in_use || i == 0 {
@@ -616,14 +627,10 @@ impl SubgraphIndex {
             if n.info.is_some() {
                 info_count += 1;
             }
-            if n.star_slot != NO_STAR && n.info.is_none() {
+            if n.star && n.info.is_none() {
                 return Err(format!("star marker on info-less node {i}"));
             }
-            if n.star_slot != NO_STAR
-                && self.star_bases.get(n.star_slot as usize) != Some(&NodeId(i as u32))
-            {
-                return Err(format!("star marker on node {i} missing from star list"));
-            }
+            stars += usize::from(n.star);
         }
         if info_count != self.len {
             return Err(format!(
@@ -631,11 +638,24 @@ impl SubgraphIndex {
                 self.len
             ));
         }
-        for (slot, id) in self.star_bases.iter().enumerate() {
+        if stars != self.star_bases.len() {
+            return Err(format!(
+                "{stars} star markers, {} listed",
+                self.star_bases.len()
+            ));
+        }
+        if self.star_bases.iter().any(|id| {
             let n = &self.nodes[id.idx()];
-            if !n.in_use || n.star_slot as usize != slot {
-                return Err("stale star base".to_string());
-            }
+            !n.in_use || !n.star
+        }) {
+            return Err("stale star base".to_string());
+        }
+        if self
+            .star_bases
+            .windows(2)
+            .any(|w| self.path_order(w[0], w[1]).is_ge())
+        {
+            return Err("star list out of vertex-set order".to_string());
         }
         // Walk each inverted list and count membership.
         for (&v, &head) in &self.inverted {
@@ -905,6 +925,67 @@ mod tests {
         assert_eq!(index.star_count(), 2);
         assert!(index.has_star(id45) && index.has_star(id345));
         index.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn star_bases_stay_in_vertex_set_order() {
+        // Sets that share prefixes, one that *is* a prefix of another, vertex
+        // 0 (the key's padding value), and two paths deeper than the path
+        // key is wide (the `Nmax = 13` fallback) that differ in their last
+        // vertex only.
+        let deep: Vec<u32> = (20..33).collect();
+        let mut deeper = deep.clone();
+        *deeper.last_mut().unwrap() = 40;
+        let sets: Vec<Vec<u32>> = vec![
+            vec![0, 1],
+            vec![0, 1, 2],
+            vec![0, 2],
+            vec![1, 3],
+            vec![1, 3, 4],
+            vec![1, 3, 5],
+            vec![1, 4],
+            vec![3, 4, 5],
+            vec![4, 5],
+            vec![20, 21],
+            deep[..12].to_vec(),
+            deep,
+            deeper,
+        ];
+        let mut index = SubgraphIndex::new();
+        // Marked, unmarked, removed (marker and all) and re-inserted in an
+        // order that has nothing to do with the sets' own.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..2_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let set = vs(&sets[(state >> 8) as usize % sets.len()]);
+            match (index.find(&set), (state >> 40) % 4) {
+                (None, _) => {
+                    index.insert(&set, SubgraphInfo::with_score(1.0));
+                }
+                (Some(id), 0) => index.remove(id),
+                (Some(id), 1) => index.set_star(id, false),
+                (Some(id), _) => index.set_star(id, true),
+            }
+            index
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            // What sorting the markers by vertex set — `canonical_order` on
+            // every positive update, before the list kept itself — gives.
+            let mut want: Vec<NodeId> = index
+                .all_subgraphs()
+                .into_iter()
+                .filter(|&id| index.has_star(id))
+                .collect();
+            want.sort_by_cached_key(|&id| index.vertices(id));
+            assert_eq!(index.star_bases(), want, "step {step}");
+        }
+        assert!(index.star_count() > 3, "the walk ended with few markers");
+
+        // The check notices a list that is complete but out of order.
+        index.star_bases.swap(0, 1);
+        assert!(index.check_invariants().is_err());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! An update that neither creates nor destroys a dense subgraph — by far the
 //! common case on a stream in steady state — still runs the whole kernel:
 //! the graph edit, the index walks, the MaxExplore bound, cheap and regular
-//! explorations with their merged `Γ_C`, `*` bases and their disjoint-edge
-//! scans. All of that works out of engine-owned scratch, so once the scratch
-//! has grown to size the allocator is not called at all. Publication
+//! explorations with their merged `Γ_C`, `*` bases, their disjoint-edge
+//! scans over a dense `Γ` column and the explored-once table. All of that
+//! works out of engine-owned scratch, so once the scratch has grown to size
+//! the allocator is not called at all. Publication
 //! ([`DynDens::top_stories`]) selects over the stored scores and builds vertex
 //! sets for the `k` it returns, so its allocation count does not depend on
 //! how many subgraphs are stored. This binary owns its `#[global_allocator]`
@@ -75,10 +76,17 @@ fn update(a: u32, b: u32, delta: f64) -> EdgeUpdate {
     EdgeUpdate::new(VertexId(a), VertexId(b), delta)
 }
 
+/// The very heavy pair: a `*` base with one light neighbour.
+const HEAVY: (u32, u32) = (20, 21);
+/// A hub with two very heavy legs, each a `*` base that covers the triangle
+/// they span, and the light edge that closes it.
+const LEGS: [(u32, u32); 2] = [(30, 31), (30, 32)];
+const CLOSING: (u32, u32) = (31, 32);
+
 /// Three communities of five vertices with comfortably output-dense pairs
 /// and triangles, light bridges between them (so neighbourhoods reach across
-/// and cheap explorations have something to reject), and one very heavy pair
-/// that carries a `*` marker.
+/// and cheap explorations have something to reject), one very heavy pair
+/// that carries a `*` marker, and a wedge of two more whose markers nest.
 fn stationary_engine() -> (DynDens<AvgWeight>, Vec<(u32, u32)>) {
     let config = DynDensConfig::new(1.0, 4).with_delta_it(0.15);
     let mut engine = DynDens::new(AvgWeight, config);
@@ -97,12 +105,18 @@ fn stationary_engine() -> (DynDens<AvgWeight>, Vec<(u32, u32)>) {
         engine.apply_update(update(a, b, 0.3));
         edges.push((a, b));
     }
-    engine.apply_update(update(20, 21, 9.0));
-    edges.push((20, 21));
-    engine.apply_update(update(21, 22, 0.4));
-    edges.push((21, 22));
+    for ((a, b), weight) in [
+        (HEAVY, 9.0),
+        ((21, 22), 0.4),
+        (LEGS[0], 9.0),
+        (LEGS[1], 9.0),
+        (CLOSING, 0.4),
+    ] {
+        engine.apply_update(update(a, b, weight));
+        edges.push((a, b));
+    }
     engine.validate().expect("consistent engine");
-    assert!(engine.index().star_count() >= 1, "no * marker to walk");
+    assert!(engine.index().star_count() >= 3, "no * markers to walk");
     (engine, edges)
 }
 
@@ -144,15 +158,40 @@ fn updates_that_discover_nothing_do_not_allocate() {
     );
 
     let passes = 1_000usize.div_ceil(edges.len());
+    // (explorations, candidates examined) of one positive update each,
+    // inside the measured stretch.
+    let mut probes = [(0, 0); 2];
     let allocations = allocations_in(|| {
         for _ in 0..passes {
             wiggle(&mut engine, &edges, &mut events);
         }
+        for (probe, (a, b)) in probes.iter_mut().zip([HEAVY, CLOSING]) {
+            let before = engine.stats().clone();
+            engine.apply_update_into(update(a, b, 0.002), &mut events);
+            *probe = (
+                engine.stats().explorations - before.explorations,
+                engine.stats().candidates_examined - before.candidates_examined,
+            );
+            engine.apply_update_into(update(a, b, -0.002), &mut events);
+        }
     });
+
+    // The stretch took the disjoint-edge scan over a real edge list: the
+    // heavy pair is a too-dense frame with room for two more vertices, and
+    // examines its one neighbour, every edge that touches neither end (all
+    // but its own and its neighbour's), and — as `*` bases elsewhere — the
+    // two legs extended by the pair.
+    assert_eq!(probes[0].1, 1 + (edges.len() as u64 - 2) + 2);
+    // And it hit the explored-once table: the closing edge's triangle is
+    // stored (the main loop explores it) and is the covered extension of
+    // both legs; the first leg's arrival explores it unpruned, the second's
+    // finds the first's key. Two explorations, where every arrival used to
+    // make three.
+    assert_eq!(probes[1].0, 2);
 
     // The measured stretch did real work and changed nothing.
     let after = engine.stats();
-    let n = (passes * edges.len()) as u64;
+    let n = (passes * edges.len() + probes.len()) as u64;
     assert!(n >= 1_000);
     assert_eq!(after.positive_updates - before.positive_updates, n);
     assert_eq!(after.negative_updates - before.negative_updates, n);

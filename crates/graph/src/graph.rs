@@ -9,7 +9,9 @@
 //!
 //! * [`neighbors`](DynamicGraph::neighbors) is strictly ascending;
 //! * [`edges`](DynamicGraph::edges) is strictly ascending in `(a, b)`, `a < b`
-//!   — the canonical edge order of engine snapshots and eviction lists;
+//!   — the canonical edge order of engine snapshots and eviction lists — and
+//!   visits only vertices that have an edge (one maintained occupancy bit
+//!   per vertex), so listing `E` edges does not cost a walk over `V` lists;
 //! * [`neighborhood_into`](DynamicGraph::neighborhood_into) (the merged
 //!   `Γ_C`) is strictly ascending, and each entry is summed over the members
 //!   of `C` in ascending member order, as is
@@ -43,6 +45,9 @@ const MERGE_STACK_WIDTH: usize = 16;
 #[derive(Debug, Clone, Default)]
 pub struct DynamicGraph {
     adjacency: Vec<Vec<(VertexId, f64)>>,
+    /// Bit `v % 64` of word `v / 64` is set exactly when `adjacency[v]` is
+    /// non-empty; what [`edges`](Self::edges) walks.
+    occupied: Vec<u64>,
     edge_count: usize,
     total_weight: f64,
 }
@@ -52,6 +57,7 @@ impl DynamicGraph {
     pub fn with_vertices(n: usize) -> Self {
         DynamicGraph {
             adjacency: vec![Vec::new(); n],
+            occupied: vec![0; n.div_ceil(64)],
             edge_count: 0,
             total_weight: 0.0,
         }
@@ -89,6 +95,7 @@ impl DynamicGraph {
         );
         if v.index() >= self.adjacency.len() {
             self.adjacency.resize_with(v.index() + 1, Vec::new);
+            self.occupied.resize(self.adjacency.len().div_ceil(64), 0);
         }
     }
 
@@ -178,10 +185,20 @@ impl DynamicGraph {
         Self::store(&mut self.adjacency[b.index()], a, weight, has_edge);
         // Only weights above the epsilon are ever stored.
         let had_edge = old != 0.0;
-        match (had_edge, has_edge) {
-            (false, true) => self.edge_count += 1,
-            (true, false) => self.edge_count -= 1,
-            _ => {}
+        if had_edge != has_edge {
+            if has_edge {
+                self.edge_count += 1;
+            } else {
+                self.edge_count -= 1;
+            }
+            for v in [a.index(), b.index()] {
+                let bit = 1u64 << (v % 64);
+                if self.adjacency[v].is_empty() {
+                    self.occupied[v / 64] &= !bit;
+                } else {
+                    self.occupied[v / 64] |= bit;
+                }
+            }
         }
         self.total_weight += (if has_edge { weight } else { 0.0 }) - old;
         old
@@ -261,10 +278,16 @@ impl DynamicGraph {
     }
 
     /// Iterates over every edge `(a, b, w)` with `a < b` and non-zero weight,
-    /// in ascending `(a, b)` order.
+    /// in ascending `(a, b)` order, visiting only the vertices that have one.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, f64)> + '_ {
-        self.adjacency.iter().enumerate().flat_map(|(i, adj)| {
-            let a = VertexId(i as u32);
+        let occupied = self.occupied.iter().enumerate().flat_map(|(at, &word)| {
+            // The set bits of `word`, lowest first.
+            std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+                .take_while(|&rest| rest != 0)
+                .map(move |rest| at * 64 + rest.trailing_zeros() as usize)
+        });
+        occupied.flat_map(|i| {
+            let (a, adj) = (VertexId(i as u32), &self.adjacency[i]);
             let above = adj.partition_point(|&(b, _)| b < a);
             adj[above..].iter().map(move |&(b, w)| (a, b, w))
         })

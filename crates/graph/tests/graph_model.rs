@@ -84,7 +84,12 @@ fn model_set(model: &mut Model, a: u32, b: u32, weight: f64) {
 }
 
 fn run(ops: &[Op]) -> (DynamicGraph, Model) {
-    let mut graph = DynamicGraph::new();
+    run_on(DynamicGraph::new(), ops)
+}
+
+/// Applies `ops` to `graph` (empty, with however many vertices declared) and
+/// to the model.
+fn run_on(mut graph: DynamicGraph, ops: &[Op]) -> (DynamicGraph, Model) {
     let mut model = Model::new();
     for &op in ops {
         match op {
@@ -121,8 +126,80 @@ fn run(ops: &[Op]) -> (DynamicGraph, Model) {
     (graph, model)
 }
 
+/// `edges()` as comparable values.
+fn edge_list(graph: &DynamicGraph) -> Vec<((u32, u32), u64)> {
+    graph
+        .edges()
+        .map(|(a, b, w)| ((a.0, b.0), w.to_bits()))
+        .collect()
+}
+
+/// The model's edges whose smaller endpoint satisfies `keep`, in the map's
+/// (ascending) order.
+fn model_edges(model: &Model, keep: impl Fn(u32) -> bool) -> Vec<((u32, u32), u64)> {
+    model
+        .iter()
+        .filter(|(&(a, _), _)| keep(a))
+        .map(|(&k, w)| (k, w.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// `edges()` walks the maintained occupancy bits, not the vertex array:
+    /// whichever way a graph came to its state — vertices declared up front
+    /// or created by the updates that name them, edges cancelled to zero and
+    /// re-inserted, isolated lists reclaimed, one engine's graph dealt out to
+    /// two children the way `DynDens::partition_by` does it and folded back
+    /// the way `absorb` does — the walk is the model's edge list, in order.
+    #[test]
+    fn edges_are_the_model_however_the_graph_was_built(ops in arb_ops()) {
+        let (lazy, model) = run(&ops);
+        let want = model_edges(&model, |_| true);
+        prop_assert_eq!(edge_list(&lazy), want.clone());
+
+        // Declared up front, wider than any update reaches and not a
+        // multiple of the occupancy word.
+        let (mut declared, _) = run_on(DynamicGraph::with_vertices(FAR as usize + 27), &ops);
+        prop_assert_eq!(edge_list(&declared), want.clone());
+        declared.reclaim_isolated();
+        prop_assert_eq!(edge_list(&declared), want.clone());
+        // A vertex that lost its last edge leaves the walk, and re-enters it.
+        if let Some(&((a, b), _)) = want.first() {
+            let old = declared.set_weight(VertexId(a), VertexId(b), 0.0);
+            prop_assert_eq!(edge_list(&declared), want[1..].to_vec());
+            declared.set_weight(VertexId(b), VertexId(a), old);
+            prop_assert_eq!(edge_list(&declared), want.clone());
+        }
+
+        // partition_by: two children over the parent's universe, each edge
+        // dealt out by its smaller endpoint, in `edges()` order.
+        let even = |a: u32| a.is_multiple_of(2);
+        let child = || DynamicGraph::with_vertices(lazy.vertex_count());
+        let (mut zero, mut one) = (child(), child());
+        for (a, b, w) in lazy.edges() {
+            let side = if even(a.0) { &mut zero } else { &mut one };
+            side.set_weight(a, b, w);
+        }
+        prop_assert_eq!(edge_list(&zero), model_edges(&model, even));
+        prop_assert_eq!(edge_list(&one), model_edges(&model, |a| !even(a)));
+
+        // absorb: a sibling's edges folded into a graph with a smaller
+        // universe, which grows first.
+        let mut merged = DynamicGraph::new();
+        for (a, b, w) in zero.edges() {
+            merged.set_weight(a, b, w);
+        }
+        if one.vertex_count() > merged.vertex_count() {
+            merged.ensure_vertex(VertexId(one.vertex_count() as u32 - 1));
+        }
+        for (a, b, w) in one.edges() {
+            merged.set_weight(a, b, w);
+        }
+        prop_assert_eq!(merged.edge_count(), model.len());
+        prop_assert_eq!(edge_list(&merged), want);
+    }
 
     #[test]
     fn reads_agree_with_the_map_model_and_are_ordered(ops in arb_ops()) {
