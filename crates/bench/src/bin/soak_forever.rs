@@ -28,6 +28,40 @@
 //! Run with `cargo run --release -p dyndens-bench --bin soak_forever`.
 //! `SOAK_UPDATES` overrides the update target (default 2,000,000; CI's
 //! smoke step uses a short run).
+//!
+//! ## `BENCH_soak.json`
+//!
+//! * `target_updates` / `updates_total` / `posts_total` — run length
+//!   (`SOAK_UPDATES` overrides the 2M default; CI smokes at 60k), with
+//!   `seed` and `n_shards` beside them;
+//! * `mean_life_secs`, `story_life_posts`, `tracker_epsilon`, `weight_floor`
+//!   — the decay clock and the two retention thresholds (see
+//!   `docs/RETENTION.md` §3);
+//! * `compactions`, `edges_reclaimed_by_decay`, `edges_evicted_by_floor` —
+//!   reclamation work: windows run, edges cancelled because their decayed
+//!   evidence was pruned, edges evicted at the weight floor (legitimately 0
+//!   under exact-cancellation measures: cancelled edges never reach the
+//!   floor check). CI gates `edges_reclaimed_by_decay > 0`;
+//! * `edges_final`, `output_dense_final` — the steady-state live set;
+//! * `rss_half_kb` / `rss_final_kb` / `rss_growth_pct` — process RSS at the
+//!   half-run sample against the end; CI gates `< 10`;
+//! * `wal_half_bytes` / `wal_final_bytes` / `wal_growth_pct` — total on-disk
+//!   WAL bytes across shards, same gate (negative growth is common: the
+//!   final compaction prunes the tail);
+//! * `recovery{}` — the mid-soak kill: `at_updates`, `seconds`, `bitexact`
+//!   (CI gates `true`: reopening a compacted directory is ordinary
+//!   recovery);
+//! * `samples[]` — one row per compaction window (`updates`, `posts`,
+//!   `rss_kb`, `edges`, `wal_bytes`, `tracker_pairs`, `reclaimed`): the
+//!   series to eyeball for trends. `edges`, `tracker_pairs` and `rss_kb`
+//!   should plateau, `reclaimed` should climb, `wal_bytes` should sawtooth
+//!   under a ceiling;
+//! * `registry{}` — the observability registry's own totals at the end of
+//!   the run (batches/updates applied, WAL appends/fsyncs/rotations/prunes,
+//!   checkpoints, recoveries + replayed updates, compaction
+//!   passes/evictions/prunes/cancellations, `apply_p99_us`,
+//!   `compaction_window_events`): a cross-check that the soak's own ledger
+//!   and the registry agree.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,21 +1,18 @@
 //! # dyndens-bench
 //!
-//! Shared infrastructure for the benchmark harness that regenerates every
-//! table and figure of the paper's evaluation (Sections 5, 6.2 and 7.3).
+//! The two measurement programs that live beside the repository benchmark
+//! (`benchmark/`, which alone measures performance):
 //!
-//! The actual experiments live in two places:
+//! * `repro` (`src/bin/repro.rs`) re-runs the paper's evaluation — every
+//!   figure and table of Sections 5, 6.2 and 7.3 — and ends with a table of
+//!   which of the paper's relative claims reproduce; its module doc carries
+//!   the figure-by-figure index;
+//! * `soak_forever` (`src/bin/soak_forever.rs`) is the nightly bounded-state
+//!   forever-run.
 //!
-//! * **harness binaries** (`src/bin/*.rs`, run with
-//!   `cargo run --release -p dyndens-bench --bin <name>`) print the same rows
-//!   and series the paper reports — one binary per table/figure family; the
-//!   per-experiment index in `DESIGN.md` maps each figure to its binary;
-//! * **criterion benches** (`benches/*.rs`, run with `cargo bench`) measure
-//!   the micro-level counterparts (per-update cost, index operations,
-//!   threshold adjustment, heuristics, GRASP iterations).
-//!
-//! This library crate provides the pieces both share: simulated datasets
-//! standing in for the paper's Twitter corpora, timing helpers and plain-text
-//! table rendering.
+//! This library crate holds what `repro` is built on: the simulated weighted
+//! dataset standing in for the paper's Twitter corpus, the timed engine run
+//! and plain-text table rendering.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -24,6 +21,6 @@ pub mod datasets;
 pub mod report;
 pub mod runner;
 
-pub use datasets::{shard_aligned_stream, unweighted_dataset, weighted_dataset, DatasetSpec};
-pub use report::{percentile, Table};
+pub use datasets::{weighted_dataset, DatasetSpec};
+pub use report::Table;
 pub use runner::{run_updates, RunMeasurement};

@@ -1,21 +1,7 @@
-//! Plain-text table rendering and small statistics helpers shared by the
-//! harness binaries.
+//! Plain-text table rendering for the `repro` binary.
 
-/// The `p`-th percentile (`0.0..=100.0`, nearest-rank) of `samples`, sorting
-/// them in place. Returns `0.0` for an empty slice. The single percentile
-/// convention for every bench binary — pass **percent** (e.g. `99.0`), not a
-/// fraction.
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("non-finite percentile sample"));
-    let idx = ((p / 100.0 * samples.len() as f64).ceil() as usize).max(1) - 1;
-    samples[idx.min(samples.len() - 1)]
-}
-
-/// A simple fixed-width table printer used by the harness binaries so every
-//  experiment emits rows that can be pasted straight into `EXPERIMENTS.md`.
+/// A simple fixed-width table printer, so every figure emits rows that can
+/// be pasted straight into a document.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,

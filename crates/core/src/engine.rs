@@ -300,8 +300,8 @@ impl<D: DensityMeasure> DynDens<D> {
     /// [`EngineStats`] counter untouched. Without this, replaying the WAL
     /// tail after [`restore`](Self::restore) would count the replayed
     /// updates a second time (the snapshot already carries the counters up
-    /// to its sequence point), inflating the throughput ledgers merged into
-    /// `BENCH_shard.json`.
+    /// to its sequence point), inflating the merged fleet ledger
+    /// (`tests/wal_replay.rs::recovered_stats_do_not_double_count_replayed_updates`).
     pub fn set_recovering(&mut self, recovering: bool) {
         self.recovering = recovering;
     }

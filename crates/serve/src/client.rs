@@ -337,8 +337,8 @@ impl Client {
     /// [`PushBatch`] for everything the cursor is behind on, then pushes a
     /// batch whenever a shard publishes. On error the connection is consumed
     /// — push registration is a protocol-mode switch, and a connection whose
-    /// mode is uncertain is not worth keeping. A threaded-mode server
-    /// answers with [`ErrorCode::Unsupported`].
+    /// mode is uncertain is not worth keeping. A server without push
+    /// support answers with [`ErrorCode::Unsupported`].
     pub fn subscribe(mut self, since: &[u64]) -> Result<Subscription, ClientError> {
         let request = Request::Subscribe {
             since: since.to_vec(),

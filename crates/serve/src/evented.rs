@@ -9,8 +9,8 @@
 //! cross-loop locking on the serving path — and runs a classic readiness
 //! loop over the [`Poller`]: non-blocking reads feed an incremental
 //! [`FrameBuffer`], decoded requests are answered through the same
-//! `handle_request` path as the threaded backend, and responses go out
-//! through a bounded per-connection write queue drained on writability.
+//! `handle_request` path, and responses go out through a bounded
+//! per-connection write queue drained on writability.
 //!
 //! ## Push fan-out
 //!
@@ -33,8 +33,6 @@
 //! [`ErrorCode::SlowConsumer`] error is enqueued, and the connection closes
 //! once it drains. One laggard can therefore delay nobody and pin at most
 //! one write queue of memory.
-
-#![cfg(unix)]
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};

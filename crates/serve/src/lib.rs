@@ -24,8 +24,8 @@
 //! ```
 //!
 //! The server multiplexes every connection onto a small fixed pool of
-//! readiness event loops ([`ServeMode::EventLoop`], the default on unix; a
-//! portable thread-per-connection [`ServeMode::Threaded`] fallback remains).
+//! readiness event loops (unix only: [`StoryServer`] needs a readiness
+//! poller; [`Client`], [`Mirror`], [`protocol`] and [`net`] are portable).
 //! Request types are chosen around what the epoch-pointer design makes
 //! cheap:
 //!
@@ -91,10 +91,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
+#[cfg(unix)]
 mod evented;
 pub mod net;
+#[cfg(unix)]
 mod poller;
 pub mod protocol;
+#[cfg(unix)]
 pub mod server;
 
 pub use client::{
@@ -104,15 +107,19 @@ pub use protocol::{
     DecodeFailure, ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat, WireStory,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-pub use server::{NameTable, ServeMode, ServerBuilder, StoryServer};
+#[cfg(unix)]
+pub use server::{NameTable, ServerBuilder, StoryServer};
 
 // Send/Sync audit: server state is shared across the accept thread and the
 // event loops, and clients/subscriptions are handed to worker threads in the
 // benchmarks.
 const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<StoryServer>();
-    assert_send_sync::<NameTable>();
+    #[cfg(unix)]
+    {
+        const fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<StoryServer>();
+        assert_send_sync::<NameTable>();
+    }
     const fn assert_send<T: Send>() {}
     assert_send::<Client>();
     assert_send::<Subscription>();

@@ -15,10 +15,8 @@
 //!
 //! Both are **level-triggered**: an event keeps firing while the condition
 //! holds, so a connection handler that stops mid-backlog is re-woken rather
-//! than wedged. Non-unix targets get neither; the server falls back to its
-//! thread-per-connection mode there (see `ServeMode::default_for_target`).
-
-#![cfg(unix)]
+//! than wedged. Non-unix targets get neither, which is why the server half
+//! of this crate is `#[cfg(unix)]`.
 
 use std::io;
 use std::os::unix::io::RawFd;

@@ -66,8 +66,9 @@ pub enum Request {
     /// connection carries no further request traffic until the client
     /// unsubscribes or hangs up. Answered with [`Response::Subscribed`], then
     /// an immediate catch-up `Push` if any shard is already past the cursor.
-    /// A thread-per-connection server answers with a typed
-    /// [`ErrorCode::Unsupported`] error instead.
+    /// A server that cannot push (releases before the event loop was the
+    /// only backend) answers with a typed [`ErrorCode::Unsupported`] error
+    /// instead.
     Subscribe {
         /// The client's per-shard sequence cursor, with the same semantics
         /// as [`Request::Poll`]: empty means bootstrap (every shard from
@@ -253,9 +254,9 @@ pub enum ErrorCode {
     /// produced, so the server evicted it rather than buffer without bound.
     /// The connection is closed after this frame.
     SlowConsumer = 5,
-    /// The request is valid but this server mode cannot serve it (e.g.
-    /// `Subscribe` against a thread-per-connection server). The connection
-    /// stays usable.
+    /// The request is valid but this server cannot serve it (e.g.
+    /// `Subscribe` against an older server without push support). The
+    /// connection stays usable.
     Unsupported = 6,
 }
 

@@ -1,35 +1,28 @@
 //! The story server: a std-only TCP front-end over a [`StoryView`].
 //!
-//! Two backends behind one [`ServerBuilder`]:
-//!
-//! - [`ServeMode::EventLoop`] (the default on unix): a readiness event loop
-//!   multiplexing every connection onto a small fixed worker pool, with
-//!   non-blocking per-connection read/write state machines, bounded write
-//!   queues with slow-reader eviction, and protocol-v3 push subscriptions
-//!   fanning `DeltaRing` micro-batches out to every subscriber the moment a
-//!   shard publishes (see the `evented` module).
-//! - [`ServeMode::Threaded`]: one accept thread plus one thread per
-//!   connection — the portable fallback, still the right shape when fan-in
-//!   is a bounded set of edge caches. It serves the request/response
-//!   protocol but answers `Subscribe` with a typed `Unsupported` error.
+//! One backend behind the [`ServerBuilder`]: a readiness event loop
+//! multiplexing every connection onto a small fixed worker pool, with
+//! non-blocking per-connection read/write state machines, bounded write
+//! queues with slow-reader eviction, and protocol-v3 push subscriptions
+//! fanning `DeltaRing` micro-batches out to every subscriber the moment a
+//! shard publishes (see the `evented` module). It needs a readiness poller,
+//! so the server is unix-only; the client side of the crate is portable.
 //!
 //! All request handling is read-only over the shards' published epochs, so a
 //! server never blocks ingest for more than an epoch-pointer clone.
 
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dyndens_obs::{names, Counter, Histogram, ObsEvent, ObsHandle};
 use dyndens_shard::{DeltaCatchUp, StoryView};
 
-use crate::net::{read_frame, write_frame};
+use crate::evented::EventedBackend;
 use crate::protocol::{
-    frame_message, DecodeFailure, ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat,
-    WireStory,
+    DecodeFailure, ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat, WireStory,
 };
 
 /// A shared, swappable vertex → entity-name table.
@@ -87,30 +80,21 @@ pub(crate) fn request_kind(request: &Request) -> usize {
     }
 }
 
-/// State shared between the accept thread, the serving threads or event
-/// loops, and the facade.
+/// State shared between the accept thread, the event loops and the facade.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) view: StoryView,
     pub(crate) names: NameTable,
     pub(crate) shutdown: AtomicBool,
-    /// Clones of live connection sockets (threaded mode only),
-    /// slot-allocated so shutdown can sever blocked readers. A connection
-    /// clears its slot when it ends (and the slot is reused), so the table —
-    /// and the duplicated file descriptors it holds — stays bounded by the
-    /// number of *live* connections, not the number ever accepted.
-    conns: Mutex<Vec<Option<TcpStream>>>,
-    /// Live connections across both modes; the accept guard that enforces
-    /// `max_connections`.
+    /// Live connections; the accept guard that enforces `max_connections`.
     pub(crate) live_conns: AtomicUsize,
     /// Hard accept bound: a connection beyond it is counted rejected and
-    /// closed without a thread, a slot or a handshake.
+    /// closed without a handshake.
     pub(crate) max_connections: usize,
-    /// Per-connection write-queue bound, bytes (event-loop mode); a
-    /// connection whose queued-but-unsent bytes would exceed it is evicted
-    /// as a slow reader.
+    /// Per-connection write-queue bound, bytes; a connection whose
+    /// queued-but-unsent bytes would exceed it is evicted as a slow reader.
     pub(crate) write_queue_bytes: usize,
-    /// Currently registered push subscribers (event-loop mode).
+    /// Currently registered push subscribers.
     pub(crate) subscribers: AtomicU64,
     /// The [`ServeStats`] cells. `Arc`'d so an enabled registry reads the
     /// very same cells through its adopted counter series — the serving hot
@@ -158,54 +142,10 @@ impl Shared {
         }
         Some(conn_id)
     }
-
-    /// Registers a live connection's socket clone, returning its slot
-    /// (threaded mode).
-    fn register(&self, conn: TcpStream) -> usize {
-        let mut conns = self.conns.lock().expect("conn table poisoned");
-        match conns.iter_mut().position(|slot| slot.is_none()) {
-            Some(slot) => {
-                conns[slot] = Some(conn);
-                slot
-            }
-            None => {
-                conns.push(Some(conn));
-                conns.len() - 1
-            }
-        }
-    }
-
-    /// Releases a finished connection's slot (closing the clone).
-    fn unregister(&self, slot: usize) {
-        self.conns.lock().expect("conn table poisoned")[slot] = None;
-    }
 }
 
-/// Which serving backend a [`ServerBuilder`] starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Readiness event loop on a fixed worker pool: non-blocking
-    /// connections, bounded write queues, push subscriptions. Unix only.
-    EventLoop,
-    /// One thread per connection: portable, no subscriptions (a `Subscribe`
-    /// is answered with [`ErrorCode::Unsupported`]).
-    Threaded,
-}
-
-impl ServeMode {
-    /// The best mode for the build target: [`ServeMode::EventLoop`] on unix,
-    /// [`ServeMode::Threaded`] elsewhere.
-    pub fn default_for_target() -> ServeMode {
-        if cfg!(unix) {
-            ServeMode::EventLoop
-        } else {
-            ServeMode::Threaded
-        }
-    }
-}
-
-/// Configures and binds a [`StoryServer`]: serving mode, worker count,
-/// connection bound, write-queue bound and instrumentation in one place.
+/// Configures and binds a [`StoryServer`]: worker count, connection bound,
+/// write-queue bound and instrumentation in one place.
 ///
 /// ```no_run
 /// # use dyndens_serve::StoryServer;
@@ -222,7 +162,6 @@ impl ServeMode {
 pub struct ServerBuilder {
     view: StoryView,
     obs: ObsHandle,
-    mode: ServeMode,
     workers: usize,
     max_connections: usize,
     write_queue_bytes: usize,
@@ -236,7 +175,6 @@ impl ServerBuilder {
         ServerBuilder {
             view,
             obs: ObsHandle::none(),
-            mode: ServeMode::default_for_target(),
             workers: cores.min(4),
             max_connections: 65_536,
             write_queue_bytes: 1 << 20,
@@ -254,34 +192,26 @@ impl ServerBuilder {
         self
     }
 
-    /// Selects the serving backend. Defaults to
-    /// [`ServeMode::default_for_target`].
-    pub fn mode(mut self, mode: ServeMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Event-loop worker threads (clamped to at least 1). Defaults to the
     /// machine's available parallelism, capped at 4 — fan-out is
-    /// I/O-bound, not compute-bound. Ignored in threaded mode.
+    /// I/O-bound, not compute-bound.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
     }
 
-    /// Hard accept bound on simultaneous connections (both modes); beyond
-    /// it, new connections are counted rejected and closed immediately.
-    /// Defaults to 65 536.
+    /// Hard accept bound on simultaneous connections; beyond it, new
+    /// connections are counted rejected and closed immediately. Defaults to
+    /// 65 536.
     pub fn max_connections(mut self, max: usize) -> Self {
         self.max_connections = max.max(1);
         self
     }
 
-    /// Per-connection write-queue bound in bytes (event-loop mode). A
-    /// connection whose unsent backlog would exceed it is evicted as a slow
-    /// reader: queued frames are dropped, a final typed
-    /// [`ErrorCode::SlowConsumer`] error is sent, and the connection is
-    /// closed. Defaults to 1 MiB.
+    /// Per-connection write-queue bound in bytes. A connection whose unsent
+    /// backlog would exceed it is evicted as a slow reader: queued frames
+    /// are dropped, a final typed [`ErrorCode::SlowConsumer`] error is sent,
+    /// and the connection is closed. Defaults to 1 MiB.
     pub fn write_queue_bytes(mut self, bytes: usize) -> Self {
         self.write_queue_bytes = bytes.max(1024);
         self
@@ -326,7 +256,6 @@ impl ServerBuilder {
             view: self.view,
             names: NameTable::new(),
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
             live_conns: AtomicUsize::new(0),
             max_connections: self.max_connections,
             write_queue_bytes: self.write_queue_bytes,
@@ -342,38 +271,7 @@ impl ServerBuilder {
             obs: self.obs,
             req_obs,
         });
-        let backend = match self.mode {
-            ServeMode::Threaded => {
-                let conn_threads = Arc::new(Mutex::new(Vec::new()));
-                let accept_shared = Arc::clone(&shared);
-                let accept_threads = Arc::clone(&conn_threads);
-                let accept = std::thread::Builder::new()
-                    .name("dyndens-serve-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared, accept_threads))?;
-                Backend::Threaded {
-                    accept: Some(accept),
-                    conn_threads,
-                }
-            }
-            ServeMode::EventLoop => {
-                #[cfg(unix)]
-                {
-                    Backend::Evented(crate::evented::EventedBackend::start(
-                        listener,
-                        Arc::clone(&shared),
-                        self.workers,
-                    )?)
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "the event-loop server mode requires a unix target; \
-                         use ServeMode::Threaded",
-                    ));
-                }
-            }
-        };
+        let backend = EventedBackend::start(listener, Arc::clone(&shared), self.workers)?;
         Ok(StoryServer {
             local_addr,
             shared,
@@ -382,26 +280,13 @@ impl ServerBuilder {
     }
 }
 
-#[derive(Debug)]
-enum Backend {
-    Threaded {
-        accept: Option<JoinHandle<()>>,
-        /// Handles of spawned connection threads; finished ones are *joined*
-        /// (not just dropped) on each accept, so the list is bounded by live
-        /// connections and no thread outlives the facade unobserved.
-        conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
-    #[cfg(unix)]
-    Evented(crate::evented::EventedBackend),
-}
-
 /// A running story server. Dropping it stops the accept loop, severs open
 /// connections and joins every serving thread before returning.
 #[derive(Debug)]
 pub struct StoryServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    backend: Backend,
+    backend: EventedBackend,
 }
 
 impl StoryServer {
@@ -411,10 +296,9 @@ impl StoryServer {
     }
 
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `view` with default settings ([`ServeMode::default_for_target`], no
-    /// instrumentation). The returned server's [`names`](StoryServer::names)
-    /// table starts empty; publish the ingest side's entity names into it to
-    /// serve named stories.
+    /// `view` with default settings (no instrumentation). The returned
+    /// server's [`names`](StoryServer::names) table starts empty; publish the
+    /// ingest side's entity names into it to serve named stories.
     pub fn bind(addr: impl ToSocketAddrs, view: StoryView) -> io::Result<StoryServer> {
         Self::builder(view).bind(addr)
     }
@@ -453,7 +337,7 @@ impl StoryServer {
         self.shared.serve_stats()
     }
 
-    /// Currently registered push subscribers (always 0 in threaded mode).
+    /// Currently registered push subscribers.
     pub fn subscribers(&self) -> u64 {
         self.shared.subscribers.load(Ordering::Relaxed)
     }
@@ -469,120 +353,13 @@ impl Drop for StoryServer {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept call with a throwaway connection to ourselves.
         let _ = TcpStream::connect(self.local_addr);
-        match &mut self.backend {
-            Backend::Threaded {
-                accept,
-                conn_threads,
-            } => {
-                if let Some(handle) = accept.take() {
-                    let _ = handle.join();
-                }
-                // Sever live connections (readers blocked on a socket fail
-                // fast), then join their threads: after drop, no serving
-                // thread touches the view or the name table again.
-                for conn in self
-                    .shared
-                    .conns
-                    .lock()
-                    .expect("conn table poisoned")
-                    .iter()
-                    .flatten()
-                {
-                    let _ = conn.shutdown(Shutdown::Both);
-                }
-                for handle in conn_threads.lock().expect("thread list poisoned").drain(..) {
-                    let _ = handle.join();
-                }
-            }
-            #[cfg(unix)]
-            Backend::Evented(backend) => backend.shutdown(),
-        }
+        self.backend.shutdown();
     }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let Some(conn_id) = shared.admit() else {
-            // At the connection bound: close without a thread or a slot.
-            continue;
-        };
-        let _ = stream.set_nodelay(true);
-        let slot = match stream.try_clone() {
-            Ok(clone) => Some(shared.register(clone)),
-            Err(_) => None,
-        };
-        let conn_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("dyndens-serve-conn".into())
-            .spawn(move || {
-                let result = serve_connection(stream, &conn_shared);
-                // A clean peer hang-up returns Ok; an Err is a severed
-                // stream (CRC desync, reset, mid-frame EOF) — unless we are
-                // the ones tearing the socket down at shutdown.
-                if result.is_err() && !conn_shared.shutdown.load(Ordering::SeqCst) {
-                    conn_shared.conns_severed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(registry) = conn_shared.obs.registry() {
-                        registry.emit(ObsEvent::ConnSevered { conn: conn_id });
-                    }
-                }
-                if let Some(slot) = slot {
-                    conn_shared.unregister(slot);
-                }
-                conn_shared.live_conns.fetch_sub(1, Ordering::Relaxed);
-            });
-        match handle {
-            Ok(handle) => {
-                let mut threads = conn_threads.lock().expect("thread list poisoned");
-                // Join finished threads (cheap: they have already returned)
-                // so the handle list is bounded by live connections and
-                // every thread is observed, not leaked at the OS layer
-                // until process exit.
-                let mut i = 0;
-                while i < threads.len() {
-                    if threads[i].is_finished() {
-                        let finished = threads.swap_remove(i);
-                        let _ = finished.join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                threads.push(handle);
-            }
-            Err(_) => {
-                // Spawn failed: the closure never ran, so the live count is
-                // still ours to release.
-                shared.live_conns.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Reads framed requests until the peer hangs up, the stream desynchronises
-/// (CRC/framing error) or the server shuts down.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    while let Some(payload) = read_frame(&mut reader)? {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let response = process_request(&payload, shared);
-        write_frame(&mut writer, &frame_message(|buf| response.encode_into(buf)))?;
-    }
-    Ok(())
 }
 
 /// Decodes one request payload and answers it, maintaining the request
-/// counters and per-type latency metrics. Both backends route plain
-/// request/response traffic through here; the evented backend intercepts
+/// counters and per-type latency metrics. The event loops route plain
+/// request/response traffic through here and intercept
 /// `Subscribe`/`Unsubscribe` before calling it.
 pub(crate) fn process_request(payload: &[u8], shared: &Shared) -> Response {
     let started = shared.req_obs.is_some().then(Instant::now);
@@ -744,11 +521,11 @@ pub(crate) fn handle_request(request: &Request, shared: &Shared) -> Response {
                 .map(|registry| registry.snapshot())
                 .unwrap_or_default(),
         },
-        // The threaded backend has no fan-out machinery; the evented backend
-        // intercepts these before reaching here.
+        // The event loops intercept these before reaching here; a stray one
+        // is outside input and gets the typed refusal, never a panic.
         Request::Subscribe { .. } | Request::Unsubscribe => Response::Error {
             code: ErrorCode::Unsupported,
-            message: "push subscriptions require the event-loop server mode".to_string(),
+            message: "push subscriptions are handled by the event loop".to_string(),
         },
     }
 }

@@ -1,15 +1,15 @@
 //! Push-mode serving: the `Subscribe`/`Push` protocol exercised end to end
 //! against a live fleet — catch-up on subscribe, live fan-out as shards
 //! publish, clean unsubscribe back to request/reply mode, non-blocking
-//! `try_next`, the typed slow-consumer severance, and the threaded
-//! fallback's typed rejection.
+//! `try_next`, the typed slow-consumer severance, and a thousand-subscriber
+//! fan-in.
 
 use std::time::{Duration, Instant};
 
 use dyndens_core::DynDensConfig;
 use dyndens_density::AvgWeight;
 use dyndens_graph::{EdgeUpdate, VertexId};
-use dyndens_serve::{Client, ClientError, ErrorCode, Mirror, ServeMode, StoryServer};
+use dyndens_serve::{Client, ClientError, ErrorCode, Mirror, StoryServer};
 use dyndens_shard::{ShardConfig, ShardedDynDens};
 
 fn fleet(n_shards: usize) -> ShardedDynDens<AvgWeight> {
@@ -336,23 +336,63 @@ fn slow_subscriber_is_evicted_while_healthy_one_keeps_receiving() {
     );
 }
 
+/// Subscriber fan-in: as many concurrent subscribers as the fd limit allows
+/// (up to 1 000; each costs the client's reader and writer handles plus the
+/// server-side connection), all registered before anything publishes, then
+/// one live publication that must reach every one of them. Latency and
+/// footprint are the repository benchmark's business (`serve.fanout_*`).
 #[test]
-fn threaded_mode_rejects_subscribe_with_typed_error() {
-    let fleet = fleet(1);
+fn a_live_publication_reaches_every_one_of_many_subscribers() {
+    use dyndens_obs::{names, ObsHandle, Registry};
+
+    let limits = std::fs::read_to_string("/proc/self/limits").unwrap_or_default();
+    let max_open_files = limits
+        .lines()
+        .find(|l| l.starts_with("Max open files"))
+        .and_then(|l| l.split_whitespace().nth(3)?.parse::<usize>().ok());
+    let n = max_open_files.map_or(1_000, |fds| (fds.saturating_sub(256) / 3).min(1_000));
+    assert!(n > 0, "no file descriptors to spare");
+
+    let fleet = fleet(2);
+    let registry = std::sync::Arc::new(Registry::new());
     let server = StoryServer::builder(fleet.view())
-        .mode(ServeMode::Threaded)
+        .obs(ObsHandle::new(std::sync::Arc::clone(&registry)))
         .bind("127.0.0.1:0")
         .unwrap();
+    // Nothing has published, so no subscriber gets a catch-up push: whatever
+    // arrives below is the live fan-out.
+    let mut subs: Vec<_> = (0..n)
+        .map(|i| {
+            let registered = client(&server).subscribe(&[]);
+            registered.unwrap_or_else(|e| panic!("subscriber {i}: {e}"))
+        })
+        .collect();
+    assert_eq!(server.subscribers(), n as u64, "not all registered");
 
-    let c = client(&server);
-    match c.subscribe(&[]) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Unsupported),
-        other => panic!("threaded mode must reject Subscribe, got {other:?}"),
+    fleet.apply_update(EdgeUpdate::new(VertexId(0), VertexId(1), 2.0));
+    fleet.flush();
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut pending: Vec<usize> = (0..n).collect();
+    while !pending.is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "{} of {n} subscribers never saw the push",
+            pending.len()
+        );
+        pending.retain(|&i| match subs[i].try_next() {
+            Ok(batch) => batch.is_none(),
+            Err(e) => panic!("subscriber {i} severed: {e}"),
+        });
     }
 
-    // The connection the failed subscribe consumed is gone, but the server
-    // keeps serving request/reply clients.
-    let mut c = client(&server);
-    let (per_shard_seq, _) = c.top_k(1).unwrap();
-    assert_eq!(per_shard_seq, vec![0]);
+    // Scraped over the wire while every subscriber is still registered.
+    let snapshot = client(&server).metrics().expect("metrics scrape");
+    assert_eq!(
+        snapshot.gauge(names::SERVE_SUBSCRIBERS, &[]),
+        Some(n as u64)
+    );
+    assert!(snapshot.counter_total(names::SERVE_PUSHES_TOTAL) >= n as u64);
+    assert_eq!(snapshot.counter_total(names::SERVE_SLOW_EVICTIONS_TOTAL), 0);
+    assert_eq!(server.serve_stats().slow_evictions, 0);
 }

@@ -1,7 +1,6 @@
 //! The partition-aligned planted-community stream — the canonical workload
-//! of the sharded subsystem's equivalence and scaling suites, now shared by
-//! the scenario library (it moved here from `dyndens-bench`, which still
-//! re-exports it).
+//! of the sharded subsystem's equivalence suites and of the repository
+//! benchmark's `aligned_steady`.
 
 use dyndens_graph::{EdgeUpdate, FxHashMap, VertexId};
 use rand::rngs::StdRng;

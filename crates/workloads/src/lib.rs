@@ -22,12 +22,12 @@
 //!   full pipeline — association measures, decay, DynDens — is exercised on
 //!   realistic input.
 //!
-//! The scenario matrix (each a [`Workload`], each judged by the oracle and a
-//! `BENCH_scenarios.json` row — see `docs/WORKLOADS.md`):
+//! The scenario matrix (each a [`Workload`], each judged by the oracle in
+//! `tests/workload_scenarios.rs` — see `docs/WORKLOADS.md`):
 //!
 //! * [`AlignedCommunities`] — the friendly baseline: balanced planted
 //!   communities, one congruence class each (the canonical 50k equivalence
-//!   stream, moved here from `dyndens-bench`);
+//!   stream);
 //! * [`FlashCrowd`] — one story absorbs ~100x traffic in seconds, designed
 //!   to trip the `Rebalancer`'s skew trigger — and *only* during the burst;
 //! * [`AdversarialSkew`] — every update funneled into one congruence class,

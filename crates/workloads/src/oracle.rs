@@ -21,9 +21,7 @@
 //! approximations.
 //!
 //! The repository-level equivalence suites (`tests/sharded_equivalence.rs`,
-//! `tests/workload_scenarios.rs`, ...) are thin wrappers over this module;
-//! the `scenario_matrix` bench emits one `BENCH_scenarios.json` row per
-//! workload from the same [`OracleReport`].
+//! `tests/workload_scenarios.rs`, ...) are thin wrappers over this module.
 //!
 //! The **cross-backend differential harness** generalises the same legs
 //! over every pluggable [`Backend`]: each backend's sharded, recovered,
@@ -31,9 +29,9 @@
 //! engine of the same backend (the seam's determinism contract), then the
 //! backend is compared against the DynDens referee under its declared
 //! [`CompareMode`] — bit-exactness for `recompute` at rebuild boundaries, a
-//! top-q density-ratio bound for approximate backends. The `backend_matrix`
-//! bench emits one `BENCH_backends.json` row per backend × workload from
-//! the resulting [`BackendReport`]s.
+//! top-q density-ratio bound for approximate backends.
+//! `tests/workload_scenarios.rs::every_backend_passes_every_workload` holds
+//! every backend × workload × leg to its [`BackendReport`].
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,8 +1,9 @@
 //! The common scenario interface: every workload in this crate produces a
 //! deterministic, seeded stream — either timestamped entity-set posts or raw
 //! [`EdgeUpdate`]s — behind the [`Workload`] trait, so the differential
-//! oracle ([`crate::oracle`]) and the `scenario_matrix` bench can drive any
-//! scenario through the full stack without knowing its shape.
+//! oracle ([`crate::oracle`]) and the suites built on it
+//! (`tests/workload_scenarios.rs`) can drive any scenario through the full
+//! stack without knowing its shape.
 
 use dyndens_graph::{EdgeUpdate, FxHashMap, VertexId};
 use dyndens_stream::Post;

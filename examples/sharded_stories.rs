@@ -102,7 +102,7 @@ fn posts_through_sharded_pipeline() {
 }
 
 fn scaling_on_aligned_stream() {
-    let updates = dyndens_bench_stream(50_000);
+    let updates = dyndens::workloads::shard_aligned_stream(50_000, 4, 2012);
     println!("phase 2: 50k partition-aligned updates through raw ShardedDynDens fleets");
 
     let engine_config = DynDensConfig::new(1.0, 4).with_delta_it(0.15);
@@ -135,53 +135,4 @@ fn scaling_on_aligned_stream() {
             stories,
         );
     }
-}
-
-/// A small local copy of the partition-aligned generator's contract (the
-/// full-featured one lives in `dyndens-bench`): planted communities drawn
-/// from congruence classes mod 4, per-pair weights capped below the
-/// too-dense regime.
-fn dyndens_bench_stream(n_updates: usize) -> Vec<EdgeUpdate> {
-    const ALIGNMENT: u32 = 4;
-    let mut state: u64 = 0x9E37_79B9_97F4_A7C1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let groups: Vec<Vec<u32>> = (0..24u32)
-        .map(|g| {
-            (0..4)
-                .map(|i| (g * 8 + i) * ALIGNMENT + g % ALIGNMENT)
-                .collect()
-        })
-        .collect();
-    let mut weights = std::collections::HashMap::new();
-    let mut updates = Vec::with_capacity(n_updates);
-    while updates.len() < n_updates {
-        let group = &groups[(next() % groups.len() as u64) as usize];
-        let a = group[(next() % group.len() as u64) as usize];
-        let b = group[(next() % group.len() as u64) as usize];
-        if a == b {
-            continue;
-        }
-        let key = (a.min(b), a.max(b));
-        let current: f64 = weights.get(&key).copied().unwrap_or(0.0);
-        let magnitude = 0.02 + (next() % 1000) as f64 / 10_000.0;
-        let delta = if next() % 100 < 15 {
-            if current <= 0.0 {
-                continue;
-            }
-            -magnitude.min(current)
-        } else {
-            magnitude.min(1.45 - current)
-        };
-        if delta.abs() < 1e-9 {
-            continue;
-        }
-        weights.insert(key, current + delta);
-        updates.push(EdgeUpdate::new(VertexId(key.0), VertexId(key.1), delta));
-    }
-    updates
 }

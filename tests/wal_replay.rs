@@ -139,9 +139,9 @@ fn every_backend_recovers_bit_identically_after_a_crash() {
 
 #[test]
 fn recovered_stats_do_not_double_count_replayed_updates() {
-    // The BENCH_shard throughput ledgers merge per-shard EngineStats; a
-    // recovered deployment must report the snapshot-time counters plus any
-    // *new* ingest, never the replayed WAL tail a second time.
+    // The fleet ledger merges per-shard EngineStats; a recovered deployment
+    // must report the snapshot-time counters plus any *new* ingest, never the
+    // replayed WAL tail a second time.
     let updates = support::shard_aligned_stream(5_000, 8, 77);
     let dir = temp_dir("walreplay-stats");
     {

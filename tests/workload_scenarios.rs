@@ -10,8 +10,8 @@
 //! bit-identical to the single-engine reference.
 
 use dyndens::workloads::{
-    AdversarialSkew, DocCorpus, FlashCrowd, GeoPartitioned, Oracle, OracleReport, Workload,
-    WorkloadStream,
+    AdversarialSkew, AlignedCommunities, DocCorpus, FlashCrowd, GeoPartitioned, Oracle,
+    OracleReport, Workload, WorkloadStream, ALL_BACKENDS,
 };
 
 fn run(workload: &dyn Workload, n_updates: usize) -> OracleReport {
@@ -59,4 +59,28 @@ fn doc_corpus_is_bit_exact_through_the_full_stack() {
 #[test]
 fn geo_partitioned_is_bit_exact_through_the_full_stack() {
     run(&GeoPartitioned::new(12_000, 2026), 12_000);
+}
+
+/// Every pluggable backend through every workload: the four deployment legs
+/// bit-exact against a single engine of the same backend, then the quality
+/// leg against the DynDens referee under the backend's own comparison mode
+/// (bit-exact for `dyndens` and `recompute`, top-q density ratio ≥ 0.8 for
+/// `topk-peeling`). 8 000 updates each: `recompute`'s reads replay its whole
+/// log, so its cost is quadratic in the stream.
+#[test]
+fn every_backend_passes_every_workload() {
+    let aligned = AlignedCommunities::new(8_000, 2012);
+    let flash = FlashCrowd::new(8_000, 2026);
+    let skew = AdversarialSkew::new(8_000, 2026);
+    // Documents lower to about six pair-updates each.
+    let docs = DocCorpus::new(8_000 / 6, 2026);
+    let geo = GeoPartitioned::new(8_000, 2026);
+    let workloads: [&dyn Workload; 5] = [&aligned, &flash, &skew, &docs, &geo];
+    for backend in ALL_BACKENDS {
+        for workload in workloads {
+            let report = Oracle::new(workload).run_backend(backend);
+            assert_eq!(report.legs.len(), 5, "four deployment legs and quality");
+            report.assert_passed();
+        }
+    }
 }
