@@ -31,14 +31,12 @@
 //!   scores come from [`DynamicGraph::score`]'s canonical summation.
 
 use dyndens_core::{
-    encode_config_params, DenseEvent, DynDensConfig, EngineBlueprint, EngineStats, EvictionReport,
+    encode_config_params, DenseEvent, DynDensConfig, EngineBlueprint, EngineStats, GraphSize,
     MaintenanceEngine, SnapshotError,
 };
 use dyndens_density::{score_meets, DensityMeasure};
 use dyndens_graph::codec::{crc32, put_f64, put_u32, put_u64, verify_crc_trailer, ByteReader};
 use dyndens_graph::{DynamicGraph, EdgeUpdate, FxHashMap, VertexId, VertexSet};
-
-use crate::backend::graph_edges_below;
 
 /// Snapshot magic for [`TopKPeelingEngine`] checkpoints (`"DDTK"`).
 pub const TOPK_SNAPSHOT_MAGIC: [u8; 4] = *b"DDTK";
@@ -56,7 +54,6 @@ pub struct TopKPeelingEngine<D: DensityMeasure> {
     k: usize,
     graph: DynamicGraph,
     stats: EngineStats,
-    recovering: bool,
     version: u64,
     cache: Option<(u64, Vec<(VertexSet, f64)>)>,
 }
@@ -69,7 +66,6 @@ impl<D: DensityMeasure> TopKPeelingEngine<D> {
             k: k.max(1),
             graph: DynamicGraph::new(),
             stats: EngineStats::default(),
-            recovering: false,
             version: 0,
             cache: None,
         }
@@ -203,13 +199,11 @@ impl<D: DensityMeasure> MaintenanceEngine for TopKPeelingEngine<D> {
     fn apply_update_into(&mut self, update: EdgeUpdate, _events: &mut Vec<DenseEvent>) {
         self.graph.apply_update(&update);
         self.version += 1;
-        if !self.recovering {
-            self.stats.updates += 1;
-            if update.is_positive() {
-                self.stats.positive_updates += 1;
-            } else {
-                self.stats.negative_updates += 1;
-            }
+        self.stats.updates += 1;
+        if update.is_positive() {
+            self.stats.positive_updates += 1;
+        } else {
+            self.stats.negative_updates += 1;
         }
     }
 
@@ -255,8 +249,8 @@ impl<D: DensityMeasure> MaintenanceEngine for TopKPeelingEngine<D> {
         Ok(())
     }
 
-    fn graph(&self) -> &DynamicGraph {
-        &self.graph
+    fn graph_size(&self) -> GraphSize {
+        GraphSize::of(&self.graph)
     }
 
     fn stats(&self) -> &EngineStats {
@@ -267,20 +261,15 @@ impl<D: DensityMeasure> MaintenanceEngine for TopKPeelingEngine<D> {
         self.stats = stats;
     }
 
-    fn set_recovering(&mut self, recovering: bool) {
-        self.recovering = recovering;
-    }
-
     fn snapshot(&self) -> Vec<u8> {
-        let mut edges: Vec<(VertexId, VertexId, f64)> = self.graph.edges().collect();
-        edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        let mut buf = Vec::with_capacity(64 + edges.len() * 16);
+        let mut buf = Vec::with_capacity(64 + self.graph.edge_count() * 16);
         buf.extend_from_slice(&TOPK_SNAPSHOT_MAGIC);
         put_u32(&mut buf, TOPK_SNAPSHOT_VERSION);
         put_u64(&mut buf, self.graph.vertex_count() as u64);
         self.stats.encode_into(&mut buf);
-        put_u64(&mut buf, edges.len() as u64);
-        for (a, b, w) in edges {
+        put_u64(&mut buf, self.graph.edge_count() as u64);
+        // `edges()` is ascending in (a, b) by construction.
+        for (a, b, w) in self.graph.edges() {
             put_u32(&mut buf, a.0);
             put_u32(&mut buf, b.0);
             put_f64(&mut buf, w);
@@ -314,23 +303,7 @@ impl<D: DensityMeasure> MaintenanceEngine for TopKPeelingEngine<D> {
     }
 
     fn edges_below(&self, min_weight: f64) -> Vec<EdgeUpdate> {
-        graph_edges_below(&self.graph, min_weight)
-    }
-
-    fn evict_below(&mut self, min_weight: f64, events: &mut Vec<DenseEvent>) -> EvictionReport {
-        let victims = self.edges_below(min_weight);
-        let mut report = EvictionReport {
-            edges_evicted: victims.len() as u64,
-            weight_evicted: victims.iter().map(|u| -u.delta).sum(),
-            ..EvictionReport::default()
-        };
-        let isolated_before = self.graph.reclaim_isolated();
-        for u in victims {
-            self.apply_update_into(u, events);
-        }
-        let isolated_after = self.graph.reclaim_isolated();
-        report.vertices_orphaned = (isolated_after - isolated_before) as u64;
-        report
+        self.graph.edges_below(min_weight)
     }
 }
 
@@ -529,8 +502,9 @@ mod tests {
     fn eviction_removes_decayed_bridges() {
         let mut engine = blueprint().fresh();
         drive(&mut engine, &workload());
-        let report = engine.evict_below(0.2, &mut Vec::new());
-        assert_eq!(report.edges_evicted, 1);
+        let victims = engine.edges_below(0.2);
+        assert_eq!(victims.len(), 1);
+        drive(&mut engine, &victims);
         assert!(engine.edges_below(0.2).is_empty());
         engine.validate().unwrap();
     }

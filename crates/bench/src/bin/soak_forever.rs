@@ -32,7 +32,7 @@
 //! ## `BENCH_soak.json`
 //!
 //! * `target_updates` / `updates_total` / `posts_total` — run length
-//!   (`SOAK_UPDATES` overrides the 2M default; CI smokes at 60k), with
+//!   (`SOAK_UPDATES` overrides the 2M default; CI smokes at 500k), with
 //!   `seed` and `n_shards` beside them;
 //! * `mean_life_secs`, `story_life_posts`, `tracker_epsilon`, `weight_floor`
 //!   — the decay clock and the two retention thresholds (see

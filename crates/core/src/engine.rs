@@ -103,11 +103,6 @@ pub struct DynDens<D: DensityMeasure> {
     pub(crate) index: SubgraphIndex,
     pub(crate) epoch: u64,
     pub(crate) stats: EngineStats,
-    /// `true` while WAL replay re-applies updates that were already counted
-    /// before a crash: suppresses [`EngineStats`] accumulation so recovered
-    /// engines do not double-count replayed work (see
-    /// [`set_recovering`](Self::set_recovering)).
-    pub(crate) recovering: bool,
     /// Working memory of the exploration kernel (hot path, per update).
     pub(crate) scratch: Scratch,
 }
@@ -147,7 +142,6 @@ impl<D: DensityMeasure> DynDens<D> {
             index: SubgraphIndex::new(),
             epoch: 0,
             stats: EngineStats::default(),
-            recovering: false,
             scratch: Scratch::default(),
         }
     }
@@ -183,12 +177,14 @@ impl<D: DensityMeasure> DynDens<D> {
 
     /// Replaces the cumulative statistics wholesale.
     ///
-    /// Used by shard rebalancing: a split rebuilds two child engines by
-    /// filtered replay (with [`set_recovering`](Self::set_recovering) set, so
-    /// the children count nothing), then hands the parent's live counters to
-    /// the child that keeps the parent's worker slot. The fleet-merged work
-    /// ledger stays exactly the sum of all work ever counted — no update is
-    /// counted twice or dropped by a split.
+    /// This is how work is left uncounted or re-attributed. WAL recovery
+    /// saves the restored ledger, replays the log tail and adopts the saved
+    /// ledger back, so updates that were counted before the crash are not
+    /// counted twice
+    /// (`tests/wal_replay.rs::recovered_stats_do_not_double_count_replayed_updates`);
+    /// a shard split or merge hands the sources' live counters to the first
+    /// rebuilt engine. The fleet-merged ledger stays exactly the sum of all
+    /// work ever counted.
     pub fn adopt_stats(&mut self, stats: EngineStats) {
         self.stats = stats;
     }
@@ -226,7 +222,6 @@ impl<D: DensityMeasure> DynDens<D> {
             index: SubgraphIndex::new(),
             epoch: self.epoch,
             stats: EngineStats::default(),
-            recovering: false,
             scratch: Scratch::default(),
         };
         let (mut zero, mut one) = (child(), child());
@@ -290,26 +285,6 @@ impl<D: DensityMeasure> DynDens<D> {
         }
         self.epoch = self.epoch.max(other.epoch);
         self.stats.merge(&other.stats);
-    }
-
-    /// Marks the engine as replaying already-counted updates (WAL recovery).
-    ///
-    /// While the flag is set, [`apply_update_into`](Self::apply_update_into)
-    /// performs the full maintenance work — the dense subgraph state after
-    /// replay is identical to an uninterrupted run — but leaves every
-    /// [`EngineStats`] counter untouched. Without this, replaying the WAL
-    /// tail after [`restore`](Self::restore) would count the replayed
-    /// updates a second time (the snapshot already carries the counters up
-    /// to its sequence point), inflating the merged fleet ledger
-    /// (`tests/wal_replay.rs::recovered_stats_do_not_double_count_replayed_updates`).
-    pub fn set_recovering(&mut self, recovering: bool) {
-        self.recovering = recovering;
-    }
-
-    /// `true` while the engine is replaying a WAL tail (stat accumulation
-    /// suppressed).
-    pub fn is_recovering(&self) -> bool {
-        self.recovering
     }
 
     /// Read access to the dense subgraph index (for white-box inspection and
@@ -437,18 +412,6 @@ impl<D: DensityMeasure> DynDens<D> {
     /// Processes a single update, appending events to `events` (avoids a fresh
     /// allocation per update in hot loops).
     pub fn apply_update_into(&mut self, update: EdgeUpdate, events: &mut Vec<DenseEvent>) {
-        if self.recovering {
-            // Replayed updates were already counted before the crash; redo
-            // the maintenance work but discard the counter deltas.
-            let saved = self.stats.clone();
-            self.apply_update_inner(update, events);
-            self.stats = saved;
-        } else {
-            self.apply_update_inner(update, events);
-        }
-    }
-
-    fn apply_update_inner(&mut self, update: EdgeUpdate, events: &mut Vec<DenseEvent>) {
         self.stats.updates += 1;
         if update.delta == 0.0 {
             return;
@@ -463,19 +426,6 @@ impl<D: DensityMeasure> DynDens<D> {
             self.stats.positive_updates += 1;
             self.process_positive(update, events);
         }
-    }
-
-    /// Convenience: processes a sequence of updates, returning all events in
-    /// order.
-    pub fn apply_updates<I: IntoIterator<Item = EdgeUpdate>>(
-        &mut self,
-        updates: I,
-    ) -> Vec<DenseEvent> {
-        let mut events = Vec::new();
-        for u in updates {
-            self.apply_update_into(u, &mut events);
-        }
-        events
     }
 
     // ------------------------------------------------------------------

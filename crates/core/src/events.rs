@@ -112,7 +112,45 @@ pub struct EngineStats {
     pub degree_prioritize_skips: u64,
 }
 
+/// One row of [`EngineStats::COUNTERS`]: a counter's name, its value in a
+/// ledger, and its place in one.
+pub type CounterRow = (
+    &'static str,
+    fn(&EngineStats) -> u64,
+    fn(&mut EngineStats) -> &mut u64,
+);
+
+macro_rules! counter_rows {
+    ($($field:ident),* $(,)?) => {
+        [$((stringify!($field), |s| s.$field, |s| &mut s.$field)),*]
+    };
+}
+
+// A counter added to the struct and not to the table fails to compile here.
+const _: () = assert!(std::mem::size_of::<EngineStats>() == 8 * EngineStats::COUNTERS.len());
+
 impl EngineStats {
+    /// Every counter, in wire order. This table is the only list of them
+    /// beside the struct: [`merge`](Self::merge), the serving protocol's
+    /// encoding, the engine snapshot's stats block and the per-shard
+    /// `dyndens_engine_<name>` gauges are all loops over it. Adding a row is
+    /// a wire-format change: bump the serving protocol and snapshot versions.
+    pub const COUNTERS: [CounterRow; 13] = counter_rows![
+        updates,
+        positive_updates,
+        negative_updates,
+        explorations,
+        cheap_explorations,
+        candidates_examined,
+        subgraphs_inserted,
+        subgraphs_evicted,
+        explore_all_invocations,
+        star_markers_created,
+        star_markers_removed,
+        max_explore_skips,
+        degree_prioritize_skips,
+    ];
+
     /// Resets all counters to zero.
     pub fn reset(&mut self) {
         *self = EngineStats::default();
@@ -122,37 +160,11 @@ impl EngineStats {
     ///
     /// Every counter is a plain sum, so merging the per-shard statistics of a
     /// partitioned deployment (see the `dyndens-shard` crate) yields exactly
-    /// the work ledger of the fleet as a whole. Destructuring forces this
-    /// method to be revisited whenever a counter is added.
+    /// the work ledger of the fleet as a whole.
     pub fn merge(&mut self, other: &EngineStats) {
-        let EngineStats {
-            updates,
-            positive_updates,
-            negative_updates,
-            explorations,
-            cheap_explorations,
-            candidates_examined,
-            subgraphs_inserted,
-            subgraphs_evicted,
-            explore_all_invocations,
-            star_markers_created,
-            star_markers_removed,
-            max_explore_skips,
-            degree_prioritize_skips,
-        } = other;
-        self.updates += updates;
-        self.positive_updates += positive_updates;
-        self.negative_updates += negative_updates;
-        self.explorations += explorations;
-        self.cheap_explorations += cheap_explorations;
-        self.candidates_examined += candidates_examined;
-        self.subgraphs_inserted += subgraphs_inserted;
-        self.subgraphs_evicted += subgraphs_evicted;
-        self.explore_all_invocations += explore_all_invocations;
-        self.star_markers_created += star_markers_created;
-        self.star_markers_removed += star_markers_removed;
-        self.max_explore_skips += max_explore_skips;
-        self.degree_prioritize_skips += degree_prioritize_skips;
+        for (_, get, slot) in Self::COUNTERS {
+            *slot(self) += get(other);
+        }
     }
 
     /// Merges an iterator of statistics into a single ledger.
@@ -165,47 +177,30 @@ impl EngineStats {
     }
 
     /// Number of counters in the wire encoding of this protocol revision.
-    /// Adding a counter to [`EngineStats`] is a wire-format change: bump the
-    /// serving protocol version alongside this constant (the destructuring
-    /// in [`EngineStats::encode_into`] forces the revisit).
-    pub const WIRE_COUNTERS: u8 = 13;
+    pub const WIRE_COUNTERS: u8 = Self::COUNTERS.len() as u8;
+
+    /// Appends the counters as `13 × u64` in [`COUNTERS`](Self::COUNTERS)
+    /// order, unprefixed: the stats block of an engine snapshot.
+    pub fn put_counters(&self, buf: &mut Vec<u8>) {
+        for (_, get, _) in Self::COUNTERS {
+            put_u64(buf, get(self));
+        }
+    }
+
+    /// Reads what [`put_counters`](Self::put_counters) wrote.
+    pub fn read_counters(r: &mut ByteReader<'_>) -> Result<EngineStats, CodecError> {
+        let mut stats = EngineStats::default();
+        for (_, _, slot) in Self::COUNTERS {
+            *slot(&mut stats) = r.u64()?;
+        }
+        Ok(stats)
+    }
 
     /// Appends the canonical wire encoding used by the serving protocol:
     /// `n u8 (= 13) | n × counter u64`, counters in declaration order.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let EngineStats {
-            updates,
-            positive_updates,
-            negative_updates,
-            explorations,
-            cheap_explorations,
-            candidates_examined,
-            subgraphs_inserted,
-            subgraphs_evicted,
-            explore_all_invocations,
-            star_markers_created,
-            star_markers_removed,
-            max_explore_skips,
-            degree_prioritize_skips,
-        } = self;
         put_u8(buf, Self::WIRE_COUNTERS);
-        for counter in [
-            updates,
-            positive_updates,
-            negative_updates,
-            explorations,
-            cheap_explorations,
-            candidates_examined,
-            subgraphs_inserted,
-            subgraphs_evicted,
-            explore_all_invocations,
-            star_markers_created,
-            star_markers_removed,
-            max_explore_skips,
-            degree_prioritize_skips,
-        ] {
-            put_u64(buf, *counter);
-        }
+        self.put_counters(buf);
     }
 
     /// Decodes a statistics ledger, rejecting a counter count other than
@@ -215,21 +210,7 @@ impl EngineStats {
         if r.u8()? != Self::WIRE_COUNTERS {
             return Err(CodecError::Invalid("engine stats counter count mismatch"));
         }
-        Ok(EngineStats {
-            updates: r.u64()?,
-            positive_updates: r.u64()?,
-            negative_updates: r.u64()?,
-            explorations: r.u64()?,
-            cheap_explorations: r.u64()?,
-            candidates_examined: r.u64()?,
-            subgraphs_inserted: r.u64()?,
-            subgraphs_evicted: r.u64()?,
-            explore_all_invocations: r.u64()?,
-            star_markers_created: r.u64()?,
-            star_markers_removed: r.u64()?,
-            max_explore_skips: r.u64()?,
-            degree_prioritize_skips: r.u64()?,
-        })
+        Self::read_counters(r)
     }
 }
 

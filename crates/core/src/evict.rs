@@ -52,19 +52,15 @@ pub struct EvictionReport {
 
 impl<D: DensityMeasure> DynDens<D> {
     /// The cancelling updates that [`evict_below`](Self::evict_below) would
-    /// apply: one `(a, b, -w)` update per edge whose current weight `w`
-    /// satisfies `0 < w <= min_weight`, in canonical ascending `(a, b)`
-    /// order.
+    /// apply: [`DynamicGraph::edges_below`](dyndens_graph::DynamicGraph::edges_below)
+    /// of the engine's graph.
     ///
     /// Exposed separately so a durability layer can write the exact victim
-    /// list to its WAL *before* the eviction mutates the engine — crash
-    /// replay of those records then reproduces the eviction bit-for-bit.
+    /// list to its WAL and then apply *that list* through
+    /// [`apply_update_into`](Self::apply_update_into) — crash replay of those
+    /// records is then the same code on the same input.
     pub fn edges_below(&self, min_weight: f64) -> Vec<EdgeUpdate> {
-        self.graph()
-            .edges()
-            .filter(|&(_, _, w)| w <= min_weight)
-            .map(|(a, b, w)| EdgeUpdate::new(a, b, -w))
-            .collect()
+        self.graph.edges_below(min_weight)
     }
 
     /// Evicts every edge whose weight has decayed to `min_weight` or below,
@@ -81,9 +77,8 @@ impl<D: DensityMeasure> DynDens<D> {
     /// `events`, exactly as they would be for streamed updates.
     ///
     /// The pass advances the epoch and the [`EngineStats`](crate::EngineStats)
-    /// ledger by one update per victim edge (unless the engine is in
-    /// recovery mode). Telemetry about what was reclaimed is returned in the
-    /// [`EvictionReport`].
+    /// ledger by one update per victim edge. Telemetry about what was
+    /// reclaimed is returned in the [`EvictionReport`].
     pub fn evict_below(&mut self, min_weight: f64, events: &mut Vec<DenseEvent>) -> EvictionReport {
         let victims = self.edges_below(min_weight);
         let stats_before = self.stats().clone();
@@ -100,9 +95,7 @@ impl<D: DensityMeasure> DynDens<D> {
         let isolated_after = self.graph.reclaim_isolated();
         report.vertices_orphaned = (isolated_after - isolated_before) as u64;
         // The ledger keeps counting through an eviction (it is stream work),
-        // so the per-pass deltas are recovered by differencing — except in
-        // recovery mode, where the ledger is frozen by design and the deltas
-        // are reported as zero.
+        // so the per-pass deltas are recovered by differencing.
         let stats_after = self.stats();
         report.subgraphs_evicted = stats_after.subgraphs_evicted - stats_before.subgraphs_evicted;
         report.star_markers_removed =

@@ -71,7 +71,7 @@ pub use heuristics::{DegreePrioritize, MaxExploreBound};
 pub use index::{NodeId, SubgraphIndex, SubgraphInfo};
 pub use maintenance::{
     encode_config_params, sort_stories, story_order, top_of, DynDensBlueprint, EngineBlueprint,
-    MaintenanceEngine,
+    GraphSize, MaintenanceEngine,
 };
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 

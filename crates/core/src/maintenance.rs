@@ -34,6 +34,32 @@
 //! Read methods take `&mut self` precisely to permit such lazy caches;
 //! engines that answer from always-fresh state (like [`DynDens`]) simply
 //! ignore the mutability.
+//!
+//! ## What the fleet derives
+//!
+//! The trait is the set of calls `dyndens-shard` makes, and nothing a caller
+//! can compute from them. Three derivations are part of the contract, so a
+//! backend must make them come out right rather than implement them:
+//!
+//! * **Counts.** The number of output-dense subgraphs is
+//!   [`top_stories(0).1`](MaintenanceEngine::top_stories) (a backend that can
+//!   count without materialising does so there); the number of maintained
+//!   subgraphs is `dense_subgraphs().len()`.
+//! * **Uncounted replay.** Recovery restores a checkpoint, clones
+//!   [`stats`](MaintenanceEngine::stats), replays the WAL tail through
+//!   [`apply_update_into`](MaintenanceEngine::apply_update_into) and hands
+//!   the clone back through [`adopt_stats`](MaintenanceEngine::adopt_stats):
+//!   the replayed updates were counted before the crash. So the ledger must
+//!   influence nothing but itself — an engine whose answers or snapshot
+//!   bytes (ledger aside) depend on its counters breaks recovery.
+//! * **Eviction is streamed cancellation.** Compaction journals
+//!   [`edges_below(w)`](MaintenanceEngine::edges_below) to the WAL and
+//!   applies *that list* through `apply_update_into`, which is by
+//!   construction what crash replay runs on those records. So applying the
+//!   list must leave `edges_below(w)` empty, and the engine in the state of
+//!   one that received the same updates from the stream.
+//!   [`reclaim_idle`](MaintenanceEngine::reclaim_idle) follows, and may
+//!   change nothing observable.
 
 use std::cmp::Ordering;
 
@@ -43,7 +69,6 @@ use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
 use crate::config::{DeltaIt, DynDensConfig};
 use crate::engine::DynDens;
 use crate::events::{DenseEvent, EngineStats};
-use crate::evict::EvictionReport;
 use crate::snapshot::SnapshotError;
 
 /// The order stories are published in: densest first, ties broken by vertex
@@ -72,6 +97,28 @@ pub fn top_of(mut stories: Vec<(VertexSet, f64)>, k: usize) -> (Vec<(VertexSet, 
     (stories, total)
 }
 
+/// How much graph an engine holds: the two numbers the fleet reads about the
+/// representation behind the seam.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GraphSize {
+    /// One past the highest vertex id the engine has seen (or was
+    /// pre-declared with): vertex ids are global, so this is the engine's
+    /// vertex universe, not its count of connected vertices.
+    pub vertices: usize,
+    /// Edges currently stored with a non-zero weight.
+    pub edges: usize,
+}
+
+impl GraphSize {
+    /// The extent of `graph`, for backends that keep one.
+    pub fn of(graph: &DynamicGraph) -> Self {
+        GraphSize {
+            vertices: graph.vertex_count(),
+            edges: graph.edge_count(),
+        }
+    }
+}
+
 /// One shard's worth of dense-subgraph maintenance state, behind a
 /// backend-agnostic interface. See the [module docs](self) for the
 /// determinism contract.
@@ -92,44 +139,33 @@ pub trait MaintenanceEngine: Clone + std::fmt::Debug + Send + 'static {
     /// its score. Backends without an internal band return the output set.
     fn dense_subgraphs(&mut self) -> Vec<(VertexSet, f64)>;
 
-    /// Number of output-dense subgraphs.
-    fn output_dense_count(&mut self) -> usize {
-        self.output_dense_subgraphs().len()
-    }
-
     /// What a shard publishes: the first `k` of
     /// [`output_dense_subgraphs`](Self::output_dense_subgraphs) in
     /// [`story_order`], and the total number of output-dense subgraphs.
-    /// `k` may be `usize::MAX` (the whole answer, sorted). The provided
-    /// implementation is the definition ([`top_of`]); a backend that can pick
-    /// the `k` without materialising the rest overrides it and must return
-    /// the same bits.
+    /// `k` may be `usize::MAX` (the whole answer, sorted) or `0` (the count
+    /// alone). The provided implementation is the definition ([`top_of`]); a
+    /// backend that can pick the `k` without materialising the rest
+    /// overrides it and must return the same bits.
     fn top_stories(&mut self, k: usize) -> (Vec<(VertexSet, f64)>, usize) {
         top_of(self.output_dense_subgraphs(), k)
-    }
-
-    /// Number of maintained subgraphs.
-    fn dense_count(&mut self) -> usize {
-        self.dense_subgraphs().len()
     }
 
     /// Checks the engine's internal invariants, returning the first
     /// violation found.
     fn validate(&mut self) -> Result<(), String>;
 
-    /// The underlying weighted graph.
-    fn graph(&self) -> &DynamicGraph;
+    /// The extent of the graph the engine holds. A backend that stores no
+    /// edges (a sketch) reports `edges: 0` and still tracks `vertices`,
+    /// which ingest-side recovery cross-checks against its id registry.
+    fn graph_size(&self) -> GraphSize;
 
     /// The engine's work ledger.
     fn stats(&self) -> &EngineStats;
 
-    /// Replaces the work ledger wholesale (used by rebalance commits, where
-    /// the rebuilt engine must carry the live parent's counters).
+    /// Replaces the work ledger wholesale: after a WAL replay (the restored
+    /// counters, so replayed updates are not counted twice) and at rebalance
+    /// commits (the live sources' counters).
     fn adopt_stats(&mut self, stats: EngineStats);
-
-    /// Marks the engine as replaying already-counted updates (WAL
-    /// recovery): full maintenance work, no stat accumulation.
-    fn set_recovering(&mut self, recovering: bool);
 
     /// Serialises the complete engine state to bytes. Restoring via
     /// [`EngineBlueprint::restore`] and snapshotting again must reproduce
@@ -149,16 +185,17 @@ pub trait MaintenanceEngine: Clone + std::fmt::Debug + Send + 'static {
     fn absorb(&mut self, other: Self);
 
     /// The exact cancelling updates that would remove every edge with
-    /// weight at or below `min_weight` (positive weights only), without
-    /// applying them, in canonical ascending `(a, b)` order. The sharded
-    /// compaction path journals these to the WAL *before* calling
-    /// [`evict_below`](Self::evict_below), so the two must agree on the
-    /// victim set.
+    /// weight at or below `min_weight`, without applying them, in canonical
+    /// ascending `(a, b)` order (`f64::INFINITY` lists every stored edge).
+    /// Compaction journals the list and applies it; see the
+    /// [module docs](self). A backend that stores no edges returns none.
     fn edges_below(&self, min_weight: f64) -> Vec<EdgeUpdate>;
 
-    /// Evicts every edge with weight at or below `min_weight` through
-    /// the ordinary update path, appending transitions to `events`.
-    fn evict_below(&mut self, min_weight: f64, events: &mut Vec<DenseEvent>) -> EvictionReport;
+    /// Returns memory held for state that no longer exists (the adjacency
+    /// capacity of vertices that decay and eviction left isolated) to the
+    /// allocator. Called at the end of a compaction pass; must change
+    /// nothing observable. The provided implementation does nothing.
+    fn reclaim_idle(&mut self) {}
 }
 
 /// A maintenance backend's identity and factory: everything the sharded
@@ -276,24 +313,16 @@ impl<D: DensityMeasure> MaintenanceEngine for DynDens<D> {
         DynDens::dense_subgraphs(self)
     }
 
-    fn output_dense_count(&mut self) -> usize {
-        DynDens::output_dense_count(self)
-    }
-
     fn top_stories(&mut self, k: usize) -> (Vec<(VertexSet, f64)>, usize) {
         DynDens::top_stories(self, k)
-    }
-
-    fn dense_count(&mut self) -> usize {
-        DynDens::dense_count(self)
     }
 
     fn validate(&mut self) -> Result<(), String> {
         DynDens::validate(self)
     }
 
-    fn graph(&self) -> &DynamicGraph {
-        DynDens::graph(self)
+    fn graph_size(&self) -> GraphSize {
+        GraphSize::of(&self.graph)
     }
 
     fn stats(&self) -> &EngineStats {
@@ -302,10 +331,6 @@ impl<D: DensityMeasure> MaintenanceEngine for DynDens<D> {
 
     fn adopt_stats(&mut self, stats: EngineStats) {
         DynDens::adopt_stats(self, stats);
-    }
-
-    fn set_recovering(&mut self, recovering: bool) {
-        DynDens::set_recovering(self, recovering);
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -324,8 +349,8 @@ impl<D: DensityMeasure> MaintenanceEngine for DynDens<D> {
         DynDens::edges_below(self, min_weight)
     }
 
-    fn evict_below(&mut self, min_weight: f64, events: &mut Vec<DenseEvent>) -> EvictionReport {
-        DynDens::evict_below(self, min_weight, events)
+    fn reclaim_idle(&mut self) {
+        self.graph.reclaim_isolated();
     }
 }
 
@@ -347,7 +372,7 @@ mod tests {
         let mut engine = blueprint.fresh();
         drive(&mut engine);
         engine.validate().unwrap();
-        assert!(MaintenanceEngine::output_dense_count(&mut engine) >= 4);
+        assert!(MaintenanceEngine::top_stories(&mut engine, 0).1 >= 4);
         assert_eq!(engine.stats().updates, 3);
 
         // Snapshot/restore round-trips byte-stably through the blueprint.

@@ -25,7 +25,7 @@
 //!                         bit2 degree_prioritize)
 //!   family    threshold f64 | delta_it f64      (current, post-adjustment)
 //!   epoch     u64
-//!   stats     13 × u64                           (EngineStats field order)
+//!   stats     13 × u64                           (EngineStats::COUNTERS order)
 //!   graph     vertex_count u64 | edge_count u64
 //!             | edge_count × (a u32 | b u32 | w f64)   (sorted by (a, b))
 //!   index     subgraph_count u64
@@ -136,39 +136,7 @@ impl<D: DensityMeasure> DynDens<D> {
 
         put_u64(&mut buf, self.epoch);
 
-        // Stats: destructured so a new counter cannot be forgotten here.
-        let EngineStats {
-            updates,
-            positive_updates,
-            negative_updates,
-            explorations,
-            cheap_explorations,
-            candidates_examined,
-            subgraphs_inserted,
-            subgraphs_evicted,
-            explore_all_invocations,
-            star_markers_created,
-            star_markers_removed,
-            max_explore_skips,
-            degree_prioritize_skips,
-        } = self.stats;
-        for counter in [
-            updates,
-            positive_updates,
-            negative_updates,
-            explorations,
-            cheap_explorations,
-            candidates_examined,
-            subgraphs_inserted,
-            subgraphs_evicted,
-            explore_all_invocations,
-            star_markers_created,
-            star_markers_removed,
-            max_explore_skips,
-            degree_prioritize_skips,
-        ] {
-            put_u64(&mut buf, counter);
-        }
+        self.stats.put_counters(&mut buf);
 
         // Graph: edges in canonical (a, b) order — the order `edges()` has by
         // construction — so snapshots of equal state are byte-identical
@@ -260,42 +228,7 @@ impl<D: DensityMeasure> DynDens<D> {
 
         let epoch = r.u64()?;
 
-        let mut stats = EngineStats::default();
-        // Same destructuring discipline as the writer.
-        {
-            let EngineStats {
-                updates,
-                positive_updates,
-                negative_updates,
-                explorations,
-                cheap_explorations,
-                candidates_examined,
-                subgraphs_inserted,
-                subgraphs_evicted,
-                explore_all_invocations,
-                star_markers_created,
-                star_markers_removed,
-                max_explore_skips,
-                degree_prioritize_skips,
-            } = &mut stats;
-            for counter in [
-                updates,
-                positive_updates,
-                negative_updates,
-                explorations,
-                cheap_explorations,
-                candidates_examined,
-                subgraphs_inserted,
-                subgraphs_evicted,
-                explore_all_invocations,
-                star_markers_created,
-                star_markers_removed,
-                max_explore_skips,
-                degree_prioritize_skips,
-            ] {
-                *counter = r.u64()?;
-            }
-        }
+        let stats = EngineStats::read_counters(&mut r)?;
 
         // Graph.
         let vertex_count = r.u64()? as usize;
@@ -368,7 +301,6 @@ impl<D: DensityMeasure> DynDens<D> {
             index,
             epoch,
             stats,
-            recovering: false,
             scratch: Default::default(),
         })
     }
@@ -453,30 +385,6 @@ mod tests {
         assert_bit_identical(&original, &restored);
         // Continued snapshots agree byte-for-byte as well.
         assert_eq!(original.snapshot(), restored.snapshot());
-    }
-
-    #[test]
-    fn recovering_flag_suppresses_stats_but_not_state() {
-        let mut engine = busy_engine();
-        let stats_before = engine.stats().clone();
-        engine.set_recovering(true);
-        assert!(engine.is_recovering());
-        engine.apply_update(update(0, 1, 0.15));
-        assert_eq!(engine.stats(), &stats_before, "replay must not count");
-        engine.set_recovering(false);
-
-        // The maintenance state still moved: an uninterrupted engine that
-        // counted the update agrees on the dense set.
-        let mut reference = busy_engine();
-        reference.apply_update(update(0, 1, 0.15));
-        let mut a = engine.dense_subgraphs();
-        let mut b = reference.dense_subgraphs();
-        a.sort_by(|x, y| x.0.cmp(&y.0));
-        b.sort_by(|x, y| x.0.cmp(&y.0));
-        assert_eq!(a, b);
-        // And counting resumes once the flag is cleared.
-        engine.apply_update(update(0, 1, 0.01));
-        assert_eq!(engine.stats().updates, stats_before.updates + 1);
     }
 
     #[test]

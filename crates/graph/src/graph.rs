@@ -293,6 +293,18 @@ impl DynamicGraph {
         })
     }
 
+    /// The eviction victim list for a weight floor: one cancelling update
+    /// `(a, b, -w)` per edge whose weight `w` is at or below `min_weight`, in
+    /// the ascending `(a, b)` order of [`edges`](Self::edges). Applying the
+    /// list removes exactly those edges. This is the only definition of the
+    /// victim set; every graph-backed engine's `edges_below` is this call.
+    pub fn edges_below(&self, min_weight: f64) -> Vec<EdgeUpdate> {
+        self.edges()
+            .filter(|&(_, _, w)| w <= min_weight)
+            .map(|(a, b, w)| EdgeUpdate::new(a, b, -w))
+            .collect()
+    }
+
     /// Releases the heap capacity held by the adjacency lists of isolated
     /// vertices (degree zero), returning how many vertices are currently
     /// isolated.

@@ -110,9 +110,10 @@
 //! ## Bounded state
 //!
 //! On decaying workloads, [`ShardedDynDens::compact_below`] reclaims what
-//! decay has abandoned: each worker evicts fully-decayed edges through the
-//! ordinary WAL-logged update path
-//! ([`DynDens::evict_below`](dyndens_core::DynDens::evict_below)), then
+//! decay has abandoned: each worker journals the cancelling updates of its
+//! fully-decayed edges
+//! ([`MaintenanceEngine::edges_below`](dyndens_core::MaintenanceEngine::edges_below))
+//! to the WAL, applies that list through the ordinary update path, then
 //! checkpoints and prunes the WAL segments wholly behind the checkpoint.
 //! Together with shard merging this keeps a forever-run's memory and disk
 //! footprint proportional to the *live* story set, not the stream's history

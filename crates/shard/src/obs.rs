@@ -13,43 +13,6 @@ use std::time::Duration;
 use dyndens_core::EngineStats;
 use dyndens_obs::{names, Counter, Gauge, Histogram, ObsEvent, Registry};
 
-/// One row of the engine-gauge table: a metric name plus the `EngineStats`
-/// field it mirrors.
-type EngineGaugeRow = (&'static str, fn(&EngineStats) -> u64);
-
-/// Per-shard gauges mirroring every [`EngineStats`] counter into the
-/// registry, name-for-name. Destructuring in `set_from` would not survive a
-/// field addition silently, so the table is the single list to extend.
-const ENGINE_GAUGES: &[EngineGaugeRow] = &[
-    ("dyndens_engine_updates", |s| s.updates),
-    ("dyndens_engine_positive_updates", |s| s.positive_updates),
-    ("dyndens_engine_negative_updates", |s| s.negative_updates),
-    ("dyndens_engine_explorations", |s| s.explorations),
-    ("dyndens_engine_cheap_explorations", |s| {
-        s.cheap_explorations
-    }),
-    ("dyndens_engine_candidates_examined", |s| {
-        s.candidates_examined
-    }),
-    ("dyndens_engine_subgraphs_inserted", |s| {
-        s.subgraphs_inserted
-    }),
-    ("dyndens_engine_subgraphs_evicted", |s| s.subgraphs_evicted),
-    ("dyndens_engine_explore_all_invocations", |s| {
-        s.explore_all_invocations
-    }),
-    ("dyndens_engine_star_markers_created", |s| {
-        s.star_markers_created
-    }),
-    ("dyndens_engine_star_markers_removed", |s| {
-        s.star_markers_removed
-    }),
-    ("dyndens_engine_max_explore_skips", |s| s.max_explore_skips),
-    ("dyndens_engine_degree_prioritize_skips", |s| {
-        s.degree_prioritize_skips
-    }),
-];
-
 /// A worker's pre-registered handles: batch/apply metrics plus the engine
 /// gauge block. Rebuilt (cheaply) if a merge renumbers the worker's slot.
 #[derive(Debug)]
@@ -82,9 +45,10 @@ impl ShardObs {
             checkpoints: registry.counter(names::CHECKPOINTS_TOTAL, labels),
             checkpoint_us: registry.histogram(names::CHECKPOINT_LATENCY_US, labels),
             checkpoint_bytes: registry.gauge(names::CHECKPOINT_BYTES, labels),
-            engine_gauges: ENGINE_GAUGES
+            // One gauge per ledger counter, named after it.
+            engine_gauges: EngineStats::COUNTERS
                 .iter()
-                .map(|(name, _)| registry.gauge(name, labels))
+                .map(|(name, ..)| registry.gauge(&format!("dyndens_engine_{name}"), labels))
                 .collect(),
         }
     }
@@ -121,8 +85,8 @@ impl ShardObs {
 
     /// Mirrors the engine's merged-ready counters into per-shard gauges.
     pub(crate) fn set_engine_gauges(&self, stats: &EngineStats) {
-        for ((_, extract), gauge) in ENGINE_GAUGES.iter().zip(&self.engine_gauges) {
-            gauge.set(extract(stats));
+        for ((_, get, _), gauge) in EngineStats::COUNTERS.iter().zip(&self.engine_gauges) {
+            gauge.set(get(stats));
         }
     }
 }

@@ -75,6 +75,7 @@
 //! [`Rebalancer`] drives both directions from policy: hot slots split, cold
 //! sibling pairs merge.
 
+use std::borrow::Cow;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, SyncSender};
@@ -865,46 +866,49 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     }
 
     /// Phase 3: the sources at their quiesce points (recovered from disk
-    /// when persistent, clones of the live engines otherwise), transformed
-    /// into the targets. Returns the target engines in plan order plus the
-    /// recovery's `(snapshot_seq, replayed_updates)`.
+    /// when persistent, the live engines otherwise), transformed into the
+    /// targets. Returns the target engines in plan order plus the recovery's
+    /// `(snapshot_seq, replayed_updates)`.
     #[allow(clippy::type_complexity)]
     fn rebuild(
         &self,
         plan: &ReshapePlan,
         source_seqs: &[u64],
     ) -> Result<(Vec<B::Engine>, u64, u64), RebalanceError> {
+        let split = plan.targets.len() == 2;
+        let kept = plan.targets[0].slot;
         let mut ledger = EngineStats::default();
         let (mut snapshot_seq, mut replayed) = (0, 0);
-        let mut sources = Vec::with_capacity(plan.sources.len());
+        let mut targets: Vec<B::Engine> = Vec::with_capacity(plan.targets.len());
         for (seat, &seq) in plan.sources.iter().zip(source_seqs) {
             let live = self.engines[seat.slot]
                 .lock()
                 .expect("shard engine poisoned");
             ledger.merge(live.stats());
-            sources.push(match &self.persistence {
+            let source = match &self.persistence {
                 Some(p) => {
                     let rec = self.recover_at(p, *seat, seq)?;
                     snapshot_seq += rec.report.snapshot_seq;
                     replayed += rec.report.replayed_updates;
-                    rec.engine
+                    Cow::Owned(rec.engine)
                 }
-                None => live.clone(),
-            });
-        }
-        let mut sources = sources.into_iter();
-        let first = sources.next().expect("a reshape has a source");
-        let mut targets = if plan.targets.len() == 2 {
-            let kept = plan.targets[0].slot;
-            let (zero, one) = first.partition_by(&mut |v| plan.map.route(v) == kept);
-            vec![zero, one]
-        } else {
-            let mut merged = first;
-            for sibling in sources {
-                merged.absorb(sibling);
+                None => Cow::Borrowed(&*live),
+            };
+            if split {
+                // `partition_by` borrows: an in-memory split reads the live
+                // engine through its guard, no copy.
+                let (zero, one) = source.partition_by(&mut |v| plan.map.route(v) == kept);
+                targets.extend([zero, one]);
+            } else {
+                // `absorb` consumes: a merge clones a live source, which
+                // must stay intact for an abort.
+                let source = source.into_owned();
+                match targets.first_mut() {
+                    Some(merged) => merged.absorb(source),
+                    None => targets.push(source),
+                }
             }
-            vec![merged]
-        };
+        }
         // The ledger survives exactly: recovery replay counted nothing (and
         // restored checkpoint-time counters), so the first target adopts the
         // sources' live counters wholesale and any other starts at zero.

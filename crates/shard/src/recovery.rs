@@ -11,9 +11,10 @@
 //!
 //! Recovery is `latest valid snapshot + WAL tail`: restore the engine from
 //! the newest snapshot that parses (falling back to older retained ones),
-//! then replay every WAL record past the snapshot's sequence number with the
-//! engine's `recovering` flag set, so the replayed work rebuilds the exact
-//! maintenance state without double-counting into [`EngineStats`](dyndens_core::EngineStats). Because
+//! then replay every WAL record past the snapshot's sequence number and hand
+//! the restored [`EngineStats`](dyndens_core::EngineStats) back to the
+//! engine, so the replayed work rebuilds the exact maintenance state without
+//! being counted a second time. Because
 //! the engine's update processing is canonicalised (see
 //! `dyndens_core::snapshot`), the recovered state is **bit-identical** to an
 //! engine that never crashed.
@@ -448,13 +449,14 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
     let mut segment_meta: Vec<(u64, u64)> = Vec::new();
     let mut replayed = 0u64;
     let mut repaired_torn_tail = false;
-    engine.set_recovering(true);
+    // The replayed updates were counted before the crash and the restored
+    // ledger already carries them: replay, then put the ledger back.
+    let ledger = engine.stats().clone();
     let mut events = Vec::new();
     for (i, (no, path)) in segments.iter().enumerate() {
         let scan = wal::scan_segment(path)?;
         if !scan.clean {
             if i + 1 != segments.len() {
-                engine.set_recovering(false);
                 return Err(RecoveryError::CorruptWal { segment: *no });
             }
             // Torn tail of the final segment: the batch was never
@@ -467,7 +469,6 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
         segment_meta.push((*no, scan.records.first().map_or(seq, |r| r.first_seq)));
         for record in scan.records {
             if record.first_seq > seq {
-                engine.set_recovering(false);
                 if let Some(e) = last_snapshot_error.take() {
                     // The gap exists because we fell back past a damaged
                     // snapshot; surface the root cause.
@@ -490,7 +491,7 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
             }
         }
     }
-    engine.set_recovering(false);
+    engine.adopt_stats(ledger);
 
     // 3. Continue the log in a fresh segment (old segments stay immutable).
     let wal = WalWriter::open(
@@ -553,7 +554,7 @@ mod tests {
     }
 
     /// The engine's snapshot with the stats section zeroed: recovery replays
-    /// with stat accumulation suppressed (by design — replayed updates were
+    /// and puts the restored ledger back (by design — replayed updates were
     /// already counted before the crash), so equivalence to an uninterrupted
     /// engine is over the maintenance state, not the work ledger.
     fn state_image(engine: &DynDens<AvgWeight>) -> Vec<u8> {

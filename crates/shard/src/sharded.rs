@@ -337,9 +337,9 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// still match the manifest's *base* parameters — see
     /// [`RecoveryError::ManifestMismatch`].
     ///
-    /// Recovery replays with the engine's `recovering` flag set, so replayed
-    /// updates do not inflate [`EngineStats`]; the recovered maintenance
-    /// state is bit-identical to a deployment that never crashed. Details of
+    /// Recovery hands each engine its restored ledger back after the replay,
+    /// so replayed updates do not inflate [`EngineStats`]; the recovered
+    /// maintenance state is bit-identical to a deployment that never crashed. Details of
     /// what was recovered are available via
     /// [`recovery_reports`](Self::recovery_reports).
     pub fn with_backend_persistence(
@@ -606,12 +606,12 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         }
     }
 
-    /// Runs a compaction pass on every shard: evicts engine edges whose
-    /// weight has decayed to `min_weight` or below (through the ordinary
-    /// update path, WAL-logged first — see
-    /// [`DynDens::evict_below`](dyndens_core::DynDens::evict_below)), then
-    /// forces a checkpoint on each shard and prunes the WAL segments wholly
-    /// behind it. Returns the total number of edges evicted.
+    /// Runs a compaction pass on every shard: journals the cancelling updates
+    /// of every engine edge whose weight has decayed to `min_weight` or below
+    /// ([`MaintenanceEngine::edges_below`]) to the WAL, applies that list
+    /// through the ordinary update path, then forces a checkpoint on each
+    /// shard and prunes the WAL segments wholly behind it. Returns the total
+    /// number of edges evicted.
     ///
     /// The pass is serialised with each shard's stream at the point the
     /// message reaches its queue, so it is safe to call concurrently with
@@ -652,34 +652,29 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         StoryView::new(Arc::clone(&self.roster), self.config.top_k)
     }
 
+    /// The authoritative read path: flushes, so every routed update is
+    /// applied, then reads each shard's engine under its lock, in slot order.
+    fn read_engines<T>(&self, mut read: impl FnMut(&mut B::Engine) -> T) -> Vec<T> {
+        self.flush();
+        self.engines
+            .iter()
+            .map(|e| read(&mut e.lock().expect("shard engine poisoned")))
+            .collect()
+    }
+
     /// The merged cumulative work counters of all shards (flushes first, so
     /// the ledger covers every routed update). The ledger is preserved
     /// exactly across splits: the child that keeps the parent's slot adopts
     /// the parent's counters and rebuild replay counts nothing.
     pub fn stats(&self) -> EngineStats {
-        self.flush();
-        let guards: Vec<_> = self
-            .engines
-            .iter()
-            .map(|e| e.lock().expect("shard engine poisoned"))
-            .collect();
-        EngineStats::merged(guards.iter().map(|g| g.stats()))
+        EngineStats::merged(&self.read_engines(|e| e.stats().clone()))
     }
 
     /// The authoritative union of the shards' output-dense subgraphs
     /// (flushes first). Order is unspecified; sort for comparisons.
     pub fn output_dense(&self) -> Vec<(VertexSet, f64)> {
-        self.flush();
-        let mut out = Vec::new();
-        for engine in &self.engines {
-            out.extend(
-                engine
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .output_dense_subgraphs(),
-            );
-        }
-        out
+        let per_shard = self.read_engines(|e| e.output_dense_subgraphs());
+        per_shard.into_iter().flatten().collect()
     }
 
     /// The authoritative union of the shards' maintained (dense) subgraphs
@@ -688,92 +683,43 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// [`output_dense`](Self::output_dense) — the quantity the crash
     /// recovery and split equivalence tests compare bit-for-bit.
     pub fn dense_subgraphs(&self) -> Vec<(VertexSet, f64)> {
-        self.flush();
-        let mut out = Vec::new();
-        for engine in &self.engines {
-            out.extend(
-                engine
-                    .lock()
-                    .expect("shard engine poisoned")
-                    .dense_subgraphs(),
-            );
-        }
-        out
+        let per_shard = self.read_engines(|e| e.dense_subgraphs());
+        per_shard.into_iter().flatten().collect()
     }
 
     /// The fleet's vertex universe: the maximum
-    /// [`DynamicGraph::vertex_count`](dyndens_graph::DynamicGraph::vertex_count)
-    /// over all shards (vertex ids are global — each shard's graph grows to
-    /// the highest id it has seen). Flushes first. Used by ingest-side
-    /// recovery to cross-check that its id-assigning state (e.g. the story
-    /// pipeline's entity registry) covers every vertex the engines
-    /// reference.
+    /// [`GraphSize::vertices`](dyndens_core::GraphSize::vertices) over all
+    /// shards (vertex ids are global — each shard's graph grows to the
+    /// highest id it has seen). Flushes first. Used by ingest-side recovery
+    /// to cross-check that its id-assigning state (e.g. the story pipeline's
+    /// entity registry) covers every vertex the engines reference.
     pub fn vertex_universe(&self) -> usize {
-        self.flush();
-        self.engines
-            .iter()
-            .map(|e| {
-                e.lock()
-                    .expect("shard engine poisoned")
-                    .graph()
-                    .vertex_count()
-            })
-            .max()
-            .unwrap_or(0)
+        let sizes = self.read_engines(|e| e.graph_size().vertices);
+        sizes.into_iter().max().unwrap_or(0)
     }
 
-    /// Number of live (positive-weight) edges across all shards (flushes
+    /// Number of live (non-zero-weight) edges across all shards (flushes
     /// first). The primary gauge of resident state for bounded-state
     /// operation: on a decaying workload this should plateau once
     /// [`compact_below`](Self::compact_below) runs on a cadence — see
     /// `docs/RETENTION.md`.
     pub fn edge_count(&self) -> usize {
-        self.flush();
-        self.engines
-            .iter()
-            .map(|e| {
-                e.lock()
-                    .expect("shard engine poisoned")
-                    .graph()
-                    .edge_count()
-            })
-            .sum()
+        self.read_engines(|e| e.graph_size().edges).iter().sum()
     }
 
     /// Number of output-dense subgraphs across all shards (flushes first).
     pub fn output_dense_count(&self) -> usize {
-        self.flush();
-        self.engines
-            .iter()
-            .map(|e| {
-                e.lock()
-                    .expect("shard engine poisoned")
-                    .output_dense_count()
-            })
-            .sum()
+        self.read_engines(|e| e.top_stories(0).1).iter().sum()
     }
 
-    /// Number of maintained (dense) subgraphs across all shards (flushes
-    /// first).
-    pub fn dense_count(&self) -> usize {
-        self.flush();
-        self.engines
-            .iter()
-            .map(|e| e.lock().expect("shard engine poisoned").dense_count())
-            .sum()
-    }
-
-    /// Runs each shard engine's internal consistency check (flushes first).
+    /// Runs each shard engine's internal consistency check (flushes first),
+    /// returning the first violation in slot order.
     pub fn validate(&self) -> Result<(), String> {
-        self.flush();
-        for (shard, engine) in self.engines.iter().enumerate() {
-            engine
-                .lock()
-                .expect("shard engine poisoned")
-                .validate()
-                .map_err(|e| format!("shard {shard}: {e}"))?;
-        }
-        Ok(())
+        let checks = self.read_engines(|e| e.validate());
+        checks
+            .into_iter()
+            .enumerate()
+            .try_for_each(|(shard, check)| check.map_err(|e| format!("shard {shard}: {e}")))
     }
 }
 
@@ -876,7 +822,7 @@ mod tests {
         got.sort();
         assert_eq!(got, want);
         assert_eq!(sharded.stats(), reference.stats().clone());
-        assert_eq!(sharded.dense_count(), reference.dense_count());
+        assert_eq!(sharded.dense_subgraphs().len(), reference.dense_count());
     }
 
     #[test]
@@ -950,7 +896,7 @@ mod tests {
         // Each 3-clique contributes 3 pairs + 1 triangle.
         assert_eq!(got.len(), 8);
         assert_eq!(sharded.output_dense_count(), 8);
-        assert!(sharded.dense_count() >= 8);
+        assert!(sharded.dense_subgraphs().len() >= 8);
         let stats = sharded.stats();
         assert_eq!(stats.updates, updates.len() as u64);
 

@@ -25,9 +25,11 @@ pub(crate) enum WorkerMsg {
     /// Acknowledge once every previously sent update has been applied and its
     /// snapshot published.
     Flush(Sender<()>),
-    /// Evict every engine edge with weight at or below `min_weight` (WAL-logged
-    /// like ordinary updates), force a checkpoint, prune the WAL behind it,
-    /// and acknowledge with the number of edges evicted.
+    /// Cancel every engine edge with weight at or below `min_weight`: journal
+    /// [`MaintenanceEngine::edges_below`] to the WAL, apply that list through
+    /// [`MaintenanceEngine::apply_update_into`], then
+    /// [`MaintenanceEngine::reclaim_idle`], force a checkpoint, prune the WAL
+    /// behind it, and acknowledge with the number of edges evicted.
     Compact {
         /// The eviction floor handed to [`MaintenanceEngine::edges_below`].
         min_weight: f64,
@@ -69,6 +71,32 @@ impl WorkerPersistence {
             snapshot_every: p.snapshot_every_batches,
             retained: p.retained_snapshots,
             batches_since_snapshot: 0,
+        }
+    }
+
+    /// Writes the engine image `bytes` taken at `seq` as the shard's newest
+    /// checkpoint, then rotates the WAL and prunes the segments wholly behind
+    /// the oldest retained one. A failed checkpoint is not fatal: the WAL
+    /// still covers the whole history since the last good one, and the
+    /// cadence counter is only reset on success, so the next micro-batch
+    /// retries.
+    fn checkpoint(&mut self, obs: Option<&ShardObs>, shard: usize, seq: u64, bytes: &[u8]) {
+        let started = Instant::now();
+        match recovery::write_snapshot(&self.dir, seq, bytes, self.retained) {
+            Ok(oldest_retained) => {
+                self.batches_since_snapshot = 0;
+                if let Some(o) = obs {
+                    o.record_checkpoint(seq, bytes.len() as u64, started.elapsed());
+                }
+                if let Err(e) = self
+                    .wal
+                    .rotate(seq)
+                    .and_then(|()| self.wal.prune_to(oldest_retained))
+                {
+                    eprintln!("shard {shard}: WAL rotate/prune failed: {e}");
+                }
+            }
+            Err(e) => eprintln!("shard {shard}: checkpoint write failed: {e}"),
         }
     }
 }
@@ -209,34 +237,16 @@ pub(crate) fn run<E: MaintenanceEngine>(
                 o.set_engine_gauges(&published.stats);
             }
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
-                // A failed checkpoint is not fatal: the WAL still covers the
-                // whole history since the last good snapshot.
-                let ckpt_started = obs.as_ref().map(|_| Instant::now());
-                match recovery::write_snapshot(&p.dir, seq, &bytes, p.retained) {
-                    Ok(oldest_retained) => {
-                        p.batches_since_snapshot = 0;
-                        if let (Some(o), Some(t)) = (obs.as_ref(), ckpt_started) {
-                            o.record_checkpoint(seq, bytes.len() as u64, t.elapsed());
-                        }
-                        if let Err(e) = p
-                            .wal
-                            .rotate(seq)
-                            .and_then(|()| p.wal.prune_to(oldest_retained))
-                        {
-                            eprintln!("shard {shard}: WAL rotate/prune failed: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("shard {shard}: snapshot write failed: {e}"),
-                }
+                p.checkpoint(obs.as_ref(), shard, seq, &bytes);
             }
         }
         if let Some(Control::Compact { min_weight, ack }) = &control {
-            // A compaction pass: evict decayed-out edges through the normal
-            // update path (WAL first, so crash replay reproduces the
-            // eviction bit-for-bit), then checkpoint unconditionally and
-            // prune the WAL behind the checkpoint — the "fold evicted state
-            // out of the snapshot, truncate the log" half of bounded-state
-            // operation.
+            // A compaction pass: the decayed-out edges' cancelling updates go
+            // to the WAL and then, the same slice, through the update path —
+            // which is what crash replay runs on those records. Then
+            // checkpoint unconditionally and prune the WAL behind the
+            // checkpoint — the "fold evicted state out of the snapshot,
+            // truncate the log" half of bounded-state operation.
             let delta_base_seq = seq;
             let (snapshot, checkpoint, evicted) = {
                 let mut guard = engine.lock().expect("shard engine poisoned");
@@ -248,36 +258,22 @@ pub(crate) fn run<E: MaintenanceEngine>(
                             .unwrap_or_else(|e| panic!("shard {shard}: WAL append failed: {e}"));
                     }
                 }
-                let report = guard.evict_below(*min_weight, &mut events);
-                debug_assert_eq!(report.edges_evicted as usize, victims.len());
-                seq += report.edges_evicted;
+                for &update in &victims {
+                    guard.apply_update_into(update, &mut events);
+                }
+                guard.reclaim_idle();
+                seq += victims.len() as u64;
                 let checkpoint = persist.is_some().then(|| guard.snapshot());
                 let delta = take_events(&mut events, &no_events);
                 (
                     build_snapshot(shard, &mut *guard, seq, delta_base_seq, delta, top_k),
                     checkpoint,
-                    report.edges_evicted,
+                    victims.len() as u64,
                 )
             };
             publish(snapshot, &ring, &cell);
             if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
-                let ckpt_started = obs.as_ref().map(|_| Instant::now());
-                match recovery::write_snapshot(&p.dir, seq, &bytes, p.retained) {
-                    Ok(oldest_retained) => {
-                        p.batches_since_snapshot = 0;
-                        if let (Some(o), Some(t)) = (obs.as_ref(), ckpt_started) {
-                            o.record_checkpoint(seq, bytes.len() as u64, t.elapsed());
-                        }
-                        if let Err(e) = p
-                            .wal
-                            .rotate(seq)
-                            .and_then(|()| p.wal.prune_to(oldest_retained))
-                        {
-                            eprintln!("shard {shard}: WAL rotate/prune failed: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("shard {shard}: compaction checkpoint failed: {e}"),
-                }
+                p.checkpoint(obs.as_ref(), shard, seq, &bytes);
             }
             // A dropped compaction waiter is not an error.
             let _ = ack.send(evicted);

@@ -1,5 +1,5 @@
 //! Property tests over the [`MaintenanceEngine`] seam itself: for random
-//! small update streams, **every** pluggable backend must honour the two
+//! small update streams, **every** pluggable backend must honour the four
 //! contracts the sharded subsystem leans on —
 //!
 //! 1. `snapshot` → `restore` → `snapshot` reproduces the same bytes
@@ -7,7 +7,15 @@
 //!    to the original;
 //! 2. `partition_by` followed by `absorb` is the identity on graph weight
 //!    bits and on every maintained subgraph's score bits (the invariant the
-//!    WAL-journaled rebalance commit protocol assumes).
+//!    WAL-journaled rebalance commit protocol assumes);
+//! 3. *uncounted replay*: restore a snapshot taken at a prefix, replay the
+//!    suffix and adopt the restored ledger back — what `recover_shard` does —
+//!    and the ledger is the snapshot's while the maintained score bits and
+//!    the snapshot bytes (ledger aside) are the uninterrupted engine's;
+//! 4. *eviction is streamed cancellation*: applying `edges_below(w)` through
+//!    `apply_update_into` — what a compaction pass does — leaves the engine
+//!    byte-identical to a twin that received the same cancelling updates as
+//!    stream input, with nothing left at or below `w`.
 //!
 //! The suites above (`sharded_equivalence`, `wal_replay`,
 //! `rebalance_equivalence`) check these contracts through full deployments
@@ -96,11 +104,27 @@ fn realize(raw: &[(u32, u32, usize)], align: Option<u32>) -> Vec<EdgeUpdate> {
     updates
 }
 
-/// The graph's full weight state with weights as raw bits, sorted.
-fn graph_bits(graph: &DynamicGraph) -> Vec<(VertexId, VertexId, u64)> {
-    let mut edges: Vec<_> = graph.edges().map(|(a, b, w)| (a, b, w.to_bits())).collect();
-    edges.sort_unstable();
+/// The engine's full weight state read through the seam: every stored edge's
+/// cancelling update carries its endpoints and its (negated) weight's bits,
+/// in canonical order.
+fn graph_bits<E: MaintenanceEngine>(engine: &E) -> Vec<(VertexId, VertexId, u64)> {
+    let edges = engine.edges_below(f64::INFINITY);
+    assert!(edges
+        .windows(2)
+        .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b)));
     edges
+        .into_iter()
+        .map(|u| (u.a, u.b, u.delta.to_bits()))
+        .collect()
+}
+
+/// Applies `updates` the way every deployment path does.
+fn ingest<E: MaintenanceEngine>(engine: &mut E, updates: &[EdgeUpdate]) {
+    let mut sink = Vec::new();
+    for u in updates {
+        engine.apply_update_into(*u, &mut sink);
+        sink.clear();
+    }
 }
 
 /// The maintained family with scores as raw bits, sorted by vertex set.
@@ -108,18 +132,14 @@ fn answer_bits<E: MaintenanceEngine>(engine: &mut E) -> Vec<(VertexSet, u64)> {
     support::sorted_bits(engine.dense_subgraphs())
 }
 
-/// Runs both seam contracts for one backend on one stream.
+/// Runs the seam contracts for one backend on one stream.
 fn check_seam<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], split: u32) {
     let mut engine = blueprint.fresh();
-    let mut sink = Vec::new();
-    for u in updates {
-        engine.apply_update_into(*u, &mut sink);
-        sink.clear();
-    }
+    ingest(&mut engine, updates);
     engine.validate().unwrap_or_else(|e| {
         panic!("{}: engine invalid after ingest: {e}", blueprint.kind());
     });
-    let want_graph = graph_bits(engine.graph());
+    let want_graph = graph_bits(&engine);
     let want_answer = answer_bits(&mut engine);
     let want_updates = engine.stats().updates;
 
@@ -136,7 +156,7 @@ fn check_seam<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], split: 
         blueprint.kind()
     );
     assert_eq!(
-        graph_bits(restored.graph()),
+        graph_bits(&restored),
         want_graph,
         "{}: restored graph weight bits diverge",
         blueprint.kind()
@@ -158,7 +178,7 @@ fn check_seam<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], split: 
     let (mut kept, other) = engine.partition_by(&mut |v| v.0 < split);
     kept.absorb(other);
     assert_eq!(
-        graph_bits(kept.graph()),
+        graph_bits(&kept),
         want_graph,
         "{}: partition_by + absorb changed graph weight bits",
         blueprint.kind()
@@ -171,6 +191,69 @@ fn check_seam<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], split: 
     );
     kept.validate().unwrap_or_else(|e| {
         panic!("{}: reunited engine invalid: {e}", blueprint.kind());
+    });
+
+    // Contract 3: uncounted replay. The cut runs over the whole stream,
+    // both ends included, as `split` runs over the universe.
+    let cut = updates.len() * split as usize / N_VERTICES as usize;
+    let mut prefix = blueprint.fresh();
+    ingest(&mut prefix, &updates[..cut]);
+    let mut replayed = blueprint
+        .restore(&prefix.snapshot())
+        .unwrap_or_else(|e| panic!("{}: restore at {cut} failed: {e}", blueprint.kind()));
+    let ledger = replayed.stats().clone();
+    ingest(&mut replayed, &updates[cut..]);
+    replayed.adopt_stats(ledger);
+    assert_eq!(
+        replayed.stats(),
+        prefix.stats(),
+        "{}: replay from {cut} leaked into the ledger",
+        blueprint.kind()
+    );
+    assert_eq!(
+        answer_bits(&mut replayed),
+        want_answer,
+        "{}: replay from {cut} changed maintained score bits",
+        blueprint.kind()
+    );
+    let mut uninterrupted = engine.clone();
+    uninterrupted.adopt_stats(prefix.stats().clone());
+    assert_eq!(
+        replayed.snapshot(),
+        uninterrupted.snapshot(),
+        "{}: replay from {cut} changed snapshot bytes beyond the ledger",
+        blueprint.kind()
+    );
+
+    // Contract 4: eviction is streamed cancellation. The floor runs from
+    // "evicts nothing" past the heaviest weight these streams build.
+    let floor = 0.5 * split as f64;
+    let victims = engine.edges_below(floor);
+    let mut twin = blueprint.fresh();
+    ingest(&mut twin, updates);
+    ingest(&mut twin, &victims);
+    ingest(&mut engine, &victims);
+    assert_eq!(
+        engine.snapshot(),
+        twin.snapshot(),
+        "{}: evicting below {floor} is not the streamed cancellation",
+        blueprint.kind()
+    );
+    assert_eq!(
+        engine.edges_below(floor),
+        [],
+        "{}: edges at or below {floor} survived their eviction",
+        blueprint.kind()
+    );
+    engine.reclaim_idle();
+    assert_eq!(
+        engine.snapshot(),
+        twin.snapshot(),
+        "{}: reclaim_idle changed the engine",
+        blueprint.kind()
+    );
+    engine.validate().unwrap_or_else(|e| {
+        panic!("{}: engine invalid after eviction: {e}", blueprint.kind());
     });
 }
 

@@ -137,6 +137,114 @@ fn every_backend_recovers_bit_identically_after_a_crash() {
     });
 }
 
+/// One backend's compaction under a fleet and a kill: ingest, `compact_below`
+/// mid-stream, ingest on, drop without a final checkpoint, reopen, finish the
+/// stream. With `lose_checkpoint` the kill lands between the compaction's WAL
+/// append and its checkpoint (the newest snapshot of every shard is removed),
+/// so recovery replays the journaled victims instead of restoring past them.
+fn compaction_survives_a_kill<B: EngineBlueprint>(blueprint: &B, lose_checkpoint: bool) {
+    const FLOOR: f64 = 0.6;
+    let updates = support::backend_stream();
+    let (head, rest) = updates.split_at(updates.len() / 4);
+    let (middle, tail) = rest.split_at(CHUNK);
+    let sorted_dense = |fleet: &ShardedFleet<B>| support::sorted_bits(fleet.dense_subgraphs());
+
+    let mut never_killed = ShardedFleet::with_backend(blueprint.clone(), shard_config(2));
+    never_killed.apply_batch(head);
+    let evicted = never_killed.compact_below(FLOOR);
+    assert!(evicted > 0, "{}: nothing to compact", blueprint.kind());
+    never_killed.apply_batch(middle);
+    never_killed.apply_batch(tail);
+    never_killed.validate().unwrap();
+
+    let dir = temp_dir(&format!("walreplay-compact-{}", blueprint.kind()));
+    let open = || {
+        ShardedFleet::with_backend_persistence(
+            blueprint.clone(),
+            shard_config(2),
+            persistence(&dir),
+        )
+        .unwrap_or_else(|e| panic!("{}: open failed: {e}", blueprint.kind()))
+    };
+    {
+        let mut doomed = open();
+        doomed.apply_batch(&head[..CHUNK]);
+        // A first pass that evicts nothing but leaves a checkpoint (and the
+        // WAL from it on) for recovery to fall back to.
+        assert_eq!(doomed.compact_below(-1.0), 0);
+        doomed.apply_batch(&head[CHUNK..]);
+        assert_eq!(doomed.compact_below(FLOOR), evicted, "{}", blueprint.kind());
+        doomed.apply_batch(middle);
+        doomed.flush();
+    }
+    if lose_checkpoint {
+        for shard in std::fs::read_dir(&dir).unwrap() {
+            let shard = shard.unwrap().path();
+            if shard.is_dir() {
+                let snapshots = dyndens::shard::recovery::list_snapshots(&shard).unwrap();
+                assert!(
+                    snapshots.len() >= 2,
+                    "{}: nothing to fall back to",
+                    blueprint.kind()
+                );
+                std::fs::remove_file(&snapshots.last().unwrap().1).unwrap();
+            }
+        }
+    }
+    let mut recovered = open();
+    let replayed: u64 = recovered
+        .recovery_reports()
+        .iter()
+        .map(|r| r.replayed_updates)
+        .sum();
+    assert!(
+        !lose_checkpoint || replayed >= evicted,
+        "{}: the journaled victims were not replayed",
+        blueprint.kind()
+    );
+    recovered.apply_batch(tail);
+    recovered.validate().unwrap();
+    assert!(
+        sorted_dense(&recovered) == sorted_dense(&never_killed),
+        "{}: compaction + kill (checkpoint lost: {lose_checkpoint}) diverged",
+        blueprint.kind()
+    );
+    assert_eq!(recovered.edge_count(), never_killed.edge_count());
+    assert_eq!(
+        recovered.stats().updates + replayed,
+        (updates.len() as u64) + evicted,
+        "{}: replayed updates, journaled victims included, stay out of the ledger",
+        blueprint.kind()
+    );
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_backend_survives_a_kill_after_a_compaction() {
+    // Until now `compact_below` ran under a fleet for `dyndens` only; the
+    // baselines' eviction never did.
+    let config = engine_config();
+    support::for_each_backend(|backend| {
+        for lose_checkpoint in [false, true] {
+            match backend {
+                support::Backend::DynDens => compaction_survives_a_kill(
+                    &DynDensBlueprint::new(AvgWeight, config.clone()),
+                    lose_checkpoint,
+                ),
+                support::Backend::Recompute => compaction_survives_a_kill(
+                    &RecomputeBlueprint::new(AvgWeight, config.clone(), 1),
+                    lose_checkpoint,
+                ),
+                support::Backend::TopKPeeling => compaction_survives_a_kill(
+                    &TopKPeelingBlueprint::new(AvgWeight, config.clone(), 4),
+                    lose_checkpoint,
+                ),
+            }
+        }
+    });
+}
+
 #[test]
 fn recovered_stats_do_not_double_count_replayed_updates() {
     // The fleet ledger merges per-shard EngineStats; a recovered deployment
