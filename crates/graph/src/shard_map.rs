@@ -132,8 +132,8 @@ pub struct SplitSpec {
     pub slot: usize,
     /// The brand-new worker slot taken by the other child.
     pub new_slot: usize,
-    /// The retired parent's engine id (its directory holds the snapshot and
-    /// WAL slice the children are rebuilt from).
+    /// The retired parent's engine id (its directory is deleted once the
+    /// split commits).
     pub parent_engine: u64,
     /// Engine id of the child that keeps [`SplitSpec::slot`] (routing bit 0).
     pub child_zero_engine: u64,

@@ -113,7 +113,8 @@ pub enum ObsEvent {
         stage: RebalanceStage,
         /// Updates parked while routing was frozen (known at `Committed`).
         parked: u64,
-        /// WAL updates replayed into the children (known at `Committed`).
+        /// Always 0: a split partitions the live engine and replays no WAL.
+        /// Kept for wire compatibility.
         replayed: u64,
     },
     /// A phase transition of a live shard merge (enriched at `Committed`

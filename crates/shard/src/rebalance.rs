@@ -16,12 +16,13 @@
 //!  ──────────  ────────────────────────────────────  ────────────────────────────────────
 //!  1 park      routing[slot] := Parked               routing[a] := routing[b] := Parked
 //!              (other slots: untouched)              (one shared queue)
-//!  2 quiesce   flush + stop every source worker → each source's WAL is complete to
-//!              its quiesce sequence number S
+//!  2 quiesce   flush + stop every source worker → each source's engine and WAL are
+//!              complete to its quiesce sequence number S; the worker hands its WAL
+//!              writer back
 //!  3 rebuild   parent@S ─partition_by(new map)─►     child₀@S₀ ─absorb(child₁@S₁)─►
 //!              child₀ │ child₁                       merged
-//!              sources: recover_shard (newest checkpoint + WAL tail, seq-checked) when
-//!              persistent, clones of the live engines otherwise
+//!              sources: the quiesced live engines, for every deployment (a split
+//!              reads the parent through its lock; a merge absorbs clones)
 //!  4 persist   per target: directory, snapshot @ ΣS, fresh WAL; then ONE atomic MANIFEST
 //!              rewrite — the commit point
 //!  5 commit    install targets (fresh cell @ ΣS, empty delta ring, worker) and publish
@@ -31,8 +32,8 @@
 //!  6 drain     parked backlog re-routed, in arrival order, through the new map; routing
 //!              serves the new map; source directories retired
 //!  ──────────  ───────────────────────────────────────────────────────────────────────────
-//!  abort       any failure in 3–4: resurrect every source from its intact state and
-//!              drain the backlog through the *unchanged* map
+//!  abort       any failure in 4: respawn every source on its own engine, cell, ring
+//!              and handed-back WAL writer; drain the backlog through the *unchanged* map
 //! ```
 //!
 //! Only the source slots pause (updates routed to them park in an unbounded
@@ -52,34 +53,38 @@
 //! and [`MaintenanceEngine::absorb`] is its exact inverse, so reshaping
 //! mid-stream yields exactly the story sets of a fleet that never changed
 //! topology (`tests/rebalance_equivalence.rs`, and the oracle's rebalance
-//! leg on every backend). The work ledger is preserved too: rebuild replay
-//! counts nothing and the first target adopts the sources' live counters.
+//! leg on every backend). The work ledger is preserved too: the first target
+//! adopts the sources' live counters and any other starts at zero.
 //!
 //! ## Crash safety
 //!
-//! The manifest rewrite is the commit point. The targets' snapshots and WALs
-//! are durable *before* it; the sources' directories are retired *after* it.
-//! A crash before the rewrite recovers the sources (orphan target
+//! The in-memory engines are the maintained state; the disk only rebuilds
+//! them after a crash, so a reshape never reads it back. The manifest
+//! rewrite is the commit point. The targets' snapshots (at ΣS) and WALs are
+//! durable *before* it; the sources' directories are retired *after* it, and
+//! nothing reads them again. A crash before the rewrite recovers the sources
+//! through the ordinary open path, with every check it makes (orphan target
 //! directories are overwritten by the next attempt — engine ids are
 //! persisted in the manifest and never reused); a crash after recovers the
 //! targets.
 //!
 //! ## Failure containment
 //!
-//! If rebuilding or persisting fails (damaged snapshot, torn WAL, disk
-//! errors), every source is **resurrected** from its own state — complete up
-//! to the quiesce point — the parked backlog is drained to it unchanged, and
-//! the fleet continues with its old topology and the error reported. If
-//! resurrection fails too, the caller gets [`RebalanceError::Stranded`].
+//! Rebuilding cannot fail: it transforms engines already in memory. If
+//! persisting the targets fails (disk errors), every source is
+//! **resurrected** on the engine, cell, ring and WAL writer it stopped with
+//! — complete up to the quiesce point — the parked backlog is drained to it
+//! unchanged, and the fleet continues with its old topology and the error
+//! reported. A source worker that died before the reshape panics it, as it
+//! panics every other facade call.
 //!
 //! [`Rebalancer`] drives both directions from policy: hot slots split, cold
 //! sibling pairs merge.
 
-use std::borrow::Cow;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dyndens_core::{EngineBlueprint, EngineStats, MaintenanceEngine};
@@ -87,57 +92,26 @@ use dyndens_graph::{EdgeUpdate, ShardMap};
 use dyndens_obs::{names, ObsEvent, RebalanceStage};
 
 use crate::config::PersistenceConfig;
-use crate::recovery::{self, RecoveredShard, RecoveryError};
+use crate::recovery;
 use crate::sharded::{install_slot, spawn_worker, ShardSeed, ShardTx, ShardedFleet};
 use crate::view::ShardRoster;
 use crate::wal::WalWriter;
 use crate::worker::{WorkerMsg, WorkerPersistence};
 
-/// An error splitting or merging shards. Unless it is
-/// [`Stranded`](RebalanceError::Stranded), the fleet is left routing exactly
-/// as before the attempt: every quiesced shard was resurrected from its own
+/// An error splitting or merging shards. The fleet is left routing exactly
+/// as before the attempt: every quiesced shard was resurrected on its own
 /// state and the parked updates were applied.
 #[derive(Debug)]
 pub enum RebalanceError {
-    /// Filesystem failure while rebuilding or persisting the new shards.
+    /// Filesystem failure while persisting the new shards.
     Io(io::Error),
-    /// A quiesced shard's persisted state could not be read back (damaged
-    /// snapshot, corrupt WAL segment, …).
-    Recovery(RecoveryError),
     /// The slot does not name a live worker (or its route-trie leaf already
-    /// sits at the maximum split depth, or it is stranded).
+    /// sits at the maximum split depth).
     UnknownShard(usize),
     /// The two slots handed to a merge are not sibling leaves of the routing
     /// trie (only pairs produced by one split — see
     /// [`ShardMap::merge_candidates`] — can be merged).
     NotSiblings(usize, usize),
-    /// A quiesced shard's snapshot + WAL did not reach its quiesce point:
-    /// replay rebuilt state up to `found` but the worker had applied
-    /// `expected` updates. Indicates missing WAL records.
-    HistoryGap {
-        /// The shard's sequence number at quiesce.
-        expected: u64,
-        /// The sequence number replay actually reached.
-        found: u64,
-    },
-    /// A double fault: the attempt failed with `cause` **and** bringing the
-    /// quiesced shards back failed with `resurrection`. The listed slots
-    /// stay parked: updates routed to them are still accepted and accumulate
-    /// in memory (never applied or logged, so they are lost on restart),
-    /// every other shard keeps ingesting and serving, but nothing will ever
-    /// acknowledge for the parked slots — [`ShardedFleet::flush`] and every
-    /// authoritative read that flushes **block forever**. Drop the fleet and
-    /// reopen the deployment so recovery rebuilds the shards from disk; the
-    /// journal span of the attempt stays open, ending in a repeated `Parked`
-    /// record.
-    Stranded {
-        /// The worker slots left parked.
-        slots: Vec<usize>,
-        /// Why the split or merge aborted.
-        cause: Box<RebalanceError>,
-        /// Why the shards could not be resurrected.
-        resurrection: Box<RebalanceError>,
-    },
 }
 
 impl From<io::Error> for RebalanceError {
@@ -146,37 +120,16 @@ impl From<io::Error> for RebalanceError {
     }
 }
 
-impl From<RecoveryError> for RebalanceError {
-    fn from(e: RecoveryError) -> Self {
-        RebalanceError::Recovery(e)
-    }
-}
-
 impl std::fmt::Display for RebalanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RebalanceError::Io(e) => write!(f, "rebalance I/O failure: {e}"),
-            RebalanceError::Recovery(e) => write!(f, "rebalance could not read shard state: {e}"),
             RebalanceError::UnknownShard(slot) => {
                 write!(f, "shard {slot} is not a splittable worker slot")
             }
             RebalanceError::NotSiblings(a, b) => {
                 write!(f, "shards {a} and {b} are not sibling slots of one split")
             }
-            RebalanceError::HistoryGap { expected, found } => write!(
-                f,
-                "rebuild replay reached sequence {found} but the shard had applied {expected}; \
-                 WAL records are missing"
-            ),
-            RebalanceError::Stranded {
-                slots,
-                cause,
-                resurrection,
-            } => write!(
-                f,
-                "shards {slots:?} are stranded (parked until restart): rebalance failed ({cause}) \
-                 and resurrection failed ({resurrection})"
-            ),
         }
     }
 }
@@ -196,11 +149,6 @@ pub struct SplitReport {
     pub child_engines: (u64, u64),
     /// The parent's sequence number at quiesce — both children start here.
     pub parent_seq: u64,
-    /// Sequence number of the checkpoint the rebuild started from (0 when
-    /// the rebuild partitioned live in-memory state or started fresh).
-    pub snapshot_seq: u64,
-    /// WAL updates replayed past the checkpoint.
-    pub replayed_updates: u64,
     /// Updates that parked during the split and were re-routed at commit.
     pub parked_updates: u64,
     /// The routing-table generation after the split.
@@ -496,7 +444,7 @@ struct ReshapePlan {
 impl ReshapePlan {
     /// The journal record of `stage` — wire-compatible with the events
     /// splits and merges have always emitted.
-    fn event(&self, stage: RebalanceStage, parked: u64, replayed: u64) -> ObsEvent {
+    fn event(&self, stage: RebalanceStage, parked: u64) -> ObsEvent {
         let slot = self.targets[0].slot as u32;
         match self.freed_slot {
             None => ObsEvent::SplitPhase {
@@ -504,7 +452,8 @@ impl ReshapePlan {
                 new_slot: self.targets[1].slot as u32,
                 stage,
                 parked,
-                replayed,
+                // Nothing is replayed: the rebuild reads the live engine.
+                replayed: 0,
             },
             Some(freed) => ObsEvent::MergePhase {
                 slot,
@@ -521,11 +470,7 @@ impl ReshapePlan {
 struct Reshaped {
     /// The sources' sequence numbers at quiesce, in plan order.
     source_seqs: Vec<u64>,
-    /// From the sources' [`RecoveryReport`](recovery::RecoveryReport)s (0
-    /// for in-memory deployments), summed over the sources — a split, the
-    /// only direction that reports them, has one.
-    snapshot_seq: u64,
-    replayed: u64,
+    /// Updates that parked during the reshape.
     parked: u64,
 }
 
@@ -584,8 +529,6 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             parent_engine: spec.parent_engine,
             child_engines: (spec.child_zero_engine, spec.child_one_engine),
             parent_seq: done.source_seqs[0],
-            snapshot_seq: done.snapshot_seq,
-            replayed_updates: done.replayed,
             parked_updates: done.parked,
             generation,
         })
@@ -645,8 +588,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
 
     /// The reshape transaction — see the [module docs](crate::rebalance) for
     /// the phase table. On `Err` the fleet routes exactly as before (every
-    /// source resurrected) unless the error is
-    /// [`Stranded`](RebalanceError::Stranded).
+    /// source resurrected).
     fn reshape(
         &mut self,
         mut plan: ReshapePlan,
@@ -656,7 +598,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         // to commit — the whole window in which they apply nothing.
         let pause_started = Instant::now();
         let source_slots: Vec<usize> = plan.sources.iter().map(|s| s.slot).collect();
-        let park_rx = self.park_and_quiesce(&source_slots)?;
+        let (park_rx, source_persists) = self.park_and_quiesce(&source_slots);
         let roster = self.roster.load();
         let source_seqs: Vec<u64> = source_slots
             .iter()
@@ -671,33 +613,23 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         let registry = self.config.obs.registry().cloned();
         let span = registry
             .as_ref()
-            .map(|r| r.begin(plan.event(RebalanceStage::Parked, 0, 0)));
+            .map(|r| r.begin(plan.event(RebalanceStage::Parked, 0)));
 
-        // 3–4. Rebuild and persist the targets; on failure, resurrect the
-        // sources.
-        let built = self.rebuild(&plan, &source_seqs).and_then(|built| {
-            let persists = self.persist(&plan, seq, &built.0)?;
-            Ok((built, persists))
-        });
-        let ((engines, snapshot_seq, replayed), persists) = match built {
-            Ok(parts) => parts,
+        // 3–4. Rebuild and persist the targets; if persisting fails,
+        // resurrect the sources.
+        let engines = self.rebuild(&plan);
+        let persists = match self.persist(&plan, seq, &engines) {
+            Ok(persists) => persists,
             Err(cause) => {
-                let Err(resurrection) = self.resurrect(&plan.sources, &source_seqs, park_rx) else {
-                    return Err(cause);
-                };
-                if let (Some(r), Some(span)) = (&registry, span) {
-                    r.note(span, plan.event(RebalanceStage::Parked, 0, 0));
-                }
-                return Err(RebalanceError::Stranded {
-                    slots: source_slots,
-                    cause: Box::new(cause),
-                    resurrection: Box::new(resurrection),
-                });
+                self.resurrect(&plan.sources, &source_seqs, source_persists, park_rx);
+                return Err(cause);
             }
         };
+        // The sources' WALs end here: their directories retire at commit.
+        drop(source_persists);
         observer(RebalanceStage::Rebuilt);
         if let (Some(r), Some(span)) = (&registry, span) {
-            r.note(span, plan.event(RebalanceStage::Rebuilt, 0, replayed));
+            r.note(span, plan.event(RebalanceStage::Rebuilt, 0));
         }
 
         // 5. Install the targets and publish the new roster in ONE epoch
@@ -783,10 +715,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         }
         observer(RebalanceStage::Committed);
         if let (Some(r), Some(span)) = (&registry, span) {
-            r.end(
-                span,
-                plan.event(RebalanceStage::Committed, parked, replayed),
-            );
+            r.end(span, plan.event(RebalanceStage::Committed, parked));
             let total = match plan.freed_slot {
                 None => names::SPLITS_TOTAL,
                 Some(_) => names::MERGES_TOTAL,
@@ -797,8 +726,6 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         }
         Ok(Reshaped {
             source_seqs,
-            snapshot_seq,
-            replayed,
             parked,
         })
     }
@@ -808,115 +735,80 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// order is preserved, which is all the targets need — distinct sources
     /// touch disjoint edges), then flushes and stops the workers, so
     /// everything routed before the park is applied and, when persistent,
-    /// in each source's WAL.
-    fn park_and_quiesce(&mut self, slots: &[usize]) -> Result<Receiver<WorkerMsg>, RebalanceError> {
+    /// in each source's WAL. Returns the parked queue and each source
+    /// worker's durability half, as its thread handed it back.
+    ///
+    /// # Panics
+    ///
+    /// If a source worker has died, as every other facade call does.
+    fn park_and_quiesce(
+        &mut self,
+        slots: &[usize],
+    ) -> (Receiver<WorkerMsg>, Vec<Option<WorkerPersistence>>) {
+        const GONE: &str = "shard worker terminated while the facade is alive";
         let (park_tx, park_rx) = channel();
         let live: Vec<SyncSender<WorkerMsg>> = {
             let mut routing = self.routing.write().expect("routing poisoned");
-            // Reshapes are serialised by `&mut self`, so a slot is only ever
-            // found parked after a stranded attempt.
-            if let Some(&slot) = slots
-                .iter()
-                .find(|&&slot| matches!(routing.senders[slot], ShardTx::Parked(_)))
-            {
-                return Err(RebalanceError::UnknownShard(slot));
-            }
             slots
                 .iter()
                 .map(|&slot| {
                     let parked = ShardTx::Parked(park_tx.clone());
                     match std::mem::replace(&mut routing.senders[slot], parked) {
                         ShardTx::Live(tx) => tx,
-                        ShardTx::Parked(_) => unreachable!("checked live above"),
+                        // Reshapes are serialised by `&mut self`, and every
+                        // one ends with its slots live again.
+                        ShardTx::Parked(_) => unreachable!("slot {slot} is already parked"),
                     }
                 })
                 .collect()
         };
-        for (tx, &slot) in live.into_iter().zip(slots) {
-            let (ack_tx, ack_rx) = channel();
-            let _ = tx.send(WorkerMsg::Flush(ack_tx));
-            let _ = ack_rx.recv();
-            let _ = tx.send(WorkerMsg::Shutdown);
-            drop(tx);
-            if let Some(handle) = self.workers[slot].take() {
-                let _ = handle.join();
-            }
-        }
-        Ok(park_rx)
+        let persists = live
+            .into_iter()
+            .zip(slots)
+            .map(|(tx, &slot)| {
+                let (ack_tx, ack_rx) = channel();
+                tx.send(WorkerMsg::Flush(ack_tx)).expect(GONE);
+                ack_rx.recv().expect(GONE);
+                tx.send(WorkerMsg::Shutdown).expect(GONE);
+                let handle = self.workers[slot].take().expect("a live slot has a worker");
+                handle.join().expect(GONE)
+            })
+            .collect();
+        (park_rx, persists)
     }
 
-    /// Recovers one quiesced source from its own durable state, which a
-    /// clean quiesce left complete: its newest checkpoint plus its WAL tail
-    /// must reach the quiesce point exactly.
-    fn recover_at(
-        &self,
-        p: &PersistenceConfig,
-        seat: Seat,
-        seq: u64,
-    ) -> Result<RecoveredShard<B::Engine>, RebalanceError> {
-        let dir = recovery::shard_dir(&p.dir, seat.engine);
-        let rec = recovery::recover_shard(&self.blueprint, seat.slot, &dir, p)?;
-        if rec.seq != seq {
-            return Err(RebalanceError::HistoryGap {
-                expected: seq,
-                found: rec.seq,
-            });
-        }
-        Ok(rec)
-    }
-
-    /// Phase 3: the sources at their quiesce points (recovered from disk
-    /// when persistent, the live engines otherwise), transformed into the
-    /// targets. Returns the target engines in plan order plus the recovery's
-    /// `(snapshot_seq, replayed_updates)`.
-    #[allow(clippy::type_complexity)]
-    fn rebuild(
-        &self,
-        plan: &ReshapePlan,
-        source_seqs: &[u64],
-    ) -> Result<(Vec<B::Engine>, u64, u64), RebalanceError> {
+    /// Phase 3: the quiesced live engines transformed into the targets, in
+    /// plan order. A split partitions the parent through its lock; a merge
+    /// clones each source, because `absorb` consumes it and an abort needs
+    /// the sources intact.
+    fn rebuild(&self, plan: &ReshapePlan) -> Vec<B::Engine> {
         let split = plan.targets.len() == 2;
         let kept = plan.targets[0].slot;
         let mut ledger = EngineStats::default();
-        let (mut snapshot_seq, mut replayed) = (0, 0);
         let mut targets: Vec<B::Engine> = Vec::with_capacity(plan.targets.len());
-        for (seat, &seq) in plan.sources.iter().zip(source_seqs) {
+        for seat in &plan.sources {
             let live = self.engines[seat.slot]
                 .lock()
                 .expect("shard engine poisoned");
             ledger.merge(live.stats());
-            let source = match &self.persistence {
-                Some(p) => {
-                    let rec = self.recover_at(p, *seat, seq)?;
-                    snapshot_seq += rec.report.snapshot_seq;
-                    replayed += rec.report.replayed_updates;
-                    Cow::Owned(rec.engine)
-                }
-                None => Cow::Borrowed(&*live),
-            };
             if split {
-                // `partition_by` borrows: an in-memory split reads the live
-                // engine through its guard, no copy.
-                let (zero, one) = source.partition_by(&mut |v| plan.map.route(v) == kept);
+                let (zero, one) = live.partition_by(&mut |v| plan.map.route(v) == kept);
                 targets.extend([zero, one]);
             } else {
-                // `absorb` consumes: a merge clones a live source, which
-                // must stay intact for an abort.
-                let source = source.into_owned();
+                let source = live.clone();
                 match targets.first_mut() {
                     Some(merged) => merged.absorb(source),
                     None => targets.push(source),
                 }
             }
         }
-        // The ledger survives exactly: recovery replay counted nothing (and
-        // restored checkpoint-time counters), so the first target adopts the
-        // sources' live counters wholesale and any other starts at zero.
+        // The ledger survives exactly: the first target adopts the sources'
+        // live counters wholesale and any other starts at zero.
         let mut ledger = Some(ledger);
         for target in &mut targets {
             target.adopt_stats(ledger.take().unwrap_or_default());
         }
-        Ok((targets, snapshot_seq, replayed))
+        targets
     }
 
     /// Phase 4: every target's directory, then the manifest rewrite — the
@@ -945,41 +837,18 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         Ok(persists)
     }
 
-    /// The abort path: brings the parked sources back to life on their own
-    /// engines (intact, ledger included: their workers stopped cleanly at
-    /// the quiesce point), cells and rings (no resync for their pollers) and
-    /// re-routes the parked backlog through the unchanged map. Persistent
-    /// sources also need their WAL writers back, which recovery rebuilds —
-    /// seq-checked against the engine, and for all of them before anything
-    /// is spawned, so a failure leaves no half-resurrected set. On `Err`
-    /// the slots stay parked: the receiver is kept alive so ingest routed
-    /// to them keeps parking in memory rather than panicking the sending
-    /// thread.
+    /// The abort path: respawns every parked source on its own engine
+    /// (intact, ledger included: its worker stopped cleanly at the quiesce
+    /// point), cell and ring (no resync for its pollers) and the durability
+    /// half its worker handed back, then re-routes the parked backlog through
+    /// the unchanged map. Nothing is read from disk.
     fn resurrect(
         &mut self,
         sources: &[Seat],
         source_seqs: &[u64],
+        persists: Vec<Option<WorkerPersistence>>,
         park_rx: Receiver<WorkerMsg>,
-    ) -> Result<(), RebalanceError> {
-        let persists: Result<Vec<_>, RebalanceError> = match &self.persistence {
-            Some(p) => sources
-                .iter()
-                .zip(source_seqs)
-                .map(|(seat, &seq)| {
-                    let wal = self.recover_at(p, *seat, seq)?.wal;
-                    let dir = recovery::shard_dir(&p.dir, seat.engine);
-                    Ok(Some(WorkerPersistence::new(wal, dir, p)))
-                })
-                .collect(),
-            None => Ok(sources.iter().map(|_| None).collect()),
-        };
-        let persists = match persists {
-            Ok(persists) => persists,
-            Err(e) => {
-                self.dead_parked.push(Mutex::new(park_rx));
-                return Err(e);
-            }
-        };
+    ) {
         let roster = self.roster.load();
         let mut senders = Vec::with_capacity(sources.len());
         for ((seat, &seq), persist) in sources.iter().zip(source_seqs).zip(persists) {
@@ -1004,7 +873,6 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         for (slot, tx) in senders {
             routing.senders[slot] = ShardTx::Live(tx);
         }
-        Ok(())
     }
 }
 
@@ -1227,13 +1095,13 @@ mod tests {
             fleet.flush();
         }
         let report = fleet.split_shard(0).unwrap();
-        // The rebuild really was checkpoint + WAL slice: a checkpoint existed
-        // (cadence 3) and the tail past it was replayed.
-        assert!(report.snapshot_seq > 0, "expected a checkpoint base");
-        assert_eq!(
-            report.snapshot_seq + report.replayed_updates,
-            report.parent_seq
-        );
+        // Each child's durability starts from one snapshot of its own, at
+        // the parent's quiesce point.
+        for child in [report.child_engines.0, report.child_engines.1] {
+            let snapshots = recovery::list_snapshots(&recovery::shard_dir(&dir, child)).unwrap();
+            let seqs: Vec<u64> = snapshots.into_iter().map(|(seq, _)| seq).collect();
+            assert_eq!(seqs, vec![report.parent_seq], "child engine {child}");
+        }
         fleet.apply_batch(tail);
         assert_eq!(sorted_bits(fleet.dense_subgraphs()), want);
         assert_eq!(fleet.stats().updates, updates.len() as u64);
@@ -1260,74 +1128,60 @@ mod tests {
     }
 
     #[test]
-    fn double_fault_strands_the_slot_with_a_typed_error() {
-        use dyndens_obs::{Registry, SpanMark};
-
-        let dir = std::env::temp_dir().join(format!("dyndens-strand-{}", std::process::id()));
+    fn persistent_split_does_not_read_the_parent_directory() {
+        let dir = std::env::temp_dir().join(format!("dyndens-no-reread-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let registry = Arc::new(Registry::new());
+        let persistence = || {
+            PersistenceConfig::new(&dir)
+                .with_fsync(FsyncPolicy::Never)
+                .with_snapshot_every_batches(3)
+        };
+        let updates = skewed_updates();
+        let mut reference = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
+        reference.apply_batch(&updates);
+        let want = sorted_bits(reference.dense_subgraphs());
+
         let mut fleet = ShardedDynDens::with_persistence(
             AvgWeight,
             engine_config(),
-            shard_config(2).with_obs(Arc::clone(&registry)),
-            PersistenceConfig::new(&dir).with_fsync(FsyncPolicy::Never),
+            shard_config(2),
+            persistence(),
         )
         .unwrap();
-        fleet.apply_batch(&skewed_updates());
-        fleet.flush();
-        let parent_seq = fleet.view().shard_seq(0);
-        assert!(parent_seq > 0);
-
-        // Losing the parent's directory while it is quiesced fails the
-        // rebuild (nothing to recover) and the resurrection (no WAL to
-        // continue) alike.
+        let (head, tail) = updates.split_at(updates.len() / 2);
+        for chunk in head.chunks(4) {
+            fleet.apply_batch(chunk);
+            fleet.flush();
+        }
+        // Lose the parent's whole directory — checkpoints and WAL — while it
+        // is quiesced. The rebuild reads the live engine, so the split
+        // commits anyway.
         let parent_dir = recovery::shard_dir(&dir, 0);
-        let err = fleet
+        let report = fleet
             .split_shard_with(0, |stage| {
                 if stage == RebalanceStage::Parked {
                     std::fs::remove_dir_all(&parent_dir).unwrap();
                 }
             })
-            .unwrap_err();
-        let gap = |e: &RebalanceError| matches!(e, RebalanceError::HistoryGap { expected, found: 0 } if *expected == parent_seq);
-        match &err {
-            RebalanceError::Stranded {
-                slots,
-                cause,
-                resurrection,
-            } => {
-                assert_eq!(slots, &[0]);
-                assert!(gap(cause), "{cause}");
-                assert!(gap(resurrection), "{resurrection}");
-            }
-            other => panic!("expected Stranded, got {other}"),
-        }
-        // The span stays open: Begin(Parked), a second Parked note, no End.
-        let marks: Vec<SpanMark> = registry
-            .recent_events()
-            .iter()
-            .filter(|r| r.event.kind() == "split_phase")
-            .map(|r| r.mark)
-            .collect();
-        assert_eq!(marks, vec![SpanMark::Begin, SpanMark::Instant]);
+            .unwrap();
+        assert_eq!(report.parent_engine, 0);
+        assert!(report.parent_seq > 0);
+        fleet.apply_batch(tail);
+        assert_eq!(sorted_bits(fleet.dense_subgraphs()), want);
 
-        // The stranded slot keeps accepting (and parking) ingest, every
-        // other shard keeps working, and a retry is refused, not re-parked.
-        assert_eq!(fleet.n_shards(), 2);
-        fleet.apply_update(update(0, 4, 0.1));
-        let view = fleet.view();
-        let before = view.shard_seq(1);
-        fleet.apply_update(update(1, 5, 0.1));
-        while view.shard_seq(1) == before {
-            std::thread::yield_now();
-        }
-        assert_eq!(view.shard_seq(0), parent_seq);
-        assert!(matches!(
-            fleet.split_shard(0),
-            Err(RebalanceError::UnknownShard(0))
-        ));
-        // Dropping a stranded fleet must not hang.
+        // The children's own snapshots and WALs carry the deployment: a
+        // dropped and reopened fleet serves the never-split answer.
         drop(fleet);
+        let reopened = ShardedDynDens::with_persistence(
+            AvgWeight,
+            engine_config(),
+            shard_config(2),
+            persistence(),
+        )
+        .unwrap();
+        assert_eq!(reopened.n_shards(), 3);
+        assert_eq!(sorted_bits(reopened.dense_subgraphs()), want);
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

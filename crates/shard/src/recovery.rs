@@ -24,8 +24,8 @@
 //! is genuinely missing and surfaces as a hard [`RecoveryError`] rather than
 //! a silently incomplete engine.
 
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use dyndens_core::{EngineBlueprint, MaintenanceEngine, SnapshotError};
@@ -121,10 +121,6 @@ impl std::error::Error for RecoveryError {}
 // Snapshot files
 // ---------------------------------------------------------------------------
 
-fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("{SNAP_PREFIX}{seq:020}{SNAP_SUFFIX}"))
-}
-
 /// The persistence directory of engine `engine_id` under the deployment
 /// root. Engine ids are allocated by the [`ShardMap`] and never reused, so a
 /// retired parent's directory can never be mistaken for a live child's.
@@ -134,30 +130,13 @@ pub(crate) fn shard_dir(root: &Path, engine_id: u64) -> PathBuf {
 
 /// Lists the snapshot files in `dir` as `(seq, path)`, ascending by `seq`.
 pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = match name.to_str() {
-            Some(n) => n,
-            None => continue,
-        };
-        if let Some(stem) = name
-            .strip_prefix(SNAP_PREFIX)
-            .and_then(|s| s.strip_suffix(SNAP_SUFFIX))
-        {
-            if let Ok(seq) = stem.parse::<u64>() {
-                out.push((seq, entry.path()));
-            }
-        }
-    }
-    out.sort_unstable_by_key(|&(seq, _)| seq);
-    Ok(out)
+    wal::list_numbered(dir, SNAP_PREFIX, SNAP_SUFFIX)
 }
 
 /// Writes the engine image `engine_bytes` as the shard's snapshot at
-/// sequence number `seq`, atomically (temp file + rename), then deletes all
-/// but the newest `retain` snapshots. Returns the sequence number of the
+/// sequence number `seq`, atomically and durably (see
+/// `wal::replace_atomic` for why whatever the fsync policy), then deletes
+/// all but the newest `retain` snapshots. Returns the sequence number of the
 /// **oldest** retained snapshot — the point up to which the WAL may safely
 /// be pruned.
 pub fn write_snapshot(dir: &Path, seq: u64, engine_bytes: &[u8], retain: usize) -> io::Result<u64> {
@@ -169,18 +148,7 @@ pub fn write_snapshot(dir: &Path, seq: u64, engine_bytes: &[u8], retain: usize) 
     buf.extend_from_slice(engine_bytes);
     let crc = crc32(&buf);
     put_u32(&mut buf, crc);
-
-    let tmp = dir.join(format!("{SNAP_PREFIX}{seq:020}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, snapshot_path(dir, seq))?;
-    // Make the rename itself durable: the file's contents were synced
-    // above, but the directory entry needs its own fsync to survive an OS
-    // crash. One extra sync per checkpoint is negligible.
-    wal::sync_dir(dir)?;
+    wal::replace_atomic(dir, &format!("{SNAP_PREFIX}{seq:020}{SNAP_SUFFIX}"), &buf)?;
 
     let mut snapshots = list_snapshots(dir)?;
     while snapshots.len() > retain.max(1) {
@@ -254,27 +222,12 @@ fn encode_manifest(kind: &str, measure_name: &str, params: &[u8], map: &ShardMap
     buf
 }
 
-/// Atomically writes `bytes` as the manifest (temp file + rename + directory
-/// fsync).
-fn write_manifest_atomic(root: &Path, bytes: &[u8]) -> io::Result<()> {
-    let path = root.join(MANIFEST_NAME);
-    let tmp = root.join(format!("{MANIFEST_NAME}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp, &path)?;
-    wal::sync_dir(root)?;
-    Ok(())
-}
-
-/// Rewrites the manifest with a refined shard map. Called by a shard split
-/// **after** the children's snapshots and WALs are durably on disk and
-/// **before** the parent directory is retired: a crash on either side of the
-/// rewrite leaves the directory consistent with whichever topology the
-/// manifest names (the parent's state is complete until the rewrite, the
-/// children's from the moment it lands).
+/// Writes the manifest naming `map`: once when a deployment first binds its
+/// directory, then at every split or merge **after** the targets' snapshots
+/// and WALs are durably on disk and **before** the source directories are
+/// retired. A crash on either side of the rewrite leaves the directory
+/// consistent with whichever topology the manifest names (the sources' state
+/// is complete until the rewrite, the targets' from the moment it lands).
 pub(crate) fn rewrite_manifest(
     root: &Path,
     kind: &str,
@@ -282,7 +235,11 @@ pub(crate) fn rewrite_manifest(
     params: &[u8],
     map: &ShardMap,
 ) -> io::Result<()> {
-    write_manifest_atomic(root, &encode_manifest(kind, measure_name, params, map))
+    wal::replace_atomic(
+        root,
+        MANIFEST_NAME,
+        &encode_manifest(kind, measure_name, params, map),
+    )
 }
 
 /// On first use, binds the persistence root to the deployment parameters by
@@ -331,7 +288,7 @@ pub(crate) fn bind_manifest(
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             let map = ShardMap::new(shard_config.shard_fn, shard_config.n_shards);
-            write_manifest_atomic(root, &encode_manifest(kind, measure_name, params, &map))?;
+            rewrite_manifest(root, kind, measure_name, params, &map)?;
             Ok(map)
         }
         Err(e) => Err(e.into()),
@@ -461,9 +418,7 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
             }
             // Torn tail of the final segment: the batch was never
             // acknowledged as applied, so truncating it away is safe.
-            let f = fs::OpenOptions::new().write(true).open(path)?;
-            f.set_len(scan.valid_len)?;
-            f.sync_data()?;
+            wal::truncate_torn_tail(path, scan.valid_len)?;
             repaired_torn_tail = true;
         }
         segment_meta.push((*no, scan.records.first().map_or(seq, |r| r.first_seq)));

@@ -6,7 +6,6 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 
 use dyndens_core::{
     DynDensBlueprint, DynDensConfig, EngineBlueprint, EngineStats, MaintenanceEngine,
@@ -20,7 +19,7 @@ use crate::config::{PersistenceConfig, ShardConfig};
 use crate::obs::{ShardObs, WalObs};
 use crate::recovery::{self, RecoveryError, RecoveryReport};
 use crate::view::{DeltaRing, EpochCell, ShardRoster, ShardSnapshot, StoryView};
-use crate::worker::{self, WorkerMsg, WorkerPersistence};
+use crate::worker::{self, WorkerHandle, WorkerMsg, WorkerPersistence};
 
 /// The send side of one worker slot's inbox.
 ///
@@ -161,7 +160,7 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     pub(crate) routing: Arc<RwLock<RouteState>>,
     pub(crate) engines: Vec<Arc<Mutex<B::Engine>>>,
     pub(crate) roster: Arc<EpochCell<ShardRoster>>,
-    pub(crate) workers: Vec<Option<JoinHandle<()>>>,
+    pub(crate) workers: Vec<Option<WorkerHandle>>,
     /// Per-slot shared slot-number cells (see [`worker::WorkerSetup::slot`]):
     /// a merge renumbers the last live worker into a freed middle slot by
     /// storing into its cell, without respawning the thread.
@@ -174,14 +173,6 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     /// directories, WALs and a manifest rewrite). `None` for in-memory
     /// deployments.
     pub(crate) persistence: Option<PersistenceConfig>,
-    /// Receivers of slots left stranded by a double fault (see
-    /// [`RebalanceError::Stranded`](crate::RebalanceError::Stranded)).
-    /// Keeping the receiver alive keeps the slots' parked sender open, so
-    /// ingest routed to them continues to park in memory instead of
-    /// panicking; the backlog is unrecoverable in-process (it was never
-    /// applied or logged) and is dropped on restart. Mutex-wrapped only so
-    /// the facade stays `Sync`.
-    pub(crate) dead_parked: Vec<Mutex<std::sync::mpsc::Receiver<WorkerMsg>>>,
 }
 
 /// The canonical deployment: a [`ShardedFleet`] running the exact
@@ -209,7 +200,7 @@ pub(crate) fn spawn_worker<E: MaintenanceEngine>(
     engine: &Arc<Mutex<E>>,
     cell: &Arc<EpochCell<ShardSnapshot>>,
     ring: &Arc<DeltaRing>,
-) -> (SyncSender<WorkerMsg>, JoinHandle<()>, Arc<AtomicU32>) {
+) -> (SyncSender<WorkerMsg>, WorkerHandle, Arc<AtomicU32>) {
     let (tx, rx) = sync_channel(config.channel_capacity);
     let slot_cell = Arc::new(AtomicU32::new(slot as u32));
     let mut persist = persist;
@@ -247,7 +238,7 @@ pub(crate) struct LiveSlot<E: MaintenanceEngine> {
     pub(crate) cell: Arc<EpochCell<ShardSnapshot>>,
     pub(crate) ring: Arc<DeltaRing>,
     pub(crate) tx: SyncSender<WorkerMsg>,
-    pub(crate) handle: JoinHandle<()>,
+    pub(crate) handle: WorkerHandle,
     pub(crate) slot_cell: Arc<AtomicU32>,
     pub(crate) routed: Arc<AtomicU64>,
 }
@@ -471,7 +462,6 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             slots,
             recovery,
             persistence,
-            dead_parked: Vec::new(),
         }
     }
 
@@ -664,8 +654,8 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
 
     /// The merged cumulative work counters of all shards (flushes first, so
     /// the ledger covers every routed update). The ledger is preserved
-    /// exactly across splits: the child that keeps the parent's slot adopts
-    /// the parent's counters and rebuild replay counts nothing.
+    /// exactly across splits and merges: the target that keeps a source's
+    /// slot adopts the sources' counters, the other starts at zero.
     pub fn stats(&self) -> EngineStats {
         EngineStats::merged(&self.read_engines(|e| e.stats().clone()))
     }

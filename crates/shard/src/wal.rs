@@ -24,8 +24,14 @@
 //! A torn write — the process died mid-append — leaves a truncated or
 //! CRC-invalid suffix at the end of the final segment. [`scan_segment`]
 //! stops cleanly at the first invalid byte and reports where the valid
-//! prefix ends, so recovery can truncate the tear away and resume appending;
-//! it never panics on corrupt input.
+//! prefix ends, so recovery can truncate the tear away
+//! ([`truncate_torn_tail`]) and resume appending; it never panics on corrupt
+//! input.
+//!
+//! The module also holds the durable-write steps every persisted file of a
+//! deployment shares: the atomic replace of checkpoints and the `MANIFEST`
+//! (`replace_atomic`), the numbered-file listing ([`list_numbered`]) and the
+//! torn-tail truncation.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -55,27 +61,68 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Lists the WAL segments in `dir` as `(segment_no, path)`, ascending.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+/// Replaces the file `name` in `dir` with `bytes`, atomically and durably:
+/// write a `.tmp` sibling, `sync_data` it, rename it over the target, fsync
+/// `dir`. A crash at any point leaves either the old file or the new one,
+/// never a mix. Checkpoints and the deployment `MANIFEST` are written
+/// through here and nowhere else.
+///
+/// Both syncs run whatever [`FsyncPolicy`] says. That policy decides how
+/// much of the WAL's newest tail an OS crash may take; losing either of
+/// these two files would take more:
+///
+/// * a checkpoint is followed by [`WalWriter::prune_to`], which deletes the
+///   WAL segments behind it. If the snapshot were not durable, an OS crash
+///   after the prune could lose both copies of that history;
+/// * the `MANIFEST` names the routing topology. A split or merge retires the
+///   source directories once its rewrite lands. If the rename were not
+///   durable, an OS crash could bring back a manifest naming directories
+///   that no longer exist.
+pub(crate) fn replace_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let path = dir.join(name);
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+    }
+    fs::rename(&tmp, &path)?;
+    sync_dir(dir)
+}
+
+/// Cuts a torn tail off the log file at `path`: truncates it to `valid_len`,
+/// the end of its last valid frame, and syncs it. Used on open by every
+/// append-only log of `len | crc | payload` frames (shard WAL segments, the
+/// story pipeline's entity journal) when a scan stops short of the file end.
+pub fn truncate_torn_tail(path: &Path, valid_len: u64) -> io::Result<()> {
+    let f = OpenOptions::new().write(true).open(path)?;
+    f.set_len(valid_len)?;
+    f.sync_data()
+}
+
+/// Lists the files in `dir` named `<prefix><number><suffix>` as
+/// `(number, path)`, ascending by number. Other names are skipped.
+pub fn list_numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let name = match name.to_str() {
-            Some(n) => n,
-            None => continue,
-        };
-        if let Some(stem) = name
-            .strip_prefix(SEGMENT_PREFIX)
-            .and_then(|s| s.strip_suffix(SEGMENT_SUFFIX))
-        {
-            if let Ok(no) = stem.parse::<u64>() {
-                out.push((no, entry.path()));
-            }
+        let number = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(prefix))
+            .and_then(|n| n.strip_suffix(suffix))
+            .and_then(|n| n.parse::<u64>().ok());
+        if let Some(number) = number {
+            out.push((number, entry.path()));
         }
     }
-    out.sort_unstable_by_key(|&(no, _)| no);
+    out.sort_unstable_by_key(|&(number, _)| number);
     Ok(out)
+}
+
+/// Lists the WAL segments in `dir` as `(segment_no, path)`, ascending.
+pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    list_numbered(dir, SEGMENT_PREFIX, SEGMENT_SUFFIX)
 }
 
 /// One decoded WAL record: a micro-batch and the shard sequence number it

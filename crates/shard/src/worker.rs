@@ -4,6 +4,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dyndens_core::{DenseEvent, MaintenanceEngine};
@@ -123,17 +124,23 @@ pub(crate) struct WorkerSetup {
     pub obs: Option<ShardObs>,
 }
 
+/// A worker thread's handle: joining it hands the worker's durability half
+/// back (see [`run`]).
+pub(crate) type WorkerHandle = JoinHandle<Option<WorkerPersistence>>;
+
 /// The worker loop: block on the inbox, drain up to `max_batch` pending
 /// messages, WAL the drained micro-batch (durability first), apply it under
 /// a single engine lock, publish a fresh snapshot, acknowledge flushes,
-/// periodically checkpoint the engine, repeat.
+/// periodically checkpoint the engine, repeat. On shutdown it returns its
+/// durability half, WAL writer positioned at the shard's sequence number, so
+/// an aborted reshape can respawn the shard on it.
 pub(crate) fn run<E: MaintenanceEngine>(
     setup: WorkerSetup,
     inbox: Receiver<WorkerMsg>,
     engine: Arc<Mutex<E>>,
     cell: Arc<EpochCell<ShardSnapshot>>,
     ring: Arc<DeltaRing>,
-) {
+) -> Option<WorkerPersistence> {
     let WorkerSetup {
         slot,
         max_batch,
@@ -286,6 +293,7 @@ pub(crate) fn run<E: MaintenanceEngine>(
             break;
         }
     }
+    persist
 }
 
 /// Folds one message into the drain buffers; a returned [`Control`] ends the

@@ -23,6 +23,7 @@ use dyndens_core::DynDensConfig;
 use dyndens_density::DensityMeasure;
 use dyndens_graph::codec::{put_frame, scan_frames};
 use dyndens_graph::EdgeUpdate;
+use dyndens_shard::wal::truncate_torn_tail;
 use dyndens_shard::{
     FsyncPolicy, MergedStories, PersistenceConfig, RecoveryError, ShardConfig, ShardedDynDens,
     StoryView,
@@ -118,9 +119,7 @@ impl EntityJournal {
             Err(_) => false,
         });
         if !scan.clean {
-            let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-            f.set_len(scan.valid_len)?;
-            f.sync_data()?;
+            truncate_torn_tail(&path, scan.valid_len)?;
         }
         let file = std::fs::OpenOptions::new()
             .create(true)

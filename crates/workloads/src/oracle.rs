@@ -1,9 +1,11 @@
 //! The shared differential oracle: drives any [`Workload`] through the full
-//! stack and asserts **bit-exact** story sets at every checkpoint.
+//! stack, on any pluggable [`Backend`], and asserts **bit-exact** story sets
+//! at every checkpoint.
 //!
-//! One oracle run compares a single-engine reference against four legs:
+//! One run ([`Oracle::run_backend`]) feeds a single engine of the backend
+//! the whole stream, then compares four deployment legs against it:
 //!
-//! 1. **sharded** — `ShardedDynDens` with 1, 2 and 4 shards;
+//! 1. **sharded** — a fleet with 1, 2 and 4 shards;
 //! 2. **recovery** — a persistent 2-shard fleet killed mid-stream (drop
 //!    without shutdown) and recovered (newest snapshot + WAL tail replay);
 //! 3. **rebalance** — a 2-shard fleet split mid-stream, then the sibling
@@ -11,25 +13,22 @@
 //! 4. **serve** — a push-fed [`Mirror`] subscribed over TCP, plus a
 //!    late-joining mirror that bootstraps purely from resync snapshots.
 //!
+//! A final **quality** leg compares the backend against the DynDens referee
+//! under its declared [`CompareMode`] — bit-exactness for `dyndens` itself
+//! and for `recompute` at rebuild boundaries, a top-q density-ratio bound
+//! for approximate backends.
+//!
 //! "Bit-exact" is literal: every story's density must carry the same `f64`
 //! bit pattern as the single engine's, which the stack guarantees under the
 //! [`Workload`] contract (partition alignment + capped weights keep the
 //! partitioning invariant exact, and the engine's canonical processing
 //! order makes scores reproducible to the bit). The oracle *checks* the
 //! precondition too: a workload that drifts into the too-dense regime
-//! (star markers) fails its report rather than silently comparing
-//! approximations.
+//! (star markers in the referee) fails its report rather than silently
+//! comparing approximations.
 //!
 //! The repository-level equivalence suites (`tests/sharded_equivalence.rs`,
-//! `tests/workload_scenarios.rs`, ...) are thin wrappers over this module.
-//!
-//! The **cross-backend differential harness** generalises the same legs
-//! over every pluggable [`Backend`]: each backend's sharded, recovered,
-//! rebalanced and served deployments are asserted bit-identical to a single
-//! engine of the same backend (the seam's determinism contract), then the
-//! backend is compared against the DynDens referee under its declared
-//! [`CompareMode`] — bit-exactness for `recompute` at rebuild boundaries, a
-//! top-q density-ratio bound for approximate backends.
+//! `tests/workload_scenarios.rs`, ...) are thin wrappers over this module;
 //! `tests/workload_scenarios.rs::every_backend_passes_every_workload` holds
 //! every backend × workload × leg to its [`BackendReport`].
 
@@ -38,13 +37,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use dyndens_baselines::{RecomputeBlueprint, TopKPeelingBlueprint};
-use dyndens_core::{DynDens, DynDensBlueprint, DynDensConfig, EngineBlueprint, MaintenanceEngine};
+use dyndens_core::{DynDensBlueprint, DynDensConfig, EngineBlueprint, MaintenanceEngine};
 use dyndens_density::AvgWeight;
 use dyndens_graph::{EdgeUpdate, VertexSet};
 use dyndens_serve::{Client, Mirror, StoryServer};
 use dyndens_shard::{
-    FsyncPolicy, PersistenceConfig, RebalancePolicy, ShardConfig, ShardFn, ShardedDynDens,
-    ShardedFleet,
+    FsyncPolicy, PersistenceConfig, RebalancePolicy, ShardConfig, ShardFn, ShardedFleet,
 };
 
 use crate::workload::Workload;
@@ -97,47 +95,7 @@ pub struct LegReport {
     pub detail: String,
 }
 
-/// The outcome of a full oracle run over one workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OracleReport {
-    /// The workload's [`name`](Workload::name).
-    pub workload: String,
-    /// Stream length in updates.
-    pub n_updates: usize,
-    /// Output-dense story count of the single-engine reference.
-    pub output_dense: usize,
-    /// Star markers the reference created — must be 0 (the too-dense
-    /// precondition of exact sharded equivalence).
-    pub star_markers: u64,
-    /// One report per leg run.
-    pub legs: Vec<LegReport>,
-}
-
-impl OracleReport {
-    /// `true` when every leg matched bit for bit *and* the workload stayed
-    /// below the too-dense regime.
-    pub fn bit_exact(&self) -> bool {
-        self.star_markers == 0 && self.legs.iter().all(|l| l.bit_exact)
-    }
-
-    /// Panics with the first divergence unless [`bit_exact`](Self::bit_exact).
-    pub fn assert_bit_exact(&self) {
-        assert_eq!(
-            self.star_markers, 0,
-            "{}: workload entered the too-dense regime, exact equivalence is off the table",
-            self.workload
-        );
-        for leg in &self.legs {
-            assert!(
-                leg.bit_exact,
-                "{}: {} leg diverged: {}",
-                self.workload, leg.leg, leg.detail
-            );
-        }
-    }
-}
-
-/// Which legs [`Oracle::run_legs`] drives.
+/// Which legs [`Oracle::run_backend_legs`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Leg {
     /// Sharded fleet (1/2/4 shards) vs. the single engine.
@@ -150,7 +108,7 @@ pub enum Leg {
     Serve,
 }
 
-/// All four legs, the default of [`Oracle::run`].
+/// All four legs, the default of [`Oracle::run_backend`].
 pub const ALL_LEGS: [Leg; 4] = [Leg::Sharded, Leg::Recovery, Leg::Rebalance, Leg::Serve];
 
 /// The differential oracle over one materialised workload stream. See the
@@ -183,52 +141,128 @@ impl Oracle {
         &self.updates
     }
 
-    /// Runs every leg. See [`run_legs`](Self::run_legs).
-    pub fn run(&self) -> OracleReport {
-        self.run_legs(&ALL_LEGS)
+    /// Runs every leg for one backend. See
+    /// [`run_backend_legs`](Self::run_backend_legs).
+    pub fn run_backend(&self, backend: Backend) -> BackendReport {
+        self.run_backend_legs(backend, &ALL_LEGS)
     }
 
-    /// Builds the single-engine reference, then drives the requested legs
-    /// against it. Nothing panics on divergence — the report carries the
-    /// verdicts (tests call [`OracleReport::assert_bit_exact`], the bench
-    /// serialises the flags).
-    pub fn run_legs(&self, legs: &[Leg]) -> OracleReport {
-        let (want, star_markers) = self.reference();
-        let mut reports = Vec::with_capacity(legs.len());
+    /// Builds the backend's single-engine ground truth, drives every
+    /// requested deployment leg against it (bit-exact — the seam's
+    /// determinism contract), then the `quality` leg against the DynDens
+    /// referee under the backend's [`compare_mode`](Backend::compare_mode).
+    /// Nothing panics on divergence — the report carries the verdicts (tests
+    /// call [`BackendReport::assert_passed`]).
+    pub fn run_backend_legs(&self, backend: Backend, legs: &[Leg]) -> BackendReport {
+        let config = engine_config();
+        match backend {
+            Backend::DynDens => {
+                self.backend_run(DynDensBlueprint::new(AvgWeight, config), backend, legs)
+            }
+            Backend::Recompute => {
+                self.backend_run(RecomputeBlueprint::new(AvgWeight, config, 1), backend, legs)
+            }
+            Backend::TopKPeeling => self.backend_run(
+                TopKPeelingBlueprint::new(AvgWeight, config, 4),
+                backend,
+                legs,
+            ),
+        }
+    }
+
+    fn backend_run<B: EngineBlueprint>(
+        &self,
+        blueprint: B,
+        backend: Backend,
+        legs: &[Leg],
+    ) -> BackendReport {
+        let mut single = self.single_engine(&blueprint);
+        let mut reports = Vec::with_capacity(legs.len() + 1);
+        if let Err(e) = single.validate() {
+            reports.push(leg_failed("single", format!("backend invariants: {e}")));
+        }
+        let want = sorted_bits(single.output_dense_subgraphs());
         for leg in legs {
             reports.push(match leg {
-                Leg::Sharded => self.sharded_leg(&want),
-                Leg::Recovery => self.recovery_leg(&want),
-                Leg::Rebalance => self.rebalance_leg(&want),
-                Leg::Serve => self.serve_leg(&want),
+                Leg::Sharded => self.sharded_leg(&blueprint, &want),
+                Leg::Recovery => self.recovery_leg(&blueprint, &want),
+                Leg::Rebalance => self.rebalance_leg(&blueprint, &want),
+                Leg::Serve => self.serve_leg(&blueprint, backend, &want),
             });
         }
-        OracleReport {
+        // The quality leg: this backend vs. the exactness referee, which is
+        // the single engine above when the backend is DynDens itself.
+        let (referee, star_markers) = match backend {
+            Backend::DynDens => (want.clone(), single.stats().star_markers_created),
+            _ => self.reference(),
+        };
+        let quality_ratio = top_q_density_ratio(&want, &referee);
+        let mode = backend.compare_mode();
+        reports.push(match mode {
+            CompareMode::BitExact => match compare(&referee, &want) {
+                Ok(()) => leg_ok(
+                    "quality",
+                    format!("bit-exact with referee ({} sets)", want.len()),
+                ),
+                Err(detail) => leg_failed("quality", format!("vs referee: {detail}")),
+            },
+            CompareMode::DensityRatio(bound) => {
+                if quality_ratio >= bound {
+                    leg_ok(
+                        "quality",
+                        format!(
+                            "density ratio {quality_ratio:.3} >= {bound} ({} sets vs {} referee)",
+                            want.len(),
+                            referee.len()
+                        ),
+                    )
+                } else {
+                    leg_failed(
+                        "quality",
+                        format!("density ratio {quality_ratio:.3} below bound {bound}"),
+                    )
+                }
+            }
+        });
+        BackendReport {
             workload: self.name.clone(),
+            backend: backend.kind(),
             n_updates: self.updates.len(),
+            mode,
             output_dense: want.len(),
+            quality_ratio,
             star_markers,
             legs: reports,
         }
     }
 
-    /// The single-engine ground truth: output-dense story sets (bit form)
-    /// and the star-marker count (too-dense precondition probe).
-    fn reference(&self) -> (Vec<(VertexSet, u64)>, u64) {
-        let mut engine = DynDens::new(AvgWeight, engine_config());
+    /// One engine of `blueprint` fed the whole stream.
+    fn single_engine<B: EngineBlueprint>(&self, blueprint: &B) -> B::Engine {
+        let mut engine = blueprint.fresh();
         let mut events = Vec::new();
         for u in &self.updates {
             engine.apply_update_into(*u, &mut events);
             events.clear();
         }
+        engine
+    }
+
+    /// The DynDens referee: output-dense story sets (bit form) and the
+    /// star-marker count (too-dense precondition probe).
+    fn reference(&self) -> (Vec<(VertexSet, u64)>, u64) {
+        let engine = self.single_engine(&DynDensBlueprint::new(AvgWeight, engine_config()));
         engine.validate().expect("reference engine invariants");
         let markers = engine.stats().star_markers_created;
         (sorted_bits(engine.output_dense_subgraphs()), markers)
     }
 
-    fn sharded_leg(&self, want: &[(VertexSet, u64)]) -> LegReport {
+    fn sharded_leg<B: EngineBlueprint>(
+        &self,
+        blueprint: &B,
+        want: &[(VertexSet, u64)],
+    ) -> LegReport {
         for n_shards in [1usize, 2, 4] {
-            let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(n_shards));
+            let mut fleet = ShardedFleet::with_backend(blueprint.clone(), shard_config(n_shards));
             for chunk in self.updates.chunks(CHUNK) {
                 fleet.apply_batch(chunk);
             }
@@ -249,15 +283,18 @@ impl Oracle {
         )
     }
 
-    fn recovery_leg(&self, want: &[(VertexSet, u64)]) -> LegReport {
-        let dir = self.temp_dir("recovery");
+    fn recovery_leg<B: EngineBlueprint>(
+        &self,
+        blueprint: &B,
+        want: &[(VertexSet, u64)],
+    ) -> LegReport {
+        let dir = self.temp_dir(&format!("{}-recovery", blueprint.kind()));
         let persistence = || leg_persistence(&dir);
         let chunks: Vec<&[EdgeUpdate]> = self.updates.chunks(CHUNK).collect();
         let kill_at = chunks.len() / 2;
         {
-            let mut doomed = match ShardedDynDens::with_persistence(
-                AvgWeight,
-                engine_config(),
+            let mut doomed = match ShardedFleet::with_backend_persistence(
+                blueprint.clone(),
                 shard_config(2),
                 persistence(),
             ) {
@@ -271,9 +308,8 @@ impl Oracle {
             // Dropping without shutdown is the kill: nothing but the WAL
             // (written before every apply) and cadence snapshots survive.
         }
-        let mut recovered = match ShardedDynDens::with_persistence(
-            AvgWeight,
-            engine_config(),
+        let mut recovered = match ShardedFleet::with_backend_persistence(
+            blueprint.clone(),
             shard_config(2),
             persistence(),
         ) {
@@ -308,16 +344,104 @@ impl Oracle {
         }
     }
 
-    fn rebalance_leg(&self, want: &[(VertexSet, u64)]) -> LegReport {
-        self.backend_rebalance_leg(&DynDensBlueprint::new(AvgWeight, engine_config()), want)
+    /// Split at 1/3, merge the pair back at 2/3, on both deployments: an
+    /// in-memory fleet and a persistent one, the latter also reopened from
+    /// its coarsened manifest.
+    fn rebalance_leg<B: EngineBlueprint>(
+        &self,
+        blueprint: &B,
+        want: &[(VertexSet, u64)],
+    ) -> LegReport {
+        let dir = self.temp_dir(&format!("{}-rebalance", blueprint.kind()));
+        let persistence = || leg_persistence(&dir);
+        for persistent in [false, true] {
+            let input = if persistent {
+                "persistent"
+            } else {
+                "in-memory"
+            };
+            let failed = |detail: String| leg_failed("rebalance", format!("{input}: {detail}"));
+            let open = || {
+                if persistent {
+                    ShardedFleet::with_backend_persistence(
+                        blueprint.clone(),
+                        shard_config(2),
+                        persistence(),
+                    )
+                } else {
+                    Ok(ShardedFleet::with_backend(
+                        blueprint.clone(),
+                        shard_config(2),
+                    ))
+                }
+            };
+            let mut fleet = match open() {
+                Ok(fleet) => fleet,
+                Err(e) => return failed(format!("fresh deployment: {e}")),
+            };
+            let third = self.updates.len() / 3;
+            for chunk in self.updates[..third].chunks(CHUNK) {
+                fleet.apply_batch(chunk);
+            }
+            let split = match fleet.split_shard(0) {
+                Ok(report) => report,
+                Err(e) => return failed(format!("split: {e}")),
+            };
+            for chunk in self.updates[third..2 * third].chunks(CHUNK) {
+                fleet.apply_batch(chunk);
+            }
+            if let Err(e) = fleet.merge_shards(split.slot, split.new_slot) {
+                return failed(format!("merge: {e}"));
+            }
+            for chunk in self.updates[2 * third..].chunks(CHUNK) {
+                fleet.apply_batch(chunk);
+            }
+            fleet.flush();
+            if let Err(e) = fleet.validate() {
+                return failed(e);
+            }
+            if fleet.stats().updates != self.updates.len() as u64 {
+                return failed("split+merge lost or double-counted updates".into());
+            }
+            if let Err(detail) = compare(want, &sorted_bits(fleet.output_dense())) {
+                return failed(detail);
+            }
+            if persistent {
+                drop(fleet);
+                let verdict = match open() {
+                    Ok(reopened) => compare(want, &sorted_bits(reopened.output_dense())),
+                    Err(e) => Err(e.to_string()),
+                };
+                let _ = std::fs::remove_dir_all(&dir);
+                if let Err(detail) = verdict {
+                    return failed(format!("reopen after merge: {detail}"));
+                }
+            }
+        }
+        leg_ok(
+            "rebalance",
+            "split @1/3 + merge @2/3 == untouched topology (in-memory, persistent + reopen)".into(),
+        )
     }
 
-    fn serve_leg(&self, want: &[(VertexSet, u64)]) -> LegReport {
+    /// A push-fed [`Mirror`] subscribed over TCP during ingest, then a
+    /// late-joining mirror that bootstraps purely from resync snapshots. The
+    /// late joiner must match bit for bit (resync snapshots carry the full
+    /// story family with current scores) on every backend. The push-fed
+    /// mirror's membership is checked for [`Backend::DynDens`] only: it is
+    /// the one backend whose contract promises per-update
+    /// [`DenseEvent`](dyndens_core::DenseEvent)s, while periodic rebuilders
+    /// and read-time peelers push empty deltas.
+    fn serve_leg<B: EngineBlueprint>(
+        &self,
+        blueprint: &B,
+        backend: Backend,
+        want: &[(VertexSet, u64)],
+    ) -> LegReport {
         // Untruncated top-k makes resync snapshots complete; small retention
         // makes the late joiner genuinely take the resync path.
-        let mut fleet = ShardedDynDens::new(
-            AvgWeight,
-            engine_config(),
+        let mut fleet = ShardedFleet::with_backend(
+            blueprint.clone(),
             shard_config(2)
                 .with_top_k(usize::MAX)
                 .with_delta_retention(16),
@@ -371,11 +495,9 @@ impl Oracle {
         // Push-fed mirror: exact set membership (densities ride deltas and
         // may trail until a resync, as on any delta-followed shard).
         let want_sets: Vec<VertexSet> = want.iter().map(|(s, _)| s.clone()).collect();
-        if mirror.vertex_sets() != want_sets {
+        if backend == Backend::DynDens && mirror.vertex_sets() != want_sets {
             return leg_failed("serve", "push-fed mirror story sets diverge".into());
         }
-        // A late joiner bootstraps purely from resync snapshots, which carry
-        // the engine's current scores: bit-exact sets *and* densities.
         let mut poll_client = match Client::builder().connect(addr) {
             Ok(client) => client,
             Err(e) => return leg_failed("serve", format!("late connect: {e}")),
@@ -401,8 +523,8 @@ impl Oracle {
     }
 
     fn temp_dir(&self, tag: &str) -> PathBuf {
-        // Unique per call: the classic and the backend harness run the same
-        // leg body, possibly from parallel test threads of one process.
+        // Unique per call: legs of one oracle may run from parallel test
+        // threads of one process.
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
             "dyndens-oracle-{}-{tag}-{}-{}",
@@ -548,321 +670,6 @@ pub fn top_q_density_ratio(got: &[(VertexSet, u64)], referee: &[(VertexSet, u64)
     numer / denom
 }
 
-impl Oracle {
-    /// Runs the full cross-backend harness for one backend: every requested
-    /// deployment leg against a single engine of the same backend
-    /// (bit-exact — the seam's determinism contract), then the `quality`
-    /// leg against the DynDens referee under the backend's
-    /// [`compare_mode`](Backend::compare_mode).
-    pub fn run_backend(&self, backend: Backend) -> BackendReport {
-        self.run_backend_legs(backend, &ALL_LEGS)
-    }
-
-    /// [`run_backend`](Self::run_backend) restricted to the given legs.
-    pub fn run_backend_legs(&self, backend: Backend, legs: &[Leg]) -> BackendReport {
-        let config = engine_config();
-        match backend {
-            Backend::DynDens => {
-                self.backend_run(DynDensBlueprint::new(AvgWeight, config), backend, legs)
-            }
-            Backend::Recompute => {
-                self.backend_run(RecomputeBlueprint::new(AvgWeight, config, 1), backend, legs)
-            }
-            Backend::TopKPeeling => self.backend_run(
-                TopKPeelingBlueprint::new(AvgWeight, config, 4),
-                backend,
-                legs,
-            ),
-        }
-    }
-
-    fn backend_run<B: EngineBlueprint>(
-        &self,
-        blueprint: B,
-        backend: Backend,
-        legs: &[Leg],
-    ) -> BackendReport {
-        // The backend's own single-engine ground truth.
-        let mut single = blueprint.fresh();
-        let mut events = Vec::new();
-        for u in &self.updates {
-            single.apply_update_into(*u, &mut events);
-            events.clear();
-        }
-        let mut reports = Vec::with_capacity(legs.len() + 1);
-        if let Err(e) = single.validate() {
-            reports.push(leg_failed("single", format!("backend invariants: {e}")));
-        }
-        let want = sorted_bits(single.output_dense_subgraphs());
-        for leg in legs {
-            reports.push(match leg {
-                Leg::Sharded => self.backend_sharded_leg(&blueprint, &want),
-                Leg::Recovery => self.backend_recovery_leg(&blueprint, backend, &want),
-                Leg::Rebalance => self.backend_rebalance_leg(&blueprint, &want),
-                Leg::Serve => self.backend_serve_leg(&blueprint, &want),
-            });
-        }
-        // The quality leg: this backend vs. the exactness referee.
-        let (referee, star_markers) = self.reference();
-        let quality_ratio = top_q_density_ratio(&want, &referee);
-        let mode = backend.compare_mode();
-        reports.push(match mode {
-            CompareMode::BitExact => match compare(&referee, &want) {
-                Ok(()) => leg_ok(
-                    "quality",
-                    format!("bit-exact with referee ({} sets)", want.len()),
-                ),
-                Err(detail) => leg_failed("quality", format!("vs referee: {detail}")),
-            },
-            CompareMode::DensityRatio(bound) => {
-                if quality_ratio >= bound {
-                    leg_ok(
-                        "quality",
-                        format!(
-                            "density ratio {quality_ratio:.3} >= {bound} ({} sets vs {} referee)",
-                            want.len(),
-                            referee.len()
-                        ),
-                    )
-                } else {
-                    leg_failed(
-                        "quality",
-                        format!("density ratio {quality_ratio:.3} below bound {bound}"),
-                    )
-                }
-            }
-        });
-        BackendReport {
-            workload: self.name.clone(),
-            backend: backend.kind(),
-            n_updates: self.updates.len(),
-            mode,
-            output_dense: want.len(),
-            quality_ratio,
-            star_markers,
-            legs: reports,
-        }
-    }
-
-    fn backend_sharded_leg<B: EngineBlueprint>(
-        &self,
-        blueprint: &B,
-        want: &[(VertexSet, u64)],
-    ) -> LegReport {
-        for n_shards in [1usize, 2, 4] {
-            let mut fleet = ShardedFleet::with_backend(blueprint.clone(), shard_config(n_shards));
-            for chunk in self.updates.chunks(CHUNK) {
-                fleet.apply_batch(chunk);
-            }
-            fleet.flush();
-            if let Err(e) = fleet.validate() {
-                return leg_failed("sharded", format!("{n_shards} shards: {e}"));
-            }
-            if let Err(detail) = compare(want, &sorted_bits(fleet.output_dense())) {
-                return leg_failed("sharded", format!("{n_shards} shards: {detail}"));
-            }
-            if fleet.stats().updates != self.updates.len() as u64 {
-                return leg_failed("sharded", format!("{n_shards} shards: ledger mismatch"));
-            }
-        }
-        leg_ok(
-            "sharded",
-            format!("1/2/4 shards == single engine ({} sets)", want.len()),
-        )
-    }
-
-    fn backend_recovery_leg<B: EngineBlueprint>(
-        &self,
-        blueprint: &B,
-        backend: Backend,
-        want: &[(VertexSet, u64)],
-    ) -> LegReport {
-        let dir = self.temp_dir(&format!("{}-recovery", backend.kind()));
-        let persistence = || leg_persistence(&dir);
-        let chunks: Vec<&[EdgeUpdate]> = self.updates.chunks(CHUNK).collect();
-        let kill_at = chunks.len() / 2;
-        {
-            let mut doomed = match ShardedFleet::with_backend_persistence(
-                blueprint.clone(),
-                shard_config(2),
-                persistence(),
-            ) {
-                Ok(fleet) => fleet,
-                Err(e) => return leg_failed("recovery", format!("fresh deployment: {e}")),
-            };
-            for chunk in &chunks[..kill_at] {
-                doomed.apply_batch(chunk);
-            }
-            doomed.flush();
-        }
-        let mut recovered = match ShardedFleet::with_backend_persistence(
-            blueprint.clone(),
-            shard_config(2),
-            persistence(),
-        ) {
-            Ok(fleet) => fleet,
-            Err(e) => return leg_failed("recovery", format!("recovery: {e}")),
-        };
-        let pre_crash: u64 = chunks[..kill_at].iter().map(|c| c.len() as u64).sum();
-        let recovered_seq: u64 = recovered
-            .recovery_reports()
-            .iter()
-            .map(|r| r.recovered_seq)
-            .sum();
-        if recovered_seq != pre_crash {
-            return leg_failed(
-                "recovery",
-                format!("recovered seq {recovered_seq} != {pre_crash} pre-crash updates"),
-            );
-        }
-        for chunk in &chunks[kill_at..] {
-            recovered.apply_batch(chunk);
-        }
-        recovered.flush();
-        let verdict = compare(want, &sorted_bits(recovered.output_dense()));
-        drop(recovered);
-        let _ = std::fs::remove_dir_all(&dir);
-        match verdict {
-            Ok(()) => leg_ok(
-                "recovery",
-                format!("kill at update {pre_crash} + recover == never crashed"),
-            ),
-            Err(detail) => leg_failed("recovery", detail),
-        }
-    }
-
-    /// Split at 1/3, merge the pair back at 2/3, over both rebuild inputs:
-    /// an in-memory fleet (the transform runs on clones of the live
-    /// engines) and a persistent one (on engines recovered from checkpoint +
-    /// WAL), the latter also reopened from its coarsened manifest.
-    fn backend_rebalance_leg<B: EngineBlueprint>(
-        &self,
-        blueprint: &B,
-        want: &[(VertexSet, u64)],
-    ) -> LegReport {
-        let dir = self.temp_dir(&format!("{}-rebalance", blueprint.kind()));
-        let persistence = || leg_persistence(&dir);
-        for persistent in [false, true] {
-            let input = if persistent {
-                "persistent"
-            } else {
-                "in-memory"
-            };
-            let failed = |detail: String| leg_failed("rebalance", format!("{input}: {detail}"));
-            let open = || {
-                if persistent {
-                    ShardedFleet::with_backend_persistence(
-                        blueprint.clone(),
-                        shard_config(2),
-                        persistence(),
-                    )
-                } else {
-                    Ok(ShardedFleet::with_backend(
-                        blueprint.clone(),
-                        shard_config(2),
-                    ))
-                }
-            };
-            let mut fleet = match open() {
-                Ok(fleet) => fleet,
-                Err(e) => return failed(format!("fresh deployment: {e}")),
-            };
-            let third = self.updates.len() / 3;
-            for chunk in self.updates[..third].chunks(CHUNK) {
-                fleet.apply_batch(chunk);
-            }
-            let split = match fleet.split_shard(0) {
-                Ok(report) => report,
-                Err(e) => return failed(format!("split: {e}")),
-            };
-            for chunk in self.updates[third..2 * third].chunks(CHUNK) {
-                fleet.apply_batch(chunk);
-            }
-            if let Err(e) = fleet.merge_shards(split.slot, split.new_slot) {
-                return failed(format!("merge: {e}"));
-            }
-            for chunk in self.updates[2 * third..].chunks(CHUNK) {
-                fleet.apply_batch(chunk);
-            }
-            fleet.flush();
-            if let Err(e) = fleet.validate() {
-                return failed(e);
-            }
-            if fleet.stats().updates != self.updates.len() as u64 {
-                return failed("split+merge lost or double-counted updates".into());
-            }
-            if let Err(detail) = compare(want, &sorted_bits(fleet.output_dense())) {
-                return failed(detail);
-            }
-            if persistent {
-                drop(fleet);
-                let verdict = match open() {
-                    Ok(reopened) => compare(want, &sorted_bits(reopened.output_dense())),
-                    Err(e) => Err(e.to_string()),
-                };
-                let _ = std::fs::remove_dir_all(&dir);
-                if let Err(detail) = verdict {
-                    return failed(format!("reopen after merge: {detail}"));
-                }
-            }
-        }
-        leg_ok(
-            "rebalance",
-            "split @1/3 + merge @2/3 == untouched topology (in-memory, persistent + reopen)".into(),
-        )
-    }
-
-    /// The backend serve leg uses the late-join resync path only: backends
-    /// that publish no per-update [`DenseEvent`](dyndens_core::DenseEvent)s
-    /// (periodic rebuilders, read-time peelers) have empty delta streams, so
-    /// a push-fed mirror would never materialise their stories. Resync
-    /// snapshots carry the full story family regardless of backend. The
-    /// push path itself is covered by the classic [`Oracle::run`] serve leg
-    /// on DynDens.
-    fn backend_serve_leg<B: EngineBlueprint>(
-        &self,
-        blueprint: &B,
-        want: &[(VertexSet, u64)],
-    ) -> LegReport {
-        let mut fleet = ShardedFleet::with_backend(
-            blueprint.clone(),
-            shard_config(2)
-                .with_top_k(usize::MAX)
-                .with_delta_retention(16),
-        );
-        for chunk in self.updates.chunks(CHUNK) {
-            fleet.apply_batch(chunk);
-        }
-        fleet.flush();
-        let server = match StoryServer::builder(fleet.view())
-            .workers(2)
-            .bind("127.0.0.1:0")
-        {
-            Ok(server) => server,
-            Err(e) => return leg_failed("serve", format!("bind: {e}")),
-        };
-        let mut poll_client = match Client::builder().connect(server.local_addr()) {
-            Ok(client) => client,
-            Err(e) => return leg_failed("serve", format!("connect: {e}")),
-        };
-        let mut mirror = Mirror::new();
-        loop {
-            match mirror.poll(&mut poll_client) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return leg_failed("serve", format!("poll: {e}")),
-            }
-        }
-        match compare(want, &sorted_bits(mirror.story_sets())) {
-            Ok(()) => leg_ok(
-                "serve",
-                format!("resync mirror == in-process view ({} sets)", want.len()),
-            ),
-            Err(detail) => leg_failed("serve", format!("resync mirror: {detail}")),
-        }
-    }
-}
-
 /// The persistent legs' setup: no fsync (their kills are polite drops) and a
 /// checkpoint every 8 micro-batches, so rebuilds see snapshot + WAL tail.
 fn leg_persistence(dir: &Path) -> PersistenceConfig {
@@ -914,11 +721,13 @@ mod tests {
 
     #[test]
     fn oracle_passes_on_a_small_aligned_stream() {
-        let report = Oracle::new(&AlignedCommunities::new(4_000, 17)).run_legs(&[Leg::Sharded]);
+        let report = Oracle::new(&AlignedCommunities::new(4_000, 17))
+            .run_backend_legs(Backend::DynDens, &[Leg::Sharded]);
         assert_eq!(report.workload, "aligned_communities");
         assert_eq!(report.n_updates, 4_000);
         assert!(report.output_dense > 0);
-        report.assert_bit_exact();
+        report.assert_passed();
+        assert_eq!(report.quality_ratio, 1.0);
     }
 
     #[test]
@@ -926,6 +735,8 @@ mod tests {
         let oracle = Oracle::new(&AlignedCommunities::new(2_000, 17));
         for backend in ALL_BACKENDS {
             let report = oracle.run_backend_legs(backend, &[Leg::Sharded]);
+            assert_eq!(report.workload, "aligned_communities");
+            assert_eq!(report.n_updates, 2_000);
             assert_eq!(report.backend, backend.kind());
             assert!(report.output_dense > 0, "{}: no stories", report.backend);
             report.assert_passed();

@@ -24,8 +24,9 @@ use support::{
 };
 
 /// The headline acceptance test: a persistent 2-shard deployment ingests the
-/// 50k stream; mid-stream, the hot shard is split (checkpoint + WAL-slice
-/// replay) while an [`IngestHandle`] concurrently feeds the fleet — updates
+/// 50k stream; mid-stream, the hot shard is split (the quiesced live engine
+/// partitioned, each child persisted from its own snapshot at the split
+/// point) while an [`IngestHandle`] concurrently feeds the fleet — updates
 /// for the splitting shard park, updates for the untouched shard are applied
 /// *during* the split (asserted deterministically from inside the split's
 /// `Parked` phase). The final maintained family must match a never-split run
@@ -70,8 +71,20 @@ fn split_mid_stream_matches_never_split_bit_identically() {
     let view = fleet.view();
     let seq0_at_park = std::cell::Cell::new(0u64);
     let concurrent_applied = std::cell::Cell::new(0u64);
+    // The children's snapshot seqs once persisted, before their workers
+    // apply (and checkpoint) the parked backlog.
+    let next = fleet.shard_map().next_engine();
+    let child_snapshots = std::cell::RefCell::new(Vec::new());
     let report = fleet
         .split_shard_with(0, |phase| {
+            if phase == RebalanceStage::Rebuilt {
+                for child in [next, next + 1] {
+                    let child_dir = dir.join(format!("shard-{child:04}"));
+                    let snapshots = dyndens::shard::recovery::list_snapshots(&child_dir).unwrap();
+                    let seqs: Vec<u64> = snapshots.into_iter().map(|(seq, _)| seq).collect();
+                    child_snapshots.borrow_mut().push(seqs);
+                }
+            }
             if phase == RebalanceStage::Parked {
                 seq0_at_park.set(view.shard_seq(0));
                 let untouched_before = view.shard_seq(1);
@@ -100,10 +113,11 @@ fn split_mid_stream_matches_never_split_bit_identically() {
     );
     assert_eq!(report.slot, 0);
     assert_eq!(report.new_slot, 2);
+    assert_eq!(report.child_engines, (next, next + 1));
     assert_eq!(
-        report.snapshot_seq + report.replayed_updates,
-        report.parent_seq,
-        "children = checkpoint + filtered WAL slice up to the quiesce point"
+        child_snapshots.into_inner(),
+        vec![vec![report.parent_seq]; 2],
+        "each child directory holds exactly one snapshot, at the quiesce point"
     );
     assert_eq!(fleet.n_shards(), 3);
     assert_eq!(view.n_shards(), 3, "pre-split views observe the growth");
@@ -300,8 +314,10 @@ enum Direction {
 /// call must err, the journal span must stay open, every quiesced source
 /// must be resurrected — updates parked from another thread are applied,
 /// the stream continues, and the final answer and ledger equal a fleet that
-/// never attempted anything — and the same call must succeed once the
-/// obstacle is gone.
+/// never attempted anything. A drop and reopen must then recover every
+/// update, which proves the WAL writers the sources handed back logged the
+/// parked backlog and the post-abort traffic; the same call must succeed on
+/// the reopened fleet once the obstacle is gone.
 fn aborted_reshape_resurrects_and_retries(direction: Direction) {
     use dyndens_obs::{Registry, SpanMark};
     use std::sync::Arc;
@@ -333,9 +349,14 @@ fn aborted_reshape_resurrects_and_retries(direction: Direction) {
     for chunk in head.chunks(CHUNK) {
         fleet.apply_batch(chunk);
     }
+    // Both children of a split start at the parent's seq, so per-shard seqs
+    // count those updates twice.
+    let mut counted_twice = 0;
     if direction == Direction::Merge {
         // Setup, not under test: the pair the merge will try to fold.
-        assert_eq!(fleet.split_shard(0).unwrap().new_slot, 2);
+        let split = fleet.split_shard(0).unwrap();
+        assert_eq!(split.new_slot, 2);
+        counted_twice = split.parent_seq;
     }
     fleet.flush();
     let workers = fleet.n_shards();
@@ -394,6 +415,25 @@ fn aborted_reshape_resurrects_and_retries(direction: Direction) {
     assert_eq!(sorted_bits(fleet.dense_subgraphs()), want);
     assert_eq!(fleet.stats().updates, updates.len() as u64);
 
+    // Drop and reopen: the resurrected sources' WALs hold every update.
+    drop(fleet);
+    let mut fleet = ShardedDynDens::with_persistence(
+        AvgWeight,
+        engine_config(),
+        shard_config(2).with_obs(Arc::clone(&registry)),
+        persistence_every(&dir, 16),
+    )
+    .unwrap();
+    let recovered: u64 = fleet
+        .recovery_reports()
+        .iter()
+        .map(|r| r.recovered_seq)
+        .sum();
+    assert_eq!(recovered, updates.len() as u64 + counted_twice);
+    assert_eq!(sorted_bits(fleet.dense_subgraphs()), want);
+    // Recovery restores checkpoint-time counters and counts no replay.
+    let ledger = fleet.stats().updates;
+
     // The retry: same call, obstacle gone.
     std::fs::remove_file(&squatter).unwrap();
     match direction {
@@ -403,7 +443,7 @@ fn aborted_reshape_resurrects_and_retries(direction: Direction) {
     assert_eq!(marks(SpanMark::End), 1);
     assert_ne!(fleet.n_shards(), workers);
     assert_eq!(sorted_bits(fleet.dense_subgraphs()), want);
-    assert_eq!(fleet.stats().updates, updates.len() as u64);
+    assert_eq!(fleet.stats().updates, ledger, "a reshape is ledger-neutral");
     drop(fleet);
     std::fs::remove_dir_all(&dir).unwrap();
 }

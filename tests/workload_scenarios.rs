@@ -10,21 +10,21 @@
 //! bit-identical to the single-engine reference.
 
 use dyndens::workloads::{
-    AdversarialSkew, AlignedCommunities, DocCorpus, FlashCrowd, GeoPartitioned, Oracle,
-    OracleReport, Workload, WorkloadStream, ALL_BACKENDS,
+    AdversarialSkew, AlignedCommunities, Backend, BackendReport, DocCorpus, FlashCrowd,
+    GeoPartitioned, Oracle, Workload, WorkloadStream, ALL_BACKENDS,
 };
 
-fn run(workload: &dyn Workload, n_updates: usize) -> OracleReport {
-    let report = Oracle::new(workload).run();
+fn run(workload: &dyn Workload, n_updates: usize) -> BackendReport {
+    let report = Oracle::new(workload).run_backend(Backend::DynDens);
     assert_eq!(report.workload, workload.name());
     assert_eq!(report.n_updates, n_updates);
-    assert_eq!(report.legs.len(), 4, "all four legs must run");
+    assert_eq!(report.legs.len(), 5, "all four legs and quality must run");
     assert!(
         report.output_dense > 0,
         "{}: degenerate workload, no output-dense stories",
         report.workload
     );
-    report.assert_bit_exact();
+    report.assert_passed();
     report
 }
 
