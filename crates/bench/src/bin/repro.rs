@@ -563,7 +563,7 @@ fn table3(scale: f64, claims: &mut Claims) -> usize {
         for u in &updates {
             engine.apply_update(*u);
         }
-        let ranked = rank_with_diversity(&engine.output_dense_subgraphs(), 0.8, 6);
+        let ranked = rank_with_diversity(&engine.output_dense_subgraphs(), 6);
         // One planted story: every entity is scripted, and the scripts it
         // draws on all share an entity (the two facets of the raid do; the
         // wedding and the pop stars do not).

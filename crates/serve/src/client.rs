@@ -5,8 +5,8 @@
 //! ```text
 //!   ClientBuilder ──connect──► Client ──subscribe──► Subscription
 //!        ▲                      │  ▲                     │
-//!        └── timeouts, retry,   │  └────unsubscribe──────┘
-//!            resync policy      └── top_k / poll / stats / metrics
+//!        └── timeouts, retry    │  └────unsubscribe──────┘
+//!                               └── top_k / poll / stats / metrics
 //! ```
 //!
 //! A [`Client`] issues one request at a time and reads its reply. Calling
@@ -48,14 +48,6 @@ pub enum ClientError {
     /// The server's reply type does not match the request, or a reply
     /// invariant the client relies on was violated.
     Protocol(&'static str),
-    /// A push contained a resync entry while the client runs with
-    /// [`ResyncPolicy::Fail`]: the subscriber fell behind the server's delta
-    /// retention (or the topology changed) and chose to treat that as an
-    /// error instead of rebasing.
-    ResyncRequired {
-        /// The shard whose entry demanded a resync.
-        shard: u32,
-    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -67,9 +59,6 @@ impl std::fmt::Display for ClientError {
                 write!(f, "server error {code:?}: {message}")
             }
             ClientError::Protocol(what) => write!(f, "protocol violation: {what}"),
-            ClientError::ResyncRequired { shard } => {
-                write!(f, "shard {shard} requires a resync (policy: fail)")
-            }
         }
     }
 }
@@ -88,30 +77,9 @@ impl From<DecodeFailure> for ClientError {
     }
 }
 
-/// What a subscriber does when the server sends a resync entry instead of a
-/// delta suffix (it fell behind retention, or the shard topology changed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResyncPolicy {
-    /// Accept the snapshot and rebase the mirrored shard on it (the
-    /// default): the mirror stays correct, at the cost of one snapshot-sized
-    /// batch.
-    #[default]
-    Rebase,
-    /// Surface [`ClientError::ResyncRequired`] instead of applying the
-    /// snapshot — for callers that need gap-free event streams and prefer to
-    /// rebuild through their own channel.
-    Fail,
-}
-
-/// The connection settings a [`Client`] carries (and hands on to the
-/// [`Subscription`] it may become).
-#[derive(Debug, Clone, Copy)]
-struct ClientConfig {
-    resync_policy: ResyncPolicy,
-}
-
-/// Configures and opens a [`Client`]: timeouts, connect retries with
-/// backoff, and the subscription resync policy.
+/// Configures and opens a [`Client`]: timeouts and connect retries with
+/// backoff. `TCP_NODELAY` is always on — the protocol is request/response
+/// and push frames should not wait on Nagle.
 ///
 /// ```no_run
 /// # use std::time::Duration;
@@ -131,8 +99,6 @@ pub struct ClientBuilder {
     read_timeout: Option<Duration>,
     retries: u32,
     backoff: Duration,
-    nodelay: bool,
-    resync_policy: ResyncPolicy,
 }
 
 impl Default for ClientBuilder {
@@ -142,15 +108,12 @@ impl Default for ClientBuilder {
             read_timeout: None,
             retries: 0,
             backoff: Duration::from_millis(100),
-            nodelay: true,
-            resync_policy: ResyncPolicy::Rebase,
         }
     }
 }
 
 impl ClientBuilder {
-    /// A builder with defaults: no timeouts, no retries, `TCP_NODELAY` on,
-    /// [`ResyncPolicy::Rebase`].
+    /// A builder with defaults: no timeouts, no retries.
     pub fn new() -> ClientBuilder {
         ClientBuilder::default()
     }
@@ -184,20 +147,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Whether to set `TCP_NODELAY` (default: true — the protocol is
-    /// request/response and push frames should not wait on Nagle).
-    pub fn nodelay(mut self, nodelay: bool) -> Self {
-        self.nodelay = nodelay;
-        self
-    }
-
-    /// How a [`Subscription`] built from this client treats resync entries.
-    /// Default: [`ResyncPolicy::Rebase`].
-    pub fn resync_policy(mut self, policy: ResyncPolicy) -> Self {
-        self.resync_policy = policy;
-        self
-    }
-
     /// Connects, retrying with doubling backoff on failure.
     pub fn connect(self, addr: impl ToSocketAddrs) -> io::Result<Client> {
         let mut delay = self.backoff;
@@ -226,14 +175,11 @@ impl ClientBuilder {
             };
             match attempt {
                 Ok(stream) => {
-                    stream.set_nodelay(self.nodelay)?;
+                    stream.set_nodelay(true)?;
                     stream.set_read_timeout(self.read_timeout)?;
                     return Ok(Client {
                         reader: BufReader::new(stream.try_clone()?),
                         writer: BufWriter::new(stream),
-                        config: ClientConfig {
-                            resync_policy: self.resync_policy,
-                        },
                     });
                 }
                 Err(e) => last_err = Some(e),
@@ -253,7 +199,6 @@ impl ClientBuilder {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    config: ClientConfig,
 }
 
 impl Client {
@@ -359,7 +304,6 @@ impl Client {
             stream,
             writer: self.writer,
             fbuf: FrameBuffer::with_initial(leftover),
-            config: self.config,
             n_shards,
             nonblocking: false,
         })
@@ -396,7 +340,6 @@ pub struct Subscription {
     stream: TcpStream,
     writer: BufWriter<TcpStream>,
     fbuf: FrameBuffer,
-    config: ClientConfig,
     n_shards: u32,
     nonblocking: bool,
 }
@@ -422,16 +365,6 @@ impl Subscription {
         };
         match Response::decode(&payload)? {
             Response::Push { n_shards, entries } => {
-                if self.config.resync_policy == ResyncPolicy::Fail {
-                    if let Some(entry) = entries
-                        .iter()
-                        .find(|e| matches!(e, ShardPoll::Resync { .. }))
-                    {
-                        return Err(ClientError::ResyncRequired {
-                            shard: entry.shard(),
-                        });
-                    }
-                }
                 self.n_shards = n_shards;
                 Ok(Some(PushBatch { n_shards, entries }))
             }
@@ -544,7 +477,6 @@ impl Subscription {
         Ok(Client {
             reader: BufReader::new(self.stream.try_clone()?),
             writer: self.writer,
-            config: self.config,
         })
     }
 }

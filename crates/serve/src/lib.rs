@@ -89,6 +89,7 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
 #[cfg(unix)]
@@ -100,9 +101,7 @@ pub mod protocol;
 #[cfg(unix)]
 pub mod server;
 
-pub use client::{
-    Client, ClientBuilder, ClientError, Mirror, PushBatch, ResyncPolicy, Subscription,
-};
+pub use client::{Client, ClientBuilder, ClientError, Mirror, PushBatch, Subscription};
 pub use protocol::{
     DecodeFailure, ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat, WireStory,
     MAX_FRAME_LEN, PROTOCOL_VERSION,

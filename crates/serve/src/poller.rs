@@ -240,6 +240,8 @@ mod epoll {
 
     impl EpollPoller {
         pub fn new() -> io::Result<EpollPoller> {
+            // SAFETY: `epoll_create1` takes a flag word and touches no
+            // caller memory; a negative return is turned into an error.
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             Ok(EpollPoller {
                 epfd,
@@ -252,6 +254,9 @@ mod epoll {
                 events: mask(interest),
                 data: token as u64,
             };
+            // SAFETY: `ev` is a live, correctly laid out `epoll_event` for the
+            // whole call, and the kernel only reads it. `self.epfd` is open
+            // until `drop`.
             cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
         }
 
@@ -270,11 +275,17 @@ mod epoll {
 
         pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `ctl`. `EPOLL_CTL_DEL` ignores the event, but
+            // kernels before 2.6.9 require it to be non-null.
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
         }
 
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
             let n = loop {
+                // SAFETY: the kernel writes at most `maxevents` =
+                // `scratch.len()` events into `scratch`, which is exclusively
+                // borrowed for the call; `len()` fits in an `i32` because the
+                // buffer only doubles from 1024 when completely filled.
                 let ret = unsafe {
                     epoll_wait(
                         self.epfd,
@@ -311,6 +322,8 @@ mod epoll {
 
     impl Drop for EpollPoller {
         fn drop(&mut self) {
+            // SAFETY: `epfd` came from `epoll_create1`, is owned by this
+            // poller alone and is closed exactly once, here.
             unsafe {
                 close(self.epfd);
             }
@@ -324,6 +337,16 @@ mod pollfd {
     use std::io;
     use std::os::unix::io::RawFd;
     use std::time::Duration;
+
+    /// `nfds_t`: `unsigned long` on Linux and Solarish systems, `unsigned
+    /// int` on macOS, the BSDs and Android — where this backend is the only
+    /// one.
+    #[cfg(any(target_os = "linux", target_os = "illumos", target_os = "solaris"))]
+    #[allow(non_camel_case_types)]
+    type nfds_t = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "illumos", target_os = "solaris")))]
+    #[allow(non_camel_case_types)]
+    type nfds_t = std::ffi::c_uint;
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
@@ -340,7 +363,7 @@ mod pollfd {
     }
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        fn poll(fds: *mut PollFd, nfds: nfds_t, timeout: i32) -> i32;
     }
 
     fn mask(interest: Interest) -> i16 {
@@ -418,7 +441,12 @@ mod pollfd {
             // token list off rather than interleave.
             let mut fds: Vec<PollFd> = self.scratch.iter().map(|(p, _)| *p).collect();
             loop {
-                let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms(timeout)) };
+                // SAFETY: `fds` is a contiguous, exclusively borrowed array
+                // of `fds.len()` `#[repr(C)]` pollfd entries; the kernel
+                // writes only their `revents`. The count is the number of
+                // registered fds, far below `nfds_t::MAX`.
+                let ret =
+                    unsafe { poll(fds.as_mut_ptr(), fds.len() as nfds_t, timeout_ms(timeout)) };
                 if ret >= 0 {
                     break;
                 }

@@ -1,0 +1,191 @@
+//! `docs/PROTOCOL.md` and `protocol.rs` give the same tags and error codes:
+//! the §4 request tag table, the tag in each §5 response heading, and the
+//! §5.8 error-code table. One value of every message variant is encoded and
+//! its tag byte (payload byte 1, after the version) compared with the
+//! documented one. A tag or code changed on one side only fails here.
+
+use std::collections::BTreeMap;
+use std::path::Path;
+
+use dyndens_core::EngineStats;
+use dyndens_obs::RegistrySnapshot;
+use dyndens_serve::{ErrorCode, Request, Response, ServeStats};
+
+fn protocol_md() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/PROTOCOL.md");
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The lines of `doc` from the heading starting with `from` up to the next
+/// heading starting with `to`.
+fn section<'a>(doc: &'a str, from: &str, to: &str) -> Vec<&'a str> {
+    doc.lines()
+        .skip_while(|line| !line.starts_with(from))
+        .skip(1)
+        .take_while(|line| !line.starts_with(to))
+        .collect()
+}
+
+/// The value of the first `` `0xNN` `` in `text`.
+fn hex_tag(text: &str) -> Option<u8> {
+    let at = text.find("`0x")? + 3;
+    u8::from_str_radix(text.get(at..at + 2)?, 16).ok()
+}
+
+/// The tag byte of an encoded payload (byte 0 is the protocol version).
+fn tag_of(encode: impl FnOnce(&mut Vec<u8>)) -> u8 {
+    let mut payload = Vec::new();
+    encode(&mut payload);
+    payload[1]
+}
+
+fn request_name(request: &Request) -> &'static str {
+    match request {
+        Request::TopK { .. } => "TopK",
+        Request::Poll { .. } => "Poll",
+        Request::Stats => "Stats",
+        Request::Metrics => "Metrics",
+        Request::Subscribe { .. } => "Subscribe",
+        Request::Unsubscribe => "Unsubscribe",
+    }
+}
+
+fn response_name(response: &Response) -> &'static str {
+    match response {
+        Response::Stories { .. } => "Stories",
+        Response::Poll { .. } => "Poll",
+        Response::Stats { .. } => "Stats",
+        Response::Metrics { .. } => "Metrics",
+        Response::Subscribed { .. } => "Subscribed",
+        Response::Unsubscribed => "Unsubscribed",
+        Response::Push { .. } => "Push",
+        Response::Error { .. } => "Error",
+    }
+}
+
+/// How each code's row in the §5.8 table begins.
+fn error_meaning(code: ErrorCode) -> &'static str {
+    match code {
+        ErrorCode::UnsupportedVersion => "unsupported protocol version",
+        ErrorCode::UnknownTag => "unknown request tag",
+        ErrorCode::Malformed => "malformed request body",
+        ErrorCode::BadCursor => "bad poll cursor",
+        ErrorCode::SlowConsumer => "slow consumer",
+        ErrorCode::Unsupported => "unsupported:",
+    }
+}
+
+#[test]
+fn request_tags_match_the_section_4_table() {
+    let doc = protocol_md();
+    let documented: BTreeMap<String, u8> = section(&doc, "## 4.", "## ")
+        .into_iter()
+        .filter(|line| line.starts_with("| `0x"))
+        .map(|row| {
+            let name = row.split('|').nth(2).expect("a name cell").trim();
+            (name.to_string(), hex_tag(row).expect("a tag cell"))
+        })
+        .collect();
+    let requests = [
+        Request::TopK { k: 1 },
+        Request::Poll { since: vec![] },
+        Request::Stats,
+        Request::Metrics,
+        Request::Subscribe { since: vec![] },
+        Request::Unsubscribe,
+    ];
+    let encoded: BTreeMap<String, u8> = requests
+        .iter()
+        .map(|r| {
+            (
+                request_name(r).to_string(),
+                tag_of(|buf| r.encode_into(buf)),
+            )
+        })
+        .collect();
+    assert_eq!(encoded, documented, "§4 request tags (left: protocol.rs)");
+}
+
+#[test]
+fn response_tags_match_the_section_5_headings() {
+    let doc = protocol_md();
+    let documented: BTreeMap<String, u8> = section(&doc, "## 5.", "## ")
+        .into_iter()
+        .filter(|line| line.starts_with("### 5."))
+        .map(|heading| {
+            let name = heading.split_whitespace().nth(2).expect("a heading name");
+            let tag = hex_tag(heading).unwrap_or_else(|| panic!("no tag in {heading:?}"));
+            (name.to_string(), tag)
+        })
+        .collect();
+    let responses = [
+        Response::Stories {
+            per_shard_seq: vec![],
+            stories: vec![],
+        },
+        Response::Poll {
+            n_shards: 0,
+            entries: vec![],
+        },
+        Response::Stats {
+            stats: EngineStats::default(),
+            serve: ServeStats::default(),
+            shards: vec![],
+        },
+        Response::Metrics {
+            registry: RegistrySnapshot::default(),
+        },
+        Response::Subscribed { n_shards: 0 },
+        Response::Unsubscribed,
+        Response::Push {
+            n_shards: 0,
+            entries: vec![],
+        },
+        Response::Error {
+            code: ErrorCode::Malformed,
+            message: String::new(),
+        },
+    ];
+    let encoded: BTreeMap<String, u8> = responses
+        .iter()
+        .map(|r| {
+            (
+                response_name(r).to_string(),
+                tag_of(|buf| r.encode_into(buf)),
+            )
+        })
+        .collect();
+    assert_eq!(encoded, documented, "§5 response tags (left: protocol.rs)");
+}
+
+#[test]
+fn error_codes_match_the_section_5_8_table() {
+    let doc = protocol_md();
+    let documented: BTreeMap<u8, String> = section(&doc, "### 5.8", "## ")
+        .into_iter()
+        .filter_map(|row| {
+            let mut cells = row.split('|').skip(1);
+            let code = cells.next()?.trim().parse().ok()?;
+            Some((code, cells.next()?.trim().to_string()))
+        })
+        .collect();
+    let codes = [
+        ErrorCode::UnsupportedVersion,
+        ErrorCode::UnknownTag,
+        ErrorCode::Malformed,
+        ErrorCode::BadCursor,
+        ErrorCode::SlowConsumer,
+        ErrorCode::Unsupported,
+    ];
+    assert_eq!(documented.len(), codes.len(), "§5.8 rows: {documented:?}");
+    for code in codes {
+        let row = documented
+            .get(&(code as u8))
+            .unwrap_or_else(|| panic!("§5.8 has no row for {code:?} = {}", code as u8));
+        assert!(
+            row.starts_with(error_meaning(code)),
+            "§5.8 row {} reads {row:?}, which is not {code:?}",
+            code as u8
+        );
+    }
+}

@@ -165,16 +165,12 @@ pub struct PersistenceConfig {
     pub fsync: FsyncPolicy,
     /// Size bound after which a WAL segment is rotated.
     pub segment_max_bytes: u64,
-    /// How many snapshots to retain per shard (at least 1). Keeping more
-    /// than one lets recovery fall back to an older snapshot if the newest
-    /// one is damaged; the WAL is only pruned up to the *oldest* retained
-    /// snapshot so the fallback can still replay forward.
-    pub retained_snapshots: usize,
 }
 
 impl PersistenceConfig {
     /// A configuration rooted at `dir` with the defaults: snapshot every 64
-    /// micro-batches, no per-record fsync, 8 MiB segments, 2 retained
+    /// micro-batches, no per-record fsync, 8 MiB segments. Every shard keeps
+    /// [`RETAINED_SNAPSHOTS`](crate::recovery::RETAINED_SNAPSHOTS)
     /// snapshots.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistenceConfig {
@@ -182,7 +178,6 @@ impl PersistenceConfig {
             snapshot_every_batches: 64,
             fsync: FsyncPolicy::Never,
             segment_max_bytes: 8 << 20,
-            retained_snapshots: 2,
         }
     }
 
@@ -201,12 +196,6 @@ impl PersistenceConfig {
     /// Sets the WAL segment rotation bound (clamped to at least 4 KiB).
     pub fn with_segment_max_bytes(mut self, bytes: u64) -> Self {
         self.segment_max_bytes = bytes.max(4 << 10);
-        self
-    }
-
-    /// Sets the number of retained snapshots (clamped to at least 1).
-    pub fn with_retained_snapshots(mut self, n: usize) -> Self {
-        self.retained_snapshots = n.max(1);
         self
     }
 }
@@ -251,12 +240,10 @@ mod tests {
         let p = PersistenceConfig::new("/tmp/x")
             .with_snapshot_every_batches(0)
             .with_fsync(FsyncPolicy::Always)
-            .with_segment_max_bytes(1)
-            .with_retained_snapshots(0);
+            .with_segment_max_bytes(1);
         assert_eq!(p.snapshot_every_batches, 1);
         assert_eq!(p.fsync, FsyncPolicy::Always);
         assert_eq!(p.segment_max_bytes, 4 << 10);
-        assert_eq!(p.retained_snapshots, 1);
         let d = PersistenceConfig::new("/tmp/y");
         assert_eq!(d.snapshot_every_batches, 64);
         assert_eq!(d.fsync, FsyncPolicy::Never);

@@ -88,12 +88,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dyndens_core::{EngineBlueprint, EngineStats, MaintenanceEngine};
-use dyndens_graph::{EdgeUpdate, ShardMap};
+use dyndens_graph::ShardMap;
 use dyndens_obs::{names, ObsEvent, RebalanceStage};
 
 use crate::config::PersistenceConfig;
 use crate::recovery;
-use crate::sharded::{install_slot, spawn_worker, ShardSeed, ShardTx, ShardedFleet};
+use crate::sharded::{
+    install_slot, spawn_worker, RouteState, ShardSeed, ShardTx, ShardedFleet, WORKER_GONE,
+};
 use crate::view::ShardRoster;
 use crate::wal::WalWriter;
 use crate::worker::{WorkerMsg, WorkerPersistence};
@@ -641,7 +643,6 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         let mut cells = roster.cells.clone();
         let mut rings = roster.rings.clone();
         let mut senders = Vec::with_capacity(plan.targets.len());
-        let mut routed = Vec::with_capacity(plan.targets.len());
         for ((seat, engine), persist) in plan.targets.iter().zip(engines).zip(persists) {
             let seed = ShardSeed {
                 engine,
@@ -654,8 +655,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             place(&mut self.engines, seat.slot, live.engine);
             place(&mut self.workers, seat.slot, Some(live.handle));
             place(&mut self.slots, seat.slot, live.slot_cell);
-            senders.push((seat.slot, live.tx));
-            routed.push(live.routed);
+            senders.push((seat.slot, live.tx, live.routed));
         }
         if let Some(freed) = plan.freed_slot {
             // The last slot moves into the freed one keeping its cell, ring
@@ -673,14 +673,13 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         }
         self.roster.store(Arc::new(ShardRoster { cells, rings }));
 
-        // 6. Commit routing: drain the parked backlog through the new map,
-        // in arrival order, then install the map. Holding the write lock
-        // guarantees no sender is mid-send, so the drain is complete.
+        // 6. Commit routing: install the targets and the new map, then drain
+        // the parked backlog through them, in arrival order. Holding the
+        // write lock guarantees no sender is mid-send, so the drain is
+        // complete and nothing overtakes it.
         let parked = {
             let mut routing = self.routing.write().expect("routing poisoned");
-            let drained = drain_parked(&park_rx, &plan.map, &senders);
-            for (((slot, tx), routed), n) in senders.into_iter().zip(routed).zip(&drained) {
-                routed.fetch_add(*n, Ordering::Relaxed);
+            for (slot, tx, routed) in senders {
                 place(&mut routing.senders, slot, ShardTx::Live(tx));
                 place(&mut routing.routed, slot, routed);
             }
@@ -703,7 +702,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             }
             // The old map dies with the plan.
             std::mem::swap(&mut routing.map, &mut plan.map);
-            drained.iter().sum()
+            drain_parked(&park_rx, &routing)
         };
 
         // Retire the sources' directories (the manifest no longer references
@@ -745,7 +744,6 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         &mut self,
         slots: &[usize],
     ) -> (Receiver<WorkerMsg>, Vec<Option<WorkerPersistence>>) {
-        const GONE: &str = "shard worker terminated while the facade is alive";
         let (park_tx, park_rx) = channel();
         let live: Vec<SyncSender<WorkerMsg>> = {
             let mut routing = self.routing.write().expect("routing poisoned");
@@ -767,11 +765,11 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             .zip(slots)
             .map(|(tx, &slot)| {
                 let (ack_tx, ack_rx) = channel();
-                tx.send(WorkerMsg::Flush(ack_tx)).expect(GONE);
-                ack_rx.recv().expect(GONE);
-                tx.send(WorkerMsg::Shutdown).expect(GONE);
+                tx.send(WorkerMsg::Flush(ack_tx)).expect(WORKER_GONE);
+                ack_rx.recv().expect(WORKER_GONE);
+                tx.send(WorkerMsg::Shutdown).expect(WORKER_GONE);
                 let handle = self.workers[slot].take().expect("a live slot has a worker");
-                handle.join().expect(GONE)
+                handle.join().expect(WORKER_GONE)
             })
             .collect();
         (park_rx, persists)
@@ -841,7 +839,9 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// (intact, ledger included: its worker stopped cleanly at the quiesce
     /// point), cell and ring (no resync for its pollers) and the durability
     /// half its worker handed back, then re-routes the parked backlog through
-    /// the unchanged map. Nothing is read from disk.
+    /// the unchanged map. Nothing is read from disk. Like an installed slot's,
+    /// each source's routed counter restarts at its sequence number, and the
+    /// drain counts the backlog in again.
     fn resurrect(
         &mut self,
         sources: &[Seat],
@@ -864,54 +864,35 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             );
             self.workers[slot] = Some(handle);
             self.slots[slot] = slot_cell;
-            senders.push((slot, tx));
+            senders.push((slot, seq, tx));
         }
         // Swap the live senders in under the write lock, so no producer can
         // interleave ahead of the backlog.
         let mut routing = self.routing.write().expect("routing poisoned");
-        drain_parked(&park_rx, &routing.map, &senders);
-        for (slot, tx) in senders {
+        for (slot, seq, tx) in senders {
             routing.senders[slot] = ShardTx::Live(tx);
+            routing.routed[slot].store(seq, Ordering::Relaxed);
         }
+        drain_parked(&park_rx, &routing);
     }
 }
 
-/// Empties a parked queue, in arrival order, into the workers of whichever
-/// `map` is being installed (the new map on commit, the unchanged one on
-/// abort): every update goes to the sender of the slot `map` routes it to.
-/// Returns the number of updates forwarded per sender. The caller holds the
-/// routing write lock, so no producer is mid-send and the drain is complete.
-fn drain_parked(
-    park_rx: &Receiver<WorkerMsg>,
-    map: &ShardMap,
-    senders: &[(usize, SyncSender<WorkerMsg>)],
-) -> Vec<u64> {
-    let owner = |u: &EdgeUpdate| {
-        let slot = map.route(u.a.min(u.b));
-        senders
-            .iter()
-            .position(|(s, _)| *s == slot)
-            .expect("a parked update routes to a reshaped slot")
-    };
-    let mut counts = vec![0u64; senders.len()];
+/// Empties a parked queue, in arrival order, through `routing` — the new map
+/// and targets on commit, the unchanged map and resurrected sources on abort.
+/// Returns the number of updates drained. The caller holds the routing write
+/// lock, so no producer is mid-send and the drain is complete.
+fn drain_parked(park_rx: &Receiver<WorkerMsg>, routing: &RouteState) -> u64 {
+    let mut groups = Vec::new();
+    let mut drained = 0;
     while let Ok(msg) = park_rx.try_recv() {
         match msg {
             WorkerMsg::Update(u) => {
-                let i = owner(&u);
-                counts[i] += 1;
-                let _ = senders[i].1.send(WorkerMsg::Update(u));
+                drained += 1;
+                routing.send(&[u], &mut groups);
             }
             WorkerMsg::Batch(batch) => {
-                let mut groups = vec![Vec::new(); senders.len()];
-                for u in batch {
-                    groups[owner(&u)].push(u);
-                }
-                for (i, group) in groups.into_iter().enumerate() {
-                    if !group.is_empty() {
-                        counts[i] += group.len() as u64;
-                        let _ = senders[i].1.send(WorkerMsg::Batch(group));
-                    }
-                }
+                drained += batch.len() as u64;
+                routing.send(&batch, &mut groups);
             }
             // No control message can be parked: `Flush` and `Compact` are
             // only sent by `&self` methods of the fleet (`flush`,
@@ -920,13 +901,13 @@ fn drain_parked(
             // and an `IngestHandle` sends only updates and batches. Should
             // that ever change, fanning out keeps every waiter acknowledged.
             control => {
-                for (_, tx) in senders {
+                for tx in &routing.senders {
                     let _ = tx.send(control.clone());
                 }
             }
         }
     }
-    counts
+    drained
 }
 
 /// Writes one target's initial state: its directory (clobbering an orphan
@@ -944,7 +925,7 @@ fn persist_child<E: MaintenanceEngine>(
         std::fs::remove_dir_all(&dir)?;
     }
     std::fs::create_dir_all(&dir)?;
-    recovery::write_snapshot(&dir, seq, &child.snapshot(), p.retained_snapshots)?;
+    recovery::write_snapshot(&dir, seq, &child.snapshot())?;
     let wal = WalWriter::open(&dir, seq, Vec::new(), p.fsync, p.segment_max_bytes)?;
     Ok(WorkerPersistence::new(wal, dir, p))
 }

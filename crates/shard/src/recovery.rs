@@ -35,6 +35,11 @@ use crate::wal::{self, WalWriter};
 use dyndens_graph::codec::{crc32, put_u32, put_u64, ByteReader};
 use dyndens_graph::ShardMap;
 
+/// Snapshots kept per shard. Two let recovery fall back to the older one if
+/// the newest is damaged; the WAL is only pruned up to the *oldest* retained
+/// snapshot, so the fallback can still replay forward.
+pub const RETAINED_SNAPSHOTS: usize = 2;
+
 const SNAP_PREFIX: &str = "snap-";
 const SNAP_SUFFIX: &str = ".snap";
 /// Magic bytes of the snapshot *file* wrapper (the engine image inside
@@ -136,10 +141,10 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// Writes the engine image `engine_bytes` as the shard's snapshot at
 /// sequence number `seq`, atomically and durably (see
 /// `wal::replace_atomic` for why whatever the fsync policy), then deletes
-/// all but the newest `retain` snapshots. Returns the sequence number of the
-/// **oldest** retained snapshot — the point up to which the WAL may safely
-/// be pruned.
-pub fn write_snapshot(dir: &Path, seq: u64, engine_bytes: &[u8], retain: usize) -> io::Result<u64> {
+/// all but the newest [`RETAINED_SNAPSHOTS`]. Returns the sequence number of
+/// the **oldest** retained snapshot — the point up to which the WAL may
+/// safely be pruned.
+pub fn write_snapshot(dir: &Path, seq: u64, engine_bytes: &[u8]) -> io::Result<u64> {
     let mut buf = Vec::with_capacity(24 + engine_bytes.len() + 4);
     buf.extend_from_slice(SNAP_FILE_MAGIC);
     put_u32(&mut buf, SNAP_FILE_VERSION);
@@ -151,7 +156,7 @@ pub fn write_snapshot(dir: &Path, seq: u64, engine_bytes: &[u8], retain: usize) 
     wal::replace_atomic(dir, &format!("{SNAP_PREFIX}{seq:020}{SNAP_SUFFIX}"), &buf)?;
 
     let mut snapshots = list_snapshots(dir)?;
-    while snapshots.len() > retain.max(1) {
+    while snapshots.len() > RETAINED_SNAPSHOTS {
         let (_, path) = snapshots.remove(0);
         fs::remove_file(path)?;
     }
@@ -561,8 +566,7 @@ mod tests {
                 engine.apply_update(*u);
             }
             if (i + 1) * 10 == 120 {
-                let oldest =
-                    write_snapshot(&dir, 120, &engine.snapshot(), p.retained_snapshots).unwrap();
+                let oldest = write_snapshot(&dir, 120, &engine.snapshot()).unwrap();
                 wal.rotate(120).unwrap();
                 wal.prune_to(oldest).unwrap();
             }
@@ -653,8 +657,7 @@ mod tests {
             }
             if matches!((i + 1) * 10, 50 | 90) {
                 let seq = ((i + 1) * 10) as u64;
-                let oldest =
-                    write_snapshot(&dir, seq, &engine.snapshot(), p.retained_snapshots).unwrap();
+                let oldest = write_snapshot(&dir, seq, &engine.snapshot()).unwrap();
                 wal.rotate(seq).unwrap();
                 wal.prune_to(oldest).unwrap();
             }
@@ -683,9 +686,9 @@ mod tests {
         let dir = temp_dir("retain");
         let engine = DynDens::new(AvgWeight, config());
         let image = engine.snapshot();
-        assert_eq!(write_snapshot(&dir, 10, &image, 2).unwrap(), 10);
-        assert_eq!(write_snapshot(&dir, 20, &image, 2).unwrap(), 10);
-        assert_eq!(write_snapshot(&dir, 30, &image, 2).unwrap(), 20);
+        assert_eq!(write_snapshot(&dir, 10, &image).unwrap(), 10);
+        assert_eq!(write_snapshot(&dir, 20, &image).unwrap(), 10);
+        assert_eq!(write_snapshot(&dir, 30, &image).unwrap(), 20);
         let seqs: Vec<u64> = list_snapshots(&dir)
             .unwrap()
             .into_iter()

@@ -69,13 +69,41 @@ pub(crate) struct RouteState {
     pub(crate) routed: Vec<Arc<AtomicU64>>,
 }
 
+/// What a send into a worker slot that has gone away panics with.
+pub(crate) const WORKER_GONE: &str = "shard worker terminated while the facade is alive";
+
 impl RouteState {
-    /// Routes one update to its owner slot (the slot of its minimum
-    /// endpoint) and bumps the slot's routed counter.
-    fn route(&self, update: &EdgeUpdate) -> usize {
-        let slot = self.map.route(update.a.min(update.b));
-        self.routed[slot].fetch_add(1, Ordering::Relaxed);
-        slot
+    /// The one router every ingest path goes through — the facade, every
+    /// [`IngestHandle`], and a reshape's drain of its parked backlog. Each
+    /// update goes to its owner slot (the slot of its minimum endpoint),
+    /// whose routed counter it bumps; each slot receives its updates as one
+    /// message, in arrival order. `groups` is per-slot scratch, left empty
+    /// (a caller that routes often keeps it to reuse the outer buffer).
+    pub(crate) fn send(&self, updates: &[EdgeUpdate], groups: &mut Vec<Vec<EdgeUpdate>>) {
+        let slot_of = |update: &EdgeUpdate| {
+            let slot = self.map.route(update.a.min(update.b));
+            self.routed[slot].fetch_add(1, Ordering::Relaxed);
+            slot
+        };
+        if let [update] = updates {
+            // A lone update travels unboxed.
+            return self.senders[slot_of(update)]
+                .send(WorkerMsg::Update(*update))
+                .expect(WORKER_GONE);
+        }
+        if groups.len() < self.senders.len() {
+            groups.resize_with(self.senders.len(), Vec::new);
+        }
+        for &update in updates {
+            groups[slot_of(&update)].push(update);
+        }
+        for (sender, group) in self.senders.iter().zip(groups.iter_mut()) {
+            if !group.is_empty() {
+                sender
+                    .send(WorkerMsg::Batch(std::mem::take(group)))
+                    .expect(WORKER_GONE);
+            }
+        }
     }
 }
 
@@ -96,29 +124,14 @@ impl IngestHandle {
     /// Routes one update to its owner shard. Blocks only when that shard's
     /// live inbox is full (backpressure).
     pub fn apply_update(&self, update: EdgeUpdate) {
-        let routing = self.routing.read().expect("routing poisoned");
-        let slot = routing.route(&update);
-        routing.senders[slot]
-            .send(WorkerMsg::Update(update))
-            .expect("shard worker terminated while the facade is alive");
+        self.apply_batch(std::slice::from_ref(&update));
     }
 
     /// Routes a batch of updates under one routing-lock acquisition,
     /// grouping them per owner slot (per-slot relative order is preserved).
     pub fn apply_batch(&self, updates: &[EdgeUpdate]) {
         let routing = self.routing.read().expect("routing poisoned");
-        let mut groups: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); routing.senders.len()];
-        for &update in updates {
-            groups[routing.route(&update)].push(update);
-        }
-        for (slot, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            routing.senders[slot]
-                .send(WorkerMsg::Batch(group))
-                .expect("shard worker terminated while the facade is alive");
-        }
+        routing.send(updates, &mut Vec::new());
     }
 }
 
@@ -263,14 +276,7 @@ pub(crate) fn install_slot<E: MaintenanceEngine>(
     } = seed;
     let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(slot)));
     cell.store_with_seq(
-        Arc::new(worker::build_snapshot(
-            slot,
-            &mut engine,
-            seq,
-            seq,
-            Arc::new([]),
-            config.top_k,
-        )),
+        Arc::new(worker::build_snapshot(slot, &mut engine, seq, config.top_k)),
         seq,
     );
     let ring = Arc::new(DeltaRing::new(config.delta_retention));
@@ -550,31 +556,14 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// inbox is full (backpressure).
     pub fn apply_update(&self, update: EdgeUpdate) {
         let routing = self.routing.read().expect("routing poisoned");
-        let slot = routing.route(&update);
-        routing.senders[slot]
-            .send(WorkerMsg::Update(update))
-            .expect("shard worker terminated while the facade is alive");
+        routing.send(std::slice::from_ref(&update), &mut Vec::new());
     }
 
     /// Routes a batch of updates, grouping them per owner shard so each shard
     /// receives one message (per-shard relative order is preserved).
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) {
         let routing = self.routing.read().expect("routing poisoned");
-        if self.route_scratch.len() < routing.senders.len() {
-            self.route_scratch
-                .resize_with(routing.senders.len(), Vec::new);
-        }
-        for &update in updates {
-            self.route_scratch[routing.route(&update)].push(update);
-        }
-        for (slot, group) in self.route_scratch.iter_mut().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            routing.senders[slot]
-                .send(WorkerMsg::Batch(std::mem::take(group)))
-                .expect("shard worker terminated while the facade is alive");
-        }
+        routing.send(updates, &mut self.route_scratch);
     }
 
     /// Blocks until every update routed so far has been applied and
@@ -586,7 +575,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             for sender in &routing.senders {
                 sender
                     .send(WorkerMsg::Flush(ack_tx.clone()))
-                    .expect("shard worker terminated while the facade is alive");
+                    .expect(WORKER_GONE);
             }
             routing.senders.len()
         };
@@ -596,11 +585,12 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         }
     }
 
-    /// Runs a compaction pass on every shard: journals the cancelling updates
-    /// of every engine edge whose weight has decayed to `min_weight` or below
-    /// ([`MaintenanceEngine::edges_below`]) to the WAL, applies that list
-    /// through the ordinary update path, then forces a checkpoint on each
-    /// shard and prunes the WAL segments wholly behind it. Returns the total
+    /// Runs a compaction pass on every shard: the cancelling updates of every
+    /// engine edge whose weight has decayed to `min_weight` or below
+    /// ([`MaintenanceEngine::edges_below`]) go through the shard as one
+    /// ordinary micro-batch (WAL, apply, publish) whose checkpoint is forced,
+    /// which prunes the WAL segments wholly behind it. A shard that evicts
+    /// nothing publishes nothing but still checkpoints. Returns the total
     /// number of edges evicted.
     ///
     /// The pass is serialised with each shard's stream at the point the
@@ -618,7 +608,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
                     let (ack, rx) = channel();
                     sender
                         .send(WorkerMsg::Compact { min_weight, ack })
-                        .expect("shard worker terminated while the facade is alive");
+                        .expect(WORKER_GONE);
                     rx
                 })
                 .collect()
@@ -766,6 +756,7 @@ impl<B: EngineBlueprint> Drop for ShardedFleet<B> {
 mod tests {
     use super::*;
     use crate::config::ShardFn;
+    use crate::view::DeltaCatchUp;
     use dyndens_core::DynDens;
     use dyndens_density::AvgWeight;
     use dyndens_graph::VertexId;
@@ -912,11 +903,15 @@ mod tests {
         assert_eq!(merged.seq, 2);
         assert_eq!(merged.per_shard_seq, vec![1, 1]);
         assert_eq!(merged.output_dense_total, 2);
-        // Delta events for each shard's last batch are exposed.
-        let snap = view.shard_snapshot(0);
-        assert_eq!(snap.delta_base_seq, 0);
-        assert_eq!(snap.delta_events.len(), 1);
-        assert!(snap.delta_events[0].is_became());
+        // Each shard's delta ring serves the events of its last batch.
+        match view.deltas_since(0, 0) {
+            DeltaCatchUp::Events { to_seq, events } => {
+                assert_eq!(to_seq, 1);
+                assert_eq!(events.len(), 1);
+                assert!(events[0].is_became());
+            }
+            other => panic!("expected events, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1172,9 +1167,10 @@ mod tests {
         assert_eq!(sharded.output_dense_count(), 2);
         sharded.apply_batch(&[update(0, 2, -1.0)]);
         assert_eq!(sharded.output_dense_count(), 1);
-        let view = sharded.view();
-        let snap = view.shard_snapshot(0);
-        assert!(snap.delta_events.iter().any(|e| !e.is_became()));
+        match sharded.view().deltas_since(0, 1) {
+            DeltaCatchUp::Events { events, .. } => assert!(events.iter().any(|e| !e.is_became())),
+            other => panic!("expected events, got {other:?}"),
+        }
         let stats = sharded.stats();
         assert_eq!(stats.negative_updates, 1);
         assert_eq!(stats.subgraphs_evicted, 1);

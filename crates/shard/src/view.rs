@@ -218,7 +218,9 @@ pub enum DeltaCatchUp {
 }
 
 /// An immutable, sequence-numbered view of one shard, published by its worker
-/// after every micro-batch.
+/// after every micro-batch. The micro-batch's [`DenseEvent`]s go to the
+/// shard's [`DeltaRing`] instead; read them with
+/// [`StoryView::deltas_since`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardSnapshot {
     /// The shard index this snapshot belongs to.
@@ -234,15 +236,6 @@ pub struct ShardSnapshot {
     pub output_dense: usize,
     /// The shard engine's cumulative work counters.
     pub stats: EngineStats,
-    /// The shard's `seq` before the micro-batch that produced this snapshot;
-    /// [`ShardSnapshot::delta_events`] covers updates
-    /// `delta_base_seq..seq`.
-    pub delta_base_seq: u64,
-    /// The [`DenseEvent`]s emitted by the micro-batch that produced this
-    /// snapshot (the stream a subscriber would tail for incremental story
-    /// changes). Shared with the shard's [`DeltaRing`] batch, so publication
-    /// materialises the event list once.
-    pub delta_events: Arc<[DenseEvent]>,
 }
 
 impl ShardSnapshot {

@@ -16,6 +16,8 @@ use crate::recovery;
 use crate::view::{DeltaBatch, DeltaRing, EpochCell, ShardSnapshot};
 use crate::wal::WalWriter;
 
+const POISONED: &str = "shard engine poisoned";
+
 /// Messages a shard worker consumes.
 #[derive(Clone)]
 pub(crate) enum WorkerMsg {
@@ -26,11 +28,11 @@ pub(crate) enum WorkerMsg {
     /// Acknowledge once every previously sent update has been applied and its
     /// snapshot published.
     Flush(Sender<()>),
-    /// Cancel every engine edge with weight at or below `min_weight`: journal
-    /// [`MaintenanceEngine::edges_below`] to the WAL, apply that list through
-    /// [`MaintenanceEngine::apply_update_into`], then
-    /// [`MaintenanceEngine::reclaim_idle`], force a checkpoint, prune the WAL
-    /// behind it, and acknowledge with the number of edges evicted.
+    /// A compaction pass: one more micro-batch, made of the cancelling
+    /// updates [`MaintenanceEngine::edges_below`] lists for `min_weight`,
+    /// through the ordinary step with a forced checkpoint (which prunes the
+    /// WAL behind it); then [`MaintenanceEngine::reclaim_idle`], and an
+    /// acknowledgement with the number of edges evicted.
     Compact {
         /// The eviction floor handed to [`MaintenanceEngine::edges_below`].
         min_weight: f64,
@@ -56,21 +58,18 @@ pub(crate) struct WorkerPersistence {
     pub dir: PathBuf,
     /// Snapshot every N micro-batches.
     pub snapshot_every: usize,
-    /// How many snapshots to retain.
-    pub retained: usize,
     /// Micro-batches applied since the last snapshot.
     pub batches_since_snapshot: usize,
 }
 
 impl WorkerPersistence {
     /// The durability half of a worker appending to `wal` in `dir`, with the
-    /// deployment's checkpoint cadence and retention.
+    /// deployment's checkpoint cadence.
     pub(crate) fn new(wal: WalWriter, dir: PathBuf, p: &PersistenceConfig) -> Self {
         WorkerPersistence {
             wal,
             dir,
             snapshot_every: p.snapshot_every_batches,
-            retained: p.retained_snapshots,
             batches_since_snapshot: 0,
         }
     }
@@ -83,7 +82,7 @@ impl WorkerPersistence {
     /// retries.
     fn checkpoint(&mut self, obs: Option<&ShardObs>, shard: usize, seq: u64, bytes: &[u8]) {
         let started = Instant::now();
-        match recovery::write_snapshot(&self.dir, seq, bytes, self.retained) {
+        match recovery::write_snapshot(&self.dir, seq, bytes) {
             Ok(oldest_retained) => {
                 self.batches_since_snapshot = 0;
                 if let Some(o) = obs {
@@ -129,11 +128,11 @@ pub(crate) struct WorkerSetup {
 pub(crate) type WorkerHandle = JoinHandle<Option<WorkerPersistence>>;
 
 /// The worker loop: block on the inbox, drain up to `max_batch` pending
-/// messages, WAL the drained micro-batch (durability first), apply it under
-/// a single engine lock, publish a fresh snapshot, acknowledge flushes,
-/// periodically checkpoint the engine, repeat. On shutdown it returns its
-/// durability half, WAL writer positioned at the shard's sequence number, so
-/// an aborted reshape can respawn the shard on it.
+/// messages, run the drained micro-batch through [`Worker::step`],
+/// acknowledge flushes, repeat. A compaction pass is one more step. On
+/// shutdown it returns its durability half, WAL writer positioned at the
+/// shard's sequence number, so an aborted reshape can respawn the shard on
+/// it.
 pub(crate) fn run<E: MaintenanceEngine>(
     setup: WorkerSetup,
     inbox: Receiver<WorkerMsg>,
@@ -146,16 +145,23 @@ pub(crate) fn run<E: MaintenanceEngine>(
         max_batch,
         top_k,
         initial_seq,
-        mut persist,
-        mut obs,
+        persist,
+        obs,
     } = setup;
-    let mut seq: u64 = initial_seq;
+    let mut worker = Worker {
+        engine,
+        cell,
+        ring,
+        top_k,
+        seq: initial_seq,
+        persist,
+        obs,
+        events: Vec::new(),
+        no_events: Arc::new([]),
+    };
     // Scratch buffers reused across micro-batches.
     let mut pending: Vec<EdgeUpdate> = Vec::with_capacity(max_batch);
     let mut acks: Vec<Sender<()>> = Vec::new();
-    let mut events: Vec<DenseEvent> = Vec::new();
-    // Nearly every micro-batch emits no event; those publications share this.
-    let no_events: Arc<[DenseEvent]> = Arc::new([]);
 
     loop {
         let first = match inbox.recv() {
@@ -179,109 +185,31 @@ pub(crate) fn run<E: MaintenanceEngine>(
         // A shard merge can renumber this worker's slot; relabel the metric
         // handles (a rare, registration-cost path) so per-shard series keep
         // matching the slot readers see in published snapshots.
-        if let Some(o) = obs.as_mut() {
+        if let Some(o) = worker.obs.as_mut() {
             if o.slot != shard as u32 {
                 let registry = Arc::clone(&o.registry);
                 *o = ShardObs::for_slot(&registry, shard as u32);
-                if let Some(p) = persist.as_mut() {
+                if let Some(p) = worker.persist.as_mut() {
                     p.wal
                         .set_obs(Some(WalObs::for_slot(&registry, shard as u32)));
                 }
             }
         }
-        if !pending.is_empty() {
-            // Durability before visibility: the micro-batch is in the WAL
-            // before the engine sees it, so a crash at any later point can
-            // replay it. An append failure is a broken durability contract —
-            // better to kill the worker (and surface the panic on the next
-            // facade call) than to silently continue unlogged.
-            if let Some(p) = persist.as_mut() {
-                p.wal
-                    .append(seq, &pending)
-                    .unwrap_or_else(|e| panic!("shard {shard}: WAL append failed: {e}"));
-            }
-            let delta_base_seq = seq;
-            let batch_len = pending.len();
-            let apply_started = obs.as_ref().map(|_| Instant::now());
-            let mut apply_elapsed = Duration::ZERO;
-            let (snapshot, checkpoint, publish_started) = {
-                let mut guard = engine.lock().expect("shard engine poisoned");
-                for update in pending.drain(..) {
-                    guard.apply_update_into(update, &mut events);
-                    seq += 1;
-                }
-                // Apply latency as the worker experienced it: lock wait plus
-                // the engine work, excluding checkpoint serialisation.
-                if let Some(t) = apply_started {
-                    apply_elapsed = t.elapsed();
-                }
-                // Serialise the checkpoint image while the lock guarantees
-                // it corresponds exactly to `seq`; write it to disk after
-                // the lock is released. The cadence counter is only reset
-                // once the write succeeds, so a failed checkpoint (e.g.
-                // disk full) is retried on the next micro-batch instead of
-                // a full cadence later.
-                let checkpoint = match persist.as_mut() {
-                    Some(p) => {
-                        p.batches_since_snapshot += 1;
-                        (p.batches_since_snapshot >= p.snapshot_every).then(|| guard.snapshot())
-                    }
-                    None => None,
-                };
-                // Publish latency: top-k selection, ring push, epoch swap and
-                // wakers — neither the apply above nor the checkpoint image.
-                let publish_started = obs.as_ref().map(|_| Instant::now());
-                let delta = take_events(&mut events, &no_events);
-                (
-                    build_snapshot(shard, &mut *guard, seq, delta_base_seq, delta, top_k),
-                    checkpoint,
-                    publish_started,
-                )
-            };
-            let published = publish(snapshot, &ring, &cell);
-            if let (Some(o), Some(t)) = (obs.as_ref(), publish_started) {
-                o.record_batch(batch_len, apply_elapsed, t.elapsed());
-                o.set_engine_gauges(&published.stats);
-            }
-            if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
-                p.checkpoint(obs.as_ref(), shard, seq, &bytes);
-            }
-        }
+        worker.step(shard, &mut pending, false);
         if let Some(Control::Compact { min_weight, ack }) = &control {
-            // A compaction pass: the decayed-out edges' cancelling updates go
-            // to the WAL and then, the same slice, through the update path —
-            // which is what crash replay runs on those records. Then
-            // checkpoint unconditionally and prune the WAL behind the
-            // checkpoint — the "fold evicted state out of the snapshot,
-            // truncate the log" half of bounded-state operation.
-            let delta_base_seq = seq;
-            let (snapshot, checkpoint, evicted) = {
-                let mut guard = engine.lock().expect("shard engine poisoned");
-                let victims = guard.edges_below(*min_weight);
-                if let Some(p) = persist.as_mut() {
-                    if !victims.is_empty() {
-                        p.wal
-                            .append(seq, &victims)
-                            .unwrap_or_else(|e| panic!("shard {shard}: WAL append failed: {e}"));
-                    }
-                }
-                for &update in &victims {
-                    guard.apply_update_into(update, &mut events);
-                }
-                guard.reclaim_idle();
-                seq += victims.len() as u64;
-                let checkpoint = persist.is_some().then(|| guard.snapshot());
-                let delta = take_events(&mut events, &no_events);
-                (
-                    build_snapshot(shard, &mut *guard, seq, delta_base_seq, delta, top_k),
-                    checkpoint,
-                    victims.len() as u64,
-                )
-            };
-            publish(snapshot, &ring, &cell);
-            if let (Some(bytes), Some(p)) = (checkpoint, persist.as_mut()) {
-                p.checkpoint(obs.as_ref(), shard, seq, &bytes);
-            }
+            // The decayed-out edges' cancelling updates are an ordinary
+            // micro-batch — WAL first, then the update path, which is what
+            // crash replay runs on those records — whose checkpoint is
+            // forced: the "fold evicted state out of the snapshot, truncate
+            // the log" half of bounded-state operation.
+            let mut victims = worker
+                .engine
+                .lock()
+                .expect(POISONED)
+                .edges_below(*min_weight);
+            let evicted = victims.len() as u64;
+            worker.step(shard, &mut victims, true);
+            worker.engine.lock().expect(POISONED).reclaim_idle();
             // A dropped compaction waiter is not an error.
             let _ = ack.send(evicted);
         }
@@ -293,7 +221,89 @@ pub(crate) fn run<E: MaintenanceEngine>(
             break;
         }
     }
-    persist
+    worker.persist
+}
+
+/// A worker thread's state between micro-batches.
+struct Worker<E> {
+    engine: Arc<Mutex<E>>,
+    cell: Arc<EpochCell<ShardSnapshot>>,
+    ring: Arc<DeltaRing>,
+    top_k: usize,
+    /// Updates applied so far.
+    seq: u64,
+    persist: Option<WorkerPersistence>,
+    obs: Option<ShardObs>,
+    /// Event buffer reused across micro-batches.
+    events: Vec<DenseEvent>,
+    /// Nearly every micro-batch emits no event; those publications share this.
+    no_events: Arc<[DenseEvent]>,
+}
+
+impl<E: MaintenanceEngine> Worker<E> {
+    /// The one step every micro-batch takes: WAL append, apply under a
+    /// single engine lock, advance `seq`, publish a fresh snapshot, and
+    /// checkpoint on the cadence — or regardless of it when
+    /// `force_checkpoint`. An empty batch appends and publishes nothing; a
+    /// forced checkpoint still runs.
+    fn step(&mut self, shard: usize, batch: &mut Vec<EdgeUpdate>, force_checkpoint: bool) {
+        if batch.is_empty() && !force_checkpoint {
+            return;
+        }
+        let batch_len = batch.len();
+        // Durability before visibility: the micro-batch is in the WAL before
+        // the engine sees it, so a crash at any later point can replay it.
+        // An append failure is a broken durability contract — better to kill
+        // the worker (and surface the panic on the next facade call) than to
+        // silently continue unlogged.
+        if let Some(p) = self.persist.as_mut().filter(|_| batch_len > 0) {
+            p.wal
+                .append(self.seq, batch)
+                .unwrap_or_else(|e| panic!("shard {shard}: WAL append failed: {e}"));
+        }
+        let base_seq = self.seq;
+        let apply_started = self.obs.as_ref().map(|_| Instant::now());
+        let mut apply_elapsed = Duration::ZERO;
+        let (snapshot, checkpoint, publish_started) = {
+            let mut guard = self.engine.lock().expect(POISONED);
+            for update in batch.drain(..) {
+                guard.apply_update_into(update, &mut self.events);
+            }
+            self.seq += batch_len as u64;
+            // Apply latency as the worker experienced it: lock wait plus
+            // the engine work, excluding checkpoint serialisation.
+            if let Some(t) = apply_started {
+                apply_elapsed = t.elapsed();
+            }
+            // Serialise the checkpoint image while the lock guarantees it
+            // corresponds exactly to `seq`; write it to disk after the lock
+            // is released. The cadence counter is only reset once the write
+            // succeeds, so a failed checkpoint (e.g. disk full) is retried
+            // on the next micro-batch instead of a full cadence later.
+            let checkpoint = self.persist.as_mut().and_then(|p| {
+                p.batches_since_snapshot += 1;
+                (force_checkpoint || p.batches_since_snapshot >= p.snapshot_every)
+                    .then(|| guard.snapshot())
+            });
+            // Publish latency: top-k selection, ring push, epoch swap and
+            // wakers — neither the apply above nor the checkpoint image.
+            let publish_started = self.obs.as_ref().map(|_| Instant::now());
+            let snapshot =
+                (batch_len > 0).then(|| build_snapshot(shard, &mut *guard, self.seq, self.top_k));
+            (snapshot, checkpoint, publish_started)
+        };
+        if let Some(snapshot) = snapshot {
+            let events = take_events(&mut self.events, &self.no_events);
+            let published = publish(snapshot, base_seq, events, &self.ring, &self.cell);
+            if let (Some(o), Some(t)) = (self.obs.as_ref(), publish_started) {
+                o.record_batch(batch_len, apply_elapsed, t.elapsed());
+                o.set_engine_gauges(&published.stats);
+            }
+        }
+        if let (Some(bytes), Some(p)) = (checkpoint, self.persist.as_mut()) {
+            p.checkpoint(self.obs.as_ref(), shard, self.seq, &bytes);
+        }
+    }
 }
 
 /// Folds one message into the drain buffers; a returned [`Control`] ends the
@@ -316,7 +326,7 @@ fn absorb(
 }
 
 /// Moves a micro-batch's events out of the worker's buffer (left empty, its
-/// capacity kept) into the slice a publication shares with the delta ring.
+/// capacity kept) into the slice the delta ring retains.
 fn take_events(events: &mut Vec<DenseEvent>, none: &Arc<[DenseEvent]>) -> Arc<[DenseEvent]> {
     if events.is_empty() {
         Arc::clone(none)
@@ -330,8 +340,6 @@ pub(crate) fn build_snapshot<E: MaintenanceEngine>(
     shard: usize,
     engine: &mut E,
     seq: u64,
-    delta_base_seq: u64,
-    delta_events: Arc<[DenseEvent]>,
     top_k: usize,
 ) -> ShardSnapshot {
     let (top_stories, output_dense) = engine.top_stories(top_k);
@@ -341,25 +349,28 @@ pub(crate) fn build_snapshot<E: MaintenanceEngine>(
         top_stories,
         output_dense,
         stats: engine.stats().clone(),
-        delta_base_seq,
-        delta_events,
     }
 }
 
-/// Makes `snapshot` visible. Retention before visibility: the ring covers the
-/// new seq before the epoch pointer announces it, so a poller that observes
-/// the new seq can always fetch its deltas.
+/// Makes one micro-batch visible: its `events`, covering updates
+/// `base_seq..snapshot.seq`, into the delta ring, then `snapshot` into the
+/// epoch cell. Retention before visibility: the ring covers the new seq
+/// before the epoch pointer announces it, so a poller that observes the new
+/// seq can always fetch its deltas.
 fn publish(
     snapshot: ShardSnapshot,
+    base_seq: u64,
+    events: Arc<[DenseEvent]>,
     ring: &DeltaRing,
     cell: &EpochCell<ShardSnapshot>,
 ) -> Arc<ShardSnapshot> {
-    let snapshot = Arc::new(snapshot);
+    let seq = snapshot.seq;
     ring.push(DeltaBatch {
-        base_seq: snapshot.delta_base_seq,
-        seq: snapshot.seq,
-        events: Arc::clone(&snapshot.delta_events),
+        base_seq,
+        seq,
+        events,
     });
-    cell.store_with_seq(Arc::clone(&snapshot), snapshot.seq);
+    let snapshot = Arc::new(snapshot);
+    cell.store_with_seq(Arc::clone(&snapshot), seq);
     snapshot
 }

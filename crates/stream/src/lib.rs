@@ -20,11 +20,11 @@
 //! * [`pipeline`] — the post → edge-weight-update generator, implementing the
 //!   paper's approximation that an edge's weight is only recomputed when one
 //!   of its endpoints is mentioned;
-//! * [`ranking`] — diversity-aware re-ranking of output-dense subgraphs for
-//!   presentation (Section 5.3);
-//! * [`story`] — an end-to-end convenience wrapper (posts in, stories out);
-//! * [`sharded`] — the same wrapper over the `dyndens-shard` scale-out
-//!   subsystem (parallel ingest, non-blocking story reads).
+//! * [`ranking`] — diversity-aware re-ranking of output-dense subgraphs into
+//!   presentable [`Story`]s (Section 5.3);
+//! * [`sharded`] — the end-to-end pipeline (posts in, stories out) over the
+//!   `dyndens-shard` fleet, from one shard up (parallel ingest, non-blocking
+//!   story reads).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,7 +36,6 @@ pub mod pipeline;
 pub mod post;
 pub mod ranking;
 pub mod sharded;
-pub mod story;
 
 pub use decay::{CooccurrenceTracker, PairStats};
 pub use entity::EntityRegistry;
@@ -46,6 +45,5 @@ pub use measures::{
 };
 pub use pipeline::EdgeUpdateGenerator;
 pub use post::Post;
-pub use ranking::rank_with_diversity;
+pub use ranking::{rank_with_diversity, Story, DIVERSITY_PENALTY};
 pub use sharded::{PipelineRecoveryError, ShardedStoryPipeline};
-pub use story::{Story, StoryPipeline};

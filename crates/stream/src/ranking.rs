@@ -5,21 +5,40 @@
 //! a user would be repetitive. Section 5.3 of the paper re-ranks them in a
 //! diversity-aware manner: subgraphs are picked greedily by adjusted density,
 //! where the adjustment multiplies the density by
-//! `1 - penalty * (fraction of the story's entities already covered by
-//! previously selected stories)`.
+//! `1 - DIVERSITY_PENALTY * (fraction of the story's entities already
+//! covered by previously selected stories)`.
 
 use dyndens_graph::{FxHashSet, VertexId, VertexSet};
 
+/// The overlap penalty factor of the diversity re-ranking (the paper's
+/// `0.8`).
+pub const DIVERSITY_PENALTY: f64 = 0.8;
+
+/// A story: a group of tightly coupled entities together with its density.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Story {
+    /// The entities involved in the story, as human-readable names.
+    pub entities: Vec<String>,
+    /// The vertex set backing the story.
+    pub vertices: VertexSet,
+    /// The story's density under the configured measure.
+    pub density: f64,
+    /// The diversity-adjusted density used for ranking.
+    pub adjusted_density: f64,
+}
+
 /// Greedily selects up to `limit` subgraphs, penalising overlap with already
-/// selected ones. Returns `(vertices, original_density, adjusted_density)` in
-/// selection order.
-///
-/// `penalty` is the overlap penalty factor (the paper uses `0.8`).
+/// selected ones by [`DIVERSITY_PENALTY`]. Returns `(vertices,
+/// original_density, adjusted_density)` in selection order.
 pub fn rank_with_diversity(
     candidates: &[(VertexSet, f64)],
-    penalty: f64,
     limit: usize,
 ) -> Vec<(VertexSet, f64, f64)> {
+    rank(candidates, DIVERSITY_PENALTY, limit)
+}
+
+/// [`rank_with_diversity`] with the overlap penalty factor spelled out.
+fn rank(candidates: &[(VertexSet, f64)], penalty: f64, limit: usize) -> Vec<(VertexSet, f64, f64)> {
     assert!((0.0..=1.0).contains(&penalty), "penalty must lie in [0, 1]");
     let mut covered: FxHashSet<VertexId> = FxHashSet::default();
     let mut remaining: Vec<(VertexSet, f64)> = candidates.to_vec();
@@ -61,7 +80,7 @@ mod tests {
             (set(&[2, 3]), 2.0),
             (set(&[4, 5]), 1.5),
         ];
-        let ranked = rank_with_diversity(&candidates, 0.8, 3);
+        let ranked = rank_with_diversity(&candidates, 3);
         assert_eq!(ranked[0].0, set(&[2, 3]));
         assert_eq!(ranked[1].0, set(&[4, 5]));
         assert_eq!(ranked[2].0, set(&[0, 1]));
@@ -80,7 +99,7 @@ mod tests {
             (set(&[0, 1]), 1.9),
             (set(&[5, 6]), 1.2),
         ];
-        let ranked = rank_with_diversity(&candidates, 0.8, 3);
+        let ranked = rank_with_diversity(&candidates, 3);
         assert_eq!(ranked[0].0, set(&[0, 1, 2]));
         assert_eq!(ranked[1].0, set(&[5, 6]));
         assert_eq!(ranked[2].0, set(&[0, 1]));
@@ -95,21 +114,21 @@ mod tests {
             (set(&[0, 1]), 1.9),
             (set(&[5, 6]), 1.2),
         ];
-        let ranked = rank_with_diversity(&candidates, 0.0, 3);
+        let ranked = rank(&candidates, 0.0, 3);
         assert_eq!(ranked[1].0, set(&[0, 1]));
     }
 
     #[test]
     fn limit_and_empty_input() {
         let candidates = vec![(set(&[0, 1]), 1.0), (set(&[2, 3]), 2.0)];
-        assert_eq!(rank_with_diversity(&candidates, 0.8, 1).len(), 1);
-        assert!(rank_with_diversity(&[], 0.8, 5).is_empty());
-        assert_eq!(rank_with_diversity(&candidates, 0.8, 10).len(), 2);
+        assert_eq!(rank_with_diversity(&candidates, 1).len(), 1);
+        assert!(rank_with_diversity(&[], 5).is_empty());
+        assert_eq!(rank_with_diversity(&candidates, 10).len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "penalty")]
     fn rejects_out_of_range_penalty() {
-        let _ = rank_with_diversity(&[], 1.5, 3);
+        let _ = rank(&[], 1.5, 3);
     }
 }

@@ -1,13 +1,14 @@
-//! Sharded end-to-end story identification: posts in, ranked stories out,
-//! ingest parallelised across shard workers.
+//! End-to-end story identification: posts in, ranked stories out.
 //!
-//! This is the scale-out counterpart of [`StoryPipeline`](crate::story::StoryPipeline):
-//! the entity registry and the post → edge-weight-update generator run on the
-//! ingest thread (they are cheap and inherently sequential per post), while
-//! the expensive dense-subgraph maintenance is routed through a
-//! [`ShardedDynDens`] fleet. Story reads come either from the authoritative
-//! flushing path ([`ShardedStoryPipeline::top_stories`]) or from the
-//! non-blocking, bounded-lag [`StoryView`] path
+//! This is the layer a downstream application (such as an interactive story
+//! exploration system) uses. The entity registry and the post →
+//! edge-weight-update generator run on the ingest thread (they are cheap and
+//! inherently sequential per post), while the dense-subgraph maintenance is
+//! routed through a [`ShardedDynDens`] fleet — one shard
+//! (`ShardConfig::new(1)`) is the plain single-engine pipeline. Story reads
+//! come either from the authoritative flushing path
+//! ([`ShardedStoryPipeline::top_stories`]) or from the non-blocking,
+//! bounded-lag [`StoryView`] path
 //! ([`ShardedStoryPipeline::top_stories_latest`]).
 
 use std::io::{self, Write};
@@ -17,8 +18,7 @@ use crate::entity::EntityRegistry;
 use crate::measures::AssociationMeasure;
 use crate::pipeline::EdgeUpdateGenerator;
 use crate::post::Post;
-use crate::ranking::rank_with_diversity;
-use crate::story::Story;
+use crate::ranking::{rank_with_diversity, Story};
 use dyndens_core::DynDensConfig;
 use dyndens_density::DensityMeasure;
 use dyndens_graph::codec::{put_frame, scan_frames};
@@ -143,13 +143,12 @@ impl EntityJournal {
     }
 }
 
-/// The sharded real-time story identification pipeline.
+/// The real-time story identification pipeline.
 #[derive(Debug)]
 pub struct ShardedStoryPipeline<M: AssociationMeasure, D: DensityMeasure> {
     registry: EntityRegistry,
     generator: EdgeUpdateGenerator<M>,
     engine: ShardedDynDens<D>,
-    diversity_penalty: f64,
     /// Scratch buffer reused across posts.
     updates: Vec<EdgeUpdate>,
     /// Durable name ↔ vertex mapping of a persistent pipeline.
@@ -167,14 +166,8 @@ impl<M: AssociationMeasure, D: DensityMeasure> ShardedStoryPipeline<M, D> {
         engine_config: DynDensConfig,
         shard_config: ShardConfig,
     ) -> Self {
-        ShardedStoryPipeline {
-            registry: EntityRegistry::new(),
-            generator: EdgeUpdateGenerator::new(association, mean_life),
-            engine: ShardedDynDens::new(density, engine_config, shard_config),
-            diversity_penalty: 0.8,
-            updates: Vec::new(),
-            journal: None,
-        }
+        let engine = ShardedDynDens::new(density, engine_config, shard_config);
+        Self::assemble(EntityRegistry::new(), association, mean_life, engine, None)
     }
 
     /// The crash-safe variant of [`new`](Self::new): the shard fleet is
@@ -218,20 +211,29 @@ impl<M: AssociationMeasure, D: DensityMeasure> ShardedStoryPipeline<M, D> {
                 vertices,
             });
         }
-        Ok(ShardedStoryPipeline {
+        Ok(Self::assemble(
+            registry,
+            association,
+            mean_life,
+            engine,
+            Some(journal),
+        ))
+    }
+
+    fn assemble(
+        registry: EntityRegistry,
+        association: M,
+        mean_life: f64,
+        engine: ShardedDynDens<D>,
+        journal: Option<EntityJournal>,
+    ) -> Self {
+        ShardedStoryPipeline {
             registry,
             generator: EdgeUpdateGenerator::new(association, mean_life),
             engine,
-            diversity_penalty: 0.8,
             updates: Vec::new(),
-            journal: Some(journal),
-        })
-    }
-
-    /// Sets the diversity penalty used when ranking stories (default 0.8).
-    pub fn with_diversity_penalty(mut self, penalty: f64) -> Self {
-        self.diversity_penalty = penalty;
-        self
+            journal,
+        }
     }
 
     /// The entity registry (name ↔ vertex mapping).
@@ -245,24 +247,14 @@ impl<M: AssociationMeasure, D: DensityMeasure> ShardedStoryPipeline<M, D> {
     }
 
     /// Mutable access to the fleet, for operations that reshape it (driving
-    /// a [`Rebalancer`](dyndens_shard::Rebalancer) loop, explicit splits).
+    /// a [`Rebalancer`](dyndens_shard::Rebalancer) loop, explicit splits and
+    /// merges). A reshape needs no coordination with the pipeline: the
+    /// entity registry lives on the ingest side and assigns **global**
+    /// vertex ids, so the name ↔ vertex mapping — and the entity-name
+    /// journal of a persistent pipeline — is untouched by any change of
+    /// which worker owns which vertex.
     pub fn engine_mut(&mut self) -> &mut ShardedDynDens<D> {
         &mut self.engine
-    }
-
-    /// Splits shard `slot` of the fleet online (see
-    /// [`ShardedDynDens::split_shard`]). The pipeline needs no coordination
-    /// beyond passing the call through: the entity registry lives on the
-    /// ingest side and assigns **global** vertex ids, so the name ↔ vertex
-    /// mapping — and the entity-name journal of a persistent pipeline — is
-    /// untouched by any change of which worker owns which vertex. Stories
-    /// served before and after the split describe the same entities with the
-    /// same names.
-    pub fn split_shard(
-        &mut self,
-        slot: usize,
-    ) -> Result<dyndens_shard::SplitReport, dyndens_shard::RebalanceError> {
-        self.engine.split_shard(slot)
     }
 
     /// The update generator, exposing stream statistics.
@@ -332,33 +324,14 @@ impl<M: AssociationMeasure, D: DensityMeasure> ShardedStoryPipeline<M, D> {
         self.engine.view()
     }
 
-    /// The shards' latest published sequence numbers (one atomic load per
-    /// shard, no flush): the cursor a serving process compares a client's
-    /// `Poll` cursor against.
-    pub fn per_shard_seq(&self) -> Vec<u64> {
-        self.engine.view().per_shard_seq()
-    }
-
-    /// The [`DenseEvent`](dyndens_core::DenseEvent)s of one shard after
-    /// `since_seq`, served from the shard's bounded delta retention ring.
-    /// See [`StoryView::deltas_since`] for the catch-up semantics.
-    pub fn deltas_since(&self, shard: usize, since_seq: u64) -> dyndens_shard::DeltaCatchUp {
-        self.engine.view().deltas_since(shard, since_seq)
-    }
-
     /// A snapshot of the registry's names in intern (= vertex id) order, for
     /// a serving process's name table (`names[i]` names `VertexId(i)`).
     pub fn entity_names(&self) -> Vec<String> {
         self.registry.names().to_vec()
     }
 
-    /// Number of stories currently reported (flushes first).
-    pub fn story_count(&self) -> usize {
-        self.engine.output_dense_count()
-    }
-
     fn rank(&self, candidates: &[(dyndens_graph::VertexSet, f64)], limit: usize) -> Vec<Story> {
-        rank_with_diversity(candidates, self.diversity_penalty, limit)
+        rank_with_diversity(candidates, limit)
             .into_iter()
             .map(|(vertices, density, adjusted_density)| Story {
                 entities: self.registry.describe(vertices.iter()),
@@ -374,8 +347,9 @@ impl<M: AssociationMeasure, D: DensityMeasure> ShardedStoryPipeline<M, D> {
 mod tests {
     use super::*;
     use crate::measures::ChiSquareCorrelation;
-    use crate::story::StoryPipeline;
+    use dyndens_core::DynDens;
     use dyndens_density::AvgWeight;
+    use dyndens_graph::VertexSet;
     use dyndens_shard::ShardFn;
 
     fn sharded_pipeline(n_shards: usize) -> ShardedStoryPipeline<ChiSquareCorrelation, AvgWeight> {
@@ -411,7 +385,10 @@ mod tests {
     fn sharded_pipeline_surfaces_stories() {
         let mut p = sharded_pipeline(2);
         feed_raid_story(&mut p);
-        assert!(p.story_count() > 0, "expected at least one story");
+        assert!(
+            p.engine().output_dense_count() > 0,
+            "expected at least one story"
+        );
         let stories = p.top_stories(3);
         assert!(!stories.is_empty());
         let all_entities: Vec<String> = stories.iter().flat_map(|s| s.entities.clone()).collect();
@@ -555,7 +532,7 @@ mod tests {
         let before: Vec<_> = p.top_stories(5);
         assert!(!before.is_empty());
 
-        let report = p.split_shard(0).expect("split");
+        let report = p.engine_mut().split_shard(0).expect("split");
         assert_eq!(p.engine().n_shards(), 3);
         assert_eq!(report.new_slot, 2);
         assert_eq!(p.entity_names(), registry_before, "registry untouched");
@@ -575,18 +552,69 @@ mod tests {
         p.ingest(401.0, &["Abbottabad", "Osama bin Laden"]);
         p.flush();
         assert_eq!(p.entity_names().len(), registry_before.len());
-        assert!(p.story_count() > 0);
+        assert!(p.engine().output_dense_count() > 0);
         assert_eq!(p.view().n_shards(), 3);
     }
 
     #[test]
-    fn single_shard_pipeline_matches_story_pipeline() {
-        // One shard, entity interning in the same order: the sharded pipeline
-        // must report exactly the stories of the sequential pipeline.
-        let mut sharded = sharded_pipeline(1);
-        let mut reference = StoryPipeline::new(
+    fn unrelated_entities_do_not_form_stories() {
+        let mut p = ShardedStoryPipeline::new(
             ChiSquareCorrelation::default(),
             7200.0,
+            AvgWeight,
+            DynDensConfig::new(0.7, 4).with_delta_it_fraction(0.3),
+            ShardConfig::new(1),
+        );
+        // Every post mentions a different pair: no recurring association.
+        let names = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        for i in 0..30 {
+            let x = names[i % names.len()];
+            let y = names[(i * 3 + 1) % names.len()];
+            if x != y {
+                p.ingest(i as f64, &[x, y]);
+            }
+        }
+        // With the chi-square significance filter nothing should be strongly
+        // associated enough to clear a 0.7 average-weight threshold for long.
+        assert!(
+            p.engine().output_dense_count() <= 2,
+            "unexpected stories: {:?}",
+            p.top_stories(5)
+        );
+    }
+
+    #[test]
+    fn engine_state_matches_generator_weights() {
+        // Under average-weight density a dense pair's density is its edge
+        // weight, so the engine must report exactly what the generator holds.
+        let mut p = sharded_pipeline(1);
+        for i in 0..25 {
+            p.ingest(i as f64, &["x", "y"]);
+            p.ingest(i as f64 + 0.5, &["background"]);
+        }
+        p.engine().validate().unwrap();
+        let x = p.registry().get("x").unwrap();
+        let y = p.registry().get("y").unwrap();
+        let pair = VertexSet::pair(x, y);
+        let (_, engine_weight) = p
+            .engine()
+            .dense_subgraphs()
+            .into_iter()
+            .find(|(s, _)| *s == pair)
+            .expect("the x-y pair is dense");
+        let generator_weight = p.generator().current_weight(x, y);
+        assert!((engine_weight - generator_weight).abs() < 1e-9);
+    }
+
+    #[test]
+    fn single_shard_pipeline_matches_story_pipeline() {
+        // One shard, entity interning in the same order: the pipeline must
+        // hold exactly the state of one engine fed by the same generator, and
+        // rank exactly its stories.
+        let mut sharded = sharded_pipeline(1);
+        let mut registry = EntityRegistry::new();
+        let mut generator = EdgeUpdateGenerator::new(ChiSquareCorrelation::default(), 7200.0);
+        let mut engine = DynDens::new(
             AvgWeight,
             DynDensConfig::new(0.45, 4).with_delta_it_fraction(0.3),
         );
@@ -598,20 +626,38 @@ mod tests {
                 (0.6, vec!["noise"]),
             ] {
                 sharded.ingest(t + dt, &names);
-                reference.ingest(t + dt, &names);
+                let entities = names.iter().map(|n| registry.intern(n)).collect();
+                for u in generator.process_post(&Post::new(t + dt, entities)) {
+                    engine.apply_update(u);
+                }
             }
         }
+        let bits = |(vertices, density, adjusted): (VertexSet, f64, f64)| {
+            (vertices, density.to_bits(), adjusted.to_bits())
+        };
         let got: Vec<_> = sharded
             .top_stories(5)
             .into_iter()
-            .map(|s| s.vertices)
+            .map(|s| bits((s.vertices, s.density, s.adjusted_density)))
             .collect();
-        let want: Vec<_> = reference
-            .top_stories(5)
+        let want: Vec<_> = rank_with_diversity(&engine.output_dense_subgraphs(), 5)
             .into_iter()
-            .map(|s| s.vertices)
+            .map(bits)
             .collect();
+        assert!(!want.is_empty());
         assert_eq!(got, want);
-        assert_eq!(sharded.story_count(), reference.story_count());
+
+        let sorted_bits = |mut sets: Vec<(VertexSet, f64)>| {
+            sets.sort_by(|a, b| a.0.cmp(&b.0));
+            sets.into_iter()
+                .map(|(s, d)| (s, d.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            sorted_bits(sharded.engine().dense_subgraphs()),
+            sorted_bits(engine.dense_subgraphs())
+        );
+        assert_eq!(sharded.engine().edge_count(), engine.graph().edge_count());
+        sharded.engine().validate().unwrap();
     }
 }

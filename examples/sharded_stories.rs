@@ -94,7 +94,10 @@ fn posts_through_sharded_pipeline() {
         "    edge updates routed:   {} positive, {negative} negative",
         positive
     );
-    println!("    stories reported now:  {}", pipeline.story_count());
+    println!(
+        "    stories reported now:  {}",
+        pipeline.engine().output_dense_count()
+    );
     println!(
         "    engine work: {} updates, {} explorations, {} subgraphs inserted\n",
         stats.updates, stats.explorations, stats.subgraphs_inserted

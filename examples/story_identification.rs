@@ -15,7 +15,8 @@
 //! the morning's stories in real time.
 
 use dyndens::prelude::*;
-use dyndens::stream::{ChiSquareCorrelation, StoryPipeline};
+use dyndens::shard::ShardConfig;
+use dyndens::stream::{ChiSquareCorrelation, ShardedStoryPipeline};
 use dyndens::workloads::{TweetSimulator, TweetSimulatorConfig};
 
 fn main() {
@@ -34,12 +35,13 @@ fn main() {
     );
 
     // The story pipeline: 2-hour mean post life, average-edge-weight density,
-    // stories of up to 5 entities with density at least 0.4.
-    let mut pipeline = StoryPipeline::new(
+    // stories of up to 5 entities with density at least 0.4, on one shard.
+    let mut pipeline = ShardedStoryPipeline::new(
         ChiSquareCorrelation::default(),
         2.0 * 3600.0,
         AvgWeight,
         DynDensConfig::new(0.4, 5).with_delta_it_fraction(0.25),
+        ShardConfig::new(1),
     );
 
     let checkpoints = [0.25, 0.5, 0.75, 1.0];
@@ -80,7 +82,10 @@ fn main() {
     );
     println!("    positive edge updates: {positive}");
     println!("    negative edge updates: {negative}");
-    println!("    stories currently reported: {}", pipeline.story_count());
+    println!(
+        "    stories currently reported: {}",
+        pipeline.engine().output_dense_count()
+    );
     let stats = pipeline.engine().stats();
     println!(
         "    engine work: {} explorations, {} cheap explorations, {} subgraphs inserted",

@@ -85,7 +85,7 @@ fn main() {
         }
         if start.elapsed() >= next_report {
             next_report += window / 4;
-            let seq: u64 = pipeline.per_shard_seq().iter().sum();
+            let seq: u64 = pipeline.view().per_shard_seq().iter().sum();
             let top = pipeline.top_stories_latest(1);
             println!(
                 "t+{:>4.1}s  seq {seq:>7}  requests {:>6}  subscribers {}  top story: {}",

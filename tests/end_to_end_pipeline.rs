@@ -2,7 +2,8 @@
 //! DynDens → ranked stories.
 
 use dyndens::prelude::*;
-use dyndens::stream::{ChiSquareCorrelation, LogLikelihoodRatio, StoryPipeline};
+use dyndens::shard::ShardConfig;
+use dyndens::stream::{ChiSquareCorrelation, LogLikelihoodRatio, ShardedStoryPipeline};
 use dyndens::workloads::{TweetSimulator, TweetSimulatorConfig};
 
 fn small_corpus() -> dyndens::workloads::SimulatedCorpus {
@@ -92,11 +93,12 @@ fn unweighted_pipeline_produces_unit_edges_and_cliques() {
 #[test]
 fn story_pipeline_ranks_with_diversity() {
     let corpus = small_corpus();
-    let mut pipeline = StoryPipeline::new(
+    let mut pipeline = ShardedStoryPipeline::new(
         ChiSquareCorrelation::default(),
         2.0 * 3600.0,
         AvgWeight,
         DynDensConfig::new(0.4, 5).with_delta_it_fraction(0.25),
+        ShardConfig::new(1),
     );
     for post in &corpus.posts {
         let names: Vec<String> = corpus.registry.describe(post.entities.iter().copied());

@@ -1,7 +1,8 @@
 //! The live wire scrape: a persistent fleet and a story server on one
-//! registry, a polling follower riding along, a split mid-stream, and then
-//! the `Metrics` request an operator's collector would send — checked for
-//! being lit end to end and self-consistent.
+//! registry, a polling follower riding along, a split mid-stream, a
+//! compaction pass after the tail, and then the `Metrics` request an
+//! operator's collector would send — checked for being lit end to end and
+//! self-consistent.
 //!
 //! The text exposition's line grammar is held by
 //! `crates/obs/tests/registry.rs`; this suite checks that the live series
@@ -47,13 +48,30 @@ fn wire_scrape_of_a_live_split_fleet_is_lit_and_self_consistent() {
     }
     fleet.flush();
     while follower.poll(&mut client).expect("poll") {}
+
+    // Compact at the median final edge weight: every shard evicts, so each
+    // one's sequence number moves past the tail.
+    let mut graph = DynamicGraph::new();
+    for u in &updates {
+        graph.apply_update(u);
+    }
+    let mut weights: Vec<f64> = graph.edges().map(|(_, _, w)| w).collect();
+    weights.sort_by(f64::total_cmp);
+    let tail_seqs = fleet.view().per_shard_seq();
+    assert!(fleet.compact_below(weights[weights.len() / 2]) > 0);
+    let compacted_seqs = fleet.view().per_shard_seq();
+    for (shard, (before, after)) in tail_seqs.iter().zip(&compacted_seqs).enumerate() {
+        assert!(after > before, "shard {shard} evicted nothing");
+    }
+    while follower.poll(&mut client).expect("poll") {}
     client.top_k(8).expect("top_k");
     client.stats().expect("stats");
 
     let snapshot = client.metrics().expect("metrics scrape");
 
     // Durability before visibility pairs WAL appends 1:1 with applied
-    // batches when no compaction runs, and `Always` fsyncs each of them.
+    // batches — a compaction pass is one more batch — and `Always` fsyncs
+    // each of them.
     let wal_appends = snapshot.counter_total(names::WAL_APPENDS_TOTAL);
     assert!(wal_appends > 0, "no WAL appends recorded");
     assert_eq!(
