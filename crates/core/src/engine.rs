@@ -22,7 +22,7 @@ use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
 use crate::config::{DeltaIt, DynDensConfig};
 use crate::events::{DenseEvent, EngineStats};
 use crate::heuristics::{DegreePrioritize, MaxExploreBound};
-use crate::index::{NodeId, SubgraphIndex, SubgraphInfo};
+use crate::index::{NodeId, SubgraphIndex, SubgraphInfo, Walk};
 use crate::maintenance::{story_order, top_of};
 use crate::scratch::Scratch;
 
@@ -435,17 +435,22 @@ impl<D: DensityMeasure> DynDens<D> {
     fn process_negative(&mut self, update: EdgeUpdate, events: &mut Vec<DenseEvent>) {
         let (a, b, delta) = (update.a, update.b, update.delta);
         // Only subgraphs containing both endpoints see their score change.
-        // Processed in canonical (vertex set) order, not index-arena order:
-        // arena order depends on the full insert/remove history, which a
-        // snapshot-restored engine does not share, and the coverage repairs
-        // below are order-sensitive at the floating-point-bit level. The
-        // canonical order makes replay-after-restore bit-identical.
-        let mut stack = self.scratch.nodes.take();
-        let mut affected = self.scratch.nodes.take();
+        // Processed in canonical (vertex set) order, as the index walk hands
+        // them out, not index-arena order: arena order depends on the full
+        // insert/remove history, which a snapshot-restored engine does not
+        // share, and the coverage repairs below are order-sensitive at the
+        // floating-point-bit level. The canonical order makes
+        // replay-after-restore bit-identical. An entry's path stays valid
+        // through the loop: removing a subgraph prunes only nodes without
+        // one, so no later entry's node is freed (and re-used).
         self.index
-            .subgraphs_containing_both(a, b, &mut stack, &mut affected);
-        self.canonical_order(&mut affected);
-        for &id in &affected {
+            .subgraphs_containing_both(a, b, &mut self.scratch.walk);
+        if self.scratch.walk.entries().is_empty() {
+            return;
+        }
+        let walk = std::mem::take(&mut self.scratch.walk);
+        for entry in walk.entries() {
+            let id = entry.id;
             let card = self.index.cardinality(id);
             let old_score = self.index.score(id);
             let new_score = old_score + delta;
@@ -475,60 +480,20 @@ impl<D: DensityMeasure> DynDens<D> {
                     self.stats.star_markers_removed += 1;
                 }
             }
+            if was_output && !(still_dense && still_output) {
+                events.push(DenseEvent::NoLongerOutputDense {
+                    vertices: set_of(walk.path(entry)),
+                    density: self.thresholds.measure().density(new_score, card),
+                });
+            }
             if still_dense {
                 self.index.add_score(id, delta);
-                if was_output && !still_output {
-                    events.push(DenseEvent::NoLongerOutputDense {
-                        vertices: self.index.vertices(id),
-                        density: self.thresholds.measure().density(new_score, card),
-                    });
-                }
             } else {
-                if was_output {
-                    events.push(DenseEvent::NoLongerOutputDense {
-                        vertices: self.index.vertices(id),
-                        density: self.thresholds.measure().density(new_score, card),
-                    });
-                }
                 self.index.remove(id);
                 self.stats.subgraphs_evicted += 1;
             }
         }
-        self.scratch.nodes.give(affected);
-        self.scratch.nodes.give(stack);
-    }
-
-    /// Orders index nodes by their vertex sets, making iteration a function
-    /// of the engine's *abstract* state (which subgraphs exist) rather than
-    /// of index-arena history. Exploration and coverage repair visit these
-    /// lists mutably, so the visiting order decides which arithmetic path
-    /// first materialises a candidate; canonical order keeps that path — and
-    /// therefore every stored score bit — reproducible across
-    /// snapshot/restore.
-    /// Runs on every update, hence the allocation-free
-    /// [`SubgraphIndex::path_key`] fast path (stack-array keys built once
-    /// per node into a reused scratch buffer, instead of a `VertexSet`
-    /// allocation each). Vertex sets are distinct, so the result does not
-    /// depend on the order `ids` arrive in.
-    fn canonical_order(&mut self, ids: &mut Vec<NodeId>) {
-        if ids.len() <= 1 {
-            return;
-        }
-        let mut keyed = std::mem::take(&mut self.scratch.keyed);
-        keyed.clear();
-        keyed.extend(
-            ids.iter()
-                .map_while(|&id| Some((self.index.path_key(id)?, id))),
-        );
-        if keyed.len() == ids.len() {
-            keyed.sort_unstable_by_key(|x| x.0);
-            ids.clear();
-            ids.extend(keyed.iter().map(|&(_, id)| id));
-        } else {
-            // Nmax beyond the key width: materialise the sets.
-            ids.sort_by_cached_key(|&id| self.index.vertices(id));
-        }
-        self.scratch.keyed = keyed;
+        self.scratch.walk = walk;
     }
 
     /// The largest cardinality whose subgraphs are covered by a `*` marker on
@@ -592,7 +557,9 @@ impl<D: DensityMeasure> DynDens<D> {
             );
             if card + 2 <= old_radius {
                 let n_vertices = self.graph.vertex_count();
-                let column = self.scratch.scatter(n_vertices, &gamma, set.as_slice());
+                let column =
+                    self.scratch
+                        .scatter(n_vertices, gamma.iter().copied(), set.as_slice());
                 for &(y, z, w) in self.scratch.edges(&self.graph) {
                     let (gamma_y, gamma_z) = (column[y.index()], column[z.index()]);
                     if !gamma_y.is_nan() && !gamma_z.is_nan() {
@@ -600,7 +567,8 @@ impl<D: DensityMeasure> DynDens<D> {
                         candidates.push((set.with(y).with(z), ext_score));
                     }
                 }
-                self.scratch.gather(column, &gamma, set.as_slice());
+                self.scratch
+                    .gather(column, gamma.iter().copied(), set.as_slice());
             }
             for (ext, ext_score) in candidates.drain(..) {
                 let ext_card = ext.len();
@@ -676,19 +644,16 @@ impl<D: DensityMeasure> DynDens<D> {
         };
 
         // Snapshots: subgraphs that were dense before this update and contain a
-        // and/or b, and the * markers present before this update. Both are
-        // visited in canonical (vertex set) order — exploration discoveries
-        // depend on which base reaches a candidate first, so arena order
-        // would make the resulting score bits depend on index history and
-        // break snapshot/replay bit-equivalence.
-        let mut stack = self.scratch.nodes.take();
-        let mut affected = self.scratch.nodes.take();
-        let mut stars = self.scratch.nodes.take();
+        // and/or b — taken before the base case below inserts any — and the
+        // * markers present before this update. Both are visited in
+        // canonical (vertex set) order, as the index hands them out —
+        // exploration discoveries depend on which base reaches a candidate
+        // first, so arena order would make the resulting score bits depend
+        // on index history and break snapshot/replay bit-equivalence.
         self.index
-            .subgraphs_containing_either(a, b, &mut stack, &mut affected);
-        self.canonical_order(&mut affected);
+            .subgraphs_containing_either(a, b, &mut self.scratch.walk);
+        let mut stars = self.scratch.nodes.take();
         if self.config.implicit_too_dense {
-            // Canonical as the index keeps it.
             stars.extend_from_slice(self.index.star_bases());
         }
         if !self.scratch.explored.is_empty() {
@@ -703,33 +668,10 @@ impl<D: DensityMeasure> DynDens<D> {
             self.explore(&pair, new_weight, 1, true, &ctx, events);
         }
 
-        let mut verts = self.scratch.verts.take();
-        for &id in &affected {
-            if !self.index.has_info(id) {
-                // May have been restructured by earlier work in this update.
-                continue;
-            }
-            let contains_a = self.index.contains_vertex(id, a);
-            let contains_b = self.index.contains_vertex(id, b);
-            let card = self.index.cardinality(id);
-            if contains_a && contains_b {
-                // Algorithm 1, lines 10-11.
-                let old_score = self.index.score(id);
-                let new_score = self.index.add_score(id, delta);
-                if !self.thresholds.is_output_dense(old_score, card)
-                    && self.thresholds.is_output_dense(new_score, card)
-                {
-                    events.push(DenseEvent::BecameOutputDense {
-                        vertices: self.index.vertices(id),
-                        density: self.thresholds.measure().density(new_score, card),
-                    });
-                }
-                self.index.path_into(id, &mut verts);
-                self.explore(&verts, new_score, 1, true, &ctx, events);
-            } else {
-                // Algorithm 1, lines 5-8: cheap exploration.
-                self.cheap_explore(id, contains_a, &ctx, events);
-            }
+        if !self.scratch.walk.entries().is_empty() {
+            let walk = std::mem::take(&mut self.scratch.walk);
+            self.process_affected(&walk, &ctx, events);
+            self.scratch.walk = walk;
         }
 
         // ImplicitTooDense star bases: their covered extensions may need to be
@@ -741,18 +683,62 @@ impl<D: DensityMeasure> DynDens<D> {
             }
             self.process_star_base(base, &ctx, events);
         }
-        self.scratch.verts.give(verts);
         self.scratch.nodes.give(stars);
-        self.scratch.nodes.give(affected);
-        self.scratch.nodes.give(stack);
+    }
+
+    /// Algorithm 1, lines 5-11, over the subgraphs that were dense before
+    /// the update and contain `a` and/or `b`, in vertex-set order.
+    fn process_affected(&mut self, walk: &Walk, ctx: &UpdateCtx, events: &mut Vec<DenseEvent>) {
+        // Each endpoint's weights as a dense column, for the cheap
+        // explorations' `Γ_other · c`: summed over the path in ascending
+        // order like `degree_into`, the `0.0` of a non-neighbour leaving a
+        // partial sum that starts at `+0.0` unchanged.
+        let n_vertices = self.graph.vertex_count();
+        let columns = [ctx.a, ctx.b].map(|v| {
+            self.scratch
+                .scatter(n_vertices, self.graph.neighbors(v), &[])
+        });
+        for entry in walk.entries() {
+            let id = entry.id;
+            if !self.index.has_info(id) {
+                // May have been restructured by earlier work in this update.
+                continue;
+            }
+            let path = walk.path(entry);
+            if entry.contains_a && entry.contains_b {
+                // Algorithm 1, lines 10-11.
+                let card = path.len();
+                let old_score = self.index.score(id);
+                let new_score = self.index.add_score(id, ctx.delta);
+                if !self.thresholds.is_output_dense(old_score, card)
+                    && self.thresholds.is_output_dense(new_score, card)
+                {
+                    events.push(DenseEvent::BecameOutputDense {
+                        vertices: set_of(path),
+                        density: self.thresholds.measure().density(new_score, card),
+                    });
+                }
+                self.explore(path, new_score, 1, true, ctx, events);
+            } else {
+                // Algorithm 1, lines 5-8: cheap exploration.
+                let other_column = &columns[usize::from(entry.contains_a)];
+                self.cheap_explore(id, path, entry.contains_a, other_column, ctx, events);
+            }
+        }
+        for (v, column) in [ctx.a, ctx.b].into_iter().zip(columns) {
+            self.scratch.gather(column, self.graph.neighbors(v), &[]);
+        }
     }
 
     /// Cheap exploration (Algorithm 1 line 6): augments a dense subgraph
-    /// containing exactly one of the updated endpoints with the other one.
+    /// (`id`, vertices `path`) containing exactly one of the updated
+    /// endpoints with the other one, whose weights are `other_column`.
     fn cheap_explore(
         &mut self,
         id: NodeId,
+        path: &[VertexId],
         contains_a: bool,
+        other_column: &[f64],
         ctx: &UpdateCtx,
         events: &mut Vec<DenseEvent>,
     ) {
@@ -782,16 +768,16 @@ impl<D: DensityMeasure> DynDens<D> {
             self.stats.max_explore_skips += 1;
             return;
         }
-        // The path of `C`, then of `C ∪ {other}`, in one pooled buffer: most
-        // cheap explorations end at a threshold test and need neither owned.
-        let mut ext = self.scratch.verts.take();
-        self.index.path_into(id, &mut ext);
-        let other_degree = self.graph.degree_into(other, &ext);
+        let other_degree = path
+            .iter()
+            .fold(0.0, |sum, v| sum + other_column[v.index()]);
         let ext_score = score + other_degree;
         let ext_card = card + 1;
-        insert_sorted(&mut ext, other);
+        // The path of `C ∪ {other}`, in a pooled buffer, once it is needed.
+        let mut ext = self.scratch.verts.take();
         let newly_dense = if too_dense {
             // The lazy-vertex exception above: whatever is not stored yet.
+            union_into(&mut ext, path, &[other]);
             let missing = self.index.find(&ext).is_none();
             if missing {
                 self.stats.candidates_examined += 1;
@@ -813,10 +799,16 @@ impl<D: DensityMeasure> DynDens<D> {
             self.thresholds.is_dense(ext_score, ext_card)
                 && !self.thresholds.is_dense(ext_score - ctx.delta, ext_card)
         };
-        if newly_dense && self.note_candidate(&ext, ext_score, 1, ctx, events) {
-            // Algorithm 1, line 8: newly-dense subgraphs found via cheap
-            // exploration are explored starting from iteration 2.
-            self.explore(&ext, ext_score, 2, true, ctx, events);
+        if newly_dense {
+            // The lazy-vertex branch has already built it.
+            if ext.is_empty() {
+                union_into(&mut ext, path, &[other]);
+            }
+            if self.note_candidate(&ext, ext_score, 1, ctx, events) {
+                // Algorithm 1, line 8: newly-dense subgraphs found via cheap
+                // exploration are explored starting from iteration 2.
+                self.explore(&ext, ext_score, 2, true, ctx, events);
+            }
         }
         self.scratch.verts.give(ext);
     }
@@ -906,7 +898,8 @@ impl<D: DensityMeasure> DynDens<D> {
     /// its last bits (another summation path to the same set) and could in
     /// principle classify a candidate within one rounding of a threshold
     /// differently: as everywhere in the engine, the first canonical path to
-    /// a subgraph decides its bits (see [`canonical_order`](Self::canonical_order)).
+    /// a subgraph decides its bits (the index hands out what an update
+    /// touches in vertex-set order; see the [`index`](crate::index) module docs).
     ///
     /// A key enters the table only when the exploration really runs. Engines
     /// whose `Nmax` exceeds the key width explore unconditionally.
@@ -1059,7 +1052,9 @@ impl<D: DensityMeasure> DynDens<D> {
             if card + 2 <= n_max {
                 let n_edges = self.scratch.edges(&self.graph).len();
                 let n_vertices = self.graph.vertex_count();
-                let column = self.scratch.scatter(n_vertices, &gamma, verts);
+                let column = self
+                    .scratch
+                    .scatter(n_vertices, gamma.iter().copied(), verts);
                 for i in 0..n_edges {
                     let (y, z, w) = self.scratch.edges(&self.graph)[i];
                     let (gamma_y, gamma_z) = (column[y.index()], column[z.index()]);
@@ -1090,7 +1085,7 @@ impl<D: DensityMeasure> DynDens<D> {
                         self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
                     }
                 }
-                self.scratch.gather(column, &gamma, verts);
+                self.scratch.gather(column, gamma.iter().copied(), verts);
             }
         } else if too_dense_now {
             // Explore-all (Algorithm 2, lines 2-5).

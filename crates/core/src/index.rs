@@ -20,11 +20,42 @@
 //! the engine can iterate over them canonically on every update (the paper's
 //! `*` inverted list).
 //!
-//! The traversals the engine runs on every update
-//! ([`subgraphs_containing_either`](SubgraphIndex::subgraphs_containing_either),
-//! [`subgraphs_containing_both`](SubgraphIndex::subgraphs_containing_both),
-//! [`path_into`](SubgraphIndex::path_into)) write into caller-owned buffers
-//! and allocate nothing once those have grown to size.
+//! ## Walks in vertex-set order
+//!
+//! The engine visits the subgraphs an update touches in vertex-set order
+//! (lexicographic over the ascending paths, a prefix before its
+//! extensions), so that what it computes depends on which subgraphs exist
+//! and never on the arena history that placed them. The two walks
+//! ([`subgraphs_containing_either`](SubgraphIndex::subgraphs_containing_either)
+//! and [`subgraphs_containing_both`](SubgraphIndex::subgraphs_containing_both))
+//! hand them out in that order without sorting them. For an update on
+//! `(a, b)` with smaller endpoint `s` and larger `l`:
+//!
+//! * the subgraphs containing `a` or `b` are those in the subtrees of the
+//!   nodes labelled `s`, and of the nodes labelled `l` that have no `s`
+//!   ancestor (below an `l` node no `s` can follow, since paths ascend);
+//! * the subgraphs containing both are those in the subtrees of the nodes
+//!   labelled `l` that do have an `s` ancestor.
+//!
+//! Either way the roots are disjoint subtrees — a path holds each vertex at
+//! most once, and an `s` node is never below an `l` node. A subtree holds
+//! exactly the paths extending its root's path, which in vertex-set order is
+//! one contiguous run, and a preorder walk with children ascending (they are
+//! stored sorted) emits that run in order. So sorting the few roots by their
+//! paths and walking each in preorder gives the sorted list. On the way the
+//! walk learns each entry's path and which endpoints it contains: an
+//! `s`-rooted entry contains `s`, and contains `l` once the walk has passed
+//! an `l` node.
+//!
+//! Roots are sorted by the [`path_key`](SubgraphIndex::path_key) every node
+//! caches — its path's first 12 vertices, written once when the node is
+//! allocated, from its parent's, since a node's path never changes while it
+//! is in use. Two keys tie only when both paths reach past that width
+//! (`Nmax > 12`) with the same head; such roots compare as materialised
+//! vertex sets, and nothing but roots is ever compared. The walks write into
+//! a caller-owned [`Walk`] and allocate nothing once it has grown to size.
+
+use std::cmp::Ordering;
 
 use dyndens_graph::{FxHashMap, VertexId, VertexSet};
 
@@ -68,11 +99,16 @@ impl SubgraphInfo {
     }
 }
 
+/// A fixed-width vertex path: see [`SubgraphIndex::path_key`].
+type PathKey = [u32; SubgraphIndex::PATH_KEY_WIDTH];
+
 #[derive(Debug, Clone)]
 struct Node {
     vertex: VertexId,
     parent: NodeId,
     depth: u32,
+    /// The first `PATH_KEY_WIDTH` vertices of the path, zero-padded.
+    key: PathKey,
     /// Children sorted by vertex id for binary search.
     children: Vec<(VertexId, NodeId)>,
     info: Option<SubgraphInfo>,
@@ -86,11 +122,12 @@ struct Node {
 }
 
 impl Node {
-    fn new(vertex: VertexId, parent: NodeId, depth: u32) -> Self {
+    fn new(vertex: VertexId, parent: NodeId, depth: u32, key: PathKey) -> Self {
         Node {
             vertex,
             parent,
             depth,
+            key,
             children: Vec::new(),
             info: None,
             star: false,
@@ -98,6 +135,47 @@ impl Node {
             inv_next: None,
             in_use: true,
         }
+    }
+}
+
+/// One subgraph handed out by a walk, with what the walk learned on the way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Affected {
+    /// The subgraph's node.
+    pub id: NodeId,
+    /// `true` if the subgraph contains the walk's `a`.
+    pub contains_a: bool,
+    /// `true` if the subgraph contains the walk's `b`.
+    pub contains_b: bool,
+    /// Where [`Walk::path`] finds its vertices.
+    path: (u32, u32),
+}
+
+/// The subgraphs a walk of [`SubgraphIndex`] found, in vertex-set order
+/// (see the [module docs](self)), with the working space it ran in. Reused
+/// across walks, it stops allocating once it has grown to size.
+#[derive(Debug, Clone, Default)]
+pub struct Walk {
+    entries: Vec<Affected>,
+    /// Every entry's vertex path, back to back.
+    paths: Vec<VertexId>,
+    /// The subtrees to walk, by cached key.
+    roots: Vec<(PathKey, NodeId)>,
+    /// Preorder stack: node, and whether its path holds the larger endpoint.
+    stack: Vec<(NodeId, bool)>,
+    /// The path of the node the walk is at.
+    path: Vec<VertexId>,
+}
+
+impl Walk {
+    /// The subgraphs found, in vertex-set order.
+    pub fn entries(&self) -> &[Affected] {
+        &self.entries
+    }
+
+    /// The vertices of `entry`, ascending.
+    pub fn path(&self, entry: &Affected) -> &[VertexId] {
+        &self.paths[entry.path.0 as usize..entry.path.1 as usize]
     }
 }
 
@@ -127,7 +205,12 @@ impl SubgraphIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         // Node 0 is the root; its vertex label is never read.
-        let root = Node::new(VertexId(u32::MAX - 1), NodeId::ROOT, 0);
+        let root = Node::new(
+            VertexId(u32::MAX - 1),
+            NodeId::ROOT,
+            0,
+            [0; Self::PATH_KEY_WIDTH],
+        );
         SubgraphIndex {
             nodes: vec![root],
             free: Vec::new(),
@@ -174,14 +257,21 @@ impl SubgraphIndex {
     }
 
     fn alloc_node(&mut self, vertex: VertexId, parent: NodeId, depth: u32) -> NodeId {
+        // The parent's path plus `vertex`: a node's path is fixed while it is
+        // in use, and a reused slot is re-keyed here.
+        let mut key = self.node(parent).key;
+        if let Some(at) = key.get_mut(depth as usize - 1) {
+            *at = vertex.0;
+        }
+        let node = Node::new(vertex, parent, depth, key);
         let id = match self.free.pop() {
             Some(id) => {
-                self.nodes[id.idx()] = Node::new(vertex, parent, depth);
+                self.nodes[id.idx()] = node;
                 id
             }
             None => {
                 let id = NodeId(self.nodes.len() as u32);
-                self.nodes.push(Node::new(vertex, parent, depth));
+                self.nodes.push(node);
                 id
             }
         };
@@ -240,20 +330,6 @@ impl SubgraphIndex {
         );
         let id = self.find_node(vertices)?;
         self.node(id).info.map(|_| id)
-    }
-
-    /// Looks up the subgraph `C ∪ {v}` given the node of `C` and an extra
-    /// vertex `v` not in `C`. Cost is O(1) when `v` is larger than every
-    /// vertex of `C`, and O(|C| + 1) otherwise.
-    pub fn find_extension(&self, base: NodeId, v: VertexId) -> Option<NodeId> {
-        let base_node = self.node(base);
-        if base == NodeId::ROOT || v > base_node.vertex {
-            let id = self.child_of(base, v)?;
-            return self.node(id).info.map(|_| id);
-        }
-        let mut vertices = self.vertices(base);
-        vertices.insert(v);
-        self.find(vertices.as_slice())
     }
 
     /// Inserts (or overwrites) the subgraph with the given sorted vertices.
@@ -337,6 +413,10 @@ impl SubgraphIndex {
     /// allocation, for callers that only need a slice.
     pub fn path_into(&self, id: NodeId, out: &mut Vec<VertexId>) {
         out.clear();
+        if let Some(path) = self.key_path(id) {
+            out.extend(path.iter().map(|&v| VertexId(v)));
+            return;
+        }
         let mut cur = id;
         while cur != NodeId::ROOT {
             let n = self.node(cur);
@@ -363,29 +443,23 @@ impl SubgraphIndex {
     /// deeper than the key width (callers fall back to materialising the
     /// vertex sets).
     ///
-    /// This exists for the engine's canonical processing order: sorting
-    /// affected subgraphs by vertex set on every update is hot-path work,
-    /// and walking the parent chain into a stack array is ~an order of
-    /// magnitude cheaper than building a `VertexSet` per node.
-    pub fn path_key(&self, id: NodeId) -> Option<[u32; Self::PATH_KEY_WIDTH]> {
-        let depth = self.cardinality(id);
-        if depth > Self::PATH_KEY_WIDTH {
-            return None;
-        }
-        let mut key = [0u32; Self::PATH_KEY_WIDTH];
-        let mut cur = id;
-        let mut i = depth;
-        while cur != NodeId::ROOT {
-            let n = self.node(cur);
-            i -= 1;
-            key[i] = n.vertex.0;
-            cur = n.parent;
-        }
-        Some(key)
+    /// Every node caches its key, so this is a load: what the walks sort
+    /// their roots by, and what publication and the `*` list order by.
+    pub fn path_key(&self, id: NodeId) -> Option<PathKey> {
+        self.key_path(id).map(|_| self.node(id).key)
+    }
+
+    /// The node's path as the used part of its cached key, when it fits.
+    fn key_path(&self, id: NodeId) -> Option<&[u32]> {
+        let n = self.node(id);
+        n.key.get(..n.depth as usize)
     }
 
     /// `true` if the subgraph at `id` contains vertex `v`.
     pub fn contains_vertex(&self, id: NodeId, v: VertexId) -> bool {
+        if let Some(path) = self.key_path(id) {
+            return path.binary_search(&v.0).is_ok();
+        }
         let mut cur = id;
         while cur != NodeId::ROOT {
             let n = self.node(cur);
@@ -440,11 +514,11 @@ impl SubgraphIndex {
         info.score
     }
 
-    /// Vertex-set order of two tree nodes' paths: by [`path_key`](Self::path_key)
-    /// when both fit one, by materialised sets otherwise.
-    fn path_order(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
-        match (self.path_key(a), self.path_key(b)) {
-            (Some(x), Some(y)) => x.cmp(&y),
+    /// Vertex-set order of two tree nodes' paths: by their cached keys when
+    /// both fit one, by materialised sets otherwise.
+    fn path_order(&self, a: NodeId, b: NodeId) -> Ordering {
+        match (self.key_path(a), self.key_path(b)) {
+            (Some(x), Some(y)) => x.cmp(y),
             _ => self.vertices(a).cmp(&self.vertices(b)),
         }
     }
@@ -508,83 +582,91 @@ impl SubgraphIndex {
         out
     }
 
-    /// Appends every subgraph stored in the subtree of `root` to `out`,
-    /// skipping the subtrees below `root` whose top is labelled `stop_at`.
-    /// `stack` is working space and is left empty.
-    fn push_subtree_subgraphs(
-        &self,
-        root: NodeId,
-        stop_at: Option<VertexId>,
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<NodeId>,
-    ) {
-        stack.push(root);
-        while let Some(id) = stack.pop() {
-            let n = self.node(id);
-            if id != root && Some(n.vertex) == stop_at {
-                continue;
-            }
-            if n.info.is_some() {
-                out.push(id);
-            }
-            stack.extend(n.children.iter().map(|&(_, child)| child));
-        }
-    }
-
     /// The nodes labelled `v`: `v`'s inverted list.
     fn inverted_list(&self, v: VertexId) -> impl Iterator<Item = NodeId> + '_ {
         let head = self.inverted.get(&v).copied();
         std::iter::successors(head, move |&id| self.node(id).inv_next)
     }
 
-    /// Writes all subgraphs containing vertex `a` or vertex `b` into `out`
-    /// (cleared first), each exactly once, in no particular order. `stack` is
-    /// working space.
-    ///
-    /// Following Section 3.2.2: the subtrees hanging off the inverted list of
-    /// the larger vertex are traversed first; the subtrees of the smaller
-    /// vertex are then traversed, stopping whenever a node labelled with the
-    /// larger vertex is encountered (those subgraphs contain both vertices and
-    /// have already been visited).
-    pub fn subgraphs_containing_either(
-        &self,
-        a: VertexId,
-        b: VertexId,
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<NodeId>,
-    ) {
-        assert!(a != b);
-        let (small, large) = if a < b { (a, b) } else { (b, a) };
-        out.clear();
-        for id in self.inverted_list(large) {
-            self.push_subtree_subgraphs(id, None, stack, out);
-        }
-        for id in self.inverted_list(small) {
-            self.push_subtree_subgraphs(id, Some(large), stack, out);
-        }
+    /// Writes all subgraphs containing vertex `a` or vertex `b` into `walk`,
+    /// each exactly once, in vertex-set order (Section 3.2.2's inverted
+    /// lists; the order argument is in the [module docs](self)).
+    pub fn subgraphs_containing_either(&self, a: VertexId, b: VertexId, walk: &mut Walk) {
+        let (small, large) = (a.min(b), a.max(b));
+        let root_ids = self.inverted_list(small).chain(
+            self.inverted_list(large)
+                .filter(|&id| !self.contains_vertex(id, small)),
+        );
+        self.walk_roots(a, b, false, root_ids, walk);
     }
 
-    /// Writes all subgraphs containing both `a` and `b` into `out` (cleared
-    /// first), each exactly once, in no particular order. `stack` is working
-    /// space.
-    ///
-    /// Section 3.2.2 again: a subgraph contains both exactly when its path
-    /// passes through a node labelled with the larger vertex that has the
-    /// smaller one among its ancestors (paths ascend), so only the inverted
-    /// list of the larger vertex is walked, with one ancestor check per node.
-    pub fn subgraphs_containing_both(
+    /// Writes all subgraphs containing both `a` and `b` into `walk`, each
+    /// exactly once, in vertex-set order: the subtrees of the nodes labelled
+    /// with the larger vertex that have the smaller one among their
+    /// ancestors (Section 3.2.2; paths ascend).
+    pub fn subgraphs_containing_both(&self, a: VertexId, b: VertexId, walk: &mut Walk) {
+        let (small, large) = (a.min(b), a.max(b));
+        let root_ids = self
+            .inverted_list(large)
+            .filter(|&id| self.contains_vertex(id, small));
+        self.walk_roots(a, b, true, root_ids, walk);
+    }
+
+    /// Sorts the subtree roots `root_ids` and walks each in preorder,
+    /// children ascending, into `walk`'s entries. `below_small` says every
+    /// root has the smaller endpoint on its path.
+    fn walk_roots(
         &self,
         a: VertexId,
         b: VertexId,
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<NodeId>,
+        below_small: bool,
+        root_ids: impl Iterator<Item = NodeId>,
+        walk: &mut Walk,
     ) {
         assert!(a != b);
-        let (small, large) = if a < b { (a, b) } else { (b, a) };
-        out.clear();
-        for id in self.inverted_list(large) {
-            if self.contains_vertex(self.node(id).parent, small) {
-                self.push_subtree_subgraphs(id, None, stack, out);
+        let (small, large) = (a.min(b), a.max(b));
+        let Walk {
+            entries,
+            paths,
+            roots,
+            stack,
+            path,
+        } = walk;
+        entries.clear();
+        paths.clear();
+        roots.clear();
+        roots.extend(root_ids.map(|id| (self.node(id).key, id)));
+        // Keys hold a path's first `PATH_KEY_WIDTH` vertices, so they order
+        // any two paths except where both reach past the width with the
+        // same head; only then are the paths themselves compared.
+        roots.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| self.path_order(x.1, y.1)));
+        for &(_, root) in roots.iter() {
+            let has_small = below_small || self.node(root).vertex == small;
+            self.path_into(root, path);
+            stack.push((root, self.node(root).vertex == large));
+            while let Some((id, has_large)) = stack.pop() {
+                let n = self.node(id);
+                path.truncate(n.depth as usize - 1);
+                path.push(n.vertex);
+                if n.info.is_some() {
+                    let (contains_a, contains_b) = if a == small {
+                        (has_small, has_large)
+                    } else {
+                        (has_large, has_small)
+                    };
+                    let start = paths.len() as u32;
+                    paths.extend_from_slice(path);
+                    entries.push(Affected {
+                        id,
+                        contains_a,
+                        contains_b,
+                        path: (start, paths.len() as u32),
+                    });
+                }
+                // Reversed, so that the smallest child is popped first.
+                for &(v, child) in n.children.iter().rev() {
+                    stack.push((child, has_large || v == large));
+                }
             }
         }
     }
@@ -612,7 +694,8 @@ impl SubgraphIndex {
         self.scores().map(|(id, _, _)| id).collect()
     }
 
-    /// Internal consistency check used by tests: inverted lists reference
+    /// Internal consistency check used by tests: every node's cached key is
+    /// its parent's path plus its own vertex, inverted lists reference
     /// exactly the in-use nodes with the corresponding vertex label, the
     /// subgraph count matches, and star markers refer to stored subgraphs and
     /// are listed once each, in vertex-set order.
@@ -624,6 +707,14 @@ impl SubgraphIndex {
                 continue;
             }
             *labelled.entry(n.vertex).or_insert(0) += 1;
+            let parent = &self.nodes[n.parent.idx()];
+            let mut key = parent.key;
+            if let Some(at) = key.get_mut(n.depth as usize - 1) {
+                *at = n.vertex.0;
+            }
+            if !parent.in_use || n.depth != parent.depth + 1 || n.key != key {
+                return Err(format!("node {i} is not keyed by its parent's path"));
+            }
             if n.info.is_some() {
                 info_count += 1;
             }
@@ -768,35 +859,200 @@ mod tests {
         assert!(index.has_info(id));
     }
 
-    #[test]
-    fn find_extension_fast_and_slow_path() {
-        let index = figure3_index();
-        let base = index.find(&vs(&[1, 3])).unwrap();
-        // fast path: extension vertex larger than the base's last vertex
-        let ext = index.find_extension(base, VertexId(4)).unwrap();
-        assert_eq!(index.vertices(ext), VertexSet::from_ids(&[1, 3, 4]));
-        assert!(index.find_extension(base, VertexId(6)).is_none());
-        // slow path: extension vertex smaller than the base's last vertex
-        let base45 = index.find(&vs(&[4, 5])).unwrap();
-        let ext2 = index.find_extension(base45, VertexId(3)).unwrap();
-        assert_eq!(index.vertices(ext2), VertexSet::from_ids(&[3, 4, 5]));
-        assert!(index.find_extension(base45, VertexId(1)).is_none());
+    fn either(index: &SubgraphIndex, a: u32, b: u32) -> Vec<NodeId> {
+        let mut walk = Walk::default();
+        index.subgraphs_containing_both(VertexId(a), VertexId(b), &mut walk); // stale content is cleared
+        index.subgraphs_containing_either(VertexId(a), VertexId(b), &mut walk);
+        assert!(walk.stack.is_empty());
+        walk.entries().iter().map(|e| e.id).collect()
     }
 
-    fn either(index: &SubgraphIndex, a: u32, b: u32) -> Vec<NodeId> {
-        let (mut stack, mut out) = (Vec::new(), vec![NodeId::ROOT]); // stale content is cleared
-        index.subgraphs_containing_either(VertexId(a), VertexId(b), &mut stack, &mut out);
-        assert!(stack.is_empty());
+    /// In the order the walk hands them out.
+    fn both(index: &SubgraphIndex, a: u32, b: u32) -> Vec<VertexSet> {
+        let mut walk = Walk::default();
+        index.subgraphs_containing_either(VertexId(a), VertexId(b), &mut walk);
+        index.subgraphs_containing_both(VertexId(a), VertexId(b), &mut walk);
+        assert!(walk.stack.is_empty());
+        walk.entries()
+            .iter()
+            .map(|e| index.vertices(e.id))
+            .collect()
+    }
+
+    /// The path of `id` by its parent pointers, trusting no cached key.
+    fn parent_walk(index: &SubgraphIndex, id: NodeId) -> Vec<VertexId> {
+        let mut path = Vec::new();
+        let mut cur = id;
+        while cur != NodeId::ROOT {
+            path.push(index.nodes[cur.idx()].vertex);
+            cur = index.nodes[cur.idx()].parent;
+        }
+        path.reverse();
+        path
+    }
+
+    /// What the engine ran before the walks were ordered, kept as their
+    /// oracle: Section 3.2.2's traversals in arena order — the subtrees of
+    /// the larger endpoint's nodes (with the smaller one above, for `both`),
+    /// then the smaller's stopping at the larger — sorted by vertex set.
+    fn collect_then_sort(
+        index: &SubgraphIndex,
+        a: VertexId,
+        b: VertexId,
+        both: bool,
+    ) -> Vec<NodeId> {
+        let (small, large) = (a.min(b), a.max(b));
+        let mut out = Vec::new();
+        let mut subtree = |root: NodeId, stop_at: Option<VertexId>| {
+            let mut stack = vec![root];
+            while let Some(id) = stack.pop() {
+                let n = index.node(id);
+                if id != root && Some(n.vertex) == stop_at {
+                    continue;
+                }
+                if n.info.is_some() {
+                    out.push(id);
+                }
+                stack.extend(n.children.iter().map(|&(_, child)| child));
+            }
+        };
+        for id in index.inverted_list(large) {
+            if !both || parent_walk(index, index.node(id).parent).contains(&small) {
+                subtree(id, None);
+            }
+        }
+        if !both {
+            for id in index.inverted_list(small) {
+                subtree(id, Some(large));
+            }
+        }
+        out.sort_by_cached_key(|&id| parent_walk(index, id));
         out
     }
 
-    fn both(index: &SubgraphIndex, a: u32, b: u32) -> Vec<VertexSet> {
-        let (mut stack, mut out) = (Vec::new(), vec![NodeId::ROOT]);
-        index.subgraphs_containing_both(VertexId(a), VertexId(b), &mut stack, &mut out);
-        assert!(stack.is_empty());
-        let mut sets: Vec<VertexSet> = out.iter().map(|&id| index.vertices(id)).collect();
-        sets.sort();
-        sets
+    /// Checks both walks for `(a, b)` against [`collect_then_sort`], and each
+    /// entry's membership flags and path against the index's own answers
+    /// and the parent pointers.
+    fn check_walks(index: &SubgraphIndex, a: VertexId, b: VertexId, walk: &mut Walk) {
+        let mut path = Vec::new();
+        for both in [false, true] {
+            if both {
+                index.subgraphs_containing_both(a, b, walk);
+            } else {
+                index.subgraphs_containing_either(a, b, walk);
+            }
+            let got: Vec<NodeId> = walk.entries().iter().map(|e| e.id).collect();
+            let want = collect_then_sort(index, a, b, both);
+            assert_eq!(got, want, "({a}, {b}), both = {both}");
+            for entry in walk.entries() {
+                let truth = parent_walk(index, entry.id);
+                index.path_into(entry.id, &mut path);
+                assert_eq!(walk.path(entry), path, "path of {:?}", entry.id);
+                assert_eq!(walk.path(entry), truth, "path of {:?}", entry.id);
+                assert_eq!(entry.contains_a, index.contains_vertex(entry.id, a));
+                assert_eq!(entry.contains_b, index.contains_vertex(entry.id, b));
+                assert_eq!(entry.contains_a, truth.contains(&a));
+                assert_eq!(entry.contains_b, truth.contains(&b));
+            }
+        }
+    }
+
+    /// Random insert / remove / mark histories over `universe` vertices, with
+    /// subgraphs of up to `max_len` vertices drawn by `bits_of` from three
+    /// random words, checking every walk and every cached key as they go.
+    fn walk_history(
+        seed: u64,
+        universe: u32,
+        max_len: usize,
+        steps: usize,
+        bits_of: impl Fn([u64; 3]) -> u64,
+    ) {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut index = SubgraphIndex::new();
+        let mut walk = Walk::default();
+        let (mut reused, mut deepest) = (0, 0);
+        for step in 0..steps {
+            let roll = next() % 10;
+            let stored = index.all_subgraphs();
+            if roll < 4 && !stored.is_empty() {
+                let id = stored[next() as usize % stored.len()];
+                if roll == 0 {
+                    index.set_star(id, !index.has_star(id));
+                } else {
+                    index.remove(id);
+                }
+            } else {
+                let bits = bits_of([next(), next(), next()]);
+                let set: Vec<VertexId> = (0..universe)
+                    .filter(|v| bits >> v & 1 == 1)
+                    .map(VertexId)
+                    .take(max_len)
+                    .collect();
+                if set.len() >= 2 {
+                    let free = index.free.len();
+                    index.insert(&set, SubgraphInfo::with_score(1.0));
+                    reused += usize::from(index.free.len() < free);
+                    deepest = deepest.max(set.len());
+                }
+            }
+            index
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            for (i, n) in index.nodes.iter().enumerate().skip(1) {
+                if n.in_use {
+                    let id = NodeId(i as u32);
+                    let truth = parent_walk(&index, id);
+                    let key = index.path_key(id);
+                    assert_eq!(key.is_some(), truth.len() <= SubgraphIndex::PATH_KEY_WIDTH);
+                    if let Some(key) = key {
+                        let mut want = [0; SubgraphIndex::PATH_KEY_WIDTH];
+                        for (at, v) in want.iter_mut().zip(&truth) {
+                            *at = v.0;
+                        }
+                        assert_eq!(key, want, "step {step}: key of node {i}");
+                    }
+                }
+            }
+            for _ in 0..3 {
+                let a = VertexId((next() % u64::from(universe)) as u32);
+                let b = VertexId((next() % u64::from(universe)) as u32);
+                if a != b {
+                    check_walks(&index, a, b, &mut walk);
+                }
+            }
+        }
+        assert!(reused > 10, "free-list reuse barely exercised ({reused})");
+        assert!(index.len() > 20, "the history ended with a small index");
+        if max_len > SubgraphIndex::PATH_KEY_WIDTH {
+            assert!(
+                deepest > SubgraphIndex::PATH_KEY_WIDTH,
+                "no path past the key"
+            );
+        }
+    }
+
+    #[test]
+    fn walks_match_collect_then_sort_within_the_key() {
+        walk_history(0x2545_f491_4f6c_dd1d, 12, 6, 1_500, |[x, y, _]| x & y);
+    }
+
+    #[test]
+    fn walks_match_collect_then_sort_past_the_key() {
+        // Half the sets share the head 0..=11, so roots past the key width
+        // tie on their keys and are ordered by their paths.
+        walk_history(0x9e37_79b9_7f4a_7c15, 24, 16, 400, |[x, y, z]| {
+            if z % 2 == 0 {
+                x | 0xfff
+            } else {
+                y
+            }
+        });
     }
 
     #[test]
@@ -829,6 +1085,7 @@ mod tests {
         for id in index.all_subgraphs() {
             index.path_into(id, &mut path);
             assert_eq!(path, index.vertices(id).as_slice());
+            assert_eq!(path, parent_walk(&index, id));
         }
     }
 
@@ -971,8 +1228,7 @@ mod tests {
             index
                 .check_invariants()
                 .unwrap_or_else(|e| panic!("step {step}: {e}"));
-            // What sorting the markers by vertex set — `canonical_order` on
-            // every positive update, before the list kept itself — gives.
+            // What sorting the markers by vertex set gives.
             let mut want: Vec<NodeId> = index
                 .all_subgraphs()
                 .into_iter()

@@ -14,7 +14,7 @@
 
 use dyndens_graph::{DynamicGraph, FxHashSet, VertexId};
 
-use crate::index::{NodeId, SubgraphIndex};
+use crate::index::{NodeId, SubgraphIndex, Walk};
 
 /// A stack of reusable buffers.
 #[derive(Debug)]
@@ -44,14 +44,15 @@ impl<T> Pool<T> {
 /// clone starts empty instead of copying buffers it would only overwrite.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Index node lists (affected subgraphs, `*` bases, traversal stacks).
+    /// Index node lists (the `*` bases of a positive update).
     pub(crate) nodes: Pool<NodeId>,
     /// Vertex paths of the subgraphs being explored and of their extensions.
     pub(crate) verts: Pool<VertexId>,
     /// Merged neighbourhoods `Γ_C`.
     pub(crate) gammas: Pool<(VertexId, f64)>,
-    /// Sort keys of `DynDens::canonical_order`.
-    pub(crate) keyed: Vec<([u32; SubgraphIndex::PATH_KEY_WIDTH], NodeId)>,
+    /// The subgraphs an update touches, in vertex-set order, with their
+    /// paths: one walk per update, never nested.
+    pub(crate) walk: Walk,
     /// The graph's canonical edge list, valid while `edges_fresh`. The graph
     /// does not change between `graph.apply_update` and the end of that
     /// update's exploration, so the disjoint-edge steps of one update share
@@ -63,7 +64,7 @@ pub(crate) struct Scratch {
     /// kept, when the next positive update starts.
     pub(crate) explored: FxHashSet<([u32; SubgraphIndex::PATH_KEY_WIDTH], u32)>,
     /// Dense per-vertex columns, all `0.0` while pooled, for the disjoint-edge
-    /// scans (see [`scatter`](Self::scatter)).
+    /// scans and cheap exploration (see [`scatter`](Self::scatter)).
     columns: Vec<Vec<f64>>,
     /// Every exploration that ran: vertex path, iteration, and whether the
     /// path had an index node then.
@@ -82,19 +83,21 @@ impl Scratch {
     /// with no edge into `C`, NaN for the members of `C` (no sum of finite
     /// weights is NaN short of overflowing, and a NaN score would not be
     /// dense either) — which a scan over the whole edge list reads with two
-    /// loads per edge instead of four binary searches. Hand it back through
+    /// loads per edge instead of four binary searches. With one vertex's
+    /// adjacency for `gamma` and no members it is that vertex's weights,
+    /// which cheap exploration sums over a path. Hand it back through
     /// [`gather`](Self::gather) with the same arguments.
     pub(crate) fn scatter(
         &mut self,
         n_vertices: usize,
-        gamma: &[(VertexId, f64)],
+        gamma: impl IntoIterator<Item = (VertexId, f64)>,
         members: &[VertexId],
     ) -> Vec<f64> {
         let mut column = self.columns.pop().unwrap_or_default();
         if column.len() < n_vertices {
             column.resize(n_vertices, 0.0);
         }
-        for &(v, gamma_v) in gamma {
+        for (v, gamma_v) in gamma {
             column[v.index()] = gamma_v;
         }
         for &v in members {
@@ -108,10 +111,14 @@ impl Scratch {
     pub(crate) fn gather(
         &mut self,
         mut column: Vec<f64>,
-        gamma: &[(VertexId, f64)],
+        gamma: impl IntoIterator<Item = (VertexId, f64)>,
         members: &[VertexId],
     ) {
-        for v in gamma.iter().map(|&(v, _)| v).chain(members.iter().copied()) {
+        for v in gamma
+            .into_iter()
+            .map(|(v, _)| v)
+            .chain(members.iter().copied())
+        {
             column[v.index()] = 0.0;
         }
         self.columns.push(column);

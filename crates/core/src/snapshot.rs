@@ -9,8 +9,9 @@
 //! epoch, and the cumulative [`EngineStats`].
 //!
 //! Recovery is `restore(snapshot)` followed by replaying the write-ahead-log
-//! tail. The engine's update processing is canonicalised (see
-//! `DynDens::canonical_order` and the summation-order contract in the
+//! tail. The engine's update processing is canonicalised (the index walks
+//! hand out what an update touches in vertex-set order — see the
+//! [`index`](crate::index) module docs — and the summation-order contract in the
 //! [`dyndens_graph::graph`] module docs) so that this replay is **bit-exact**: every score stored after recovery
 //! carries the same `f64` bit pattern as in an engine that never crashed.
 //!

@@ -77,8 +77,9 @@ impl RouteState {
     /// [`IngestHandle`], and a reshape's drain of its parked backlog. Each
     /// update goes to its owner slot (the slot of its minimum endpoint),
     /// whose routed counter it bumps; each slot receives its updates as one
-    /// message, in arrival order. `groups` is per-slot scratch, left empty
-    /// (a caller that routes often keeps it to reuse the outer buffer).
+    /// message, in arrival order. `groups` is per-slot scratch, left empty:
+    /// each group sent is replaced by one with the capacity it just used, so
+    /// a caller that keeps `groups` does not regrow them on the next batch.
     pub(crate) fn send(&self, updates: &[EdgeUpdate], groups: &mut Vec<Vec<EdgeUpdate>>) {
         let slot_of = |update: &EdgeUpdate| {
             let slot = self.map.route(update.a.min(update.b));
@@ -99,8 +100,9 @@ impl RouteState {
         }
         for (sender, group) in self.senders.iter().zip(groups.iter_mut()) {
             if !group.is_empty() {
+                let sized = Vec::with_capacity(group.len());
                 sender
-                    .send(WorkerMsg::Batch(std::mem::take(group)))
+                    .send(WorkerMsg::Batch(std::mem::replace(group, sized)))
                     .expect(WORKER_GONE);
             }
         }
@@ -828,6 +830,38 @@ mod tests {
         assert_eq!(view.snapshot().seq, 3);
         assert_eq!(view.per_shard_seq(), vec![2, 1]);
         assert_eq!(sharded.queue_depths(), vec![0, 0]);
+    }
+
+    #[test]
+    fn the_router_keeps_its_groups_sized() {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| sync_channel(4)).unzip();
+        let state = RouteState {
+            map: ShardMap::new(ShardFn::Modulo, 3),
+            senders: txs.into_iter().map(ShardTx::Live).collect(),
+            routed: (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+        };
+        // 40 updates for slot 0, 24 for slot 1, none for slot 2.
+        let batch: Vec<EdgeUpdate> = (0..64)
+            .map(|i| update(3 * (i % 8) + u32::from(i >= 40), 100 + i, 1.0))
+            .collect();
+        let mut groups = Vec::new();
+        for round in 0..2 {
+            state.send(&batch, &mut groups);
+            for (slot, want) in [(0, 40), (1, 24)] {
+                match rxs[slot].try_recv() {
+                    Ok(WorkerMsg::Batch(sent)) => assert_eq!(sent.len(), want),
+                    _ => panic!("round {round}: slot {slot} got no batch"),
+                }
+                assert!(groups[slot].is_empty());
+                assert!(
+                    groups[slot].capacity() >= want,
+                    "round {round}: slot {slot}"
+                );
+            }
+            assert!(rxs[2].try_recv().is_err());
+            assert_eq!(groups[2].capacity(), 0);
+        }
+        assert_eq!(state.routed[0].load(Ordering::Relaxed), 80);
     }
 
     #[test]
