@@ -19,7 +19,7 @@
 //! answer, reproducing Figures 4(h) and 4(i).
 
 use dyndens_density::{DensityMeasure, ThresholdFamily};
-use dyndens_graph::{DynamicGraph, EdgeUpdate, FxHashSet, VertexId, VertexSet};
+use dyndens_graph::{DynamicGraph, EdgeUpdate, FxHashSet, GammaColumn, VertexId, VertexSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,16 +134,16 @@ impl<D: DensityMeasure> Grasp<D> {
         }
         let mut set = VertexSet::pair(a, b);
         let mut score = self.graph.weight(a, b);
-        let mut gamma = Vec::new();
+        let mut gamma = GammaColumn::default();
         loop {
             if set.len() >= self.config.n_max {
                 break;
             }
+            // In vertex order: the RCL pick below indexes into this list.
             self.graph.neighborhood_into(set.as_slice(), &mut gamma);
+            gamma.sort_candidates();
             let candidates: Vec<(VertexId, f64)> = gamma
                 .iter()
-                .copied()
-                .filter(|&(v, _)| !set.contains(v))
                 .filter(|&(_, g)| self.thresholds.is_output_dense(score + g, set.len() + 1))
                 .collect();
             if candidates.is_empty() {
@@ -171,7 +171,7 @@ impl<D: DensityMeasure> Grasp<D> {
     /// preserving output-density.
     fn local_search(&mut self, mut set: VertexSet) -> VertexSet {
         let mut improved = true;
-        let mut gamma = Vec::new();
+        let mut gamma = GammaColumn::default();
         while improved {
             improved = false;
             let score = self.graph.score(&set);
@@ -179,8 +179,10 @@ impl<D: DensityMeasure> Grasp<D> {
             'swap: for &out in &members {
                 let without = set.without(out);
                 let without_score = score - self.graph.degree_into(out, without.as_slice());
+                // In vertex order: the first improving swap is taken.
                 self.graph.neighborhood_into(without.as_slice(), &mut gamma);
-                for &(inp, gain) in &gamma {
+                gamma.sort_candidates();
+                for (inp, gain) in gamma.iter() {
                     if set.contains(inp) {
                         continue;
                     }

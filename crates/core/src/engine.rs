@@ -17,7 +17,7 @@
 //! iteration (the argument is spelled out on the function).
 
 use dyndens_density::{DensityMeasure, ThresholdFamily};
-use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
+use dyndens_graph::{DynamicGraph, EdgeUpdate, GammaColumn, VertexId, VertexSet};
 
 use crate::config::{DeltaIt, DynDensConfig};
 use crate::events::{DenseEvent, EngineStats};
@@ -25,14 +25,6 @@ use crate::heuristics::{DegreePrioritize, MaxExploreBound};
 use crate::index::{NodeId, SubgraphIndex, SubgraphInfo, Walk};
 use crate::maintenance::{story_order, top_of};
 use crate::scratch::Scratch;
-
-/// `Γ_C · ê_v` from a merged neighbourhood (ascending by vertex); `0.0` for a
-/// vertex with no edge into `C`.
-pub(crate) fn gamma_of(gamma: &[(VertexId, f64)], v: VertexId) -> f64 {
-    gamma
-        .binary_search_by_key(&v, |&(u, _)| u)
-        .map_or(0.0, |i| gamma[i].1)
-}
 
 /// Adds `v` to the ascending vertex path `set`.
 fn insert_sorted(set: &mut Vec<VertexId>, v: VertexId) {
@@ -534,7 +526,7 @@ impl<D: DensityMeasure> DynDens<D> {
         events: &mut Vec<DenseEvent>,
     ) {
         let base_set = self.index.vertices(base);
-        let mut gamma = self.scratch.gammas.take();
+        let mut gamma = self.scratch.columns.take();
         let mut seen: std::collections::BTreeSet<VertexSet> = std::collections::BTreeSet::new();
         let mut stack: Vec<(VertexSet, f64)> = vec![(base_set, new_base_score)];
         let mut candidates: Vec<(VertexSet, f64)> = Vec::new();
@@ -545,30 +537,24 @@ impl<D: DensityMeasure> DynDens<D> {
                 continue;
             }
             // Canonical expansion order — one-vertex extensions by ascending
-            // vertex, then disjoint edges by ascending `(y, z)`, both as the
-            // graph hands them out: which path first reaches a superset
-            // decides the score bits it is stored with.
+            // vertex, then disjoint edges by ascending `(y, z)` as the graph
+            // hands them out: which path first reaches a superset decides the
+            // score bits it is stored with.
             self.graph.neighborhood_into(set.as_slice(), &mut gamma);
+            gamma.sort_candidates();
             candidates.extend(
                 gamma
                     .iter()
-                    .filter(|&&(y, _)| !set.contains(y))
-                    .map(|&(y, gamma_y)| (set.with(y), score + gamma_y)),
+                    .map(|(y, gamma_y)| (set.with(y), score + gamma_y)),
             );
             if card + 2 <= old_radius {
-                let n_vertices = self.graph.vertex_count();
-                let column =
-                    self.scratch
-                        .scatter(n_vertices, gamma.iter().copied(), set.as_slice());
                 for &(y, z, w) in self.scratch.edges(&self.graph) {
-                    let (gamma_y, gamma_z) = (column[y.index()], column[z.index()]);
+                    let (gamma_y, gamma_z) = (gamma.get(y), gamma.get(z));
                     if !gamma_y.is_nan() && !gamma_z.is_nan() {
                         let ext_score = w + score + gamma_y + gamma_z;
                         candidates.push((set.with(y).with(z), ext_score));
                     }
                 }
-                self.scratch
-                    .gather(column, gamma.iter().copied(), set.as_slice());
             }
             for (ext, ext_score) in candidates.drain(..) {
                 let ext_card = ext.len();
@@ -611,7 +597,7 @@ impl<D: DensityMeasure> DynDens<D> {
                 stack.push((ext, ext_score));
             }
         }
-        self.scratch.gammas.give(gamma);
+        self.scratch.columns.give(gamma);
     }
 
     // ------------------------------------------------------------------
@@ -689,14 +675,15 @@ impl<D: DensityMeasure> DynDens<D> {
     /// Algorithm 1, lines 5-11, over the subgraphs that were dense before
     /// the update and contain `a` and/or `b`, in vertex-set order.
     fn process_affected(&mut self, walk: &Walk, ctx: &UpdateCtx, events: &mut Vec<DenseEvent>) {
-        // Each endpoint's weights as a dense column, for the cheap
-        // explorations' `Γ_other · c`: summed over the path in ascending
-        // order like `degree_into`, the `0.0` of a non-neighbour leaving a
-        // partial sum that starts at `+0.0` unchanged.
-        let n_vertices = self.graph.vertex_count();
+        // The columns of `{a}` and `{b}` — each endpoint's weights — for the
+        // cheap explorations' `Γ_other · c`: summed over the path in
+        // ascending order like `degree_into`, the `0.0` of a non-neighbour
+        // leaving a partial sum that starts at `+0.0` unchanged. (The path
+        // holds one endpoint only, so the other's NaN is never read.)
         let columns = [ctx.a, ctx.b].map(|v| {
-            self.scratch
-                .scatter(n_vertices, self.graph.neighbors(v), &[])
+            let mut column = self.scratch.columns.take();
+            self.graph.neighborhood_into(&[v], &mut column);
+            column
         });
         for entry in walk.entries() {
             let id = entry.id;
@@ -725,8 +712,8 @@ impl<D: DensityMeasure> DynDens<D> {
                 self.cheap_explore(id, path, entry.contains_a, other_column, ctx, events);
             }
         }
-        for (v, column) in [ctx.a, ctx.b].into_iter().zip(columns) {
-            self.scratch.gather(column, self.graph.neighbors(v), &[]);
+        for column in columns {
+            self.scratch.columns.give(column);
         }
     }
 
@@ -738,7 +725,7 @@ impl<D: DensityMeasure> DynDens<D> {
         id: NodeId,
         path: &[VertexId],
         contains_a: bool,
-        other_column: &[f64],
+        other_column: &GammaColumn,
         ctx: &UpdateCtx,
         events: &mut Vec<DenseEvent>,
     ) {
@@ -768,9 +755,7 @@ impl<D: DensityMeasure> DynDens<D> {
             self.stats.max_explore_skips += 1;
             return;
         }
-        let other_degree = path
-            .iter()
-            .fold(0.0, |sum, v| sum + other_column[v.index()]);
+        let other_degree = path.iter().fold(0.0, |sum, &v| sum + other_column.get(v));
         let ext_score = score + other_degree;
         let ext_card = card + 1;
         // The path of `C ∪ {other}`, in a pooled buffer, once it is needed.
@@ -978,13 +963,27 @@ impl<D: DensityMeasure> DynDens<D> {
         }
 
         let ext_card = card + 1;
-        // Γ_C, ascending by candidate, and the buffer every extension of this
-        // frame is spelled out in; recursive frames take their own.
-        let mut gamma = self.scratch.gammas.take();
+        // Γ_C, the candidates this frame acts on, and the buffer every
+        // extension of this frame is spelled out in; recursive frames take
+        // their own.
+        let mut gamma = self.scratch.columns.take();
+        let mut picks = self.scratch.picks.take();
         let mut ext = self.scratch.verts.take();
         self.graph.neighborhood_into(verts, &mut gamma);
+        // A dense extension is acted on when it is newly dense, or, with both
+        // endpoints inside and room to grow, when it was dense before too.
+        let stable_too = contains_both && ext_card < n_max;
+        let newly_dense = |gamma_y: f64| {
+            !self
+                .thresholds
+                .is_dense(score + gamma_y - ctx.delta, ext_card)
+        };
 
-        if too_dense_now && self.config.implicit_too_dense {
+        // First the tests that depend on nothing but the candidate, over the
+        // column's candidate list in whatever order it holds them (the
+        // counters are sums); then the few that pass, in vertex order.
+        let star = too_dense_now && self.config.implicit_too_dense;
+        if star {
             // Every one-vertex extension is dense; the disconnected ones are
             // covered with a * marker (ImplicitTooDense).
             //
@@ -1019,92 +1018,28 @@ impl<D: DensityMeasure> DynDens<D> {
                 self.index.set_star(id, true);
                 self.stats.star_markers_created += 1;
             }
-            for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !member(y)) {
+            for (y, gamma_y) in gamma.iter() {
                 self.stats.candidates_examined += 1;
-                let ext_score = score + gamma_y;
-                if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
-                    union_into(&mut ext, verts, &[y]);
-                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
-                    }
-                } else if contains_both && ext_card < n_max {
-                    // The extension was already dense before the update but
-                    // is only represented through the * marker. Its score
-                    // changed together with the base's, so its own
-                    // supergraphs may be newly-dense; it is a stable-dense
-                    // subgraph containing both endpoints and must be
-                    // explored just like the explicit ones in the main loop.
-                    union_into(&mut ext, verts, &[y]);
-                    if self.index.find(&ext).is_none() {
-                        self.explore_once(&ext, ext_score, 1, ctx, events);
-                    }
+                if stable_too || newly_dense(gamma_y) {
+                    picks.push((y, gamma_y));
                 }
-            }
-            // "Exploring C ∪ {*}": the one-vertex extensions represented by
-            // the marker may in turn have newly-dense supergraphs obtained
-            // by adding an edge that is not incident on the base at all
-            // (Section 3.2.3). Those are exactly the subgraphs
-            // C ∪ {y, z} for an edge (y, z) disjoint from C with
-            // sufficiently high weight, visited in the graph's canonical
-            // edge order. By index, not by borrow: the recursion below needs
-            // `self`, and cannot change the graph. `Γ_C` is read from a dense
-            // column this frame owns until the scan is over.
-            if card + 2 <= n_max {
-                let n_edges = self.scratch.edges(&self.graph).len();
-                let n_vertices = self.graph.vertex_count();
-                let column = self
-                    .scratch
-                    .scatter(n_vertices, gamma.iter().copied(), verts);
-                for i in 0..n_edges {
-                    let (y, z, w) = self.scratch.edges(&self.graph)[i];
-                    let (gamma_y, gamma_z) = (column[y.index()], column[z.index()]);
-                    if gamma_y.is_nan() || gamma_z.is_nan() {
-                        continue;
-                    }
-                    self.stats.candidates_examined += 1;
-                    let ext_score = score + gamma_y + gamma_z + w;
-                    if !self.thresholds.is_dense(ext_score, card + 2) {
-                        continue;
-                    }
-                    union_into(&mut ext, verts, &[y, z]);
-                    let ext_has_both =
-                        ext.binary_search(&ctx.a).is_ok() && ext.binary_search(&ctx.b).is_ok();
-                    let before = ext_score - if ext_has_both { ctx.delta } else { 0.0 };
-                    if self.thresholds.is_dense(before, card + 2) {
-                        // Dense before the update: already tracked. If its
-                        // score changed (both endpoints inside) and it is
-                        // only represented implicitly, its supergraphs may
-                        // nevertheless be newly-dense — explore it like
-                        // the explicit stable-dense subgraphs.
-                        if ext_has_both && card + 2 < n_max && self.index.find(&ext).is_none() {
-                            self.explore_once(&ext, ext_score, 1, ctx, events);
-                        }
-                        continue;
-                    }
-                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
-                    }
-                }
-                self.scratch.gather(column, gamma.iter().copied(), verts);
             }
         } else if too_dense_now {
-            // Explore-all (Algorithm 2, lines 2-5).
+            // Explore-all (Algorithm 2, lines 2-5): every vertex is a
+            // candidate, and only the newly dense extensions are acted on.
             self.stats.explore_all_invocations += 1;
             for y in (0..self.graph.vertex_count() as u32).map(VertexId) {
-                if member(y) {
-                    continue;
+                let gamma_y = gamma.get(y);
+                if gamma_y.is_nan() {
+                    continue; // a member
                 }
                 self.stats.candidates_examined += 1;
-                let ext_score = score + gamma_of(&gamma, y);
-                if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
-                    union_into(&mut ext, verts, &[y]);
-                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
-                    }
+                if newly_dense(gamma_y) {
+                    picks.push((y, gamma_y));
                 }
             }
         } else {
-            for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !member(y)) {
+            for (y, gamma_y) in gamma.iter() {
                 if self.config.degree_prioritize
                     && DegreePrioritize::skip_exploration(card, gamma_y, score)
                 {
@@ -1112,33 +1047,77 @@ impl<D: DensityMeasure> DynDens<D> {
                     continue;
                 }
                 self.stats.candidates_examined += 1;
-                let ext_score = score + gamma_y;
-                if !self.thresholds.is_dense(ext_score, ext_card) {
+                if self.thresholds.is_dense(score + gamma_y, ext_card)
+                    && (stable_too || newly_dense(gamma_y))
+                {
+                    picks.push((y, gamma_y));
+                }
+            }
+        }
+        picks.sort_unstable_by_key(|&(y, _)| y);
+        for &(y, gamma_y) in &picks {
+            let ext_score = score + gamma_y;
+            union_into(&mut ext, verts, &[y]);
+            if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
+                if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                    self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
+                }
+            } else if self.index.find(&ext).is_none() {
+                // The extension was already dense before the update. It is
+                // normally in the index — and then the affected-subgraph loop
+                // explores it — but it may only be represented implicitly
+                // (covered by a `*` marker, possibly this subgraph's, or lost
+                // to lazy vertex creation in the explicit mode). Its score
+                // changed together with this subgraph's (both endpoints
+                // inside), so its own supergraphs may be newly-dense: explore
+                // it like the explicit stable-dense subgraphs of the main loop.
+                self.explore_once(&ext, ext_score, 1, ctx, events);
+            }
+        }
+        // "Exploring C ∪ {*}": the one-vertex extensions represented by the
+        // marker may in turn have newly-dense supergraphs obtained by adding
+        // an edge that is not incident on the base at all (Section 3.2.3).
+        // Those are exactly the subgraphs C ∪ {y, z} for an edge (y, z)
+        // disjoint from C (whose members read NaN) with sufficiently high
+        // weight, visited in the graph's canonical edge order. By index, not
+        // by borrow: the recursion below needs `self`, and cannot change the
+        // graph.
+        if star && card + 2 <= n_max {
+            let n_edges = self.scratch.edges(&self.graph).len();
+            for i in 0..n_edges {
+                let (y, z, w) = self.scratch.edges(&self.graph)[i];
+                let (gamma_y, gamma_z) = (gamma.get(y), gamma.get(z));
+                if gamma_y.is_nan() || gamma_z.is_nan() {
                     continue;
                 }
-                if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
-                    union_into(&mut ext, verts, &[y]);
-                    if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
-                        self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
-                    }
-                } else if contains_both && ext_card < n_max {
-                    // The extension was already dense before the update. It is
-                    // normally in the index — and then the affected-subgraph loop
-                    // explores it — but it may only be represented implicitly
-                    // (covered by a `*` marker below it, or lost to lazy vertex
-                    // creation in the explicit mode). Its score changed together
-                    // with this subgraph's (both endpoints inside), so its own
-                    // supergraphs may be newly-dense: explore it like the
-                    // explicit stable-dense subgraphs of the main loop.
-                    union_into(&mut ext, verts, &[y]);
-                    if self.index.find(&ext).is_none() {
+                self.stats.candidates_examined += 1;
+                let ext_score = score + gamma_y + gamma_z + w;
+                if !self.thresholds.is_dense(ext_score, card + 2) {
+                    continue;
+                }
+                union_into(&mut ext, verts, &[y, z]);
+                let ext_has_both =
+                    ext.binary_search(&ctx.a).is_ok() && ext.binary_search(&ctx.b).is_ok();
+                let before = ext_score - if ext_has_both { ctx.delta } else { 0.0 };
+                if self.thresholds.is_dense(before, card + 2) {
+                    // Dense before the update: already tracked. If its score
+                    // changed (both endpoints inside) and it is only
+                    // represented implicitly, its supergraphs may
+                    // nevertheless be newly-dense — explore it like the
+                    // explicit stable-dense subgraphs.
+                    if ext_has_both && card + 2 < n_max && self.index.find(&ext).is_none() {
                         self.explore_once(&ext, ext_score, 1, ctx, events);
                     }
+                    continue;
+                }
+                if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                    self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
                 }
             }
         }
         self.scratch.verts.give(ext);
-        self.scratch.gammas.give(gamma);
+        self.scratch.picks.give(picks);
+        self.scratch.columns.give(gamma);
     }
 
     /// Records a newly-dense candidate in the index, reporting it if it is

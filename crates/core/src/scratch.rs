@@ -12,29 +12,46 @@
 //! the per-update memory of the once-per-update rule for subgraphs that have
 //! no index node (see `DynDens::explore_once`).
 
-use dyndens_graph::{DynamicGraph, FxHashSet, VertexId};
+use dyndens_graph::{DynamicGraph, FxHashSet, GammaColumn, VertexId};
 
 use crate::index::{NodeId, SubgraphIndex, Walk};
 
+/// A buffer a [`Pool`] can hand out again.
+pub(crate) trait Reuse: Default {
+    /// Forgets the contents, keeping the capacity.
+    fn reset(&mut self);
+}
+
+impl<T> Reuse for Vec<T> {
+    fn reset(&mut self) {
+        self.clear();
+    }
+}
+
+impl Reuse for GammaColumn {
+    /// Nothing to forget: the next fill starts a new generation.
+    fn reset(&mut self) {}
+}
+
 /// A stack of reusable buffers.
 #[derive(Debug)]
-pub(crate) struct Pool<T>(Vec<Vec<T>>);
+pub(crate) struct Pool<B>(Vec<B>);
 
-impl<T> Default for Pool<T> {
+impl<B> Default for Pool<B> {
     fn default() -> Self {
         Pool(Vec::new())
     }
 }
 
-impl<T> Pool<T> {
-    /// An empty buffer, with whatever capacity its last user left it.
-    pub(crate) fn take(&mut self) -> Vec<T> {
+impl<B: Reuse> Pool<B> {
+    /// A reset buffer, with whatever capacity its last user left it.
+    pub(crate) fn take(&mut self) -> B {
         self.0.pop().unwrap_or_default()
     }
 
     /// Hands a buffer back; forgetting to only costs its capacity.
-    pub(crate) fn give(&mut self, mut buf: Vec<T>) {
-        buf.clear();
+    pub(crate) fn give(&mut self, mut buf: B) {
+        buf.reset();
         self.0.push(buf);
     }
 }
@@ -45,11 +62,15 @@ impl<T> Pool<T> {
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Index node lists (the `*` bases of a positive update).
-    pub(crate) nodes: Pool<NodeId>,
+    pub(crate) nodes: Pool<Vec<NodeId>>,
     /// Vertex paths of the subgraphs being explored and of their extensions.
-    pub(crate) verts: Pool<VertexId>,
-    /// Merged neighbourhoods `Γ_C`.
-    pub(crate) gammas: Pool<(VertexId, f64)>,
+    pub(crate) verts: Pool<Vec<VertexId>>,
+    /// `Γ_C` columns: one per exploring frame, and the columns of `{a}` and
+    /// `{b}` that cheap exploration reads for the length of an update.
+    pub(crate) columns: Pool<GammaColumn>,
+    /// The candidates a frame acts on, with their `Γ_C · ê_y`, sorted by
+    /// vertex before it acts.
+    pub(crate) picks: Pool<Vec<(VertexId, f64)>>,
     /// The subgraphs an update touches, in vertex-set order, with their
     /// paths: one walk per update, never nested.
     pub(crate) walk: Walk,
@@ -63,9 +84,6 @@ pub(crate) struct Scratch {
     /// update ran on a subgraph without an index node. Cleared, capacity
     /// kept, when the next positive update starts.
     pub(crate) explored: FxHashSet<([u32; SubgraphIndex::PATH_KEY_WIDTH], u32)>,
-    /// Dense per-vertex columns, all `0.0` while pooled, for the disjoint-edge
-    /// scans and cheap exploration (see [`scatter`](Self::scatter)).
-    columns: Vec<Vec<f64>>,
     /// Every exploration that ran: vertex path, iteration, and whether the
     /// path had an index node then.
     #[cfg(test)]
@@ -79,51 +97,6 @@ impl Clone for Scratch {
 }
 
 impl Scratch {
-    /// `Γ_C` as a dense column over `n_vertices` cells — `0.0` for a vertex
-    /// with no edge into `C`, NaN for the members of `C` (no sum of finite
-    /// weights is NaN short of overflowing, and a NaN score would not be
-    /// dense either) — which a scan over the whole edge list reads with two
-    /// loads per edge instead of four binary searches. With one vertex's
-    /// adjacency for `gamma` and no members it is that vertex's weights,
-    /// which cheap exploration sums over a path. Hand it back through
-    /// [`gather`](Self::gather) with the same arguments.
-    pub(crate) fn scatter(
-        &mut self,
-        n_vertices: usize,
-        gamma: impl IntoIterator<Item = (VertexId, f64)>,
-        members: &[VertexId],
-    ) -> Vec<f64> {
-        let mut column = self.columns.pop().unwrap_or_default();
-        if column.len() < n_vertices {
-            column.resize(n_vertices, 0.0);
-        }
-        for (v, gamma_v) in gamma {
-            column[v.index()] = gamma_v;
-        }
-        for &v in members {
-            column[v.index()] = f64::NAN;
-        }
-        column
-    }
-
-    /// Zeroes the cells [`scatter`](Self::scatter) wrote — work sized by the
-    /// neighbourhood, not the graph — and pools the column.
-    pub(crate) fn gather(
-        &mut self,
-        mut column: Vec<f64>,
-        gamma: impl IntoIterator<Item = (VertexId, f64)>,
-        members: &[VertexId],
-    ) {
-        for v in gamma
-            .into_iter()
-            .map(|(v, _)| v)
-            .chain(members.iter().copied())
-        {
-            column[v.index()] = 0.0;
-        }
-        self.columns.push(column);
-    }
-
     /// Must be called whenever the graph changed.
     pub(crate) fn invalidate_edges(&mut self) {
         self.edges_fresh = false;

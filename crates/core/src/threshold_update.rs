@@ -10,7 +10,7 @@
 use dyndens_density::DensityMeasure;
 use dyndens_graph::{VertexId, VertexSet};
 
-use crate::engine::{gamma_of, DynDens};
+use crate::engine::DynDens;
 use crate::events::DenseEvent;
 use crate::index::{NodeId, SubgraphInfo};
 
@@ -123,7 +123,7 @@ impl<D: DensityMeasure> DynDens<D> {
             .map(|&(id, _, score, _)| (self.index.vertices(id), score))
             .collect();
         for (verts, score) in old_dense {
-            self.update_explore(&verts, score, true, events);
+            self.update_explore(&verts, score, events);
         }
         // Newly inserted 2-subgraphs also need exploration (they are the seeds
         // for subgraphs that contain no previously-dense part).
@@ -134,31 +134,21 @@ impl<D: DensityMeasure> DynDens<D> {
             .map(|(_, v, info)| (v, info.score))
             .collect();
         for (verts, score) in new_pairs {
-            self.update_explore(&verts, score, false, events);
+            self.update_explore(&verts, score, events);
         }
     }
 
     /// Algorithm 4 (`UpdateExplore`): augments a dense subgraph with one
     /// neighbouring vertex (or, for too-dense subgraphs, with every vertex —
     /// or a `*` marker under the ImplicitTooDense optimisation), recursing on
-    /// discoveries that were not dense before the threshold change.
-    ///
-    /// `was_dense_before` distinguishes previously stored subgraphs (whose
-    /// stable-dense extensions are themselves part of the snapshot and will be
-    /// explored separately) from subgraphs discovered during this threshold
-    /// change.
-    fn update_explore(
-        &mut self,
-        verts: &VertexSet,
-        score: f64,
-        was_dense_before: bool,
-        events: &mut Vec<DenseEvent>,
-    ) {
+    /// the extensions that are dense and not stored yet. A stored extension
+    /// is left alone: it was either dense before the change, and is explored
+    /// from the snapshot, or already discovered during this change.
+    fn update_explore(&mut self, verts: &VertexSet, score: f64, events: &mut Vec<DenseEvent>) {
         let card = verts.len();
         if card >= self.thresholds().n_max() {
             return;
         }
-        let _ = was_dense_before;
         let too_dense = self.thresholds().is_too_dense(score, card);
         let ext_card = card + 1;
 
@@ -170,39 +160,32 @@ impl<D: DensityMeasure> DynDens<D> {
             }
         }
 
-        // Candidates in ascending vertex order, as the merge hands them out.
-        let mut gamma = self.scratch.gammas.take();
+        // Candidates in ascending vertex order: the neighbours, or under
+        // explore-all (Algorithm 4, lines 2-5) every vertex.
+        let mut gamma = self.scratch.columns.take();
+        let mut candidates = self.scratch.verts.take();
         self.graph.neighborhood_into(verts.as_slice(), &mut gamma);
         if too_dense && !self.config().implicit_too_dense {
-            // Explore-all (Algorithm 4, lines 2-5): every vertex is a candidate.
-            let mut all = self.scratch.gammas.take();
-            all.extend(
-                (0..self.graph.vertex_count() as u32)
-                    .map(|y| (VertexId(y), gamma_of(&gamma, VertexId(y)))),
-            );
-            self.scratch.gammas.give(std::mem::replace(&mut gamma, all));
+            candidates.extend((0..self.graph.vertex_count() as u32).map(VertexId));
+        } else {
+            gamma.sort_candidates();
+            candidates.extend_from_slice(gamma.candidates());
         }
 
-        for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !verts.contains(y)) {
-            let ext_score = score + gamma_y;
+        for &y in &candidates {
+            let ext_score = score + gamma.get(y);
+            // A member's NaN is never dense.
             if !self.thresholds().is_dense(ext_score, ext_card) {
                 continue;
             }
             let ext = verts.with(y);
-            match self.index.find(ext.as_slice()) {
-                Some(id) => {
-                    // Already stored: either it was dense before the change
-                    // (and will be explored from the snapshot), or it was
-                    // already discovered during this change. Either way, stop.
-                    let _ = id;
-                }
-                None => {
-                    self.insert_for_threshold(&ext, ext_score, events);
-                    self.update_explore(&ext, ext_score, false, events);
-                }
+            if self.index.find(ext.as_slice()).is_none() {
+                self.insert_for_threshold(&ext, ext_score, events);
+                self.update_explore(&ext, ext_score, events);
             }
         }
-        self.scratch.gammas.give(gamma);
+        self.scratch.verts.give(candidates);
+        self.scratch.columns.give(gamma);
     }
 
     fn insert_for_threshold(
@@ -240,9 +223,10 @@ impl<D: DensityMeasure> DynDens<D> {
             return;
         }
         let verts = self.index.vertices(base);
-        let mut gamma = self.scratch.gammas.take();
+        let mut gamma = self.scratch.columns.take();
         self.graph.neighborhood_into(verts.as_slice(), &mut gamma);
-        for &(y, gamma_y) in gamma.iter().filter(|&&(y, _)| !verts.contains(y)) {
+        gamma.sort_candidates();
+        for (y, gamma_y) in gamma.iter() {
             let ext_score = base_score + gamma_y;
             let ext = verts.with(y);
             if !self.thresholds().is_dense(ext_score, card + 1)
@@ -264,7 +248,7 @@ impl<D: DensityMeasure> DynDens<D> {
                 self.index.set_star(id, true);
             }
         }
-        self.scratch.gammas.give(gamma);
+        self.scratch.columns.give(gamma);
     }
 }
 

@@ -12,17 +12,20 @@
 //!   — the canonical edge order of engine snapshots and eviction lists — and
 //!   visits only vertices that have an edge (one maintained occupancy bit
 //!   per vertex), so listing `E` edges does not cost a walk over `V` lists;
-//! * [`neighborhood_into`](DynamicGraph::neighborhood_into) (the merged
-//!   `Γ_C`) is strictly ascending, and each entry is summed over the members
-//!   of `C` in ascending member order, as is
-//!   [`degree_into`](DynamicGraph::degree_into).
+//! * [`neighborhood_into`](DynamicGraph::neighborhood_into) (`Γ_C`, summed
+//!   into a [`GammaColumn`]) adds each entry over the members of `C` in
+//!   ascending member order, as [`degree_into`](DynamicGraph::degree_into)
+//!   does.
 //!
 //! The last point is load-bearing. `f64` addition is not associative, so the
 //! order in which a candidate's `Γ_C · ê_u` is accumulated decides the bits
 //! of every score derived from it. Because the order is a function of the
 //! graph's *state* (which edges exist) and never of its *history* (the order
 //! updates arrived in), an engine restored from a snapshot and replayed from
-//! its WAL stores the same bits as one that never stopped.
+//! its WAL stores the same bits as one that never stopped. The column's
+//! candidate list is in first-touch order, not vertex order: a caller whose
+//! result depends on the order it visits candidates in sorts the ones it acts
+//! on.
 
 use crate::{EdgeUpdate, VertexId, VertexSet};
 
@@ -32,9 +35,74 @@ use crate::{EdgeUpdate, VertexId, VertexSet};
 /// weight back to (numerically almost) zero.
 pub const WEIGHT_EPSILON: f64 = 1e-12;
 
-/// Sets up to this cardinality are merged with their cursors on the stack;
-/// larger ones (no engine has them: `|C| <= Nmax`) pay one allocation.
-const MERGE_STACK_WIDTH: usize = 16;
+/// `Γ_C` as a dense column over the vertices, filled by
+/// [`DynamicGraph::neighborhood_into`]: for every vertex `u` outside `C`,
+/// the total weight `Γ_C · ê_u` of its edges into `C`.
+///
+/// A cell is current only while its stamp equals the column's generation,
+/// and every fill starts a new generation, so a fill never zeroes what the
+/// last one wrote: it costs the neighbourhood's size, not the graph's, and
+/// nothing is allocated once the column has grown to the graph and the
+/// candidate list to the widest neighbourhood. A cell keeps its sum and its
+/// stamp side by side, so a read touches one cache line.
+#[derive(Debug, Clone, Default)]
+pub struct GammaColumn {
+    /// `(sum, stamp)` per vertex.
+    cells: Vec<(f64, u32)>,
+    generation: u32,
+    candidates: Vec<VertexId>,
+}
+
+impl GammaColumn {
+    /// `Γ_C · ê_v`: `0.0` for a vertex with no edge into `C`, NaN for a
+    /// member of `C` (no sum of finite weights is NaN, and a NaN score is
+    /// never dense).
+    #[inline]
+    pub fn get(&self, v: VertexId) -> f64 {
+        match self.cells.get(v.index()) {
+            Some(&(sum, stamp)) if stamp == self.generation => sum,
+            _ => 0.0,
+        }
+    }
+
+    /// The vertices outside `C` with an edge into it, each once, in the order
+    /// the fill first reached them (ascending after
+    /// [`sort_candidates`](Self::sort_candidates)).
+    pub fn candidates(&self) -> &[VertexId] {
+        &self.candidates
+    }
+
+    /// The candidates with their sums, in [`candidates`](Self::candidates)
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, f64)> + '_ {
+        self.candidates
+            .iter()
+            .map(|&u| (u, self.cells[u.index()].0))
+    }
+
+    /// Puts the candidate list in ascending vertex order.
+    pub fn sort_candidates(&mut self) {
+        self.candidates.sort_unstable();
+    }
+
+    /// Starts a fill over `len` cells: a new generation, no candidates.
+    fn start(&mut self, len: usize) -> u32 {
+        if self.cells.len() < len {
+            self.cells.resize(len, (0.0, 0));
+        }
+        self.candidates.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: a stamp left from 2^32 fills ago must not read as
+            // current. Generation 0 is what fresh cells carry.
+            for cell in &mut self.cells {
+                cell.1 = 0;
+            }
+            self.generation = 1;
+        }
+        self.generation
+    }
+}
 
 /// The evolving, complete weighted graph, stored sparsely as per-vertex
 /// adjacency lists sorted by neighbour id (see the [module docs](self)).
@@ -224,56 +292,39 @@ impl DynamicGraph {
         score
     }
 
-    /// Computes the neighbourhood score vector `Γ_C` of a subgraph into `out`
-    /// (cleared first): for every vertex `u` with at least one edge into `C`
-    /// — members of `C` included; callers typically skip those — the total
-    /// weight `Γ_C · ê_u` of the edges between `u` and the members of `C`.
+    /// Computes the neighbourhood score vector `Γ_C` of a subgraph into
+    /// `column`: for every vertex `u` outside `C`, the total weight
+    /// `Γ_C · ê_u` of the edges between `u` and the members of `C`.
     ///
     /// This is exactly the quantity DynDens needs during exploration: the
-    /// score of `C ∪ {u}` is `score(C) + Γ_C · ê_u` (footnote 6 of the paper),
-    /// computed as the paper prescribes, by merging the members' adjacency
-    /// lists. The entries come out ascending by `u`, each summed over the
-    /// members in ascending member order (see the [module docs](self) for why
-    /// that order matters), and nothing is allocated once `out` has grown to
-    /// the neighbourhood's size.
+    /// score of `C ∪ {u}` is `score(C) + Γ_C · ê_u` (footnote 6 of the paper).
+    /// The members are stamped first, so they read NaN and are never listed;
+    /// then each member's adjacency list, in ascending member order, is added
+    /// in: a vertex's first touch stores its weight and lists it, later
+    /// touches add to it. A stored weight is never zero, so the first store
+    /// has the bits of `0.0 + w`, and each sum runs over the members in
+    /// ascending member order (see the [module docs](self) for why that order
+    /// matters).
     ///
-    /// `set` must be sorted ascending (as [`VertexSet::as_slice`] is).
-    pub fn neighborhood_into(&self, set: &[VertexId], out: &mut Vec<(VertexId, f64)>) {
+    /// `set` must be sorted ascending (as [`VertexSet::as_slice`] is). The
+    /// column grows to cover the graph's vertices and every member.
+    pub fn neighborhood_into(&self, set: &[VertexId], column: &mut GammaColumn) {
         debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
-        out.clear();
-        // One cursor per member: the head of what is left of its adjacency
-        // list, and the rest. No real vertex is `*`, so an exhausted list's
-        // head is `(*, 0.0)` and never the minimum while another has entries.
-        type Cursor<'a> = ((VertexId, f64), &'a [(VertexId, f64)]);
-        const EXHAUSTED: Cursor<'static> = ((VertexId::STAR, 0.0), &[]);
-        fn cursor(list: &[(VertexId, f64)]) -> Cursor<'_> {
-            list.split_first()
-                .map_or(EXHAUSTED, |(&head, rest)| (head, rest))
+        let len = set.last().map_or(0, |m| m.index() + 1);
+        let generation = column.start(len.max(self.vertex_count()));
+        for &member in set {
+            column.cells[member.index()] = (f64::NAN, generation);
         }
-        let mut on_stack = [EXHAUSTED; MERGE_STACK_WIDTH];
-        let mut on_heap = Vec::new();
-        let cursors: &mut [Cursor<'_>] = if set.len() <= MERGE_STACK_WIDTH {
-            &mut on_stack[..set.len()]
-        } else {
-            on_heap.resize(set.len(), EXHAUSTED);
-            &mut on_heap
-        };
-        for (at, &member) in cursors.iter_mut().zip(set) {
-            *at = cursor(self.adjacent(member));
-        }
-        // Repeatedly take the smallest head, summed over the lists that
-        // offer it — in member order, as `cursors` is.
-        loop {
-            let u = cursors.iter().map(|at| at.0 .0).min();
-            let Some(u) = u.filter(|u| !u.is_star()) else {
-                return;
-            };
-            let mut gamma_u = 0.0;
-            for at in cursors.iter_mut().filter(|at| at.0 .0 == u) {
-                gamma_u += at.0 .1;
-                *at = cursor(at.1);
+        for &member in set {
+            for &(u, w) in self.adjacent(member) {
+                let cell = &mut column.cells[u.index()];
+                if cell.1 == generation {
+                    cell.0 += w;
+                } else {
+                    *cell = (w, generation);
+                    column.candidates.push(u);
+                }
             }
-            out.push((u, gamma_u));
         }
     }
 
@@ -416,20 +467,46 @@ mod tests {
         let c = VertexSet::from_ids(&[0, 1, 2]);
         assert!((g.score(&c) - 3.5).abs() < 1e-12);
 
-        let mut gamma = vec![(VertexId(9), 9.0)]; // stale content is cleared
-        g.neighborhood_into(c.as_slice(), &mut gamma);
-        // Members are their own neighbourhood here; vertex 0's edges into C:
-        // to 1 (1.0) + to 2 (0.5) = 1.5. Vertices 3 and 4 have no edges into C.
+        let mut gamma = GammaColumn::default();
+        g.neighborhood_into(&[VertexId(0)], &mut gamma);
         assert_eq!(
-            gamma,
-            vec![(VertexId(0), 1.5), (VertexId(1), 3.0), (VertexId(2), 2.5)]
+            gamma.iter().collect::<Vec<_>>(),
+            [(VertexId(1), 1.0), (VertexId(2), 0.5)]
         );
+        // Every neighbour of {0, 1, 2} is a member: nothing is listed, the
+        // members read NaN, and what the last fill listed reads 0.0 again.
+        g.neighborhood_into(c.as_slice(), &mut gamma);
+        assert!(gamma.candidates().is_empty());
+        assert!(gamma.get(VertexId(1)).is_nan());
+        assert_eq!(gamma.get(VertexId(3)), 0.0);
+        // A member beyond the vertex array reads NaN too.
         g.neighborhood_into(&[VertexId(3), VertexId(77)], &mut gamma);
-        assert_eq!(gamma, vec![(VertexId(4), 0.25)]);
+        assert_eq!(gamma.iter().collect::<Vec<_>>(), [(VertexId(4), 0.25)]);
+        assert!(gamma.get(VertexId(77)).is_nan());
+        assert_eq!(gamma.get(VertexId(1)), 0.0);
+        assert_eq!(gamma.get(VertexId(78)), 0.0);
 
         // growing by a disconnected vertex leaves the score unchanged
         let c34 = VertexSet::from_ids(&[0, 1, 2, 3]);
         assert!((g.score(&c34) - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn no_stamp_reads_as_current_after_the_generation_wraps() {
+        let g = sample_graph();
+        let mut gamma = GammaColumn::default();
+        // Generation 1 lists 1 and 2 around {0}.
+        g.neighborhood_into(&[VertexId(0)], &mut gamma);
+        assert_eq!(gamma.generation, 1);
+        // 2^32 - 2 fills later the next one wraps back to generation 1, the
+        // stamps that {0}'s fill left on 1 and 2 included.
+        gamma.generation = u32::MAX;
+        g.neighborhood_into(&[VertexId(3)], &mut gamma);
+        assert_eq!(gamma.generation, 1);
+        assert_eq!(gamma.iter().collect::<Vec<_>>(), [(VertexId(4), 0.25)]);
+        for v in [0, 1, 2] {
+            assert_eq!(gamma.get(VertexId(v)), 0.0, "stale cell {v}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! sparsely as per-vertex adjacency lists sorted by neighbour id, which is also
 //! exactly the graph index the paper prescribes in Section 3.2.1 ("maintaining
 //! node adjacency lists is sufficient"), and enables the efficient exploration
-//! of a subgraph by merging the relevant adjacency lists
+//! of a subgraph by summing the members' adjacency lists into one dense column
 //! ([`DynamicGraph::neighborhood_into`]). The [`graph`] module docs state the
 //! ordering guarantees that fall out of the layout, and why the summation
 //! order among them is what keeps snapshot + replay bit-exact.
@@ -20,8 +20,8 @@
 //! * [`VertexId`] — a compact vertex identifier (`u32` newtype).
 //! * [`EdgeUpdate`] — a single `(a, b, delta)` item of the update stream.
 //! * [`DynamicGraph`] — the evolving weighted graph with binary-search weight
-//!   lookups, ordered neighbourhood and edge iteration, the merged `Γ_C` and
-//!   subgraph scoring.
+//!   lookups, ordered neighbourhood and edge iteration, `Γ_C` (into a
+//!   [`GammaColumn`]) and subgraph scoring.
 //! * [`VertexSet`] — a small, sorted vertex subset used to denote subgraphs.
 //! * [`hash`] — a fast, non-cryptographic hasher for the workspace's
 //!   integer-keyed maps (the keys are small integers; HashDoS resistance is
@@ -44,7 +44,7 @@ pub mod update;
 pub mod vertex_set;
 
 pub use codec::{ByteReader, CodecError};
-pub use graph::DynamicGraph;
+pub use graph::{DynamicGraph, GammaColumn};
 pub use hash::{shard_of, FxBuildHasher, FxHashMap, FxHashSet};
 pub use shard_map::{MergeSpec, ShardFn, ShardMap, SplitSpec};
 pub use update::EdgeUpdate;

@@ -5,13 +5,13 @@
 //! agree with a `BTreeMap<(u32, u32), f64>` on every read, hand out
 //! neighbours and edges in strictly ascending order (the one place edge
 //! order is asserted; snapshots, eviction lists and the engine's
-//! disjoint-edge steps rely on it without sorting), and merge `Γ_C` to the
-//! same bits as its reference definition.
+//! disjoint-edge steps rely on it without sorting), and sum `Γ_C` into a
+//! reused column to the same bits as its reference definition.
 
 use std::collections::BTreeMap;
 
 use dyndens_graph::graph::WEIGHT_EPSILON;
-use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
+use dyndens_graph::{DynamicGraph, EdgeUpdate, GammaColumn, VertexId, VertexSet};
 use proptest::prelude::*;
 
 /// Mostly a dozen vertices (so pairs repeat), now and then a far one that
@@ -242,40 +242,58 @@ proptest! {
         prop_assert_eq!(graph.max_degree(), max_degree);
     }
 
+    /// One column reused for every fill — first on the graph after half the
+    /// updates, then on the whole one, whose vertex array may be larger — is
+    /// `Γ_C`'s reference definition on every cell.
     #[test]
-    fn the_merged_neighbourhood_is_its_reference_definition_bit_for_bit(
+    fn the_gamma_column_is_its_reference_definition_bit_for_bit(
         ops in arb_ops(),
         sets in prop::collection::vec(prop::collection::vec(0..FAR + 2, 1..7), 1..8),
     ) {
-        let (graph, model) = run(&ops);
-        let mut merged = vec![(VertexId(0), f64::NAN)]; // stale content must go
-        for ids in sets {
-            // Cardinality 1..=6 after de-duplication; members may be isolated,
-            // beyond the vertex array, or each other's only neighbours.
-            let set = VertexSet::from_ids(&ids);
+        let (half, half_model) = run(&ops[..ops.len() / 2]);
+        let (full, full_model) = run(&ops);
+        let mut column = GammaColumn::default();
+        for (graph, model) in [(&half, &half_model), (&full, &full_model)] {
+            for ids in &sets {
+                // Cardinality 1..=6 after de-duplication; members may be
+                // isolated, beyond the vertex array, or each other's only
+                // neighbours.
+                let set = VertexSet::from_ids(ids);
 
-            // Reference: for each member in ascending order, for each
-            // neighbour, acc[u] += w.
-            let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
-            for member in set.iter() {
-                for (&(a, b), &w) in &model {
-                    if a == member.0 || b == member.0 {
-                        let u = if a == member.0 { b } else { a };
-                        *acc.entry(u).or_insert(0.0) += w;
+                // Reference: for each member in ascending order, for each
+                // neighbour outside the set, acc[u] += w.
+                let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
+                for member in set.iter() {
+                    for (&(a, b), &w) in model {
+                        if a == member.0 || b == member.0 {
+                            let u = if a == member.0 { b } else { a };
+                            if !set.contains(VertexId(u)) {
+                                *acc.entry(u).or_insert(0.0) += w;
+                            }
+                        }
                     }
                 }
-            }
-            let want: Vec<(u32, u64)> = acc.into_iter().map(|(u, g)| (u, g.to_bits())).collect();
 
-            graph.neighborhood_into(set.as_slice(), &mut merged);
-            let got: Vec<(u32, u64)> = merged.iter().map(|&(u, g)| (u.0, g.to_bits())).collect();
-            prop_assert_eq!(&got, &want);
-
-            // degree_into is the same sum restricted to one candidate.
-            for &(u, _) in &merged {
-                if !set.contains(u) {
+                graph.neighborhood_into(set.as_slice(), &mut column);
+                // Listed: exactly the non-member neighbours, each once.
+                let mut listed: Vec<u32> = column.candidates().iter().map(|v| v.0).collect();
+                listed.sort_unstable();
+                prop_assert_eq!(listed, acc.keys().copied().collect::<Vec<_>>());
+                // Read: a member NaN, a neighbour its sum's bits, anything
+                // else 0.0 — past the vertex array too.
+                for v in (0..FAR + 2).chain([u32::MAX - 1]).map(VertexId) {
+                    let got = column.get(v);
+                    if set.contains(v) {
+                        prop_assert!(got.is_nan(), "member {} reads {}", v, got);
+                    } else {
+                        let want = acc.get(&v.0).copied().unwrap_or(0.0);
+                        prop_assert_eq!(got.to_bits(), want.to_bits(), "cell {}", v);
+                    }
+                }
+                // degree_into is the same sum restricted to one candidate.
+                for (u, gamma_u) in column.iter() {
                     let d = graph.degree_into(u, set.as_slice());
-                    prop_assert_eq!(d.to_bits(), merged.iter().find(|e| e.0 == u).unwrap().1.to_bits());
+                    prop_assert_eq!(d.to_bits(), gamma_u.to_bits());
                 }
             }
         }
