@@ -17,21 +17,22 @@
 //!   max-density subgraph algorithm, used for the offline Top-1 variant
 //!   discussed in Section 4.2.2.
 //!
-//! Two of the baselines are additionally packaged as pluggable
-//! [`MaintenanceEngine`](dyndens_core::MaintenanceEngine) backends, runnable
+//! One more is packaged as a pluggable
+//! [`MaintenanceEngine`](dyndens_core::MaintenanceEngine) backend, runnable
 //! under the full sharded/WAL/rebalance stack and the cross-backend
-//! differential oracle (see `docs/BACKENDS.md`):
+//! differential oracle (see `docs/BACKENDS.md`, which also records the
+//! measurement that keeps it there):
 //!
-//! * [`backend`] — [`RecomputeEngine`]: periodic full rebuild by log replay
-//!   (bit-exact with DynDens at rebuild boundaries).
 //! * [`topk_peeling`] — [`TopKPeelingEngine`]: read-time greedy peeling in
 //!   the style of fully-dynamic top-k densest maintenance (approximate,
 //!   gated on a density-ratio bound).
+//!
+//! `recompute` stays a free function: rebuilding from scratch is the paper's
+//! reference point for a threshold change, not a way to serve a stream.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod backend;
 pub mod brute_force;
 pub mod flow;
 pub mod goldberg;
@@ -40,7 +41,6 @@ pub mod recompute;
 pub mod stix;
 pub mod topk_peeling;
 
-pub use backend::{RecomputeBlueprint, RecomputeEngine};
 pub use brute_force::BruteForce;
 pub use goldberg::densest_subgraph;
 pub use grasp::{Grasp, GraspConfig};

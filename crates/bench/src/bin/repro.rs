@@ -18,8 +18,11 @@
 //! | `4hi` | Fig. 4(h)/(i) | boolean graph, smaller and denser | GRASP iterations per update: recall and runtime against DynDens |
 //! | `table3` | Table 3 | tweet-like and blog-like corpora | the diversity-ranked top stories |
 //! | `fig6` | Table 4, Fig. 6(a)–(d) | four synthetic graphs × two sizes | stored subgraphs per `T`; a threshold change, incremental against recompute |
+//! | `backends` | none (information only) | `aligned_communities`, `flash_crowd`, weighted tweet stream | `dyndens` against `topk-peeling`: ingest with a top-16 publish every 64 updates, output sets, top-16 density ratio, snapshot bytes |
 //!
-//! Table 2 is the `avg output-dense` column of 4(a)–(f).
+//! Table 2 is the `avg output-dense` column of 4(a)–(f). `backends` records
+//! no claim: it is the measurement `docs/BACKENDS.md` keeps the second
+//! backend on.
 //!
 //! **Streams.** The paper's Twitter corpora are not redistributable. The
 //! *weighted tweet stream* is the planted-story simulator lowered with
@@ -55,18 +58,20 @@
 
 use std::time::{Duration, Instant};
 
-use dyndens_baselines::{recompute, Grasp, GraspConfig, StixCliques};
+use dyndens_baselines::{recompute, Grasp, GraspConfig, StixCliques, TopKPeelingBlueprint};
 use dyndens_bench::{run_updates, weighted_dataset, DatasetSpec, RunMeasurement, Table};
-use dyndens_core::{DynDens, DynDensConfig};
+use dyndens_core::{DynDens, DynDensBlueprint, DynDensConfig, EngineBlueprint, MaintenanceEngine};
 use dyndens_density::{AvgDegree, AvgWeight, DensityMeasure, SqrtDens};
 use dyndens_graph::{EdgeUpdate, VertexId, VertexSet};
 use dyndens_stream::{rank_with_diversity, LogLikelihoodRatio, CHI2_CRITICAL_5PCT};
+use dyndens_workloads::oracle::{engine_config, sorted_bits, top_q_density_ratio};
 use dyndens_workloads::{
-    SyntheticConfig, SyntheticStrategy, SyntheticWorkload, TweetSimulator, TweetSimulatorConfig,
+    AlignedCommunities, FlashCrowd, SyntheticConfig, SyntheticStrategy, SyntheticWorkload,
+    TweetSimulator, TweetSimulatorConfig, Workload,
 };
 
 const USAGE: &str = "usage: repro [--figure <id>|all] [--scale <s>] [--smoke]\n\
-                     figure ids: 4a 4b 4c 4d 4e 4f 4g 4j ablation stix 4hi table3 fig6";
+                     figure ids: 4a 4b 4c 4d 4e 4f 4g 4j ablation stix 4hi table3 fig6 backends";
 const MIN_UPDATES: usize = 5_000;
 const MIN_TIMED_MS: f64 = 50.0;
 /// The paper caps individual runs at ten minutes; so does every engine run
@@ -687,6 +692,80 @@ fn fig6(scale: f64, claims: &mut Claims) -> usize {
 }
 
 // ---------------------------------------------------------------------------
+// Backends: what keeps `topk-peeling` behind the engine seam (no claim)
+// ---------------------------------------------------------------------------
+
+/// A shard worker publishes the top 16 after every 64-update micro-batch.
+const PUBLISH_EVERY: usize = 64;
+
+/// One engine of `blueprint` over `updates`, publishing as a shard worker
+/// does: the fastest of three runs in ms, then the final output family (bit
+/// form) and snapshot size.
+fn publishing_run<B: EngineBlueprint>(
+    blueprint: &B,
+    updates: &[EdgeUpdate],
+) -> (f64, Vec<(VertexSet, u64)>, usize) {
+    let (mut best, mut engine, mut events) = (f64::INFINITY, blueprint.fresh(), Vec::new());
+    for _ in 0..3 {
+        engine = blueprint.fresh();
+        let start = Instant::now();
+        for batch in updates.chunks(PUBLISH_EVERY) {
+            for u in batch {
+                engine.apply_update_into(*u, &mut events);
+            }
+            events.clear();
+            std::hint::black_box(engine.top_stories(16));
+        }
+        best = best.min(millis(start.elapsed()));
+        if best > 2_000.0 {
+            break;
+        }
+    }
+    let family = sorted_bits(engine.output_dense_subgraphs());
+    (best, family, engine.snapshot().len())
+}
+
+/// `dyndens` and `topk-peeling` on the two scenario streams (canonical engine
+/// configuration) and on the weighted tweet stream (the repository
+/// benchmark's `T = 0.25`, `Nmax = 5` operating point). `ratio` is
+/// `top_q_density_ratio` against DynDens's final output family.
+fn backends(scale: f64, _: &mut Claims) -> usize {
+    let n = (200_000.0 * scale) as usize;
+    let aligned = AlignedCommunities::new(n, 4024).updates();
+    let flash = FlashCrowd::new(n, 4024).updates();
+    let weighted = DynDensConfig::new(0.25, 5).with_delta_it_fraction(0.25);
+    let streams = [
+        ("aligned_communities", aligned, engine_config()),
+        ("flash_crowd", flash, engine_config()),
+        ("weighted tweet stream", WEIGHTED.generate(scale), weighted),
+    ];
+    let title = format!(
+        "Backends (AvgWeight, peeling k = 4): ingest with the top 16 published every \
+         {PUBLISH_EVERY} updates, final output sets, their top-16 density ratio against \
+         DynDens, snapshot bytes"
+    );
+    let headers = [
+        "stream", "backend", "updates", "upd/s", "sets", "ratio", "bytes",
+    ];
+    let mut table = Table::new(&title, &headers);
+    for (stream, updates, config) in streams {
+        let n = updates.len();
+        let dyndens = publishing_run(&DynDensBlueprint::new(AvgWeight, config.clone()), &updates);
+        let peeling = publishing_run(&TopKPeelingBlueprint::new(AvgWeight, config, 4), &updates);
+        for (backend, (ms, family, bytes)) in [("dyndens", &dyndens), ("topk-peeling", &peeling)] {
+            let (cell, ms) = time_cell(n, *ms);
+            let rate = ms.map_or(cell, |ms| format!("{:.0}", n as f64 / ms * 1e3));
+            let ratio = format!("{:.3}", top_q_density_ratio(family, &dyndens.1));
+            let (sets, bytes) = (family.len().to_string(), bytes.to_string());
+            let (s, b) = (stream.to_string(), backend.to_string());
+            table.row(vec![s, b, n.to_string(), rate, sets, ratio, bytes]);
+        }
+    }
+    table.print();
+    table.len()
+}
+
+// ---------------------------------------------------------------------------
 
 fn main() {
     let (figure, scale) = parse_args().unwrap_or_else(|e| {
@@ -706,6 +785,7 @@ fn main() {
     figures.extend([
         ("table3", Box::new(table3) as Run),
         ("fig6", Box::new(fig6)),
+        ("backends", Box::new(backends)),
     ]);
     figures.retain(|(id, _)| figure == "all" || figure == *id);
     if figures.is_empty() {

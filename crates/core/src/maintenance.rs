@@ -4,10 +4,11 @@
 //! The sharded subsystem (`dyndens-shard`) was originally hard-wired to
 //! [`DynDens`]. These two traits abstract exactly the surface the shard
 //! worker, WAL checkpointing, crash recovery and the `partition_by`/`absorb`
-//! rebalance paths consume, so alternative maintenance strategies — the
-//! paper's recompute-from-scratch reference point, or a decade of follow-up
-//! algorithms (fully-dynamic top-k densest, one-pass sketches) — run under
-//! identical routing, persistence and serving:
+//! rebalance paths consume, so alternative maintenance strategies from the
+//! follow-up literature (fully-dynamic top-k densest, one-pass sketches) run
+//! under identical routing, persistence and serving. One ships beside
+//! [`DynDens`]: `topk-peeling` (`dyndens-baselines`), kept for a measured
+//! reason recorded in `docs/BACKENDS.md`. The two traits:
 //!
 //! * [`MaintenanceEngine`] is one shard's worth of maintenance state: it
 //!   ingests [`EdgeUpdate`]s, answers dense-subgraph reads, serialises
@@ -126,9 +127,9 @@ pub trait MaintenanceEngine: Clone + std::fmt::Debug + Send + 'static {
     /// Applies one edge weight update, appending any dense-set transitions
     /// to `events`.
     ///
-    /// Backends that cannot afford per-update output maintenance (periodic
-    /// rebuilders, read-time peelers) may emit no events; their deployments
-    /// are then served via snapshot resync rather than delta pushes.
+    /// Backends that cannot afford per-update output maintenance (a
+    /// read-time peeler) may emit no events; their deployments are then
+    /// served via snapshot resync rather than delta pushes.
     fn apply_update_into(&mut self, update: EdgeUpdate, events: &mut Vec<DenseEvent>);
 
     /// Every maintained subgraph whose density clears the *output*
@@ -206,7 +207,7 @@ pub trait EngineBlueprint: Clone + std::fmt::Debug + Send + Sync + 'static {
     type Engine: MaintenanceEngine;
 
     /// Stable machine-readable backend identifier (`"dyndens"`,
-    /// `"recompute"`, ...), pinned in the shard MANIFEST. Reopening a
+    /// `"topk-peeling"`, ...), pinned in the shard MANIFEST. Reopening a
     /// directory under a blueprint with a different kind fails with
     /// `ManifestMismatch { field: "engine kind" }`.
     fn kind(&self) -> &'static str;

@@ -4,8 +4,8 @@
 //! An update that neither creates nor destroys a dense subgraph — by far the
 //! common case on a stream in steady state — still runs the whole kernel:
 //! the graph edit, the index walks, the MaxExplore bound, cheap and regular
-//! explorations with their merged `Γ_C`, `*` bases, their disjoint-edge
-//! scans over a dense `Γ` column and the explored-once table. All of that
+//! explorations summing `Γ_C` into the dense `Γ` column, `*` bases, their
+//! disjoint-edge scans over that column and the explored-once table. All of that
 //! works out of engine-owned scratch, so once the scratch has grown to size
 //! the allocator is not called at all. Publication
 //! ([`DynDens::top_stories`]) selects over the stored scores and builds vertex

@@ -20,7 +20,7 @@
 //! * [`workloads`] — synthetic update generators and the planted-story social
 //!   media simulator.
 //! * [`baselines`] — brute force, Stix, GRASP, recompute and Goldberg
-//!   baselines.
+//!   baselines, and the top-k peeling maintenance backend.
 //!
 //! ## Quick start
 //!
@@ -50,7 +50,7 @@ pub use dyndens_workloads as workloads;
 
 /// Commonly used items, importable with `use dyndens::prelude::*`.
 pub mod prelude {
-    pub use dyndens_baselines::{RecomputeBlueprint, TopKPeelingBlueprint};
+    pub use dyndens_baselines::TopKPeelingBlueprint;
     pub use dyndens_core::{
         DenseEvent, DynDens, DynDensBlueprint, DynDensConfig, EngineBlueprint, EngineStats,
         MaintenanceEngine,

@@ -140,8 +140,8 @@ impl IngestHandle {
 /// A maintenance deployment partitioned over worker slots by a generational
 /// routing table, generic over the [`EngineBlueprint`] that builds, restores
 /// and fingerprints its per-shard engines. The canonical specialisation is
-/// [`ShardedDynDens`]; alternative backends (periodic recompute, top-k
-/// peeling) plug in through [`with_backend`](Self::with_backend) and ride
+/// [`ShardedDynDens`]; an alternative backend (top-k peeling) plugs in
+/// through [`with_backend`](Self::with_backend) and rides
 /// the identical routing, WAL, recovery and rebalance machinery.
 ///
 /// The facade mirrors the single-engine API — [`apply_update`],

@@ -13,10 +13,10 @@
 //! 4. **serve** — a push-fed [`Mirror`] subscribed over TCP, plus a
 //!    late-joining mirror that bootstraps purely from resync snapshots.
 //!
-//! A final **quality** leg compares the backend against the DynDens referee
-//! under its declared [`CompareMode`] — bit-exactness for `dyndens` itself
-//! and for `recompute` at rebuild boundaries, a top-q density-ratio bound
-//! for approximate backends.
+//! A final **quality** leg holds the backend's top-q density ratio against
+//! the DynDens referee to its [`quality_bound`](Backend::quality_bound):
+//! exactly 1.0 for `dyndens`, which is its own referee, and a lower bound
+//! for the approximate `topk-peeling`.
 //!
 //! "Bit-exact" is literal: every story's density must carry the same `f64`
 //! bit pattern as the single engine's, which the stack guarantees under the
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use dyndens_baselines::{RecomputeBlueprint, TopKPeelingBlueprint};
+use dyndens_baselines::TopKPeelingBlueprint;
 use dyndens_core::{DynDensBlueprint, DynDensConfig, EngineBlueprint, MaintenanceEngine};
 use dyndens_density::AvgWeight;
 use dyndens_graph::{EdgeUpdate, VertexSet};
@@ -150,7 +150,7 @@ impl Oracle {
     /// Builds the backend's single-engine ground truth, drives every
     /// requested deployment leg against it (bit-exact — the seam's
     /// determinism contract), then the `quality` leg against the DynDens
-    /// referee under the backend's [`compare_mode`](Backend::compare_mode).
+    /// referee, held to the backend's [`quality_bound`](Backend::quality_bound).
     /// Nothing panics on divergence — the report carries the verdicts (tests
     /// call [`BackendReport::assert_passed`]).
     pub fn run_backend_legs(&self, backend: Backend, legs: &[Leg]) -> BackendReport {
@@ -158,9 +158,6 @@ impl Oracle {
         match backend {
             Backend::DynDens => {
                 self.backend_run(DynDensBlueprint::new(AvgWeight, config), backend, legs)
-            }
-            Backend::Recompute => {
-                self.backend_run(RecomputeBlueprint::new(AvgWeight, config, 1), backend, legs)
             }
             Backend::TopKPeeling => self.backend_run(
                 TopKPeelingBlueprint::new(AvgWeight, config, 4),
@@ -197,38 +194,27 @@ impl Oracle {
             _ => self.reference(),
         };
         let quality_ratio = top_q_density_ratio(&want, &referee);
-        let mode = backend.compare_mode();
-        reports.push(match mode {
-            CompareMode::BitExact => match compare(&referee, &want) {
-                Ok(()) => leg_ok(
-                    "quality",
-                    format!("bit-exact with referee ({} sets)", want.len()),
+        let quality_bound = backend.quality_bound();
+        reports.push(if quality_ratio >= quality_bound {
+            leg_ok(
+                "quality",
+                format!(
+                    "density ratio {quality_ratio:.3} >= {quality_bound} ({} sets vs {} referee)",
+                    want.len(),
+                    referee.len()
                 ),
-                Err(detail) => leg_failed("quality", format!("vs referee: {detail}")),
-            },
-            CompareMode::DensityRatio(bound) => {
-                if quality_ratio >= bound {
-                    leg_ok(
-                        "quality",
-                        format!(
-                            "density ratio {quality_ratio:.3} >= {bound} ({} sets vs {} referee)",
-                            want.len(),
-                            referee.len()
-                        ),
-                    )
-                } else {
-                    leg_failed(
-                        "quality",
-                        format!("density ratio {quality_ratio:.3} below bound {bound}"),
-                    )
-                }
-            }
+            )
+        } else {
+            leg_failed(
+                "quality",
+                format!("density ratio {quality_ratio:.3} below bound {quality_bound}"),
+            )
         });
         BackendReport {
             workload: self.name.clone(),
             backend: backend.kind(),
             n_updates: self.updates.len(),
-            mode,
+            quality_bound,
             output_dense: want.len(),
             quality_ratio,
             star_markers,
@@ -430,8 +416,8 @@ impl Oracle {
     /// story family with current scores) on every backend. The push-fed
     /// mirror's membership is checked for [`Backend::DynDens`] only: it is
     /// the one backend whose contract promises per-update
-    /// [`DenseEvent`](dyndens_core::DenseEvent)s, while periodic rebuilders
-    /// and read-time peelers push empty deltas.
+    /// [`DenseEvent`](dyndens_core::DenseEvent)s, while the read-time peeler
+    /// pushes empty deltas.
     fn serve_leg<B: EngineBlueprint>(
         &self,
         blueprint: &B,
@@ -542,32 +528,19 @@ impl Oracle {
 // ---------------------------------------------------------------------------
 
 /// The maintenance backends the cross-backend harness drives, each with its
-/// canonical blueprint configuration (see [`Backend::compare_mode`] for the
+/// canonical blueprint configuration (see [`Backend::quality_bound`] for the
 /// comparison each is held to).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The incremental reference engine — the exactness referee itself.
     DynDens,
-    /// Periodic full rebuild by log replay, driven at cadence 1 so every
-    /// published answer lands on a rebuild boundary.
-    Recompute,
     /// Read-time greedy peeling (fully-dynamic top-k densest style),
     /// extracting up to 4 disjoint subgraphs per component.
     TopKPeeling,
 }
 
-/// All three backends, in referee-first order.
-pub const ALL_BACKENDS: [Backend; 3] = [Backend::DynDens, Backend::Recompute, Backend::TopKPeeling];
-
-/// How a backend's answers are compared against the DynDens referee.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CompareMode {
-    /// Story sets and density bits must match the referee exactly.
-    BitExact,
-    /// The top-q density ratio ([`top_q_density_ratio`]) must clear this
-    /// bound.
-    DensityRatio(f64),
-}
+/// Both backends, in referee-first order.
+pub const ALL_BACKENDS: [Backend; 2] = [Backend::DynDens, Backend::TopKPeeling];
 
 impl Backend {
     /// The backend's stable kind string (matches
@@ -575,19 +548,18 @@ impl Backend {
     pub fn kind(self) -> &'static str {
         match self {
             Backend::DynDens => "dyndens",
-            Backend::Recompute => "recompute",
             Backend::TopKPeeling => "topk-peeling",
         }
     }
 
-    /// The comparison mode this backend is held to against the referee:
-    /// bit-exactness for DynDens (trivially) and for Recompute (its harness
-    /// cadence of 1 makes every read a rebuild boundary), a 0.8 top-q
-    /// density-ratio bound for the approximate peeling backend.
-    pub fn compare_mode(self) -> CompareMode {
+    /// The [`top_q_density_ratio`] against the referee this backend must
+    /// reach: 1.0 for DynDens, whose answer is the referee's (the ratio of a
+    /// family to itself is exactly 1.0), and 0.8 for the approximate peeling
+    /// backend.
+    pub fn quality_bound(self) -> f64 {
         match self {
-            Backend::DynDens | Backend::Recompute => CompareMode::BitExact,
-            Backend::TopKPeeling => CompareMode::DensityRatio(0.8),
+            Backend::DynDens => 1.0,
+            Backend::TopKPeeling => 0.8,
         }
     }
 }
@@ -595,9 +567,9 @@ impl Backend {
 /// The outcome of one backend × workload harness run: the deployment legs
 /// (each asserting the sharded/recovered/rebalanced/served fleet is
 /// bit-identical to a single engine of the *same* backend) plus the
-/// `quality` leg comparing the backend against the DynDens referee under
-/// [`Backend::compare_mode`]. In the `quality` leg's [`LegReport`],
-/// `bit_exact` means "cleared its comparison mode".
+/// `quality` leg holding the backend's density ratio against the DynDens
+/// referee to [`Backend::quality_bound`]. In the `quality` leg's
+/// [`LegReport`], `bit_exact` means "reached its bound".
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendReport {
     /// The workload's [`name`](Workload::name).
@@ -606,8 +578,8 @@ pub struct BackendReport {
     pub backend: &'static str,
     /// Stream length in updates.
     pub n_updates: usize,
-    /// The comparison mode the quality leg enforced.
-    pub mode: CompareMode,
+    /// The density-ratio bound the quality leg enforced.
+    pub quality_bound: f64,
     /// Output-dense story count of the backend's single-engine run.
     pub output_dense: usize,
     /// Top-q density ratio against the DynDens referee (1.0 is parity).
@@ -740,9 +712,6 @@ mod tests {
             assert_eq!(report.backend, backend.kind());
             assert!(report.output_dense > 0, "{}: no stories", report.backend);
             report.assert_passed();
-            if backend != Backend::TopKPeeling {
-                assert_eq!(report.quality_ratio, 1.0, "{}", report.backend);
-            }
         }
     }
 

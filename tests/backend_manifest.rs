@@ -63,9 +63,8 @@ fn dyndens_directory_refuses_other_backends() {
         TopKPeelingBlueprint::new(AvgWeight, engine_config(), 4),
         &dir,
     );
-    assert_kind_refused(RecomputeBlueprint::new(AvgWeight, engine_config(), 1), &dir);
 
-    // The failed opens left the directory intact: the owning backend
+    // The failed open left the directory intact: the owning backend
     // recovers the exact pre-shutdown state.
     let recovered = ShardedFleet::with_backend_persistence(
         DynDensBlueprint::new(AvgWeight, engine_config()),
@@ -88,7 +87,6 @@ fn topk_directory_refuses_other_backends_and_pins_params() {
     assert!(!want.is_empty(), "degenerate seed stream");
 
     assert_kind_refused(DynDensBlueprint::new(AvgWeight, engine_config()), &dir);
-    assert_kind_refused(RecomputeBlueprint::new(AvgWeight, engine_config(), 1), &dir);
 
     // Same kind, different answer-relevant parameter (k): also pinned, as
     // its own field so the operator sees *what* diverged.

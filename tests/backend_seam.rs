@@ -20,19 +20,10 @@
 //! The suites above (`sharded_equivalence`, `wal_replay`,
 //! `rebalance_equivalence`) check these contracts through full deployments
 //! on structured streams; this file attacks the seam directly with
-//! adversarial random streams, including exact weight cancellations.
-//!
-//! Scope note on splits: the structural backends (`dyndens`,
-//! `topk-peeling`) copy state bit-for-bit through `partition_by`/`absorb`,
-//! so their identity holds for **any** predicate, including splits that cut
-//! straight through a maintained subgraph — and that is what they are
-//! tested with here. The `recompute` backend replays its journaled update
-//! log, and `absorb` concatenates the children's logs; replay order across
-//! a connected component that straddles the split would differ from the
-//! parent's interleaving, which is outside the contract — the rebalance
-//! planner only ever splits along ownership boundaries that keep components
-//! whole (the regime the paper's exactness argument covers). Its streams
-//! are therefore generated split-aligned, exactly like production splits.
+//! adversarial random streams, including exact weight cancellations. Both
+//! backends copy state bit-for-bit through `partition_by`/`absorb`, so the
+//! identity holds for **any** predicate, including splits that cut straight
+//! through a maintained subgraph.
 
 mod support;
 
@@ -67,24 +58,11 @@ fn seam_inputs() -> impl Strategy<Value = (Vec<(u32, u32, usize)>, u32)> {
 /// Turns raw triples into a well-formed update stream: self-loops are
 /// dropped and negative deltas are clamped so no edge weight ever goes
 /// below zero (clamping to the exact accumulated weight keeps complete
-/// cancellations in play, which is where bit-level bugs hide). With
-/// `align = Some(s)`, edges are additionally remapped to keep both
-/// endpoints on one side of `s`, so no connected component ever straddles
-/// the `v < s` split — the production rebalance regime.
-fn realize(raw: &[(u32, u32, usize)], align: Option<u32>) -> Vec<EdgeUpdate> {
+/// cancellations in play, which is where bit-level bugs hide).
+fn realize(raw: &[(u32, u32, usize)]) -> Vec<EdgeUpdate> {
     let mut weights: HashMap<(u32, u32), f64> = HashMap::new();
     let mut updates = Vec::new();
     for &(a, b, d) in raw {
-        let mut b = b;
-        if let Some(s) = align {
-            if s > 0 && s < N_VERTICES && (a < s) != (b < s) {
-                b = if a < s {
-                    b % s
-                } else {
-                    s + b % (N_VERTICES - s)
-                };
-            }
-        }
         if a == b {
             continue;
         }
@@ -265,25 +243,7 @@ proptest! {
         let (raw, split) = inputs;
         check_seam(
             &DynDensBlueprint::new(AvgWeight, engine_config()),
-            &realize(&raw, None),
-            split,
-        );
-    }
-
-    #[test]
-    fn recompute_seam_contracts_hold(inputs in seam_inputs()) {
-        let (raw, split) = inputs;
-        let updates = realize(&raw, Some(split));
-        check_seam(
-            &RecomputeBlueprint::new(AvgWeight, engine_config(), 1),
-            &updates,
-            split,
-        );
-        // A sparser cadence must satisfy the same contracts (snapshots carry
-        // the cadence; stale caches are dropped across the seam).
-        check_seam(
-            &RecomputeBlueprint::new(AvgWeight, engine_config(), 5),
-            &updates,
+            &realize(&raw),
             split,
         );
     }
@@ -293,7 +253,7 @@ proptest! {
         let (raw, split) = inputs;
         check_seam(
             &TopKPeelingBlueprint::new(AvgWeight, engine_config(), 4),
-            &realize(&raw, None),
+            &realize(&raw),
             split,
         );
     }

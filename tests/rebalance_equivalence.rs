@@ -464,7 +464,7 @@ fn aborted_merge_resurrects_both_children_and_retries() {
 /// match an untouched-topology fleet of the same backend bit for bit.
 #[test]
 fn every_backend_split_merge_matches_untouched_topology() {
-    let oracle = support::Oracle::from_updates("canonical-8k", support::backend_stream());
+    let oracle = support::Oracle::from_updates("canonical", support::canonical_stream());
     support::for_each_backend(|backend| {
         oracle
             .run_backend_legs(backend, &[support::Leg::Rebalance])

@@ -32,7 +32,7 @@ fn every_backend_sharded_matches_its_own_single_engine() {
     // pluggable maintenance backend, a 1/2/4-shard fleet of that backend is
     // bit-identical to a single engine of the same backend (plus the
     // quality comparison against the DynDens referee).
-    let oracle = Oracle::from_updates("canonical-8k", support::backend_stream());
+    let oracle = Oracle::from_updates("canonical", canonical_stream());
     support::for_each_backend(|backend| {
         let report = oracle.run_backend_legs(backend, &[Leg::Sharded]);
         assert!(

@@ -43,14 +43,6 @@ pub fn for_each_backend(mut scenario: impl FnMut(Backend)) {
     }
 }
 
-/// A shorter canonical stream for backend-parameterized runs: the
-/// `recompute` backend's published reads replay its whole update log (cost
-/// quadratic in stream length at its cadence of 1), so the parameterized
-/// suites drive 8k updates instead of the canonical 50k.
-pub fn backend_stream() -> Vec<EdgeUpdate> {
-    shard_aligned_stream(8_000, 8, 2012)
-}
-
 /// The canonical serving-layer shard configuration: untruncated top-k (so
 /// resync snapshots carry the full per-shard story sets) and a retention
 /// far below the stream's publication count (so late joiners genuinely

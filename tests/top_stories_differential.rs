@@ -4,8 +4,9 @@
 //! out here independently of the library's `story_order`.
 //!
 //! `DynDens` answers by selection over its index and never materialises the
-//! losers; `recompute` and `topk-peeling` answer through the provided
-//! implementation. All three must return the reference's bits, on streams
+//! losers; `topk-peeling` answers through the provided implementation from
+//! the answer it rebuilds at read time. Both must return the reference's
+//! bits, on streams
 //! (the five oracle workloads and the weighted tweet stream, at every batch
 //! boundary) and on hand-built states the streams do not reach.
 
@@ -97,20 +98,19 @@ fn dyndens_selection_matches_the_reference_on_every_stream() {
 
 #[test]
 fn rebuilding_backends_answer_through_the_provided_implementation() {
-    // `recompute` replays its whole log on the first read after an update, so
-    // these streams are shorter and their boundaries sparse.
-    let recompute = RecomputeBlueprint::new(AvgWeight, engine_config(), 1);
+    // The peeler rebuilds its answer on the first read after an update; the
+    // streams and boundaries are DynDens's.
     let peeling = TopKPeelingBlueprint::new(AvgWeight, engine_config(), 4);
-    for workload in oracle_workloads(6_000, 2026) {
-        let updates = workload.updates();
-        drive(&recompute, &updates, 500, workload.name());
-        drive(&peeling, &updates, 500, workload.name());
+    for workload in oracle_workloads(12_000, 2026) {
+        drive(&peeling, &workload.updates(), 64, workload.name());
     }
-    let tweets = tweet_stream(2026, 6_000);
-    let recompute = RecomputeBlueprint::new(AvgWeight, tweet_config(), 1);
-    let peeling = TopKPeelingBlueprint::new(AvgWeight, tweet_config(), 4);
-    drive(&recompute, &tweets, 500, "tweets_chi_square");
-    drive(&peeling, &tweets, 500, "tweets_chi_square");
+    let tweets = TopKPeelingBlueprint::new(AvgWeight, tweet_config(), 4);
+    drive(
+        &tweets,
+        &tweet_stream(2026, 10_000),
+        64,
+        "tweets_chi_square",
+    );
 }
 
 fn update(a: u32, b: u32, delta: f64) -> EdgeUpdate {
