@@ -240,8 +240,10 @@ proptest! {
     }
 
     /// Dynamic threshold adjustment: lowering or raising T mid-stream must
-    /// leave the engine equivalent to one that used the final threshold from
-    /// the start.
+    /// leave the engine sound and complete right after the change and at the
+    /// end of the stream, with the explicit index and under ImplicitTooDense
+    /// `*` markers; with the explicit index it must also report what an
+    /// engine that used the final threshold from the start reports.
     #[test]
     fn threshold_adjustment_matches_oracle(
         raws in prop::collection::vec(raw_update_strategy(6), 4..24),
@@ -256,40 +258,44 @@ proptest! {
         let cut = ((updates.len() as f64) * split) as usize;
 
         let universe = 1 + updates.iter().map(|u| u.b.index()).max().unwrap_or(0);
-        // Use the fully explicit representation so the final set comparison
-        // against the reference engine is exact (with ImplicitTooDense the two
-        // engines may legitimately differ in *which* subgraphs are explicit
-        // versus star-covered).
-        let config = DynDensConfig::new(t_start, 4)
-            .with_delta_it_fraction(0.3)
-            .with_implicit_too_dense(false);
-        let mut engine = DynDens::with_vertex_capacity(AvgWeight, config, universe);
-        for u in &updates[..cut] {
-            engine.apply_update(*u);
-        }
-        engine.set_output_threshold(t_end);
-        check_against_oracle(&engine, "threshold-adjustment, right after change");
-        for u in &updates[cut..] {
-            engine.apply_update(*u);
-        }
-        check_against_oracle(&engine, "threshold-adjustment, end of stream");
+        for implicit in [false, true] {
+            let config = |t| {
+                DynDensConfig::new(t, 4)
+                    .with_delta_it_fraction(0.3)
+                    .with_implicit_too_dense(implicit)
+            };
+            let mut engine = DynDens::with_vertex_capacity(AvgWeight, config(t_start), universe);
+            for u in &updates[..cut] {
+                engine.apply_update(*u);
+            }
+            engine.set_output_threshold(t_end);
+            let leg = if implicit { "implicit" } else { "explicit" };
+            let leg = format!("threshold-adjustment ({leg}, T {t_start} -> {t_end})");
+            check_against_oracle(&engine, &format!("{leg}, right after change"));
+            for u in &updates[cut..] {
+                engine.apply_update(*u);
+            }
+            check_against_oracle(&engine, &format!("{leg}, end of stream"));
+            if implicit {
+                // Which subgraphs are explicit rather than `*`-covered
+                // legitimately depends on the path taken.
+                continue;
+            }
 
-        // The reported output-dense set must equal that of an engine that ran
-        // with t_end from the beginning.
-        let reference_cfg = DynDensConfig::new(t_end, 4)
-            .with_delta_it_fraction(0.3)
-            .with_implicit_too_dense(false);
-        let mut reference = DynDens::with_vertex_capacity(AvgWeight, reference_cfg, universe);
-        for u in &updates {
-            reference.apply_update(*u);
+            // The reported output-dense set must equal that of an engine that
+            // ran with t_end from the beginning.
+            let mut reference = DynDens::with_vertex_capacity(AvgWeight, config(t_end), universe);
+            for u in &updates {
+                reference.apply_update(*u);
+            }
+            let mut got: Vec<VertexSet> =
+                engine.output_dense_subgraphs().into_iter().map(|(s, _)| s).collect();
+            let mut want: Vec<VertexSet> =
+                reference.output_dense_subgraphs().into_iter().map(|(s, _)| s).collect();
+            got.sort();
+            want.sort();
+            prop_assert_eq!(got, want);
         }
-        let mut got: Vec<VertexSet> =
-            engine.output_dense_subgraphs().into_iter().map(|(s, _)| s).collect();
-        let mut want: Vec<VertexSet> =
-            reference.output_dense_subgraphs().into_iter().map(|(s, _)| s).collect();
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want);
     }
 }
 

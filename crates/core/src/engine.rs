@@ -67,7 +67,6 @@ struct UpdateCtx {
     /// MaxExplore bound for this update (Section 7.1); `unbounded` when the
     /// heuristic is disabled.
     bound: MaxExploreBound,
-    epoch: u64,
 }
 
 /// The DynDens dense subgraph maintenance engine.
@@ -143,13 +142,22 @@ impl<D: DensityMeasure> DynDens<D> {
         &self.graph
     }
 
+    /// The cancelling update of every edge whose weight is at or below
+    /// `min_weight`: [`DynamicGraph::edges_below`] of the engine's graph.
+    ///
+    /// Eviction is applying this list through
+    /// [`apply_update_into`](Self::apply_update_into) — what a shard's
+    /// compaction step does after writing the list to its WAL — so the
+    /// index, the `*` markers and the events are repaired by the code a
+    /// streamed negative update runs, and crash replay of those records is
+    /// the same code on the same input.
+    pub fn edges_below(&self, min_weight: f64) -> Vec<EdgeUpdate> {
+        self.graph.edges_below(min_weight)
+    }
+
     /// The threshold family currently in effect.
     pub fn thresholds(&self) -> &ThresholdFamily<D> {
         &self.thresholds
-    }
-
-    pub(crate) fn thresholds_mut(&mut self) -> &mut ThresholdFamily<D> {
-        &mut self.thresholds
     }
 
     /// The engine configuration.
@@ -224,10 +232,8 @@ impl<D: DensityMeasure> DynDens<D> {
         for (id, verts, info) in self.index.iter() {
             let min = verts.as_slice()[0];
             let side = if keep(min) { &mut zero } else { &mut one };
-            let new_id = side.index.insert(verts.as_slice(), *info);
-            if self.index.has_star(id) {
-                side.index.set_star(new_id, true);
-            }
+            side.index
+                .insert_copy(verts.as_slice(), *info, self.index.has_star(id));
         }
         (zero, one)
     }
@@ -269,11 +275,10 @@ impl<D: DensityMeasure> DynDens<D> {
             );
             self.graph.set_weight(a, b, w);
         }
+        self.scratch.invalidate_edges();
         for (id, verts, info) in other.index.iter() {
-            let new_id = self.index.insert(verts.as_slice(), *info);
-            if other.index.has_star(id) {
-                self.index.set_star(new_id, true);
-            }
+            self.index
+                .insert_copy(verts.as_slice(), *info, other.index.has_star(id));
         }
         self.epoch = self.epoch.max(other.epoch);
         self.stats.merge(&other.stats);
@@ -449,28 +454,11 @@ impl<D: DensityMeasure> DynDens<D> {
             let was_output = self.thresholds.is_output_dense(old_score, card);
             let still_dense = self.thresholds.is_dense(new_score, card);
             let still_output = self.thresholds.is_output_dense(new_score, card);
-            // ImplicitTooDense coverage repair, before any demotion or
-            // eviction: a `*` marker on this subgraph covered every superset
-            // of cardinality within the coverage radius determined by the
-            // *old* score. The score drop shrinks that radius (possibly to
-            // nothing); supersets that fall out of coverage but remain dense
-            // through their own additional edges must be materialised, or the
-            // index loses them.
+            // Before any demotion or eviction: the score drop shrinks the
+            // band the marker covered under the *old* score.
             if self.index.has_star(id) {
                 let old_radius = self.coverage_radius(old_score, card);
-                let still_starred = still_dense && self.thresholds.is_too_dense(new_score, card);
-                let new_radius = if still_starred {
-                    self.coverage_radius(new_score, card)
-                } else {
-                    card
-                };
-                if new_radius < old_radius {
-                    self.materialise_covered_band(id, new_score, new_radius, old_radius, events);
-                }
-                if still_dense && !still_starred {
-                    self.index.set_star(id, false);
-                    self.stats.star_markers_removed += 1;
-                }
+                self.repair_star(id, card, new_score, old_radius, events);
             }
             if was_output && !(still_dense && still_output) {
                 events.push(DenseEvent::NoLongerOutputDense {
@@ -488,13 +476,46 @@ impl<D: DensityMeasure> DynDens<D> {
         self.scratch.walk = walk;
     }
 
+    /// ImplicitTooDense coverage repair of the `*` base `id` (cardinality
+    /// `card`), whose marker covered supersets up to `old_radius` and whose
+    /// score is now `score` — after a negative update or a threshold raise,
+    /// and before the base itself is demoted or evicted. The band shrinks
+    /// to the new radius (to nothing when the base is no longer
+    /// too-dense); supersets that fall out of it but remain dense through
+    /// their own additional edges are materialised, or the index loses
+    /// them, and a base that is still dense but no longer too-dense loses
+    /// its marker.
+    pub(crate) fn repair_star(
+        &mut self,
+        id: NodeId,
+        card: usize,
+        score: f64,
+        old_radius: usize,
+        events: &mut Vec<DenseEvent>,
+    ) {
+        let still_dense = self.thresholds.is_dense(score, card);
+        let still_starred = still_dense && self.thresholds.is_too_dense(score, card);
+        let new_radius = if still_starred {
+            self.coverage_radius(score, card)
+        } else {
+            card
+        };
+        if new_radius < old_radius {
+            self.materialise_covered_band(id, score, new_radius, old_radius, events);
+        }
+        if still_dense && !still_starred {
+            self.index.set_star(id, false);
+            self.stats.star_markers_removed += 1;
+        }
+    }
+
     /// The largest cardinality whose subgraphs are covered by a `*` marker on
     /// a subgraph of cardinality `card` with the given score: the coverage
     /// claim of [`covered_by_star`](Self::covered_by_star) is
     /// `is_dense(base_score, n)` for supersets of cardinality `n`, and the
     /// dense score bound grows with `n`, so coverage is a contiguous band
     /// `card + 1 ..= radius`.
-    fn coverage_radius(&self, base_score: f64, card: usize) -> usize {
+    pub(crate) fn coverage_radius(&self, base_score: f64, card: usize) -> usize {
         let mut radius = card;
         for n in card + 1..=self.thresholds.n_max() {
             if self.thresholds.is_dense(base_score, n) {
@@ -508,7 +529,8 @@ impl<D: DensityMeasure> DynDens<D> {
 
     /// Materialises the dense supersets of `base` whose cardinality lies in
     /// `new_radius + 1 ..= old_radius`: previously covered by the base's `*`
-    /// marker, no longer covered after its score dropped to `new_base_score`.
+    /// marker, no longer covered after its score dropped to `new_base_score`
+    /// or a threshold raise lifted the dense bounds.
     ///
     /// Candidates are enumerated by growing the base one neighbouring vertex
     /// or one disjoint edge at a time through dense intermediates (the same
@@ -566,32 +588,14 @@ impl<D: DensityMeasure> DynDens<D> {
                 }
                 self.stats.candidates_examined += 1;
                 if ext_card > new_radius && self.index.find(ext.as_slice()).is_none() {
-                    let id = self.index.insert(
-                        ext.as_slice(),
-                        SubgraphInfo {
-                            score: ext_score,
-                            discovered_epoch: self.epoch,
-                            discovered_iteration: 0,
-                        },
-                    );
-                    self.stats.subgraphs_inserted += 1;
-                    if self.thresholds.is_output_dense(ext_score, ext_card) {
-                        events.push(DenseEvent::BecameOutputDense {
-                            vertices: ext.clone(),
-                            density: self.thresholds.measure().density(ext_score, ext_card),
-                        });
-                    }
-                    if self.config.implicit_too_dense
-                        && self.thresholds.is_too_dense(ext_score, ext_card)
+                    let id = self.admit(ext.as_slice(), ext_score, 0, true, events);
+                    // Its own marker now covers its supersets up to its
+                    // coverage radius; anything beyond old_radius was never
+                    // covered by the original marker.
+                    if self.index.has_star(id)
+                        && self.coverage_radius(ext_score, ext_card) >= old_radius
                     {
-                        self.index.set_star(id, true);
-                        self.stats.star_markers_created += 1;
-                        // Its own marker now covers its supersets up to its
-                        // coverage radius; anything beyond old_radius was
-                        // never covered by the original marker.
-                        if self.coverage_radius(ext_score, ext_card) >= old_radius {
-                            continue;
-                        }
+                        continue;
                     }
                 }
                 stack.push((ext, ext_score));
@@ -618,7 +622,7 @@ impl<D: DensityMeasure> DynDens<D> {
         let bound = if self.config.max_explore && max_iterations <= 1 {
             MaxExploreBound::compute(&self.graph, &self.thresholds, a, b, new_weight)
         } else {
-            MaxExploreBound::unbounded(self.thresholds.n_max())
+            MaxExploreBound::unbounded()
         };
         let ctx = UpdateCtx {
             a,
@@ -626,7 +630,6 @@ impl<D: DensityMeasure> DynDens<D> {
             delta,
             max_iterations,
             bound,
-            epoch: self.epoch,
         };
 
         // Snapshots: subgraphs that were dense before this update and contain a
@@ -650,7 +653,7 @@ impl<D: DensityMeasure> DynDens<D> {
         // newly-dense and not already maintained.
         let pair = [a.min(b), a.max(b)];
         if self.index.find(&pair).is_none() && self.thresholds.is_dense(new_weight, 2) {
-            self.note_candidate(&pair, new_weight, 0, &ctx, events);
+            self.note_candidate(&pair, new_weight, 0, events);
             self.explore(&pair, new_weight, 1, true, &ctx, events);
         }
 
@@ -789,7 +792,7 @@ impl<D: DensityMeasure> DynDens<D> {
             if ext.is_empty() {
                 union_into(&mut ext, path, &[other]);
             }
-            if self.note_candidate(&ext, ext_score, 1, ctx, events) {
+            if self.note_candidate(&ext, ext_score, 1, events) {
                 // Algorithm 1, line 8: newly-dense subgraphs found via cheap
                 // exploration are explored starting from iteration 2.
                 self.explore(&ext, ext_score, 2, true, ctx, events);
@@ -837,7 +840,7 @@ impl<D: DensityMeasure> DynDens<D> {
                 let newly = !self.thresholds.is_dense(score - ctx.delta, ext_card);
                 let covered = self.thresholds.is_dense(base_score, ext_card);
                 if newly && !covered {
-                    self.note_candidate(&ext, score, 1, ctx, events);
+                    self.note_candidate(&ext, score, 1, events);
                     // Discovered at iteration 1, explored from iteration 2.
                     self.explore(&ext, score, 2, false, ctx, events);
                 } else {
@@ -973,15 +976,6 @@ impl<D: DensityMeasure> DynDens<D> {
         // A dense extension is acted on when it is newly dense, or, with both
         // endpoints inside and room to grow, when it was dense before too.
         let stable_too = contains_both && ext_card < n_max;
-        let newly_dense = |gamma_y: f64| {
-            !self
-                .thresholds
-                .is_dense(score + gamma_y - ctx.delta, ext_card)
-        };
-
-        // First the tests that depend on nothing but the candidate, over the
-        // column's candidate list in whatever order it holds them (the
-        // counters are sums); then the few that pass, in vertex order.
         let star = too_dense_now && self.config.implicit_too_dense;
         if star {
             // Every one-vertex extension is dense; the disconnected ones are
@@ -996,28 +990,24 @@ impl<D: DensityMeasure> DynDens<D> {
                 Some(id) => id,
                 None => {
                     let newly = !self.thresholds.is_dense(score - ctx.delta, card);
-                    let id = self.index.insert(
-                        verts,
-                        SubgraphInfo {
-                            score,
-                            discovered_epoch: ctx.epoch,
-                            discovered_iteration: iteration as u32,
-                        },
-                    );
-                    self.stats.subgraphs_inserted += 1;
-                    if newly && self.thresholds.is_output_dense(score, card) {
-                        events.push(DenseEvent::BecameOutputDense {
-                            vertices: set_of(verts),
-                            density: self.thresholds.measure().density(score, card),
-                        });
-                    }
-                    id
+                    self.admit(verts, score, iteration, newly, events)
                 }
             };
             if !self.index.has_star(id) {
                 self.index.set_star(id, true);
                 self.stats.star_markers_created += 1;
             }
+        }
+        let newly_dense = |gamma_y: f64| {
+            !self
+                .thresholds
+                .is_dense(score + gamma_y - ctx.delta, ext_card)
+        };
+
+        // First the tests that depend on nothing but the candidate, over the
+        // column's candidate list in whatever order it holds them (the
+        // counters are sums); then the few that pass, in vertex order.
+        if star {
             for (y, gamma_y) in gamma.iter() {
                 self.stats.candidates_examined += 1;
                 if stable_too || newly_dense(gamma_y) {
@@ -1059,7 +1049,7 @@ impl<D: DensityMeasure> DynDens<D> {
             let ext_score = score + gamma_y;
             union_into(&mut ext, verts, &[y]);
             if !self.thresholds.is_dense(ext_score - ctx.delta, ext_card) {
-                if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                if self.note_candidate(&ext, ext_score, iteration, events) {
                     self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
                 }
             } else if self.index.find(&ext).is_none() {
@@ -1110,7 +1100,7 @@ impl<D: DensityMeasure> DynDens<D> {
                     }
                     continue;
                 }
-                if self.note_candidate(&ext, ext_score, iteration, ctx, events) {
+                if self.note_candidate(&ext, ext_score, iteration, events) {
                     self.explore(&ext, ext_score, iteration + 1, use_max_explore, ctx, events);
                 }
             }
@@ -1129,12 +1119,11 @@ impl<D: DensityMeasure> DynDens<D> {
         verts: &[VertexId],
         score: f64,
         iteration: usize,
-        ctx: &UpdateCtx,
         events: &mut Vec<DenseEvent>,
     ) -> bool {
         if let Some(existing) = self.index.find(verts) {
             let info = *self.index.info(existing);
-            if info.discovered_epoch != ctx.epoch {
+            if info.discovered_epoch != self.epoch {
                 // It was dense before the update; handled by the main loop.
                 return false;
             }
@@ -1144,30 +1133,45 @@ impl<D: DensityMeasure> DynDens<D> {
             self.index.info_mut(existing).discovered_iteration = iteration as u32;
             return true;
         }
+        self.admit(verts, score, iteration, true, events);
+        true
+    }
+
+    /// Stores the dense subgraph `verts` (ascending, not in the index yet)
+    /// with `score`, discovered in this epoch at `iteration`: the one way a
+    /// subgraph enters the index. Counts it, reports it when `announce`
+    /// holds and it is output-dense, and, under ImplicitTooDense, marks it
+    /// `*` when it is too-dense — so that its extensions stay covered even
+    /// when whatever admitted it goes no further.
+    pub(crate) fn admit(
+        &mut self,
+        verts: &[VertexId],
+        score: f64,
+        iteration: usize,
+        announce: bool,
+        events: &mut Vec<DenseEvent>,
+    ) -> NodeId {
+        let card = verts.len();
         let id = self.index.insert(
             verts,
             SubgraphInfo {
                 score,
-                discovered_epoch: ctx.epoch,
+                discovered_epoch: self.epoch,
                 discovered_iteration: iteration as u32,
             },
         );
         self.stats.subgraphs_inserted += 1;
-        if self.thresholds.is_output_dense(score, verts.len()) {
+        if announce && self.thresholds.is_output_dense(score, card) {
             events.push(DenseEvent::BecameOutputDense {
                 vertices: set_of(verts),
-                density: self.thresholds.measure().density(score, verts.len()),
+                density: self.thresholds.measure().density(score, card),
             });
         }
-        // If the fresh subgraph is itself too-dense, its extensions must stay
-        // covered even when the recursion below is cut short by the iteration
-        // bounds; the marker (or the recursion into the too-dense branch of
-        // `explore`) takes care of that.
-        if self.config.implicit_too_dense && self.thresholds.is_too_dense(score, verts.len()) {
+        if self.config.implicit_too_dense && self.thresholds.is_too_dense(score, card) {
             self.index.set_star(id, true);
             self.stats.star_markers_created += 1;
         }
-        true
+        id
     }
 
     // ------------------------------------------------------------------

@@ -44,7 +44,7 @@ impl MaxExploreBound {
     /// discover a chain of newly-dense subgraphs whose exploration depth at
     /// cardinality `c` reaches `c - 1`, which a `Nmax + 1` sentinel would
     /// prune (losing dense subgraphs).
-    pub fn unbounded(_n_max: usize) -> Self {
+    pub fn unbounded() -> Self {
         const NO_BOUND: usize = usize::MAX / 2;
         MaxExploreBound {
             max_explore_a: NO_BOUND,
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn unbounded_never_prunes() {
-        let b = MaxExploreBound::unbounded(6);
+        let b = MaxExploreBound::unbounded();
         assert!(!b.no_exploration_needed());
         // The sentinel must not cut any reachable (cardinality, iteration)
         // combination: deep chains of newly-dense discoveries are legitimate

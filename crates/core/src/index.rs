@@ -363,6 +363,14 @@ impl SubgraphIndex {
         cur
     }
 
+    /// Stores an entry copied from another index: the subgraph with its
+    /// info record and, when `star`, its `*` marker. How a split, a merge
+    /// and a snapshot restore move entries between indexes.
+    pub(crate) fn insert_copy(&mut self, vertices: &[VertexId], info: SubgraphInfo, star: bool) {
+        let id = self.insert(vertices, info);
+        self.set_star(id, star);
+    }
+
     /// Removes the subgraph stored at `id` from the index, pruning any tree
     /// nodes that no longer serve a purpose. The `*` marker, if present, is
     /// removed as well.

@@ -22,8 +22,6 @@
 //! * [`snapshot`] — versioned binary snapshot/restore of the full engine
 //!   state, the substrate of the sharded subsystem's crash recovery.
 //! * [`threshold_update`] — dynamic threshold adjustment (Section 6).
-//! * [`evict`] — decay-driven eviction of fully-decayed edges and orphaned
-//!   vertices, the engine half of memory-bounded forever-runs.
 //! * [`maintenance`] — the pluggable-backend seam: the [`MaintenanceEngine`]
 //!   trait the sharded subsystem is generic over, and the
 //!   [`EngineBlueprint`] factories that build/restore/pin engines.
@@ -55,7 +53,8 @@
 pub mod config;
 pub mod engine;
 pub mod events;
-pub mod evict;
+#[cfg(test)]
+mod evict;
 pub mod heuristics;
 pub mod index;
 pub mod maintenance;
@@ -66,7 +65,6 @@ pub mod threshold_update;
 pub use config::{DeltaIt, DynDensConfig};
 pub use engine::DynDens;
 pub use events::{DenseEvent, EngineStats};
-pub use evict::EvictionReport;
 pub use heuristics::{DegreePrioritize, MaxExploreBound};
 pub use index::{NodeId, SubgraphIndex, SubgraphInfo};
 pub use maintenance::{

@@ -278,17 +278,12 @@ impl<D: DensityMeasure> DynDens<D> {
                 1 => true,
                 _ => return Err(SnapshotError::Invalid("bad star flag")),
             };
-            let id = index.insert(
-                &verts,
-                SubgraphInfo {
-                    score,
-                    discovered_epoch,
-                    discovered_iteration,
-                },
-            );
-            if star {
-                index.set_star(id, true);
-            }
+            let info = SubgraphInfo {
+                score,
+                discovered_epoch,
+                discovered_iteration,
+            };
+            index.insert_copy(&verts, info, star);
         }
 
         if !r.is_empty() {
@@ -494,7 +489,7 @@ mod tests {
     fn snapshot_survives_threshold_adjustment() {
         let mut engine = busy_engine();
         // Dynamic threshold adjustment drifts the family away from config.
-        engine.thresholds_mut().set_output_threshold(0.9);
+        engine.thresholds.set_output_threshold(0.9);
         let bytes = engine.snapshot();
         let restored = DynDens::restore(AvgWeight, &bytes).unwrap();
         assert_eq!(

@@ -1,16 +1,18 @@
-//! Property test: eviction is reversible. Evicting every edge below a
-//! threshold with [`DynDens::evict_below`] and then reinserting the evicted
+//! Property test: eviction is reversible. A compaction pass as a shard
+//! worker runs it — the cancelling updates [`DynDens::edges_below`] lists,
+//! applied through [`DynDens::apply_update_into`], then
+//! [`MaintenanceEngine::reclaim_idle`] — followed by reinserting the evicted
 //! weights must land the engine back on the state of an engine that never
 //! evicted — same graph (weight bits included) and same maintained family
 //! (score bits included).
 //!
-//! This holds because eviction goes through the ordinary update path (exact
+//! This holds because eviction is the ordinary update path (exact
 //! cancelling deltas), weights are dyadic rationals (f64 arithmetic on them
 //! is exact, so cancel-then-reinsert is a true inverse on the graph), and
 //! with the plain configuration the maintained family is an exact function
 //! of the graph — not of the path taken to reach it.
 
-use dyndens_core::{DynDens, DynDensConfig};
+use dyndens_core::{DynDens, DynDensConfig, MaintenanceEngine};
 use dyndens_density::AvgWeight;
 use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
 use proptest::prelude::*;
@@ -73,7 +75,7 @@ fn edge_bits(graph: &DynamicGraph) -> Vec<(VertexId, VertexId, u64)> {
 
 proptest! {
     #[test]
-    fn evict_below_then_reinsert_round_trips_the_engine(
+    fn compaction_then_reinsert_round_trips_the_engine(
         raws in proptest::collection::vec(raw_update_strategy(8), 1..60),
         threshold_32 in 1i32..10,
     ) {
@@ -92,8 +94,10 @@ proptest! {
         // weight sits below the threshold.
         let victims = engine.edges_below(threshold);
         let mut events = Vec::new();
-        let report = engine.evict_below(threshold, &mut events);
-        prop_assert_eq!(report.edges_evicted, victims.len() as u64);
+        for &u in &victims {
+            engine.apply_update_into(u, &mut events);
+        }
+        engine.reclaim_idle();
         engine.validate().unwrap();
         // Idempotent: a second pass at the same threshold finds nothing.
         prop_assert_eq!(engine.edges_below(threshold).len(), 0);

@@ -140,9 +140,10 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
     /// uniform decay (numerator and denominator shrink together), so weights
     /// alone never reach zero — the pair's *counter* vanishing is what
     /// declares the evidence gone. Feed the returned updates to the engine
-    /// (they drive its weights to exactly zero) and follow with
-    /// `DynDens::evict_below` or the sharded `compact_below` to reclaim the
-    /// engine-side state.
+    /// (they drive its weights to exactly zero) and follow with the sharded
+    /// `compact_below` — or, on a single engine, apply the cancelling
+    /// updates `DynDens::edges_below` lists — to reclaim the engine-side
+    /// state.
     pub fn compact(&mut self, now: f64, epsilon: f64, out: &mut Vec<EdgeUpdate>) -> usize {
         self.tracker.prune(now, epsilon);
         let mut dead: Vec<(VertexId, VertexId)> = self
