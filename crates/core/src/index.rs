@@ -1,5 +1,5 @@
 //! The dense subgraph index: a prefix tree over sorted vertex sets with
-//! embedded per-vertex inverted lists (Section 3.2.1 of the paper).
+//! per-vertex posting lists (Section 3.2.1 of the paper).
 //!
 //! Every maintained subgraph is stored as a path from the root of the tree,
 //! following its vertices in ascending order; the node at the end of the path
@@ -7,11 +7,15 @@
 //! heavily, shared prefixes are stored once, keeping the memory footprint low.
 //!
 //! To iterate efficiently over the subgraphs containing a given vertex `u`,
-//! every tree node labelled `u` is linked into `u`'s inverted list (a doubly
-//! linked list threaded through the nodes themselves). A subgraph contains `u`
-//! exactly when its path passes through a node labelled `u`, so iterating the
-//! inverted list and walking each node's subtree visits every such subgraph
-//! exactly once.
+//! `u` has a posting list: the node of every stored subgraph whose path
+//! passes through a node labelled `u`, which is every stored subgraph
+//! containing `u`. The paper threads its per-vertex inverted lists through
+//! the tree nodes and walks each listed node's subtree; a posting list names
+//! the subgraphs themselves, so a walk costs the length of the lists it
+//! reads. A subgraph is filed under each of its vertices when its node gains
+//! its info, and taken out when the node loses it. All lists share one
+//! buffer, so that filing allocates nothing per vertex: a snapshot restore
+//! files every subgraph of the engine.
 //!
 //! Too-dense subgraphs may additionally carry a `*` marker (the
 //! `ImplicitTooDense` optimisation of Section 3.2.3): the marker represents
@@ -25,39 +29,38 @@
 //! The engine visits the subgraphs an update touches in vertex-set order
 //! (lexicographic over the ascending paths, a prefix before its
 //! extensions), so that what it computes depends on which subgraphs exist
-//! and never on the arena history that placed them. The two walks
+//! and never on the arena history that placed them. Every posting list is
+//! kept strictly ascending in that order where it changes: an insert
+//! appends when the subgraph sorts after the greatest stored one (as each
+//! one does on a snapshot restore, which files subgraphs in vertex-set
+//! order) and binary-searches its place otherwise; a remove finds its entry
+//! the same way. The two walks
 //! ([`subgraphs_containing_either`](SubgraphIndex::subgraphs_containing_either)
 //! and [`subgraphs_containing_both`](SubgraphIndex::subgraphs_containing_both))
-//! hand them out in that order without sorting them. For an update on
-//! `(a, b)` with smaller endpoint `s` and larger `l`:
+//! then hand out an update's subgraphs in order without sorting them. For an
+//! update on `(a, b)`:
 //!
-//! * the subgraphs containing `a` or `b` are those in the subtrees of the
-//!   nodes labelled `s`, and of the nodes labelled `l` that have no `s`
-//!   ancestor (below an `l` node no `s` can follow, since paths ascend);
-//! * the subgraphs containing both are those in the subtrees of the nodes
-//!   labelled `l` that do have an `s` ancestor.
+//! * the subgraphs containing `a` or `b` are the union of the two lists,
+//!   and the ordered merge of two ascending lists is ascending. The flags
+//!   come from list membership: an entry of `a`'s list contains `a`, one of
+//!   `b`'s contains `b`, and one in both — the merge meets the same node at
+//!   both heads — contains both and comes out once;
+//! * the subgraphs containing both are the intersection: the shorter list's
+//!   entries that contain the other endpoint, a subsequence of an ascending
+//!   list and so ascending.
 //!
-//! Either way the roots are disjoint subtrees — a path holds each vertex at
-//! most once, and an `s` node is never below an `l` node. A subtree holds
-//! exactly the paths extending its root's path, which in vertex-set order is
-//! one contiguous run, and a preorder walk with children ascending (they are
-//! stored sorted) emits that run in order. So sorting the few roots by their
-//! paths and walking each in preorder gives the sorted list. On the way the
-//! walk learns each entry's path and which endpoints it contains: an
-//! `s`-rooted entry contains `s`, and contains `l` once the walk has passed
-//! an `l` node.
-//!
-//! Roots are sorted by the [`path_key`](SubgraphIndex::path_key) every node
-//! caches — its path's first 12 vertices, written once when the node is
-//! allocated, from its parent's, since a node's path never changes while it
-//! is in use. Two keys tie only when both paths reach past that width
-//! (`Nmax > 12`) with the same head; such roots compare as materialised
-//! vertex sets, and nothing but roots is ever compared. The walks write into
-//! a caller-owned [`Walk`] and allocate nothing once it has grown to size.
+//! Entries are compared by the [`path_key`](SubgraphIndex::path_key) every
+//! node caches — its path's first 12 vertices, written once when the node
+//! is allocated, from its parent's, since a node's path never changes while
+//! it is in use. Two keys tie only when both paths reach past that width
+//! (`Nmax > 12`) with the same head; such entries compare as materialised
+//! vertex sets. Each entry's path is read from its key too. The walks write
+//! into a caller-owned [`Walk`] and allocate nothing once it has grown to
+//! size.
 
 use std::cmp::Ordering;
 
-use dyndens_graph::{FxHashMap, VertexId, VertexSet};
+use dyndens_graph::{VertexId, VertexSet};
 
 /// Identifier of a node in the prefix tree (an index into the node arena).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -116,8 +119,6 @@ struct Node {
     /// one-vertex extensions are represented implicitly. Marked nodes are
     /// listed in `SubgraphIndex::star_bases`.
     star: bool,
-    inv_prev: Option<NodeId>,
-    inv_next: Option<NodeId>,
     in_use: bool,
 }
 
@@ -131,8 +132,6 @@ impl Node {
             children: Vec::new(),
             info: None,
             star: false,
-            inv_prev: None,
-            inv_next: None,
             in_use: true,
         }
     }
@@ -152,19 +151,13 @@ pub struct Affected {
 }
 
 /// The subgraphs a walk of [`SubgraphIndex`] found, in vertex-set order
-/// (see the [module docs](self)), with the working space it ran in. Reused
-/// across walks, it stops allocating once it has grown to size.
+/// (see the [module docs](self)), with their paths. Reused across walks, it
+/// stops allocating once it has grown to size.
 #[derive(Debug, Clone, Default)]
 pub struct Walk {
     entries: Vec<Affected>,
     /// Every entry's vertex path, back to back.
     paths: Vec<VertexId>,
-    /// The subtrees to walk, by cached key.
-    roots: Vec<(PathKey, NodeId)>,
-    /// Preorder stack: node, and whether its path holds the larger endpoint.
-    stack: Vec<(NodeId, bool)>,
-    /// The path of the node the walk is at.
-    path: Vec<VertexId>,
 }
 
 impl Walk {
@@ -177,6 +170,82 @@ impl Walk {
     pub fn path(&self, entry: &Affected) -> &[VertexId] {
         &self.paths[entry.path.0 as usize..entry.path.1 as usize]
     }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.paths.clear();
+    }
+
+    /// Appends the subgraph at `id` with its path from `index`.
+    fn push(&mut self, index: &SubgraphIndex, id: NodeId, contains_a: bool, contains_b: bool) {
+        let start = self.paths.len() as u32;
+        index.append_path(id, &mut self.paths);
+        self.entries.push(Affected {
+            id,
+            contains_a,
+            contains_b,
+            path: (start, self.paths.len() as u32),
+        });
+    }
+}
+
+/// The per-vertex posting lists, all in one buffer so that filing a
+/// subgraph allocates nothing per vertex: vertex `v`'s list is the first
+/// `len` of the `cap` slots at `pool[start..]`. A full list moves to a
+/// block of twice its size at the end of the pool, and the block it leaves
+/// is never reused, so a list's abandoned blocks add up to less than the
+/// one it holds.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    spans: Vec<Span>,
+    pool: Vec<NodeId>,
+}
+
+/// Where one vertex's posting list sits in [`Postings::pool`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Postings {
+    /// `v`'s list.
+    fn get(&self, v: VertexId) -> &[NodeId] {
+        match self.spans.get(v.0 as usize) {
+            Some(span) => &self.pool[span.start as usize..][..span.len as usize],
+            None => &[],
+        }
+    }
+
+    /// Puts `id` at position `at` of `v`'s list.
+    fn insert(&mut self, v: VertexId, at: usize, id: NodeId) {
+        let v = v.0 as usize;
+        if v >= self.spans.len() {
+            self.spans.resize(v + 1, Span::default());
+        }
+        let span = &mut self.spans[v];
+        if span.len == span.cap {
+            let (old, start) = (span.start as usize, self.pool.len());
+            let cap = (span.cap * 2).max(4);
+            self.pool.extend_from_within(old..old + span.len as usize);
+            self.pool.resize(start + cap as usize, NodeId::ROOT);
+            span.start = u32::try_from(start).expect("posting pool offsets fit in u32");
+            span.cap = cap;
+        }
+        let list = &mut self.pool[span.start as usize..][..=span.len as usize];
+        list.copy_within(at..list.len() - 1, at + 1);
+        list[at] = id;
+        span.len += 1;
+    }
+
+    /// Takes position `at` out of `v`'s list.
+    fn remove(&mut self, v: VertexId, at: usize) {
+        let span = &mut self.spans[v.0 as usize];
+        let list = &mut self.pool[span.start as usize..][..span.len as usize];
+        list.copy_within(at + 1.., at);
+        span.len -= 1;
+    }
 }
 
 /// The dense subgraph index.
@@ -184,8 +253,16 @@ impl Walk {
 pub struct SubgraphIndex {
     nodes: Vec<Node>,
     free: Vec<NodeId>,
-    /// Heads of the per-vertex inverted lists.
-    inverted: FxHashMap<VertexId, NodeId>,
+    /// Posting lists, by vertex id: every stored subgraph containing the
+    /// vertex, strictly ascending in vertex-set order
+    /// ([`path_order`](Self::path_order)).
+    postings: Postings,
+    /// The greatest stored subgraph in vertex-set order, while that is
+    /// known (removing it forgets it until the index is empty again): a
+    /// subgraph that sorts after it sorts after every list's last entry, so
+    /// filing it costs one comparison and an append per vertex. A snapshot
+    /// restore, which inserts in vertex-set order, files every subgraph so.
+    greatest: Option<NodeId>,
     /// Nodes currently carrying a `*` marker, strictly ascending in
     /// vertex-set order ([`path_order`](Self::path_order)): markers change
     /// rarely and are walked on every positive update, so the list is kept
@@ -214,7 +291,8 @@ impl SubgraphIndex {
         SubgraphIndex {
             nodes: vec![root],
             free: Vec::new(),
-            inverted: FxHashMap::default(),
+            postings: Postings::default(),
+            greatest: None,
             star_bases: Vec::new(),
             len: 0,
         }
@@ -264,7 +342,7 @@ impl SubgraphIndex {
             *at = vertex.0;
         }
         let node = Node::new(vertex, parent, depth, key);
-        let id = match self.free.pop() {
+        match self.free.pop() {
             Some(id) => {
                 self.nodes[id.idx()] = node;
                 id
@@ -274,41 +352,24 @@ impl SubgraphIndex {
                 self.nodes.push(node);
                 id
             }
-        };
-        // Link into the inverted list of `vertex` (push front).
-        let head = self.inverted.get(&vertex).copied();
-        if let Some(h) = head {
-            self.nodes[h.idx()].inv_prev = Some(id);
         }
-        self.nodes[id.idx()].inv_next = head;
-        self.inverted.insert(vertex, id);
-        id
     }
 
-    fn unlink_inverted(&mut self, id: NodeId) {
-        let (vertex, prev, next) = {
-            let n = &self.nodes[id.idx()];
-            (n.vertex, n.inv_prev, n.inv_next)
-        };
-        match prev {
-            Some(p) => self.nodes[p.idx()].inv_next = next,
-            None => {
-                // `id` was the head.
-                match next {
-                    Some(nx) => {
-                        self.inverted.insert(vertex, nx);
-                    }
-                    None => {
-                        self.inverted.remove(&vertex);
-                    }
-                }
-            }
+    /// Takes the subgraph at `id` out of the posting list of every vertex on
+    /// its path.
+    fn unpost(&mut self, id: NodeId) {
+        let mut cur = id;
+        while cur != NodeId::ROOT {
+            let n = self.node(cur);
+            let (v, parent) = (n.vertex, n.parent);
+            let at = self
+                .postings
+                .get(v)
+                .binary_search_by(|&x| self.path_order(x, id))
+                .expect("a stored subgraph is filed under each of its vertices");
+            self.postings.remove(v, at);
+            cur = parent;
         }
-        if let Some(nx) = next {
-            self.nodes[nx.idx()].inv_prev = prev;
-        }
-        self.nodes[id.idx()].inv_prev = None;
-        self.nodes[id.idx()].inv_next = None;
     }
 
     /// Finds the tree node for the exact vertex path, whether or not it
@@ -356,10 +417,28 @@ impl SubgraphIndex {
                 }
             };
         }
-        if self.node(cur).info.is_none() {
+        // An overwrite is already filed. A new subgraph goes into each of
+        // its vertices' lists: at the end when it is the greatest, where a
+        // binary search puts it otherwise.
+        if self.node_mut(cur).info.replace(info).is_none() {
             self.len += 1;
+            let last = match self.greatest {
+                Some(greatest) => self.path_order(greatest, cur).is_lt(),
+                None => self.len == 1,
+            };
+            if last {
+                self.greatest = Some(cur);
+            }
+            for &v in vertices {
+                let list = self.postings.get(v);
+                let at = if last {
+                    list.len()
+                } else {
+                    list.partition_point(|&x| self.path_order(x, cur).is_lt())
+                };
+                self.postings.insert(v, at, cur);
+            }
         }
-        self.node_mut(cur).info = Some(info);
         cur
     }
 
@@ -377,6 +456,10 @@ impl SubgraphIndex {
     pub fn remove(&mut self, id: NodeId) {
         if self.node(id).info.is_some() {
             self.len -= 1;
+            self.unpost(id);
+            if self.greatest == Some(id) {
+                self.greatest = None;
+            }
         }
         self.node_mut(id).info = None;
         self.set_star(id, false);
@@ -394,7 +477,6 @@ impl SubgraphIndex {
             if !prune {
                 break;
             }
-            self.unlink_inverted(cur);
             let parent_node = &mut self.nodes[parent.idx()];
             if let Ok(pos) = parent_node
                 .children
@@ -421,17 +503,23 @@ impl SubgraphIndex {
     /// allocation, for callers that only need a slice.
     pub fn path_into(&self, id: NodeId, out: &mut Vec<VertexId>) {
         out.clear();
+        self.append_path(id, out);
+    }
+
+    /// Appends the vertices of `id` to `out`, ascending.
+    fn append_path(&self, id: NodeId, out: &mut Vec<VertexId>) {
         if let Some(path) = self.key_path(id) {
             out.extend(path.iter().map(|&v| VertexId(v)));
             return;
         }
+        let start = out.len();
         let mut cur = id;
         while cur != NodeId::ROOT {
             let n = self.node(cur);
             out.push(n.vertex);
             cur = n.parent;
         }
-        out.reverse();
+        out[start..].reverse();
     }
 
     /// The cardinality of the subgraph at `id`.
@@ -451,8 +539,8 @@ impl SubgraphIndex {
     /// deeper than the key width (callers fall back to materialising the
     /// vertex sets).
     ///
-    /// Every node caches its key, so this is a load: what the walks sort
-    /// their roots by, and what publication and the `*` list order by.
+    /// Every node caches its key, so this is a load: what the posting lists,
+    /// publication and the `*` list order by.
     pub fn path_key(&self, id: NodeId) -> Option<PathKey> {
         self.key_path(id).map(|_| self.node(id).key)
     }
@@ -590,91 +678,48 @@ impl SubgraphIndex {
         out
     }
 
-    /// The nodes labelled `v`: `v`'s inverted list.
-    fn inverted_list(&self, v: VertexId) -> impl Iterator<Item = NodeId> + '_ {
-        let head = self.inverted.get(&v).copied();
-        std::iter::successors(head, move |&id| self.node(id).inv_next)
-    }
-
     /// Writes all subgraphs containing vertex `a` or vertex `b` into `walk`,
-    /// each exactly once, in vertex-set order (Section 3.2.2's inverted
-    /// lists; the order argument is in the [module docs](self)).
+    /// each exactly once, in vertex-set order: the ordered union of the two
+    /// posting lists (Section 3.2.2; the order argument is in the
+    /// [module docs](self)).
     pub fn subgraphs_containing_either(&self, a: VertexId, b: VertexId, walk: &mut Walk) {
-        let (small, large) = (a.min(b), a.max(b));
-        let root_ids = self.inverted_list(small).chain(
-            self.inverted_list(large)
-                .filter(|&id| !self.contains_vertex(id, small)),
-        );
-        self.walk_roots(a, b, false, root_ids, walk);
+        assert!(a != b);
+        walk.clear();
+        let (mut la, mut lb) = (self.postings.get(a), self.postings.get(b));
+        loop {
+            let (id, contains_a, contains_b) = match (la.first(), lb.first()) {
+                (Some(&x), Some(&y)) if x == y => (x, true, true),
+                (Some(&x), Some(&y)) if self.path_order(x, y).is_gt() => (y, false, true),
+                (Some(&x), _) => (x, true, false),
+                (None, Some(&y)) => (y, false, true),
+                (None, None) => break,
+            };
+            if contains_a {
+                la = &la[1..];
+            }
+            if contains_b {
+                lb = &lb[1..];
+            }
+            walk.push(self, id, contains_a, contains_b);
+        }
     }
 
     /// Writes all subgraphs containing both `a` and `b` into `walk`, each
-    /// exactly once, in vertex-set order: the subtrees of the nodes labelled
-    /// with the larger vertex that have the smaller one among their
-    /// ancestors (Section 3.2.2; paths ascend).
+    /// exactly once, in vertex-set order: the ordered intersection of the
+    /// two posting lists, as the shorter one's entries that contain the
+    /// other endpoint (Section 3.2.2).
     pub fn subgraphs_containing_both(&self, a: VertexId, b: VertexId, walk: &mut Walk) {
-        let (small, large) = (a.min(b), a.max(b));
-        let root_ids = self
-            .inverted_list(large)
-            .filter(|&id| self.contains_vertex(id, small));
-        self.walk_roots(a, b, true, root_ids, walk);
-    }
-
-    /// Sorts the subtree roots `root_ids` and walks each in preorder,
-    /// children ascending, into `walk`'s entries. `below_small` says every
-    /// root has the smaller endpoint on its path.
-    fn walk_roots(
-        &self,
-        a: VertexId,
-        b: VertexId,
-        below_small: bool,
-        root_ids: impl Iterator<Item = NodeId>,
-        walk: &mut Walk,
-    ) {
         assert!(a != b);
-        let (small, large) = (a.min(b), a.max(b));
-        let Walk {
-            entries,
-            paths,
-            roots,
-            stack,
-            path,
-        } = walk;
-        entries.clear();
-        paths.clear();
-        roots.clear();
-        roots.extend(root_ids.map(|id| (self.node(id).key, id)));
-        // Keys hold a path's first `PATH_KEY_WIDTH` vertices, so they order
-        // any two paths except where both reach past the width with the
-        // same head; only then are the paths themselves compared.
-        roots.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| self.path_order(x.1, y.1)));
-        for &(_, root) in roots.iter() {
-            let has_small = below_small || self.node(root).vertex == small;
-            self.path_into(root, path);
-            stack.push((root, self.node(root).vertex == large));
-            while let Some((id, has_large)) = stack.pop() {
-                let n = self.node(id);
-                path.truncate(n.depth as usize - 1);
-                path.push(n.vertex);
-                if n.info.is_some() {
-                    let (contains_a, contains_b) = if a == small {
-                        (has_small, has_large)
-                    } else {
-                        (has_large, has_small)
-                    };
-                    let start = paths.len() as u32;
-                    paths.extend_from_slice(path);
-                    entries.push(Affected {
-                        id,
-                        contains_a,
-                        contains_b,
-                        path: (start, paths.len() as u32),
-                    });
-                }
-                // Reversed, so that the smallest child is popped first.
-                for &(v, child) in n.children.iter().rev() {
-                    stack.push((child, has_large || v == large));
-                }
+        walk.clear();
+        let (la, lb) = (self.postings.get(a), self.postings.get(b));
+        let (list, other) = if la.len() <= lb.len() {
+            (la, b)
+        } else {
+            (lb, a)
+        };
+        for &id in list {
+            if self.contains_vertex(id, other) {
+                walk.push(self, id, true, true);
             }
         }
     }
@@ -703,18 +748,16 @@ impl SubgraphIndex {
     }
 
     /// Internal consistency check used by tests: every node's cached key is
-    /// its parent's path plus its own vertex, inverted lists reference
-    /// exactly the in-use nodes with the corresponding vertex label, the
-    /// subgraph count matches, and star markers refer to stored subgraphs and
-    /// are listed once each, in vertex-set order.
+    /// its parent's path plus its own vertex, each vertex's posting list is
+    /// exactly the stored subgraphs containing it, strictly ascending in
+    /// vertex-set order, the subgraph count matches, and star markers refer
+    /// to stored subgraphs and are listed once each, in vertex-set order.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let (mut info_count, mut stars) = (0usize, 0usize);
-        let mut labelled: FxHashMap<VertexId, usize> = FxHashMap::default();
+        let (mut info_count, mut stars, mut memberships) = (0usize, 0usize, 0usize);
         for (i, n) in self.nodes.iter().enumerate() {
             if !n.in_use || i == 0 {
                 continue;
             }
-            *labelled.entry(n.vertex).or_insert(0) += 1;
             let parent = &self.nodes[n.parent.idx()];
             let mut key = parent.key;
             if let Some(at) = key.get_mut(n.depth as usize - 1) {
@@ -725,6 +768,7 @@ impl SubgraphIndex {
             }
             if n.info.is_some() {
                 info_count += 1;
+                memberships += n.depth as usize;
             }
             if n.star && n.info.is_none() {
                 return Err(format!("star marker on info-less node {i}"));
@@ -756,44 +800,31 @@ impl SubgraphIndex {
         {
             return Err("star list out of vertex-set order".to_string());
         }
-        // Walk each inverted list and count membership.
-        for (&v, &head) in &self.inverted {
-            let mut count = 0usize;
-            let mut cur = Some(head);
-            let mut prev: Option<NodeId> = None;
-            while let Some(id) = cur {
+        // Every entry is a stored subgraph containing the list's vertex, no
+        // list holds one twice (strictly ascending), and there are as many
+        // entries as stored (subgraph, vertex) memberships: so each list holds
+        // every subgraph containing its vertex.
+        let mut filed = 0usize;
+        for v in (0..self.postings.spans.len() as u32).map(VertexId) {
+            let list = self.postings.get(v);
+            for &id in list {
                 let n = &self.nodes[id.idx()];
-                if !n.in_use {
-                    return Err(format!("inverted list of {v} references a freed node"));
+                if !n.in_use || n.info.is_none() {
+                    return Err(format!("posting list of {v} holds {id:?}, not a subgraph"));
                 }
-                if n.vertex != v {
-                    return Err(format!(
-                        "inverted list of {v} contains a node labelled {}",
-                        n.vertex
-                    ));
-                }
-                if n.inv_prev != prev {
-                    return Err(format!("broken back-link in inverted list of {v}"));
-                }
-                prev = Some(id);
-                cur = n.inv_next;
-                count += 1;
-                if count > self.nodes.len() {
-                    return Err(format!("cycle in inverted list of {v}"));
+                if !self.contains_vertex(id, v) {
+                    return Err(format!("posting list of {v} holds {id:?}, without {v}"));
                 }
             }
-            let expected = labelled.get(&v).copied().unwrap_or(0);
-            if count != expected {
-                return Err(format!(
-                    "inverted list of {v} has {count} nodes, expected {expected}"
-                ));
+            if list.windows(2).any(|w| self.path_order(w[0], w[1]).is_ge()) {
+                return Err(format!("posting list of {v} out of vertex-set order"));
             }
+            filed += list.len();
         }
-        // Every labelled vertex must have an inverted list.
-        for (&v, &expected) in &labelled {
-            if expected > 0 && !self.inverted.contains_key(&v) {
-                return Err(format!("missing inverted list for {v}"));
-            }
+        if filed != memberships {
+            return Err(format!(
+                "{filed} posting-list entries for {memberships} memberships"
+            ));
         }
         Ok(())
     }
@@ -871,7 +902,6 @@ mod tests {
         let mut walk = Walk::default();
         index.subgraphs_containing_both(VertexId(a), VertexId(b), &mut walk); // stale content is cleared
         index.subgraphs_containing_either(VertexId(a), VertexId(b), &mut walk);
-        assert!(walk.stack.is_empty());
         walk.entries().iter().map(|e| e.id).collect()
     }
 
@@ -880,7 +910,6 @@ mod tests {
         let mut walk = Walk::default();
         index.subgraphs_containing_either(VertexId(a), VertexId(b), &mut walk);
         index.subgraphs_containing_both(VertexId(a), VertexId(b), &mut walk);
-        assert!(walk.stack.is_empty());
         walk.entries()
             .iter()
             .map(|e| index.vertices(e.id))
@@ -899,46 +928,27 @@ mod tests {
         path
     }
 
-    /// What the engine ran before the walks were ordered, kept as their
-    /// oracle: Section 3.2.2's traversals in arena order — the subtrees of
-    /// the larger endpoint's nodes (with the smaller one above, for `both`),
-    /// then the smaller's stopping at the larger — sorted by vertex set.
-    fn collect_then_sort(
-        index: &SubgraphIndex,
-        a: VertexId,
-        b: VertexId,
-        both: bool,
-    ) -> Vec<NodeId> {
-        let (small, large) = (a.min(b), a.max(b));
-        let mut out = Vec::new();
-        let mut subtree = |root: NodeId, stop_at: Option<VertexId>| {
-            let mut stack = vec![root];
-            while let Some(id) = stack.pop() {
-                let n = index.node(id);
-                if id != root && Some(n.vertex) == stop_at {
-                    continue;
+    /// The walks' oracle, blind to the posting lists: every stored subgraph
+    /// whose vertex set contains `a` or `b` (`a` and `b` when `both`),
+    /// sorted by vertex set.
+    fn brute_force(index: &SubgraphIndex, a: VertexId, b: VertexId, both: bool) -> Vec<NodeId> {
+        let mut out: Vec<(VertexSet, NodeId)> = index
+            .iter()
+            .filter(|(_, set, _)| {
+                let (has_a, has_b) = (set.contains(a), set.contains(b));
+                if both {
+                    has_a && has_b
+                } else {
+                    has_a || has_b
                 }
-                if n.info.is_some() {
-                    out.push(id);
-                }
-                stack.extend(n.children.iter().map(|&(_, child)| child));
-            }
-        };
-        for id in index.inverted_list(large) {
-            if !both || parent_walk(index, index.node(id).parent).contains(&small) {
-                subtree(id, None);
-            }
-        }
-        if !both {
-            for id in index.inverted_list(small) {
-                subtree(id, Some(large));
-            }
-        }
-        out.sort_by_cached_key(|&id| parent_walk(index, id));
-        out
+            })
+            .map(|(id, set, _)| (set, id))
+            .collect();
+        out.sort();
+        out.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// Checks both walks for `(a, b)` against [`collect_then_sort`], and each
+    /// Checks both walks for `(a, b)` against [`brute_force`], and each
     /// entry's membership flags and path against the index's own answers
     /// and the parent pointers.
     fn check_walks(index: &SubgraphIndex, a: VertexId, b: VertexId, walk: &mut Walk) {
@@ -950,7 +960,7 @@ mod tests {
                 index.subgraphs_containing_either(a, b, walk);
             }
             let got: Vec<NodeId> = walk.entries().iter().map(|e| e.id).collect();
-            let want = collect_then_sort(index, a, b, both);
+            let want = brute_force(index, a, b, both);
             assert_eq!(got, want, "({a}, {b}), both = {both}");
             for entry in walk.entries() {
                 let truth = parent_walk(index, entry.id);
@@ -1046,14 +1056,14 @@ mod tests {
     }
 
     #[test]
-    fn walks_match_collect_then_sort_within_the_key() {
+    fn walks_match_brute_force_within_the_key() {
         walk_history(0x2545_f491_4f6c_dd1d, 12, 6, 1_500, |[x, y, _]| x & y);
     }
 
     #[test]
-    fn walks_match_collect_then_sort_past_the_key() {
-        // Half the sets share the head 0..=11, so roots past the key width
-        // tie on their keys and are ordered by their paths.
+    fn walks_match_brute_force_past_the_key() {
+        // Half the sets share the head 0..=11, so list entries past the key
+        // width tie on their keys and are ordered by their paths.
         walk_history(0x9e37_79b9_7f4a_7c15, 24, 16, 400, |[x, y, z]| {
             if z % 2 == 0 {
                 x | 0xfff
@@ -1148,6 +1158,40 @@ mod tests {
         assert!(index.find(&vs(&[1, 3, 4])).is_some());
         assert_eq!(index.len(), 2);
         index.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn overwrites_and_prefix_removals_file_each_subgraph_once() {
+        let mut index = SubgraphIndex::new();
+        let id134 = insert(&mut index, &[1, 3, 4], 1.0);
+        // {1, 3} is a structural node until it gains info.
+        let id13 = insert(&mut index, &[1, 3], 1.0);
+        assert_eq!(insert(&mut index, &[1, 3, 4], 2.0), id134);
+        assert_eq!(insert(&mut index, &[1, 3], 2.0), id13);
+        index.check_invariants().unwrap();
+        assert_eq!(index.postings.get(VertexId(1)), [id13, id134]);
+        assert_eq!(index.postings.get(VertexId(4)), [id134]);
+
+        // Removing the prefix keeps its node, which {1, 3, 4} hangs off.
+        index.remove(id13);
+        index.check_invariants().unwrap();
+        assert_eq!(index.postings.get(VertexId(1)), [id134]);
+        assert_eq!(index.postings.get(VertexId(3)), [id134]);
+        assert_eq!(insert(&mut index, &[1, 3], 3.0), id13);
+        index.check_invariants().unwrap();
+        assert_eq!(index.postings.get(VertexId(3)), [id13, id134]);
+
+        // The check notices a list out of order, one holding a subgraph
+        // twice, and one missing a subgraph.
+        let v = VertexId(3);
+        let mut broken = [index.clone(), index.clone(), index.clone()];
+        broken[0].postings.remove(v, 0);
+        broken[0].postings.insert(v, 1, id13);
+        broken[1].postings.insert(v, 2, id134);
+        broken[2].postings.remove(v, 0);
+        for broken in broken {
+            assert!(broken.check_invariants().is_err());
+        }
     }
 
     #[test]

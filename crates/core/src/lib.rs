@@ -16,8 +16,8 @@
 //! ## Crate layout
 //!
 //! * [`engine`] — the update-processing algorithm (Algorithms 1 & 2).
-//! * [`index`] — the prefix-tree dense subgraph index with embedded inverted
-//!   lists and the `ImplicitTooDense` markers (Section 3.2).
+//! * [`index`] — the prefix-tree dense subgraph index with per-vertex
+//!   posting lists and the `ImplicitTooDense` markers (Section 3.2).
 //! * [`heuristics`] — the MaxExplore and DegreePrioritize prunings (Section 7).
 //! * [`snapshot`] — versioned binary snapshot/restore of the full engine
 //!   state, the substrate of the sharded subsystem's crash recovery.

@@ -1,8 +1,8 @@
 //! A fast, non-cryptographic hasher for small-integer keys.
 //!
 //! The workspace keeps many hash maps keyed by [`VertexId`](crate::VertexId)
-//! or pairs of them (the subgraph index's inverted-list heads, co-occurrence
-//! trackers, workload weight books). The default SipHash hasher of the standard library
+//! or pairs of them (co-occurrence trackers, workload weight books). The
+//! default SipHash hasher of the standard library
 //! is robust against HashDoS but noticeably slow for 4-byte integer keys, so we
 //! provide a small multiply-and-rotate hasher in the spirit of the widely used
 //! "Fx" family. The implementation below is written from scratch; it is *not*

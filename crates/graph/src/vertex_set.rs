@@ -68,13 +68,6 @@ impl VertexSet {
         self.vertices.iter().copied()
     }
 
-    /// The lexicographically largest vertex, if any. This is the vertex under
-    /// whose inverted list the subgraph is filed in the dense subgraph index.
-    #[inline]
-    pub fn max_vertex(&self) -> Option<VertexId> {
-        self.vertices.last().copied()
-    }
-
     /// Returns a new set with `v` added (no-op if already present).
     pub fn with(&self, v: VertexId) -> Self {
         match self.vertices.binary_search(&v) {
@@ -188,7 +181,6 @@ mod tests {
         assert_eq!(s.as_slice(), &[VertexId(1), VertexId(3), VertexId(5)]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        assert_eq!(s.max_vertex(), Some(VertexId(5)));
     }
 
     #[test]
