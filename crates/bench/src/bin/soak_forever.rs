@@ -68,10 +68,11 @@ use std::time::Instant;
 
 use dyndens_core::DynDensConfig;
 use dyndens_density::AvgWeight;
-use dyndens_graph::{EdgeUpdate, VertexId, VertexSet};
+use dyndens_graph::{EdgeUpdate, VertexId};
 use dyndens_obs::{names, ObsEvent, Registry};
 use dyndens_shard::{FsyncPolicy, PersistenceConfig, ShardConfig, ShardFn, ShardedDynDens};
 use dyndens_stream::{ChiSquareCorrelation, EdgeUpdateGenerator, Post};
+use dyndens_workloads::oracle::sorted_bits;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -165,11 +166,6 @@ fn wal_bytes(root: &std::path::Path) -> u64 {
         }
     }
     total
-}
-
-fn sorted_bits(mut sets: Vec<(VertexSet, f64)>) -> Vec<(VertexSet, u64)> {
-    sets.sort_by(|a, b| a.0.cmp(&b.0));
-    sets.into_iter().map(|(s, d)| (s, d.to_bits())).collect()
 }
 
 /// One post of the rolling-story workload: 3 distinct entities of one of the

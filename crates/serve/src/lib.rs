@@ -26,8 +26,10 @@
 //! The server multiplexes every connection onto a small fixed pool of
 //! readiness event loops (unix only: [`StoryServer`] needs a readiness
 //! poller; [`Client`], [`Mirror`], [`protocol`] and [`net`] are portable).
-//! Request types are chosen around what the epoch-pointer design makes
-//! cheap:
+//! Each loop attaches one publication waker to the fleet, which covers every
+//! shard across splits and merges, and decodes each request frame once
+//! before dispatching it. Request types are chosen around what the
+//! epoch-pointer design makes cheap:
 //!
 //! * [`Request::TopK`] — the merged current stories, densest first, with
 //!   entity names when the server has a [`NameTable`].
@@ -92,8 +94,6 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
-#[cfg(unix)]
-mod evented;
 pub mod net;
 #[cfg(unix)]
 mod poller;

@@ -69,7 +69,7 @@ const FILL_CHUNK: usize = 16 * 1024;
 /// events. `FrameBuffer` splits the work into [`fill_from`](Self::fill_from)
 /// (one `read` call, appending whatever arrived) and
 /// [`next_frame`](Self::next_frame) (pops one complete, CRC-verified frame if
-/// buffered). Both the evented server and the client's non-blocking
+/// buffered). Both the server's event loops and the client's non-blocking
 /// `try_next` path use it; framing errors carry the same `io::ErrorKind`s as
 /// [`read_frame`].
 #[derive(Debug, Default)]

@@ -1,28 +1,60 @@
 //! The story server: a std-only TCP front-end over a [`StoryView`].
 //!
-//! One backend behind the [`ServerBuilder`]: a readiness event loop
-//! multiplexing every connection onto a small fixed worker pool, with
-//! non-blocking per-connection read/write state machines, bounded write
-//! queues with slow-reader eviction, and protocol-v3 push subscriptions
-//! fanning `DeltaRing` micro-batches out to every subscriber the moment a
-//! shard publishes (see the `evented` module). It needs a readiness poller,
-//! so the server is unix-only; the client side of the crate is portable.
+//! ## Shape
+//!
+//! One blocking accept thread admits connections (enforcing
+//! `max_connections`) and deals them round-robin to `workers` event-loop
+//! threads through per-loop inboxes. Each loop owns its connections outright
+//! — no cross-loop locking on the serving path — and runs a classic
+//! readiness loop over a `poll`/`epoll` poller: non-blocking reads feed an
+//! incremental frame buffer, each complete frame is decoded once and
+//! answered, and responses go out through a bounded per-connection write
+//! queue drained on writability. The loops need a readiness poller, so the
+//! server is unix-only; the client side of the crate is portable.
 //!
 //! All request handling is read-only over the shards' published epochs, so a
 //! server never blocks ingest for more than an epoch-pointer clone.
+//!
+//! ## Push fan-out
+//!
+//! Each loop attaches its own [`PublishWaker`] to the fleet once, through
+//! [`StoryView::watch`]: every shard publication and every split/merge
+//! roster swap, on every shard the fleet has or will have, writes one byte
+//! into each loop's waker pipe. A woken loop runs a fan-out pass: for every
+//! subscribed connection it builds the `Push` frame covering the
+//! subscriber's cursor from the shards' delta rings — deltas when retention
+//! covers the cursor, resync snapshots when not — advances the cursor, and
+//! enqueues the frame. Subscribers at the same cursor share one encoded
+//! frame (`Arc`'d into each write queue), so a ten-thousand-subscriber
+//! fan-out encodes each micro-batch once per loop, not once per subscriber.
+//!
+//! ## Slow readers
+//!
+//! A connection whose queued-but-unsent bytes would exceed
+//! `write_queue_bytes` is evicted: queued frames are dropped (the partially
+//! written head frame is kept so framing stays intact), a final typed
+//! [`ErrorCode::SlowConsumer`] error is enqueued, and the connection closes
+//! once it drains. One laggard can therefore delay nobody and pin at most
+//! one write queue of memory.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dyndens_obs::{names, Counter, Histogram, ObsEvent, ObsHandle};
-use dyndens_shard::{DeltaCatchUp, StoryView};
+use dyndens_obs::{names, Counter, Gauge, Histogram, ObsEvent, ObsHandle};
+use dyndens_shard::{DeltaCatchUp, PublishWaker, StoryView};
 
-use crate::evented::EventedBackend;
+use crate::net::FrameBuffer;
+use crate::poller::{Event, Interest, Poller};
 use crate::protocol::{
-    DecodeFailure, ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat, WireStory,
+    frame_message, DecodeFailure, ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat,
+    WireStory,
 };
 
 /// A shared, swappable vertex → entity-name table.
@@ -53,10 +85,10 @@ impl NameTable {
     }
 }
 
-/// The request kinds the per-type serving metrics are labelled with, in
-/// [`request_kind`] index order. `error` is the pseudo-kind for frames whose
-/// payload failed to decode into any request.
-pub(crate) const REQUEST_KINDS: &[&str] = &[
+/// The request kinds the per-type serving metrics are labelled with, in the
+/// index order of [`EventLoop::handle_frame`]'s dispatch. `error` is the
+/// pseudo-kind for frames whose payload failed to decode into any request.
+const REQUEST_KINDS: &[&str] = &[
     "top_k",
     "poll",
     "stats",
@@ -65,56 +97,42 @@ pub(crate) const REQUEST_KINDS: &[&str] = &[
     "unsubscribe",
     "error",
 ];
-pub(crate) const REQ_SUBSCRIBE: usize = 4;
-pub(crate) const REQ_UNSUBSCRIBE: usize = 5;
-pub(crate) const REQ_ERROR: usize = 6;
-
-pub(crate) fn request_kind(request: &Request) -> usize {
-    match request {
-        Request::TopK { .. } => 0,
-        Request::Poll { .. } => 1,
-        Request::Stats => 2,
-        Request::Metrics => 3,
-        Request::Subscribe { .. } => 4,
-        Request::Unsubscribe => 5,
-    }
-}
 
 /// State shared between the accept thread, the event loops and the facade.
 #[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) view: StoryView,
-    pub(crate) names: NameTable,
-    pub(crate) shutdown: AtomicBool,
+struct Shared {
+    view: StoryView,
+    names: NameTable,
+    shutdown: AtomicBool,
     /// Live connections; the accept guard that enforces `max_connections`.
-    pub(crate) live_conns: AtomicUsize,
+    live_conns: AtomicUsize,
     /// Hard accept bound: a connection beyond it is counted rejected and
     /// closed without a handshake.
-    pub(crate) max_connections: usize,
+    max_connections: usize,
     /// Per-connection write-queue bound, bytes; a connection whose
     /// queued-but-unsent bytes would exceed it is evicted as a slow reader.
-    pub(crate) write_queue_bytes: usize,
+    write_queue_bytes: usize,
     /// Currently registered push subscribers.
-    pub(crate) subscribers: AtomicU64,
+    subscribers: AtomicU64,
     /// The [`ServeStats`] cells. `Arc`'d so an enabled registry reads the
     /// very same cells through its adopted counter series — the serving hot
     /// path never double-counts.
-    pub(crate) requests_served: Arc<AtomicU64>,
-    pub(crate) conns_accepted: Arc<AtomicU64>,
-    pub(crate) conns_severed: Arc<AtomicU64>,
-    pub(crate) resyncs_served: Arc<AtomicU64>,
-    pub(crate) error_replies: Arc<AtomicU64>,
-    pub(crate) conns_rejected: Arc<AtomicU64>,
-    pub(crate) pushes_sent: Arc<AtomicU64>,
-    pub(crate) slow_evictions: Arc<AtomicU64>,
-    pub(crate) obs: ObsHandle,
+    requests_served: Arc<AtomicU64>,
+    conns_accepted: Arc<AtomicU64>,
+    conns_severed: Arc<AtomicU64>,
+    resyncs_served: Arc<AtomicU64>,
+    error_replies: Arc<AtomicU64>,
+    conns_rejected: Arc<AtomicU64>,
+    pushes_sent: Arc<AtomicU64>,
+    slow_evictions: Arc<AtomicU64>,
+    obs: ObsHandle,
     /// Pre-registered per-request-type `(requests, latency)` handles,
     /// indexed like [`REQUEST_KINDS`]; present iff `obs` is enabled.
-    pub(crate) req_obs: Option<Vec<(Counter, Histogram)>>,
+    req_obs: Option<Vec<(Counter, Histogram)>>,
 }
 
 impl Shared {
-    pub(crate) fn serve_stats(&self) -> ServeStats {
+    fn serve_stats(&self) -> ServeStats {
         ServeStats {
             requests_served: self.requests_served.load(Ordering::Relaxed),
             conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
@@ -130,7 +148,7 @@ impl Shared {
     /// Applies the accept-time admission policy: under the bound, the
     /// connection is counted live and assigned an id; at the bound it is
     /// counted rejected and the caller must drop it.
-    pub(crate) fn admit(&self) -> Option<u64> {
+    fn admit(&self) -> Option<u64> {
         if self.live_conns.load(Ordering::Relaxed) >= self.max_connections {
             self.conns_rejected.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -141,6 +159,155 @@ impl Shared {
             registry.emit(ObsEvent::ConnAccepted { conn: conn_id });
         }
         Some(conn_id)
+    }
+
+    /// Answers `TopK`: the merged current stories, named when the table has
+    /// names.
+    fn top_k(&self, k: u32) -> Response {
+        let merged = self.view.snapshot();
+        let names = self.names.load();
+        let stories = merged
+            .stories
+            .into_iter()
+            .take(k as usize)
+            .map(|(vertices, density)| {
+                let entities = if names.is_empty() {
+                    Vec::new()
+                } else {
+                    vertices
+                        .iter()
+                        .map(|v| {
+                            names
+                                .get(v.index())
+                                .cloned()
+                                .unwrap_or_else(|| format!("entity#{v}"))
+                        })
+                        .collect()
+                };
+                WireStory {
+                    vertices,
+                    density,
+                    entities,
+                }
+            })
+            .collect();
+        Response::Stories {
+            per_shard_seq: merged.per_shard_seq,
+            stories,
+        }
+    }
+
+    /// Answers `Poll` from the reader's cursor.
+    fn poll(&self, since: Vec<u64>) -> Response {
+        let n_shards = self.view.n_shards();
+        // A cursor whose length disagrees with the current topology is a
+        // reader from before a shard split (or from another deployment):
+        // treat it as the bootstrap cursor. The reply's `n_shards` tells the
+        // client the new topology and its per-shard entries rebase every
+        // slot — the clean-resync path pollers take after a split, with no
+        // error round-trip.
+        let mut cursor = if since.len() == n_shards {
+            since
+        } else {
+            vec![0; n_shards]
+        };
+        let entries = self.poll_entries(&mut cursor);
+        Response::Poll {
+            n_shards: n_shards as u32,
+            entries,
+        }
+    }
+
+    /// Answers `Stats`: the merged work ledger, the serving counters and
+    /// per-shard serving health.
+    fn stats(&self) -> Response {
+        let view = &self.view;
+        let shards = (0..view.n_shards())
+            .map(|shard| {
+                let snapshot = view.shard_snapshot(shard);
+                ShardStat {
+                    shard: shard as u32,
+                    seq: snapshot.seq,
+                    output_dense: snapshot.output_dense as u64,
+                    delta_coverage_from: view.delta_coverage_from(shard),
+                }
+            })
+            .collect();
+        Response::Stats {
+            stats: view.stats(),
+            serve: self.serve_stats(),
+            shards,
+        }
+    }
+
+    /// Answers `Metrics`: a snapshot of the attached registry (empty when
+    /// the server is not instrumented).
+    fn metrics(&self) -> Response {
+        Response::Metrics {
+            registry: self
+                .obs
+                .registry()
+                .map(|registry| registry.snapshot())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Builds the poll entries for every shard past `cursor` (shared by the
+    /// `Poll` handler and the push fan-out): deltas when retention covers
+    /// the cursor, a resync snapshot when it does not. Advances
+    /// `cursor[shard]` to the sequence each entry catches the reader up to
+    /// and maintains the resync counter and journal.
+    fn poll_entries(&self, cursor: &mut [u64]) -> Vec<ShardPoll> {
+        let view = &self.view;
+        let mut entries = Vec::new();
+        for (shard, slot) in cursor.iter_mut().enumerate() {
+            let since_seq = *slot;
+            // The cheap path: one atomic load decides whether the shard has
+            // anything at all for this reader.
+            if view.shard_seq(shard) <= since_seq {
+                continue;
+            }
+            match view.deltas_since(shard, since_seq) {
+                DeltaCatchUp::Current => {}
+                DeltaCatchUp::Events { to_seq, events } => {
+                    entries.push(ShardPoll::Deltas {
+                        shard: shard as u32,
+                        from_seq: since_seq,
+                        to_seq,
+                        events,
+                    });
+                    *slot = to_seq;
+                }
+                DeltaCatchUp::Resync => {
+                    self.resyncs_served.fetch_add(1, Ordering::Relaxed);
+                    if let Some(registry) = self.obs.registry() {
+                        registry.emit(ObsEvent::PollResync {
+                            shard: shard as u32,
+                        });
+                    }
+                    let snapshot = view.shard_snapshot(shard);
+                    entries.push(ShardPoll::Resync {
+                        shard: shard as u32,
+                        seq: snapshot.seq,
+                        stories: snapshot.top_stories.clone(),
+                    });
+                    *slot = snapshot.seq;
+                }
+            }
+        }
+        entries
+    }
+}
+
+fn error_response(failure: &DecodeFailure) -> Response {
+    let code = match failure {
+        DecodeFailure::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
+        DecodeFailure::UnknownTag(_) => ErrorCode::UnknownTag,
+        DecodeFailure::Malformed(_) => ErrorCode::Malformed,
+    };
+    Response::Error {
+        code,
+        message: failure.to_string(),
     }
 }
 
@@ -218,6 +385,9 @@ impl ServerBuilder {
     }
 
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving.
+    /// The server's [`names`](StoryServer::names) table starts empty;
+    /// publish the ingest side's entity names into it to serve named
+    /// stories.
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<StoryServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -271,12 +441,36 @@ impl ServerBuilder {
             obs: self.obs,
             req_obs,
         });
-        let backend = EventedBackend::start(listener, Arc::clone(&shared), self.workers)?;
-        Ok(StoryServer {
+
+        // Threads join into `server` as they start, so a failure part-way
+        // through drops it and its `Drop` stops and joins them.
+        let mut server = StoryServer {
             local_addr,
-            shared,
-            backend,
-        })
+            shared: Arc::clone(&shared),
+            accept: None,
+            loops: Vec::with_capacity(self.workers),
+        };
+        let mut dispatch = Vec::with_capacity(self.workers);
+        for idx in 0..self.workers {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            let waker = Arc::new(LoopWaker { tx });
+            let publish_waker: Arc<dyn PublishWaker> = waker.clone();
+            shared.view.watch(&publish_waker);
+            let inbox: Inbox = Arc::default();
+            dispatch.push((Arc::clone(&inbox), Arc::clone(&waker)));
+            let mut event_loop = EventLoop::new(rx, inbox, Arc::clone(&shared))?;
+            let thread = std::thread::Builder::new()
+                .name(format!("dyndens-serve-loop-{idx}"))
+                .spawn(move || event_loop.run())?;
+            server.loops.push((waker, thread));
+        }
+        let accept = std::thread::Builder::new()
+            .name("dyndens-serve-accept".into())
+            .spawn(move || accept_loop(listener, shared, dispatch))?;
+        server.accept = Some(accept);
+        Ok(server)
     }
 }
 
@@ -286,31 +480,17 @@ impl ServerBuilder {
 pub struct StoryServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    backend: EventedBackend,
+    accept: Option<JoinHandle<()>>,
+    /// Each event loop's waker and thread. The wakers' strong counts live
+    /// here: the fleet holds them weakly, so dropping the server detaches
+    /// the fan-out hook.
+    loops: Vec<(Arc<LoopWaker>, JoinHandle<()>)>,
 }
 
 impl StoryServer {
     /// Starts configuring a server over `view`; see [`ServerBuilder`].
     pub fn builder(view: StoryView) -> ServerBuilder {
         ServerBuilder::new(view)
-    }
-
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `view` with default settings (no instrumentation). The returned
-    /// server's [`names`](StoryServer::names) table starts empty; publish the
-    /// ingest side's entity names into it to serve named stories.
-    pub fn bind(addr: impl ToSocketAddrs, view: StoryView) -> io::Result<StoryServer> {
-        Self::builder(view).bind(addr)
-    }
-
-    /// Like [`bind`](StoryServer::bind), but instrumented; shorthand for
-    /// `builder(view).obs(obs).bind(addr)`.
-    pub fn bind_with_obs(
-        addr: impl ToSocketAddrs,
-        view: StoryView,
-        obs: ObsHandle,
-    ) -> io::Result<StoryServer> {
-        Self::builder(view).obs(obs).bind(addr)
     }
 
     /// The address the server is listening on.
@@ -353,179 +533,590 @@ impl Drop for StoryServer {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept call with a throwaway connection to ourselves.
         let _ = TcpStream::connect(self.local_addr);
-        self.backend.shutdown();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+        for (waker, _) in &self.loops {
+            waker.wake();
+        }
+        for (_, thread) in self.loops.drain(..) {
+            let _ = thread.join();
+        }
     }
 }
 
-/// Decodes one request payload and answers it, maintaining the request
-/// counters and per-type latency metrics. The event loops route plain
-/// request/response traffic through here and intercept
-/// `Subscribe`/`Unsubscribe` before calling it.
-pub(crate) fn process_request(payload: &[u8], shared: &Shared) -> Response {
-    let started = shared.req_obs.is_some().then(Instant::now);
-    let (kind, response) = match Request::decode(payload) {
-        Ok(request) => (request_kind(&request), handle_request(&request, shared)),
-        // An intact frame with an undecodable payload: the stream is
-        // still synchronised, so report the problem and keep serving.
-        Err(failure) => (REQ_ERROR, error_response(&failure)),
-    };
-    if matches!(response, Response::Error { .. }) {
-        shared.error_replies.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.requests_served.fetch_add(1, Ordering::Relaxed);
-    if let (Some(req_obs), Some(started)) = (shared.req_obs.as_ref(), started) {
-        let (requests, latency) = &req_obs[kind];
-        requests.inc();
-        latency.record_micros(started.elapsed());
-    }
-    response
+/// Wakes one loop thread by writing a byte into its waker pipe: on every
+/// fleet publication, on every admitted connection, and at shutdown.
+/// Non-blocking on the write side: a full pipe already means a wakeup is
+/// pending, which is all a level-triggered edge signal needs.
+#[derive(Debug)]
+struct LoopWaker {
+    tx: UnixStream,
 }
 
-pub(crate) fn error_response(failure: &DecodeFailure) -> Response {
-    let code = match failure {
-        DecodeFailure::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
-        DecodeFailure::UnknownTag(_) => ErrorCode::UnknownTag,
-        DecodeFailure::Malformed(_) => ErrorCode::Malformed,
-    };
-    Response::Error {
-        code,
-        message: failure.to_string(),
+impl PublishWaker for LoopWaker {
+    fn wake(&self) {
+        let _ = (&self.tx).write(&[1u8]);
     }
 }
 
-/// Builds the poll entries for every shard past `since` (shared by the
-/// `Poll` handler and the push fan-out): deltas when retention covers the
-/// cursor, a resync snapshot when it does not. Advances `cursor[shard]` to
-/// the sequence each entry catches the reader up to and maintains the resync
-/// counter and journal.
-pub(crate) fn poll_entries(shared: &Shared, cursor: &mut [u64]) -> Vec<ShardPoll> {
-    let view = &shared.view;
-    let mut entries = Vec::new();
-    for (shard, slot) in cursor.iter_mut().enumerate() {
-        let since_seq = *slot;
-        // The cheap path: one atomic load decides whether the shard has
-        // anything at all for this reader.
-        if view.shard_seq(shard) <= since_seq {
+/// A connection freshly admitted by the accept thread, en route to a loop.
+type Admitted = (TcpStream, u64);
+
+/// A loop's queue of admitted connections, filled by the accept thread.
+type Inbox = Arc<Mutex<Vec<Admitted>>>;
+
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, dispatch: Vec<(Inbox, Arc<LoopWaker>)>) {
+    let mut next = 0usize;
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let Some(conn_id) = shared.admit() else {
+            // At the connection bound: close without touching a loop.
             continue;
+        };
+        let _ = stream.set_nodelay(true);
+        let (inbox, waker) = &dispatch[next % dispatch.len()];
+        next = next.wrapping_add(1);
+        inbox
+            .lock()
+            .expect("loop inbox poisoned")
+            .push((stream, conn_id));
+        waker.wake();
+    }
+}
+
+/// The loop's pre-registered metric handles (present iff obs is enabled).
+#[derive(Debug)]
+struct LoopObs {
+    wakeups: Counter,
+    fanout_us: Histogram,
+    subscribers: Gauge,
+}
+
+/// One connection's state machine: incremental read buffer, bounded write
+/// queue, optional subscription cursor.
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    id: u64,
+    rbuf: FrameBuffer,
+    /// Completed frames awaiting the socket, `Arc`'d so one fan-out frame is
+    /// shared across every subscriber's queue.
+    wq: VecDeque<Arc<Vec<u8>>>,
+    /// Bytes across all queued frames (including the partially sent head).
+    wq_bytes: usize,
+    /// Bytes of the head frame already written.
+    woff: usize,
+    /// The subscription cursor, present while the connection is subscribed.
+    cursor: Option<Vec<u64>>,
+    /// Set once the connection is condemned (slow-reader eviction): the
+    /// queue drains, then the socket closes.
+    closing: bool,
+    /// Whether the poller currently watches writability for this conn.
+    writable_interest: bool,
+}
+
+/// A memoised fan-out computation: subscribers sharing a cursor share the
+/// encoded frame and the advanced cursor. `frame` is `None` when the cursor
+/// is already current.
+struct CachedPush {
+    frame: Option<Arc<Vec<u8>>>,
+    new_cursor: Vec<u64>,
+}
+
+struct EventLoop {
+    shared: Arc<Shared>,
+    poller: Poller,
+    waker_rx: UnixStream,
+    inbox: Inbox,
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    obs: Option<LoopObs>,
+}
+
+/// Token 0 is the waker pipe; connection slots are offset by 1.
+const TOKEN_WAKER: usize = 0;
+
+impl EventLoop {
+    fn new(waker_rx: UnixStream, inbox: Inbox, shared: Arc<Shared>) -> io::Result<EventLoop> {
+        let obs = shared.obs.registry().map(|registry| LoopObs {
+            wakeups: registry.counter(names::SERVE_WAKEUPS_TOTAL, &[]),
+            fanout_us: registry.histogram(names::SERVE_FANOUT_LATENCY_US, &[]),
+            subscribers: registry.gauge(names::SERVE_SUBSCRIBERS, &[]),
+        });
+        Ok(EventLoop {
+            shared,
+            poller: Poller::new()?,
+            waker_rx,
+            inbox,
+            conns: Vec::new(),
+            free: Vec::new(),
+            obs,
+        })
+    }
+
+    fn run(&mut self) {
+        if self
+            .poller
+            .register(self.waker_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)
+            .is_err()
+        {
+            return;
         }
-        match view.deltas_since(shard, since_seq) {
-            DeltaCatchUp::Current => {}
-            DeltaCatchUp::Events { to_seq, events } => {
-                entries.push(ShardPoll::Deltas {
-                    shard: shard as u32,
-                    from_seq: since_seq,
-                    to_seq,
-                    events,
-                });
-                *slot = to_seq;
+        let mut events: Vec<Event> = Vec::new();
+        loop {
+            if self.poller.wait(&mut events, None).is_err() {
+                break;
             }
-            DeltaCatchUp::Resync => {
-                shared.resyncs_served.fetch_add(1, Ordering::Relaxed);
-                if let Some(registry) = shared.obs.registry() {
-                    registry.emit(ObsEvent::PollResync {
-                        shard: shard as u32,
-                    });
+            let mut woken = false;
+            for event in &events {
+                if event.token == TOKEN_WAKER {
+                    woken = true;
+                    continue;
                 }
-                let snapshot = view.shard_snapshot(shard);
-                entries.push(ShardPoll::Resync {
-                    shard: shard as u32,
-                    seq: snapshot.seq,
-                    stories: snapshot.top_stories.clone(),
-                });
-                *slot = snapshot.seq;
+                let slot = event.token - 1;
+                if event.readable {
+                    self.handle_readable(slot);
+                }
+                if event.writable {
+                    self.flush(slot);
+                }
+            }
+            if woken {
+                self.drain_waker();
+            }
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            if woken {
+                self.adopt_new_conns();
+                self.fan_out();
+            }
+        }
+        // Shutdown: close every connection this loop owns, releasing the
+        // live-connection count (none of these closes are severs).
+        for slot in 0..self.conns.len() {
+            self.close(slot, false);
+        }
+    }
+
+    fn drain_waker(&mut self) {
+        let mut sink = [0u8; 64];
+        loop {
+            match (&self.waker_rx).read(&mut sink) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // WouldBlock: drained
             }
         }
     }
-    entries
-}
 
-/// Answers one request against the view's current epochs.
-pub(crate) fn handle_request(request: &Request, shared: &Shared) -> Response {
-    let view = &shared.view;
-    match request {
-        Request::TopK { k } => {
-            let merged = view.snapshot();
-            let names = shared.names.load();
-            let stories = merged
-                .stories
-                .into_iter()
-                .take(*k as usize)
-                .map(|(vertices, density)| {
-                    let entities = if names.is_empty() {
-                        Vec::new()
-                    } else {
-                        vertices
-                            .iter()
-                            .map(|v| {
-                                names
-                                    .get(v.index())
-                                    .cloned()
-                                    .unwrap_or_else(|| format!("entity#{v}"))
-                            })
-                            .collect()
-                    };
-                    WireStory {
-                        vertices,
-                        density,
-                        entities,
-                    }
-                })
-                .collect();
-            Response::Stories {
-                per_shard_seq: merged.per_shard_seq,
-                stories,
+    fn adopt_new_conns(&mut self) {
+        let admitted: Vec<Admitted> =
+            std::mem::take(&mut *self.inbox.lock().expect("loop inbox poisoned"));
+        for (stream, id) in admitted {
+            if stream.set_nonblocking(true).is_err() {
+                self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+                continue;
             }
-        }
-        Request::Poll { since } => {
-            let n_shards = view.n_shards();
-            // A cursor whose length disagrees with the current topology is a
-            // reader from before a shard split (or from another deployment):
-            // treat it as the bootstrap cursor. The reply's `n_shards` tells
-            // the client the new topology and its per-shard entries rebase
-            // every slot — the clean-resync path pollers take after a split,
-            // with no error round-trip.
-            let mut cursor = if since.len() == n_shards {
-                since.clone()
-            } else {
-                vec![0; n_shards]
+            let slot = match self.free.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.conns.push(None);
+                    self.conns.len() - 1
+                }
             };
-            let entries = poll_entries(shared, &mut cursor);
-            Response::Poll {
-                n_shards: n_shards as u32,
-                entries,
+            if self
+                .poller
+                .register(stream.as_raw_fd(), slot + 1, Interest::READ)
+                .is_err()
+            {
+                self.free.push(slot);
+                self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+                continue;
             }
+            self.conns[slot] = Some(Conn {
+                stream,
+                id,
+                rbuf: FrameBuffer::new(),
+                wq: VecDeque::new(),
+                wq_bytes: 0,
+                woff: 0,
+                cursor: None,
+                closing: false,
+                writable_interest: false,
+            });
         }
-        Request::Stats => {
-            let stats = view.stats();
-            let shards = (0..view.n_shards())
-                .map(|shard| {
-                    let snapshot = view.shard_snapshot(shard);
-                    ShardStat {
-                        shard: shard as u32,
-                        seq: snapshot.seq,
-                        output_dense: snapshot.output_dense as u64,
-                        delta_coverage_from: view.delta_coverage_from(shard),
+    }
+
+    /// Reads until `WouldBlock` (level-triggered, so stopping early would
+    /// only defer to the next wakeup; draining now saves the syscalls),
+    /// handling every complete frame as it surfaces.
+    fn handle_readable(&mut self, slot: usize) {
+        loop {
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                return;
+            };
+            match conn.rbuf.fill_from(&mut conn.stream) {
+                Ok(0) => {
+                    // EOF: clean if no frame was torn mid-stream. A condemned
+                    // conn hanging up early is already accounted for.
+                    let torn = conn.rbuf.has_partial() && !conn.closing;
+                    self.close(slot, torn);
+                    return;
+                }
+                Ok(_) => {
+                    if self.process_frames(slot).is_err() {
+                        self.close(slot, true);
+                        return;
                     }
-                })
-                .collect();
-            Response::Stats {
-                stats,
-                serve: shared.serve_stats(),
-                shards,
+                    if self.conns.get(slot).is_none_or(Option::is_none) {
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(slot, true);
+                    return;
+                }
             }
         }
-        Request::Metrics => Response::Metrics {
-            registry: shared
-                .obs
-                .registry()
-                .map(|registry| registry.snapshot())
-                .unwrap_or_default(),
-        },
-        // The event loops intercept these before reaching here; a stray one
-        // is outside input and gets the typed refusal, never a panic.
-        Request::Subscribe { .. } | Request::Unsubscribe => Response::Error {
-            code: ErrorCode::Unsupported,
-            message: "push subscriptions are handled by the event loop".to_string(),
-        },
+    }
+
+    /// Answers every complete frame buffered on `slot`. An `Err` means the
+    /// stream desynchronised (framing/CRC) and must be severed.
+    fn process_frames(&mut self, slot: usize) -> Result<(), ()> {
+        loop {
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                return Ok(());
+            };
+            let payload = match conn.rbuf.next_frame() {
+                Ok(Some(payload)) => payload,
+                Ok(None) => return Ok(()),
+                Err(_) => return Err(()),
+            };
+            if conn.closing {
+                // A condemned connection's requests no longer matter; keep
+                // consuming frames (bounding the read buffer) while the
+                // severance drains, but answer nothing.
+                continue;
+            }
+            self.handle_frame(slot, &payload);
+        }
+    }
+
+    /// Answers one frame: decodes it once and dispatches on the request.
+    /// Subscription traffic changes this connection's state; everything else
+    /// reads the view. The request counters and per-type metrics of every
+    /// kind, undecodable payloads included, are recorded here.
+    fn handle_frame(&mut self, slot: usize, payload: &[u8]) {
+        let started = self.shared.req_obs.is_some().then(Instant::now);
+        // `kind` indexes REQUEST_KINDS.
+        let (kind, response) = match Request::decode(payload) {
+            Ok(Request::TopK { k }) => (0, self.shared.top_k(k)),
+            Ok(Request::Poll { since }) => (1, self.shared.poll(since)),
+            Ok(Request::Stats) => (2, self.shared.stats()),
+            Ok(Request::Metrics) => (3, self.shared.metrics()),
+            Ok(Request::Subscribe { since }) => (4, self.subscribe(slot, since)),
+            Ok(Request::Unsubscribe) => (5, self.unsubscribe(slot)),
+            // An intact frame with an undecodable payload: the stream is
+            // still synchronised, so report the problem and keep serving.
+            Err(failure) => (6, error_response(&failure)),
+        };
+        let shared = &self.shared;
+        if matches!(response, Response::Error { .. }) {
+            shared.error_replies.fetch_add(1, Ordering::Relaxed);
+        }
+        shared.requests_served.fetch_add(1, Ordering::Relaxed);
+        if let (Some(req_obs), Some(started)) = (shared.req_obs.as_ref(), started) {
+            let (requests, latency) = &req_obs[kind];
+            requests.inc();
+            latency.record_micros(started.elapsed());
+        }
+        let subscribed = matches!(response, Response::Subscribed { .. });
+        self.enqueue(
+            slot,
+            Arc::new(frame_message(|buf| response.encode_into(buf))),
+        );
+        if subscribed {
+            // Catch the subscriber up immediately: everything its cursor is
+            // already behind on goes out as the first push.
+            self.push_to(slot, &mut HashMap::new());
+        }
+    }
+
+    /// Registers (or re-bases) `slot`'s subscription cursor.
+    fn subscribe(&mut self, slot: usize, since: Vec<u64>) -> Response {
+        let n_shards = self.shared.view.n_shards();
+        let cursor = if since.len() == n_shards {
+            since
+        } else {
+            // Stale or bootstrap cursor: rebase every shard from 0; the
+            // catch-up push resyncs whatever retention no longer covers —
+            // the same contract as `Poll`.
+            vec![0; n_shards]
+        };
+        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+            if conn.cursor.replace(cursor).is_none() {
+                self.shared.subscribers.fetch_add(1, Ordering::Relaxed);
+                if let Some(registry) = self.shared.obs.registry() {
+                    registry.emit(ObsEvent::Subscribed { conn: conn.id });
+                }
+            }
+        }
+        self.publish_subscriber_gauge();
+        Response::Subscribed {
+            n_shards: n_shards as u32,
+        }
+    }
+
+    /// Drops `slot`'s subscription cursor. With the cursor gone no further
+    /// push can be enqueued, so the acknowledgement is the last subscription
+    /// frame on the wire, as the protocol promises.
+    fn unsubscribe(&mut self, slot: usize) -> Response {
+        let conn = self.conns.get_mut(slot).and_then(Option::as_mut);
+        if conn.is_some_and(|conn| conn.cursor.take().is_some()) {
+            self.shared.subscribers.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.publish_subscriber_gauge();
+        Response::Unsubscribed
+    }
+
+    fn publish_subscriber_gauge(&self) {
+        if let Some(obs) = &self.obs {
+            obs.subscribers
+                .set(self.shared.subscribers.load(Ordering::Relaxed));
+        }
+    }
+
+    /// One fan-out pass: push to every subscribed connection whose cursor a
+    /// shard has published past. Runs after every wakeup; a pass that finds
+    /// nothing new costs one atomic load per shard per subscriber.
+    fn fan_out(&mut self) {
+        let started = self.obs.is_some().then(Instant::now);
+        let mut cache: HashMap<Vec<u64>, CachedPush> = HashMap::new();
+        let mut any = false;
+        for slot in 0..self.conns.len() {
+            let subscribed = self
+                .conns
+                .get(slot)
+                .and_then(Option::as_ref)
+                .is_some_and(|c| c.cursor.is_some() && !c.closing);
+            if subscribed {
+                any = true;
+                self.push_to(slot, &mut cache);
+            }
+        }
+        if let Some(obs) = &self.obs {
+            obs.wakeups.inc();
+            if any {
+                if let Some(started) = started {
+                    obs.fanout_us.record_micros(started.elapsed());
+                }
+            }
+        }
+    }
+
+    /// Builds (or reuses) the push frame covering `slot`'s cursor and
+    /// enqueues it, advancing the cursor. No-op when nothing advanced.
+    fn push_to(&mut self, slot: usize, cache: &mut HashMap<Vec<u64>, CachedPush>) {
+        let shared = Arc::clone(&self.shared);
+        let n_shards = shared.view.n_shards();
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let Some(cursor) = conn.cursor.as_mut() else {
+            return;
+        };
+        if cursor.len() != n_shards {
+            // The topology changed under the subscription (split/merge):
+            // rebase from zero. Retention won't cover seq 0 on a busy shard,
+            // so the affected slots go out as resyncs — the directive the
+            // client's mirror honours by rebuilding from the snapshot.
+            *cursor = vec![0; n_shards];
+        }
+        let key = cursor.clone();
+        let cached = cache.entry(key.clone()).or_insert_with(|| {
+            let mut advanced = key;
+            let entries = shared.poll_entries(&mut advanced);
+            let frame = if entries.is_empty() {
+                None
+            } else {
+                let resp = Response::Push {
+                    n_shards: n_shards as u32,
+                    entries,
+                };
+                Some(Arc::new(frame_message(|buf| resp.encode_into(buf))))
+            };
+            CachedPush {
+                frame,
+                new_cursor: advanced,
+            }
+        });
+        let frame = cached.frame.clone();
+        let new_cursor = cached.new_cursor.clone();
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        if let Some(cursor) = conn.cursor.as_mut() {
+            *cursor = new_cursor;
+        }
+        if let Some(frame) = frame {
+            shared.pushes_sent.fetch_add(1, Ordering::Relaxed);
+            self.enqueue(slot, frame);
+        }
+    }
+
+    /// Appends a frame to `slot`'s write queue, evicting the connection as a
+    /// slow reader if the queue bound would be exceeded, then flushes as
+    /// much as the socket accepts.
+    fn enqueue(&mut self, slot: usize, frame: Arc<Vec<u8>>) {
+        let bound = self.shared.write_queue_bytes;
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        if conn.closing {
+            return;
+        }
+        // A single frame larger than the bound is still deliverable on an
+        // otherwise-empty queue; only a *backlog* marks a slow reader.
+        if conn.wq_bytes > 0 && conn.wq_bytes + frame.len() > bound {
+            self.evict_slow(slot);
+            return;
+        }
+        conn.wq_bytes += frame.len();
+        conn.wq.push_back(frame);
+        self.flush(slot);
+    }
+
+    /// Condemns a slow reader: drops its queued frames (keeping the
+    /// partially written head so framing stays intact), enqueues the typed
+    /// severance, and lets the queue drain to close.
+    fn evict_slow(&mut self, slot: usize) {
+        let shared = Arc::clone(&self.shared);
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let queued_bytes = conn.wq_bytes as u64;
+        let conn_id = conn.id;
+        // Keep the head frame if mid-write — truncating it would desync the
+        // client's framing right as we try to tell it why it's being cut.
+        let head = if conn.woff > 0 {
+            conn.wq.front().cloned()
+        } else {
+            None
+        };
+        conn.wq.clear();
+        conn.wq_bytes = 0;
+        if let Some(head) = head {
+            conn.wq_bytes = head.len();
+            conn.wq.push_back(head);
+        }
+        let severance = Response::Error {
+            code: ErrorCode::SlowConsumer,
+            message: format!(
+                "write queue overflow: {queued_bytes} bytes queued against a \
+                 {}-byte bound; subscriber evicted",
+                shared.write_queue_bytes
+            ),
+        };
+        let frame = Arc::new(frame_message(|buf| severance.encode_into(buf)));
+        conn.wq_bytes += frame.len();
+        conn.wq.push_back(frame);
+        conn.closing = true;
+        if conn.cursor.take().is_some() {
+            shared.subscribers.fetch_sub(1, Ordering::Relaxed);
+        }
+        shared.slow_evictions.fetch_add(1, Ordering::Relaxed);
+        shared.error_replies.fetch_add(1, Ordering::Relaxed);
+        if let Some(registry) = shared.obs.registry() {
+            registry.emit(ObsEvent::SlowReaderEvicted {
+                conn: conn_id,
+                queued_bytes,
+            });
+        }
+        self.publish_subscriber_gauge();
+        self.flush(slot);
+    }
+
+    /// Writes queued frames until the socket pushes back, then reconciles
+    /// poller interest (writable iff a backlog remains) and closes condemned
+    /// connections whose severance has fully drained.
+    fn flush(&mut self, slot: usize) {
+        loop {
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                return;
+            };
+            let Some(head) = conn.wq.front() else { break };
+            let head = Arc::clone(head);
+            match conn.stream.write(&head[conn.woff..]) {
+                Ok(0) => {
+                    self.close(slot, true);
+                    return;
+                }
+                Ok(n) => {
+                    conn.woff += n;
+                    if conn.woff == head.len() {
+                        conn.wq_bytes -= head.len();
+                        conn.woff = 0;
+                        conn.wq.pop_front();
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(slot, true);
+                    return;
+                }
+            }
+        }
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        if conn.wq.is_empty() && conn.closing {
+            // The severance is on the wire; the eviction was already
+            // accounted, so this close is not a sever.
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            self.close(slot, false);
+            return;
+        }
+        let want_writable = !conn.wq.is_empty();
+        if want_writable != conn.writable_interest {
+            conn.writable_interest = want_writable;
+            let interest = if want_writable {
+                Interest::READ_WRITE
+            } else {
+                Interest::READ
+            };
+            let fd = conn.stream.as_raw_fd();
+            let _ = self.poller.reregister(fd, slot + 1, interest);
+        }
+    }
+
+    /// Tears down `slot`: deregisters, releases the live count, frees the
+    /// slot. `severed` marks framing/I/O failures (not clean hang-ups,
+    /// evictions or shutdown).
+    fn close(&mut self, slot: usize, severed: bool) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+            return;
+        };
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        if conn.cursor.is_some() {
+            self.shared.subscribers.fetch_sub(1, Ordering::Relaxed);
+            self.publish_subscriber_gauge();
+        }
+        if severed && !self.shared.shutdown.load(Ordering::SeqCst) {
+            self.shared.conns_severed.fetch_add(1, Ordering::Relaxed);
+            if let Some(registry) = self.shared.obs.registry() {
+                registry.emit(ObsEvent::ConnSevered { conn: conn.id });
+            }
+        }
+        self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+        self.free.push(slot);
     }
 }

@@ -623,7 +623,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         let persists = match self.persist(&plan, seq, &engines) {
             Ok(persists) => persists,
             Err(cause) => {
-                self.resurrect(&plan.sources, &source_seqs, source_persists, park_rx);
+                self.resurrect(&plan.sources, source_persists, park_rx);
                 return Err(cause);
             }
         };
@@ -649,7 +649,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
                 seq,
                 persist,
             };
-            let live = install_slot(seat.slot, &self.config, seed);
+            let live = install_slot(seat.slot, &self.config, seed, &self.wakers);
             place(&mut cells, seat.slot, live.cell);
             place(&mut rings, seat.slot, live.ring);
             place(&mut self.engines, seat.slot, live.engine);
@@ -672,6 +672,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             }
         }
         self.roster.store(Arc::new(ShardRoster { cells, rings }));
+        self.wakers.notify();
 
         // 6. Commit routing: install the targets and the new map, then drain
         // the parked backlog through them, in arrival order. Holding the
@@ -845,33 +846,32 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     fn resurrect(
         &mut self,
         sources: &[Seat],
-        source_seqs: &[u64],
         persists: Vec<Option<WorkerPersistence>>,
         park_rx: Receiver<WorkerMsg>,
     ) {
         let roster = self.roster.load();
         let mut senders = Vec::with_capacity(sources.len());
-        for ((seat, &seq), persist) in sources.iter().zip(source_seqs).zip(persists) {
+        for (seat, persist) in sources.iter().zip(persists) {
             let slot = seat.slot;
             let (tx, handle, slot_cell) = spawn_worker(
                 slot,
                 &self.config,
-                seq,
                 persist,
                 &self.engines[slot],
                 &roster.cells[slot],
                 &roster.rings[slot],
+                &self.wakers,
             );
             self.workers[slot] = Some(handle);
             self.slots[slot] = slot_cell;
-            senders.push((slot, seq, tx));
+            senders.push((slot, tx));
         }
         // Swap the live senders in under the write lock, so no producer can
         // interleave ahead of the backlog.
         let mut routing = self.routing.write().expect("routing poisoned");
-        for (slot, seq, tx) in senders {
+        for (slot, tx) in senders {
             routing.senders[slot] = ShardTx::Live(tx);
-            routing.routed[slot].store(seq, Ordering::Relaxed);
+            routing.routed[slot].store(roster.cells[slot].seq(), Ordering::Relaxed);
         }
         drain_parked(&park_rx, &routing);
     }
@@ -1219,6 +1219,37 @@ mod tests {
                 .view()
                 .deltas_since(0, report.merged_seq.saturating_sub(1)),
             crate::view::DeltaCatchUp::Resync
+        );
+    }
+
+    #[test]
+    fn one_watch_covers_the_cells_of_a_split_then_merge() {
+        use crate::PublishWaker;
+        use std::sync::atomic::AtomicUsize;
+
+        struct CountWaker(AtomicUsize);
+        impl PublishWaker for CountWaker {
+            fn wake(&self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
+        let counter = Arc::new(CountWaker(AtomicUsize::new(0)));
+        let waker: Arc<dyn PublishWaker> = counter.clone();
+        fleet.view().watch(&waker);
+        let split = fleet.split_shard(0).unwrap();
+        fleet.merge_shards(split.new_slot, 0).unwrap();
+        // Same shard count as at attach time, but slot 0 publishes into a
+        // cell the merge created after the waker was attached.
+        assert_eq!(fleet.n_shards(), 2);
+        let before = counter.0.load(Ordering::SeqCst);
+        fleet.apply_update(update(0, 4, 0.5));
+        fleet.flush();
+        assert_eq!(
+            counter.0.load(Ordering::SeqCst),
+            before + 1,
+            "slot 0's publication must wake the watcher"
         );
     }
 

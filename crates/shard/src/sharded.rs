@@ -18,7 +18,7 @@ use dyndens_obs::{names, ObsEvent};
 use crate::config::{PersistenceConfig, ShardConfig};
 use crate::obs::{ShardObs, WalObs};
 use crate::recovery::{self, RecoveryError, RecoveryReport};
-use crate::view::{DeltaRing, EpochCell, ShardRoster, ShardSnapshot, StoryView};
+use crate::view::{DeltaRing, EpochCell, PublishWakers, ShardRoster, ShardSnapshot, StoryView};
 use crate::worker::{self, WorkerHandle, WorkerMsg, WorkerPersistence};
 
 /// The send side of one worker slot's inbox.
@@ -175,6 +175,10 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     pub(crate) routing: Arc<RwLock<RouteState>>,
     pub(crate) engines: Vec<Arc<Mutex<B::Engine>>>,
     pub(crate) roster: Arc<EpochCell<ShardRoster>>,
+    /// The one publication waker list every [`StoryView`] of the fleet
+    /// attaches to; workers notify it after each publication, the reshape
+    /// commit after each roster store.
+    pub(crate) wakers: Arc<PublishWakers>,
     pub(crate) workers: Vec<Option<WorkerHandle>>,
     /// Per-slot shared slot-number cells (see [`worker::WorkerSetup::slot`]):
     /// a merge renumbers the last live worker into a freed middle slot by
@@ -204,17 +208,18 @@ pub(crate) struct ShardSeed<E: MaintenanceEngine> {
     pub(crate) persist: Option<WorkerPersistence>,
 }
 
-/// Spawns one worker thread for `slot`, publishing into `cell`/`ring`.
-/// Returns the inbox sender, the join handle and the shared slot-number cell
-/// (a merge renumbers the worker by storing into it).
+/// Spawns one worker thread for `slot`, publishing into `cell`/`ring` and
+/// notifying `wakers`. The worker resumes at the sequence number `cell`
+/// already publishes. Returns the inbox sender, the join handle and the
+/// shared slot-number cell (a merge renumbers the worker by storing into it).
 pub(crate) fn spawn_worker<E: MaintenanceEngine>(
     slot: usize,
     config: &ShardConfig,
-    seq: u64,
     persist: Option<WorkerPersistence>,
     engine: &Arc<Mutex<E>>,
     cell: &Arc<EpochCell<ShardSnapshot>>,
     ring: &Arc<DeltaRing>,
+    wakers: &Arc<PublishWakers>,
 ) -> (SyncSender<WorkerMsg>, WorkerHandle, Arc<AtomicU32>) {
     let (tx, rx) = sync_channel(config.channel_capacity);
     let slot_cell = Arc::new(AtomicU32::new(slot as u32));
@@ -231,9 +236,10 @@ pub(crate) fn spawn_worker<E: MaintenanceEngine>(
         slot: Arc::clone(&slot_cell),
         max_batch: config.max_batch,
         top_k: config.top_k,
-        initial_seq: seq,
+        initial_seq: cell.seq(),
         persist,
         obs,
+        wakers: Arc::clone(wakers),
     };
     let engine = Arc::clone(engine);
     let cell = Arc::clone(cell);
@@ -270,20 +276,20 @@ pub(crate) fn install_slot<E: MaintenanceEngine>(
     slot: usize,
     config: &ShardConfig,
     seed: ShardSeed<E>,
+    wakers: &Arc<PublishWakers>,
 ) -> LiveSlot<E> {
     let ShardSeed {
         mut engine,
         seq,
         persist,
     } = seed;
-    let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(slot)));
-    cell.store_with_seq(
-        Arc::new(worker::build_snapshot(slot, &mut engine, seq, config.top_k)),
-        seq,
-    );
+    let cell = Arc::new(EpochCell::new(ShardSnapshot::default()));
+    let snapshot = worker::build_snapshot(slot, &mut engine, seq, config.top_k);
+    cell.store_with_seq(Arc::new(snapshot), seq);
     let ring = Arc::new(DeltaRing::new(config.delta_retention));
     let engine = Arc::new(Mutex::new(engine));
-    let (tx, handle, slot_cell) = spawn_worker(slot, config, seq, persist, &engine, &cell, &ring);
+    let (tx, handle, slot_cell) =
+        spawn_worker(slot, config, persist, &engine, &cell, &ring, wakers);
     let routed = Arc::new(AtomicU64::new(seq));
     if let Some(registry) = config.obs.registry() {
         registry.adopt_counter(
@@ -445,8 +451,9 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         let mut engines = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         let mut slots = Vec::with_capacity(n);
+        let wakers = Arc::new(PublishWakers::default());
         for (slot, seed) in seeds.into_iter().enumerate() {
-            let live = install_slot(slot, &config, seed);
+            let live = install_slot(slot, &config, seed, &wakers);
             cells.push(live.cell);
             rings.push(live.ring);
             senders.push(ShardTx::Live(live.tx));
@@ -466,6 +473,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             })),
             engines,
             roster: Arc::new(EpochCell::new(ShardRoster { cells, rings })),
+            wakers,
             workers,
             slots,
             recovery,
@@ -631,7 +639,11 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// delta retention rings. Views observe splits: their shard count grows
     /// when one commits.
     pub fn view(&self) -> StoryView {
-        StoryView::new(Arc::clone(&self.roster), self.config.top_k)
+        StoryView {
+            roster: Arc::clone(&self.roster),
+            wakers: Arc::clone(&self.wakers),
+            top_k: self.config.top_k,
+        }
     }
 
     /// The authoritative read path: flushes, so every routed update is

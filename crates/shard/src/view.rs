@@ -3,26 +3,55 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use dyndens_core::{sort_stories, DenseEvent, EngineStats};
 use dyndens_graph::VertexSet;
 
-/// A publication callback attached to an [`EpochCell`] (or, through
-/// [`StoryView::watch`], to every cell of a fleet).
+/// A publication callback attached to a fleet through [`StoryView::watch`].
 ///
 /// `wake` runs on the **publishing thread** (a shard worker, or the facade
 /// during a split/merge), immediately after the new epoch became visible. It
 /// must therefore be cheap and non-blocking — the intended implementation is
 /// an edge-style wakeup (write one byte to a self-pipe, set a flag), with all
-/// real work done by the woken thread. This is the hook an event-driven
-/// server uses to fan out `DeltaRing` micro-batches to push subscribers
-/// without polling.
+/// real work done by the woken thread, which reads the view to learn what
+/// changed. This is the hook an event-driven server uses to fan out
+/// `DeltaRing` micro-batches to push subscribers without polling.
 pub trait PublishWaker: Send + Sync {
-    /// Notifies the waker that a publication happened; `seq` is the cell's
-    /// sequence number at publication (unchanged for plain [`EpochCell::store`]
-    /// publications such as roster swaps).
-    fn wake(&self, seq: u64);
+    /// Notifies the waker that a shard published or the roster changed.
+    fn wake(&self);
+}
+
+/// The fleet's one publication waker list, shared by every [`StoryView`] of
+/// the fleet: each worker notifies it after every publication and the
+/// reshape commit after every roster store, so one attach covers every shard
+/// cell, present and future.
+///
+/// Wakers are held weakly — a departed subscriber system (a dropped server)
+/// detaches by dropping its `Arc`. Publications only read the list, so
+/// workers publishing at once never serialise on it; dead entries are swept
+/// when a waker attaches.
+#[derive(Debug, Default)]
+pub(crate) struct PublishWakers {
+    wakers: RwLock<Vec<Weak<dyn PublishWaker>>>,
+}
+
+impl PublishWakers {
+    /// Attaches `waker`; attaching one already present is a no-op.
+    pub(crate) fn attach(&self, waker: &Arc<dyn PublishWaker>) {
+        let waker = Arc::downgrade(waker);
+        let mut wakers = self.wakers.write().expect("waker list poisoned");
+        wakers.retain(|w| w.strong_count() > 0 && !w.ptr_eq(&waker));
+        wakers.push(waker);
+    }
+
+    /// Wakes every live waker.
+    pub(crate) fn notify(&self) {
+        let wakers = self.wakers.read().expect("waker list poisoned");
+        for waker in wakers.iter().filter_map(Weak::upgrade) {
+            waker.wake();
+        }
+    }
 }
 
 /// An ArcSwap-style epoch pointer: writers publish immutable snapshots by
@@ -43,10 +72,6 @@ pub struct EpochCell<T> {
     /// `s`?" performs one relaxed atomic load per shard and touches the
     /// snapshot itself only for shards that actually advanced.
     seq: AtomicU64,
-    /// Publication wakers, held weakly so a departed subscriber system (a
-    /// dropped server) unregisters itself by dropping its `Arc`. Dead weaks
-    /// are swept on every notify and every attach.
-    watchers: Mutex<Vec<Weak<dyn PublishWaker>>>,
 }
 
 impl<T> EpochCell<T> {
@@ -55,7 +80,6 @@ impl<T> EpochCell<T> {
         EpochCell {
             slot: Mutex::new(Arc::new(value)),
             seq: AtomicU64::new(0),
-            watchers: Mutex::new(Vec::new()),
         }
     }
 
@@ -64,50 +88,21 @@ impl<T> EpochCell<T> {
         self.slot.lock().expect("epoch cell poisoned").clone()
     }
 
-    /// Publishes a new epoch, leaving the sequence number unchanged, and
-    /// wakes every attached watcher.
+    /// Publishes a new epoch, leaving the sequence number unchanged.
     pub fn store(&self, value: Arc<T>) {
         *self.slot.lock().expect("epoch cell poisoned") = value;
-        self.notify(self.seq());
     }
 
-    /// Publishes a new epoch stamped with its publication sequence number,
-    /// and wakes every attached watcher.
+    /// Publishes a new epoch stamped with its publication sequence number.
     pub fn store_with_seq(&self, value: Arc<T>, seq: u64) {
         *self.slot.lock().expect("epoch cell poisoned") = value;
         self.seq.store(seq, Ordering::Release);
-        self.notify(seq);
     }
 
     /// The sequence number of the latest published epoch, without locking.
     #[inline]
     pub fn seq(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
-    }
-
-    /// Attaches a publication waker to this cell. The cell holds it weakly,
-    /// so dropping the last strong `Arc` detaches it; re-attaching the same
-    /// waker is a no-op, so callers can idempotently re-walk a fleet after a
-    /// topology change without growing the watcher list.
-    pub fn watch(&self, waker: &Arc<dyn PublishWaker>) {
-        let mut watchers = self.watchers.lock().expect("watcher list poisoned");
-        watchers.retain(|w| w.strong_count() > 0);
-        if !watchers.iter().any(|w| w.ptr_eq(&Arc::downgrade(waker))) {
-            watchers.push(Arc::downgrade(waker));
-        }
-    }
-
-    /// Wakes every live watcher, outside the slot lock (publication is
-    /// already visible when the callbacks run).
-    fn notify(&self, seq: u64) {
-        let mut watchers = self.watchers.lock().expect("watcher list poisoned");
-        watchers.retain(|w| match w.upgrade() {
-            Some(waker) => {
-                waker.wake(seq);
-                true
-            }
-            None => false,
-        });
     }
 }
 
@@ -238,16 +233,6 @@ pub struct ShardSnapshot {
     pub stats: EngineStats,
 }
 
-impl ShardSnapshot {
-    /// The empty snapshot a shard starts from.
-    pub fn empty(shard: usize) -> Self {
-        ShardSnapshot {
-            shard,
-            ..Default::default()
-        }
-    }
-}
-
 /// The merged, sequence-numbered answer served to readers.
 #[derive(Debug, Clone)]
 pub struct MergedStories {
@@ -284,37 +269,24 @@ pub(crate) struct ShardRoster {
 /// number.
 #[derive(Debug, Clone)]
 pub struct StoryView {
-    roster: Arc<EpochCell<ShardRoster>>,
-    top_k: usize,
+    pub(crate) roster: Arc<EpochCell<ShardRoster>>,
+    pub(crate) wakers: Arc<PublishWakers>,
+    pub(crate) top_k: usize,
 }
 
 impl StoryView {
-    pub(crate) fn new(roster: Arc<EpochCell<ShardRoster>>, top_k: usize) -> Self {
-        StoryView { roster, top_k }
-    }
-
     /// Number of shards feeding this view (grows across splits).
     pub fn n_shards(&self) -> usize {
         self.roster.load().cells.len()
     }
 
-    /// Attaches `waker` to the roster cell and to every current shard cell,
-    /// so it fires on every worker publication *and* on every topology change
-    /// (split/merge roster swap). Attachment is idempotent per cell, and the
-    /// cells hold the waker weakly — dropping the last strong `Arc` detaches
-    /// it everywhere.
-    ///
-    /// A split adds shard cells this call has not seen; because the roster
-    /// swap itself wakes the waker, a subscriber system re-calls `watch`
-    /// whenever it observes [`n_shards`](StoryView::n_shards) change, which
-    /// covers the new cells before any client can fall behind on them
-    /// (fresh split slots start with an empty delta ring anyway, so their
-    /// first publication forces a resync).
+    /// Attaches `waker` to the fleet, so it fires after every worker
+    /// publication *and* every topology change (split/merge roster swap),
+    /// on every shard the fleet has now or will have after any reshape.
+    /// Attaching the same waker twice is a no-op, and the fleet holds it
+    /// weakly — dropping the last strong `Arc` detaches it.
     pub fn watch(&self, waker: &Arc<dyn PublishWaker>) {
-        self.roster.watch(waker);
-        for cell in &self.roster.load().cells {
-            cell.watch(waker);
-        }
+        self.wakers.attach(waker);
     }
 
     /// The latest published snapshot of one shard.
@@ -414,7 +386,11 @@ mod tests {
             cells: cells.into_iter().map(Arc::new).collect(),
             rings: (0..n).map(|_| Arc::new(DeltaRing::new(8))).collect(),
         };
-        StoryView::new(Arc::new(EpochCell::new(roster)), top_k)
+        StoryView {
+            roster: Arc::new(EpochCell::new(roster)),
+            wakers: Arc::default(),
+            top_k,
+        }
     }
 
     #[test]
@@ -430,83 +406,66 @@ mod tests {
         assert_eq!(*cell.load(), 3);
     }
 
+    /// Counts its wakeups.
+    #[derive(Default)]
+    struct CountWaker(AtomicU64);
+
+    impl PublishWaker for CountWaker {
+        fn wake(&self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl CountWaker {
+        fn wakes(&self) -> u64 {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
     #[test]
     fn publish_wakers_fire_and_detach() {
-        use std::sync::atomic::AtomicUsize;
-
-        #[derive(Default)]
-        struct Recorder {
-            wakes: AtomicUsize,
-            last_seq: AtomicU64,
-        }
-        impl PublishWaker for Recorder {
-            fn wake(&self, seq: u64) {
-                self.wakes.fetch_add(1, Ordering::SeqCst);
-                self.last_seq.store(seq, Ordering::SeqCst);
-            }
-        }
-
-        let cell = EpochCell::new(0u32);
-        let recorder = Arc::new(Recorder::default());
-        let waker: Arc<dyn PublishWaker> = recorder.clone();
-        cell.watch(&waker);
-        cell.watch(&waker); // idempotent: re-attaching must not double-fire
-        cell.store_with_seq(Arc::new(1), 5);
-        assert_eq!(recorder.wakes.load(Ordering::SeqCst), 1);
-        assert_eq!(recorder.last_seq.load(Ordering::SeqCst), 5);
-        // A plain store (roster swap) also wakes, with the unchanged seq.
-        cell.store(Arc::new(2));
-        assert_eq!(recorder.wakes.load(Ordering::SeqCst), 2);
-        assert_eq!(recorder.last_seq.load(Ordering::SeqCst), 5);
-        // Dropping the last strong Arc detaches the waker.
+        let wakers = PublishWakers::default();
+        let counter = Arc::new(CountWaker::default());
+        let waker: Arc<dyn PublishWaker> = counter.clone();
+        wakers.attach(&waker);
+        wakers.attach(&waker); // idempotent: re-attaching must not double-fire
+        wakers.notify();
+        assert_eq!(counter.wakes(), 1);
+        // Dropping the last strong Arc detaches the waker: notifying skips
+        // it, and the next attach sweeps the dead entry.
         drop(waker);
-        drop(recorder);
-        cell.store_with_seq(Arc::new(3), 6);
-        assert_eq!(*cell.load(), 3);
+        drop(counter);
+        wakers.notify();
+        let other: Arc<dyn PublishWaker> = Arc::new(CountWaker::default());
+        wakers.attach(&other);
+        assert_eq!(wakers.wakers.read().unwrap().len(), 1);
     }
 
     #[test]
     fn view_watch_covers_roster_and_shard_cells() {
-        use std::sync::atomic::AtomicUsize;
+        use crate::{ShardConfig, ShardFn, ShardedDynDens};
+        use dyndens_core::DynDensConfig;
+        use dyndens_density::AvgWeight;
+        use dyndens_graph::{EdgeUpdate, VertexId};
 
-        struct CountWaker(AtomicUsize);
-        impl PublishWaker for CountWaker {
-            fn wake(&self, _seq: u64) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        let shard_cell = Arc::new(EpochCell::new(snap(0, 0, &[])));
-        let roster_cell = Arc::new(EpochCell::new(ShardRoster {
-            cells: vec![Arc::clone(&shard_cell)],
-            rings: vec![Arc::new(DeltaRing::new(4))],
-        }));
-        let view = StoryView::new(Arc::clone(&roster_cell), 4);
-        let counter = Arc::new(CountWaker(AtomicUsize::new(0)));
+        let config = ShardConfig::new(2).with_shard_fn(ShardFn::Modulo);
+        let mut fleet = ShardedDynDens::new(AvgWeight, DynDensConfig::new(1.0, 4), config);
+        let counter = Arc::new(CountWaker::default());
         let waker: Arc<dyn PublishWaker> = counter.clone();
-        view.watch(&waker);
+        fleet.view().watch(&waker);
+        fleet.view().watch(&waker); // a second view clone, the same list
 
-        shard_cell.store_with_seq(Arc::new(snap(0, 1, &[])), 1);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "worker publication");
+        fleet.apply_update(EdgeUpdate::new(VertexId(1), VertexId(3), 0.5));
+        fleet.flush();
+        assert_eq!(counter.wakes(), 1, "worker publication, fired once");
 
-        let grown = ShardRoster {
-            cells: vec![
-                Arc::clone(&shard_cell),
-                Arc::new(EpochCell::new(snap(1, 0, &[]))),
-            ],
-            rings: vec![Arc::new(DeltaRing::new(4)), Arc::new(DeltaRing::new(4))],
-        };
-        roster_cell.store(Arc::new(grown));
-        assert_eq!(counter.0.load(Ordering::SeqCst), 2, "roster swap");
-
-        // Re-walking after the topology change covers the new cell without
-        // double-attaching to the old ones.
-        view.watch(&waker);
-        let new_cell = Arc::clone(&roster_cell.load().cells[1]);
-        new_cell.store_with_seq(Arc::new(snap(1, 2, &[])), 2);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 3, "new shard covered");
-        shard_cell.store_with_seq(Arc::new(snap(0, 2, &[])), 2);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 4, "no double attach");
+        fleet.split_shard(0).unwrap();
+        assert_eq!(counter.wakes(), 2, "roster swap");
+        // Both children of the split are fresh cells; the one owning this
+        // edge is covered without attaching again.
+        fleet.apply_update(EdgeUpdate::new(VertexId(0), VertexId(4), 0.5));
+        fleet.flush();
+        assert_eq!(counter.wakes(), 3, "fresh shard covered");
     }
 
     #[test]
@@ -550,7 +509,11 @@ mod tests {
             cells: vec![Arc::new(EpochCell::new(snap(0, 7, &[(&[0, 2], 1.0)])))],
             rings: vec![Arc::new(DeltaRing::new(4))],
         }));
-        let view = StoryView::new(Arc::clone(&roster_cell), 4);
+        let view = StoryView {
+            roster: Arc::clone(&roster_cell),
+            wakers: Arc::default(),
+            top_k: 4,
+        };
         let clone = view.clone();
         assert_eq!(view.n_shards(), 1);
 

@@ -13,7 +13,7 @@ use dyndens_graph::EdgeUpdate;
 use crate::config::PersistenceConfig;
 use crate::obs::{ShardObs, WalObs};
 use crate::recovery;
-use crate::view::{DeltaBatch, DeltaRing, EpochCell, ShardSnapshot};
+use crate::view::{DeltaBatch, DeltaRing, EpochCell, PublishWakers, ShardSnapshot};
 use crate::wal::WalWriter;
 
 const POISONED: &str = "shard engine poisoned";
@@ -121,6 +121,8 @@ pub(crate) struct WorkerSetup {
     /// Pre-registered metric handles, absent when the deployment has no
     /// registry attached.
     pub obs: Option<ShardObs>,
+    /// The fleet's publication wakers, notified after every publication.
+    pub wakers: Arc<PublishWakers>,
 }
 
 /// A worker thread's handle: joining it hands the worker's durability half
@@ -147,11 +149,13 @@ pub(crate) fn run<E: MaintenanceEngine>(
         initial_seq,
         persist,
         obs,
+        wakers,
     } = setup;
     let mut worker = Worker {
         engine,
         cell,
         ring,
+        wakers,
         top_k,
         seq: initial_seq,
         persist,
@@ -229,6 +233,7 @@ struct Worker<E> {
     engine: Arc<Mutex<E>>,
     cell: Arc<EpochCell<ShardSnapshot>>,
     ring: Arc<DeltaRing>,
+    wakers: Arc<PublishWakers>,
     top_k: usize,
     /// Updates applied so far.
     seq: u64,
@@ -295,6 +300,7 @@ impl<E: MaintenanceEngine> Worker<E> {
         if let Some(snapshot) = snapshot {
             let events = take_events(&mut self.events, &self.no_events);
             let published = publish(snapshot, base_seq, events, &self.ring, &self.cell);
+            self.wakers.notify();
             if let (Some(o), Some(t)) = (self.obs.as_ref(), publish_started) {
                 o.record_batch(batch_len, apply_elapsed, t.elapsed());
                 o.set_engine_gauges(&published.stats);

@@ -33,7 +33,10 @@ fn wire_scrape_of_a_live_split_fleet_is_lit_and_self_consistent() {
     )
     .expect("persistent fleet");
     let obs = ObsHandle::new(Arc::clone(&registry));
-    let server = StoryServer::bind_with_obs("127.0.0.1:0", fleet.view(), obs).expect("bind");
+    let server = StoryServer::builder(fleet.view())
+        .obs(obs)
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let mut client = Client::builder()
         .connect(server.local_addr())
         .expect("connect");

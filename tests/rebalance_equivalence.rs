@@ -521,7 +521,9 @@ fn follower_resyncs_cleanly_across_a_split() {
 
     let updates = support::shard_aligned_stream(8_000, 8, 5);
     let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), support::serve_shard_config(2));
-    let server = StoryServer::bind("127.0.0.1:0", fleet.view()).unwrap();
+    let server = StoryServer::builder(fleet.view())
+        .bind("127.0.0.1:0")
+        .unwrap();
     let mut client = Client::builder().connect(server.local_addr()).unwrap();
     let mut follower = Mirror::new();
 

@@ -25,7 +25,9 @@ fn polling_client_reconstructs_story_sets_on_50k_stream() {
     // the resync path below. A continuously-polling follower (one poll per
     // 512-update chunk) stays comfortably covered by the retention.
     let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), serve_shard_config(2));
-    let server = StoryServer::bind("127.0.0.1:0", fleet.view()).unwrap();
+    let server = StoryServer::builder(fleet.view())
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.local_addr();
 
     // Mirror A polls concurrently with ingest: it advances almost entirely
@@ -129,7 +131,9 @@ fn named_stories_and_error_replies() {
         DynDensConfig::new(1.0, 4),
         ShardConfig::new(2).with_shard_fn(ShardFn::Modulo),
     );
-    let server = StoryServer::bind("127.0.0.1:0", fleet.view()).unwrap();
+    let server = StoryServer::builder(fleet.view())
+        .bind("127.0.0.1:0")
+        .unwrap();
     server
         .names()
         .publish(vec!["NATO".into(), "Libya".into(), "Sony".into()]);
