@@ -93,11 +93,67 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Appends one length-prefixed, CRC-framed record:
 /// `len u32 | crc32(payload) u32 | payload`. The inverse of
-/// [`scan_frames`]; shared by the shard WAL and the entity-name journal.
+/// [`split_frame`]; shared by the shard WAL and the entity-name journal.
 pub fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    put_u32(buf, payload.len() as u32);
-    put_u32(buf, crc32(payload));
-    buf.extend_from_slice(payload);
+    put_frame_with(buf, |buf| buf.extend_from_slice(payload));
+}
+
+/// Appends one [`put_frame`] record whose payload `encode` appends in place:
+/// the header is reserved first and filled in once the payload is written,
+/// so the payload is never copied.
+pub fn put_frame_with(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    encode(buf);
+    let payload = &buf[at + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    buf[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One [`put_frame`] record split off the front of a byte slice by
+/// [`split_frame`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameSplit<'a> {
+    /// A whole, CRC-valid record: its payload, and the bytes it spans
+    /// (header included), which is where the next record starts.
+    Complete {
+        /// The record's payload.
+        payload: &'a [u8],
+        /// Header plus payload length.
+        used: usize,
+    },
+    /// The slice is a proper prefix of a record: more bytes may complete it.
+    NeedMore,
+    /// The header's length is over the bound, or the payload fails its CRC.
+    Corrupt(CodecError),
+}
+
+/// Splits one [`put_frame`] record off the front of `bytes`: the one place a
+/// record header is decoded, for the WAL, the entity-name journal and the
+/// wire alike. A length above `max_len` is corrupt as soon as the header is
+/// in, before its payload is waited for; `u32::MAX` bounds nothing. Never
+/// panics on arbitrary input.
+pub fn split_frame(bytes: &[u8], max_len: u32) -> FrameSplit<'_> {
+    let Some((header, rest)) = bytes.split_first_chunk::<8>() else {
+        return FrameSplit::NeedMore;
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let stored = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if len > max_len {
+        return FrameSplit::Corrupt(CodecError::Invalid("frame length over the bound"));
+    }
+    let Some(payload) = rest.get(..len as usize) else {
+        return FrameSplit::NeedMore;
+    };
+    let computed = crc32(payload);
+    if computed != stored {
+        return FrameSplit::Corrupt(CodecError::CrcMismatch { stored, computed });
+    }
+    FrameSplit::Complete {
+        payload,
+        used: 8 + payload.len(),
+    }
 }
 
 /// The result of scanning a stream of [`put_frame`] records.
@@ -112,43 +168,29 @@ pub struct FrameScan {
     pub valid_len: u64,
 }
 
-/// Scans length-prefixed CRC-framed records, calling `on_payload` for each
-/// CRC-valid payload in order. `on_payload` returns `false` to reject a
-/// payload that decodes to something semantically invalid — the scan then
-/// stops at that record's boundary, exactly as it does for a truncated or
-/// CRC-invalid suffix. Never panics on arbitrary input.
+/// Scans length-prefixed CRC-framed records with [`split_frame`] (no length
+/// bound: a WAL micro-batch record is as long as its batch), calling
+/// `on_payload` for each CRC-valid payload in order. `on_payload` returns
+/// `false` to reject a payload that decodes to something semantically
+/// invalid — the scan then stops at that record's boundary, exactly as it
+/// does for a truncated or CRC-invalid suffix. Never panics on arbitrary
+/// input.
 pub fn scan_frames<'a>(bytes: &'a [u8], mut on_payload: impl FnMut(&'a [u8]) -> bool) -> FrameScan {
-    let mut pos = 0usize;
-    loop {
-        if pos == bytes.len() {
-            return FrameScan {
-                clean: true,
-                valid_len: pos as u64,
-            };
+    let mut pos = 0;
+    while pos < bytes.len() {
+        match split_frame(&bytes[pos..], u32::MAX) {
+            FrameSplit::Complete { payload, used } if on_payload(payload) => pos += used,
+            _ => {
+                return FrameScan {
+                    clean: false,
+                    valid_len: pos as u64,
+                }
+            }
         }
-        let dirty = FrameScan {
-            clean: false,
-            valid_len: pos as u64,
-        };
-        if bytes.len() - pos < 8 {
-            return dirty;
-        }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let stored = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        if bytes.len() - pos - 8 < len {
-            return dirty;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != stored || !on_payload(payload) {
-            return dirty;
-        }
-        pos += 8 + len;
+    }
+    FrameScan {
+        clean: true,
+        valid_len: pos as u64,
     }
 }
 
@@ -445,6 +487,42 @@ mod tests {
         assert!(matches!(
             verify_crc_trailer(&[1, 2]),
             Err(CodecError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn split_frame_completes_waits_or_rejects() {
+        let mut wire = Vec::new();
+        put_frame(&mut wire, b"payload");
+        put_frame_with(&mut wire, |buf| buf.extend_from_slice(b"next"));
+        assert_eq!(
+            split_frame(&wire, u32::MAX),
+            FrameSplit::Complete {
+                payload: b"payload",
+                used: 15
+            }
+        );
+        assert_eq!(
+            split_frame(&wire[15..], u32::MAX),
+            FrameSplit::Complete {
+                payload: b"next",
+                used: 12
+            }
+        );
+        // Every proper prefix of a record waits for more bytes.
+        for cut in 0..15 {
+            assert_eq!(split_frame(&wire[..cut], u32::MAX), FrameSplit::NeedMore);
+        }
+        // A length over the bound is rejected from the header alone.
+        assert!(matches!(
+            split_frame(&wire[..8], 6),
+            FrameSplit::Corrupt(CodecError::Invalid(_))
+        ));
+        let mut corrupt = wire.clone();
+        corrupt[10] ^= 0x04;
+        assert!(matches!(
+            split_frame(&corrupt, u32::MAX),
+            FrameSplit::Corrupt(CodecError::CrcMismatch { .. })
         ));
     }
 

@@ -15,9 +15,18 @@
 //! back to request/response mode through [`Subscription::unsubscribe`].
 //! Either way, a [`Mirror`] turns the entries into a local story set that
 //! matches what an in-process reader at the same sequence numbers would see.
+//!
+//! There is one connection throughout: a `TcpStream` and the
+//! [`FrameBuffer`] it is read through. A [`Subscription`] is that same
+//! [`Client`] plus the server's shard count, and every read — a reply, a
+//! blocking [`recv`](Subscription::recv), a non-blocking
+//! [`try_next`](Subscription::try_next), the drain in
+//! [`unsubscribe`](Subscription::unsubscribe) — goes through one read loop,
+//! so bytes that arrive early (the catch-up push behind the subscribe
+//! acknowledgement) simply wait in the buffer.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -25,7 +34,7 @@ use dyndens_core::{DenseEvent, EngineStats};
 use dyndens_graph::VertexSet;
 use dyndens_obs::RegistrySnapshot;
 
-use crate::net::{read_frame, write_frame, FrameBuffer};
+use crate::net::FrameBuffer;
 use crate::protocol::{
     frame_message, DecodeFailure, ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat,
     WireStory,
@@ -178,8 +187,9 @@ impl ClientBuilder {
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(self.read_timeout)?;
                     return Ok(Client {
-                        reader: BufReader::new(stream.try_clone()?),
-                        writer: BufWriter::new(stream),
+                        stream,
+                        rbuf: FrameBuffer::new(),
+                        blocking: true,
                     });
                 }
                 Err(e) => last_err = Some(e),
@@ -197,8 +207,9 @@ impl ClientBuilder {
 /// [`Client::subscribe`].
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    rbuf: FrameBuffer,
+    blocking: bool,
 }
 
 impl Client {
@@ -207,23 +218,63 @@ impl Client {
         ClientBuilder::new()
     }
 
+    fn set_blocking(&mut self, on: bool) -> io::Result<()> {
+        if self.blocking != on {
+            self.stream.set_nonblocking(!on)?;
+            self.blocking = on;
+        }
+        Ok(())
+    }
+
+    fn send(&mut self, request: &Request) -> io::Result<()> {
+        self.set_blocking(true)?;
+        self.stream
+            .write_all(&frame_message(|buf| request.encode_into(buf)))
+    }
+
+    /// The one read loop: the next frame's response, reading the socket
+    /// until one is buffered. With `wait` it blocks (up to the read
+    /// timeout) and `Ok(None)` is a clean hang-up at a frame boundary;
+    /// without, `Ok(None)` means nothing is pending yet and a hang-up is an
+    /// error. An [`Response::Error`] frame becomes [`ClientError::Server`].
+    fn read_response(&mut self, wait: bool) -> Result<Option<Response>, ClientError> {
+        self.set_blocking(wait)?;
+        loop {
+            if let Some(payload) = self.rbuf.next_frame()? {
+                return match Response::decode(&payload)? {
+                    Response::Error { code, message } => Err(ClientError::Server { code, message }),
+                    response => Ok(Some(response)),
+                };
+            }
+            match self.rbuf.fill_from(&mut self.stream) {
+                Ok(0) if wait && !self.rbuf.has_partial() => return Ok(None),
+                Ok(0) => {
+                    return Err(ClientError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        if self.rbuf.has_partial() {
+                            "server hung up inside a frame"
+                        } else {
+                            "server hung up"
+                        },
+                    )))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && !wait => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
     /// Sends one request and reads its reply.
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(
-            &mut self.writer,
-            &frame_message(|buf| request.encode_into(buf)),
-        )?;
-        let payload = read_frame(&mut self.reader)?.ok_or_else(|| {
+        self.send(request)?;
+        self.read_response(true)?.ok_or_else(|| {
             ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server hung up before replying",
             ))
-        })?;
-        let response = Response::decode(&payload)?;
-        if let Response::Error { code, message } = response {
-            return Err(ClientError::Server { code, message });
-        }
-        Ok(response)
+        })
     }
 
     /// The merged current top-`k` stories and the per-shard sequence numbers
@@ -296,16 +347,9 @@ impl Client {
                 ))
             }
         };
-        // The catch-up push may already sit in the BufReader; carry those
-        // bytes into the frame buffer the non-blocking path reads from.
-        let leftover = self.reader.buffer().to_vec();
-        let stream = self.reader.into_inner();
         Ok(Subscription {
-            stream,
-            writer: self.writer,
-            fbuf: FrameBuffer::with_initial(leftover),
+            client: self,
             n_shards,
-            nonblocking: false,
         })
     }
 }
@@ -324,24 +368,20 @@ pub struct PushBatch {
     pub entries: Vec<ShardPoll>,
 }
 
-/// A connection in push mode: the server streams [`PushBatch`]es as shards
+/// A [`Client`] in push mode: the server streams [`PushBatch`]es as shards
 /// publish.
 ///
 /// [`recv`](Subscription::recv) blocks for the next batch (and the
 /// [`Iterator`] implementation wraps it); [`try_next`](Subscription::try_next)
 /// returns immediately. [`unsubscribe`](Subscription::unsubscribe) drains the
-/// stream and converts the connection back into a request/response
-/// [`Client`].
+/// stream and hands back the same [`Client`] for request/response use.
 ///
 /// A server that evicts this subscriber as a slow reader ends the stream
 /// with [`ClientError::Server`] carrying [`ErrorCode::SlowConsumer`].
 #[derive(Debug)]
 pub struct Subscription {
-    stream: TcpStream,
-    writer: BufWriter<TcpStream>,
-    fbuf: FrameBuffer,
+    client: Client,
     n_shards: u32,
-    nonblocking: bool,
 }
 
 impl Subscription {
@@ -350,28 +390,17 @@ impl Subscription {
         self.n_shards
     }
 
-    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
-        if self.nonblocking != on {
-            self.stream.set_nonblocking(on)?;
-            self.nonblocking = on;
-        }
-        Ok(())
-    }
-
-    /// Interprets one buffered frame, if complete.
-    fn take_frame(&mut self) -> Result<Option<PushBatch>, ClientError> {
-        let Some(payload) = self.fbuf.next_frame()? else {
-            return Ok(None);
-        };
-        match Response::decode(&payload)? {
-            Response::Push { n_shards, entries } => {
+    /// Reads the next push, if the read loop yields one.
+    fn next_push(&mut self, wait: bool) -> Result<Option<PushBatch>, ClientError> {
+        match self.client.read_response(wait)? {
+            Some(Response::Push { n_shards, entries }) => {
                 self.n_shards = n_shards;
                 Ok(Some(PushBatch { n_shards, entries }))
             }
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Protocol(
+            Some(_) => Err(ClientError::Protocol(
                 "unexpected non-push frame on a subscription",
             )),
+            None => Ok(None),
         }
     }
 
@@ -379,105 +408,38 @@ impl Subscription {
     /// server hung up cleanly; with a read timeout configured, expiry
     /// surfaces as [`ClientError::Io`].
     pub fn recv(&mut self) -> Result<Option<PushBatch>, ClientError> {
-        self.set_nonblocking(false)?;
-        loop {
-            if let Some(batch) = self.take_frame()? {
-                return Ok(Some(batch));
-            }
-            match self.fbuf.fill_from(&mut self.stream) {
-                Ok(0) => {
-                    if self.fbuf.has_partial() {
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server hung up inside a push frame",
-                        )));
-                    }
-                    return Ok(None);
-                }
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.next_push(true)
     }
 
     /// Returns the next [`PushBatch`] if one is already buffered or in the
-    /// socket, without blocking. `Ok(None)` means nothing is pending yet.
+    /// socket, without blocking. `Ok(None)` means nothing is pending yet; a
+    /// server that hung up is an error, since nothing will ever be pending.
     pub fn try_next(&mut self) -> Result<Option<PushBatch>, ClientError> {
-        self.set_nonblocking(true)?;
-        loop {
-            if let Some(batch) = self.take_frame()? {
-                return Ok(Some(batch));
-            }
-            match self.fbuf.fill_from(&mut self.stream) {
-                Ok(0) => {
-                    if self.fbuf.has_partial() {
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server hung up inside a push frame",
-                        )));
-                    }
-                    // A drained, cleanly closed stream has nothing pending
-                    // and never will; surface that as the hang-up error the
-                    // next recv would produce.
-                    return Err(ClientError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server hung up",
-                    )));
-                }
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.next_push(false)
     }
 
-    /// Deregisters the subscription and converts the connection back into a
+    /// Deregisters the subscription and hands back the same connection as a
     /// request/response [`Client`], discarding pushes still in flight (the
     /// server guarantees nothing follows its acknowledgement).
     pub fn unsubscribe(mut self) -> Result<Client, ClientError> {
-        write_frame(
-            &mut self.writer,
-            &frame_message(|buf| Request::Unsubscribe.encode_into(buf)),
-        )?;
-        self.set_nonblocking(false)?;
+        self.client.send(&Request::Unsubscribe)?;
         loop {
-            let frame = loop {
-                if let Some(payload) = self.fbuf.next_frame()? {
-                    break payload;
-                }
-                match self.fbuf.fill_from(&mut self.stream) {
-                    Ok(0) => {
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server hung up before acknowledging unsubscribe",
-                        )))
-                    }
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            match Response::decode(&frame)? {
-                Response::Push { .. } => continue, // in flight before the ack
-                Response::Unsubscribed => break,
-                Response::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                _ => {
+            match self.client.read_response(true)? {
+                Some(Response::Push { .. }) => continue, // in flight before the ack
+                Some(Response::Unsubscribed) => return Ok(self.client),
+                Some(_) => {
                     return Err(ClientError::Protocol(
                         "unexpected frame while unsubscribing",
                     ))
                 }
+                None => {
+                    return Err(ClientError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server hung up before acknowledging unsubscribe",
+                    )))
+                }
             }
         }
-        // Nothing follows the acknowledgement until the next request, so the
-        // frame buffer is empty and the plain buffered reader can take over.
-        Ok(Client {
-            reader: BufReader::new(self.stream.try_clone()?),
-            writer: self.writer,
-        })
     }
 }
 

@@ -49,8 +49,14 @@
 //!   [`EngineStats`](dyndens_core::EngineStats) work ledger, per-shard
 //!   serving health, and the full observability registry over the wire.
 //!
-//! Framing reuses the WAL's `len | crc32 | payload` records
-//! ([`dyndens_graph::codec::put_frame`]); message payloads are versioned.
+//! Framing reuses the WAL's `len | crc32 | payload` records:
+//! [`dyndens_graph::codec::put_frame`] writes them, and one parser,
+//! [`dyndens_graph::codec::split_frame`], reads wire frames (bounded by
+//! [`MAX_FRAME_LEN`]), WAL records and `entities.log` alike. The server's
+//! event loops and the client read sockets through the same
+//! [`net::FrameBuffer`]; a [`Client`] is one connection with one read loop,
+//! and its [`Subscription`] is that same client in push mode. Message
+//! payloads are versioned.
 //! The normative byte-level specification is `docs/PROTOCOL.md` at the
 //! repository root; `ARCHITECTURE.md` places this crate among the other
 //! subsystems.

@@ -1,81 +1,36 @@
-//! Framed message I/O over byte streams.
+//! Incremental frame reading over byte streams.
 //!
 //! The wire carries the same `len u32 | crc32(payload) u32 | payload` records
-//! as the shard WAL ([`dyndens_graph::codec::put_frame`]); this module reads
-//! and writes them incrementally over sockets. A CRC mismatch or a mid-frame
-//! EOF desynchronises the stream, so both are surfaced as I/O errors and the
+//! as the shard WAL ([`dyndens_graph::codec::put_frame`]), and both are split
+//! by one parser, [`dyndens_graph::codec::split_frame`]. [`FrameBuffer`]
+//! feeds it from a socket: the server's event loops and the client's one
+//! read loop (blocking or not) read through it. A CRC mismatch, a length over
+//! [`MAX_FRAME_LEN`] or a mid-frame EOF desynchronises the stream, so the
 //! connection is torn down rather than resynchronised.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
-use dyndens_graph::codec::crc32;
+use dyndens_graph::codec::{split_frame, FrameSplit};
 
 use crate::protocol::MAX_FRAME_LEN;
 
-/// Writes one framed payload and flushes.
-pub fn write_frame(w: &mut impl Write, framed: &[u8]) -> io::Result<()> {
-    w.write_all(framed)?;
-    w.flush()
-}
-
-/// Reads one framed payload. Returns `Ok(None)` on a clean EOF at a frame
-/// boundary (the peer hung up between messages); EOF inside a frame, a
-/// length above [`MAX_FRAME_LEN`] and a CRC mismatch are errors.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 8];
-    // Distinguish "no more messages" from "message cut off": only a zero-byte
-    // read before the first header byte is a clean end of stream.
-    let mut filled = 0;
-    while filled < header.len() {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame header",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let stored_crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte bound"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != stored_crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame CRC mismatch",
-        ));
-    }
-    Ok(Some(payload))
-}
-
-/// How many bytes [`FrameBuffer::fill_from`] asks the source for per call.
+/// The least spare room [`FrameBuffer::fill_from`] offers the source per
+/// call.
 const FILL_CHUNK: usize = 16 * 1024;
 
-/// An incremental frame decoder for non-blocking streams.
+/// An incremental frame decoder.
 ///
-/// [`read_frame`] blocks until a whole frame arrives, which a readiness event
-/// loop cannot afford: a frame may straddle arbitrarily many readiness
-/// events. `FrameBuffer` splits the work into [`fill_from`](Self::fill_from)
-/// (one `read` call, appending whatever arrived) and
-/// [`next_frame`](Self::next_frame) (pops one complete, CRC-verified frame if
-/// buffered). Both the server's event loops and the client's non-blocking
-/// `try_next` path use it; framing errors carry the same `io::ErrorKind`s as
-/// [`read_frame`].
+/// A frame may straddle arbitrarily many reads, so the work is split into
+/// [`fill_from`](Self::fill_from) (one `read` call, appending whatever
+/// arrived) and [`next_frame`](Self::next_frame) (pops one complete,
+/// CRC-verified frame if buffered).
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
+    /// `[start, end)` is read but not yet popped. `[end, len)` is spare
+    /// room, zeroed once when the buffer grew and reused by every later read.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -84,67 +39,35 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Creates a buffer pre-seeded with bytes already read from the stream
-    /// (e.g. the unconsumed tail of a `BufReader` being converted to
-    /// non-blocking use).
-    pub fn with_initial(bytes: Vec<u8>) -> Self {
-        FrameBuffer {
-            buf: bytes,
-            start: 0,
-        }
-    }
-
     /// Performs **one** `read` on `r`, appending whatever arrived. Returns
     /// the byte count (`Ok(0)` is EOF). `WouldBlock` and every other error
     /// pass through untouched; the buffer is unchanged on error.
     pub fn fill_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
-        let old = self.buf.len();
-        self.buf.resize(old + FILL_CHUNK, 0);
-        match r.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
+        if self.buf.len() - self.end < FILL_CHUNK {
+            self.buf.resize(self.end + FILL_CHUNK, 0);
         }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Pops one complete frame's payload, if buffered. Returns `Ok(None)`
-    /// when more bytes are needed; a hostile length prefix or a CRC mismatch
-    /// is an `InvalidData` error, exactly as in [`read_frame`].
+    /// when more bytes are needed; a length over [`MAX_FRAME_LEN`] (known
+    /// from the header alone) or a CRC mismatch is an `InvalidData` error.
     pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let pending = &self.buf[self.start..];
-        if pending.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]);
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte bound"),
-            ));
-        }
-        let stored_crc = u32::from_le_bytes([pending[4], pending[5], pending[6], pending[7]]);
-        let total = 8 + len as usize;
-        if pending.len() < total {
-            return Ok(None);
-        }
-        let payload = pending[8..total].to_vec();
-        self.start += total;
-        // Reclaim the consumed prefix once it dominates the allocation, so a
-        // long-lived connection's buffer stays proportional to its backlog.
-        if self.start > FILL_CHUNK && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
+        let (payload, used) = match split_frame(&self.buf[self.start..self.end], MAX_FRAME_LEN) {
+            FrameSplit::Complete { payload, used } => (payload.to_vec(), used),
+            FrameSplit::NeedMore => return Ok(None),
+            FrameSplit::Corrupt(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+        };
+        self.start += used;
+        // Reclaim the consumed prefix once it dominates what is buffered (at
+        // no cost when nothing is left), so a long-lived connection's
+        // buffer stays proportional to its backlog.
+        if self.start == self.end || (self.start > FILL_CHUNK && self.start * 2 > self.end) {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
-        }
-        if crc32(&payload) != stored_crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame CRC mismatch",
-            ));
         }
         Ok(Some(payload))
     }
@@ -152,19 +75,69 @@ impl FrameBuffer {
     /// `true` while the buffer holds a partial frame — an EOF now would be a
     /// torn frame, not a clean hang-up.
     pub fn has_partial(&self) -> bool {
-        self.buf.len() > self.start
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn buffered_len(&self) -> usize {
-        self.buf.len() - self.start
+        self.end > self.start
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyndens_graph::codec::put_frame;
+    use dyndens_graph::codec::{put_frame, scan_frames};
+    use proptest::prelude::*;
+
+    /// A source that serves `bytes` in reads of the given sizes, cycled.
+    struct Chunked<'a> {
+        rest: &'a [u8],
+        sizes: &'a [usize],
+        next: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.next % self.sizes.len()];
+            self.next += 1;
+            let n = size.min(out.len()).min(self.rest.len());
+            out[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// How a stream fed through a [`FrameBuffer`] ended.
+    #[derive(Debug, PartialEq, Eq)]
+    enum End {
+        /// EOF at a frame boundary.
+        Clean,
+        /// EOF inside a frame.
+        Torn,
+        /// `next_frame` reported `InvalidData`.
+        Corrupt,
+    }
+
+    /// Feeds `bytes` to a fresh [`FrameBuffer`] in reads of `sizes`,
+    /// popping every frame as it completes: the payloads, and how the
+    /// stream ended.
+    fn feed(bytes: &[u8], sizes: &[usize]) -> (Vec<Vec<u8>>, End) {
+        let mut source = Chunked {
+            rest: bytes,
+            sizes,
+            next: 0,
+        };
+        let mut fb = FrameBuffer::new();
+        let mut frames = Vec::new();
+        loop {
+            match fb.next_frame() {
+                Ok(Some(payload)) => frames.push(payload),
+                Ok(None) if fb.fill_from(&mut source).unwrap() > 0 => {}
+                Ok(None) if fb.has_partial() => return (frames, End::Torn),
+                Ok(None) => return (frames, End::Clean),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    return (frames, End::Corrupt);
+                }
+            }
+        }
+    }
 
     #[test]
     fn frame_round_trip_over_a_stream() {
@@ -172,45 +145,29 @@ mod tests {
         put_frame(&mut wire, b"first");
         put_frame(&mut wire, b"");
         put_frame(&mut wire, b"third message");
-        let mut cursor = io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"first");
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"third message");
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+        let (frames, end) = feed(&wire, &[FILL_CHUNK]);
+        assert_eq!(
+            frames,
+            vec![b"first".to_vec(), b"".to_vec(), b"third message".to_vec()]
+        );
+        assert_eq!(end, End::Clean, "clean EOF");
     }
 
     #[test]
     fn torn_and_corrupt_frames_are_io_errors() {
+        let end = |bytes: &[u8]| feed(bytes, &[FILL_CHUNK]).1;
         let mut wire = Vec::new();
         put_frame(&mut wire, b"payload");
-        // EOF inside the header.
-        let mut cursor = io::Cursor::new(&wire[..5]);
-        assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        // EOF inside the payload.
-        let mut cursor = io::Cursor::new(&wire[..10]);
-        assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        // Flipped payload byte: CRC mismatch.
+        assert_eq!(end(&wire[..5]), End::Torn, "EOF in the header");
+        assert_eq!(end(&wire[..10]), End::Torn, "EOF in the payload");
         let mut corrupt = wire.clone();
         *corrupt.last_mut().unwrap() ^= 0x01;
-        let mut cursor = io::Cursor::new(corrupt);
-        assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-        // Hostile length prefix: rejected before allocation.
+        assert_eq!(end(&corrupt), End::Corrupt, "CRC mismatch");
+        // Hostile length prefix: rejected from the header alone, before its
+        // payload is waited for.
         let mut hostile = wire;
         hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut cursor = io::Cursor::new(hostile);
-        assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        assert_eq!(end(&hostile[..8]), End::Corrupt, "hostile length");
     }
 
     #[test]
@@ -235,7 +192,6 @@ mod tests {
             vec![b"alpha".to_vec(), b"".to_vec(), b"beta frame".to_vec()]
         );
         assert!(!fb.has_partial());
-        assert_eq!(fb.buffered_len(), 0);
     }
 
     #[test]
@@ -244,14 +200,16 @@ mod tests {
         put_frame(&mut wire, b"payload");
 
         // Partial header: not an error, just not a frame yet.
-        let mut fb = FrameBuffer::with_initial(wire[..5].to_vec());
+        let mut fb = FrameBuffer::new();
+        fb.fill_from(&mut &wire[..5]).unwrap();
         assert!(fb.next_frame().unwrap().is_none());
         assert!(fb.has_partial());
 
         // Corrupt payload byte: CRC mismatch.
         let mut corrupt = wire.clone();
         *corrupt.last_mut().unwrap() ^= 0x01;
-        let mut fb = FrameBuffer::with_initial(corrupt);
+        let mut fb = FrameBuffer::new();
+        fb.fill_from(&mut corrupt.as_slice()).unwrap();
         assert_eq!(
             fb.next_frame().unwrap_err().kind(),
             io::ErrorKind::InvalidData
@@ -260,7 +218,8 @@ mod tests {
         // Hostile length prefix: rejected before buffering the "payload".
         let mut hostile = wire;
         hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut fb = FrameBuffer::with_initial(hostile);
+        let mut fb = FrameBuffer::new();
+        fb.fill_from(&mut &hostile[..8]).unwrap();
         assert_eq!(
             fb.next_frame().unwrap_err().kind(),
             io::ErrorKind::InvalidData
@@ -274,12 +233,71 @@ mod tests {
         for _ in 0..4 {
             put_frame(&mut wire, &big);
         }
-        let mut fb = FrameBuffer::with_initial(wire);
+        let mut fb = FrameBuffer::new();
+        let mut source = wire.as_slice();
+        while fb.fill_from(&mut source).unwrap() > 0 {}
+        let grown = fb.buf.len();
         for _ in 0..4 {
             assert_eq!(fb.next_frame().unwrap().unwrap(), big);
         }
-        assert_eq!(fb.buffered_len(), 0);
+        assert!(!fb.has_partial());
         // The consumed prefix was reclaimed, not retained forever.
-        assert!(fb.buf.len() < 2 * FILL_CHUNK, "buffer compacted");
+        assert!(fb.end < 2 * FILL_CHUNK, "buffer compacted");
+        // The spare room stays initialised: the same stream again reads
+        // into it without growing (or zeroing) anything.
+        let mut source = wire.as_slice();
+        while fb.fill_from(&mut source).unwrap() > 0 {}
+        assert_eq!(fb.buf.len(), grown);
+    }
+
+    /// The CRC frames of `payloads`, back to back.
+    fn frames_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for payload in payloads {
+            put_frame(&mut wire, payload);
+        }
+        wire
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// The stream parser (`scan_frames`, no length bound) and the socket
+        /// parser (`FrameBuffer`, fed in random-sized reads) agree on every
+        /// input: the same payloads, stopping at the same offset.
+        #[test]
+        fn scan_frames_and_frame_buffer_agree_on_any_bytes(
+            kind in 0..3u8,
+            payloads in prop::collection::vec(prop::collection::vec(0..=255u8, 0..40), 0..6),
+            cut in 0..u32::MAX,
+            flip in (0..u32::MAX, 0..8u32),
+            junk in prop::collection::vec(0..=255u8, 0..120),
+            sizes in prop::collection::vec(1..48usize, 1..8),
+        ) {
+            let bytes = match kind {
+                // A valid stream cut at a random point, then the same with
+                // one bit flipped, then arbitrary bytes.
+                0 | 1 => {
+                    let mut wire = frames_of(&payloads);
+                    wire.truncate(cut as usize % (wire.len() + 1));
+                    if kind == 1 && !wire.is_empty() {
+                        let at = flip.0 as usize % wire.len();
+                        wire[at] ^= 1 << flip.1;
+                    }
+                    wire
+                }
+                _ => junk,
+            };
+            let mut scanned = Vec::new();
+            let scan = scan_frames(&bytes, |payload| {
+                scanned.push(payload.to_vec());
+                true
+            });
+            let (buffered, end) = feed(&bytes, &sizes);
+            prop_assert_eq!(&buffered, &scanned);
+            let offset: usize = buffered.iter().map(|p| 8 + p.len()).sum();
+            prop_assert_eq!(offset as u64, scan.valid_len);
+            prop_assert_eq!(end == End::Clean, scan.clean);
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! numbering space; requests use `0x01..=0x7F`, responses `0x80..=0xFF`.
 
 use dyndens_core::{DenseEvent, EngineStats};
-use dyndens_graph::codec::{put_f64, put_frame};
+use dyndens_graph::codec::{put_f64, put_frame_with};
 use dyndens_graph::codec::{put_str, put_u32, put_u64, put_u8, ByteReader, CodecError};
 use dyndens_graph::VertexSet;
 use dyndens_obs::RegistrySnapshot;
@@ -765,12 +765,10 @@ impl Response {
     }
 }
 
-/// Encodes a message payload and wraps it in the CRC frame, ready to write
-/// to a socket.
+/// Encodes a message payload behind its CRC frame header in one buffer,
+/// ready to write to a socket.
 pub fn frame_message(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode(&mut payload);
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    put_frame(&mut framed, &payload);
+    let mut framed = Vec::new();
+    put_frame_with(&mut framed, encode);
     framed
 }

@@ -1,15 +1,17 @@
-//! `docs/PROTOCOL.md` and `protocol.rs` give the same tags and error codes:
-//! the §4 request tag table, the tag in each §5 response heading, and the
-//! §5.8 error-code table. One value of every message variant is encoded and
-//! its tag byte (payload byte 1, after the version) compared with the
-//! documented one. A tag or code changed on one side only fails here.
+//! `docs/PROTOCOL.md` and the code give the same framing constants, tags
+//! and error codes: the §2 length bound and CRC check value, the §4 request
+//! tag table, the tag in each §5 response heading, and the §5.8 error-code
+//! table. One value of every message variant is encoded and its tag byte
+//! (payload byte 1, after the version) compared with the documented one. A
+//! constant, tag or code changed on one side only fails here.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use dyndens_core::EngineStats;
+use dyndens_graph::codec::crc32;
 use dyndens_obs::RegistrySnapshot;
-use dyndens_serve::{ErrorCode, Request, Response, ServeStats};
+use dyndens_serve::{ErrorCode, Request, Response, ServeStats, MAX_FRAME_LEN};
 
 fn protocol_md() -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/PROTOCOL.md");
@@ -73,6 +75,42 @@ fn error_meaning(code: ErrorCode) -> &'static str {
         ErrorCode::SlowConsumer => "slow consumer",
         ErrorCode::Unsupported => "unsupported:",
     }
+}
+
+/// The text of `doc` between the first `before` and the next `after`.
+fn between<'a>(doc: &'a str, before: &str, after: &str) -> &'a str {
+    let from = doc
+        .find(before)
+        .unwrap_or_else(|| panic!("no {before:?} in {doc:?}"))
+        + before.len();
+    let len = doc[from..]
+        .find(after)
+        .unwrap_or_else(|| panic!("no {after:?} after {before:?}"));
+    &doc[from..from + len]
+}
+
+#[test]
+fn framing_constants_match_section_2() {
+    let doc = protocol_md();
+    // One line, so a phrase the doc wraps still matches.
+    let framing = section(&doc, "## 2.", "## ")
+        .join(" ")
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    let bound: u32 = between(&framing, "`len > ", "`")
+        .replace('_', "")
+        .parse()
+        .expect("§2's length bound is a number");
+    assert_eq!(bound, MAX_FRAME_LEN, "§2 length bound (right: protocol.rs)");
+    let input = between(&framing, "check value of `\"", "\"`");
+    let check = u32::from_str_radix(between(&framing, "` is `0x", "`"), 16)
+        .expect("§2's check value is hex");
+    assert_eq!(
+        check,
+        crc32(input.as_bytes()),
+        "§2 CRC check value of {input:?} (right: codec.rs)"
+    );
 }
 
 #[test]

@@ -4,15 +4,13 @@
 //! and corrupt frames without panicking — mirroring the codec round-trip
 //! suite in `crates/graph/tests/codec_roundtrip.rs`.
 
-use std::io;
-
 use dyndens_core::{DenseEvent, EngineStats};
 use dyndens_graph::VertexSet;
 use dyndens_obs::{
     HistogramSample, HistogramSnapshot, MetricName, MetricSample, ObsEvent, ObsRecord,
     RebalanceStage, RegistrySnapshot, SpanMark, N_BUCKETS,
 };
-use dyndens_serve::net::read_frame;
+use dyndens_serve::net::FrameBuffer;
 use dyndens_serve::protocol::frame_message;
 use dyndens_serve::{ErrorCode, Request, Response, ServeStats, ShardPoll, ShardStat, WireStory};
 use proptest::prelude::*;
@@ -424,13 +422,15 @@ proptest! {
         // Flip one bit anywhere in the frame (header or payload).
         let byte = (flip.0 as usize) % framed.len();
         framed[byte] ^= 1 << flip.1;
-        let mut cursor = io::Cursor::new(framed);
+        let mut fb = FrameBuffer::new();
+        let mut source = framed.as_slice();
+        while fb.fill_from(&mut source).unwrap() > 0 {}
         // The flip must never be silently absorbed: either the frame is
-        // rejected, or (flips in the length prefix can shorten the frame)
-        // the recovered payload differs and decode sees garbage that it
-        // either rejects or — only if the flip undid itself — returns
-        // unchanged.
-        if let Ok(Some(payload)) = read_frame(&mut cursor) {
+        // rejected (or, with a lengthened prefix, never completes), or
+        // (flips in the length prefix can shorten the frame) the recovered
+        // payload differs and decode sees garbage that it either rejects
+        // or — only if the flip undid itself — returns unchanged.
+        if let Ok(Some(payload)) = fb.next_frame() {
             if let Ok(back) = Request::decode(&payload) {
                 prop_assert_eq!(back, request);
             }

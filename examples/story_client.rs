@@ -15,6 +15,9 @@
 //! the out-of-process counterpart of holding a `StoryView`, with a resync
 //! snapshot pushed only if the mirror lags behind the server's delta
 //! retention (or the shard topology changes).
+//!
+//! Exits non-zero if no push advanced the mirror's cursor during the watch,
+//! so a run that read nothing fails instead of printing an empty mirror.
 
 use std::time::{Duration, Instant};
 
@@ -96,6 +99,10 @@ fn watch_pushed(addr: &str, watch_secs: u64) {
         mirror.events_applied(),
         mirror.resyncs(),
     );
+    if seq == 0 {
+        eprintln!("no push advanced the mirror's cursor in {watch_secs}s");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
