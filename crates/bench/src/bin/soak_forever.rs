@@ -43,6 +43,12 @@
 //!   under exact-cancellation measures: cancelled edges never reach the
 //!   floor check). CI gates `edges_reclaimed_by_decay > 0`;
 //! * `edges_final`, `output_dense_final` — the steady-state live set;
+//! * `tracker_pairs` / `tracker_partner_links` — the co-occurrence tracker
+//!   at the last sample: live pair counters, and the links of its sorted
+//!   partner lists. CI gates `tracker_partner_links == 2 * tracker_pairs`:
+//!   every live pair is linked both ways and nothing else is, so a link
+//!   leaked by pruning shows here although `tracker_pairs` counts only the
+//!   counters;
 //! * `rss_half_kb` / `rss_final_kb` / `rss_growth_pct` — process RSS at the
 //!   half-run sample against the end; CI gates `< 10`;
 //! * `wal_half_bytes` / `wal_final_bytes` / `wal_growth_pct` — total on-disk
@@ -52,7 +58,8 @@
 //!   (CI gates `true`: reopening a compacted directory is ordinary
 //!   recovery);
 //! * `samples[]` — one row per compaction window (`updates`, `posts`,
-//!   `rss_kb`, `edges`, `wal_bytes`, `tracker_pairs`, `reclaimed`): the
+//!   `rss_kb`, `edges`, `wal_bytes`, `tracker_pairs`,
+//!   `tracker_partner_links`, `reclaimed`): the
 //!   series to eyeball for trends. `edges`, `tracker_pairs` and `rss_kb`
 //!   should plateau, `reclaimed` should climb, `wal_bytes` should sawtooth
 //!   under a ceiling;
@@ -192,6 +199,7 @@ struct Sample {
     edges: usize,
     wal_bytes: u64,
     tracker_pairs: usize,
+    tracker_partner_links: usize,
     reclaimed: u64,
 }
 
@@ -244,6 +252,11 @@ fn write_json(
     ));
     json.push_str(&format!("  \"edges_final\": {},\n", last.edges));
     json.push_str(&format!("  \"output_dense_final\": {output_dense},\n"));
+    json.push_str(&format!("  \"tracker_pairs\": {},\n", last.tracker_pairs));
+    json.push_str(&format!(
+        "  \"tracker_partner_links\": {},\n",
+        last.tracker_partner_links
+    ));
     json.push_str(&format!("  \"elapsed_secs\": {elapsed_secs:.3},\n"));
     json.push_str(&format!(
         "  \"updates_per_sec\": {:.1},\n",
@@ -318,8 +331,16 @@ fn write_json(
         let sep = if i + 1 < samples.len() { "," } else { "" };
         json.push_str(&format!(
             "    {{\"updates\": {}, \"posts\": {}, \"rss_kb\": {}, \"edges\": {}, \
-             \"wal_bytes\": {}, \"tracker_pairs\": {}, \"reclaimed\": {}}}{sep}\n",
-            s.updates, s.posts, s.rss_kb, s.edges, s.wal_bytes, s.tracker_pairs, s.reclaimed,
+             \"wal_bytes\": {}, \"tracker_pairs\": {}, \"tracker_partner_links\": {}, \
+             \"reclaimed\": {}}}{sep}\n",
+            s.updates,
+            s.posts,
+            s.rss_kb,
+            s.edges,
+            s.wal_bytes,
+            s.tracker_pairs,
+            s.tracker_partner_links,
+            s.reclaimed,
         ));
     }
     json.push_str("  ]\n}\n");
@@ -419,6 +440,7 @@ fn main() {
                 edges: f.edge_count(),
                 wal_bytes: wal_bytes(&dir),
                 tracker_pairs: generator.tracker().pair_count(),
+                tracker_partner_links: generator.tracker().partner_links(),
                 reclaimed: reclaimed_by_decay + evicted_by_floor,
             });
             let s = samples.last().unwrap();

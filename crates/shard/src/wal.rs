@@ -38,7 +38,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use dyndens_graph::codec::{put_frame, put_u32, put_u64, scan_frames, ByteReader};
+use dyndens_graph::codec::{put_frame_with, put_u32, put_u64, scan_frames, ByteReader};
 use dyndens_graph::EdgeUpdate;
 use dyndens_obs::ObsEvent;
 
@@ -218,6 +218,9 @@ pub struct WalWriter {
     /// Pre-registered metric handles; `None` keeps every instrumentation
     /// site on the uninstrumented fast path.
     obs: Option<WalObs>,
+    /// The record being appended, framed in place; kept across appends so
+    /// that an append allocates nothing once it has grown.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -250,6 +253,7 @@ impl WalWriter {
             fsync,
             segment_max_bytes: segment_max_bytes.max(1),
             obs: None,
+            frame: Vec::new(),
         })
     }
 
@@ -272,16 +276,17 @@ impl WalWriter {
     /// `first_seq .. first_seq + updates.len()`, honouring the fsync policy,
     /// and rotates if the segment grew past its size bound.
     pub fn append(&mut self, first_seq: u64, updates: &[EdgeUpdate]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(12 + updates.len() * EdgeUpdate::ENCODED_LEN);
-        put_u64(&mut payload, first_seq);
-        put_u32(&mut payload, updates.len() as u32);
-        for u in updates {
-            u.encode_into(&mut payload);
-        }
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_frame(&mut frame, &payload);
+        self.frame.clear();
+        put_frame_with(&mut self.frame, |payload| {
+            put_u64(payload, first_seq);
+            put_u32(payload, updates.len() as u32);
+            for u in updates {
+                u.encode_into(payload);
+            }
+        });
+        let frame_bytes = self.frame.len() as u64;
         let started = self.obs.as_ref().map(|_| Instant::now());
-        self.file.write_all(&frame)?;
+        self.file.write_all(&self.frame)?;
         if self.fsync == FsyncPolicy::Always {
             let sync_started = self.obs.as_ref().map(|_| Instant::now());
             self.file.sync_data()?;
@@ -291,17 +296,17 @@ impl WalWriter {
                 o.fsync_us.record(fsync_us);
                 o.registry.emit(ObsEvent::WalFsync {
                     shard: o.slot,
-                    bytes: frame.len() as u64,
+                    bytes: frame_bytes,
                     fsync_us,
                 });
             }
         }
-        self.seg_bytes += frame.len() as u64;
+        self.seg_bytes += frame_bytes;
         if let (Some(o), Some(t)) = (self.obs.as_ref(), started) {
             // Append latency covers the write plus any policy-driven fsync:
             // the full durability cost the micro-batch paid on the hot path.
             o.appends.inc();
-            o.append_bytes.add(frame.len() as u64);
+            o.append_bytes.add(frame_bytes);
             o.append_us.record_micros(t.elapsed());
             o.segment_bytes.set(self.seg_bytes);
         }

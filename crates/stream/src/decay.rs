@@ -6,8 +6,18 @@
 //! experiments). The counters here decay lazily: each counter remembers the
 //! time it was last touched and scales its value by `exp(-dt / mean_life)`
 //! when read or incremented at a later time.
+//!
+//! Beside the counters, the tracker keeps every entity's co-occurrence
+//! partners as an ascending list: exactly the entities it has a live pair
+//! counter with. [`observe`](CooccurrenceTracker::observe) links a pair by
+//! binary-search insertion the first time it co-occurs, and
+//! [`prune`](CooccurrenceTracker::prune) unlinks it by binary search when its
+//! counter goes. An entity's incident pairs so come out of its list already
+//! in canonical `(min, max)` order, which is what lets the
+//! [`pipeline`](crate::pipeline) lower a post without sorting.
 
-use dyndens_graph::{FxHashMap, FxHashSet, VertexId};
+use dyndens_graph::{FxHashMap, VertexId};
+use std::collections::hash_map::Entry;
 
 /// A single exponentially decayed counter.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -54,10 +64,11 @@ pub struct CooccurrenceTracker {
     total: DecayedCount,
     occurrences: FxHashMap<VertexId, DecayedCount>,
     cooccurrences: FxHashMap<(VertexId, VertexId), DecayedCount>,
-    /// For every entity, the set of entities it has ever co-occurred with
-    /// (needed to know which edge weights to refresh when an entity is
-    /// mentioned again).
-    partners: FxHashMap<VertexId, FxHashSet<VertexId>>,
+    /// For every entity, the entities it shares a live co-occurrence
+    /// counter with, strictly ascending (the edge weights to refresh when
+    /// the entity is mentioned again). An entity with no partner has no
+    /// entry.
+    partners: FxHashMap<VertexId, Vec<VertexId>>,
     /// When `None`, counts never decay ("cumulative stories to date" mode).
     decay_enabled: bool,
 }
@@ -93,6 +104,7 @@ impl CooccurrenceTracker {
     }
 
     /// Records a post at time `now` mentioning the given (distinct) entities.
+    /// A pair's first co-occurrence links its two entities as partners.
     pub fn observe(&mut self, now: f64, entities: &[VertexId]) {
         let life = self.life();
         self.total.add(now, 1.0, life);
@@ -102,12 +114,14 @@ impl CooccurrenceTracker {
         for (i, &a) in entities.iter().enumerate() {
             for &b in &entities[i + 1..] {
                 let key = if a < b { (a, b) } else { (b, a) };
-                self.cooccurrences
-                    .entry(key)
-                    .or_default()
-                    .add(now, 1.0, life);
-                self.partners.entry(a).or_default().insert(b);
-                self.partners.entry(b).or_default().insert(a);
+                match self.cooccurrences.entry(key) {
+                    Entry::Occupied(mut counter) => counter.get_mut().add(now, 1.0, life),
+                    Entry::Vacant(slot) => {
+                        slot.insert(DecayedCount::default()).add(now, 1.0, life);
+                        link(self.partners.entry(a).or_default(), b);
+                        link(self.partners.entry(b).or_default(), a);
+                    }
+                }
             }
         }
     }
@@ -132,9 +146,17 @@ impl CooccurrenceTracker {
         self.total.decayed(now, self.life())
     }
 
-    /// The entities that have ever co-occurred with `entity`.
-    pub fn partners(&self, entity: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.partners.get(&entity).into_iter().flatten().copied()
+    /// The entities `entity` shares a live co-occurrence counter with, in
+    /// ascending order.
+    pub fn partners(&self, entity: VertexId) -> &[VertexId] {
+        self.partners.get(&entity).map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of partner links over all entities: twice
+    /// [`pair_count`](Self::pair_count) while the tracker is consistent
+    /// (every live pair is linked both ways).
+    pub fn partner_links(&self) -> usize {
+        self.partners.values().map(Vec::len).sum()
     }
 
     /// The full contingency statistics of a pair at time `now`.
@@ -155,6 +177,40 @@ impl CooccurrenceTracker {
     /// Number of entity pairs with a live co-occurrence counter.
     pub fn pair_count(&self) -> usize {
         self.cooccurrences.len()
+    }
+
+    /// Internal consistency check used by tests: every partner list is
+    /// non-empty and strictly ascending, every link `a → b` has its mirror
+    /// `b → a` and a live `(min, max)` counter, and every live counter is
+    /// linked — so the links number exactly twice the pairs.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (&a, list) in &self.partners {
+            if list.is_empty() {
+                return Err(format!("{a} has an empty partner list"));
+            }
+            if let Some(w) = list.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "{a}'s partners are not strictly ascending at {w:?}"
+                ));
+            }
+            for &b in list {
+                let key = if a < b { (a, b) } else { (b, a) };
+                if !self.cooccurrences.contains_key(&key) {
+                    return Err(format!("link {a} -> {b} has no co-occurrence counter"));
+                }
+                if self.partners(b).binary_search(&a).is_err() {
+                    return Err(format!("link {a} -> {b} has no mirror"));
+                }
+            }
+        }
+        let links = self.partner_links();
+        if links != 2 * self.cooccurrences.len() {
+            return Err(format!(
+                "{links} partner links for {} live pairs",
+                self.cooccurrences.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Drops every occurrence and co-occurrence counter whose decayed value
@@ -193,9 +249,11 @@ impl CooccurrenceTracker {
         });
         for (a, b) in dead_pairs {
             for (from, to) in [(a, b), (b, a)] {
-                if let Some(set) = self.partners.get_mut(&from) {
-                    set.remove(&to);
-                    if set.is_empty() {
+                if let Some(list) = self.partners.get_mut(&from) {
+                    if let Ok(i) = list.binary_search(&to) {
+                        list.remove(i);
+                    }
+                    if list.is_empty() {
                         self.partners.remove(&from);
                     }
                 }
@@ -205,6 +263,13 @@ impl CooccurrenceTracker {
             occ_before - self.occurrences.len(),
             pair_before - self.cooccurrences.len(),
         )
+    }
+}
+
+/// Inserts `partner` into an ascending partner list, keeping it ascending.
+fn link(list: &mut Vec<VertexId>, partner: VertexId) {
+    if let Err(i) = list.binary_search(&partner) {
+        list.insert(i, partner);
     }
 }
 
@@ -270,10 +335,11 @@ mod tests {
         let mut t = CooccurrenceTracker::new(HOUR);
         t.observe(0.0, &[v(0), v(1), v(2)]);
         t.observe(0.0, &[v(0), v(3)]);
-        let mut partners: Vec<u32> = t.partners(v(0)).map(|p| p.0).collect();
-        partners.sort_unstable();
-        assert_eq!(partners, vec![1, 2, 3]);
-        assert_eq!(t.partners(v(4)).count(), 0);
+        assert_eq!(t.partners(v(0)), &[v(1), v(2), v(3)]);
+        assert_eq!(t.partners(v(2)), &[v(0), v(1)]);
+        assert!(t.partners(v(4)).is_empty());
+        assert_eq!(t.partner_links(), 2 * t.pair_count());
+        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -301,8 +367,9 @@ mod tests {
         assert_eq!(pairs, 1, "(0, 1) decayed out");
         assert_eq!(t.entity_count(), 2);
         assert_eq!(t.pair_count(), 1);
-        assert_eq!(t.partners(v(0)).count(), 0);
-        assert_eq!(t.partners(v(2)).count(), 1);
+        assert!(t.partners(v(0)).is_empty());
+        assert_eq!(t.partners(v(2)), &[v(3)]);
+        t.check_invariants().unwrap();
         // Survivors keep their exact decayed values.
         assert!((t.cooccurrences(v(2), v(3), later) - (1.0 + (-100.0f64).exp())).abs() < 1e-9);
         // A pruned entity can reappear later as if new.

@@ -11,14 +11,56 @@
 //! appeared after the last time either endpoint was mentioned — operationally,
 //! an edge's weight is only refreshed when one of its endpoints appears in a
 //! post, so a single post only touches the edges incident to its entities.
+//!
+//! ## Per-post cost and output order
+//!
+//! After the tracker has observed the post, every pair it touches is a
+//! mentioned entity with one of its co-occurrence partners (the post's own
+//! pairs included: observing them made them partners). Each mentioned
+//! entity's partner list is ascending, so its incident pairs, written
+//! `(min, max)`, are already in canonical order; the post's touched pairs are
+//! one merge of those runs, a pair of two mentioned entities taken once. The
+//! updates so come out in ascending edge order without a sort, and a
+//! one-entity post is a plain walk of one list. The post's decayed total and
+//! each mentioned entity's decayed count are read once per post; a pair then
+//! costs the partner's count and the pair's co-occurrence count (two counter
+//! probes, two `exp`s), the measure, and one probe of the emitted-weight map
+//! (two if it emits). The merge works in two buffers the generator keeps, so
+//! a post allocates nothing once they have grown.
 
-use crate::decay::CooccurrenceTracker;
+use crate::decay::{CooccurrenceTracker, PairStats};
 use crate::measures::AssociationMeasure;
 use crate::post::Post;
 use dyndens_graph::{EdgeUpdate, FxHashMap, VertexId};
 
 /// Minimum absolute weight change that is worth emitting as an update.
 const MIN_DELTA: f64 = 1e-9;
+
+/// One mentioned entity's partners during a post's merge: they sit at
+/// `touched[next..end]` of the generator's buffer, ascending.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    entity: VertexId,
+    /// The entity's decayed count at the post's time.
+    count: f64,
+    next: usize,
+    end: usize,
+}
+
+impl Run {
+    /// The run's next pair in canonical `(min, max)` form.
+    fn head(&self, touched: &[VertexId]) -> Option<(VertexId, VertexId)> {
+        (self.next < self.end).then(|| canonical(self.entity, touched[self.next]))
+    }
+}
+
+fn canonical(a: VertexId, b: VertexId) -> (VertexId, VertexId) {
+    if a < b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
 
 /// Generates edge weight updates from a stream of entity-annotated posts.
 #[derive(Debug, Clone)]
@@ -27,6 +69,9 @@ pub struct EdgeUpdateGenerator<M: AssociationMeasure> {
     tracker: CooccurrenceTracker,
     /// The last weight emitted for each edge (the DynDens engine's view).
     emitted: FxHashMap<(VertexId, VertexId), f64>,
+    /// The current post's partner lists, one run per mentioned entity.
+    touched: Vec<VertexId>,
+    runs: Vec<Run>,
     posts_seen: u64,
     positive_updates: u64,
     negative_updates: u64,
@@ -49,6 +94,8 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
             measure,
             tracker,
             emitted: FxHashMap::default(),
+            touched: Vec::new(),
+            runs: Vec::new(),
             posts_seen: 0,
             positive_updates: 0,
             negative_updates: 0,
@@ -72,7 +119,7 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
 
     /// The weight currently emitted for an edge (the engine's view of it).
     pub fn current_weight(&self, a: VertexId, b: VertexId) -> f64 {
-        let key = if a < b { (a, b) } else { (b, a) };
+        let key = canonical(a, b);
         self.emitted.get(&key).copied().unwrap_or(0.0)
     }
 
@@ -83,49 +130,90 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
         updates
     }
 
-    /// Consumes one post, appending the resulting updates to `out`.
+    /// Consumes one post, appending the resulting updates to `out` in
+    /// ascending edge order.
     pub fn process_post_into(&mut self, post: &Post, out: &mut Vec<EdgeUpdate>) {
         self.posts_seen += 1;
-        self.tracker.observe(post.timestamp, &post.entities);
-        if post.entities.is_empty() {
-            return;
+        let now = post.timestamp;
+        self.tracker.observe(now, &post.entities);
+        // Everything below reads the counters after the post was counted.
+        self.touched.clear();
+        self.runs.clear();
+        for &entity in &post.entities {
+            let next = self.touched.len();
+            self.touched
+                .extend_from_slice(self.tracker.partners(entity));
+            self.runs.push(Run {
+                entity,
+                count: self.tracker.occurrences(entity, now),
+                next,
+                end: self.touched.len(),
+            });
         }
-        // Refresh every edge incident to a mentioned entity: pairs within the
-        // post plus pairs with previous co-occurrence partners.
-        let mut touched: Vec<(VertexId, VertexId)> = Vec::new();
-        for (i, &a) in post.entities.iter().enumerate() {
-            for &b in &post.entities[i + 1..] {
-                touched.push(if a < b { (a, b) } else { (b, a) });
-            }
-            for p in self.tracker.partners(a) {
-                if p != a {
-                    touched.push(if a < p { (a, p) } else { (p, a) });
+        let total = self.tracker.total(now);
+        let EdgeUpdateGenerator {
+            measure,
+            tracker,
+            emitted,
+            touched,
+            runs,
+            positive_updates,
+            negative_updates,
+            ..
+        } = self;
+        loop {
+            // The smallest head among the runs; a pair of two mentioned
+            // entities heads both their runs and is taken once.
+            let mut best: Option<((VertexId, VertexId), usize)> = None;
+            for (i, run) in runs.iter().enumerate() {
+                if let Some(key) = run.head(touched) {
+                    if best.is_none_or(|(min, _)| key < min) {
+                        best = Some((key, i));
+                    }
                 }
             }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-
-        for (a, b) in touched {
-            let stats = self.tracker.pair_stats(a, b, post.timestamp);
-            let new_weight = self.measure.weight(&stats);
+            let Some((key, i)) = best else { break };
+            let Run {
+                entity,
+                count,
+                next,
+                ..
+            } = runs[i];
+            for run in runs.iter_mut() {
+                if run.head(touched) == Some(key) {
+                    run.next += 1;
+                }
+            }
+            let partner = touched[next];
+            let partner_count = tracker.occurrences(partner, now);
+            let (count_a, count_b) = if entity < partner {
+                (count, partner_count)
+            } else {
+                (partner_count, count)
+            };
+            let stats = PairStats {
+                count_a,
+                count_b,
+                count_ab: tracker.cooccurrences(key.0, key.1, now),
+                total,
+            };
+            let new_weight = measure.weight(&stats);
             debug_assert!(new_weight >= 0.0 && new_weight.is_finite());
-            let old_weight = self.emitted.get(&(a, b)).copied().unwrap_or(0.0);
-            let delta = new_weight - old_weight;
+            let delta = new_weight - emitted.get(&key).copied().unwrap_or(0.0);
             if delta.abs() <= MIN_DELTA {
                 continue;
             }
             if new_weight <= MIN_DELTA {
-                self.emitted.remove(&(a, b));
+                emitted.remove(&key);
             } else {
-                self.emitted.insert((a, b), new_weight);
+                emitted.insert(key, new_weight);
             }
             if delta > 0.0 {
-                self.positive_updates += 1;
+                *positive_updates += 1;
             } else {
-                self.negative_updates += 1;
+                *negative_updates += 1;
             }
-            out.push(EdgeUpdate::new(a, b, delta));
+            out.push(EdgeUpdate::new(key.0, key.1, delta));
         }
     }
 

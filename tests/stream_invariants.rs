@@ -4,6 +4,8 @@ use dyndens::prelude::*;
 use dyndens::stream::{
     AssociationMeasure, ChiSquareCorrelation, EdgeUpdateGenerator, LogLikelihoodRatio, Post,
 };
+use dyndens::workloads::tweets::default_stories;
+use dyndens::workloads::{TweetSimulator, TweetSimulatorConfig};
 use proptest::prelude::*;
 
 /// Strategy for small random posts over a bounded entity universe.
@@ -124,4 +126,67 @@ proptest! {
             prop_assert!(engine.is_tracked_dense(set), "{} in ledger but not tracked", set);
         }
     }
+}
+
+/// FNV-1a over the lowered update sequence of a blog-shaped tweet-simulator
+/// corpus: 5 000 posts over six simulated hours (three mean lives), with a
+/// `compact` at ε = 0.5 every 1 000 posts so that pruning and its
+/// cancellations are in the sequence too. Each update contributes
+/// `(a, b, delta.to_bits())`.
+fn lowering_fingerprint(seed: u64) -> (u64, usize) {
+    const STRETCH: f64 = 0.25;
+    let stories = default_stories()
+        .into_iter()
+        .map(|s| {
+            let (start, end) = (s.start * STRETCH, s.end * STRETCH);
+            s.with_window(start, end)
+        })
+        .collect();
+    let corpus = TweetSimulator::new(TweetSimulatorConfig {
+        n_posts: 5_000,
+        n_background_entities: 2_000,
+        duration: 24.0 * 3600.0 * STRETCH,
+        entity_count_mix: (0.40, 0.25, 0.20, 0.15),
+        stories,
+        seed,
+        ..Default::default()
+    })
+    .generate();
+    let mut generator = EdgeUpdateGenerator::new(ChiSquareCorrelation::default(), 7200.0);
+    let mut updates = Vec::new();
+    for (i, post) in corpus.posts.iter().enumerate() {
+        generator.process_post_into(post, &mut updates);
+        if (i + 1) % 1_000 == 0 {
+            generator.compact(post.timestamp, 0.5, &mut updates);
+        }
+    }
+    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
+    for u in &updates {
+        let words = [u.a.0 as u64, u.b.0 as u64, u.delta.to_bits()];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            fp ^= u64::from(byte);
+            fp = fp.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (fp, updates.len())
+}
+
+/// The lowering's output pinned bit for bit, at two seeds, to constants
+/// computed with hash-set partner lists and a sort per post (before the
+/// lowering became one ordered pass). Any change to the pairs a post
+/// refreshes, their order or a delta's last bit fails here.
+#[test]
+fn lowering_golden() {
+    let want = [
+        (4024, (0x2c1d_c4b1_a01b_bda1, 18_774)),
+        (4025, (0x80ce_b5fc_220e_6141, 19_467)),
+    ];
+    let got: Vec<_> = want
+        .iter()
+        .map(|&(seed, _)| (seed, lowering_fingerprint(seed)))
+        .collect();
+    for (seed, (fp, len)) in &got {
+        println!("({seed}, ({fp:#018x}, {len})),");
+    }
+    assert_eq!(got, want);
 }
