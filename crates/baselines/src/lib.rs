@@ -16,19 +16,13 @@
 //! * [`flow`] / [`goldberg`] — a Dinic max-flow solver and Goldberg's
 //!   max-density subgraph algorithm, used for the offline Top-1 variant
 //!   discussed in Section 4.2.2.
+//! * [`topk_peeling`](mod@topk_peeling) — per-component greedy peeling in
+//!   the style of fully-dynamic top-k densest maintenance, the baseline
+//!   `repro --figure backends` measures DynDens against (see
+//!   `docs/BACKENDS.md`).
 //!
-//! One more is packaged as a pluggable
-//! [`MaintenanceEngine`](dyndens_core::MaintenanceEngine) backend, runnable
-//! under the full sharded/WAL/rebalance stack and the cross-backend
-//! differential oracle (see `docs/BACKENDS.md`, which also records the
-//! measurement that keeps it there):
-//!
-//! * [`topk_peeling`] — [`TopKPeelingEngine`]: read-time greedy peeling in
-//!   the style of fully-dynamic top-k densest maintenance (approximate,
-//!   gated on a density-ratio bound).
-//!
-//! `recompute` stays a free function: rebuilding from scratch is the paper's
-//! reference point for a threshold change, not a way to serve a stream.
+//! `recompute` and `topk_peeling` are free functions over a graph: reference
+//! points to measure DynDens against, not ways to serve a stream.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,4 +40,4 @@ pub use goldberg::densest_subgraph;
 pub use grasp::{Grasp, GraspConfig};
 pub use recompute::recompute;
 pub use stix::StixCliques;
-pub use topk_peeling::{TopKPeelingBlueprint, TopKPeelingEngine};
+pub use topk_peeling::topk_peeling;

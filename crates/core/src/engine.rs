@@ -155,6 +155,13 @@ impl<D: DensityMeasure> DynDens<D> {
         self.graph.edges_below(min_weight)
     }
 
+    /// Returns the adjacency capacity of vertices that decay and eviction
+    /// left isolated to the allocator. The end of a compaction pass; it
+    /// changes nothing observable.
+    pub fn reclaim_idle(&mut self) {
+        self.graph.reclaim_isolated();
+    }
+
     /// The threshold family currently in effect.
     pub fn thresholds(&self) -> &ThresholdFamily<D> {
         &self.thresholds

@@ -1,14 +1,13 @@
 //! Eviction is ordinary updates: the tests of a compaction pass as a shard
 //! worker runs it on one engine — the cancelling updates
 //! `DynDens::edges_below` lists, applied through
-//! `DynDens::apply_update_into`, then `MaintenanceEngine::reclaim_idle`.
+//! `DynDens::apply_update_into`, then `DynDens::reclaim_idle`.
 
 #[cfg(test)]
 mod tests {
     use crate::config::DynDensConfig;
     use crate::engine::DynDens;
     use crate::events::DenseEvent;
-    use crate::maintenance::MaintenanceEngine;
     use dyndens_density::AvgWeight;
     use dyndens_graph::{EdgeUpdate, VertexId, VertexSet};
 

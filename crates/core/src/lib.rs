@@ -22,9 +22,9 @@
 //! * [`snapshot`] — versioned binary snapshot/restore of the full engine
 //!   state, the substrate of the sharded subsystem's crash recovery.
 //! * [`threshold_update`] — dynamic threshold adjustment (Section 6).
-//! * [`maintenance`] — the pluggable-backend seam: the [`MaintenanceEngine`]
-//!   trait the sharded subsystem is generic over, and the
-//!   [`EngineBlueprint`] factories that build/restore/pin engines.
+//! * [`maintenance`] — the publication order ([`story_order`]) and the
+//!   configuration fingerprint a persistent deployment pins
+//!   ([`encode_config_params`]).
 //! * [`config`], [`events`] — configuration and reporting types.
 //!
 //! ## Quick start
@@ -67,10 +67,7 @@ pub use engine::DynDens;
 pub use events::{DenseEvent, EngineStats};
 pub use heuristics::{DegreePrioritize, MaxExploreBound};
 pub use index::{NodeId, SubgraphIndex, SubgraphInfo};
-pub use maintenance::{
-    encode_config_params, sort_stories, story_order, top_of, DynDensBlueprint, EngineBlueprint,
-    GraphSize, MaintenanceEngine,
-};
+pub use maintenance::{encode_config_params, sort_stories, story_order, top_of};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 // Re-export the substrate crates so downstream users only need one dependency.

@@ -1,7 +1,7 @@
 //! Property test: eviction is reversible. A compaction pass as a shard
 //! worker runs it — the cancelling updates [`DynDens::edges_below`] lists,
 //! applied through [`DynDens::apply_update_into`], then
-//! [`MaintenanceEngine::reclaim_idle`] — followed by reinserting the evicted
+//! [`DynDens::reclaim_idle`] — followed by reinserting the evicted
 //! weights must land the engine back on the state of an engine that never
 //! evicted — same graph (weight bits included) and same maintained family
 //! (score bits included).
@@ -12,7 +12,7 @@
 //! with the plain configuration the maintained family is an exact function
 //! of the graph — not of the path taken to reach it.
 
-use dyndens_core::{DynDens, DynDensConfig, MaintenanceEngine};
+use dyndens_core::{DynDens, DynDensConfig};
 use dyndens_density::AvgWeight;
 use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
 use proptest::prelude::*;

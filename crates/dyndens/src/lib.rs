@@ -19,8 +19,8 @@
 //!   post → edge-weight-update pipeline.
 //! * [`workloads`] — synthetic update generators and the planted-story social
 //!   media simulator.
-//! * [`baselines`] — brute force, Stix, GRASP, recompute and Goldberg
-//!   baselines, and the top-k peeling maintenance backend.
+//! * [`baselines`] — brute force, Stix, GRASP, recompute, Goldberg and top-k
+//!   peeling baselines.
 //!
 //! ## Quick start
 //!
@@ -50,17 +50,13 @@ pub use dyndens_workloads as workloads;
 
 /// Commonly used items, importable with `use dyndens::prelude::*`.
 pub mod prelude {
-    pub use dyndens_baselines::TopKPeelingBlueprint;
-    pub use dyndens_core::{
-        DenseEvent, DynDens, DynDensBlueprint, DynDensConfig, EngineBlueprint, EngineStats,
-        MaintenanceEngine,
-    };
+    pub use dyndens_core::{DenseEvent, DynDens, DynDensConfig, EngineStats};
     pub use dyndens_density::{AvgDegree, AvgWeight, DensityMeasure, SqrtDens, ThresholdFamily};
     pub use dyndens_graph::{DynamicGraph, EdgeUpdate, VertexId, VertexSet};
     pub use dyndens_shard::{
         FsyncPolicy, IngestHandle, MergeReport, PersistenceConfig, RebalanceError, RebalancePolicy,
         RebalanceStage, Rebalancer, RecoveryReport, ShardConfig, ShardFn, ShardedDynDens,
-        ShardedFleet, SplitReport, StoryView,
+        SplitReport, StoryView,
     };
 }
 

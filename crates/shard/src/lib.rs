@@ -6,15 +6,6 @@
 //! partition-parallel streaming-graph systems (S-Graffito; Nasir et al.'s
 //! partitioned top-k densest-subgraph maintenance).
 //!
-//! Since the backend seam landed, the whole layer is **generic over the
-//! maintenance strategy**: [`ShardedFleet`] drives any
-//! [`dyndens_core::MaintenanceEngine`] (built, restored and fingerprinted by
-//! an [`dyndens_core::EngineBlueprint`]) through identical routing, WAL,
-//! recovery, rebalance and serving machinery, and [`ShardedDynDens`] is its
-//! canonical DynDens specialisation. The deployment `MANIFEST` pins the
-//! engine kind, so a directory written by one backend can never be reopened
-//! under another. See `docs/BACKENDS.md`.
-//!
 //! ## Architecture
 //!
 //! ```text
@@ -112,12 +103,41 @@
 //! On decaying workloads, [`ShardedDynDens::compact_below`] reclaims what
 //! decay has abandoned: each worker journals the cancelling updates of its
 //! fully-decayed edges
-//! ([`MaintenanceEngine::edges_below`](dyndens_core::MaintenanceEngine::edges_below))
+//! ([`DynDens::edges_below`](dyndens_core::DynDens::edges_below))
 //! to the WAL, applies that list through the ordinary update path, then
 //! checkpoints and prunes the WAL segments wholly behind the checkpoint.
 //! Together with shard merging this keeps a forever-run's memory and disk
 //! footprint proportional to the *live* story set, not the stream's history
 //! — see `docs/RETENTION.md` for the operational model.
+//!
+//! ## What the fleet derives
+//!
+//! The fleet calls the engine's own methods and computes nothing the engine
+//! could answer itself. Three derivations rest on properties of
+//! [`DynDens`](dyndens_core::DynDens) that `tests/engine_contracts.rs` checks
+//! on random streams:
+//!
+//! * **Counts.** A published snapshot's output-dense count is the total
+//!   [`top_stories`](dyndens_core::DynDens::top_stories) returns beside its
+//!   `k` stories, and [`ShardedDynDens::output_dense_count`] sums
+//!   [`output_dense_count`](dyndens_core::DynDens::output_dense_count); both
+//!   count without materialising a set, and must agree.
+//! * **Uncounted replay.** Recovery restores a checkpoint, clones
+//!   [`stats`](dyndens_core::DynDens::stats), replays the WAL tail through
+//!   [`apply_update_into`](dyndens_core::DynDens::apply_update_into) and hands
+//!   the clone back through
+//!   [`adopt_stats`](dyndens_core::DynDens::adopt_stats): the replayed
+//!   updates were counted before the crash. So the ledger must influence
+//!   nothing but itself — were the engine's answers or snapshot bytes
+//!   (ledger aside) to depend on its counters, recovery would break.
+//! * **Eviction is streamed cancellation.** Compaction journals
+//!   [`edges_below(w)`](dyndens_core::DynDens::edges_below) to the WAL and
+//!   applies *that list* through `apply_update_into`, which is by
+//!   construction what crash replay runs on those records. So applying the
+//!   list must leave `edges_below(w)` empty, and the engine in the state of
+//!   one that received the same updates from the stream.
+//!   [`reclaim_idle`](dyndens_core::DynDens::reclaim_idle) follows, and
+//!   changes nothing observable.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -135,7 +155,7 @@ pub use config::{FsyncPolicy, PersistenceConfig, ShardConfig, ShardFn};
 pub use dyndens_obs::RebalanceStage;
 pub use rebalance::{MergeReport, RebalanceError, RebalancePolicy, Rebalancer, SplitReport};
 pub use recovery::{RecoveryError, RecoveryReport};
-pub use sharded::{IngestHandle, ShardedDynDens, ShardedFleet};
+pub use sharded::{IngestHandle, ShardedDynDens};
 pub use view::{
     DeltaBatch, DeltaCatchUp, DeltaRing, EpochCell, MergedStories, PublishWaker, ShardSnapshot,
     StoryView,

@@ -4,8 +4,8 @@
 //! A fixed shard count means one hot entity partition caps whole-pipeline
 //! throughput forever, and on decaying workloads a fleet split for a
 //! long-gone hot spot pays the per-shard overhead forever. Splitting a hot
-//! shard ([`ShardedFleet::split_shard`]) and merging cold **siblings** back
-//! together ([`ShardedFleet::merge_shards`]; leaves of one `Split` trie node
+//! shard ([`ShardedDynDens::split_shard`]) and merging cold **siblings** back
+//! together ([`ShardedDynDens::merge_shards`]; leaves of one `Split` trie node
 //! — see [`ShardMap::merge_candidates`]) are the two parameterisations of a
 //! single transaction over the generational [`ShardMap`]: a set of *source*
 //! slots is replaced by a set of *target* slots under a refined or coarsened
@@ -48,12 +48,12 @@
 //! ## Equivalence
 //!
 //! Under the partitioning invariant (no maintained subgraph spans the two
-//! children — see the crate docs) [`MaintenanceEngine::partition_by`] yields
+//! children — see the crate docs) [`DynDens::partition_by`] yields
 //! children **bit-identical** to engines that only ever saw their own slice,
-//! and [`MaintenanceEngine::absorb`] is its exact inverse, so reshaping
+//! and [`DynDens::absorb`] is its exact inverse, so reshaping
 //! mid-stream yields exactly the story sets of a fleet that never changed
 //! topology (`tests/rebalance_equivalence.rs`, and the oracle's rebalance
-//! leg on every backend). The work ledger is preserved too: the first target
+//! leg). The work ledger is preserved too: the first target
 //! adopts the sources' live counters and any other starts at zero.
 //!
 //! ## Crash safety
@@ -87,14 +87,15 @@ use std::sync::mpsc::{channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dyndens_core::{EngineBlueprint, EngineStats, MaintenanceEngine};
+use dyndens_core::{DynDens, EngineStats};
+use dyndens_density::DensityMeasure;
 use dyndens_graph::ShardMap;
 use dyndens_obs::{names, ObsEvent, RebalanceStage};
 
 use crate::config::PersistenceConfig;
 use crate::recovery;
 use crate::sharded::{
-    install_slot, spawn_worker, RouteState, ShardSeed, ShardTx, ShardedFleet, WORKER_GONE,
+    install_slot, spawn_worker, RouteState, ShardSeed, ShardTx, ShardedDynDens, WORKER_GONE,
 };
 use crate::view::ShardRoster;
 use crate::wal::WalWriter;
@@ -227,7 +228,7 @@ impl Default for RebalancePolicy {
 /// Detects hot shards from the fleet's live signals and drives splits.
 ///
 /// The two signals are the ones the facade already maintains: per-slot
-/// **ingest queue depth** ([`ShardedFleet::queue_depths`], routed minus
+/// **ingest queue depth** ([`ShardedDynDens::queue_depths`], routed minus
 /// applied — the backpressure measure) and the per-slot share of updates
 /// applied **since the previous check**, derived from the published
 /// [`ShardSnapshot`](crate::ShardSnapshot) stats (the skew measure). The share signal is a *rate*,
@@ -289,9 +290,9 @@ impl Rebalancer {
     /// Per-slot updates applied since the previous call with this
     /// `baseline`, which advances to now. `None` while the window is only
     /// being established (first call, or the slot count changed).
-    fn window_deltas<B: EngineBlueprint>(
+    fn window_deltas<D: DensityMeasure>(
         baseline: &mut Vec<u64>,
-        fleet: &ShardedFleet<B>,
+        fleet: &ShardedDynDens<D>,
     ) -> Option<Vec<u64>> {
         let view = fleet.view();
         let applied: Vec<u64> = (0..view.n_shards())
@@ -313,7 +314,7 @@ impl Rebalancer {
     /// behind); the applied-share skew signal backs it up, computed over the
     /// window since the previous `pick` (the first call after construction
     /// or a topology change only establishes the window).
-    pub fn pick<B: EngineBlueprint>(&mut self, fleet: &ShardedFleet<B>) -> Option<usize> {
+    pub fn pick<D: DensityMeasure>(&mut self, fleet: &ShardedDynDens<D>) -> Option<usize> {
         let window = Self::window_deltas(&mut self.baseline, fleet);
         let window_valid = window.is_some();
         let deltas = window.unwrap_or_default();
@@ -358,9 +359,9 @@ impl Rebalancer {
     /// Splits the hottest shard if any slot crosses the thresholds. Returns
     /// `None` when the fleet is balanced (or while the share window is still
     /// being established).
-    pub fn maybe_split<B: EngineBlueprint>(
+    pub fn maybe_split<D: DensityMeasure>(
         &mut self,
-        fleet: &mut ShardedFleet<B>,
+        fleet: &mut ShardedDynDens<D>,
     ) -> Option<Result<SplitReport, RebalanceError>> {
         let slot = self.pick(fleet)?;
         Some(fleet.split_shard(slot))
@@ -378,9 +379,9 @@ impl Rebalancer {
     /// and merging would churn topology for nothing. Like
     /// [`pick`](Rebalancer::pick), the first call after construction or a
     /// topology change only establishes the window.
-    pub fn pick_merge<B: EngineBlueprint>(
+    pub fn pick_merge<D: DensityMeasure>(
         &mut self,
-        fleet: &ShardedFleet<B>,
+        fleet: &ShardedDynDens<D>,
     ) -> Option<(usize, usize)> {
         let deltas = Self::window_deltas(&mut self.merge_baseline, fleet)?;
         let total: u64 = deltas.iter().sum();
@@ -403,9 +404,9 @@ impl Rebalancer {
     /// Merges the coldest sibling pair if one qualifies. Returns `None` when
     /// no pair crosses the cold thresholds (or while the window is still
     /// being established).
-    pub fn maybe_merge<B: EngineBlueprint>(
+    pub fn maybe_merge<D: DensityMeasure>(
         &mut self,
-        fleet: &mut ShardedFleet<B>,
+        fleet: &mut ShardedDynDens<D>,
     ) -> Option<Result<MergeReport, RebalanceError>> {
         let (a, b) = self.pick_merge(fleet)?;
         Some(fleet.merge_shards(a, b))
@@ -428,8 +429,8 @@ impl Seat {
 
 /// What one reshape does; split and merge differ only in the plan they
 /// build. The engine transform follows from the shape:
-/// [`partition_by`](MaintenanceEngine::partition_by) for 1 → 2,
-/// [`absorb`](MaintenanceEngine::absorb) for 2 → 1.
+/// [`partition_by`](DynDens::partition_by) for 1 → 2,
+/// [`absorb`](DynDens::absorb) for 2 → 1.
 struct ReshapePlan {
     /// The slots parked, quiesced and retired, in routing-bit order.
     sources: Vec<Seat>,
@@ -485,7 +486,7 @@ fn place<T>(items: &mut Vec<T>, slot: usize, item: T) {
     }
 }
 
-impl<B: EngineBlueprint> ShardedFleet<B> {
+impl<D: DensityMeasure> ShardedDynDens<D> {
     /// Splits worker `slot` into two shards: the bit-0 child keeps `slot`,
     /// the bit-1 child takes a new slot, and the routing table advances one
     /// generation. Equivalent to
@@ -780,18 +781,18 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// plan order. A split partitions the parent through its lock; a merge
     /// clones each source, because `absorb` consumes it and an abort needs
     /// the sources intact.
-    fn rebuild(&self, plan: &ReshapePlan) -> Vec<B::Engine> {
+    fn rebuild(&self, plan: &ReshapePlan) -> Vec<DynDens<D>> {
         let split = plan.targets.len() == 2;
         let kept = plan.targets[0].slot;
         let mut ledger = EngineStats::default();
-        let mut targets: Vec<B::Engine> = Vec::with_capacity(plan.targets.len());
+        let mut targets: Vec<DynDens<D>> = Vec::with_capacity(plan.targets.len());
         for seat in &plan.sources {
             let live = self.engines[seat.slot]
                 .lock()
                 .expect("shard engine poisoned");
             ledger.merge(live.stats());
             if split {
-                let (zero, one) = live.partition_by(&mut |v| plan.map.route(v) == kept);
+                let (zero, one) = live.partition_by(|v| plan.map.route(v) == kept);
                 targets.extend([zero, one]);
             } else {
                 let source = live.clone();
@@ -817,7 +818,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         &self,
         plan: &ReshapePlan,
         seq: u64,
-        engines: &[B::Engine],
+        engines: &[DynDens<D>],
     ) -> Result<Vec<Option<WorkerPersistence>>, RebalanceError> {
         let Some(p) = &self.persistence else {
             return Ok(engines.iter().map(|_| None).collect());
@@ -826,13 +827,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         for (seat, engine) in plan.targets.iter().zip(engines) {
             persists.push(Some(persist_child(p, seat.engine, seq, engine)?));
         }
-        recovery::rewrite_manifest(
-            &p.dir,
-            self.blueprint.kind(),
-            self.blueprint.measure_name(),
-            &self.blueprint.params(),
-            &plan.map,
-        )?;
+        recovery::rewrite_manifest(&p.dir, self.measure.name(), &self.engine_config, &plan.map)?;
         Ok(persists)
     }
 
@@ -914,11 +909,11 @@ fn drain_parked(park_rx: &Receiver<WorkerMsg>, routing: &RouteState) -> u64 {
 /// from a previously crashed or aborted attempt — engine ids are only
 /// consumed by the manifest rewrite), a snapshot at the reshape point, and a
 /// fresh WAL positioned to append from it.
-fn persist_child<E: MaintenanceEngine>(
+fn persist_child<D: DensityMeasure>(
     p: &PersistenceConfig,
     engine_id: u64,
     seq: u64,
-    child: &E,
+    child: &DynDens<D>,
 ) -> Result<WorkerPersistence, RebalanceError> {
     let dir = recovery::shard_dir(&p.dir, engine_id);
     if dir.exists() {

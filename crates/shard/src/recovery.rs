@@ -3,7 +3,7 @@
 //! Each shard persists two artifacts into its directory:
 //!
 //! * **snapshots** (`snap-<seq>.snap`) — the engine's full
-//!   [`MaintenanceEngine::snapshot`] image at sequence number `seq`, wrapped
+//!   [`DynDens::snapshot`] image at sequence number `seq`, wrapped
 //!   in a CRC-framed file header, written atomically (temp file + rename)
 //!   every [`PersistenceConfig::snapshot_every_batches`] micro-batches;
 //! * **WAL segments** (see [`crate::wal`]) — every routed micro-batch,
@@ -28,7 +28,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dyndens_core::{EngineBlueprint, MaintenanceEngine, SnapshotError};
+use dyndens_core::{encode_config_params, DynDens, DynDensConfig, SnapshotError};
+use dyndens_density::DensityMeasure;
 
 use crate::config::{PersistenceConfig, ShardConfig};
 use crate::wal::{self, WalWriter};
@@ -50,14 +51,15 @@ const SNAP_FILE_VERSION: u32 = 1;
 /// Name of the deployment manifest at the persistence root.
 const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_MAGIC: &[u8; 4] = b"DDMF";
-/// Version 3: the static section now *pins the maintenance backend* — the
-/// [`EngineBlueprint::kind`] string followed by the measure name and a
-/// length-prefixed opaque parameter fingerprint ([`EngineBlueprint::params`])
-/// — ahead of the **generational shard map** ([`ShardMap`]) carried since
-/// version 2. A directory written by one backend can therefore never be
-/// reopened under another: the kind comparison fails first, before any
-/// snapshot or WAL byte is interpreted.
+/// Version 3: the static section names the engine kind ([`ENGINE_KIND`]),
+/// then the measure name and a length-prefixed fingerprint of the engine
+/// configuration ([`encode_config_params`]), ahead of the **generational
+/// shard map** ([`ShardMap`]) carried since version 2.
 const MANIFEST_VERSION: u32 = 3;
+/// The engine kind every manifest names. A directory naming any other kind
+/// is refused by the kind comparison, before any snapshot or WAL byte is
+/// interpreted.
+const ENGINE_KIND: &str = "dyndens";
 
 /// An error recovering a shard from its persistence directory.
 #[derive(Debug)]
@@ -85,8 +87,8 @@ pub enum RecoveryError {
     /// The persistence directory was written by a deployment with different
     /// state-affecting parameters (engine kind, shard count, shard function,
     /// density measure or engine configuration). Reusing it would silently
-    /// drop shard slices, misroute updates, or feed one backend's checkpoint
-    /// bytes to another, so the mismatch is a hard error.
+    /// drop shard slices, misroute updates, or feed another engine's
+    /// checkpoint bytes to this one, so the mismatch is a hard error.
     ManifestMismatch {
         /// The parameter that disagrees with the on-disk manifest.
         field: &'static str,
@@ -194,19 +196,19 @@ pub fn read_snapshot(path: &Path) -> Result<(u64, Vec<u8>), RecoveryError> {
 // Deployment manifest
 // ---------------------------------------------------------------------------
 
-/// Serialises the static state-affecting deployment parameters — the
-/// maintenance backend's kind (it decides what every checkpoint byte means),
-/// the density measure (it decides what every persisted score means) and the
-/// backend's opaque parameter fingerprint (it decides what "dense" means) —
-/// without framing. Queueing tunables (`channel_capacity`, `max_batch`,
+/// Serialises the static state-affecting deployment parameters — the engine
+/// kind (it decides what every checkpoint byte means), the density measure
+/// (it decides what every persisted score means) and the engine
+/// configuration's fingerprint (it decides what "dense" means) — without
+/// framing. Queueing tunables (`channel_capacity`, `max_batch`,
 /// `top_k`) and persistence knobs are deliberately excluded: they may vary
 /// freely across restarts. The routing topology (base shard count, shard
 /// function, split refinements) lives in the [`ShardMap`] section that
 /// follows this block in the manifest.
-fn encode_static_section(kind: &str, measure_name: &str, params: &[u8]) -> Vec<u8> {
+fn encode_static_section(measure_name: &str, params: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    put_u32(&mut buf, kind.len() as u32);
-    buf.extend_from_slice(kind.as_bytes());
+    put_u32(&mut buf, ENGINE_KIND.len() as u32);
+    buf.extend_from_slice(ENGINE_KIND.as_bytes());
     put_u32(&mut buf, measure_name.len() as u32);
     buf.extend_from_slice(measure_name.as_bytes());
     put_u32(&mut buf, params.len() as u32);
@@ -216,11 +218,11 @@ fn encode_static_section(kind: &str, measure_name: &str, params: &[u8]) -> Vec<u
 
 /// Serialises the full manifest: magic, version, static section, shard map,
 /// CRC trailer.
-fn encode_manifest(kind: &str, measure_name: &str, params: &[u8], map: &ShardMap) -> Vec<u8> {
+fn encode_manifest(measure_name: &str, params: &[u8], map: &ShardMap) -> Vec<u8> {
     let mut buf = Vec::with_capacity(128);
     buf.extend_from_slice(MANIFEST_MAGIC);
     put_u32(&mut buf, MANIFEST_VERSION);
-    buf.extend_from_slice(&encode_static_section(kind, measure_name, params));
+    buf.extend_from_slice(&encode_static_section(measure_name, params));
     map.encode_into(&mut buf);
     let crc = crc32(&buf);
     put_u32(&mut buf, crc);
@@ -235,15 +237,15 @@ fn encode_manifest(kind: &str, measure_name: &str, params: &[u8], map: &ShardMap
 /// is complete until the rewrite, the targets' from the moment it lands).
 pub(crate) fn rewrite_manifest(
     root: &Path,
-    kind: &str,
     measure_name: &str,
-    params: &[u8],
+    engine_config: &DynDensConfig,
     map: &ShardMap,
 ) -> io::Result<()> {
+    let params = encode_config_params(engine_config);
     wal::replace_atomic(
         root,
         MANIFEST_NAME,
-        &encode_manifest(kind, measure_name, params, map),
+        &encode_manifest(measure_name, &params, map),
     )
 }
 
@@ -256,15 +258,14 @@ pub(crate) fn rewrite_manifest(
 /// A mismatch on any state-affecting parameter is a hard
 /// [`RecoveryError::ManifestMismatch`] — restarting with, say, a different
 /// base shard count would otherwise silently lose shard slices and route
-/// their vertices into unrelated engines, and reopening under a different
-/// *backend* would feed one engine's checkpoint bytes to another. An
+/// their vertices into unrelated engines, and a directory naming another
+/// engine kind holds checkpoint bytes this engine cannot read. An
 /// unreadable or corrupt manifest is reported likewise (the directory's
 /// provenance is unknown).
 pub(crate) fn bind_manifest(
     root: &Path,
-    kind: &str,
     measure_name: &str,
-    params: &[u8],
+    engine_config: &DynDensConfig,
     shard_config: &ShardConfig,
 ) -> Result<ShardMap, RecoveryError> {
     let path = root.join(MANIFEST_NAME);
@@ -274,7 +275,7 @@ pub(crate) fn bind_manifest(
             let Ok(m) = decode_manifest(&existing) else {
                 return mismatch("manifest (unreadable/corrupt)");
             };
-            if m.kind != kind {
+            if m.kind != ENGINE_KIND {
                 return mismatch("engine kind");
             }
             if m.map.n_base() != shard_config.n_shards {
@@ -286,14 +287,14 @@ pub(crate) fn bind_manifest(
             if m.measure_name != measure_name {
                 return mismatch("density measure");
             }
-            if m.params != params {
+            if m.params != encode_config_params(engine_config) {
                 return mismatch("engine config");
             }
             Ok(m.map)
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             let map = ShardMap::new(shard_config.shard_fn, shard_config.n_shards);
-            rewrite_manifest(root, kind, measure_name, params, &map)?;
+            rewrite_manifest(root, measure_name, engine_config, &map)?;
             Ok(map)
         }
         Err(e) => Err(e.into()),
@@ -303,8 +304,9 @@ pub(crate) fn bind_manifest(
 struct ManifestView {
     kind: String,
     measure_name: String,
-    /// The backend's raw parameter fingerprint, compared wholesale against
-    /// the caller's encoding (field-exact, including every config flag).
+    /// The engine configuration's raw fingerprint, compared wholesale
+    /// against the caller's encoding (field-exact, including every config
+    /// flag).
     params: Vec<u8>,
     map: ShardMap,
 }
@@ -359,35 +361,38 @@ pub struct RecoveryReport {
 
 /// A recovered shard: the rebuilt engine, its sequence number, and the WAL
 /// writer positioned to continue appending.
-pub(crate) struct RecoveredShard<E: MaintenanceEngine> {
-    pub engine: E,
+pub(crate) struct RecoveredShard<D: DensityMeasure> {
+    pub engine: DynDens<D>,
     pub seq: u64,
     pub wal: WalWriter,
     pub report: RecoveryReport,
 }
 
-/// Recovers one shard from `dir`: newest valid snapshot + WAL tail replay.
-/// The blueprint decides what engine the checkpoint bytes restore into —
-/// [`bind_manifest`] has already pinned the directory to its kind.
-pub(crate) fn recover_shard<B: EngineBlueprint>(
-    blueprint: &B,
+/// Recovers one shard from `dir`: newest valid snapshot + WAL tail replay,
+/// starting from a fresh engine of `measure` and `engine_config` when no
+/// snapshot parses. [`bind_manifest`] has already pinned the directory to
+/// both.
+pub(crate) fn recover_shard<D: DensityMeasure>(
+    measure: &D,
+    engine_config: &DynDensConfig,
     shard: usize,
     dir: &Path,
     persistence: &PersistenceConfig,
-) -> Result<RecoveredShard<B::Engine>, RecoveryError> {
+) -> Result<RecoveredShard<D>, RecoveryError> {
     fs::create_dir_all(dir)?;
 
     // 1. Restore from the newest snapshot that parses; a damaged newest
     //    snapshot falls back to an older retained one (the WAL is only ever
     //    pruned up to the oldest retained snapshot, so replay still works).
-    let mut engine: Option<B::Engine> = None;
+    let mut engine: Option<DynDens<D>> = None;
     let mut snapshot_seq = 0u64;
     let mut last_snapshot_error: Option<RecoveryError> = None;
     for (_, path) in list_snapshots(dir)?.into_iter().rev() {
-        match read_snapshot(&path).and_then(|(s, bytes)| match blueprint.restore(&bytes) {
-            Ok(e) => Ok((s, e)),
-            Err(e) => Err(RecoveryError::Snapshot(e)),
-        }) {
+        let restored = read_snapshot(&path).and_then(|(s, bytes)| {
+            let engine = DynDens::restore(measure.clone(), &bytes);
+            engine.map(|e| (s, e)).map_err(RecoveryError::Snapshot)
+        });
+        match restored {
             Ok((s, e)) => {
                 engine = Some(e);
                 snapshot_seq = s;
@@ -398,7 +403,7 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
     }
     let mut engine = match engine {
         Some(e) => e,
-        None => blueprint.fresh(),
+        None => DynDens::new(measure.clone(), engine_config.clone()),
     };
     let mut seq = snapshot_seq;
 
@@ -480,7 +485,7 @@ pub(crate) fn recover_shard<B: EngineBlueprint>(
 mod tests {
     use super::*;
     use crate::config::FsyncPolicy;
-    use dyndens_core::{DynDens, DynDensBlueprint, DynDensConfig};
+    use dyndens_core::{DynDens, DynDensConfig};
     use dyndens_density::AvgWeight;
     use dyndens_graph::{EdgeUpdate, VertexId};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -501,8 +506,12 @@ mod tests {
         DynDensConfig::new(1.0, 4).with_delta_it(0.15)
     }
 
-    fn blueprint() -> DynDensBlueprint<AvgWeight> {
-        DynDensBlueprint::new(AvgWeight, config())
+    fn recover(
+        shard: usize,
+        dir: &Path,
+        p: &PersistenceConfig,
+    ) -> Result<RecoveredShard<AvgWeight>, RecoveryError> {
+        recover_shard(&AvgWeight, &config(), shard, dir, p)
     }
 
     fn persistence(dir: &Path) -> PersistenceConfig {
@@ -537,7 +546,7 @@ mod tests {
     #[test]
     fn fresh_directory_recovers_to_empty_engine() {
         let dir = temp_dir("fresh");
-        let rec = recover_shard(&blueprint(), 0, &dir, &persistence(&dir)).unwrap();
+        let rec = recover(0, &dir, &persistence(&dir)).unwrap();
         assert_eq!(rec.seq, 0);
         assert_eq!(rec.report.replayed_updates, 0);
         assert_eq!(rec.engine.dense_count(), 0);
@@ -574,7 +583,7 @@ mod tests {
         drop(wal);
         drop(engine);
 
-        let rec = recover_shard(&blueprint(), 3, &dir, &p).unwrap();
+        let rec = recover(3, &dir, &p).unwrap();
         assert_eq!(rec.report.shard, 3);
         assert_eq!(rec.report.snapshot_seq, 120);
         assert_eq!(rec.report.replayed_updates, 80);
@@ -605,12 +614,12 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
-        let rec = recover_shard(&blueprint(), 0, &dir, &p).unwrap();
+        let rec = recover(0, &dir, &p).unwrap();
         assert_eq!(rec.seq, 20, "only the intact record replays");
         assert!(rec.report.repaired_torn_tail);
 
         // The tear is gone from disk: a second recovery sees a clean log.
-        let rec2 = recover_shard(&blueprint(), 0, &dir, &p).unwrap();
+        let rec2 = recover(0, &dir, &p).unwrap();
         assert_eq!(rec2.seq, 20);
         assert!(!rec2.report.repaired_torn_tail);
         assert_eq!(rec2.engine.snapshot(), rec.engine.snapshot());
@@ -634,7 +643,7 @@ mod tests {
         bytes[12] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
-        match recover_shard(&blueprint(), 0, &dir, &p) {
+        match recover(0, &dir, &p) {
             Err(RecoveryError::CorruptWal { segment }) => assert_eq!(segment, no),
             Err(other) => panic!("expected CorruptWal, got {other:?}"),
             Ok(_) => panic!("expected CorruptWal, recovery succeeded"),
@@ -673,7 +682,7 @@ mod tests {
         bytes[len / 2] ^= 0xFF;
         fs::write(newest, &bytes).unwrap();
 
-        let rec = recover_shard(&blueprint(), 0, &dir, &p).unwrap();
+        let rec = recover(0, &dir, &p).unwrap();
         assert_eq!(rec.report.snapshot_seq, 50, "fell back to seq-50 snapshot");
         assert_eq!(rec.seq, 100);
         assert_eq!(rec.report.replayed_updates, 50);

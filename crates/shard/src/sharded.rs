@@ -1,15 +1,11 @@
-//! The [`ShardedFleet`] facade and its canonical [`ShardedDynDens`]
-//! specialisation: the single-engine API, scaled across cores, generic over
-//! the pluggable maintenance backend ([`EngineBlueprint`]), with a
-//! generational routing table that supports live shard splits.
+//! The [`ShardedDynDens`] facade: the single-engine API, scaled across cores,
+//! with a generational routing table that supports live shard splits.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 
-use dyndens_core::{
-    DynDensBlueprint, DynDensConfig, EngineBlueprint, EngineStats, MaintenanceEngine,
-};
+use dyndens_core::{DynDens, DynDensConfig, EngineStats};
 use dyndens_density::DensityMeasure;
 use dyndens_graph::{EdgeUpdate, ShardMap, VertexSet};
 
@@ -109,14 +105,14 @@ impl RouteState {
     }
 }
 
-/// A cloneable, thread-safe ingest handle over a [`ShardedFleet`]'s
+/// A cloneable, thread-safe ingest handle over a [`ShardedDynDens`]'s
 /// routing table: the write-side counterpart of [`StoryView`].
 ///
 /// Handles route through the same generational shard map as the facade, so
 /// they follow splits transparently — including during a split, when updates
 /// for the splitting slot park and everything else flows undisturbed. This
 /// is what lets ingest continue from other threads while the owning thread
-/// drives [`ShardedFleet::split_shard`].
+/// drives [`ShardedDynDens::split_shard`].
 #[derive(Debug, Clone)]
 pub struct IngestHandle {
     routing: Arc<RwLock<RouteState>>,
@@ -137,12 +133,8 @@ impl IngestHandle {
     }
 }
 
-/// A maintenance deployment partitioned over worker slots by a generational
-/// routing table, generic over the [`EngineBlueprint`] that builds, restores
-/// and fingerprints its per-shard engines. The canonical specialisation is
-/// [`ShardedDynDens`]; an alternative backend (top-k peeling) plugs in
-/// through [`with_backend`](Self::with_backend) and rides
-/// the identical routing, WAL, recovery and rebalance machinery.
+/// A [`DynDens`] deployment partitioned over worker slots by a generational
+/// routing table, each slot's worker owning one engine.
 ///
 /// The facade mirrors the single-engine API — [`apply_update`],
 /// [`apply_batch`], [`stats`], [`output_dense`] — with one semantic shift:
@@ -154,26 +146,29 @@ impl IngestHandle {
 ///
 /// The worker count starts at [`ShardConfig::n_shards`] and changes at
 /// runtime: [`split_shard`] rebuilds a hot shard's state into two fresh
-/// engines, and [`merge_shards`](ShardedFleet::merge_shards) folds cold
+/// engines, and [`merge_shards`](ShardedDynDens::merge_shards) folds cold
 /// siblings back into one, while every other shard keeps ingesting. See
 /// [`crate::rebalance`].
 ///
 /// See the crate docs for the partitioning invariant that governs when the
 /// sharded answer is identical to the single-engine answer.
 ///
-/// [`apply_update`]: ShardedFleet::apply_update
-/// [`apply_batch`]: ShardedFleet::apply_batch
-/// [`stats`]: ShardedFleet::stats
-/// [`output_dense`]: ShardedFleet::output_dense
-/// [`flush`]: ShardedFleet::flush
-/// [`view`]: ShardedFleet::view
-/// [`split_shard`]: ShardedFleet::split_shard
+/// [`apply_update`]: ShardedDynDens::apply_update
+/// [`apply_batch`]: ShardedDynDens::apply_batch
+/// [`stats`]: ShardedDynDens::stats
+/// [`output_dense`]: ShardedDynDens::output_dense
+/// [`flush`]: ShardedDynDens::flush
+/// [`view`]: ShardedDynDens::view
+/// [`split_shard`]: ShardedDynDens::split_shard
 #[derive(Debug)]
-pub struct ShardedFleet<B: EngineBlueprint> {
+pub struct ShardedDynDens<D: DensityMeasure> {
     pub(crate) config: ShardConfig,
-    pub(crate) blueprint: B,
+    /// The density measure every shard's engine is built and restored with.
+    pub(crate) measure: D,
+    /// The per-shard engine configuration.
+    pub(crate) engine_config: DynDensConfig,
     pub(crate) routing: Arc<RwLock<RouteState>>,
-    pub(crate) engines: Vec<Arc<Mutex<B::Engine>>>,
+    pub(crate) engines: Vec<Arc<Mutex<DynDens<D>>>>,
     pub(crate) roster: Arc<EpochCell<ShardRoster>>,
     /// The one publication waker list every [`StoryView`] of the fleet
     /// attaches to; workers notify it after each publication, the reshape
@@ -184,7 +179,7 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     /// a merge renumbers the last live worker into a freed middle slot by
     /// storing into its cell, without respawning the thread.
     pub(crate) slots: Vec<Arc<AtomicU32>>,
-    /// Per-slot scratch buffers reused by [`ShardedFleet::apply_batch`].
+    /// Per-slot scratch buffers reused by [`ShardedDynDens::apply_batch`].
     route_scratch: Vec<Vec<EdgeUpdate>>,
     /// What recovery did per shard; empty for non-persistent deployments.
     recovery: Vec<RecoveryReport>,
@@ -194,16 +189,9 @@ pub struct ShardedFleet<B: EngineBlueprint> {
     pub(crate) persistence: Option<PersistenceConfig>,
 }
 
-/// The canonical deployment: a [`ShardedFleet`] running the exact
-/// [`DynDens`](dyndens_core::DynDens) maintenance algorithm via
-/// [`DynDensBlueprint`]. Every pre-backend call site keeps this name (and
-/// the [`new`](ShardedFleet::new)/[`with_persistence`](ShardedFleet::with_persistence)
-/// constructors, which live on the specialised impl).
-pub type ShardedDynDens<D> = ShardedFleet<DynDensBlueprint<D>>;
-
 /// A shard's initial state handed to its worker thread at spawn time.
-pub(crate) struct ShardSeed<E: MaintenanceEngine> {
-    pub(crate) engine: E,
+pub(crate) struct ShardSeed<D: DensityMeasure> {
+    pub(crate) engine: DynDens<D>,
     pub(crate) seq: u64,
     pub(crate) persist: Option<WorkerPersistence>,
 }
@@ -212,11 +200,11 @@ pub(crate) struct ShardSeed<E: MaintenanceEngine> {
 /// notifying `wakers`. The worker resumes at the sequence number `cell`
 /// already publishes. Returns the inbox sender, the join handle and the
 /// shared slot-number cell (a merge renumbers the worker by storing into it).
-pub(crate) fn spawn_worker<E: MaintenanceEngine>(
+pub(crate) fn spawn_worker<D: DensityMeasure>(
     slot: usize,
     config: &ShardConfig,
     persist: Option<WorkerPersistence>,
-    engine: &Arc<Mutex<E>>,
+    engine: &Arc<Mutex<DynDens<D>>>,
     cell: &Arc<EpochCell<ShardSnapshot>>,
     ring: &Arc<DeltaRing>,
     wakers: &Arc<PublishWakers>,
@@ -254,8 +242,8 @@ pub(crate) fn spawn_worker<E: MaintenanceEngine>(
 /// Everything one live worker slot consists of, as built by [`install_slot`];
 /// the caller files the parts into the fleet, the roster and the routing
 /// state.
-pub(crate) struct LiveSlot<E: MaintenanceEngine> {
-    pub(crate) engine: Arc<Mutex<E>>,
+pub(crate) struct LiveSlot<D: DensityMeasure> {
+    pub(crate) engine: Arc<Mutex<DynDens<D>>>,
     pub(crate) cell: Arc<EpochCell<ShardSnapshot>>,
     pub(crate) ring: Arc<DeltaRing>,
     pub(crate) tx: SyncSender<WorkerMsg>,
@@ -272,19 +260,19 @@ pub(crate) struct LiveSlot<E: MaintenanceEngine> {
 /// thread, and a routed-update counter seeded at `seed.seq` and adopted by
 /// the registry's per-shard routed series (zero added cost on the routing
 /// path). Used at fleet start-up and at the commit of every reshape.
-pub(crate) fn install_slot<E: MaintenanceEngine>(
+pub(crate) fn install_slot<D: DensityMeasure>(
     slot: usize,
     config: &ShardConfig,
-    seed: ShardSeed<E>,
+    seed: ShardSeed<D>,
     wakers: &Arc<PublishWakers>,
-) -> LiveSlot<E> {
+) -> LiveSlot<D> {
     let ShardSeed {
-        mut engine,
+        engine,
         seq,
         persist,
     } = seed;
     let cell = Arc::new(EpochCell::new(ShardSnapshot::default()));
-    let snapshot = worker::build_snapshot(slot, &mut engine, seq, config.top_k);
+    let snapshot = worker::build_snapshot(slot, &engine, seq, config.top_k);
     cell.store_with_seq(Arc::new(snapshot), seq);
     let ring = Arc::new(DeltaRing::new(config.delta_retention));
     let engine = Arc::new(Mutex::new(engine));
@@ -309,22 +297,21 @@ pub(crate) fn install_slot<E: MaintenanceEngine>(
     }
 }
 
-impl<B: EngineBlueprint> ShardedFleet<B> {
+impl<D: DensityMeasure> ShardedDynDens<D> {
     /// Spawns `config.n_shards` worker threads, each owning an independent
-    /// engine built by [`blueprint.fresh()`](EngineBlueprint::fresh). No
-    /// state is persisted; see
-    /// [`with_backend_persistence`](Self::with_backend_persistence) for the
+    /// [`DynDens`] engine built from `measure` and `engine_config`. No state
+    /// is persisted; see [`with_persistence`](Self::with_persistence) for the
     /// crash-safe variant.
-    pub fn with_backend(blueprint: B, config: ShardConfig) -> Self {
+    pub fn new(measure: D, engine_config: DynDensConfig, config: ShardConfig) -> Self {
         let map = ShardMap::new(config.shard_fn, config.n_shards);
         let seeds = (0..config.n_shards)
             .map(|_| ShardSeed {
-                engine: blueprint.fresh(),
+                engine: DynDens::new(measure.clone(), engine_config.clone()),
                 seq: 0,
                 persist: None,
             })
             .collect();
-        Self::spawn(blueprint, config, map, seeds, Vec::new(), None)
+        Self::spawn(measure, engine_config, config, map, seeds, Vec::new(), None)
     }
 
     /// The crash-safe constructor: recovers every shard from
@@ -347,41 +334,42 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// maintenance state is bit-identical to a deployment that never crashed. Details of
     /// what was recovered are available via
     /// [`recovery_reports`](Self::recovery_reports).
-    pub fn with_backend_persistence(
-        blueprint: B,
+    pub fn with_persistence(
+        measure: D,
+        engine_config: DynDensConfig,
         config: ShardConfig,
         persistence: PersistenceConfig,
     ) -> Result<Self, RecoveryError> {
         std::fs::create_dir_all(&persistence.dir)?;
         // Bind the directory to the deployment's state-affecting parameters
         // (or verify it was written by an identical deployment) and load the
-        // current routing topology: restarting with a different engine kind /
-        // base shard count / shard function / engine config would silently
-        // drop or misroute persisted slices — or feed one backend's
-        // checkpoint bytes to another.
-        let map = recovery::bind_manifest(
-            &persistence.dir,
-            blueprint.kind(),
-            blueprint.measure_name(),
-            &blueprint.params(),
-            &config,
-        )?;
+        // current routing topology: restarting with a different base shard
+        // count / shard function / measure / engine config would silently
+        // drop or misroute persisted slices, or reinterpret their scores.
+        let map =
+            recovery::bind_manifest(&persistence.dir, measure.name(), &engine_config, &config)?;
         let engine_ids = map.worker_engines();
 
         // Shards recover independently (distinct directories, no shared
         // state), so cold start pays the slowest shard's snapshot load +
         // WAL tail replay, not the sum over shards.
-        let recovered: Vec<Result<recovery::RecoveredShard<B::Engine>, RecoveryError>> =
+        let recovered: Vec<Result<recovery::RecoveredShard<D>, RecoveryError>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = engine_ids
                     .iter()
                     .enumerate()
                     .map(|(slot, &engine_id)| {
-                        let blueprint = &blueprint;
+                        let (measure, engine_config) = (&measure, &engine_config);
                         let persistence = &persistence;
                         scope.spawn(move || {
                             let shard_dir = recovery::shard_dir(&persistence.dir, engine_id);
-                            recovery::recover_shard(blueprint, slot, &shard_dir, persistence)
+                            recovery::recover_shard(
+                                measure,
+                                engine_config,
+                                slot,
+                                &shard_dir,
+                                persistence,
+                            )
                         })
                     })
                     .collect();
@@ -425,7 +413,8 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             });
         }
         Ok(Self::spawn(
-            blueprint,
+            measure,
+            engine_config,
             config,
             map,
             seeds,
@@ -435,10 +424,11 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     }
 
     fn spawn(
-        blueprint: B,
+        measure: D,
+        engine_config: DynDensConfig,
         config: ShardConfig,
         map: ShardMap,
-        seeds: Vec<ShardSeed<B::Engine>>,
+        seeds: Vec<ShardSeed<D>>,
         recovery: Vec<RecoveryReport>,
         persistence: Option<PersistenceConfig>,
     ) -> Self {
@@ -462,10 +452,11 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
             workers.push(Some(live.handle));
             slots.push(live.slot_cell);
         }
-        ShardedFleet {
+        ShardedDynDens {
             route_scratch: vec![Vec::new(); n],
             config,
-            blueprint,
+            measure,
+            engine_config,
             routing: Arc::new(RwLock::new(RouteState {
                 map,
                 senders,
@@ -506,10 +497,9 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
         &self.config
     }
 
-    /// The blueprint that builds, restores and fingerprints this fleet's
-    /// per-shard engines.
-    pub fn blueprint(&self) -> &B {
-        &self.blueprint
+    /// The per-shard engine configuration.
+    pub fn engine_config(&self) -> &DynDensConfig {
+        &self.engine_config
     }
 
     /// A clone of the current generational routing table.
@@ -597,7 +587,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
 
     /// Runs a compaction pass on every shard: the cancelling updates of every
     /// engine edge whose weight has decayed to `min_weight` or below
-    /// ([`MaintenanceEngine::edges_below`]) go through the shard as one
+    /// ([`DynDens::edges_below`]) go through the shard as one
     /// ordinary micro-batch (WAL, apply, publish) whose checkpoint is forced,
     /// which prunes the WAL segments wholly behind it. A shard that evicts
     /// nothing publishes nothing but still checkpoints. Returns the total
@@ -648,11 +638,11 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
 
     /// The authoritative read path: flushes, so every routed update is
     /// applied, then reads each shard's engine under its lock, in slot order.
-    fn read_engines<T>(&self, mut read: impl FnMut(&mut B::Engine) -> T) -> Vec<T> {
+    fn read_engines<T>(&self, mut read: impl FnMut(&DynDens<D>) -> T) -> Vec<T> {
         self.flush();
         self.engines
             .iter()
-            .map(|e| read(&mut e.lock().expect("shard engine poisoned")))
+            .map(|e| read(&e.lock().expect("shard engine poisoned")))
             .collect()
     }
 
@@ -682,13 +672,13 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     }
 
     /// The fleet's vertex universe: the maximum
-    /// [`GraphSize::vertices`](dyndens_core::GraphSize::vertices) over all
-    /// shards (vertex ids are global — each shard's graph grows to the
-    /// highest id it has seen). Flushes first. Used by ingest-side recovery
+    /// [`vertex_count`](dyndens_graph::DynamicGraph::vertex_count) of the
+    /// shards' graphs (vertex ids are global — each shard's graph grows to
+    /// the highest id it has seen). Flushes first. Used by ingest-side recovery
     /// to cross-check that its id-assigning state (e.g. the story pipeline's
     /// entity registry) covers every vertex the engines reference.
     pub fn vertex_universe(&self) -> usize {
-        let sizes = self.read_engines(|e| e.graph_size().vertices);
+        let sizes = self.read_engines(|e| e.graph().vertex_count());
         sizes.into_iter().max().unwrap_or(0)
     }
 
@@ -698,12 +688,12 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     /// [`compact_below`](Self::compact_below) runs on a cadence — see
     /// `docs/RETENTION.md`.
     pub fn edge_count(&self) -> usize {
-        self.read_engines(|e| e.graph_size().edges).iter().sum()
+        self.read_engines(|e| e.graph().edge_count()).iter().sum()
     }
 
     /// Number of output-dense subgraphs across all shards (flushes first).
     pub fn output_dense_count(&self) -> usize {
-        self.read_engines(|e| e.top_stories(0).1).iter().sum()
+        self.read_engines(|e| e.output_dense_count()).iter().sum()
     }
 
     /// Runs each shard engine's internal consistency check (flushes first),
@@ -717,40 +707,7 @@ impl<B: EngineBlueprint> ShardedFleet<B> {
     }
 }
 
-impl<D: DensityMeasure> ShardedFleet<DynDensBlueprint<D>> {
-    /// Spawns `config.n_shards` worker threads, each owning an independent
-    /// [`DynDens`](dyndens_core::DynDens) engine built from `measure` and
-    /// `engine_config`. Shorthand for
-    /// [`with_backend`](Self::with_backend) over a [`DynDensBlueprint`]. No
-    /// state is persisted; see [`with_persistence`](Self::with_persistence)
-    /// for the crash-safe variant.
-    pub fn new(measure: D, engine_config: DynDensConfig, config: ShardConfig) -> Self {
-        Self::with_backend(DynDensBlueprint::new(measure, engine_config), config)
-    }
-
-    /// The crash-safe constructor: shorthand for
-    /// [`with_backend_persistence`](Self::with_backend_persistence) over a
-    /// [`DynDensBlueprint`].
-    pub fn with_persistence(
-        measure: D,
-        engine_config: DynDensConfig,
-        config: ShardConfig,
-        persistence: PersistenceConfig,
-    ) -> Result<Self, RecoveryError> {
-        Self::with_backend_persistence(
-            DynDensBlueprint::new(measure, engine_config),
-            config,
-            persistence,
-        )
-    }
-
-    /// The per-shard engine configuration.
-    pub fn engine_config(&self) -> &DynDensConfig {
-        self.blueprint.config()
-    }
-}
-
-impl<B: EngineBlueprint> Drop for ShardedFleet<B> {
+impl<D: DensityMeasure> Drop for ShardedDynDens<D> {
     fn drop(&mut self) {
         {
             let routing = self.routing.read().expect("routing poisoned");

@@ -7,7 +7,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dyndens_core::{DenseEvent, MaintenanceEngine};
+use dyndens_core::{DenseEvent, DynDens};
+use dyndens_density::DensityMeasure;
 use dyndens_graph::EdgeUpdate;
 
 use crate::config::PersistenceConfig;
@@ -29,12 +30,12 @@ pub(crate) enum WorkerMsg {
     /// snapshot published.
     Flush(Sender<()>),
     /// A compaction pass: one more micro-batch, made of the cancelling
-    /// updates [`MaintenanceEngine::edges_below`] lists for `min_weight`,
-    /// through the ordinary step with a forced checkpoint (which prunes the
-    /// WAL behind it); then [`MaintenanceEngine::reclaim_idle`], and an
+    /// updates [`DynDens::edges_below`] lists for `min_weight`, through the
+    /// ordinary step with a forced checkpoint (which prunes the WAL behind
+    /// it); then [`DynDens::reclaim_idle`], and an
     /// acknowledgement with the number of edges evicted.
     Compact {
-        /// The eviction floor handed to [`MaintenanceEngine::edges_below`].
+        /// The eviction floor handed to [`DynDens::edges_below`].
         min_weight: f64,
         /// Receives the number of edges evicted once the pass is durable.
         ack: Sender<u64>,
@@ -135,10 +136,10 @@ pub(crate) type WorkerHandle = JoinHandle<Option<WorkerPersistence>>;
 /// shutdown it returns its durability half, WAL writer positioned at the
 /// shard's sequence number, so an aborted reshape can respawn the shard on
 /// it.
-pub(crate) fn run<E: MaintenanceEngine>(
+pub(crate) fn run<D: DensityMeasure>(
     setup: WorkerSetup,
     inbox: Receiver<WorkerMsg>,
-    engine: Arc<Mutex<E>>,
+    engine: Arc<Mutex<DynDens<D>>>,
     cell: Arc<EpochCell<ShardSnapshot>>,
     ring: Arc<DeltaRing>,
 ) -> Option<WorkerPersistence> {
@@ -229,8 +230,8 @@ pub(crate) fn run<E: MaintenanceEngine>(
 }
 
 /// A worker thread's state between micro-batches.
-struct Worker<E> {
-    engine: Arc<Mutex<E>>,
+struct Worker<D: DensityMeasure> {
+    engine: Arc<Mutex<DynDens<D>>>,
     cell: Arc<EpochCell<ShardSnapshot>>,
     ring: Arc<DeltaRing>,
     wakers: Arc<PublishWakers>,
@@ -245,7 +246,7 @@ struct Worker<E> {
     no_events: Arc<[DenseEvent]>,
 }
 
-impl<E: MaintenanceEngine> Worker<E> {
+impl<D: DensityMeasure> Worker<D> {
     /// The one step every micro-batch takes: WAL append, apply under a
     /// single engine lock, advance `seq`, publish a fresh snapshot, and
     /// checkpoint on the cadence — or regardless of it when
@@ -294,7 +295,7 @@ impl<E: MaintenanceEngine> Worker<E> {
             // wakers — neither the apply above nor the checkpoint image.
             let publish_started = self.obs.as_ref().map(|_| Instant::now());
             let snapshot =
-                (batch_len > 0).then(|| build_snapshot(shard, &mut *guard, self.seq, self.top_k));
+                (batch_len > 0).then(|| build_snapshot(shard, &guard, self.seq, self.top_k));
             (snapshot, checkpoint, publish_started)
         };
         if let Some(snapshot) = snapshot {
@@ -342,9 +343,9 @@ fn take_events(events: &mut Vec<DenseEvent>, none: &Arc<[DenseEvent]>) -> Arc<[D
 }
 
 /// Renders the engine's current answer into an immutable snapshot.
-pub(crate) fn build_snapshot<E: MaintenanceEngine>(
+pub(crate) fn build_snapshot<D: DensityMeasure>(
     shard: usize,
-    engine: &mut E,
+    engine: &DynDens<D>,
     seq: u64,
     top_k: usize,
 ) -> ShardSnapshot {

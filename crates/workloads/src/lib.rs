@@ -58,7 +58,7 @@ pub use aligned::{shard_aligned_stream, AlignedCommunities};
 pub use doc_corpus::DocCorpus;
 pub use flash_crowd::FlashCrowd;
 pub use geo::GeoPartitioned;
-pub use oracle::{Backend, BackendReport, Leg, LegReport, Oracle, ALL_BACKENDS};
+pub use oracle::{Leg, LegReport, Oracle, OracleReport};
 pub use synthetic::{SyntheticConfig, SyntheticStrategy, SyntheticWorkload};
 pub use tweets::{SimulatedCorpus, StoryScript, TweetSimulator, TweetSimulatorConfig};
 pub use workload::{Workload, WorkloadStream, MAX_PAIR_WEIGHT};

@@ -1,6 +1,6 @@
-//! Property tests over the [`MaintenanceEngine`] seam itself: for random
-//! small update streams, **every** pluggable backend must honour the four
-//! contracts the sharded subsystem leans on —
+//! Property tests of the engine contracts the sharded subsystem leans on
+//! (see the `dyndens-shard` crate docs): for random small update streams,
+//! `DynDens` must honour all four —
 //!
 //! 1. `snapshot` → `restore` → `snapshot` reproduces the same bytes
 //!    (byte-stable round trip), and the restored engine answers identically
@@ -17,11 +17,11 @@
 //!    byte-identical to a twin that received the same cancelling updates as
 //!    stream input, with nothing left at or below `w`.
 //!
-//! The suites above (`sharded_equivalence`, `wal_replay`,
-//! `rebalance_equivalence`) check these contracts through full deployments
-//! on structured streams; this file attacks the seam directly with
-//! adversarial random streams, including exact weight cancellations. Both
-//! backends copy state bit-for-bit through `partition_by`/`absorb`, so the
+//! The suites `sharded_equivalence`, `wal_replay` and
+//! `rebalance_equivalence` check these contracts through full deployments on
+//! structured streams; this file attacks the engine directly with
+//! adversarial random streams, including exact weight cancellations. The
+//! engine copies state bit-for-bit through `partition_by`/`absorb`, so the
 //! identity holds for **any** predicate, including splits that cut straight
 //! through a maintained subgraph.
 
@@ -45,7 +45,7 @@ const N_VERTICES: u32 = 12;
 /// plus a split point for the partition predicate (including both
 /// degenerate "keep everything" / "keep nothing" splits). The raw triples
 /// are turned into a valid stream by [`realize`].
-fn seam_inputs() -> impl Strategy<Value = (Vec<(u32, u32, usize)>, u32)> {
+fn contract_inputs() -> impl Strategy<Value = (Vec<(u32, u32, usize)>, u32)> {
     (
         prop::collection::vec(
             (0u32..N_VERTICES, 0u32..N_VERTICES, 0usize..DELTAS.len()),
@@ -82,10 +82,12 @@ fn realize(raw: &[(u32, u32, usize)]) -> Vec<EdgeUpdate> {
     updates
 }
 
-/// The engine's full weight state read through the seam: every stored edge's
+type Engine = DynDens<AvgWeight>;
+
+/// The engine's full weight state read through eviction: every stored edge's
 /// cancelling update carries its endpoints and its (negated) weight's bits,
 /// in canonical order.
-fn graph_bits<E: MaintenanceEngine>(engine: &E) -> Vec<(VertexId, VertexId, u64)> {
+fn graph_bits(engine: &Engine) -> Vec<(VertexId, VertexId, u64)> {
     let edges = engine.edges_below(f64::INFINITY);
     assert!(edges
         .windows(2)
@@ -97,7 +99,7 @@ fn graph_bits<E: MaintenanceEngine>(engine: &E) -> Vec<(VertexId, VertexId, u64)
 }
 
 /// Applies `updates` the way every deployment path does.
-fn ingest<E: MaintenanceEngine>(engine: &mut E, updates: &[EdgeUpdate]) {
+fn ingest(engine: &mut Engine, updates: &[EdgeUpdate]) {
     let mut sink = Vec::new();
     for u in updates {
         engine.apply_update_into(*u, &mut sink);
@@ -106,44 +108,47 @@ fn ingest<E: MaintenanceEngine>(engine: &mut E, updates: &[EdgeUpdate]) {
 }
 
 /// The maintained family with scores as raw bits, sorted by vertex set.
-fn answer_bits<E: MaintenanceEngine>(engine: &mut E) -> Vec<(VertexSet, u64)> {
+fn answer_bits(engine: &Engine) -> Vec<(VertexSet, u64)> {
     support::sorted_bits(engine.dense_subgraphs())
 }
 
-/// Runs the seam contracts for one backend on one stream.
-fn check_seam<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], split: u32) {
-    let mut engine = blueprint.fresh();
+fn fresh() -> Engine {
+    DynDens::new(AvgWeight, engine_config())
+}
+
+fn restore(bytes: &[u8]) -> Engine {
+    DynDens::restore(AvgWeight, bytes).unwrap_or_else(|e| panic!("restore failed: {e}"))
+}
+
+/// Runs the four contracts on one stream.
+fn check_contracts(updates: &[EdgeUpdate], split: u32) {
+    let mut engine = fresh();
     ingest(&mut engine, updates);
-    engine.validate().unwrap_or_else(|e| {
-        panic!("{}: engine invalid after ingest: {e}", blueprint.kind());
-    });
+    engine
+        .validate()
+        .unwrap_or_else(|e| panic!("engine invalid after ingest: {e}"));
     let want_graph = graph_bits(&engine);
-    let want_answer = answer_bits(&mut engine);
+    let want_answer = answer_bits(&engine);
     let want_updates = engine.stats().updates;
 
     // Contract 1: snapshot → restore → snapshot is byte-stable, and the
     // restored engine is indistinguishable from the original.
     let bytes = engine.snapshot();
-    let mut restored = blueprint
-        .restore(&bytes)
-        .unwrap_or_else(|e| panic!("{}: restore failed: {e}", blueprint.kind()));
+    let restored = restore(&bytes);
     assert_eq!(
         restored.snapshot(),
         bytes,
-        "{}: snapshot round trip is not byte-stable",
-        blueprint.kind()
+        "snapshot round trip is not byte-stable"
     );
     assert_eq!(
         graph_bits(&restored),
         want_graph,
-        "{}: restored graph weight bits diverge",
-        blueprint.kind()
+        "restored graph weight bits diverge"
     );
     assert_eq!(
-        answer_bits(&mut restored),
+        answer_bits(&restored),
         want_answer,
-        "{}: restored score bits diverge",
-        blueprint.kind()
+        "restored score bits diverge"
     );
     assert_eq!(restored.stats().updates, want_updates);
 
@@ -153,108 +158,83 @@ fn check_seam<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], split: 
     // the split cuts a stored subgraph (it follows its minimum vertex, some
     // of its edges may not), so the children are deliberately not validated
     // here — only the reunited engine is.
-    let (mut kept, other) = engine.partition_by(&mut |v| v.0 < split);
+    let (mut kept, other) = engine.partition_by(|v| v.0 < split);
     kept.absorb(other);
     assert_eq!(
         graph_bits(&kept),
         want_graph,
-        "{}: partition_by + absorb changed graph weight bits",
-        blueprint.kind()
+        "partition_by + absorb changed graph weight bits"
     );
     assert_eq!(
-        answer_bits(&mut kept),
+        answer_bits(&kept),
         want_answer,
-        "{}: partition_by + absorb changed maintained score bits",
-        blueprint.kind()
+        "partition_by + absorb changed maintained score bits"
     );
-    kept.validate().unwrap_or_else(|e| {
-        panic!("{}: reunited engine invalid: {e}", blueprint.kind());
-    });
+    kept.validate()
+        .unwrap_or_else(|e| panic!("reunited engine invalid: {e}"));
 
     // Contract 3: uncounted replay. The cut runs over the whole stream,
     // both ends included, as `split` runs over the universe.
     let cut = updates.len() * split as usize / N_VERTICES as usize;
-    let mut prefix = blueprint.fresh();
+    let mut prefix = fresh();
     ingest(&mut prefix, &updates[..cut]);
-    let mut replayed = blueprint
-        .restore(&prefix.snapshot())
-        .unwrap_or_else(|e| panic!("{}: restore at {cut} failed: {e}", blueprint.kind()));
+    let mut replayed = restore(&prefix.snapshot());
     let ledger = replayed.stats().clone();
     ingest(&mut replayed, &updates[cut..]);
     replayed.adopt_stats(ledger);
     assert_eq!(
         replayed.stats(),
         prefix.stats(),
-        "{}: replay from {cut} leaked into the ledger",
-        blueprint.kind()
+        "replay from {cut} leaked into the ledger"
     );
     assert_eq!(
-        answer_bits(&mut replayed),
+        answer_bits(&replayed),
         want_answer,
-        "{}: replay from {cut} changed maintained score bits",
-        blueprint.kind()
+        "replay from {cut} changed maintained score bits"
     );
     let mut uninterrupted = engine.clone();
     uninterrupted.adopt_stats(prefix.stats().clone());
     assert_eq!(
         replayed.snapshot(),
         uninterrupted.snapshot(),
-        "{}: replay from {cut} changed snapshot bytes beyond the ledger",
-        blueprint.kind()
+        "replay from {cut} changed snapshot bytes beyond the ledger"
     );
 
     // Contract 4: eviction is streamed cancellation. The floor runs from
     // "evicts nothing" past the heaviest weight these streams build.
     let floor = 0.5 * split as f64;
     let victims = engine.edges_below(floor);
-    let mut twin = blueprint.fresh();
+    let mut twin = fresh();
     ingest(&mut twin, updates);
     ingest(&mut twin, &victims);
     ingest(&mut engine, &victims);
     assert_eq!(
         engine.snapshot(),
         twin.snapshot(),
-        "{}: evicting below {floor} is not the streamed cancellation",
-        blueprint.kind()
+        "evicting below {floor} is not the streamed cancellation"
     );
     assert_eq!(
         engine.edges_below(floor),
         [],
-        "{}: edges at or below {floor} survived their eviction",
-        blueprint.kind()
+        "edges at or below {floor} survived their eviction"
     );
     engine.reclaim_idle();
     assert_eq!(
         engine.snapshot(),
         twin.snapshot(),
-        "{}: reclaim_idle changed the engine",
-        blueprint.kind()
+        "reclaim_idle changed the engine"
     );
-    engine.validate().unwrap_or_else(|e| {
-        panic!("{}: engine invalid after eviction: {e}", blueprint.kind());
-    });
+    engine
+        .validate()
+        .unwrap_or_else(|e| panic!("engine invalid after eviction: {e}"));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
     #[test]
-    fn dyndens_seam_contracts_hold(inputs in seam_inputs()) {
+    fn dyndens_contracts_hold(inputs in contract_inputs()) {
         let (raw, split) = inputs;
-        check_seam(
-            &DynDensBlueprint::new(AvgWeight, engine_config()),
-            &realize(&raw),
-            split,
-        );
-    }
-
-    #[test]
-    fn topk_peeling_seam_contracts_hold(inputs in seam_inputs()) {
-        let (raw, split) = inputs;
-        check_seam(
-            &TopKPeelingBlueprint::new(AvgWeight, engine_config(), 4),
-            &realize(&raw),
-            split,
-        );
+        check_contracts(&realize(&raw), split);
     }
 }

@@ -182,7 +182,7 @@ fn published(config: DynDensConfig, updates: &[EdgeUpdate]) -> u64 {
             engine.apply_update_into(u, &mut events);
         }
         events.clear();
-        let (stories, output_dense) = MaintenanceEngine::top_stories(&mut engine, 16);
+        let (stories, output_dense) = engine.top_stories(16);
         fp.u64(stories.len() as u64);
         for (set, density) in &stories {
             fp.set(set);

@@ -458,18 +458,13 @@ fn aborted_merge_resurrects_both_children_and_retries() {
     aborted_reshape_resurrects_and_retries(Direction::Merge);
 }
 
-/// The backend-parameterized run: for every pluggable maintenance backend,
-/// splitting mid-stream and merging the siblings back (the engine-side
-/// `partition_by`/`absorb` paths under that backend's implementation) must
-/// match an untouched-topology fleet of the same backend bit for bit.
+/// The oracle's rebalance leg on the canonical stream: splitting mid-stream
+/// and merging the siblings back (the engine-side `partition_by`/`absorb`
+/// paths) must match an untouched-topology fleet bit for bit.
 #[test]
 fn every_backend_split_merge_matches_untouched_topology() {
     let oracle = support::Oracle::from_updates("canonical", support::canonical_stream());
-    support::for_each_backend(|backend| {
-        oracle
-            .run_backend_legs(backend, &[support::Leg::Rebalance])
-            .assert_passed();
-    });
+    oracle.run_legs(&[support::Leg::Rebalance]).assert_passed();
 }
 
 /// Two successive splits of the same base slot exercise depth-2 routing bits

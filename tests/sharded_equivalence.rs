@@ -12,36 +12,17 @@
 mod support;
 
 use dyndens::prelude::*;
-use support::{canonical_stream, engine_config, shard_config, sorted_sets, Backend, Leg, Oracle};
+use support::{canonical_stream, engine_config, shard_config, sorted_sets, Leg, Oracle};
 
 #[test]
 fn sharded_matches_single_engine_on_50k_update_stream() {
-    let report = Oracle::from_updates("canonical", canonical_stream())
-        .run_backend_legs(Backend::DynDens, &[Leg::Sharded]);
+    let report = Oracle::from_updates("canonical", canonical_stream()).run_legs(&[Leg::Sharded]);
     assert!(
         report.output_dense >= 10,
         "degenerate workload: only {} output-dense subgraphs",
         report.output_dense
     );
     report.assert_passed();
-}
-
-#[test]
-fn every_backend_sharded_matches_its_own_single_engine() {
-    // The backend-parameterized run of the headline property: for every
-    // pluggable maintenance backend, a 1/2/4-shard fleet of that backend is
-    // bit-identical to a single engine of the same backend (plus the
-    // quality comparison against the DynDens referee).
-    let oracle = Oracle::from_updates("canonical", canonical_stream());
-    support::for_each_backend(|backend| {
-        let report = oracle.run_backend_legs(backend, &[Leg::Sharded]);
-        assert!(
-            report.output_dense > 0,
-            "{}: degenerate stream",
-            backend.kind()
-        );
-        report.assert_passed();
-    });
 }
 
 #[test]

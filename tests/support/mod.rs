@@ -19,7 +19,7 @@ use dyndens::workloads::tweets::default_stories;
 use dyndens::workloads::{TweetSimulator, TweetSimulatorConfig};
 
 pub use dyndens::workloads::oracle::{engine_config, shard_config, sorted_bits};
-pub use dyndens::workloads::{shard_aligned_stream, Backend, Leg, Oracle, ALL_BACKENDS};
+pub use dyndens::workloads::{shard_aligned_stream, Leg, Oracle};
 
 /// Canonical stream length of the equivalence suites.
 pub const N_UPDATES: usize = 50_000;
@@ -30,17 +30,6 @@ pub const CHUNK: usize = 256;
 /// paper's publication year as seed) every equivalence suite ingests.
 pub fn canonical_stream() -> Vec<EdgeUpdate> {
     shard_aligned_stream(N_UPDATES, 8, 2012)
-}
-
-/// Drives `scenario` once per pluggable maintenance backend — the
-/// parameterization hook of the equivalence suites. The shared deployment
-/// bodies live in the differential oracle (`Oracle::run_backend_legs`);
-/// each suite passes a closure that picks its legs and asserts the report,
-/// so adding a backend extends every suite without touching their bodies.
-pub fn for_each_backend(mut scenario: impl FnMut(Backend)) {
-    for backend in ALL_BACKENDS {
-        scenario(backend);
-    }
 }
 
 /// The canonical serving-layer shard configuration: untruncated top-k (so

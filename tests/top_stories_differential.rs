@@ -1,14 +1,12 @@
-//! Differential test of the publication seam: `MaintenanceEngine::top_stories`
-//! against its definition — every output-dense subgraph, sorted densest first
-//! with ties by vertex set, cut to `k`, beside the total — which is spelled
-//! out here independently of the library's `story_order`.
+//! Differential test of publication: `DynDens::top_stories` against its
+//! definition — every output-dense subgraph, sorted densest first with ties
+//! by vertex set, cut to `k`, beside the total — which is spelled out here
+//! independently of the library's `story_order`.
 //!
 //! `DynDens` answers by selection over its index and never materialises the
-//! losers; `topk-peeling` answers through the provided implementation from
-//! the answer it rebuilds at read time. Both must return the reference's
-//! bits, on streams
-//! (the five oracle workloads and the weighted tweet stream, at every batch
-//! boundary) and on hand-built states the streams do not reach.
+//! losers. It must return the reference's bits, on streams (the five oracle
+//! workloads and the weighted tweet stream, at every batch boundary) and on
+//! hand-built states the streams do not reach.
 
 mod support;
 
@@ -36,10 +34,11 @@ fn bits(stories: &Stories) -> Vec<(&VertexSet, u64)> {
 
 /// Checks `top_stories(k)` for the `k`s around the engine's current output
 /// size `n` (plus `extra`); returns `n`.
-fn check<E: MaintenanceEngine>(engine: &mut E, extra: &[usize], context: &str) -> usize {
+fn check(engine: &DynDens<AvgWeight>, extra: &[usize], context: &str) -> usize {
     let all = engine.output_dense_subgraphs();
     let n = all.len();
     assert_eq!(engine.top_stories(0).1, n, "{context}");
+    assert_eq!(engine.output_dense_count(), n, "{context}");
     for &k in [0, 1, 16, n, n + 1, usize::MAX].iter().chain(extra) {
         let (want, want_total) = reference(all.clone(), k);
         let (got, got_total) = engine.top_stories(k);
@@ -49,10 +48,10 @@ fn check<E: MaintenanceEngine>(engine: &mut E, extra: &[usize], context: &str) -
     n
 }
 
-/// Drives `updates` through a fresh engine, checking at every `batch`
-/// boundary.
-fn drive<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], batch: usize, name: &str) {
-    let mut engine = blueprint.fresh();
+/// Drives `updates` through a fresh engine of `config`, checking at every
+/// `batch` boundary.
+fn drive(config: DynDensConfig, updates: &[EdgeUpdate], batch: usize, name: &str) {
+    let mut engine = DynDens::new(AvgWeight, config);
     let mut events = Vec::new();
     let mut largest = 0;
     for (i, chunk) in updates.chunks(batch).enumerate() {
@@ -60,14 +59,10 @@ fn drive<B: EngineBlueprint>(blueprint: &B, updates: &[EdgeUpdate], batch: usize
             engine.apply_update_into(u, &mut events);
         }
         events.clear();
-        let context = format!("{} on {name}, batch {i}", blueprint.kind());
-        largest = largest.max(check(&mut engine, &[], &context));
+        let context = format!("{name}, batch {i}");
+        largest = largest.max(check(&engine, &[], &context));
     }
-    assert!(
-        largest > 0,
-        "{} on {name}: no output-dense subgraph",
-        blueprint.kind()
-    );
+    assert!(largest > 0, "{name}: no output-dense subgraph");
 }
 
 fn oracle_workloads(n: usize, seed: u64) -> Vec<Box<dyn Workload>> {
@@ -82,31 +77,12 @@ fn oracle_workloads(n: usize, seed: u64) -> Vec<Box<dyn Workload>> {
 
 #[test]
 fn dyndens_selection_matches_the_reference_on_every_stream() {
-    let blueprint = DynDensBlueprint::new(AvgWeight, engine_config());
     for workload in oracle_workloads(12_000, 2026) {
-        drive(&blueprint, &workload.updates(), 64, workload.name());
+        drive(engine_config(), &workload.updates(), 64, workload.name());
     }
     // The too-dense regime: `*` markers, covered bands, weighted densities.
-    let tweets = DynDensBlueprint::new(AvgWeight, tweet_config());
     drive(
-        &tweets,
-        &tweet_stream(2026, 10_000),
-        64,
-        "tweets_chi_square",
-    );
-}
-
-#[test]
-fn rebuilding_backends_answer_through_the_provided_implementation() {
-    // The peeler rebuilds its answer on the first read after an update; the
-    // streams and boundaries are DynDens's.
-    let peeling = TopKPeelingBlueprint::new(AvgWeight, engine_config(), 4);
-    for workload in oracle_workloads(12_000, 2026) {
-        drive(&peeling, &workload.updates(), 64, workload.name());
-    }
-    let tweets = TopKPeelingBlueprint::new(AvgWeight, tweet_config(), 4);
-    drive(
-        &tweets,
+        tweet_config(),
         &tweet_stream(2026, 10_000),
         64,
         "tweets_chi_square",
@@ -136,9 +112,9 @@ fn equal_density_engine(n_max: usize) -> DynDens<AvgWeight> {
 
 #[test]
 fn equal_densities_are_ordered_by_vertex_set_alone() {
-    let mut engine = equal_density_engine(4);
+    let engine = equal_density_engine(4);
     let every_k: Vec<usize> = (0..=46).collect();
-    assert_eq!(check(&mut engine, &every_k, "equal densities"), 44);
+    assert_eq!(check(&engine, &every_k, "equal densities"), 44);
 
     let (all, total) = engine.top_stories(usize::MAX);
     assert_eq!(total, 44);
@@ -154,16 +130,16 @@ fn equal_densities_are_ordered_by_vertex_set_alone() {
 
 #[test]
 fn cardinalities_past_the_path_key_width_compare_materialised_sets() {
-    let mut engine = equal_density_engine(13);
+    let engine = equal_density_engine(13);
     assert!(engine.config().n_max > dyndens::core::SubgraphIndex::PATH_KEY_WIDTH);
     let every_k: Vec<usize> = (0..=46).collect();
-    assert_eq!(check(&mut engine, &every_k, "Nmax = 13"), 44);
+    assert_eq!(check(&engine, &every_k, "Nmax = 13"), 44);
 }
 
 #[test]
 fn an_empty_engine_publishes_nothing() {
-    let mut engine = DynDens::new(AvgWeight, engine_config());
-    assert_eq!(check(&mut engine, &[], "empty engine"), 0);
+    let engine = DynDens::new(AvgWeight, engine_config());
+    assert_eq!(check(&engine, &[], "empty engine"), 0);
     assert_eq!(engine.top_stories(16), (Vec::new(), 0));
 }
 
@@ -183,7 +159,7 @@ fn star_marked_subgraphs_are_selected_like_any_other() {
     let heavy = VertexSet::from_ids(&[20, 21]);
     let id = engine.index().find(heavy.as_slice()).expect("stored");
     assert!(engine.index().has_star(id), "the heavy pair is too-dense");
-    let n = check(&mut engine, &[2, 3], "star marker");
+    let n = check(&engine, &[2, 3], "star marker");
     assert!(n >= 5);
     assert_eq!(engine.top_stories(1), (vec![(heavy, 9.0)], n));
 }

@@ -125,48 +125,45 @@ fn crash_at_any_batch_then_recover_equals_never_crashed() {
 
 #[test]
 fn every_backend_recovers_bit_identically_after_a_crash() {
-    // The backend-parameterized run: for every pluggable maintenance
-    // backend, kill-and-recover mid-stream (newest snapshot + WAL tail
-    // replay under that backend's own checkpoint format) must match a
-    // never-crashed single engine of the same backend bit for bit.
+    // The oracle's recovery leg on the canonical stream: kill-and-recover
+    // mid-stream (newest snapshot + WAL tail replay) must match a
+    // never-crashed single engine bit for bit.
     let oracle = support::Oracle::from_updates("canonical", support::canonical_stream());
-    support::for_each_backend(|backend| {
-        oracle
-            .run_backend_legs(backend, &[support::Leg::Recovery])
-            .assert_passed();
-    });
+    oracle.run_legs(&[support::Leg::Recovery]).assert_passed();
 }
 
-/// One backend's compaction under a fleet and a kill: ingest, `compact_below`
+/// Compaction under a fleet and a kill: ingest, `compact_below`
 /// mid-stream, ingest on, drop without a final checkpoint, reopen, finish the
 /// stream. With `lose_checkpoint` the kill lands between the compaction's WAL
 /// append and its checkpoint (the newest snapshot of every shard is removed),
 /// so recovery replays the journaled victims instead of restoring past them.
-fn compaction_survives_a_kill<B: EngineBlueprint>(blueprint: &B, lose_checkpoint: bool) {
+fn compaction_survives_a_kill(lose_checkpoint: bool) {
     const FLOOR: f64 = 0.6;
     // Shorter than the canonical stream on purpose: its first quarter holds
     // no edge at or below the floor, so there would be nothing to compact.
     let updates = support::shard_aligned_stream(8_000, 8, 2012);
     let (head, rest) = updates.split_at(updates.len() / 4);
     let (middle, tail) = rest.split_at(CHUNK);
-    let sorted_dense = |fleet: &ShardedFleet<B>| support::sorted_bits(fleet.dense_subgraphs());
+    let sorted_dense =
+        |fleet: &ShardedDynDens<AvgWeight>| support::sorted_bits(fleet.dense_subgraphs());
 
-    let mut never_killed = ShardedFleet::with_backend(blueprint.clone(), shard_config(2));
+    let mut never_killed = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
     never_killed.apply_batch(head);
     let evicted = never_killed.compact_below(FLOOR);
-    assert!(evicted > 0, "{}: nothing to compact", blueprint.kind());
+    assert!(evicted > 0, "nothing to compact");
     never_killed.apply_batch(middle);
     never_killed.apply_batch(tail);
     never_killed.validate().unwrap();
 
-    let dir = temp_dir(&format!("walreplay-compact-{}", blueprint.kind()));
+    let dir = temp_dir("walreplay-compact");
     let open = || {
-        ShardedFleet::with_backend_persistence(
-            blueprint.clone(),
+        ShardedDynDens::with_persistence(
+            AvgWeight,
+            engine_config(),
             shard_config(2),
             persistence(&dir),
         )
-        .unwrap_or_else(|e| panic!("{}: open failed: {e}", blueprint.kind()))
+        .unwrap_or_else(|e| panic!("open failed: {e}"))
     };
     {
         let mut doomed = open();
@@ -175,7 +172,7 @@ fn compaction_survives_a_kill<B: EngineBlueprint>(blueprint: &B, lose_checkpoint
         // WAL from it on) for recovery to fall back to.
         assert_eq!(doomed.compact_below(-1.0), 0);
         doomed.apply_batch(&head[CHUNK..]);
-        assert_eq!(doomed.compact_below(FLOOR), evicted, "{}", blueprint.kind());
+        assert_eq!(doomed.compact_below(FLOOR), evicted);
         doomed.apply_batch(middle);
         doomed.flush();
     }
@@ -184,11 +181,7 @@ fn compaction_survives_a_kill<B: EngineBlueprint>(blueprint: &B, lose_checkpoint
             let shard = shard.unwrap().path();
             if shard.is_dir() {
                 let snapshots = dyndens::shard::recovery::list_snapshots(&shard).unwrap();
-                assert!(
-                    snapshots.len() >= 2,
-                    "{}: nothing to fall back to",
-                    blueprint.kind()
-                );
+                assert!(snapshots.len() >= 2, "nothing to fall back to");
                 std::fs::remove_file(&snapshots.last().unwrap().1).unwrap();
             }
         }
@@ -201,22 +194,19 @@ fn compaction_survives_a_kill<B: EngineBlueprint>(blueprint: &B, lose_checkpoint
         .sum();
     assert!(
         !lose_checkpoint || replayed >= evicted,
-        "{}: the journaled victims were not replayed",
-        blueprint.kind()
+        "the journaled victims were not replayed"
     );
     recovered.apply_batch(tail);
     recovered.validate().unwrap();
     assert!(
         sorted_dense(&recovered) == sorted_dense(&never_killed),
-        "{}: compaction + kill (checkpoint lost: {lose_checkpoint}) diverged",
-        blueprint.kind()
+        "compaction + kill (checkpoint lost: {lose_checkpoint}) diverged"
     );
     assert_eq!(recovered.edge_count(), never_killed.edge_count());
     assert_eq!(
         recovered.stats().updates + replayed,
         (updates.len() as u64) + evicted,
-        "{}: replayed updates, journaled victims included, stay out of the ledger",
-        blueprint.kind()
+        "replayed updates, journaled victims included, stay out of the ledger"
     );
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -224,23 +214,9 @@ fn compaction_survives_a_kill<B: EngineBlueprint>(blueprint: &B, lose_checkpoint
 
 #[test]
 fn every_backend_survives_a_kill_after_a_compaction() {
-    // Until now `compact_below` ran under a fleet for `dyndens` only; the
-    // baselines' eviction never did.
-    let config = engine_config();
-    support::for_each_backend(|backend| {
-        for lose_checkpoint in [false, true] {
-            match backend {
-                support::Backend::DynDens => compaction_survives_a_kill(
-                    &DynDensBlueprint::new(AvgWeight, config.clone()),
-                    lose_checkpoint,
-                ),
-                support::Backend::TopKPeeling => compaction_survives_a_kill(
-                    &TopKPeelingBlueprint::new(AvgWeight, config.clone(), 4),
-                    lose_checkpoint,
-                ),
-            }
-        }
-    });
+    for lose_checkpoint in [false, true] {
+        compaction_survives_a_kill(lose_checkpoint);
+    }
 }
 
 #[test]

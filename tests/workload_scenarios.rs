@@ -10,15 +10,15 @@
 //! bit-identical to the single-engine reference.
 
 use dyndens::workloads::{
-    AdversarialSkew, AlignedCommunities, Backend, BackendReport, DocCorpus, FlashCrowd,
-    GeoPartitioned, Oracle, Workload, WorkloadStream, ALL_BACKENDS,
+    AdversarialSkew, AlignedCommunities, DocCorpus, FlashCrowd, GeoPartitioned, Oracle,
+    OracleReport, Workload, WorkloadStream,
 };
 
-fn run(workload: &dyn Workload, n_updates: usize) -> BackendReport {
-    let report = Oracle::new(workload).run_backend(Backend::DynDens);
+fn run(workload: &dyn Workload, n_updates: usize) -> OracleReport {
+    let report = Oracle::new(workload).run();
     assert_eq!(report.workload, workload.name());
     assert_eq!(report.n_updates, n_updates);
-    assert_eq!(report.legs.len(), 5, "all four legs and quality must run");
+    assert_eq!(report.legs.len(), 4, "all four legs must run");
     assert!(
         report.output_dense > 0,
         "{}: degenerate workload, no output-dense stories",
@@ -26,6 +26,11 @@ fn run(workload: &dyn Workload, n_updates: usize) -> BackendReport {
     );
     report.assert_passed();
     report
+}
+
+#[test]
+fn aligned_communities_are_bit_exact_through_the_full_stack() {
+    run(&AlignedCommunities::new(12_000, 2012), 12_000);
 }
 
 #[test]
@@ -59,27 +64,4 @@ fn doc_corpus_is_bit_exact_through_the_full_stack() {
 #[test]
 fn geo_partitioned_is_bit_exact_through_the_full_stack() {
     run(&GeoPartitioned::new(12_000, 2026), 12_000);
-}
-
-/// Every pluggable backend through every workload: the four deployment legs
-/// bit-exact against a single engine of the same backend, then the quality
-/// leg against the DynDens referee up to the backend's quality bound (top-q
-/// density ratio 1.0 for `dyndens`, ≥ 0.8 for `topk-peeling`), at the sizes
-/// of the per-workload tests above.
-#[test]
-fn every_backend_passes_every_workload() {
-    let aligned = AlignedCommunities::new(12_000, 2012);
-    let flash = FlashCrowd::new(12_000, 2026);
-    let skew = AdversarialSkew::new(12_000, 2026);
-    // Documents lower to about six pair-updates each.
-    let docs = DocCorpus::new(2_000, 2026);
-    let geo = GeoPartitioned::new(12_000, 2026);
-    let workloads: [&dyn Workload; 5] = [&aligned, &flash, &skew, &docs, &geo];
-    for backend in ALL_BACKENDS {
-        for workload in workloads {
-            let report = Oracle::new(workload).run_backend(backend);
-            assert_eq!(report.legs.len(), 5, "four deployment legs and quality");
-            report.assert_passed();
-        }
-    }
 }
