@@ -156,7 +156,8 @@ pub mod names {
 
     /// Counter `{shard}`: engine checkpoints written.
     pub const CHECKPOINTS_TOTAL: &str = "dyndens_checkpoints_total";
-    /// Histogram `{shard}`: checkpoint serialize+write latency, µs.
+    /// Histogram `{shard}`: checkpoint write latency on the shard's checkpoint
+    /// writer thread, µs.
     pub const CHECKPOINT_LATENCY_US: &str = "dyndens_checkpoint_latency_us";
     /// Gauge `{shard}`: size of the last checkpoint, bytes.
     pub const CHECKPOINT_BYTES: &str = "dyndens_checkpoint_bytes";

@@ -77,7 +77,10 @@
 //! worker appends every micro-batch to a per-shard write-ahead log
 //! ([`wal`]) *before* applying it, and checkpoints its engine with
 //! [`DynDens::snapshot`](dyndens_core::DynDens::snapshot) every
-//! [`PersistenceConfig::snapshot_every_batches`] micro-batches. Recovery
+//! [`PersistenceConfig::snapshot_every_batches`] micro-batches. The worker
+//! serialises the image and rotates the WAL; a checkpoint writer thread of
+//! its own makes the image durable, and the worker prunes the WAL behind it
+//! only once the writer reports it so. Recovery
 //! ([`recovery`]) is `newest valid snapshot + WAL tail replay` and rebuilds
 //! a state **bit-identical** to a worker that never crashed, without
 //! double-counting replayed updates into [`EngineStats`](dyndens_core::EngineStats).

@@ -5,7 +5,10 @@
 //! * **snapshots** (`snap-<seq>.snap`) — the engine's full
 //!   [`DynDens::snapshot`] image at sequence number `seq`, wrapped
 //!   in a CRC-framed file header, written atomically (temp file + rename)
-//!   every [`PersistenceConfig::snapshot_every_batches`] micro-batches;
+//!   every [`PersistenceConfig::snapshot_every_batches`] micro-batches. The
+//!   worker serialises the image and rotates the WAL at `seq`; its
+//!   checkpoint writer thread runs [`write_snapshot`], and the worker prunes
+//!   the WAL only after the writer reports the snapshot durable;
 //! * **WAL segments** (see [`crate::wal`]) — every routed micro-batch,
 //!   appended *before* it is applied.
 //!
@@ -33,7 +36,7 @@ use dyndens_density::DensityMeasure;
 
 use crate::config::{PersistenceConfig, ShardConfig};
 use crate::wal::{self, WalWriter};
-use dyndens_graph::codec::{crc32, put_u32, put_u64, ByteReader};
+use dyndens_graph::codec::{crc32, crc32_extend, put_u32, put_u64, ByteReader};
 use dyndens_graph::ShardMap;
 
 /// Snapshots kept per shard. Two let recovery fall back to the older one if
@@ -145,17 +148,21 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// `wal::replace_atomic` for why whatever the fsync policy), then deletes
 /// all but the newest [`RETAINED_SNAPSHOTS`]. Returns the sequence number of
 /// the **oldest** retained snapshot — the point up to which the WAL may
-/// safely be pruned.
+/// safely be pruned. The file wrapper is written around the image, not
+/// copied with it: a shard's checkpoint writer thread allocates nothing the
+/// size of the image.
 pub fn write_snapshot(dir: &Path, seq: u64, engine_bytes: &[u8]) -> io::Result<u64> {
-    let mut buf = Vec::with_capacity(24 + engine_bytes.len() + 4);
-    buf.extend_from_slice(SNAP_FILE_MAGIC);
-    put_u32(&mut buf, SNAP_FILE_VERSION);
-    put_u64(&mut buf, seq);
-    put_u64(&mut buf, engine_bytes.len() as u64);
-    buf.extend_from_slice(engine_bytes);
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
-    wal::replace_atomic(dir, &format!("{SNAP_PREFIX}{seq:020}{SNAP_SUFFIX}"), &buf)?;
+    let mut header = Vec::with_capacity(24);
+    header.extend_from_slice(SNAP_FILE_MAGIC);
+    put_u32(&mut header, SNAP_FILE_VERSION);
+    put_u64(&mut header, seq);
+    put_u64(&mut header, engine_bytes.len() as u64);
+    let crc = crc32_extend(crc32(&header), engine_bytes);
+    wal::replace_atomic(
+        dir,
+        &format!("{SNAP_PREFIX}{seq:020}{SNAP_SUFFIX}"),
+        &[&header, engine_bytes, &crc.to_le_bytes()],
+    )?;
 
     let mut snapshots = list_snapshots(dir)?;
     while snapshots.len() > RETAINED_SNAPSHOTS {
@@ -245,7 +252,7 @@ pub(crate) fn rewrite_manifest(
     wal::replace_atomic(
         root,
         MANIFEST_NAME,
-        &encode_manifest(measure_name, &params, map),
+        &[&encode_manifest(measure_name, &params, map)],
     )
 }
 

@@ -71,20 +71,20 @@ pub(crate) const WORKER_GONE: &str = "shard worker terminated while the facade i
 impl RouteState {
     /// The one router every ingest path goes through — the facade, every
     /// [`IngestHandle`], and a reshape's drain of its parked backlog. Each
-    /// update goes to its owner slot (the slot of its minimum endpoint),
-    /// whose routed counter it bumps; each slot receives its updates as one
-    /// message, in arrival order. `groups` is per-slot scratch, left empty:
-    /// each group sent is replaced by one with the capacity it just used, so
-    /// a caller that keeps `groups` does not regrow them on the next batch.
+    /// update goes to its owner slot (the slot of its minimum endpoint);
+    /// each slot receives its updates as one message, in arrival order, and
+    /// its routed counter is bumped once, by the group's size, just before
+    /// the send (so routed never trails applied). `groups` is per-slot
+    /// scratch, left empty: each group sent is replaced by one with the
+    /// capacity it just used, so a caller that keeps `groups` does not
+    /// regrow them on the next batch.
     pub(crate) fn send(&self, updates: &[EdgeUpdate], groups: &mut Vec<Vec<EdgeUpdate>>) {
-        let slot_of = |update: &EdgeUpdate| {
-            let slot = self.map.route(update.a.min(update.b));
-            self.routed[slot].fetch_add(1, Ordering::Relaxed);
-            slot
-        };
+        let slot_of = |update: &EdgeUpdate| self.map.route(update.a.min(update.b));
         if let [update] = updates {
             // A lone update travels unboxed.
-            return self.senders[slot_of(update)]
+            let slot = slot_of(update);
+            self.routed[slot].fetch_add(1, Ordering::Relaxed);
+            return self.senders[slot]
                 .send(WorkerMsg::Update(*update))
                 .expect(WORKER_GONE);
         }
@@ -94,8 +94,11 @@ impl RouteState {
         for &update in updates {
             groups[slot_of(&update)].push(update);
         }
-        for (sender, group) in self.senders.iter().zip(groups.iter_mut()) {
+        for ((sender, routed), group) in
+            self.senders.iter().zip(&self.routed).zip(groups.iter_mut())
+        {
             if !group.is_empty() {
+                routed.fetch_add(group.len() as u64, Ordering::Relaxed);
                 let sized = Vec::with_capacity(group.len());
                 sender
                     .send(WorkerMsg::Batch(std::mem::replace(group, sized)))

@@ -61,29 +61,33 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Replaces the file `name` in `dir` with `bytes`, atomically and durably:
-/// write a `.tmp` sibling, `sync_data` it, rename it over the target, fsync
-/// `dir`. A crash at any point leaves either the old file or the new one,
-/// never a mix. Checkpoints and the deployment `MANIFEST` are written
-/// through here and nowhere else.
+/// Replaces the file `name` in `dir` with the concatenation of `parts`,
+/// atomically and durably: write a `.tmp` sibling, `sync_data` it, rename it
+/// over the target, fsync `dir`. A crash at any point leaves either the old
+/// file or the new one, never a mix. Checkpoints and the deployment
+/// `MANIFEST` are written through here and nowhere else.
 ///
 /// Both syncs run whatever [`FsyncPolicy`] says. That policy decides how
 /// much of the WAL's newest tail an OS crash may take; losing either of
 /// these two files would take more:
 ///
-/// * a checkpoint is followed by [`WalWriter::prune_to`], which deletes the
-///   WAL segments behind it. If the snapshot were not durable, an OS crash
+/// * a checkpoint lets the worker delete the WAL segments behind it
+///   ([`WalWriter::prune_to`]). The worker hands the checkpoint to its
+///   writer thread and prunes only once the writer reports that this
+///   function returned `Ok`: if the snapshot were not durable, an OS crash
 ///   after the prune could lose both copies of that history;
 /// * the `MANIFEST` names the routing topology. A split or merge retires the
 ///   source directories once its rewrite lands. If the rename were not
 ///   durable, an OS crash could bring back a manifest naming directories
 ///   that no longer exist.
-pub(crate) fn replace_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+pub(crate) fn replace_atomic(dir: &Path, name: &str, parts: &[&[u8]]) -> io::Result<()> {
     let path = dir.join(name);
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_data()?;
     }
     fs::rename(&tmp, &path)?;

@@ -1,8 +1,9 @@
 //! The shard worker: a thread owning one engine, fed by a bounded channel.
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -31,9 +32,10 @@ pub(crate) enum WorkerMsg {
     Flush(Sender<()>),
     /// A compaction pass: one more micro-batch, made of the cancelling
     /// updates [`DynDens::edges_below`] lists for `min_weight`, through the
-    /// ordinary step with a forced checkpoint (which prunes the WAL behind
-    /// it); then [`DynDens::reclaim_idle`], and an
-    /// acknowledgement with the number of edges evicted.
+    /// ordinary step with a forced checkpoint; then
+    /// [`DynDens::reclaim_idle`], a wait until the checkpoint is durable
+    /// (and the WAL pruned behind it), and an acknowledgement with the
+    /// number of edges evicted.
     Compact {
         /// The eviction floor handed to [`DynDens::edges_below`].
         min_weight: f64,
@@ -51,16 +53,17 @@ enum Control {
     Compact { min_weight: f64, ack: Sender<u64> },
 }
 
-/// The durability half of a worker: its WAL writer and snapshot cadence.
+/// The durability half of a worker: its WAL writer, its snapshot cadence
+/// and its checkpoint writer.
 pub(crate) struct WorkerPersistence {
     /// The shard's WAL, positioned to append.
     pub wal: WalWriter,
-    /// The shard's persistence directory (snapshots are written here).
-    pub dir: PathBuf,
     /// Snapshot every N micro-batches.
     pub snapshot_every: usize,
-    /// Micro-batches applied since the last snapshot.
+    /// Micro-batches applied since the last snapshot was handed off.
     pub batches_since_snapshot: usize,
+    /// Writes the handed-off images into the shard's directory.
+    writer: CheckpointWriter,
 }
 
 impl WorkerPersistence {
@@ -69,35 +72,181 @@ impl WorkerPersistence {
     pub(crate) fn new(wal: WalWriter, dir: PathBuf, p: &PersistenceConfig) -> Self {
         WorkerPersistence {
             wal,
-            dir,
             snapshot_every: p.snapshot_every_batches,
             batches_since_snapshot: 0,
+            writer: CheckpointWriter::new(dir),
         }
     }
 
-    /// Writes the engine image `bytes` taken at `seq` as the shard's newest
-    /// checkpoint, then rotates the WAL and prunes the segments wholly behind
-    /// the oldest retained one. A failed checkpoint is not fatal: the WAL
-    /// still covers the whole history since the last good one, and the
-    /// cadence counter is only reset on success, so the next micro-batch
+    /// Hands the engine image `bytes`, taken at `seq`, to the checkpoint
+    /// writer, after waiting for the report on the one still in flight (at
+    /// most one is).
+    /// The WAL rotates at `seq` now, so that the segments behind the image
+    /// are whole files once the writer reports it durable.
+    fn hand_off(&mut self, obs: Option<&ShardObs>, shard: usize, seq: u64, bytes: Vec<u8>) {
+        self.settle(obs, shard, true);
+        if let Err(e) = self.wal.rotate(seq) {
+            eprintln!("shard {shard}: WAL rotate failed: {e}");
+        }
+        self.batches_since_snapshot = 0;
+        self.writer.submit(seq, bytes);
+    }
+
+    /// Acts on the writer's report, waiting for it when `wait` and an image
+    /// is in flight. A durable checkpoint prunes the WAL segments wholly
+    /// behind the oldest retained snapshot. A failed one is not fatal: the
+    /// WAL still covers the whole history since the last durable snapshot,
+    /// nothing is pruned, and the cadence stays due, so the next micro-batch
     /// retries.
-    fn checkpoint(&mut self, obs: Option<&ShardObs>, shard: usize, seq: u64, bytes: &[u8]) {
-        let started = Instant::now();
-        match recovery::write_snapshot(&self.dir, seq, bytes) {
+    fn settle(&mut self, obs: Option<&ShardObs>, shard: usize, wait: bool) {
+        let Some(report) = self.writer.report(wait) else {
+            return;
+        };
+        match report.durable {
             Ok(oldest_retained) => {
-                self.batches_since_snapshot = 0;
                 if let Some(o) = obs {
-                    o.record_checkpoint(seq, bytes.len() as u64, started.elapsed());
+                    o.record_checkpoint(report.seq, report.bytes, report.elapsed);
                 }
-                if let Err(e) = self
-                    .wal
-                    .rotate(seq)
-                    .and_then(|()| self.wal.prune_to(oldest_retained))
-                {
-                    eprintln!("shard {shard}: WAL rotate/prune failed: {e}");
+                if let Err(e) = self.wal.prune_to(oldest_retained) {
+                    eprintln!("shard {shard}: WAL prune failed: {e}");
                 }
             }
-            Err(e) => eprintln!("shard {shard}: checkpoint write failed: {e}"),
+            Err(e) => {
+                eprintln!("shard {shard}: checkpoint write failed: {e}");
+                self.batches_since_snapshot = self.snapshot_every;
+            }
+        }
+    }
+}
+
+/// An engine image for a checkpoint writer: the snapshot at `seq`, for
+/// the shard directory `dir`.
+struct CheckpointJob {
+    dir: PathBuf,
+    seq: u64,
+    bytes: Vec<u8>,
+}
+
+/// What the checkpoint writer did with one [`CheckpointJob`].
+struct CheckpointReport {
+    seq: u64,
+    bytes: u64,
+    /// How long [`recovery::write_snapshot`] took.
+    elapsed: Duration,
+    /// The oldest retained snapshot's sequence number once the image is
+    /// durable: how far the WAL may be pruned.
+    durable: io::Result<u64>,
+}
+
+/// The two ends a worker holds of a writer thread.
+struct WriterLink {
+    jobs: Sender<CheckpointJob>,
+    reports: Receiver<CheckpointReport>,
+}
+
+impl WriterLink {
+    fn spawn() -> Self {
+        let (jobs, inbox) = channel::<CheckpointJob>();
+        let (outbox, reports) = channel();
+        std::thread::Builder::new()
+            .name("dyndens-checkpoint".into())
+            .spawn(move || {
+                for CheckpointJob { dir, seq, bytes } in inbox {
+                    let started = Instant::now();
+                    let durable = recovery::write_snapshot(&dir, seq, &bytes);
+                    let report = CheckpointReport {
+                        seq,
+                        bytes: bytes.len() as u64,
+                        elapsed: started.elapsed(),
+                        durable,
+                    };
+                    if outbox.send(report).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("failed to spawn checkpoint writer");
+        WriterLink { jobs, reports }
+    }
+}
+
+/// Writer threads whose worker has handed its durability half back, each
+/// idle until the next worker takes it. A writer thread, once spawned,
+/// serves one worker at a time for the rest of the process and is never
+/// joined: reopening or reshaping a fleet reuses the threads, and the
+/// allocator arenas they hold, instead of spawning fresh ones (fresh
+/// threads measurably raised the footprint after every reopen). A writer
+/// that dies is seen by its worker as a disconnected channel, reported as a
+/// failed checkpoint, and not pooled again.
+static IDLE_WRITERS: Mutex<Vec<WriterLink>> = Mutex::new(Vec::new());
+
+/// A persistent worker's checkpoint writer: one long-lived thread that
+/// writes checkpoints with [`recovery::write_snapshot`], so that the worker
+/// does not wait on the snapshot's `sync_data` and directory fsync. At most
+/// one image is in flight; the worker collects its report before handing
+/// off the next. Dropping the writer waits for the image in flight and
+/// returns the thread to [`IDLE_WRITERS`].
+struct CheckpointWriter {
+    /// The shard directory the snapshots go to.
+    dir: PathBuf,
+    link: Option<WriterLink>,
+    /// The sequence number of the image in flight.
+    in_flight: Option<u64>,
+}
+
+impl CheckpointWriter {
+    fn new(dir: PathBuf) -> Self {
+        let idle = IDLE_WRITERS.lock().map_or(None, |mut idle| idle.pop());
+        CheckpointWriter {
+            dir,
+            link: Some(idle.unwrap_or_else(WriterLink::spawn)),
+            in_flight: None,
+        }
+    }
+
+    fn submit(&mut self, seq: u64, bytes: Vec<u8>) {
+        debug_assert!(self.in_flight.is_none(), "one checkpoint in flight");
+        // A writer thread that is gone reports a failure below.
+        if let Some(link) = &self.link {
+            let dir = self.dir.clone();
+            let _ = link.jobs.send(CheckpointJob { dir, seq, bytes });
+        }
+        self.in_flight = Some(seq);
+    }
+
+    /// The report on the image in flight, if there is one and it is in (or,
+    /// when `wait`, once it is).
+    fn report(&mut self, wait: bool) -> Option<CheckpointReport> {
+        let seq = self.in_flight?;
+        let report = match &self.link {
+            Some(link) if wait => link.reports.recv().map_err(|_| TryRecvError::Disconnected),
+            Some(link) => link.reports.try_recv(),
+            None => Err(TryRecvError::Disconnected),
+        };
+        let report = match report {
+            Ok(report) => report,
+            Err(TryRecvError::Empty) => return None,
+            Err(TryRecvError::Disconnected) => {
+                self.link = None;
+                CheckpointReport {
+                    seq,
+                    bytes: 0,
+                    elapsed: Duration::ZERO,
+                    durable: Err(io::Error::other("checkpoint writer is gone")),
+                }
+            }
+        };
+        self.in_flight = None;
+        Some(report)
+    }
+}
+
+impl Drop for CheckpointWriter {
+    fn drop(&mut self) {
+        // Normally settled already; a worker that panicked may not have.
+        self.report(true);
+        if let (Some(link), Ok(mut idle)) = (self.link.take(), IDLE_WRITERS.lock()) {
+            idle.push(link);
         }
     }
 }
@@ -133,9 +282,9 @@ pub(crate) type WorkerHandle = JoinHandle<Option<WorkerPersistence>>;
 /// The worker loop: block on the inbox, drain up to `max_batch` pending
 /// messages, run the drained micro-batch through [`Worker::step`],
 /// acknowledge flushes, repeat. A compaction pass is one more step. On
-/// shutdown it returns its durability half, WAL writer positioned at the
-/// shard's sequence number, so an aborted reshape can respawn the shard on
-/// it.
+/// shutdown it waits for the checkpoint in flight, then returns its
+/// durability half, WAL writer positioned at the shard's sequence number,
+/// so an aborted reshape can respawn the shard on it.
 pub(crate) fn run<D: DensityMeasure>(
     setup: WorkerSetup,
     inbox: Receiver<WorkerMsg>,
@@ -215,6 +364,9 @@ pub(crate) fn run<D: DensityMeasure>(
             let evicted = victims.len() as u64;
             worker.step(shard, &mut victims, true);
             worker.engine.lock().expect(POISONED).reclaim_idle();
+            // The pass is acknowledged once its checkpoint is durable and
+            // the WAL pruned behind it.
+            worker.settle(shard, true);
             // A dropped compaction waiter is not an error.
             let _ = ack.send(evicted);
         }
@@ -226,6 +378,8 @@ pub(crate) fn run<D: DensityMeasure>(
             break;
         }
     }
+    // The durability half goes back with no checkpoint in flight.
+    worker.settle(slot.load(Ordering::Relaxed) as usize, true);
     worker.persist
 }
 
@@ -247,12 +401,14 @@ struct Worker<D: DensityMeasure> {
 }
 
 impl<D: DensityMeasure> Worker<D> {
-    /// The one step every micro-batch takes: WAL append, apply under a
-    /// single engine lock, advance `seq`, publish a fresh snapshot, and
-    /// checkpoint on the cadence — or regardless of it when
+    /// The one step every micro-batch takes: act on the checkpoint
+    /// writer's report if it is in, WAL append, apply under a single engine
+    /// lock, advance `seq`, publish a fresh snapshot, and hand a checkpoint
+    /// to the writer on the cadence — or regardless of it when
     /// `force_checkpoint`. An empty batch appends and publishes nothing; a
     /// forced checkpoint still runs.
     fn step(&mut self, shard: usize, batch: &mut Vec<EdgeUpdate>, force_checkpoint: bool) {
+        self.settle(shard, false);
         if batch.is_empty() && !force_checkpoint {
             return;
         }
@@ -282,9 +438,9 @@ impl<D: DensityMeasure> Worker<D> {
                 apply_elapsed = t.elapsed();
             }
             // Serialise the checkpoint image while the lock guarantees it
-            // corresponds exactly to `seq`; write it to disk after the lock
-            // is released. The cadence counter is only reset once the write
-            // succeeds, so a failed checkpoint (e.g. disk full) is retried
+            // corresponds exactly to `seq`; hand it to the checkpoint writer
+            // after the lock is released. A failed write makes the cadence
+            // due again, so a failed checkpoint (e.g. disk full) is retried
             // on the next micro-batch instead of a full cadence later.
             let checkpoint = self.persist.as_mut().and_then(|p| {
                 p.batches_since_snapshot += 1;
@@ -308,7 +464,15 @@ impl<D: DensityMeasure> Worker<D> {
             }
         }
         if let (Some(bytes), Some(p)) = (checkpoint, self.persist.as_mut()) {
-            p.checkpoint(self.obs.as_ref(), shard, self.seq, &bytes);
+            p.hand_off(self.obs.as_ref(), shard, self.seq, bytes);
+        }
+    }
+
+    /// Acts on the checkpoint writer's report, if any, waiting for it when
+    /// `wait` (see [`WorkerPersistence::settle`]).
+    fn settle(&mut self, shard: usize, wait: bool) {
+        if let Some(p) = self.persist.as_mut() {
+            p.settle(self.obs.as_ref(), shard, wait);
         }
     }
 }
@@ -380,4 +544,146 @@ fn publish(
     let snapshot = Arc::new(snapshot);
     cell.store_with_seq(Arc::clone(&snapshot), seq);
     snapshot
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fs;
+    use std::path::Path;
+
+    use dyndens_core::DynDensConfig;
+    use dyndens_density::AvgWeight;
+    use dyndens_graph::VertexId;
+
+    use super::*;
+    use crate::config::{FsyncPolicy, ShardConfig};
+    use crate::wal::{list_segments, scan_segment};
+    use crate::ShardedDynDens;
+
+    /// Updates per batch: with one shard, a checkpoint every micro-batch and
+    /// a flush after every batch, batch `k` ends (and checkpoints) at
+    /// sequence number `BATCH * (k + 1)`.
+    const BATCH: u64 = 4;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dyndens-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn open(dir: &Path) -> ShardedDynDens<AvgWeight> {
+        ShardedDynDens::with_persistence(
+            AvgWeight,
+            DynDensConfig::new(1.0, 4).with_delta_it(0.15),
+            ShardConfig::new(1),
+            PersistenceConfig::new(dir)
+                .with_fsync(FsyncPolicy::Never)
+                .with_snapshot_every_batches(1),
+        )
+        .unwrap()
+    }
+
+    fn batch(k: u32) -> Vec<EdgeUpdate> {
+        (0..BATCH as u32)
+            .map(|i| EdgeUpdate::new(VertexId(k * 10 + i), VertexId(k * 10 + i + 1), 1.0))
+            .collect()
+    }
+
+    fn apply_and_flush(fleet: &mut ShardedDynDens<AvgWeight>, k: u32) {
+        fleet.apply_batch(&batch(k));
+        fleet.flush();
+    }
+
+    fn shard_dir(dir: &Path, fleet: &ShardedDynDens<AvgWeight>) -> PathBuf {
+        recovery::shard_dir(dir, fleet.shard_map().engine_of(0).unwrap())
+    }
+
+    fn snapshot_seqs(shard: &Path) -> Vec<u64> {
+        let snapshots = recovery::list_snapshots(shard).unwrap();
+        snapshots.into_iter().map(|(seq, _)| seq).collect()
+    }
+
+    fn segment_numbers(shard: &Path) -> Vec<u64> {
+        let segments = list_segments(shard).unwrap();
+        segments.into_iter().map(|(no, _)| no).collect()
+    }
+
+    #[test]
+    fn a_failed_checkpoint_prunes_nothing_and_the_next_batch_retries() {
+        let dir = temp_dir("ckpt-squat");
+        let mut fleet = open(&dir);
+        let shard = shard_dir(&dir, &fleet);
+        // Checkpoints at 4 and 8; the one at 4 is the oldest retained once
+        // 8 is durable, so segment 0 (updates 0..4) is pruned.
+        apply_and_flush(&mut fleet, 0);
+        apply_and_flush(&mut fleet, 1);
+        // A directory on the `.tmp` path of the checkpoint at 12.
+        let squat = shard.join(format!("snap-{:020}.tmp", 3 * BATCH));
+        fs::create_dir(&squat).unwrap();
+        apply_and_flush(&mut fleet, 2);
+        // The batch after the failure learns of it, prunes nothing and
+        // retries at 16. Had the checkpoint at 12 been durable, segment 1
+        // (updates 4..8) would have gone behind it.
+        apply_and_flush(&mut fleet, 3);
+        assert_eq!(segment_numbers(&shard), [1, 2, 3, 4]);
+        assert!(!snapshot_seqs(&shard).contains(&(3 * BATCH)));
+        // Dropping the fleet settles the retry: durable, so the WAL is
+        // pruned behind the oldest retained snapshot, 8.
+        drop(fleet);
+        assert_eq!(snapshot_seqs(&shard), [2 * BATCH, 4 * BATCH]);
+        assert_eq!(segment_numbers(&shard), [2, 3, 4]);
+        fs::remove_dir(&squat).unwrap();
+        let reopened = open(&dir);
+        assert_eq!(reopened.edge_count(), 4 * BATCH as usize);
+        assert_eq!(reopened.recovery_reports()[0].replayed_updates, 0);
+        drop(reopened);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_wal_is_never_pruned_past_a_retained_snapshot() {
+        let dir = temp_dir("ckpt-prune");
+        let mut fleet = open(&dir);
+        let shard = shard_dir(&dir, &fleet);
+        for k in 0..12u32 {
+            apply_and_flush(&mut fleet, k);
+            let seq = BATCH * (k as u64 + 1);
+            // Whatever the writer has made durable so far, the WAL replays
+            // from the oldest snapshot on disk to `seq` without a gap, so
+            // recovery can start from any of them.
+            let Some(&oldest) = snapshot_seqs(&shard).first() else {
+                continue;
+            };
+            let mut next = oldest;
+            for (_, path) in list_segments(&shard).unwrap() {
+                for record in scan_segment(&path).unwrap().records {
+                    if record.end_seq() > next {
+                        assert!(record.first_seq <= next, "after batch {k}: gap at {next}");
+                        next = record.end_seq();
+                    }
+                }
+            }
+            assert_eq!(next, seq, "after batch {k}: the WAL ends at {next}");
+        }
+        drop(fleet);
+        let reopened = open(&dir);
+        assert_eq!(reopened.edge_count(), 12 * BATCH as usize);
+        drop(reopened);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_returns_once_its_checkpoint_is_on_disk() {
+        let dir = temp_dir("ckpt-compact");
+        let mut fleet = open(&dir);
+        let shard = shard_dir(&dir, &fleet);
+        apply_and_flush(&mut fleet, 0);
+        // One edge below the floor: the compaction's micro-batch cancels it.
+        fleet.apply_batch(&[EdgeUpdate::new(VertexId(100), VertexId(101), 0.05)]);
+        fleet.flush();
+        assert_eq!(fleet.compact_below(0.1), 1);
+        assert_eq!(snapshot_seqs(&shard).last(), Some(&(BATCH + 2)));
+        drop(fleet);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

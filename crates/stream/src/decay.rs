@@ -7,23 +7,45 @@
 //! time it was last touched and scales its value by `exp(-dt / mean_life)`
 //! when read or incremented at a later time.
 //!
-//! Beside the counters, the tracker keeps every entity's co-occurrence
-//! partners as an ascending list: exactly the entities it has a live pair
-//! counter with. [`observe`](CooccurrenceTracker::observe) links a pair by
-//! binary-search insertion the first time it co-occurs, and
-//! [`prune`](CooccurrenceTracker::prune) unlinks it by binary search when its
-//! counter goes. An entity's incident pairs so come out of its list already
-//! in canonical `(min, max)` order, which is what lets the
-//! [`pipeline`](crate::pipeline) lower a post without sorting.
+//! ## Layout
+//!
+//! No counter is found through a hash map:
+//!
+//! * occurrence counters sit in a `Vec` indexed by [`VertexId`] (ids are
+//!   dense, as [`EntityRegistry`](crate::EntityRegistry) issues them); a
+//!   zero-valued counter is an entity the tracker does not hold, and a live
+//!   count keeps [`entity_count`](CooccurrenceTracker::entity_count) exact;
+//! * pair counters sit in a slab addressed by a slot, with a free list;
+//! * every entity keeps its co-occurrence partners as an ascending list,
+//!   exactly the entities it has a live pair counter with, and beside it, as
+//!   a parallel vector, the slot of each of those pairs. Every live slot is
+//!   linked twice, once from each end. The two lists are boxed, and an
+//!   entity with no partner holds no box, so that the entities a forever-run
+//!   has stopped mentioning cost a pointer and a zero counter each.
+//!
+//! [`observe`](CooccurrenceTracker::observe) links a pair by binary-search
+//! insertion the first time it co-occurs, and
+//! [`prune`](CooccurrenceTracker::prune) unlinks it when its counter goes and
+//! frees its slot. An entity's incident pairs so come out of its list already
+//! in canonical `(min, max)` order, each with its slot in hand, which is what
+//! lets the [`pipeline`](crate::pipeline) lower a post without sorting and
+//! without a hash probe.
 
-use dyndens_graph::{FxHashMap, VertexId};
-use std::collections::hash_map::Entry;
+use dyndens_graph::VertexId;
+
+/// The address of a pair counter in the tracker's slab. A slot is reused
+/// once [`prune`](CooccurrenceTracker::prune) frees it, so it names a pair
+/// only while the pair is live.
+pub(crate) type Slot = u32;
+
+/// A pair freed by a prune: its canonical `(min, max)` key and its slot.
+pub(crate) type FreedPair = ((VertexId, VertexId), Slot);
 
 /// A single exponentially decayed counter.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct DecayedCount {
-    value: f64,
-    last_update: f64,
+pub(crate) struct DecayedCount {
+    pub(crate) value: f64,
+    pub(crate) last_update: f64,
 }
 
 impl DecayedCount {
@@ -31,14 +53,21 @@ impl DecayedCount {
         if self.value == 0.0 {
             return 0.0;
         }
-        let dt = (now - self.last_update).max(0.0);
-        self.value * (-dt / mean_life).exp()
+        self.value * decay_factor(now, self.last_update, mean_life)
     }
 
     fn add(&mut self, now: f64, amount: f64, mean_life: f64) {
         self.value = self.decayed(now, mean_life) + amount;
         self.last_update = now;
     }
+}
+
+/// The factor a counter last touched at `last` decays by until `now`:
+/// `exp(-dt / mean_life)`, with `dt` clamped at zero for a clock that went
+/// backwards.
+pub(crate) fn decay_factor(now: f64, last: f64, mean_life: f64) -> f64 {
+    let dt = (now - last).max(0.0);
+    (-dt / mean_life).exp()
 }
 
 /// The contingency statistics of an entity pair at a given time, used by the
@@ -56,19 +85,47 @@ pub struct PairStats {
     pub total: f64,
 }
 
+/// One entity's partners, strictly ascending, and the slot of each pair.
+#[derive(Debug, Clone, Default)]
+struct PartnerList {
+    ids: Vec<VertexId>,
+    slots: Vec<Slot>,
+}
+
+impl PartnerList {
+    fn slot_of(&self, partner: VertexId) -> Option<Slot> {
+        self.ids.binary_search(&partner).ok().map(|i| self.slots[i])
+    }
+
+    /// Inserts `partner` with its pair's `slot`, keeping the list ascending.
+    fn link(&mut self, partner: VertexId, slot: Slot) {
+        if let Err(i) = self.ids.binary_search(&partner) {
+            self.ids.insert(i, partner);
+            self.slots.insert(i, slot);
+        }
+    }
+}
+
 /// Tracks decayed entity occurrence counts, pairwise co-occurrence counts and
 /// the total (decayed) volume of posts.
 #[derive(Debug, Clone)]
 pub struct CooccurrenceTracker {
     mean_life: f64,
     total: DecayedCount,
-    occurrences: FxHashMap<VertexId, DecayedCount>,
-    cooccurrences: FxHashMap<(VertexId, VertexId), DecayedCount>,
-    /// For every entity, the entities it shares a live co-occurrence
-    /// counter with, strictly ascending (the edge weights to refresh when
-    /// the entity is mentioned again). An entity with no partner has no
-    /// entry.
-    partners: FxHashMap<VertexId, Vec<VertexId>>,
+    /// Occurrence counters, indexed by vertex id; zero-valued when the
+    /// tracker holds no counter for the entity.
+    occurrences: Vec<DecayedCount>,
+    /// Number of non-zero occurrence counters.
+    live_entities: usize,
+    /// Pair counters, addressed by slot; a free slot's counter is zero.
+    pairs: Vec<DecayedCount>,
+    /// Slots of `pairs` no pair holds, reused before the slab grows.
+    free: Vec<Slot>,
+    /// Every entity's partner list, indexed by vertex id (the edge weights
+    /// to refresh when the entity is mentioned again); `None` for an entity
+    /// with no partner, so that the entities a forever-run no longer
+    /// mentions cost one pointer each.
+    partners: Vec<Option<Box<PartnerList>>>,
     /// When `None`, counts never decay ("cumulative stories to date" mode).
     decay_enabled: bool,
 }
@@ -80,9 +137,11 @@ impl CooccurrenceTracker {
         CooccurrenceTracker {
             mean_life,
             total: DecayedCount::default(),
-            occurrences: FxHashMap::default(),
-            cooccurrences: FxHashMap::default(),
-            partners: FxHashMap::default(),
+            occurrences: Vec::new(),
+            live_entities: 0,
+            pairs: Vec::new(),
+            free: Vec::new(),
+            partners: Vec::new(),
             decay_enabled: true,
         }
     }
@@ -95,7 +154,8 @@ impl CooccurrenceTracker {
         t
     }
 
-    fn life(&self) -> f64 {
+    /// The mean life counters decay with: infinite in cumulative mode.
+    pub(crate) fn life(&self) -> f64 {
         if self.decay_enabled {
             self.mean_life
         } else {
@@ -104,41 +164,57 @@ impl CooccurrenceTracker {
     }
 
     /// Records a post at time `now` mentioning the given (distinct) entities.
-    /// A pair's first co-occurrence links its two entities as partners.
+    /// A pair's first co-occurrence takes a slot and links its two entities
+    /// as partners.
     pub fn observe(&mut self, now: f64, entities: &[VertexId]) {
         let life = self.life();
         self.total.add(now, 1.0, life);
+        if let Some(max) = entities.iter().max() {
+            if max.index() >= self.occurrences.len() {
+                self.occurrences
+                    .resize(max.index() + 1, DecayedCount::default());
+                self.partners.resize_with(max.index() + 1, || None);
+            }
+        }
         for &e in entities {
-            self.occurrences.entry(e).or_default().add(now, 1.0, life);
+            let counter = &mut self.occurrences[e.index()];
+            if counter.value == 0.0 {
+                self.live_entities += 1;
+            }
+            counter.add(now, 1.0, life);
         }
         for (i, &a) in entities.iter().enumerate() {
             for &b in &entities[i + 1..] {
-                let key = if a < b { (a, b) } else { (b, a) };
-                match self.cooccurrences.entry(key) {
-                    Entry::Occupied(mut counter) => counter.get_mut().add(now, 1.0, life),
-                    Entry::Vacant(slot) => {
-                        slot.insert(DecayedCount::default()).add(now, 1.0, life);
-                        link(self.partners.entry(a).or_default(), b);
-                        link(self.partners.entry(b).or_default(), a);
+                let slot = match self.slot_of(a, b) {
+                    Some(slot) => slot,
+                    None => {
+                        let slot = self.free.pop().unwrap_or_else(|| {
+                            self.pairs.push(DecayedCount::default());
+                            (self.pairs.len() - 1) as Slot
+                        });
+                        for (from, to) in [(a, b), (b, a)] {
+                            self.partners[from.index()]
+                                .get_or_insert_with(Box::default)
+                                .link(to, slot);
+                        }
+                        slot
                     }
-                }
+                };
+                self.pairs[slot as usize].add(now, 1.0, life);
             }
         }
     }
 
     /// Decayed occurrence count of an entity at time `now`.
     pub fn occurrences(&self, entity: VertexId, now: f64) -> f64 {
-        self.occurrences
-            .get(&entity)
-            .map_or(0.0, |c| c.decayed(now, self.life()))
+        self.occurrence_counter(entity).decayed(now, self.life())
     }
 
     /// Decayed co-occurrence count of a pair at time `now`.
     pub fn cooccurrences(&self, a: VertexId, b: VertexId, now: f64) -> f64 {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.cooccurrences
-            .get(&key)
-            .map_or(0.0, |c| c.decayed(now, self.life()))
+        self.slot_of(a, b).map_or(0.0, |slot| {
+            self.pair_counter(slot).decayed(now, self.life())
+        })
     }
 
     /// Decayed total number of posts at time `now`.
@@ -149,14 +225,62 @@ impl CooccurrenceTracker {
     /// The entities `entity` shares a live co-occurrence counter with, in
     /// ascending order.
     pub fn partners(&self, entity: VertexId) -> &[VertexId] {
-        self.partners.get(&entity).map_or(&[], Vec::as_slice)
+        self.partner_run(entity).0
+    }
+
+    /// `entity`'s partners, ascending, and beside them the slot of each
+    /// pair.
+    pub(crate) fn partner_run(&self, entity: VertexId) -> (&[VertexId], &[Slot]) {
+        self.partners
+            .get(entity.index())
+            .and_then(Option::as_deref)
+            .map_or((&[], &[]), |list| (&list.ids, &list.slots))
+    }
+
+    /// The slot of the live pair `{a, b}`, if it has one.
+    pub(crate) fn slot_of(&self, a: VertexId, b: VertexId) -> Option<Slot> {
+        self.partners.get(a.index())?.as_deref()?.slot_of(b)
+    }
+
+    /// `entity`'s occurrence counter, undecayed; zero if the tracker holds
+    /// none.
+    pub(crate) fn occurrence_counter(&self, entity: VertexId) -> DecayedCount {
+        self.occurrences
+            .get(entity.index())
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// The pair counter at `slot`, undecayed.
+    pub(crate) fn pair_counter(&self, slot: Slot) -> DecayedCount {
+        self.pairs[slot as usize]
+    }
+
+    /// The post-volume counter, undecayed.
+    pub(crate) fn total_counter(&self) -> DecayedCount {
+        self.total
+    }
+
+    /// Number of slots in the pair slab, live or free: every slot this
+    /// tracker hands out is below it.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The slots no pair holds.
+    pub(crate) fn free_slots(&self) -> &[Slot] {
+        &self.free
     }
 
     /// Number of partner links over all entities: twice
     /// [`pair_count`](Self::pair_count) while the tracker is consistent
     /// (every live pair is linked both ways).
     pub fn partner_links(&self) -> usize {
-        self.partners.values().map(Vec::len).sum()
+        self.partners
+            .iter()
+            .flatten()
+            .map(|list| list.ids.len())
+            .sum()
     }
 
     /// The full contingency statistics of a pair at time `now`.
@@ -171,43 +295,74 @@ impl CooccurrenceTracker {
 
     /// Number of distinct entities observed so far.
     pub fn entity_count(&self) -> usize {
-        self.occurrences.len()
+        self.live_entities
     }
 
     /// Number of entity pairs with a live co-occurrence counter.
     pub fn pair_count(&self) -> usize {
-        self.cooccurrences.len()
+        self.pairs.len() - self.free.len()
     }
 
     /// Internal consistency check used by tests: every partner list is
-    /// non-empty and strictly ascending, every link `a → b` has its mirror
-    /// `b → a` and a live `(min, max)` counter, and every live counter is
-    /// linked — so the links number exactly twice the pairs.
+    /// strictly ascending with one slot per partner, every link `a → b` has
+    /// its mirror `b → a` through the same slot, every live slot is linked
+    /// exactly twice and holds a non-zero counter, every free slot is
+    /// unlinked, listed once and zero, and the live entity count is exact.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (&a, list) in &self.partners {
-            if list.is_empty() {
-                return Err(format!("{a} has an empty partner list"));
+        let mut links = vec![0u8; self.pairs.len()];
+        for (a, list) in self.partners.iter().enumerate() {
+            let a = VertexId(a as u32);
+            let Some(list) = list else { continue };
+            if list.ids.is_empty() {
+                return Err(format!("{a} keeps an empty partner list"));
             }
-            if let Some(w) = list.windows(2).find(|w| w[0] >= w[1]) {
+            if list.ids.len() != list.slots.len() {
+                return Err(format!(
+                    "{a} has {} partners but {} slots",
+                    list.ids.len(),
+                    list.slots.len()
+                ));
+            }
+            if let Some(w) = list.ids.windows(2).find(|w| w[0] >= w[1]) {
                 return Err(format!(
                     "{a}'s partners are not strictly ascending at {w:?}"
                 ));
             }
-            for &b in list {
-                let key = if a < b { (a, b) } else { (b, a) };
-                if !self.cooccurrences.contains_key(&key) {
-                    return Err(format!("link {a} -> {b} has no co-occurrence counter"));
+            for (&b, &slot) in list.ids.iter().zip(&list.slots) {
+                let Some(count) = links.get_mut(slot as usize) else {
+                    return Err(format!("link {a} -> {b} names slot {slot} past the slab"));
+                };
+                *count = count.saturating_add(1);
+                if self.slot_of(b, a) != Some(slot) {
+                    return Err(format!("link {a} -> {b} (slot {slot}) has no mirror"));
                 }
-                if self.partners(b).binary_search(&a).is_err() {
-                    return Err(format!("link {a} -> {b} has no mirror"));
+                if self.pairs[slot as usize].value == 0.0 {
+                    return Err(format!("link {a} -> {b} has a zero counter in slot {slot}"));
                 }
             }
         }
-        let links = self.partner_links();
-        if links != 2 * self.cooccurrences.len() {
+        let mut free = vec![false; self.pairs.len()];
+        for &slot in &self.free {
+            match free.get_mut(slot as usize) {
+                Some(listed) if !*listed => *listed = true,
+                _ => return Err(format!("free slot {slot} is past the slab or listed twice")),
+            }
+            if self.pairs[slot as usize] != DecayedCount::default() {
+                return Err(format!("free slot {slot} holds a counter"));
+            }
+        }
+        for (slot, (&count, &is_free)) in links.iter().zip(&free).enumerate() {
+            match (is_free, count) {
+                (true, 0) | (false, 2) => {}
+                (true, n) => return Err(format!("free slot {slot} is linked {n} times")),
+                (false, n) => return Err(format!("live slot {slot} is linked {n} times")),
+            }
+        }
+        let live = self.occurrences.iter().filter(|c| c.value != 0.0).count();
+        if live != self.live_entities {
             return Err(format!(
-                "{links} partner links for {} live pairs",
-                self.cooccurrences.len()
+                "{live} non-zero occurrence counters, {} counted",
+                self.live_entities
             ));
         }
         Ok(())
@@ -218,7 +373,7 @@ impl CooccurrenceTracker {
     /// partner links of the dropped pairs. Returns `(entities_pruned,
     /// pairs_pruned)`.
     ///
-    /// Without pruning, the tracker's maps — and, for roughly
+    /// Without pruning, the tracker's counters — and, for roughly
     /// scale-invariant association measures like chi-square, the edge
     /// weights derived from them — grow without bound on a forever-run:
     /// uniform exponential decay shrinks numerator and denominator alike, so
@@ -231,45 +386,63 @@ impl CooccurrenceTracker {
     /// In cumulative (no-decay) mode counters never shrink, so nothing is
     /// pruned.
     pub fn prune(&mut self, now: f64, epsilon: f64) -> (usize, usize) {
+        self.prune_into(now, epsilon, &mut Vec::new())
+    }
+
+    /// [`prune`](Self::prune), appending every freed pair (its key and the
+    /// slot it held, in no particular order) to `freed`, so that the caller
+    /// can settle whatever it keeps per slot before the slot is reused.
+    pub(crate) fn prune_into(
+        &mut self,
+        now: f64,
+        epsilon: f64,
+        freed: &mut Vec<FreedPair>,
+    ) -> (usize, usize) {
         if !self.decay_enabled {
             return (0, 0);
         }
         let life = self.mean_life;
-        let occ_before = self.occurrences.len();
-        self.occurrences
-            .retain(|_, c| c.decayed(now, life) > epsilon);
-        let pair_before = self.cooccurrences.len();
-        let mut dead_pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        self.cooccurrences.retain(|&key, c| {
-            let live = c.decayed(now, life) > epsilon;
-            if !live {
-                dead_pairs.push(key);
+        let entities_before = self.live_entities;
+        for counter in &mut self.occurrences {
+            if counter.value != 0.0 && counter.decayed(now, life) <= epsilon {
+                *counter = DecayedCount::default();
+                self.live_entities -= 1;
             }
-            live
-        });
-        for (a, b) in dead_pairs {
-            for (from, to) in [(a, b), (b, a)] {
-                if let Some(list) = self.partners.get_mut(&from) {
-                    if let Ok(i) = list.binary_search(&to) {
-                        list.remove(i);
+        }
+        // A live counter holds at least 1 (its last increment), so zeroing
+        // the dying ones marks them for the unlink pass below.
+        let mut pairs_pruned = 0;
+        for counter in &mut self.pairs {
+            if counter.value != 0.0 && counter.decayed(now, life) <= epsilon {
+                *counter = DecayedCount::default();
+                pairs_pruned += 1;
+            }
+        }
+        if pairs_pruned > 0 {
+            for (a, entry) in self.partners.iter_mut().enumerate() {
+                let a = VertexId(a as u32);
+                let Some(list) = entry else { continue };
+                let mut kept = 0;
+                for i in 0..list.ids.len() {
+                    let (b, slot) = (list.ids[i], list.slots[i]);
+                    if self.pairs[slot as usize].value != 0.0 {
+                        list.ids[kept] = b;
+                        list.slots[kept] = slot;
+                        kept += 1;
+                    } else if a < b {
+                        freed.push(((a, b), slot));
+                        self.free.push(slot);
                     }
-                    if list.is_empty() {
-                        self.partners.remove(&from);
-                    }
+                }
+                if kept == 0 {
+                    *entry = None;
+                } else {
+                    list.ids.truncate(kept);
+                    list.slots.truncate(kept);
                 }
             }
         }
-        (
-            occ_before - self.occurrences.len(),
-            pair_before - self.cooccurrences.len(),
-        )
-    }
-}
-
-/// Inserts `partner` into an ascending partner list, keeping it ascending.
-fn link(list: &mut Vec<VertexId>, partner: VertexId) {
-    if let Err(i) = list.binary_search(&partner) {
-        list.insert(i, partner);
+        (entities_before - self.live_entities, pairs_pruned)
     }
 }
 
@@ -376,6 +549,52 @@ mod tests {
         t.observe(later + 1.0, &[v(0), v(1)]);
         assert_eq!(t.entity_count(), 4);
         assert!((t.occurrences(v(0), later + 1.0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pruned_slots_are_reused_and_the_invariants_hold() {
+        let mut t = CooccurrenceTracker::new(HOUR);
+        t.observe(0.0, &[v(0), v(1), v(2)]);
+        assert_eq!(t.slot_count(), 3);
+        let later = 100.0 * HOUR;
+        t.observe(later, &[v(1), v(2)]);
+        let mut freed = Vec::new();
+        assert_eq!(t.prune_into(later, 1e-9, &mut freed), (1, 2));
+        freed.sort_unstable();
+        assert_eq!(
+            freed.iter().map(|&(key, _)| key).collect::<Vec<_>>(),
+            [(v(0), v(1)), (v(0), v(2))]
+        );
+        assert_eq!(t.free_slots().len(), 2);
+        t.check_invariants().unwrap();
+        // New pairs take the freed slots before the slab grows.
+        t.observe(later, &[v(3), v(4), v(5)]);
+        assert_eq!(t.slot_count(), 4);
+        assert_eq!(t.pair_count(), 4);
+        t.check_invariants().unwrap();
+        assert_eq!(t.cooccurrences(v(5), v(3), later), 1.0);
+    }
+
+    #[test]
+    fn check_invariants_sees_a_broken_slab() {
+        let mut t = CooccurrenceTracker::new(HOUR);
+        t.observe(0.0, &[v(0), v(1), v(2)]);
+        let mut linked_free = t.clone();
+        linked_free.free.push(0);
+        linked_free.pairs[0] = DecayedCount::default();
+        assert!(linked_free.check_invariants().is_err());
+        let mut once = t.clone();
+        let list = once.partners[2].as_mut().unwrap();
+        list.ids.remove(0);
+        list.slots.remove(0);
+        assert!(once.check_invariants().is_err());
+        let mut dirty_free = t;
+        dirty_free.pairs.push(DecayedCount {
+            value: 1.0,
+            last_update: 0.0,
+        });
+        dirty_free.free.push(3);
+        assert!(dirty_free.check_invariants().is_err());
     }
 
     #[test]

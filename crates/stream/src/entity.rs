@@ -24,13 +24,20 @@ impl EntityRegistry {
     /// Returns the vertex for `name`, registering it if it has not been seen
     /// before.
     pub fn intern(&mut self, name: &str) -> VertexId {
+        self.intern_new(name).0
+    }
+
+    /// Like [`intern`](Self::intern), and also says whether this call
+    /// registered the name (`true`) or found it (`false`), with one lookup
+    /// for a name already known.
+    pub fn intern_new(&mut self, name: &str) -> (VertexId, bool) {
         if let Some(&id) = self.by_name.get(name) {
-            return id;
+            return (id, false);
         }
         let id = VertexId(self.names.len() as u32);
         self.names.push(name.to_string());
         self.by_name.insert(name.to_string(), id);
-        id
+        (id, true)
     }
 
     /// Looks up the vertex for `name` without registering it.
@@ -85,7 +92,10 @@ mod tests {
         let b = reg.intern("Osama bin Laden");
         assert_ne!(a, b);
         assert_eq!(reg.intern("Barack Obama"), a);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.intern_new("Barack Obama"), (a, false));
+        assert_eq!(reg.intern_new("NATO"), (VertexId(2), true));
+        assert_eq!(reg.intern_new("NATO"), (VertexId(2), false));
+        assert_eq!(reg.len(), 3);
         assert!(!reg.is_empty());
     }
 

@@ -21,45 +21,159 @@
 //! `(min, max)`, are already in canonical order; the post's touched pairs are
 //! one merge of those runs, a pair of two mentioned entities taken once. The
 //! updates so come out in ascending edge order without a sort, and a
-//! one-entity post is a plain walk of one list. The post's decayed total and
-//! each mentioned entity's decayed count are read once per post; a pair then
-//! costs the partner's count and the pair's co-occurrence count (two counter
-//! probes, two `exp`s), the measure, and one probe of the emitted-weight map
-//! (two if it emits). The merge works in two buffers the generator keeps, so
-//! a post allocates nothing once they have grown.
+//! one-entity post is a plain walk of one list.
+//!
+//! No step of the merge hashes into a map. A partner list carries each
+//! pair's slot beside the partner's id, the tracker's counters are vectors
+//! indexed by vertex id and by slot, and the last emitted weight of every
+//! pair is a column indexed by slot. Decay is paid once per distinct
+//! timestamp: a post keeps a memo of `exp(-dt / mean_life)` keyed by a
+//! counter's `last_update`, which every counter read of the post (the
+//! post's total, each mentioned entity's count, each partner's count, each
+//! pair's count) shares. A pair then costs two counter reads (the
+//! partner's count and the pair's), two memo lookups, the measure, and one
+//! read of the emitted-weight column (a write too if it emits). The merge
+//! and the memo work in buffers the generator keeps, so a post allocates
+//! nothing once they have grown.
 
-use crate::decay::{CooccurrenceTracker, PairStats};
+use crate::decay::{decay_factor, CooccurrenceTracker, DecayedCount, PairStats, Slot};
 use crate::measures::AssociationMeasure;
 use crate::post::Post;
-use dyndens_graph::{EdgeUpdate, FxHashMap, VertexId};
+use dyndens_graph::{EdgeUpdate, VertexId};
 
 /// Minimum absolute weight change that is worth emitting as an update.
 const MIN_DELTA: f64 = 1e-9;
 
 /// One mentioned entity's partners during a post's merge: they sit at
-/// `touched[next..end]` of the generator's buffer, ascending.
+/// `touched[next..end]` of the generator's buffer, ascending, with their
+/// pairs' slots at the same positions of `touched_slots`.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     entity: VertexId,
     /// The entity's decayed count at the post's time.
     count: f64,
+    /// The [`pair_key`] of the run's next pair; [`DONE`] once it is spent.
+    head: u64,
     next: usize,
     end: usize,
 }
 
+/// The head of a spent run: above every pair key.
+const DONE: u64 = u64::MAX;
+
 impl Run {
-    /// The run's next pair in canonical `(min, max)` form.
-    fn head(&self, touched: &[VertexId]) -> Option<(VertexId, VertexId)> {
-        (self.next < self.end).then(|| canonical(self.entity, touched[self.next]))
+    /// Moves the run past its head pair.
+    fn advance(&mut self, touched: &[VertexId]) {
+        self.next += 1;
+        self.head = if self.next < self.end {
+            pair_key(self.entity, touched[self.next])
+        } else {
+            DONE
+        };
     }
 }
 
-fn canonical(a: VertexId, b: VertexId) -> (VertexId, VertexId) {
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
+/// A pair's canonical `(min, max)` order as one integer: `min` in the high
+/// half, so that the integers order as the pairs do.
+fn pair_key(a: VertexId, b: VertexId) -> u64 {
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    (u64::from(lo.0) << 32) | u64::from(hi.0)
+}
+
+/// The current post's decay factors, keyed by the `last_update` bits of the
+/// counters read: an open-addressed table whose entries count only when
+/// stamped with the post's generation, so starting a post forgets them all
+/// at once. It is kept at most half full.
+#[derive(Debug, Clone, Default)]
+struct DecayMemo {
+    now: f64,
+    life: f64,
+    generation: u32,
+    used: usize,
+    entries: Vec<MemoEntry>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    /// Zero never matches: live generations start at 1.
+    generation: u32,
+    bits: u64,
+    factor: f64,
+}
+
+impl DecayMemo {
+    const INITIAL_ENTRIES: usize = 64;
+
+    /// Starts a post at time `now`, under mean life `life`.
+    fn start(&mut self, now: f64, life: f64) {
+        self.now = now;
+        self.life = life;
+        self.used = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 || self.entries.is_empty() {
+            // First use, or the stamps wrapped: clear every stale stamp.
+            let len = self.entries.len().max(Self::INITIAL_ENTRIES);
+            self.entries.clear();
+            self.entries.resize(len, MemoEntry::default());
+            self.generation = 1;
+        }
     }
+
+    /// `counter`'s value decayed to the post's time, bit-identical to
+    /// decaying it directly. A zero counter reads zero without a lookup.
+    fn decayed(&mut self, counter: DecayedCount) -> f64 {
+        if counter.value == 0.0 {
+            return 0.0;
+        }
+        counter.value * self.factor(counter.last_update)
+    }
+
+    fn factor(&mut self, last: f64) -> f64 {
+        let bits = last.to_bits();
+        let mask = self.entries.len() - 1;
+        let mut i = home(bits, mask);
+        loop {
+            let entry = self.entries[i];
+            if entry.generation != self.generation {
+                break;
+            }
+            if entry.bits == bits {
+                return entry.factor;
+            }
+            i = (i + 1) & mask;
+        }
+        let factor = decay_factor(self.now, last, self.life);
+        self.entries[i] = MemoEntry {
+            generation: self.generation,
+            bits,
+            factor,
+        };
+        self.used += 1;
+        if 2 * self.used > self.entries.len() {
+            self.grow();
+        }
+        factor
+    }
+
+    /// Doubles the table, carrying the current post's entries over.
+    fn grow(&mut self) {
+        let doubled = vec![MemoEntry::default(); 2 * self.entries.len()];
+        let old = std::mem::replace(&mut self.entries, doubled);
+        let mask = self.entries.len() - 1;
+        for entry in old.into_iter().filter(|e| e.generation == self.generation) {
+            let mut i = home(entry.bits, mask);
+            while self.entries[i].generation == self.generation {
+                i = (i + 1) & mask;
+            }
+            self.entries[i] = entry;
+        }
+    }
+}
+
+/// A key's first probe position: the middle bits of a Fibonacci product,
+/// so that timestamps differing only in low mantissa bits spread.
+fn home(bits: u64, mask: usize) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
 }
 
 /// Generates edge weight updates from a stream of entity-annotated posts.
@@ -67,11 +181,15 @@ fn canonical(a: VertexId, b: VertexId) -> (VertexId, VertexId) {
 pub struct EdgeUpdateGenerator<M: AssociationMeasure> {
     measure: M,
     tracker: CooccurrenceTracker,
-    /// The last weight emitted for each edge (the DynDens engine's view).
-    emitted: FxHashMap<(VertexId, VertexId), f64>,
-    /// The current post's partner lists, one run per mentioned entity.
+    /// The last weight emitted for each pair (the DynDens engine's view),
+    /// indexed by the pair's tracker slot; zero in every free slot.
+    emitted: Vec<f64>,
+    /// The current post's partner lists and their slots, one run per
+    /// mentioned entity.
     touched: Vec<VertexId>,
+    touched_slots: Vec<Slot>,
     runs: Vec<Run>,
+    memo: DecayMemo,
     posts_seen: u64,
     positive_updates: u64,
     negative_updates: u64,
@@ -93,9 +211,11 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
         EdgeUpdateGenerator {
             measure,
             tracker,
-            emitted: FxHashMap::default(),
+            emitted: Vec::new(),
             touched: Vec::new(),
+            touched_slots: Vec::new(),
             runs: Vec::new(),
+            memo: DecayMemo::default(),
             posts_seen: 0,
             positive_updates: 0,
             negative_updates: 0,
@@ -119,8 +239,33 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
 
     /// The weight currently emitted for an edge (the engine's view of it).
     pub fn current_weight(&self, a: VertexId, b: VertexId) -> f64 {
-        let key = canonical(a, b);
-        self.emitted.get(&key).copied().unwrap_or(0.0)
+        self.tracker
+            .slot_of(a, b)
+            .map_or(0.0, |slot| self.emitted[slot as usize])
+    }
+
+    /// Internal consistency check used by tests: the tracker's
+    /// [`check_invariants`](CooccurrenceTracker::check_invariants), one
+    /// emitted weight per tracker slot, and a zero one in every free slot
+    /// (a compaction cancelled it before the slot can be reused).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.tracker.check_invariants()?;
+        if self.emitted.len() != self.tracker.slot_count() {
+            return Err(format!(
+                "{} emitted weights for {} slots",
+                self.emitted.len(),
+                self.tracker.slot_count()
+            ));
+        }
+        match self
+            .tracker
+            .free_slots()
+            .iter()
+            .find(|&&slot| self.emitted[slot as usize] != 0.0)
+        {
+            Some(slot) => Err(format!("free slot {slot} keeps an emitted weight")),
+            None => Ok(()),
+        }
     }
 
     /// Consumes one post and returns the edge weight updates it causes.
@@ -136,56 +281,61 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
         self.posts_seen += 1;
         let now = post.timestamp;
         self.tracker.observe(now, &post.entities);
+        // New slots start with nothing emitted; freed ones were zeroed when
+        // their pair was cancelled.
+        self.emitted.resize(self.tracker.slot_count(), 0.0);
         // Everything below reads the counters after the post was counted.
+        self.memo.start(now, self.tracker.life());
         self.touched.clear();
+        self.touched_slots.clear();
         self.runs.clear();
         for &entity in &post.entities {
+            let (partners, slots) = self.tracker.partner_run(entity);
             let next = self.touched.len();
-            self.touched
-                .extend_from_slice(self.tracker.partners(entity));
+            self.touched.extend_from_slice(partners);
+            self.touched_slots.extend_from_slice(slots);
             self.runs.push(Run {
                 entity,
-                count: self.tracker.occurrences(entity, now),
+                count: self.memo.decayed(self.tracker.occurrence_counter(entity)),
+                head: partners.first().map_or(DONE, |&p| pair_key(entity, p)),
                 next,
                 end: self.touched.len(),
             });
         }
-        let total = self.tracker.total(now);
+        let total = self.memo.decayed(self.tracker.total_counter());
         let EdgeUpdateGenerator {
             measure,
             tracker,
             emitted,
             touched,
+            touched_slots,
             runs,
+            memo,
             positive_updates,
             negative_updates,
             ..
         } = self;
-        loop {
-            // The smallest head among the runs; a pair of two mentioned
-            // entities heads both their runs and is taken once.
-            let mut best: Option<((VertexId, VertexId), usize)> = None;
-            for (i, run) in runs.iter().enumerate() {
-                if let Some(key) = run.head(touched) {
-                    if best.is_none_or(|(min, _)| key < min) {
-                        best = Some((key, i));
-                    }
-                }
-            }
-            let Some((key, i)) = best else { break };
+        // The smallest head among the runs, until every run is spent; a
+        // pair of two mentioned entities heads both their runs and is taken
+        // once.
+        while let Some(i) = (0..runs.len())
+            .min_by_key(|&i| runs[i].head)
+            .filter(|&i| runs[i].head != DONE)
+        {
             let Run {
                 entity,
                 count,
+                head,
                 next,
                 ..
             } = runs[i];
             for run in runs.iter_mut() {
-                if run.head(touched) == Some(key) {
-                    run.next += 1;
+                if run.head == head {
+                    run.advance(touched);
                 }
             }
-            let partner = touched[next];
-            let partner_count = tracker.occurrences(partner, now);
+            let (partner, slot) = (touched[next], touched_slots[next]);
+            let partner_count = memo.decayed(tracker.occurrence_counter(partner));
             let (count_a, count_b) = if entity < partner {
                 (count, partner_count)
             } else {
@@ -194,26 +344,31 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
             let stats = PairStats {
                 count_a,
                 count_b,
-                count_ab: tracker.cooccurrences(key.0, key.1, now),
+                count_ab: memo.decayed(tracker.pair_counter(slot)),
                 total,
             };
             let new_weight = measure.weight(&stats);
             debug_assert!(new_weight >= 0.0 && new_weight.is_finite());
-            let delta = new_weight - emitted.get(&key).copied().unwrap_or(0.0);
+            let emitted = &mut emitted[slot as usize];
+            let delta = new_weight - *emitted;
             if delta.abs() <= MIN_DELTA {
                 continue;
             }
-            if new_weight <= MIN_DELTA {
-                emitted.remove(&key);
+            *emitted = if new_weight <= MIN_DELTA {
+                0.0
             } else {
-                emitted.insert(key, new_weight);
-            }
+                new_weight
+            };
             if delta > 0.0 {
                 *positive_updates += 1;
             } else {
                 *negative_updates += 1;
             }
-            out.push(EdgeUpdate::new(key.0, key.1, delta));
+            out.push(EdgeUpdate::new(
+                entity.min(partner),
+                entity.max(partner),
+                delta,
+            ));
         }
     }
 
@@ -221,7 +376,8 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
     /// value at time `now` is at or below `epsilon`, then emits a cancelling
     /// [`EdgeUpdate`] (in canonical ascending edge order) for every emitted
     /// edge whose co-occurrence evidence was pruned away. Returns the number
-    /// of edges cancelled.
+    /// of edges cancelled. A negative `epsilon` prunes, and so cancels,
+    /// nothing.
     ///
     /// This is the stream half of decay-driven eviction. Scale-invariant
     /// association measures keep a stale edge's weight nearly constant under
@@ -233,22 +389,20 @@ impl<M: AssociationMeasure> EdgeUpdateGenerator<M> {
     /// updates `DynDens::edges_below` lists — to reclaim the engine-side
     /// state.
     pub fn compact(&mut self, now: f64, epsilon: f64, out: &mut Vec<EdgeUpdate>) -> usize {
-        self.tracker.prune(now, epsilon);
-        let mut dead: Vec<(VertexId, VertexId)> = self
-            .emitted
-            .keys()
-            .copied()
-            .filter(|&(a, b)| self.tracker.cooccurrences(a, b, now) == 0.0)
-            .collect();
-        dead.sort_unstable();
-        for &(a, b) in &dead {
-            let w = self.emitted.remove(&(a, b)).unwrap_or(0.0);
+        let mut freed = Vec::new();
+        self.tracker.prune_into(now, epsilon, &mut freed);
+        freed.sort_unstable_by_key(|&(key, _)| key);
+        let mut cancelled = 0;
+        for ((a, b), slot) in freed {
+            // Settled before the slot can hold another pair.
+            let w = std::mem::replace(&mut self.emitted[slot as usize], 0.0);
             if w != 0.0 {
+                cancelled += 1;
                 self.negative_updates += 1;
                 out.push(EdgeUpdate::new(a, b, -w));
             }
         }
-        dead.len()
+        cancelled
     }
 
     /// Consumes a batch of posts, returning all updates in order.
@@ -276,6 +430,33 @@ mod tests {
 
     fn post(t: f64, ids: &[u32]) -> Post {
         Post::new(t, ids.iter().map(|&i| VertexId(i)).collect())
+    }
+
+    #[test]
+    fn decay_memo_is_bit_identical_through_growth_and_wrap() {
+        let life = 7200.0;
+        let now = 5_000.0;
+        let mut memo = DecayMemo::default();
+        let counter = |i: u32| DecayedCount {
+            value: 1.0 + f64::from(i % 7),
+            last_update: now - 0.37 * f64::from(i) + 40.0,
+        };
+        for start_generation in [0, u32::MAX - 1] {
+            memo.generation = start_generation;
+            for _ in 0..3 {
+                memo.start(now, life);
+                // Far more timestamps than the initial table holds, each
+                // read twice; some lie after `now` (a clamped interval).
+                for i in (0..500).chain(0..500) {
+                    let c = counter(i);
+                    let direct = c.value * decay_factor(now, c.last_update, life);
+                    assert_eq!(memo.decayed(c).to_bits(), direct.to_bits());
+                }
+                assert_eq!(memo.used, 500);
+            }
+        }
+        assert!(memo.entries.len() >= 1_000);
+        assert_eq!(memo.decayed(DecayedCount::default()), 0.0);
     }
 
     #[test]

@@ -271,14 +271,15 @@ impl<M: AssociationMeasure, D: DensityMeasure> ShardedStoryPipeline<M, D> {
             .map(|n| {
                 // Durability before visibility, like the shard WAL: a new
                 // name reaches the journal before any update that uses its
-                // vertex id is routed, so recovery can never see edges whose
-                // entity name is unknown.
-                if let (Some(journal), None) = (self.journal.as_mut(), self.registry.get(n)) {
+                // vertex id is routed (routing waits for the whole post), so
+                // recovery can never see edges whose entity name is unknown.
+                let (id, new) = self.registry.intern_new(n);
+                if let (Some(journal), true) = (self.journal.as_mut(), new) {
                     journal
                         .append(n)
                         .unwrap_or_else(|e| panic!("entity journal append failed: {e}"));
                 }
-                self.registry.intern(n)
+                id
             })
             .collect();
         let post = Post::new(timestamp, entities);

@@ -5,8 +5,11 @@
 //! multi-entity posts, entities mentioned again and again, equal timestamps
 //! and `compact` calls interleaved at random. After every post and every
 //! compaction both must have emitted the same `(a, b, delta.to_bits())`
-//! sequence and hold the same emitted weights, and the generator's tracker
-//! must pass `check_invariants`.
+//! sequence and hold the same emitted weights, and the generator (its
+//! tracker's slots and partner lists, and its emitted-weight column) must
+//! pass `check_invariants`. One leg lets the clock run backwards, which
+//! clamps the decay interval at zero and feeds the generator's per-post
+//! decay memo timestamps from both sides of the post's own.
 
 use dyndens_graph::{EdgeUpdate, FxHashMap, FxHashSet, VertexId};
 use dyndens_stream::{
@@ -195,9 +198,37 @@ fn history() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
+/// How far the clock moves for each time step of a [`Step`]: three steps in
+/// eight keep it where it is (equal timestamps); one in eight jumps three
+/// mean lives ahead.
+const FORWARD: [f64; 8] = [0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 6.0, 3.0 * MEAN_LIFE];
+
+/// Like [`FORWARD`], but two steps in eight go back in time.
+const BACKWARDS: [f64; 8] = [0.0, 0.0, -1.0, 1.0, -4.0, 2.5, 6.0, 3.0 * MEAN_LIFE];
+
+/// Random cases per leg: 64 in tier-1; the leg with backward clocks reads
+/// `LOWERING_CASES` (the nightly job runs 2 000).
+fn lowering_cases() -> u32 {
+    match std::env::var("LOWERING_CASES") {
+        Ok(n) => n.parse().expect("LOWERING_CASES is a case count"),
+        Err(_) => 64,
+    }
+}
+
 /// Replays `steps` on both lowerings, entity ids taken modulo `universe`;
 /// `decay: false` is the cumulative mode (an infinite mean life).
 fn check<M: AssociationMeasure>(measure: M, decay: bool, universe: u32, steps: &[Step]) {
+    check_with_clock(measure, decay, universe, steps, &FORWARD);
+}
+
+/// [`check`], the clock moving by `clock[step]` before each step.
+fn check_with_clock<M: AssociationMeasure>(
+    measure: M,
+    decay: bool,
+    universe: u32,
+    steps: &[Step],
+    clock: &[f64; 8],
+) {
     let (mut generator, mut reference) = if decay {
         (
             EdgeUpdateGenerator::new(measure.clone(), MEAN_LIFE),
@@ -211,9 +242,7 @@ fn check<M: AssociationMeasure>(measure: M, decay: bool, universe: u32, steps: &
     };
     let mut now = 0.0;
     for (i, (kind, ids, step, eps)) in steps.iter().enumerate() {
-        // Three steps in eight keep the clock where it is (equal
-        // timestamps); one in eight jumps three mean lives ahead.
-        now += [0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 6.0, 3.0 * MEAN_LIFE][*step as usize];
+        now += clock[*step as usize];
         let (got, want) = if *kind == 0 {
             let epsilon = [1e-3, 0.1, 0.6][*eps as usize];
             let mut got = Vec::new();
@@ -226,11 +255,12 @@ fn check<M: AssociationMeasure>(measure: M, decay: bool, universe: u32, steps: &
             (got, reference.process_post(&post))
         };
         assert_eq!(bits(&got), bits(&want), "step {i}: {:?}", steps[i]);
-        let tracker = generator.tracker();
-        if let Err(e) = tracker.check_invariants() {
+        if let Err(e) = generator.check_invariants() {
             panic!("step {i}: {e}");
         }
+        let tracker = generator.tracker();
         assert_eq!(tracker.pair_count(), reference.cooccurrences.len());
+        assert_eq!(tracker.entity_count(), reference.occurrences.len());
         for a in 0..universe {
             for b in a + 1..universe {
                 let (a, b) = (VertexId(a), VertexId(b));
@@ -263,5 +293,16 @@ proptest! {
     #[test]
     fn llr_lowering_matches_the_reference(steps in history()) {
         check(LogLikelihoodRatio::default(), false, 5, &steps);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: lowering_cases(), .. ProptestConfig::default() })]
+
+    /// Decayed chi-square with a clock that also runs backwards: a counter
+    /// touched "after" the post decays by a clamped interval of zero.
+    #[test]
+    fn backward_clock_lowering_matches_the_reference(steps in history()) {
+        check_with_clock(ChiSquareCorrelation::default(), true, UNIVERSE, &steps, &BACKWARDS);
     }
 }
