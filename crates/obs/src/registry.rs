@@ -162,12 +162,12 @@ impl Registry {
         metrics.insert(key, Metric::Counter(cell));
     }
 
-    /// Removes the metric registered under `(name, labels)`, if any. Used
-    /// when a labelled series becomes meaningless (a merged-away shard slot).
-    pub fn unregister(&self, name: &str, labels: &[(&str, &str)]) {
-        let key = MetricName::new(name, labels);
+    /// Removes every metric carrying the label `key="value"`, whatever its
+    /// name. Used when a label value stops naming anything (the shard slot a
+    /// merge retires).
+    pub fn unregister_labelled(&self, key: &str, value: &str) {
         let mut metrics = self.metrics.lock().expect("registry poisoned");
-        metrics.remove(&key);
+        metrics.retain(|name, _| name.label(key) != Some(value));
     }
 
     /// Returns the gauge registered under `(name, labels)`, creating it at

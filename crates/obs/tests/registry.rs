@@ -55,7 +55,7 @@ fn adopted_cells_are_read_through_and_replaceable() {
         r.snapshot().counter("adopted", &[("shard", "0")]),
         Some(100)
     );
-    r.unregister("adopted", &[("shard", "0")]);
+    r.unregister_labelled("shard", "0");
     assert_eq!(r.snapshot().counter("adopted", &[("shard", "0")]), None);
 }
 

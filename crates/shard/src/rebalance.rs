@@ -25,15 +25,20 @@
 //!              reads the parent through its lock; a merge absorbs clones)
 //!  4 persist   per target: directory, snapshot @ ΣS, fresh WAL; then ONE atomic MANIFEST
 //!              rewrite — the commit point
-//!  5 commit    install targets (fresh cell @ ΣS, empty delta ring, worker) and publish
-//!              the roster in one store:
-//!              grown by the new slot                 shrunk; last slot renumbered into
-//!                                                    the freed one, worker not respawned
+//!  5 commit    install each target as one record per owner — roster: a fresh feed (cell
+//!              @ ΣS, empty delta ring); facade: engine, worker, slot number; routing:
+//!              inbox + routed counter — and publish the roster in one store:
+//!              grown by the new slot                 shrunk; the last slot's records move
+//!                                                    into the freed one, its worker
+//!                                                    renumbered, not respawned; series
+//!                                                    labelled with the last slot dropped
 //!  6 drain     parked backlog re-routed, in arrival order, through the new map; routing
 //!              serves the new map; source directories retired
 //!  ──────────  ───────────────────────────────────────────────────────────────────────────
-//!  abort       any failure in 4: respawn every source on its own engine, cell, ring
-//!              and handed-back WAL writer; drain the backlog through the *unchanged* map
+//!  abort       any failure in 4: restart every source's worker on its existing records
+//!              (engine, slot number, feed, routing entry) and its handed-back WAL
+//!              writer, through the start path 5 uses; drain the backlog through the
+//!              *unchanged* map
 //! ```
 //!
 //! Only the source slots pause (updates routed to them park in an unbounded
@@ -42,8 +47,8 @@
 //! [`StoryView`](crate::StoryView) roster changes in one epoch store, a
 //! target slot's delta ring restarts empty — pollers resynchronise from its
 //! snapshot, exactly as after crash recovery — and a slot renumbered by a
-//! merge keeps its cell and ring, so its pollers follow deltas seamlessly
-//! under the new index.
+//! merge keeps its feed, so its pollers follow deltas seamlessly under the
+//! new index.
 //!
 //! ## Equivalence
 //!
@@ -72,7 +77,7 @@
 //!
 //! Rebuilding cannot fail: it transforms engines already in memory. If
 //! persisting the targets fails (disk errors), every source is
-//! **resurrected** on the engine, cell, ring and WAL writer it stopped with
+//! **resurrected** on the engine, feed and WAL writer it stopped with
 //! — complete up to the quiesce point — the parked backlog is drained to it
 //! unchanged, and the fleet continues with its old topology and the error
 //! reported. A source worker that died before the reshape panics it, as it
@@ -94,10 +99,7 @@ use dyndens_obs::{names, ObsEvent, RebalanceStage};
 
 use crate::config::PersistenceConfig;
 use crate::recovery;
-use crate::sharded::{
-    install_slot, spawn_worker, RouteState, ShardSeed, ShardTx, ShardedDynDens, WORKER_GONE,
-};
-use crate::view::ShardRoster;
+use crate::sharded::{install_slot, RouteState, ShardSeed, ShardTx, ShardedDynDens, WORKER_GONE};
 use crate::wal::WalWriter;
 use crate::worker::{WorkerMsg, WorkerPersistence};
 
@@ -605,7 +607,7 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         let roster = self.roster.load();
         let source_seqs: Vec<u64> = source_slots
             .iter()
-            .map(|&slot| roster.cells[slot].seq())
+            .map(|&slot| roster[slot].cell.seq())
             .collect();
         // Every target starts where the sources stopped.
         let seq: u64 = source_seqs.iter().sum();
@@ -639,40 +641,37 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         // store, so readers switch topology atomically — no interleaving
         // can observe one split child without the other (which would
         // transiently lose the moved slice's stories). Sequence numbers stay
-        // monotone: a reused slot's old cell sat at or below `seq` too.
-        let last = roster.cells.len() - 1;
-        let mut cells = roster.cells.clone();
-        let mut rings = roster.rings.clone();
-        let mut senders = Vec::with_capacity(plan.targets.len());
+        // monotone: a reused slot's old feed sat at or below `seq` too.
+        // Each target is one record per owner: its feed goes into the
+        // roster, its worker slot into the facade, and its routing entry
+        // into the routing table at step 6.
+        let last = roster.len() - 1;
+        let mut feeds = (*roster).clone();
+        let mut routes = Vec::with_capacity(plan.targets.len());
         for ((seat, engine), persist) in plan.targets.iter().zip(engines).zip(persists) {
             let seed = ShardSeed {
                 engine,
                 seq,
                 persist,
             };
-            let live = install_slot(seat.slot, &self.config, seed, &self.wakers);
-            place(&mut cells, seat.slot, live.cell);
-            place(&mut rings, seat.slot, live.ring);
-            place(&mut self.engines, seat.slot, live.engine);
-            place(&mut self.workers, seat.slot, Some(live.handle));
-            place(&mut self.slots, seat.slot, live.slot_cell);
-            senders.push((seat.slot, live.tx, live.routed));
+            let (feed, route, worker) = install_slot(seat.slot, &self.config, seed, &self.wakers);
+            place(&mut feeds, seat.slot, feed);
+            place(&mut self.workers, seat.slot, worker);
+            routes.push((seat.slot, route));
         }
         if let Some(freed) = plan.freed_slot {
-            // The last slot moves into the freed one keeping its cell, ring
-            // and worker: the worker is renumbered in place (no respawn) and
-            // stamps every snapshot it publishes from now on with its new
-            // slot number.
-            cells.swap_remove(freed);
-            rings.swap_remove(freed);
-            self.engines.swap_remove(freed);
+            // The last slot moves into the freed one keeping its feed and
+            // worker: the worker is renumbered in place (no respawn) and
+            // labels its metrics with its new slot number from its next
+            // micro-batch on.
+            feeds.swap_remove(freed);
             self.workers.swap_remove(freed);
-            self.slots.swap_remove(freed);
             if freed != last {
-                self.slots[freed].store(freed as u32, Ordering::Relaxed);
+                let moved = &self.workers[freed];
+                moved.number.store(freed as u32, Ordering::Relaxed);
             }
         }
-        self.roster.store(Arc::new(ShardRoster { cells, rings }));
+        self.roster.store(Arc::new(feeds));
         self.wakers.notify();
 
         // 6. Commit routing: install the targets and the new map, then drain
@@ -681,25 +680,24 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         // complete and nothing overtakes it.
         let parked = {
             let mut routing = self.routing.write().expect("routing poisoned");
-            for (slot, tx, routed) in senders {
-                place(&mut routing.senders, slot, ShardTx::Live(tx));
-                place(&mut routing.routed, slot, routed);
+            for (slot, route) in routes {
+                place(&mut routing.slots, slot, route);
             }
             if let Some(freed) = plan.freed_slot {
-                routing.senders.swap_remove(freed);
-                routing.routed.swap_remove(freed);
-                // Re-point the registry's routed series: the renumbered slot
-                // carries the previous last slot's counter, and slot `last`
-                // no longer exists.
+                routing.slots.swap_remove(freed);
+                // Slot `last` no longer exists: every series labelled with it
+                // goes. The renumbered worker continues under the freed
+                // slot's label — its routed counter is re-pointed here, its
+                // other series at its next micro-batch.
                 if let Some(r) = &registry {
+                    r.unregister_labelled("shard", &last.to_string());
                     if freed != last {
                         r.adopt_counter(
                             names::SHARD_ROUTED_TOTAL,
                             &[("shard", &freed.to_string())],
-                            Arc::clone(&routing.routed[freed]),
+                            Arc::clone(&routing.slots[freed].routed),
                         );
                     }
-                    r.unregister(names::SHARD_ROUTED_TOTAL, &[("shard", &last.to_string())]);
                 }
             }
             // The old map dies with the plan.
@@ -753,7 +751,7 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
                 .iter()
                 .map(|&slot| {
                     let parked = ShardTx::Parked(park_tx.clone());
-                    match std::mem::replace(&mut routing.senders[slot], parked) {
+                    match std::mem::replace(&mut routing.slots[slot].tx, parked) {
                         ShardTx::Live(tx) => tx,
                         // Reshapes are serialised by `&mut self`, and every
                         // one ends with its slots live again.
@@ -770,8 +768,9 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
                 tx.send(WorkerMsg::Flush(ack_tx)).expect(WORKER_GONE);
                 ack_rx.recv().expect(WORKER_GONE);
                 tx.send(WorkerMsg::Shutdown).expect(WORKER_GONE);
-                let handle = self.workers[slot].take().expect("a live slot has a worker");
-                handle.join().expect(WORKER_GONE)
+                let worker = &mut self.workers[slot];
+                let thread = worker.thread.take().expect("a live slot has a worker");
+                thread.join().expect(WORKER_GONE)
             })
             .collect();
         (park_rx, persists)
@@ -787,7 +786,8 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         let mut ledger = EngineStats::default();
         let mut targets: Vec<DynDens<D>> = Vec::with_capacity(plan.targets.len());
         for seat in &plan.sources {
-            let live = self.engines[seat.slot]
+            let live = self.workers[seat.slot]
+                .engine
                 .lock()
                 .expect("shard engine poisoned");
             ledger.merge(live.stats());
@@ -831,13 +831,14 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         Ok(persists)
     }
 
-    /// The abort path: respawns every parked source on its own engine
-    /// (intact, ledger included: its worker stopped cleanly at the quiesce
-    /// point), cell and ring (no resync for its pollers) and the durability
-    /// half its worker handed back, then re-routes the parked backlog through
-    /// the unchanged map. Nothing is read from disk. Like an installed slot's,
-    /// each source's routed counter restarts at its sequence number, and the
-    /// drain counts the backlog in again.
+    /// The abort path: restarts every parked source on its own records —
+    /// its engine (intact, ledger included: its worker stopped cleanly at
+    /// the quiesce point), slot number, feed (no resync for its pollers) and
+    /// routing entry — with the durability half its worker handed back, then
+    /// re-routes the parked backlog through the unchanged map. Nothing is
+    /// read from disk. Like an installed slot's, each source's routed counter
+    /// restarts at its sequence number, and the drain counts the backlog in
+    /// again.
     fn resurrect(
         &mut self,
         sources: &[Seat],
@@ -845,28 +846,22 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         park_rx: Receiver<WorkerMsg>,
     ) {
         let roster = self.roster.load();
-        let mut senders = Vec::with_capacity(sources.len());
-        for (seat, persist) in sources.iter().zip(persists) {
-            let slot = seat.slot;
-            let (tx, handle, slot_cell) = spawn_worker(
-                slot,
-                &self.config,
-                persist,
-                &self.engines[slot],
-                &roster.cells[slot],
-                &roster.rings[slot],
-                &self.wakers,
-            );
-            self.workers[slot] = Some(handle);
-            self.slots[slot] = slot_cell;
-            senders.push((slot, tx));
-        }
+        let txs: Vec<SyncSender<WorkerMsg>> = sources
+            .iter()
+            .zip(persists)
+            .map(|(seat, persist)| {
+                let (feed, wakers) = (&roster[seat.slot], &self.wakers);
+                self.workers[seat.slot].start(&self.config, persist, feed, wakers)
+            })
+            .collect();
         // Swap the live senders in under the write lock, so no producer can
         // interleave ahead of the backlog.
         let mut routing = self.routing.write().expect("routing poisoned");
-        for (slot, tx) in senders {
-            routing.senders[slot] = ShardTx::Live(tx);
-            routing.routed[slot].store(roster.cells[slot].seq(), Ordering::Relaxed);
+        for (seat, tx) in sources.iter().zip(txs) {
+            let route = &mut routing.slots[seat.slot];
+            route.tx = ShardTx::Live(tx);
+            let seq = roster[seat.slot].cell.seq();
+            route.routed.store(seq, Ordering::Relaxed);
         }
         drain_parked(&park_rx, &routing);
     }
@@ -896,8 +891,8 @@ fn drain_parked(park_rx: &Receiver<WorkerMsg>, routing: &RouteState) -> u64 {
             // and an `IngestHandle` sends only updates and batches. Should
             // that ever change, fanning out keeps every waiter acknowledged.
             control => {
-                for tx in &routing.senders {
-                    let _ = tx.send(control.clone());
+                for route in &routing.slots {
+                    let _ = route.tx.send(control.clone());
                 }
             }
         }
@@ -1278,6 +1273,69 @@ mod tests {
         let depths = fleet.queue_depths();
         assert_eq!(depths.len(), 3);
         assert_eq!(fleet.queue_depths(), vec![0, 0, 0]);
+    }
+
+    /// The names of every series in `registry` labelled `shard="<slot>"`.
+    fn series_of(registry: &dyndens_obs::Registry, slot: usize) -> Vec<String> {
+        let scrape = registry.snapshot();
+        let counters = scrape.counters.iter().map(|c| &c.name);
+        let gauges = scrape.gauges.iter().map(|g| &g.name);
+        let histograms = scrape.histograms.iter().map(|h| &h.name);
+        let label = slot.to_string();
+        counters
+            .chain(gauges)
+            .chain(histograms)
+            .filter(|name| name.label("shard") == Some(label.as_str()))
+            .map(|name| name.name.clone())
+            .collect()
+    }
+
+    #[test]
+    fn a_merge_drops_every_series_of_the_vanished_slot() {
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let instrumented = || shard_config(2).with_obs(Arc::clone(&registry));
+        let applied_by_slot_2 = || {
+            let labels = [("shard", "2")];
+            let scrape = registry.snapshot();
+            scrape.counter(names::SHARD_UPDATES_APPLIED_TOTAL, &labels)
+        };
+
+        // The freed slot is a middle one: worker 3 moves into slot 2.
+        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), instrumented());
+        fleet.apply_batch(&skewed_updates());
+        fleet.split_shard(0).unwrap();
+        fleet.split_shard(1).unwrap();
+        fleet.queue_depths();
+        assert!(series_of(&registry, 3).len() > 1, "slot 3 is instrumented");
+        let report = fleet.merge_shards(0, 2).unwrap();
+        assert_eq!(report.moved_slot, Some(3));
+        fleet.flush();
+        assert_eq!(series_of(&registry, 3), Vec::<String>::new());
+        // The moved worker continues under the freed slot's label.
+        let moved = [update(3, 7, 1.1), update(7, 11, 1.2), update(3, 11, 1.0)];
+        assert_eq!(fleet.shard_of(&moved[0]), 2);
+        let before = applied_by_slot_2().expect("slot 2 is instrumented");
+        fleet.apply_batch(&moved);
+        fleet.flush();
+        fleet.queue_depths();
+        assert!(applied_by_slot_2().unwrap() > before);
+        assert_eq!(series_of(&registry, 3), Vec::<String>::new());
+        fleet.validate().unwrap();
+        drop(fleet);
+
+        // The freed slot is the last one: nothing moves, slot 2 goes.
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let config = shard_config(2).with_obs(Arc::clone(&registry));
+        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), config);
+        fleet.apply_batch(&skewed_updates());
+        fleet.split_shard(0).unwrap();
+        fleet.queue_depths();
+        assert!(series_of(&registry, 2).len() > 1, "slot 2 is instrumented");
+        let report = fleet.merge_shards(0, 2).unwrap();
+        assert_eq!((report.freed_slot, report.moved_slot), (2, None));
+        fleet.flush();
+        assert_eq!(series_of(&registry, 2), Vec::<String>::new());
+        fleet.validate().unwrap();
     }
 
     #[test]

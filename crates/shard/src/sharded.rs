@@ -14,7 +14,9 @@ use dyndens_obs::{names, ObsEvent};
 use crate::config::{PersistenceConfig, ShardConfig};
 use crate::obs::{ShardObs, WalObs};
 use crate::recovery::{self, RecoveryError, RecoveryReport};
-use crate::view::{DeltaRing, EpochCell, PublishWakers, ShardRoster, ShardSnapshot, StoryView};
+use crate::view::{
+    DeltaRing, EpochCell, PublishWakers, ShardFeed, ShardRoster, ShardSnapshot, StoryView,
+};
 use crate::worker::{self, WorkerHandle, WorkerMsg, WorkerPersistence};
 
 /// The send side of one worker slot's inbox.
@@ -48,21 +50,37 @@ impl ShardTx {
     }
 }
 
+/// One worker slot's routing entry.
+#[derive(Debug)]
+pub(crate) struct SlotRoute {
+    /// The slot's inbox.
+    pub(crate) tx: ShardTx,
+    /// Updates routed to the slot so far. Together with the slot's published
+    /// sequence number this yields the **ingest queue depth** (routed −
+    /// applied), the primary hot-shard signal used by
+    /// [`Rebalancer`](crate::rebalance::Rebalancer).
+    pub(crate) routed: Arc<AtomicU64>,
+}
+
+impl SlotRoute {
+    /// Adds `updates` to the routed counter, then sends `msg`, which carries
+    /// that many updates.
+    fn send(&self, updates: usize, msg: WorkerMsg) {
+        self.routed.fetch_add(updates as u64, Ordering::Relaxed);
+        self.tx.send(msg).expect(WORKER_GONE);
+    }
+}
+
 /// The routing state every ingest path consults: the generational shard map
-/// plus the per-slot senders and routed-update counters. Guarded by an
-/// `RwLock` — ingest takes it for read (many concurrent routers), a split
-/// takes it for write twice (park the slot, commit the refined map).
+/// plus one [`SlotRoute`] per worker slot. Guarded by an `RwLock` — ingest
+/// takes it for read (many concurrent routers), a reshape takes it for write
+/// twice (park the sources, commit the new map).
 #[derive(Debug)]
 pub(crate) struct RouteState {
     /// The generational routing table (vertex → worker slot).
     pub(crate) map: ShardMap,
-    /// Per-slot inbox senders, indexed by worker slot.
-    pub(crate) senders: Vec<ShardTx>,
-    /// Per-slot count of updates routed so far. Together with the slot's
-    /// published sequence number this yields the **ingest queue depth**
-    /// (routed − applied), the primary hot-shard signal used by
-    /// [`Rebalancer`](crate::rebalance::Rebalancer).
-    pub(crate) routed: Vec<Arc<AtomicU64>>,
+    /// The slots' routing entries, indexed by worker slot.
+    pub(crate) slots: Vec<SlotRoute>,
 }
 
 /// What a send into a worker slot that has gone away panics with.
@@ -82,27 +100,19 @@ impl RouteState {
         let slot_of = |update: &EdgeUpdate| self.map.route(update.a.min(update.b));
         if let [update] = updates {
             // A lone update travels unboxed.
-            let slot = slot_of(update);
-            self.routed[slot].fetch_add(1, Ordering::Relaxed);
-            return self.senders[slot]
-                .send(WorkerMsg::Update(*update))
-                .expect(WORKER_GONE);
+            return self.slots[slot_of(update)].send(1, WorkerMsg::Update(*update));
         }
-        if groups.len() < self.senders.len() {
-            groups.resize_with(self.senders.len(), Vec::new);
+        if groups.len() < self.slots.len() {
+            groups.resize_with(self.slots.len(), Vec::new);
         }
         for &update in updates {
             groups[slot_of(&update)].push(update);
         }
-        for ((sender, routed), group) in
-            self.senders.iter().zip(&self.routed).zip(groups.iter_mut())
-        {
+        for (route, group) in self.slots.iter().zip(groups.iter_mut()) {
             if !group.is_empty() {
-                routed.fetch_add(group.len() as u64, Ordering::Relaxed);
-                let sized = Vec::with_capacity(group.len());
-                sender
-                    .send(WorkerMsg::Batch(std::mem::replace(group, sized)))
-                    .expect(WORKER_GONE);
+                let n = group.len();
+                let sized = Vec::with_capacity(n);
+                route.send(n, WorkerMsg::Batch(std::mem::replace(group, sized)));
             }
         }
     }
@@ -171,17 +181,13 @@ pub struct ShardedDynDens<D: DensityMeasure> {
     /// The per-shard engine configuration.
     pub(crate) engine_config: DynDensConfig,
     pub(crate) routing: Arc<RwLock<RouteState>>,
-    pub(crate) engines: Vec<Arc<Mutex<DynDens<D>>>>,
     pub(crate) roster: Arc<EpochCell<ShardRoster>>,
     /// The one publication waker list every [`StoryView`] of the fleet
     /// attaches to; workers notify it after each publication, the reshape
     /// commit after each roster store.
     pub(crate) wakers: Arc<PublishWakers>,
-    pub(crate) workers: Vec<Option<WorkerHandle>>,
-    /// Per-slot shared slot-number cells (see [`worker::WorkerSetup::slot`]):
-    /// a merge renumbers the last live worker into a freed middle slot by
-    /// storing into its cell, without respawning the thread.
-    pub(crate) slots: Vec<Arc<AtomicU32>>,
+    /// One entry per worker slot, in slot order.
+    pub(crate) workers: Vec<WorkerSlot<D>>,
     /// Per-slot scratch buffers reused by [`ShardedDynDens::apply_batch`].
     route_scratch: Vec<Vec<EdgeUpdate>>,
     /// What recovery did per shard; empty for non-persistent deployments.
@@ -192,95 +198,103 @@ pub struct ShardedDynDens<D: DensityMeasure> {
     pub(crate) persistence: Option<PersistenceConfig>,
 }
 
-/// A shard's initial state handed to its worker thread at spawn time.
+/// A shard's initial state handed to [`install_slot`].
 pub(crate) struct ShardSeed<D: DensityMeasure> {
     pub(crate) engine: DynDens<D>,
     pub(crate) seq: u64,
     pub(crate) persist: Option<WorkerPersistence>,
 }
 
-/// Spawns one worker thread for `slot`, publishing into `cell`/`ring` and
-/// notifying `wakers`. The worker resumes at the sequence number `cell`
-/// already publishes. Returns the inbox sender, the join handle and the
-/// shared slot-number cell (a merge renumbers the worker by storing into it).
-pub(crate) fn spawn_worker<D: DensityMeasure>(
-    slot: usize,
-    config: &ShardConfig,
-    persist: Option<WorkerPersistence>,
-    engine: &Arc<Mutex<DynDens<D>>>,
-    cell: &Arc<EpochCell<ShardSnapshot>>,
-    ring: &Arc<DeltaRing>,
-    wakers: &Arc<PublishWakers>,
-) -> (SyncSender<WorkerMsg>, WorkerHandle, Arc<AtomicU32>) {
-    let (tx, rx) = sync_channel(config.channel_capacity);
-    let slot_cell = Arc::new(AtomicU32::new(slot as u32));
-    let mut persist = persist;
-    // Registration happens here, once per spawn — the worker loop itself
-    // only ever touches the pre-registered handles.
-    let obs = config.obs.registry().map(|registry| {
-        if let Some(p) = persist.as_mut() {
-            p.wal.set_obs(Some(WalObs::for_slot(registry, slot as u32)));
-        }
-        ShardObs::for_slot(registry, slot as u32)
-    });
-    let setup = worker::WorkerSetup {
-        slot: Arc::clone(&slot_cell),
-        max_batch: config.max_batch,
-        top_k: config.top_k,
-        initial_seq: cell.seq(),
-        persist,
-        obs,
-        wakers: Arc::clone(wakers),
-    };
-    let engine = Arc::clone(engine);
-    let cell = Arc::clone(cell);
-    let ring = Arc::clone(ring);
-    let handle = std::thread::Builder::new()
-        .name(format!("dyndens-shard-{slot}"))
-        .spawn(move || worker::run(setup, rx, engine, cell, ring))
-        .expect("failed to spawn shard worker");
-    (tx, handle, slot_cell)
-}
-
-/// Everything one live worker slot consists of, as built by [`install_slot`];
-/// the caller files the parts into the fleet, the roster and the routing
-/// state.
-pub(crate) struct LiveSlot<D: DensityMeasure> {
+/// One worker slot as the facade holds it.
+#[derive(Debug)]
+pub(crate) struct WorkerSlot<D: DensityMeasure> {
+    /// The engine the worker applies to, and the authoritative reads lock.
     pub(crate) engine: Arc<Mutex<DynDens<D>>>,
-    pub(crate) cell: Arc<EpochCell<ShardSnapshot>>,
-    pub(crate) ring: Arc<DeltaRing>,
-    pub(crate) tx: SyncSender<WorkerMsg>,
-    pub(crate) handle: WorkerHandle,
-    pub(crate) slot_cell: Arc<AtomicU32>,
-    pub(crate) routed: Arc<AtomicU64>,
+    /// The worker thread; `None` between a reshape's quiesce and its commit
+    /// or abort.
+    pub(crate) thread: Option<WorkerHandle>,
+    /// The slot number, shared with the worker (see
+    /// [`worker::WorkerSetup::slot`]): a merge renumbers the last worker into
+    /// a freed middle slot by storing into it, without respawning the thread.
+    pub(crate) number: Arc<AtomicU32>,
 }
 
-/// Brings `slot` to life on `seed`: a fresh epoch cell already publishing
+impl<D: DensityMeasure> WorkerSlot<D> {
+    /// Starts this slot's worker thread, publishing into `feed` and notifying
+    /// `wakers`, and returns its inbox. The worker resumes at the sequence
+    /// number `feed` already publishes. The one start path: a fresh slot
+    /// ([`install_slot`]) and a resurrected one (an aborted reshape) both
+    /// come here.
+    pub(crate) fn start(
+        &mut self,
+        config: &ShardConfig,
+        mut persist: Option<WorkerPersistence>,
+        feed: &Arc<ShardFeed>,
+        wakers: &Arc<PublishWakers>,
+    ) -> SyncSender<WorkerMsg> {
+        let slot = self.number.load(Ordering::Relaxed);
+        let (tx, rx) = sync_channel(config.channel_capacity);
+        // Registration happens here, once per spawn — the worker loop itself
+        // only ever touches the pre-registered handles.
+        let obs = config.obs.registry().map(|registry| {
+            if let Some(p) = persist.as_mut() {
+                p.wal.set_obs(Some(WalObs::for_slot(registry, slot)));
+            }
+            ShardObs::for_slot(registry, slot)
+        });
+        let setup = worker::WorkerSetup {
+            slot: Arc::clone(&self.number),
+            max_batch: config.max_batch,
+            top_k: config.top_k,
+            initial_seq: feed.cell.seq(),
+            persist,
+            obs,
+            wakers: Arc::clone(wakers),
+        };
+        let engine = Arc::clone(&self.engine);
+        let feed = Arc::clone(feed);
+        let thread = std::thread::Builder::new()
+            .name(format!("dyndens-shard-{slot}"))
+            .spawn(move || worker::run(setup, rx, engine, feed))
+            .expect("failed to spawn shard worker");
+        self.thread = Some(thread);
+        tx
+    }
+}
+
+/// Brings `slot` to life on `seed`: a fresh feed whose cell already publishes
 /// the seed engine's answer at `seed.seq` (readers see recovered or rebuilt
 /// state immediately, not an empty snapshot that fills in after the first
-/// micro-batch), an **empty** delta ring (there is no event stream from
-/// before `seed.seq`, so pollers resynchronise from the snapshot), a worker
-/// thread, and a routed-update counter seeded at `seed.seq` and adopted by
-/// the registry's per-shard routed series (zero added cost on the routing
-/// path). Used at fleet start-up and at the commit of every reshape.
+/// micro-batch) and whose delta ring is **empty** (there is no event stream
+/// from before `seed.seq`, so pollers resynchronise from the snapshot), a
+/// worker thread, and a routed-update counter seeded at `seed.seq` and
+/// adopted by the registry's per-shard routed series (zero added cost on the
+/// routing path). Returns the slot's record for each owner: the roster's
+/// feed, the routing entry and the facade's worker slot. Used at fleet
+/// start-up and at the commit of every reshape.
 pub(crate) fn install_slot<D: DensityMeasure>(
     slot: usize,
     config: &ShardConfig,
     seed: ShardSeed<D>,
     wakers: &Arc<PublishWakers>,
-) -> LiveSlot<D> {
+) -> (Arc<ShardFeed>, SlotRoute, WorkerSlot<D>) {
     let ShardSeed {
         engine,
         seq,
         persist,
     } = seed;
-    let cell = Arc::new(EpochCell::new(ShardSnapshot::default()));
-    let snapshot = worker::build_snapshot(slot, &engine, seq, config.top_k);
-    cell.store_with_seq(Arc::new(snapshot), seq);
-    let ring = Arc::new(DeltaRing::new(config.delta_retention));
-    let engine = Arc::new(Mutex::new(engine));
-    let (tx, handle, slot_cell) =
-        spawn_worker(slot, config, persist, &engine, &cell, &ring, wakers);
+    let feed = Arc::new(ShardFeed {
+        cell: EpochCell::new(ShardSnapshot::default()),
+        ring: DeltaRing::new(config.delta_retention),
+    });
+    let snapshot = worker::build_snapshot(&engine, seq, config.top_k);
+    feed.cell.store_with_seq(Arc::new(snapshot), seq);
+    let mut worker = WorkerSlot {
+        engine: Arc::new(Mutex::new(engine)),
+        thread: None,
+        number: Arc::new(AtomicU32::new(slot as u32)),
+    };
+    let tx = worker.start(config, persist, &feed, wakers);
     let routed = Arc::new(AtomicU64::new(seq));
     if let Some(registry) = config.obs.registry() {
         registry.adopt_counter(
@@ -289,15 +303,11 @@ pub(crate) fn install_slot<D: DensityMeasure>(
             Arc::clone(&routed),
         );
     }
-    LiveSlot {
-        engine,
-        cell,
-        ring,
-        tx,
-        handle,
-        slot_cell,
+    let route = SlotRoute {
+        tx: ShardTx::Live(tx),
         routed,
-    }
+    };
+    (feed, route, worker)
 }
 
 impl<D: DensityMeasure> ShardedDynDens<D> {
@@ -435,41 +445,25 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         recovery: Vec<RecoveryReport>,
         persistence: Option<PersistenceConfig>,
     ) -> Self {
-        let n = map.n_workers();
-        debug_assert_eq!(seeds.len(), n);
-        let mut cells = Vec::with_capacity(n);
-        let mut rings = Vec::with_capacity(n);
-        let mut senders = Vec::with_capacity(n);
-        let mut routed = Vec::with_capacity(n);
-        let mut engines = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        let mut slots = Vec::with_capacity(n);
+        debug_assert_eq!(seeds.len(), map.n_workers());
         let wakers = Arc::new(PublishWakers::default());
-        for (slot, seed) in seeds.into_iter().enumerate() {
-            let live = install_slot(slot, &config, seed, &wakers);
-            cells.push(live.cell);
-            rings.push(live.ring);
-            senders.push(ShardTx::Live(live.tx));
-            routed.push(live.routed);
-            engines.push(live.engine);
-            workers.push(Some(live.handle));
-            slots.push(live.slot_cell);
-        }
+        let (feeds, (slots, workers)): (Vec<_>, (Vec<_>, Vec<_>)) = seeds
+            .into_iter()
+            .enumerate()
+            .map(|(slot, seed)| {
+                let (feed, route, worker) = install_slot(slot, &config, seed, &wakers);
+                (feed, (route, worker))
+            })
+            .unzip();
         ShardedDynDens {
-            route_scratch: vec![Vec::new(); n],
+            route_scratch: vec![Vec::new(); workers.len()],
             config,
             measure,
             engine_config,
-            routing: Arc::new(RwLock::new(RouteState {
-                map,
-                senders,
-                routed,
-            })),
-            engines,
-            roster: Arc::new(EpochCell::new(ShardRoster { cells, rings })),
+            routing: Arc::new(RwLock::new(RouteState { map, slots })),
+            roster: Arc::new(EpochCell::new(feeds)),
             wakers,
             workers,
-            slots,
             recovery,
             persistence,
         }
@@ -528,10 +522,13 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         let routing = self.routing.read().expect("routing poisoned");
         let roster = self.roster.load();
         let depths: Vec<u64> = routing
-            .routed
+            .slots
             .iter()
-            .zip(roster.cells.iter())
-            .map(|(routed, cell)| routed.load(Ordering::Relaxed).saturating_sub(cell.seq()))
+            .zip(roster.iter())
+            .map(|(route, feed)| {
+                let routed = route.routed.load(Ordering::Relaxed);
+                routed.saturating_sub(feed.cell.seq())
+            })
             .collect();
         if let Some(registry) = self.config.obs.registry() {
             // Refreshed at probe cadence (the rebalancer's), not per update:
@@ -575,12 +572,13 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         let (ack_tx, ack_rx) = channel();
         let expected = {
             let routing = self.routing.read().expect("routing poisoned");
-            for sender in &routing.senders {
-                sender
+            for route in &routing.slots {
+                route
+                    .tx
                     .send(WorkerMsg::Flush(ack_tx.clone()))
                     .expect(WORKER_GONE);
             }
-            routing.senders.len()
+            routing.slots.len()
         };
         drop(ack_tx);
         for _ in 0..expected {
@@ -605,11 +603,12 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         let receivers: Vec<_> = {
             let routing = self.routing.read().expect("routing poisoned");
             routing
-                .senders
+                .slots
                 .iter()
-                .map(|sender| {
+                .map(|route| {
                     let (ack, rx) = channel();
-                    sender
+                    route
+                        .tx
                         .send(WorkerMsg::Compact { min_weight, ack })
                         .expect(WORKER_GONE);
                     rx
@@ -643,9 +642,9 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
     /// applied, then reads each shard's engine under its lock, in slot order.
     fn read_engines<T>(&self, mut read: impl FnMut(&DynDens<D>) -> T) -> Vec<T> {
         self.flush();
-        self.engines
+        self.workers
             .iter()
-            .map(|e| read(&e.lock().expect("shard engine poisoned")))
+            .map(|w| read(&w.engine.lock().expect("shard engine poisoned")))
             .collect()
     }
 
@@ -700,13 +699,34 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
     }
 
     /// Runs each shard engine's internal consistency check (flushes first),
-    /// returning the first violation in slot order.
+    /// returning the first violation in slot order, then checks the slot
+    /// bookkeeping: the routing map, the routing table, the roster and the
+    /// facade agree on the slot count, and each worker's slot number is its
+    /// index.
     pub fn validate(&self) -> Result<(), String> {
         let checks = self.read_engines(|e| e.validate());
         checks
             .into_iter()
             .enumerate()
-            .try_for_each(|(shard, check)| check.map_err(|e| format!("shard {shard}: {e}")))
+            .try_for_each(|(shard, check)| check.map_err(|e| format!("shard {shard}: {e}")))?;
+        let (mapped, routed) = {
+            let routing = self.routing.read().expect("routing poisoned");
+            (routing.map.n_workers(), routing.slots.len())
+        };
+        let (rostered, workers) = (self.roster.load().len(), self.workers.len());
+        if [mapped, routed, rostered] != [workers; 3] {
+            return Err(format!(
+                "slot counts disagree: map {mapped}, routing {routed}, roster {rostered}, \
+                 facade {workers}"
+            ));
+        }
+        for (slot, worker) in self.workers.iter().enumerate() {
+            let number = worker.number.load(Ordering::Relaxed) as usize;
+            if number != slot {
+                return Err(format!("the worker in slot {slot} is numbered {number}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -714,14 +734,14 @@ impl<D: DensityMeasure> Drop for ShardedDynDens<D> {
     fn drop(&mut self) {
         {
             let routing = self.routing.read().expect("routing poisoned");
-            for sender in &routing.senders {
+            for route in &routing.slots {
                 // A worker that already exited (or panicked) has hung up;
                 // that is fine during teardown. Parked slots have no worker.
-                let _ = sender.send(WorkerMsg::Shutdown);
+                let _ = route.tx.send(WorkerMsg::Shutdown);
             }
         }
-        for handle in self.workers.drain(..).flatten() {
-            let _ = handle.join();
+        for thread in self.workers.drain(..).filter_map(|w| w.thread) {
+            let _ = thread.join();
         }
     }
 }
@@ -809,8 +829,13 @@ mod tests {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| sync_channel(4)).unzip();
         let state = RouteState {
             map: ShardMap::new(ShardFn::Modulo, 3),
-            senders: txs.into_iter().map(ShardTx::Live).collect(),
-            routed: (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+            slots: txs
+                .into_iter()
+                .map(|tx| SlotRoute {
+                    tx: ShardTx::Live(tx),
+                    routed: Arc::new(AtomicU64::new(0)),
+                })
+                .collect(),
         };
         // 40 updates for slot 0, 24 for slot 1, none for slot 2.
         let batch: Vec<EdgeUpdate> = (0..64)
@@ -833,7 +858,16 @@ mod tests {
             assert!(rxs[2].try_recv().is_err());
             assert_eq!(groups[2].capacity(), 0);
         }
-        assert_eq!(state.routed[0].load(Ordering::Relaxed), 80);
+        assert_eq!(state.slots[0].routed.load(Ordering::Relaxed), 80);
+    }
+
+    #[test]
+    fn validate_checks_the_slot_bookkeeping() {
+        let fleet = sharded(3);
+        fleet.validate().unwrap();
+        fleet.workers[1].number.store(2, Ordering::Relaxed);
+        let err = fleet.validate().unwrap_err();
+        assert_eq!(err, "the worker in slot 1 is numbered 2");
     }
 
     #[test]

@@ -218,8 +218,6 @@ pub enum DeltaCatchUp {
 /// [`StoryView::deltas_since`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardSnapshot {
-    /// The shard index this snapshot belongs to.
-    pub shard: usize,
     /// Number of updates this shard has applied so far. Monotone; readers can
     /// use it to detect progress and to order snapshots of the same shard.
     pub seq: u64,
@@ -247,17 +245,21 @@ pub struct MergedStories {
     pub output_dense_total: usize,
 }
 
-/// The current worker roster: one epoch cell and one delta ring per live
-/// worker slot. The roster itself is published through an [`EpochCell`] so
-/// that a shard split (which grows the fleet) is observed by every
-/// [`StoryView`] clone on its next read — cells and rings are individually
-/// `Arc`-shared, so untouched shards keep publishing into the same objects
-/// across roster generations.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardRoster {
-    pub(crate) cells: Vec<Arc<EpochCell<ShardSnapshot>>>,
-    pub(crate) rings: Vec<Arc<DeltaRing>>,
+/// One worker slot's publications: the epoch cell its worker stores each
+/// snapshot into and the ring that retains each micro-batch's events. The
+/// worker publishes through the same `Arc` the roster holds, so an untouched
+/// slot keeps publishing into one feed across roster generations.
+#[derive(Debug)]
+pub(crate) struct ShardFeed {
+    pub(crate) cell: EpochCell<ShardSnapshot>,
+    pub(crate) ring: DeltaRing,
 }
+
+/// The current worker roster: one [`ShardFeed`] per live worker slot, in slot
+/// order. The roster itself is published through an [`EpochCell`], so a
+/// reshape (which grows or shrinks the fleet) is observed by every
+/// [`StoryView`] clone on its next read.
+pub(crate) type ShardRoster = Vec<Arc<ShardFeed>>;
 
 /// A cheap, cloneable handle for reading merged story snapshots without
 /// coordinating with the ingest path.
@@ -277,7 +279,7 @@ pub struct StoryView {
 impl StoryView {
     /// Number of shards feeding this view (grows across splits).
     pub fn n_shards(&self) -> usize {
-        self.roster.load().cells.len()
+        self.roster.load().len()
     }
 
     /// Attaches `waker` to the fleet, so it fires after every worker
@@ -291,7 +293,7 @@ impl StoryView {
 
     /// The latest published snapshot of one shard.
     pub fn shard_snapshot(&self, shard: usize) -> Arc<ShardSnapshot> {
-        self.roster.load().cells[shard].load()
+        self.roster.load()[shard].cell.load()
     }
 
     /// The latest published sequence number of one shard: a single atomic
@@ -300,13 +302,13 @@ impl StoryView {
     /// anything new for a client.
     #[inline]
     pub fn shard_seq(&self, shard: usize) -> u64 {
-        self.roster.load().cells[shard].seq()
+        self.roster.load()[shard].cell.seq()
     }
 
     /// The latest published sequence numbers of all shards (one atomic load
     /// each).
     pub fn per_shard_seq(&self) -> Vec<u64> {
-        self.roster.load().cells.iter().map(|c| c.seq()).collect()
+        self.roster.load().iter().map(|f| f.cell.seq()).collect()
     }
 
     /// The [`DenseEvent`]s of `shard` after `since_seq`, served from the
@@ -316,14 +318,14 @@ impl StoryView {
     /// behind the retention bound and must rebase on
     /// [`shard_snapshot`](StoryView::shard_snapshot).
     pub fn deltas_since(&self, shard: usize, since_seq: u64) -> DeltaCatchUp {
-        self.roster.load().rings[shard].catch_up(since_seq)
+        self.roster.load()[shard].ring.catch_up(since_seq)
     }
 
     /// The earliest sequence number [`deltas_since`](StoryView::deltas_since)
     /// can serve deltas for on `shard`, or `None` while nothing has been
     /// published since construction (or recovery, or a split of this shard).
     pub fn delta_coverage_from(&self, shard: usize) -> Option<u64> {
-        self.roster.load().rings[shard].coverage_from()
+        self.roster.load()[shard].ring.coverage_from()
     }
 
     /// Merges the latest per-shard snapshots into a top-k story view.
@@ -335,7 +337,7 @@ impl StoryView {
     /// *number* of shards can grow between calls when a split commits).
     pub fn snapshot(&self) -> MergedStories {
         let roster = self.roster.load();
-        let shards: Vec<Arc<ShardSnapshot>> = roster.cells.iter().map(|c| c.load()).collect();
+        let shards: Vec<Arc<ShardSnapshot>> = roster.iter().map(|f| f.cell.load()).collect();
         let per_shard_seq: Vec<u64> = shards.iter().map(|s| s.seq).collect();
         let seq = per_shard_seq.iter().sum();
         let output_dense_total = shards.iter().map(|s| s.output_dense).sum();
@@ -357,7 +359,7 @@ impl StoryView {
     /// published snapshots.
     pub fn stats(&self) -> EngineStats {
         let roster = self.roster.load();
-        let shards: Vec<Arc<ShardSnapshot>> = roster.cells.iter().map(|c| c.load()).collect();
+        let shards: Vec<Arc<ShardSnapshot>> = roster.iter().map(|f| f.cell.load()).collect();
         EngineStats::merged(shards.iter().map(|s| &s.stats))
     }
 }
@@ -367,9 +369,8 @@ mod tests {
     use super::*;
     use dyndens_graph::VertexSet;
 
-    fn snap(shard: usize, seq: u64, stories: &[(&[u32], f64)]) -> ShardSnapshot {
+    fn snap(seq: u64, stories: &[(&[u32], f64)]) -> ShardSnapshot {
         ShardSnapshot {
-            shard,
             seq,
             top_stories: stories
                 .iter()
@@ -381,11 +382,15 @@ mod tests {
     }
 
     fn view_of(cells: Vec<EpochCell<ShardSnapshot>>, top_k: usize) -> StoryView {
-        let n = cells.len();
-        let roster = ShardRoster {
-            cells: cells.into_iter().map(Arc::new).collect(),
-            rings: (0..n).map(|_| Arc::new(DeltaRing::new(8))).collect(),
-        };
+        let roster = cells
+            .into_iter()
+            .map(|cell| {
+                Arc::new(ShardFeed {
+                    cell,
+                    ring: DeltaRing::new(8),
+                })
+            })
+            .collect();
         StoryView {
             roster: Arc::new(EpochCell::new(roster)),
             wakers: Arc::default(),
@@ -471,8 +476,8 @@ mod tests {
     #[test]
     fn merged_snapshot_is_sorted_and_truncated() {
         let cells = vec![
-            EpochCell::new(snap(0, 10, &[(&[0, 4], 1.5), (&[0, 8], 0.9)])),
-            EpochCell::new(snap(1, 5, &[(&[1, 5], 1.2), (&[1, 9], 1.6)])),
+            EpochCell::new(snap(10, &[(&[0, 4], 1.5), (&[0, 8], 0.9)])),
+            EpochCell::new(snap(5, &[(&[1, 5], 1.2), (&[1, 9], 1.6)])),
         ];
         cells[0].store_with_seq(cells[0].load(), 10);
         cells[1].store_with_seq(cells[1].load(), 5);
@@ -492,9 +497,9 @@ mod tests {
 
     #[test]
     fn view_stats_merge_shards() {
-        let mut a = snap(0, 1, &[]);
+        let mut a = snap(1, &[]);
         a.stats.updates = 3;
-        let mut b = snap(1, 1, &[]);
+        let mut b = snap(1, &[]);
         b.stats.updates = 4;
         let view = view_of(vec![EpochCell::new(a), EpochCell::new(b)], 4);
         assert_eq!(view.stats().updates, 7);
@@ -503,12 +508,14 @@ mod tests {
     #[test]
     fn view_observes_roster_growth() {
         // A split publishes a grown roster through the same epoch cell the
-        // view already holds: existing view clones see the new shard (and
-        // the reused slot's cleared ring) on their next read.
-        let roster_cell = Arc::new(EpochCell::new(ShardRoster {
-            cells: vec![Arc::new(EpochCell::new(snap(0, 7, &[(&[0, 2], 1.0)])))],
-            rings: vec![Arc::new(DeltaRing::new(4))],
-        }));
+        // view already holds: existing view clones see the new shard on
+        // their next read.
+        let feed = |snapshot| {
+            let (cell, ring) = (EpochCell::new(snapshot), DeltaRing::new(4));
+            Arc::new(ShardFeed { cell, ring })
+        };
+        let roster_cell: Arc<EpochCell<ShardRoster>> =
+            Arc::new(EpochCell::new(vec![feed(snap(7, &[(&[0, 2], 1.0)]))]));
         let view = StoryView {
             roster: Arc::clone(&roster_cell),
             wakers: Arc::default(),
@@ -518,22 +525,16 @@ mod tests {
         assert_eq!(view.n_shards(), 1);
 
         let old = roster_cell.load();
-        let grown = ShardRoster {
-            cells: vec![
-                Arc::clone(&old.cells[0]),
-                Arc::new(EpochCell::new(snap(1, 7, &[(&[1, 3], 1.4)]))),
-            ],
-            rings: vec![Arc::new(DeltaRing::new(4)), Arc::new(DeltaRing::new(4))],
-        };
+        let grown = vec![Arc::clone(&old[0]), feed(snap(7, &[(&[1, 3], 1.4)]))];
         roster_cell.store(Arc::new(grown));
         assert_eq!(clone.n_shards(), 2, "pre-split clones observe the growth");
         assert_eq!(clone.snapshot().stories.len(), 2);
-        // The reused slot's fresh ring is empty: pollers resync, like after
+        // Slot 0's ring has retained nothing: pollers resync, like after
         // crash recovery.
         assert_eq!(clone.deltas_since(0, 3), DeltaCatchUp::Resync);
-        // The untouched cell object is shared: a publication through the old
-        // roster's cell is visible through the new roster.
-        old.cells[0].store_with_seq(Arc::new(snap(0, 9, &[])), 9);
+        // The untouched feed is shared: a publication through the old
+        // roster's feed is visible through the new roster.
+        old[0].cell.store_with_seq(Arc::new(snap(9, &[])), 9);
         assert_eq!(clone.shard_seq(0), 9);
     }
 

@@ -15,7 +15,7 @@ use dyndens_graph::EdgeUpdate;
 use crate::config::PersistenceConfig;
 use crate::obs::{ShardObs, WalObs};
 use crate::recovery;
-use crate::view::{DeltaBatch, DeltaRing, EpochCell, PublishWakers, ShardSnapshot};
+use crate::view::{DeltaBatch, PublishWakers, ShardFeed, ShardSnapshot};
 use crate::wal::WalWriter;
 
 const POISONED: &str = "shard engine poisoned";
@@ -252,13 +252,12 @@ impl Drop for CheckpointWriter {
 }
 
 /// Everything a worker thread is parameterised by at spawn time (beyond its
-/// shared engine/cell handles).
+/// shared engine and feed).
 pub(crate) struct WorkerSetup {
-    /// The worker's slot index, shared with the facade: a shard **merge**
+    /// The worker's slot number, shared with the facade: a shard **merge**
     /// that frees a middle slot renumbers the last live worker into the
-    /// freed slot by storing into this cell — the worker stamps every
-    /// snapshot it publishes with the current value, so readers never see a
-    /// stale slot number.
+    /// freed slot by storing into this cell. The worker labels its metrics
+    /// and log lines with the current value.
     pub slot: Arc<AtomicU32>,
     /// Micro-batch drain bound.
     pub max_batch: usize,
@@ -289,8 +288,7 @@ pub(crate) fn run<D: DensityMeasure>(
     setup: WorkerSetup,
     inbox: Receiver<WorkerMsg>,
     engine: Arc<Mutex<DynDens<D>>>,
-    cell: Arc<EpochCell<ShardSnapshot>>,
-    ring: Arc<DeltaRing>,
+    feed: Arc<ShardFeed>,
 ) -> Option<WorkerPersistence> {
     let WorkerSetup {
         slot,
@@ -303,8 +301,7 @@ pub(crate) fn run<D: DensityMeasure>(
     } = setup;
     let mut worker = Worker {
         engine,
-        cell,
-        ring,
+        feed,
         wakers,
         top_k,
         seq: initial_seq,
@@ -338,7 +335,7 @@ pub(crate) fn run<D: DensityMeasure>(
         let shard = slot.load(Ordering::Relaxed) as usize;
         // A shard merge can renumber this worker's slot; relabel the metric
         // handles (a rare, registration-cost path) so per-shard series keep
-        // matching the slot readers see in published snapshots.
+        // matching the slot's position in the roster.
         if let Some(o) = worker.obs.as_mut() {
             if o.slot != shard as u32 {
                 let registry = Arc::clone(&o.registry);
@@ -386,8 +383,7 @@ pub(crate) fn run<D: DensityMeasure>(
 /// A worker thread's state between micro-batches.
 struct Worker<D: DensityMeasure> {
     engine: Arc<Mutex<DynDens<D>>>,
-    cell: Arc<EpochCell<ShardSnapshot>>,
-    ring: Arc<DeltaRing>,
+    feed: Arc<ShardFeed>,
     wakers: Arc<PublishWakers>,
     top_k: usize,
     /// Updates applied so far.
@@ -450,13 +446,12 @@ impl<D: DensityMeasure> Worker<D> {
             // Publish latency: top-k selection, ring push, epoch swap and
             // wakers — neither the apply above nor the checkpoint image.
             let publish_started = self.obs.as_ref().map(|_| Instant::now());
-            let snapshot =
-                (batch_len > 0).then(|| build_snapshot(shard, &guard, self.seq, self.top_k));
+            let snapshot = (batch_len > 0).then(|| build_snapshot(&guard, self.seq, self.top_k));
             (snapshot, checkpoint, publish_started)
         };
         if let Some(snapshot) = snapshot {
             let events = take_events(&mut self.events, &self.no_events);
-            let published = publish(snapshot, base_seq, events, &self.ring, &self.cell);
+            let published = publish(snapshot, base_seq, events, &self.feed);
             self.wakers.notify();
             if let (Some(o), Some(t)) = (self.obs.as_ref(), publish_started) {
                 o.record_batch(batch_len, apply_elapsed, t.elapsed());
@@ -508,14 +503,12 @@ fn take_events(events: &mut Vec<DenseEvent>, none: &Arc<[DenseEvent]>) -> Arc<[D
 
 /// Renders the engine's current answer into an immutable snapshot.
 pub(crate) fn build_snapshot<D: DensityMeasure>(
-    shard: usize,
     engine: &DynDens<D>,
     seq: u64,
     top_k: usize,
 ) -> ShardSnapshot {
     let (top_stories, output_dense) = engine.top_stories(top_k);
     ShardSnapshot {
-        shard,
         seq,
         top_stories,
         output_dense,
@@ -524,25 +517,24 @@ pub(crate) fn build_snapshot<D: DensityMeasure>(
 }
 
 /// Makes one micro-batch visible: its `events`, covering updates
-/// `base_seq..snapshot.seq`, into the delta ring, then `snapshot` into the
-/// epoch cell. Retention before visibility: the ring covers the new seq
+/// `base_seq..snapshot.seq`, into the feed's delta ring, then `snapshot` into
+/// its epoch cell. Retention before visibility: the ring covers the new seq
 /// before the epoch pointer announces it, so a poller that observes the new
 /// seq can always fetch its deltas.
 fn publish(
     snapshot: ShardSnapshot,
     base_seq: u64,
     events: Arc<[DenseEvent]>,
-    ring: &DeltaRing,
-    cell: &EpochCell<ShardSnapshot>,
+    feed: &ShardFeed,
 ) -> Arc<ShardSnapshot> {
     let seq = snapshot.seq;
-    ring.push(DeltaBatch {
+    feed.ring.push(DeltaBatch {
         base_seq,
         seq,
         events,
     });
     let snapshot = Arc::new(snapshot);
-    cell.store_with_seq(Arc::clone(&snapshot), seq);
+    feed.cell.store_with_seq(Arc::clone(&snapshot), seq);
     snapshot
 }
 
