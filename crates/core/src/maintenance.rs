@@ -4,6 +4,7 @@
 
 use std::cmp::Ordering;
 
+use dyndens_graph::codec::{put_f64, put_u64, put_u8};
 use dyndens_graph::VertexSet;
 
 use crate::config::{DeltaIt, DynDensConfig};
@@ -35,25 +36,33 @@ pub fn top_of(mut stories: Vec<(VertexSet, f64)>, k: usize) -> (Vec<(VertexSet, 
     (stories, total)
 }
 
+/// `delta_it` mode tags in [`encode_config_params`].
+pub(crate) const DELTA_IT_ABSOLUTE: u8 = 0;
+pub(crate) const DELTA_IT_FRACTION: u8 = 1;
+/// Optimisation flag bits in [`encode_config_params`].
+pub(crate) const FLAG_IMPLICIT_TOO_DENSE: u8 = 1 << 0;
+pub(crate) const FLAG_MAX_EXPLORE: u8 = 1 << 1;
+pub(crate) const FLAG_DEGREE_PRIORITIZE: u8 = 1 << 2;
+
 /// Encodes the answer-relevant fields of a [`DynDensConfig`] as a canonical
 /// byte fingerprint (threshold bits, `Nmax`, `delta_it` mode + value bits,
 /// optimisation flags). A persistent deployment pins it in its MANIFEST, so
 /// a directory never reopens under a configuration that would change what
-/// "dense" means.
+/// "dense" means; an engine snapshot opens with it.
 pub fn encode_config_params(config: &DynDensConfig) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 8 + 1 + 8 + 1);
-    out.extend_from_slice(&config.threshold.to_bits().to_le_bytes());
-    out.extend_from_slice(&(config.n_max as u64).to_le_bytes());
+    put_f64(&mut out, config.threshold);
+    put_u64(&mut out, config.n_max as u64);
     let (tag, value) = match config.delta_it {
-        DeltaIt::Absolute(v) => (0u8, v),
-        DeltaIt::FractionOfMax(v) => (1u8, v),
+        DeltaIt::Absolute(v) => (DELTA_IT_ABSOLUTE, v),
+        DeltaIt::FractionOfMax(v) => (DELTA_IT_FRACTION, v),
     };
-    out.push(tag);
-    out.extend_from_slice(&value.to_bits().to_le_bytes());
-    let flags = (config.implicit_too_dense as u8)
-        | ((config.max_explore as u8) << 1)
-        | ((config.degree_prioritize as u8) << 2);
-    out.push(flags);
+    put_u8(&mut out, tag);
+    put_f64(&mut out, value);
+    let flags = (u8::from(config.implicit_too_dense) * FLAG_IMPLICIT_TOO_DENSE)
+        | (u8::from(config.max_explore) * FLAG_MAX_EXPLORE)
+        | (u8::from(config.degree_prioritize) * FLAG_DEGREE_PRIORITIZE);
+    put_u8(&mut out, flags);
     out
 }
 

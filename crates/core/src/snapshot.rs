@@ -24,6 +24,7 @@
 //!   config    threshold f64 | n_max u64 | delta_it tag u8 + value f64
 //!             | flags u8 (bit0 implicit_too_dense, bit1 max_explore,
 //!                         bit2 degree_prioritize)
+//!             (the 26 bytes of `encode_config_params`)
 //!   family    threshold f64 | delta_it f64      (current, post-adjustment)
 //!   epoch     u64
 //!   stats     13 × u64                           (EngineStats::COUNTERS order)
@@ -49,6 +50,10 @@ use crate::config::{DeltaIt, DynDensConfig};
 use crate::engine::DynDens;
 use crate::events::EngineStats;
 use crate::index::{SubgraphIndex, SubgraphInfo};
+use crate::maintenance::{
+    encode_config_params, DELTA_IT_ABSOLUTE, DELTA_IT_FRACTION, FLAG_DEGREE_PRIORITIZE,
+    FLAG_IMPLICIT_TOO_DENSE, FLAG_MAX_EXPLORE,
+};
 
 /// Magic bytes opening every engine snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"DDSN";
@@ -90,13 +95,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-const FLAG_IMPLICIT_TOO_DENSE: u8 = 1 << 0;
-const FLAG_MAX_EXPLORE: u8 = 1 << 1;
-const FLAG_DEGREE_PRIORITIZE: u8 = 1 << 2;
-
-const DELTA_IT_ABSOLUTE: u8 = 0;
-const DELTA_IT_FRACTION: u8 = 1;
-
 impl<D: DensityMeasure> DynDens<D> {
     /// Serialises the complete engine state to the versioned binary snapshot
     /// format. The inverse is [`restore`](Self::restore).
@@ -105,30 +103,7 @@ impl<D: DensityMeasure> DynDens<D> {
         buf.extend_from_slice(SNAPSHOT_MAGIC);
         put_u32(&mut buf, SNAPSHOT_VERSION);
 
-        // Config.
-        put_f64(&mut buf, self.config.threshold);
-        put_u64(&mut buf, self.config.n_max as u64);
-        match self.config.delta_it {
-            DeltaIt::Absolute(v) => {
-                buf.push(DELTA_IT_ABSOLUTE);
-                put_f64(&mut buf, v);
-            }
-            DeltaIt::FractionOfMax(v) => {
-                buf.push(DELTA_IT_FRACTION);
-                put_f64(&mut buf, v);
-            }
-        }
-        let mut flags = 0u8;
-        if self.config.implicit_too_dense {
-            flags |= FLAG_IMPLICIT_TOO_DENSE;
-        }
-        if self.config.max_explore {
-            flags |= FLAG_MAX_EXPLORE;
-        }
-        if self.config.degree_prioritize {
-            flags |= FLAG_DEGREE_PRIORITIZE;
-        }
-        buf.push(flags);
+        buf.extend_from_slice(&encode_config_params(&self.config));
 
         // Threshold family: the *current* parameters (dynamic threshold
         // adjustment may have moved them away from the config).

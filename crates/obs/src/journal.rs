@@ -8,22 +8,19 @@
 //! operator reading a [`Metrics`](crate::RegistrySnapshot) scrape can
 //! reconstruct the full lifecycle of an operation that finished hours ago.
 //!
-//! Two rings, not one: rare **lifecycle** events (recovery, split/merge
-//! phases, compaction windows) live in their own ring so chatty per-batch
-//! traffic (worker batches, fsyncs, connection churn) can never push them
-//! out before an operator sees them.
+//! Only rare **lifecycle** events are journalled (recovery, split/merge
+//! phases, compaction windows): per-batch, per-append and per-connection
+//! activity is counted by the registry's series instead, so nothing busy
+//! can push a lifecycle record out of the ring before an operator sees it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use dyndens_graph::codec::{put_u32, put_u64, put_u8, ByteReader, CodecError};
 
-/// Retained lifecycle records (recovery / split / merge / compaction).
+/// Retained journal records (recovery / split / merge / compaction).
 pub const LIFECYCLE_RING_CAPACITY: usize = 256;
-/// Retained chatty records (batches, fsyncs, checkpoints, connections).
-pub const CHATTY_RING_CAPACITY: usize = 1024;
 
 /// The stage of a split or merge lifecycle: what the journal's
 /// `SplitPhase` / `MergePhase` records carry, and what the observer hooks of
@@ -57,37 +54,10 @@ impl RebalanceStage {
     }
 }
 
-/// One typed observability event. Field units are in the variant docs;
-/// `shard`/`slot` are worker slot indexes, `*_us` are microseconds.
+/// One typed lifecycle event. `shard`/`slot` fields are worker slot
+/// indexes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObsEvent {
-    /// A shard worker applied one micro-batch.
-    WorkerBatch {
-        /// Worker slot that applied the batch.
-        shard: u32,
-        /// Updates in the batch.
-        batch: u32,
-        /// Engine apply latency for the whole batch, microseconds.
-        apply_us: u64,
-    },
-    /// A WAL append was flushed to disk (`FsyncPolicy::Always` only).
-    WalFsync {
-        /// Worker slot that owns the WAL.
-        shard: u32,
-        /// Payload bytes in the appended record.
-        bytes: u64,
-        /// `File::sync_data` latency, microseconds.
-        fsync_us: u64,
-    },
-    /// A worker wrote an engine checkpoint.
-    Checkpoint {
-        /// Worker slot that checkpointed.
-        shard: u32,
-        /// Engine sequence number captured by the checkpoint.
-        seq: u64,
-        /// Serialized checkpoint size, bytes.
-        bytes: u64,
-    },
     /// A shard recovered from durable state at startup (the journal form of
     /// `RecoveryReport`).
     Recovery {
@@ -113,9 +83,6 @@ pub enum ObsEvent {
         stage: RebalanceStage,
         /// Updates parked while routing was frozen (known at `Committed`).
         parked: u64,
-        /// Always 0: a split partitions the live engine and replays no WAL.
-        /// Kept for wire compatibility.
-        replayed: u64,
     },
     /// A phase transition of a live shard merge (enriched at `Committed`
     /// with the `MergeReport` counts).
@@ -140,97 +107,22 @@ pub enum ObsEvent {
         /// Disk bytes reclaimed by WAL pruning (0 when unknown).
         reclaimed_bytes: u64,
     },
-    /// The serve layer accepted a client connection.
-    ConnAccepted {
-        /// Process-unique connection id (accept counter value).
-        conn: u64,
-    },
-    /// A client connection was severed by an I/O or framing error (CRC
-    /// mismatch, mid-frame EOF) — clean disconnects are not severs.
-    ConnSevered {
-        /// Process-unique connection id (accept counter value).
-        conn: u64,
-    },
-    /// A `Poll` request fell behind delta retention and was told to resync.
-    PollResync {
-        /// The shard whose retention bound the cursor fell behind.
-        shard: u32,
-    },
-    /// A connection registered a push subscription (`Subscribe` frame).
-    Subscribed {
-        /// Process-unique connection id (accept counter value).
-        conn: u64,
-    },
-    /// A push subscriber was evicted because its bounded write queue
-    /// overflowed (the subscriber read slower than the fan-out produced).
-    SlowReaderEvicted {
-        /// Process-unique connection id (accept counter value).
-        conn: u64,
-        /// Bytes queued for the connection at eviction time.
-        queued_bytes: u64,
-    },
 }
 
 impl ObsEvent {
-    /// `true` for rare lifecycle events retained in their own ring
-    /// (recovery, split/merge phases, compaction windows).
-    pub fn is_lifecycle(&self) -> bool {
-        matches!(
-            self,
-            ObsEvent::Recovery { .. }
-                | ObsEvent::SplitPhase { .. }
-                | ObsEvent::MergePhase { .. }
-                | ObsEvent::CompactionWindow { .. }
-        )
-    }
-
     /// Stable event-kind name, used by the text exposition and docs.
     pub fn kind(&self) -> &'static str {
         match self {
-            ObsEvent::WorkerBatch { .. } => "worker_batch",
-            ObsEvent::WalFsync { .. } => "wal_fsync",
-            ObsEvent::Checkpoint { .. } => "checkpoint",
             ObsEvent::Recovery { .. } => "recovery",
             ObsEvent::SplitPhase { .. } => "split_phase",
             ObsEvent::MergePhase { .. } => "merge_phase",
             ObsEvent::CompactionWindow { .. } => "compaction_window",
-            ObsEvent::ConnAccepted { .. } => "conn_accepted",
-            ObsEvent::ConnSevered { .. } => "conn_severed",
-            ObsEvent::PollResync { .. } => "poll_resync",
-            ObsEvent::Subscribed { .. } => "subscribed",
-            ObsEvent::SlowReaderEvicted { .. } => "slow_reader_evicted",
         }
     }
 
     /// Encodes the event as `tag u8 | fields` (graph codec conventions).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match *self {
-            ObsEvent::WorkerBatch {
-                shard,
-                batch,
-                apply_us,
-            } => {
-                put_u8(buf, 1);
-                put_u32(buf, shard);
-                put_u32(buf, batch);
-                put_u64(buf, apply_us);
-            }
-            ObsEvent::WalFsync {
-                shard,
-                bytes,
-                fsync_us,
-            } => {
-                put_u8(buf, 2);
-                put_u32(buf, shard);
-                put_u64(buf, bytes);
-                put_u64(buf, fsync_us);
-            }
-            ObsEvent::Checkpoint { shard, seq, bytes } => {
-                put_u8(buf, 3);
-                put_u32(buf, shard);
-                put_u64(buf, seq);
-                put_u64(buf, bytes);
-            }
             ObsEvent::Recovery {
                 shard,
                 snapshot_seq,
@@ -250,14 +142,12 @@ impl ObsEvent {
                 new_slot,
                 stage,
                 parked,
-                replayed,
             } => {
                 put_u8(buf, 5);
                 put_u32(buf, slot);
                 put_u32(buf, new_slot);
                 put_u8(buf, stage.to_u8());
                 put_u64(buf, parked);
-                put_u64(buf, replayed);
             }
             ObsEvent::MergePhase {
                 slot,
@@ -283,27 +173,6 @@ impl ObsEvent {
                 put_u64(buf, evicted_edges);
                 put_u64(buf, reclaimed_bytes);
             }
-            ObsEvent::ConnAccepted { conn } => {
-                put_u8(buf, 8);
-                put_u64(buf, conn);
-            }
-            ObsEvent::ConnSevered { conn } => {
-                put_u8(buf, 9);
-                put_u64(buf, conn);
-            }
-            ObsEvent::PollResync { shard } => {
-                put_u8(buf, 10);
-                put_u32(buf, shard);
-            }
-            ObsEvent::Subscribed { conn } => {
-                put_u8(buf, 11);
-                put_u64(buf, conn);
-            }
-            ObsEvent::SlowReaderEvicted { conn, queued_bytes } => {
-                put_u8(buf, 12);
-                put_u64(buf, conn);
-                put_u64(buf, queued_bytes);
-            }
         }
     }
 
@@ -311,21 +180,6 @@ impl ObsEvent {
     /// tags and out-of-range discriminants are rejected, never panicked on.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<ObsEvent, CodecError> {
         Ok(match r.u8()? {
-            1 => ObsEvent::WorkerBatch {
-                shard: r.u32()?,
-                batch: r.u32()?,
-                apply_us: r.u64()?,
-            },
-            2 => ObsEvent::WalFsync {
-                shard: r.u32()?,
-                bytes: r.u64()?,
-                fsync_us: r.u64()?,
-            },
-            3 => ObsEvent::Checkpoint {
-                shard: r.u32()?,
-                seq: r.u64()?,
-                bytes: r.u64()?,
-            },
             4 => ObsEvent::Recovery {
                 shard: r.u32()?,
                 snapshot_seq: r.u64()?,
@@ -342,7 +196,6 @@ impl ObsEvent {
                 new_slot: r.u32()?,
                 stage: RebalanceStage::from_u8(r.u8()?)?,
                 parked: r.u64()?,
-                replayed: r.u64()?,
             },
             6 => ObsEvent::MergePhase {
                 slot: r.u32()?,
@@ -355,14 +208,6 @@ impl ObsEvent {
                 cancelled_updates: r.u64()?,
                 evicted_edges: r.u64()?,
                 reclaimed_bytes: r.u64()?,
-            },
-            8 => ObsEvent::ConnAccepted { conn: r.u64()? },
-            9 => ObsEvent::ConnSevered { conn: r.u64()? },
-            10 => ObsEvent::PollResync { shard: r.u32()? },
-            11 => ObsEvent::Subscribed { conn: r.u64()? },
-            12 => ObsEvent::SlowReaderEvicted {
-                conn: r.u64()?,
-                queued_bytes: r.u64()?,
             },
             _ => return Err(CodecError::Invalid("unknown obs event tag")),
         })
@@ -406,7 +251,7 @@ impl SpanMark {
 /// typed event payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsRecord {
-    /// Monotone emission order across both rings.
+    /// Monotone emission order.
     pub seq: u64,
     /// Milliseconds since the UNIX epoch at emission (coarse: reading the
     /// clock once per event, not per field).
@@ -421,9 +266,10 @@ pub struct ObsRecord {
 }
 
 /// Minimum encoded size of an [`ObsRecord`]: three `u64`, the mark byte, and
-/// the smallest event body (tag + one `u32`). Used as the allocation guard
-/// unit when decoding event lists.
-pub const OBS_RECORD_MIN_ENCODED: usize = 8 + 8 + 8 + 1 + 1 + 4;
+/// the smallest event body (`SplitPhase` and `MergePhase`: tag, two `u32`,
+/// the stage byte and one `u64`). Used as the allocation guard unit when
+/// decoding event lists.
+pub const OBS_RECORD_MIN_ENCODED: usize = 8 + 8 + 8 + 1 + (1 + 4 + 4 + 1 + 8);
 
 impl ObsRecord {
     /// Encodes `seq | at_unix_ms | span | mark | event`.
@@ -447,58 +293,43 @@ impl ObsRecord {
     }
 }
 
-/// The two bounded rings plus the shared sequence counter.
+/// The bounded ring. A record's sequence number is one past its
+/// predecessor's, assigned under the ring's lock so the ring is in emission
+/// order; the ring never empties once written, so the count carries on past
+/// evictions.
 pub(crate) struct Journal {
-    seq: AtomicU64,
-    lifecycle: Mutex<VecDeque<ObsRecord>>,
-    chatty: Mutex<VecDeque<ObsRecord>>,
+    ring: Mutex<VecDeque<ObsRecord>>,
 }
 
 impl Journal {
     pub(crate) fn new() -> Self {
         Journal {
-            seq: AtomicU64::new(0),
-            lifecycle: Mutex::new(VecDeque::with_capacity(LIFECYCLE_RING_CAPACITY)),
-            chatty: Mutex::new(VecDeque::with_capacity(CHATTY_RING_CAPACITY)),
+            ring: Mutex::new(VecDeque::with_capacity(LIFECYCLE_RING_CAPACITY)),
         }
     }
 
     pub(crate) fn push(&self, span: u64, mark: SpanMark, event: ObsEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let at_unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
             .unwrap_or(0);
-        let (ring, cap) = if event.is_lifecycle() {
-            (&self.lifecycle, LIFECYCLE_RING_CAPACITY)
-        } else {
-            (&self.chatty, CHATTY_RING_CAPACITY)
-        };
-        let record = ObsRecord {
+        let mut ring = self.ring.lock().expect("journal ring poisoned");
+        let seq = ring.back().map_or(0, |last| last.seq + 1);
+        if ring.len() == LIFECYCLE_RING_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(ObsRecord {
             seq,
             at_unix_ms,
             span,
             mark,
             event,
-        };
-        let mut ring = ring.lock().expect("journal ring poisoned");
-        if ring.len() == cap {
-            ring.pop_front();
-        }
-        ring.push_back(record);
+        });
     }
 
-    /// Both rings merged, ascending by emission sequence.
+    /// The retained records, ascending by emission sequence.
     pub(crate) fn recent(&self) -> Vec<ObsRecord> {
-        let mut out: Vec<ObsRecord> = {
-            let life = self.lifecycle.lock().expect("journal ring poisoned");
-            life.iter().cloned().collect()
-        };
-        {
-            let chatty = self.chatty.lock().expect("journal ring poisoned");
-            out.extend(chatty.iter().cloned());
-        }
-        out.sort_by_key(|r| r.seq);
-        out
+        let ring = self.ring.lock().expect("journal ring poisoned");
+        ring.iter().cloned().collect()
     }
 }

@@ -21,9 +21,9 @@
 //!   fleet-wide p50/p99/p999 readouts.
 //! * **[`Registry::emit`] / [`Registry::begin`] / [`Registry::end`]** — a
 //!   bounded journal of typed [`ObsEvent`]s with span-style begin/end
-//!   pairing, split into a lifecycle ring (recovery, split/merge phases,
-//!   compaction windows) and a chatty ring (batches, fsyncs, connections)
-//!   so rare events survive busy traffic.
+//!   pairing. It keeps only rare lifecycle events (recovery, split/merge
+//!   phases, compaction windows); per-batch and per-connection activity is
+//!   what the counters and histograms record.
 //! * **[`RegistrySnapshot`]** — an owned capture of everything, with a
 //!   `dyndens-graph`-convention binary codec (the serve protocol's
 //!   `Metrics` response payload) and a Prometheus-style text exposition.
@@ -60,8 +60,7 @@ pub use histogram::{
     bucket_bounds, bucket_index, Histogram, HistogramSnapshot, N_BUCKETS, SUB_BUCKETS,
 };
 pub use journal::{
-    ObsEvent, ObsRecord, RebalanceStage, SpanMark, CHATTY_RING_CAPACITY, LIFECYCLE_RING_CAPACITY,
-    OBS_RECORD_MIN_ENCODED,
+    ObsEvent, ObsRecord, RebalanceStage, SpanMark, LIFECYCLE_RING_CAPACITY, OBS_RECORD_MIN_ENCODED,
 };
 pub use registry::{Counter, Gauge, Registry};
 pub use snapshot::{HistogramSample, MetricName, MetricSample, RegistrySnapshot};

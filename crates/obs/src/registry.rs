@@ -229,8 +229,7 @@ impl Registry {
         self.journal.push(span, SpanMark::End, event);
     }
 
-    /// The retained journal records (both rings), ascending by emission
-    /// order.
+    /// The retained journal records, ascending by emission order.
     pub fn recent_events(&self) -> Vec<ObsRecord> {
         self.journal.recent()
     }

@@ -27,8 +27,10 @@ use dyndens_obs::RegistrySnapshot;
 /// subscription family (`Subscribe`/`Unsubscribe` requests, `Subscribed`/
 /// `Unsubscribed`/`Push` responses), grew [`ServeStats`] from five to eight
 /// counters, and assigned error codes 5 (`SlowConsumer`) and 6
-/// (`Unsupported`).
-pub const PROTOCOL_VERSION: u8 = 3;
+/// (`Unsupported`). Revision 4 cut the `Metrics` journal to the four
+/// lifecycle event kinds (tags 4–7) and dropped `SplitPhase`'s always-zero
+/// `replayed` field.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Upper bound a frame reader accepts for one message, before allocating
 /// anything: 32 MiB. A corrupt or hostile length prefix beyond it is rejected

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dyndens_obs::{names, Counter, Gauge, Histogram, ObsEvent, ObsHandle};
+use dyndens_obs::{names, Counter, Gauge, Histogram, ObsHandle};
 use dyndens_shard::{DeltaCatchUp, PublishWaker, StoryView};
 
 use crate::net::FrameBuffer;
@@ -146,19 +146,16 @@ impl Shared {
     }
 
     /// Applies the accept-time admission policy: under the bound, the
-    /// connection is counted live and assigned an id; at the bound it is
-    /// counted rejected and the caller must drop it.
-    fn admit(&self) -> Option<u64> {
+    /// connection is counted live and accepted; at the bound it is counted
+    /// rejected and the caller must drop it.
+    fn admit(&self) -> bool {
         if self.live_conns.load(Ordering::Relaxed) >= self.max_connections {
             self.conns_rejected.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return false;
         }
         self.live_conns.fetch_add(1, Ordering::Relaxed);
-        let conn_id = self.conns_accepted.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(registry) = self.obs.registry() {
-            registry.emit(ObsEvent::ConnAccepted { conn: conn_id });
-        }
-        Some(conn_id)
+        self.conns_accepted.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Answers `TopK`: the merged current stories, named when the table has
@@ -256,7 +253,7 @@ impl Shared {
     /// `Poll` handler and the push fan-out): deltas when retention covers
     /// the cursor, a resync snapshot when it does not. Advances
     /// `cursor[shard]` to the sequence each entry catches the reader up to
-    /// and maintains the resync counter and journal.
+    /// and maintains the resync counter.
     fn poll_entries(&self, cursor: &mut [u64]) -> Vec<ShardPoll> {
         let view = &self.view;
         let mut entries = Vec::new();
@@ -280,11 +277,6 @@ impl Shared {
                 }
                 DeltaCatchUp::Resync => {
                     self.resyncs_served.fetch_add(1, Ordering::Relaxed);
-                    if let Some(registry) = self.obs.registry() {
-                        registry.emit(ObsEvent::PollResync {
-                            shard: shard as u32,
-                        });
-                    }
                     let snapshot = view.shard_snapshot(shard);
                     entries.push(ShardPoll::Resync {
                         shard: shard as u32,
@@ -351,9 +343,9 @@ impl ServerBuilder {
     /// Instruments the server: its connection/request/push counters become
     /// registry series (adopting the very cells `Stats` replies read, so the
     /// two surfaces can never disagree), request types get latency
-    /// histograms, and connection lifecycle, resyncs and subscription events
-    /// are journalled. The registry is also what a [`Request::Metrics`]
-    /// against this server snapshots.
+    /// histograms, and the loops count wakeups, subscribers and fan-out
+    /// latency. The registry is also what a [`Request::Metrics`] against this
+    /// server snapshots.
     pub fn obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;
         self
@@ -560,11 +552,8 @@ impl PublishWaker for LoopWaker {
     }
 }
 
-/// A connection freshly admitted by the accept thread, en route to a loop.
-type Admitted = (TcpStream, u64);
-
 /// A loop's queue of admitted connections, filled by the accept thread.
-type Inbox = Arc<Mutex<Vec<Admitted>>>;
+type Inbox = Arc<Mutex<Vec<TcpStream>>>;
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, dispatch: Vec<(Inbox, Arc<LoopWaker>)>) {
     let mut next = 0usize;
@@ -573,17 +562,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, dispatch: Vec<(Inbox,
             break;
         }
         let Ok(stream) = stream else { continue };
-        let Some(conn_id) = shared.admit() else {
+        if !shared.admit() {
             // At the connection bound: close without touching a loop.
             continue;
-        };
+        }
         let _ = stream.set_nodelay(true);
         let (inbox, waker) = &dispatch[next % dispatch.len()];
         next = next.wrapping_add(1);
-        inbox
-            .lock()
-            .expect("loop inbox poisoned")
-            .push((stream, conn_id));
+        inbox.lock().expect("loop inbox poisoned").push(stream);
         waker.wake();
     }
 }
@@ -601,7 +587,6 @@ struct LoopObs {
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
-    id: u64,
     rbuf: FrameBuffer,
     /// Completed frames awaiting the socket, `Arc`'d so one fan-out frame is
     /// shared across every subscriber's queue.
@@ -716,9 +701,8 @@ impl EventLoop {
     }
 
     fn adopt_new_conns(&mut self) {
-        let admitted: Vec<Admitted> =
-            std::mem::take(&mut *self.inbox.lock().expect("loop inbox poisoned"));
-        for (stream, id) in admitted {
+        let admitted = std::mem::take(&mut *self.inbox.lock().expect("loop inbox poisoned"));
+        for stream in admitted {
             if stream.set_nonblocking(true).is_err() {
                 self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
                 continue;
@@ -741,7 +725,6 @@ impl EventLoop {
             }
             self.conns[slot] = Some(Conn {
                 stream,
-                id,
                 rbuf: FrameBuffer::new(),
                 wq: VecDeque::new(),
                 wq_bytes: 0,
@@ -864,9 +847,6 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
             if conn.cursor.replace(cursor).is_none() {
                 self.shared.subscribers.fetch_add(1, Ordering::Relaxed);
-                if let Some(registry) = self.shared.obs.registry() {
-                    registry.emit(ObsEvent::Subscribed { conn: conn.id });
-                }
             }
         }
         self.publish_subscriber_gauge();
@@ -1003,7 +983,6 @@ impl EventLoop {
             return;
         };
         let queued_bytes = conn.wq_bytes as u64;
-        let conn_id = conn.id;
         // Keep the head frame if mid-write — truncating it would desync the
         // client's framing right as we try to tell it why it's being cut.
         let head = if conn.woff > 0 {
@@ -1034,12 +1013,6 @@ impl EventLoop {
         }
         shared.slow_evictions.fetch_add(1, Ordering::Relaxed);
         shared.error_replies.fetch_add(1, Ordering::Relaxed);
-        if let Some(registry) = shared.obs.registry() {
-            registry.emit(ObsEvent::SlowReaderEvicted {
-                conn: conn_id,
-                queued_bytes,
-            });
-        }
         self.publish_subscriber_gauge();
         self.flush(slot);
     }
@@ -1112,9 +1085,6 @@ impl EventLoop {
         }
         if severed && !self.shared.shutdown.load(Ordering::SeqCst) {
             self.shared.conns_severed.fetch_add(1, Ordering::Relaxed);
-            if let Some(registry) = self.shared.obs.registry() {
-                registry.emit(ObsEvent::ConnSevered { conn: conn.id });
-            }
         }
         self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
         self.free.push(slot);

@@ -1,17 +1,20 @@
 //! `docs/PROTOCOL.md` and the code give the same framing constants, tags
 //! and error codes: the §2 length bound and CRC check value, the §4 request
-//! tag table, the tag in each §5 response heading, and the §5.8 error-code
-//! table. One value of every message variant is encoded and its tag byte
-//! (payload byte 1, after the version) compared with the documented one. A
-//! constant, tag or code changed on one side only fails here.
+//! tag table, the tag in each §5 response heading, the §5.4 journal event
+//! table, the §5.8 error-code table and the §9 worked examples. One value
+//! of every message variant is encoded and its tag byte (payload byte 1,
+//! after the version) compared with the documented one; one value of every
+//! journal event is encoded and its tag, kind and length compared with its
+//! row. A constant, tag, code or layout changed on one side only fails
+//! here.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use dyndens_core::EngineStats;
 use dyndens_graph::codec::crc32;
-use dyndens_obs::RegistrySnapshot;
-use dyndens_serve::{ErrorCode, Request, Response, ServeStats, MAX_FRAME_LEN};
+use dyndens_obs::{ObsEvent, RebalanceStage, RegistrySnapshot};
+use dyndens_serve::{ErrorCode, Request, Response, ServeStats, MAX_FRAME_LEN, PROTOCOL_VERSION};
 
 fn protocol_md() -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/PROTOCOL.md");
@@ -62,6 +65,58 @@ fn response_name(response: &Response) -> &'static str {
         Response::Unsubscribed => "Unsubscribed",
         Response::Push { .. } => "Push",
         Response::Error { .. } => "Error",
+    }
+}
+
+/// One value of each journal event kind. The match has no wildcard, so a
+/// new kind fails to compile here until it has a sample (and a §5.4 row).
+fn event_samples() -> Vec<ObsEvent> {
+    let stage = RebalanceStage::Committed;
+    let samples = vec![
+        ObsEvent::Recovery {
+            shard: 1,
+            snapshot_seq: 2,
+            replayed_updates: 3,
+            recovered_seq: 5,
+            repaired_torn_tail: true,
+        },
+        ObsEvent::SplitPhase {
+            slot: 0,
+            new_slot: 1,
+            stage,
+            parked: 7,
+        },
+        ObsEvent::MergePhase {
+            slot: 0,
+            freed_slot: 1,
+            stage,
+            parked: 7,
+        },
+        ObsEvent::CompactionWindow {
+            pruned_pairs: 1,
+            cancelled_updates: 2,
+            evicted_edges: 3,
+            reclaimed_bytes: 4,
+        },
+    ];
+    for event in &samples {
+        match event {
+            ObsEvent::Recovery { .. }
+            | ObsEvent::SplitPhase { .. }
+            | ObsEvent::MergePhase { .. }
+            | ObsEvent::CompactionWindow { .. } => {}
+        }
+    }
+    samples
+}
+
+/// The encoded size of a field type named in a §5.4 row.
+fn field_bytes(ty: &str) -> usize {
+    match ty {
+        "u8" => 1,
+        "u32" => 4,
+        "u64" => 8,
+        _ => panic!("§5.4 names an unknown field type {ty:?}"),
     }
 }
 
@@ -225,5 +280,76 @@ fn error_codes_match_the_section_5_8_table() {
             "§5.8 row {} reads {row:?}, which is not {code:?}",
             code as u8
         );
+    }
+}
+
+#[test]
+fn journal_events_match_the_section_5_4_table() {
+    let doc = protocol_md();
+    // tag -> (kind, bytes)
+    let documented: BTreeMap<u8, (String, usize)> = section(&doc, "### 5.4", "### ")
+        .into_iter()
+        .filter_map(|row| {
+            let cells: Vec<&str> = row
+                .split(" | ")
+                .map(|c| c.trim_matches(['|', ' ']))
+                .collect();
+            let tag: u8 = cells.first()?.parse().ok()?;
+            let (kind, fields, bytes) = (cells[1], cells[2], cells[3]);
+            let bytes: usize = bytes.parse().expect("a byte count");
+            // The fields column is `name type \| name type ...`, tag excluded.
+            let summed: usize = fields
+                .trim_matches('`')
+                .split("\\|")
+                .map(|field| field_bytes(field.split_whitespace().nth(1).expect("a type")))
+                .sum();
+            assert_eq!(
+                1 + summed,
+                bytes,
+                "§5.4 row {tag}: its fields and its byte count"
+            );
+            Some((tag, (kind.trim_matches('`').to_string(), bytes)))
+        })
+        .collect();
+    let encoded: BTreeMap<u8, (String, usize)> = event_samples()
+        .iter()
+        .map(|event| {
+            let mut body = Vec::new();
+            event.encode_into(&mut body);
+            (body[0], (event.kind().to_string(), body.len()))
+        })
+        .collect();
+    assert_eq!(encoded, documented, "§5.4 event table (left: journal.rs)");
+}
+
+#[test]
+fn worked_examples_are_frames_of_this_version() {
+    let doc = protocol_md();
+    let examples = section(&doc, "## 9.", "## ").join("\n");
+    let blocks: Vec<Vec<u8>> = examples
+        .split("```")
+        .skip(1)
+        .step_by(2)
+        .map(|block| {
+            block
+                .lines()
+                .skip(1)
+                .flat_map(|line| {
+                    line.split_whitespace()
+                        .take_while(|t| t.len() == 2)
+                        .map_while(|t| u8::from_str_radix(t, 16).ok())
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(blocks.len(), 5, "§9's examples");
+    for frame in blocks {
+        let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+        let payload = &frame[8..];
+        assert_eq!(len, payload.len(), "§9 frame {frame:02x?}: len");
+        assert_eq!(crc, crc32(payload), "§9 frame {frame:02x?}: crc");
+        assert_eq!(payload[0], PROTOCOL_VERSION, "§9 frame {frame:02x?}");
+        Request::decode(payload).unwrap_or_else(|e| panic!("§9 frame {frame:02x?}: {e}"));
     }
 }

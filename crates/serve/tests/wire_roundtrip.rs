@@ -177,67 +177,41 @@ fn histogram_snapshot_strategy() -> impl Strategy<Value = HistogramSnapshot> {
 }
 
 fn obs_event_strategy() -> impl Strategy<Value = ObsEvent> {
-    (0..12u8, 0..64u32, 0..u64::MAX, 0..u64::MAX, 0..2u8).prop_map(
-        |(variant, shard, a, b, flag)| {
-            let flag = flag == 1;
-            let stage = match a % 3 {
-                0 => RebalanceStage::Parked,
-                1 => RebalanceStage::Rebuilt,
-                _ => RebalanceStage::Committed,
-            };
-            match variant {
-                0 => ObsEvent::WorkerBatch {
-                    shard,
-                    batch: b as u32,
-                    apply_us: a,
-                },
-                1 => ObsEvent::WalFsync {
-                    shard,
-                    bytes: a,
-                    fsync_us: b,
-                },
-                2 => ObsEvent::Checkpoint {
-                    shard,
-                    seq: a,
-                    bytes: b,
-                },
-                3 => ObsEvent::Recovery {
-                    shard,
-                    snapshot_seq: a,
-                    replayed_updates: b,
-                    recovered_seq: a.wrapping_add(b),
-                    repaired_torn_tail: flag,
-                },
-                4 => ObsEvent::SplitPhase {
-                    slot: shard,
-                    new_slot: shard + 1,
-                    stage,
-                    parked: a,
-                    replayed: b,
-                },
-                5 => ObsEvent::MergePhase {
-                    slot: shard,
-                    freed_slot: shard + 1,
-                    stage,
-                    parked: a,
-                },
-                6 => ObsEvent::CompactionWindow {
-                    pruned_pairs: a,
-                    cancelled_updates: b,
-                    evicted_edges: a ^ b,
-                    reclaimed_bytes: a.rotate_left(9),
-                },
-                7 => ObsEvent::ConnAccepted { conn: a },
-                8 => ObsEvent::ConnSevered { conn: a },
-                9 => ObsEvent::PollResync { shard },
-                10 => ObsEvent::Subscribed { conn: a },
-                _ => ObsEvent::SlowReaderEvicted {
-                    conn: a,
-                    queued_bytes: b,
-                },
-            }
-        },
-    )
+    (0..4u8, 0..64u32, 0..u64::MAX, 0..u64::MAX, 0..2u8).prop_map(|(variant, shard, a, b, flag)| {
+        let flag = flag == 1;
+        let stage = match a % 3 {
+            0 => RebalanceStage::Parked,
+            1 => RebalanceStage::Rebuilt,
+            _ => RebalanceStage::Committed,
+        };
+        match variant {
+            0 => ObsEvent::Recovery {
+                shard,
+                snapshot_seq: a,
+                replayed_updates: b,
+                recovered_seq: a.wrapping_add(b),
+                repaired_torn_tail: flag,
+            },
+            1 => ObsEvent::SplitPhase {
+                slot: shard,
+                new_slot: shard + 1,
+                stage,
+                parked: a,
+            },
+            2 => ObsEvent::MergePhase {
+                slot: shard,
+                freed_slot: shard + 1,
+                stage,
+                parked: a,
+            },
+            _ => ObsEvent::CompactionWindow {
+                pruned_pairs: a,
+                cancelled_updates: b,
+                evicted_edges: a ^ b,
+                reclaimed_bytes: a.rotate_left(9),
+            },
+        }
+    })
 }
 
 fn obs_record_strategy() -> impl Strategy<Value = ObsRecord> {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dyndens_core::EngineStats;
-use dyndens_obs::{names, Counter, Gauge, Histogram, ObsEvent, Registry};
+use dyndens_obs::{names, Counter, Gauge, Histogram, Registry};
 
 /// A worker's pre-registered handles: batch/apply metrics plus the engine
 /// gauge block. Rebuilt (cheaply) if a merge renumbers the worker's slot.
@@ -31,10 +31,15 @@ pub(crate) struct ShardObs {
 }
 
 impl ShardObs {
-    pub(crate) fn for_slot(registry: &Arc<Registry>, slot: u32) -> Self {
+    /// The handles labelled `slot`, with the engine gauges set from
+    /// `stats`, the ledger the slot's feed publishes now. Interning hands back
+    /// a series' existing cell, and after a reshape that cell still holds the
+    /// retired engine's ledger until the next publication; setting the
+    /// gauges here keeps a scrape taken before then in step with the feed.
+    pub(crate) fn for_slot(registry: &Arc<Registry>, slot: u32, stats: &EngineStats) -> Self {
         let label = slot.to_string();
         let labels: &[(&str, &str)] = &[("shard", label.as_str())];
-        ShardObs {
+        let obs = ShardObs {
             registry: Arc::clone(registry),
             slot,
             batches: registry.counter(names::SHARD_BATCHES_APPLIED_TOTAL, labels),
@@ -50,37 +55,27 @@ impl ShardObs {
                 .iter()
                 .map(|(name, ..)| registry.gauge(&format!("dyndens_engine_{name}"), labels))
                 .collect(),
-        }
+        };
+        obs.set_engine_gauges(stats);
+        obs
     }
 
-    /// Records one applied and published micro-batch: counters, latency/size
-    /// histograms and a chatty `WorkerBatch` journal record. `publish` runs
-    /// from the applied batch to its snapshot being visible and its wakers
-    /// fired.
+    /// Records one applied and published micro-batch: counters and
+    /// latency/size histograms. `publish` runs from the applied batch to its
+    /// snapshot being visible and its wakers fired.
     pub(crate) fn record_batch(&self, batch: usize, apply: Duration, publish: Duration) {
-        let apply_us = apply.as_micros().min(u64::MAX as u128) as u64;
         self.batches.inc();
         self.updates.add(batch as u64);
-        self.apply_us.record(apply_us);
+        self.apply_us.record_micros(apply);
         self.publish_us.record_micros(publish);
         self.batch_size.record(batch as u64);
-        self.registry.emit(ObsEvent::WorkerBatch {
-            shard: self.slot,
-            batch: batch.min(u32::MAX as usize) as u32,
-            apply_us,
-        });
     }
 
     /// Records one engine checkpoint written to disk.
-    pub(crate) fn record_checkpoint(&self, seq: u64, bytes: u64, elapsed: Duration) {
+    pub(crate) fn record_checkpoint(&self, bytes: u64, elapsed: Duration) {
         self.checkpoints.inc();
         self.checkpoint_us.record_micros(elapsed);
         self.checkpoint_bytes.set(bytes);
-        self.registry.emit(ObsEvent::Checkpoint {
-            shard: self.slot,
-            seq,
-            bytes,
-        });
     }
 
     /// Mirrors the engine's merged-ready counters into per-shard gauges.
@@ -94,8 +89,6 @@ impl ShardObs {
 /// The WAL writer's pre-registered handles.
 #[derive(Debug)]
 pub(crate) struct WalObs {
-    pub registry: Arc<Registry>,
-    pub slot: u32,
     pub appends: Counter,
     pub append_bytes: Counter,
     pub append_us: Histogram,
@@ -112,8 +105,6 @@ impl WalObs {
         let label = slot.to_string();
         let labels: &[(&str, &str)] = &[("shard", label.as_str())];
         WalObs {
-            registry: Arc::clone(registry),
-            slot,
             appends: registry.counter(names::WAL_APPENDS_TOTAL, labels),
             append_bytes: registry.counter(names::WAL_APPEND_BYTES_TOTAL, labels),
             append_us: registry.histogram(names::WAL_APPEND_LATENCY_US, labels),

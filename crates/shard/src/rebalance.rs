@@ -447,8 +447,7 @@ struct ReshapePlan {
 }
 
 impl ReshapePlan {
-    /// The journal record of `stage` — wire-compatible with the events
-    /// splits and merges have always emitted.
+    /// The journal record of `stage`: a `SplitPhase` or a `MergePhase`.
     fn event(&self, stage: RebalanceStage, parked: u64) -> ObsEvent {
         let slot = self.targets[0].slot as u32;
         match self.freed_slot {
@@ -457,8 +456,6 @@ impl ReshapePlan {
                 new_slot: self.targets[1].slot as u32,
                 stage,
                 parked,
-                // Nothing is replayed: the rebuild reads the live engine.
-                replayed: 0,
             },
             Some(freed) => ObsEvent::MergePhase {
                 slot,
@@ -1336,6 +1333,35 @@ mod tests {
         fleet.flush();
         assert_eq!(series_of(&registry, 2), Vec::<String>::new());
         fleet.validate().unwrap();
+    }
+
+    #[test]
+    fn engine_gauges_show_each_slots_published_ledger_after_a_merge() {
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let config = shard_config(2).with_obs(Arc::clone(&registry));
+        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), config);
+        fleet.apply_batch(&skewed_updates());
+        fleet.split_shard(0).unwrap();
+        fleet.split_shard(1).unwrap();
+        // Every slot applies something, slot 3 (residue 3 mod 4) included.
+        let mut ingest = skewed_updates();
+        ingest.extend([update(3, 7, 0.6), update(7, 11, 0.6), update(3, 11, 0.6)]);
+        fleet.apply_batch(&ingest);
+        // Slot 0 becomes a fresh worker on the merged engine; worker 3 moves
+        // into slot 2. Neither publishes before the scrape.
+        let report = fleet.merge_shards(0, 2).unwrap();
+        assert_eq!(report.moved_slot, Some(3));
+        fleet.flush();
+        let view = fleet.view();
+        let scrape = registry.snapshot();
+        for slot in 0..fleet.n_shards() {
+            let label = slot.to_string();
+            assert_eq!(
+                scrape.gauge("dyndens_engine_updates", &[("shard", &label)]),
+                Some(view.shard_snapshot(slot).stats.updates),
+                "slot {slot}"
+            );
+        }
     }
 
     #[test]

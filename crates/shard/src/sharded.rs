@@ -240,7 +240,7 @@ impl<D: DensityMeasure> WorkerSlot<D> {
             if let Some(p) = persist.as_mut() {
                 p.wal.set_obs(Some(WalObs::for_slot(registry, slot)));
             }
-            ShardObs::for_slot(registry, slot)
+            ShardObs::for_slot(registry, slot, &feed.cell.load().stats)
         });
         let setup = worker::WorkerSetup {
             slot: Arc::clone(&self.number),

@@ -40,7 +40,6 @@ use std::time::Instant;
 
 use dyndens_graph::codec::{put_frame_with, put_u32, put_u64, scan_frames, ByteReader};
 use dyndens_graph::EdgeUpdate;
-use dyndens_obs::ObsEvent;
 
 use crate::config::FsyncPolicy;
 use crate::obs::WalObs;
@@ -295,14 +294,8 @@ impl WalWriter {
             let sync_started = self.obs.as_ref().map(|_| Instant::now());
             self.file.sync_data()?;
             if let (Some(o), Some(t)) = (self.obs.as_ref(), sync_started) {
-                let fsync_us = t.elapsed().as_micros().min(u64::MAX as u128) as u64;
                 o.fsyncs.inc();
-                o.fsync_us.record(fsync_us);
-                o.registry.emit(ObsEvent::WalFsync {
-                    shard: o.slot,
-                    bytes: frame_bytes,
-                    fsync_us,
-                });
+                o.fsync_us.record_micros(t.elapsed());
             }
         }
         self.seg_bytes += frame_bytes;

@@ -105,7 +105,7 @@ impl WorkerPersistence {
         match report.durable {
             Ok(oldest_retained) => {
                 if let Some(o) = obs {
-                    o.record_checkpoint(report.seq, report.bytes, report.elapsed);
+                    o.record_checkpoint(report.bytes, report.elapsed);
                 }
                 if let Err(e) = self.wal.prune_to(oldest_retained) {
                     eprintln!("shard {shard}: WAL prune failed: {e}");
@@ -129,7 +129,6 @@ struct CheckpointJob {
 
 /// What the checkpoint writer did with one [`CheckpointJob`].
 struct CheckpointReport {
-    seq: u64,
     bytes: u64,
     /// How long [`recovery::write_snapshot`] took.
     elapsed: Duration,
@@ -155,7 +154,6 @@ impl WriterLink {
                     let started = Instant::now();
                     let durable = recovery::write_snapshot(&dir, seq, &bytes);
                     let report = CheckpointReport {
-                        seq,
                         bytes: bytes.len() as u64,
                         elapsed: started.elapsed(),
                         durable,
@@ -190,8 +188,8 @@ struct CheckpointWriter {
     /// The shard directory the snapshots go to.
     dir: PathBuf,
     link: Option<WriterLink>,
-    /// The sequence number of the image in flight.
-    in_flight: Option<u64>,
+    /// Whether an image is in flight.
+    in_flight: bool,
 }
 
 impl CheckpointWriter {
@@ -200,24 +198,26 @@ impl CheckpointWriter {
         CheckpointWriter {
             dir,
             link: Some(idle.unwrap_or_else(WriterLink::spawn)),
-            in_flight: None,
+            in_flight: false,
         }
     }
 
     fn submit(&mut self, seq: u64, bytes: Vec<u8>) {
-        debug_assert!(self.in_flight.is_none(), "one checkpoint in flight");
+        debug_assert!(!self.in_flight, "one checkpoint in flight");
         // A writer thread that is gone reports a failure below.
         if let Some(link) = &self.link {
             let dir = self.dir.clone();
             let _ = link.jobs.send(CheckpointJob { dir, seq, bytes });
         }
-        self.in_flight = Some(seq);
+        self.in_flight = true;
     }
 
     /// The report on the image in flight, if there is one and it is in (or,
     /// when `wait`, once it is).
     fn report(&mut self, wait: bool) -> Option<CheckpointReport> {
-        let seq = self.in_flight?;
+        if !self.in_flight {
+            return None;
+        }
         let report = match &self.link {
             Some(link) if wait => link.reports.recv().map_err(|_| TryRecvError::Disconnected),
             Some(link) => link.reports.try_recv(),
@@ -229,14 +229,13 @@ impl CheckpointWriter {
             Err(TryRecvError::Disconnected) => {
                 self.link = None;
                 CheckpointReport {
-                    seq,
                     bytes: 0,
                     elapsed: Duration::ZERO,
                     durable: Err(io::Error::other("checkpoint writer is gone")),
                 }
             }
         };
-        self.in_flight = None;
+        self.in_flight = false;
         Some(report)
     }
 }
@@ -339,7 +338,8 @@ pub(crate) fn run<D: DensityMeasure>(
         if let Some(o) = worker.obs.as_mut() {
             if o.slot != shard as u32 {
                 let registry = Arc::clone(&o.registry);
-                *o = ShardObs::for_slot(&registry, shard as u32);
+                let stats = &worker.feed.cell.load().stats;
+                *o = ShardObs::for_slot(&registry, shard as u32, stats);
                 if let Some(p) = worker.persist.as_mut() {
                     p.wal
                         .set_obs(Some(WalObs::for_slot(&registry, shard as u32)));

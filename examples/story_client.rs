@@ -17,11 +17,15 @@
 //! retention (or the shard topology changes).
 //!
 //! Exits non-zero if no push advanced the mirror's cursor during the watch,
-//! so a run that read nothing fails instead of printing an empty mirror.
+//! so a run that read nothing fails instead of printing an empty mirror. It
+//! ends with a `Metrics` scrape and also exits non-zero unless the scrape
+//! decodes, holds a per-shard applied-batches series and counts at least
+//! one accepted connection (this one).
 
 use std::time::{Duration, Instant};
 
 use dyndens::serve::{Client, ClientBuilder, Mirror};
+use dyndens_obs::names;
 
 fn connect(addr: &str) -> Client {
     match ClientBuilder::new()
@@ -101,6 +105,30 @@ fn watch_pushed(addr: &str, watch_secs: u64) {
     );
     if seq == 0 {
         eprintln!("no push advanced the mirror's cursor in {watch_secs}s");
+        std::process::exit(1);
+    }
+    scrape_metrics(&mut client);
+}
+
+/// One `Metrics` scrape of the server's registry.
+fn scrape_metrics(client: &mut Client) {
+    let scrape = client.metrics().expect("metrics request");
+    let batch_series = scrape
+        .counters
+        .iter()
+        .filter(|s| s.name.name == names::SHARD_BATCHES_APPLIED_TOTAL)
+        .count();
+    let accepted = scrape.counter_total(names::SERVE_CONNS_ACCEPTED_TOTAL);
+    println!(
+        "metrics: {} counters, {} gauges, {} histograms, {} journal records; \
+         {batch_series} applied-batch series, {accepted} connections accepted",
+        scrape.counters.len(),
+        scrape.gauges.len(),
+        scrape.histograms.len(),
+        scrape.events.len(),
+    );
+    if batch_series == 0 || accepted == 0 {
+        eprintln!("the scrape lacks the fleet's or the server's series");
         std::process::exit(1);
     }
 }

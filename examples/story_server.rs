@@ -20,14 +20,17 @@
 //! paced across the serving window so a polling client observes stories
 //! forming and fading in real time. Entity names are published into the
 //! server's name table as they are interned, so remote stories arrive
-//! human-readable.
+//! human-readable. The fleet and the server record into one metrics
+//! registry, which a client's `Metrics` request scrapes.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dyndens::prelude::*;
 use dyndens::serve::StoryServer;
 use dyndens::stream::{ChiSquareCorrelation, ShardedStoryPipeline};
 use dyndens::workloads::{TweetSimulator, TweetSimulatorConfig};
+use dyndens_obs::{ObsHandle, Registry};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -42,22 +45,26 @@ fn main() {
     let corpus = TweetSimulator::new(config).generate();
     println!("simulated {} posts", corpus.posts.len());
 
+    let registry = Arc::new(Registry::new());
     let mut pipeline = ShardedStoryPipeline::new(
         ChiSquareCorrelation::default(),
         2.0 * 3600.0,
         AvgWeight,
         DynDensConfig::new(0.4, 5).with_delta_it_fraction(0.25),
-        ShardConfig::new(2).with_max_batch(64),
+        ShardConfig::new(2)
+            .with_max_batch(64)
+            .with_obs(Arc::clone(&registry)),
     );
 
     let server = StoryServer::builder(pipeline.view())
         .workers(2)
         .max_connections(1024)
+        .obs(ObsHandle::new(registry))
         .bind(&addr)
         .expect("bind story server");
     let names = server.names();
     println!(
-        "serving on {} for {serve_secs}s (TopK / Poll / Stats / Subscribe)",
+        "serving on {} for {serve_secs}s (TopK / Poll / Stats / Metrics / Subscribe)",
         server.local_addr()
     );
 
