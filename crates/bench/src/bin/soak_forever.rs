@@ -123,7 +123,6 @@ fn engine_config() -> DynDensConfig {
 fn shard_config(registry: &Arc<Registry>) -> ShardConfig {
     ShardConfig::new(N_SHARDS)
         .with_shard_fn(ShardFn::Modulo)
-        .with_max_batch(128)
         .with_channel_capacity(4096)
         .with_obs(Arc::clone(registry))
 }
@@ -131,7 +130,7 @@ fn shard_config(registry: &Arc<Registry>) -> ShardConfig {
 fn persistence(dir: &std::path::Path) -> PersistenceConfig {
     PersistenceConfig::new(dir)
         .with_fsync(FsyncPolicy::Never)
-        .with_snapshot_every_batches(64)
+        .with_snapshot_every_updates(8192)
 }
 
 /// Resident set size in kB, from `/proc/self/status` (0 where unavailable).

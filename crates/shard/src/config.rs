@@ -25,9 +25,13 @@ pub struct ShardConfig {
     /// Bound of each worker's MPSC inbox, in messages. Producers block once a
     /// shard falls this far behind (backpressure).
     pub channel_capacity: usize,
-    /// Maximum number of queued messages a worker drains per wakeup; updates
-    /// in one drain are applied under a single engine lock and produce one
-    /// snapshot publication.
+    /// The most updates a worker drains per wakeup. A drain blocks for one
+    /// message, then takes what is already queued until it holds this many
+    /// updates; the drained micro-batch is one WAL record, applied under a
+    /// single engine lock, and one snapshot publication. A paced shard's
+    /// micro-batch is what one wakeup finds queued, so the bound only bites
+    /// under backlog, where one publication then serves up to this many
+    /// updates.
     pub max_batch: usize,
     /// Number of top stories each shard publishes and the merged view serves.
     pub top_k: usize,
@@ -61,8 +65,8 @@ impl Eq for ShardConfig {}
 
 impl ShardConfig {
     /// A configuration with the given shard count and the defaults:
-    /// capacity 1024, micro-batches of up to 64, top-16 stories, 256 retained
-    /// delta batches, hashed sharding.
+    /// capacity 1024, micro-batches of up to 1024 updates, top-16 stories,
+    /// 256 retained delta batches, hashed sharding.
     ///
     /// # Panics
     ///
@@ -75,7 +79,7 @@ impl ShardConfig {
         ShardConfig {
             n_shards,
             channel_capacity: 1024,
-            max_batch: 64,
+            max_batch: 1024,
             top_k: 16,
             delta_retention: 256,
             shard_fn: ShardFn::Hashed,
@@ -89,7 +93,7 @@ impl ShardConfig {
         self
     }
 
-    /// Sets the micro-batch drain bound (clamped to at least 1).
+    /// Sets the micro-batch drain bound, in updates (clamped to at least 1).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
@@ -157,10 +161,14 @@ pub enum FsyncPolicy {
 pub struct PersistenceConfig {
     /// Root directory of the deployment's persistent state.
     pub dir: PathBuf,
-    /// A snapshot is written (and the WAL pruned) every this many
-    /// micro-batches per shard. Smaller values bound recovery time tighter;
-    /// larger values cost less on the ingest path.
-    pub snapshot_every_batches: usize,
+    /// A snapshot is written (and the WAL pruned) once a shard has applied
+    /// this many updates since its last one, at the end of the micro-batch
+    /// that reaches the count. Whatever the micro-batch sizes, the WAL tail
+    /// past a shard's newest checkpoint then stays under this many updates,
+    /// which is what recovery replays (plus the span of a checkpoint still
+    /// in flight, or failed, at the crash). Smaller values bound recovery
+    /// time tighter; larger values cost less on the ingest path.
+    pub snapshot_every_updates: usize,
     /// When WAL appends reach stable storage.
     pub fsync: FsyncPolicy,
     /// Size bound after which a WAL segment is rotated.
@@ -168,22 +176,22 @@ pub struct PersistenceConfig {
 }
 
 impl PersistenceConfig {
-    /// A configuration rooted at `dir` with the defaults: snapshot every 64
-    /// micro-batches, no per-record fsync, 8 MiB segments. Every shard keeps
+    /// A configuration rooted at `dir` with the defaults: snapshot every
+    /// 4096 updates, no per-record fsync, 8 MiB segments. Every shard keeps
     /// [`RETAINED_SNAPSHOTS`](crate::recovery::RETAINED_SNAPSHOTS)
     /// snapshots.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistenceConfig {
             dir: dir.into(),
-            snapshot_every_batches: 64,
+            snapshot_every_updates: 4096,
             fsync: FsyncPolicy::Never,
             segment_max_bytes: 8 << 20,
         }
     }
 
-    /// Sets the snapshot cadence in micro-batches (clamped to at least 1).
-    pub fn with_snapshot_every_batches(mut self, batches: usize) -> Self {
-        self.snapshot_every_batches = batches.max(1);
+    /// Sets the snapshot cadence in updates (clamped to at least 1).
+    pub fn with_snapshot_every_updates(mut self, updates: usize) -> Self {
+        self.snapshot_every_updates = updates.max(1);
         self
     }
 
@@ -238,14 +246,14 @@ mod tests {
     #[test]
     fn persistence_builders_and_clamps() {
         let p = PersistenceConfig::new("/tmp/x")
-            .with_snapshot_every_batches(0)
+            .with_snapshot_every_updates(0)
             .with_fsync(FsyncPolicy::Always)
             .with_segment_max_bytes(1);
-        assert_eq!(p.snapshot_every_batches, 1);
+        assert_eq!(p.snapshot_every_updates, 1);
         assert_eq!(p.fsync, FsyncPolicy::Always);
         assert_eq!(p.segment_max_bytes, 4 << 10);
         let d = PersistenceConfig::new("/tmp/y");
-        assert_eq!(d.snapshot_every_batches, 64);
+        assert_eq!(d.snapshot_every_updates, 4096);
         assert_eq!(d.fsync, FsyncPolicy::Never);
     }
 

@@ -28,10 +28,13 @@
 //!   lands on the same shard, in submission order.
 //! * **Workers** — each shard worker owns an independent [`DynDens`](dyndens_core::DynDens) engine
 //!   over its slice of the edge stream, fed by a bounded MPSC channel
-//!   (backpressure by blocking the producer), and drains up to
-//!   [`ShardConfig::max_batch`] queued messages per wakeup so channel and
-//!   lock overhead amortise across micro-batches (applied via
-//!   `apply_update_into` into one scratch event buffer).
+//!   (backpressure by blocking the producer). Each wakeup blocks for one
+//!   message, then drains what is already queued until the micro-batch
+//!   holds [`ShardConfig::max_batch`] updates (default 1024), so the WAL
+//!   record, engine lock and publication amortise across the micro-batch
+//!   (applied via `apply_update_into` into one scratch event buffer). A
+//!   paced shard's micro-batch is what one wakeup finds queued; under
+//!   backlog one publication serves up to `max_batch` updates.
 //! * **Read path** — after every micro-batch a worker publishes an immutable
 //!   [`ShardSnapshot`] (sequence number, top-k output-dense subgraphs,
 //!   [`DenseEvent`](dyndens_core::DenseEvent) deltas, merged-ready [`EngineStats`](dyndens_core::EngineStats)) into an
@@ -76,8 +79,10 @@
 //! [`ShardedDynDens::with_persistence`] makes each shard crash-safe: the
 //! worker appends every micro-batch to a per-shard write-ahead log
 //! ([`wal`]) *before* applying it, and checkpoints its engine with
-//! [`DynDens::snapshot`](dyndens_core::DynDens::snapshot) every
-//! [`PersistenceConfig::snapshot_every_batches`] micro-batches. The worker
+//! [`DynDens::snapshot`](dyndens_core::DynDens::snapshot) once it has applied
+//! [`PersistenceConfig::snapshot_every_updates`] updates since the last
+//! checkpoint, so the WAL tail recovery replays stays bounded in updates
+//! whatever the micro-batch sizes. The worker
 //! serialises the image and rotates the WAL; a checkpoint writer thread of
 //! its own makes the image durable, and the worker prunes the WAL behind it
 //! only once the writer reports it so. Recovery

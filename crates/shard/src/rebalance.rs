@@ -659,8 +659,7 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         if let Some(freed) = plan.freed_slot {
             // The last slot moves into the freed one keeping its feed and
             // worker: the worker is renumbered in place (no respawn) and
-            // labels its metrics with its new slot number from its next
-            // micro-batch on.
+            // relabels its metrics at the flush that ends the commit.
             feeds.swap_remove(freed);
             self.workers.swap_remove(freed);
             if freed != last {
@@ -685,7 +684,7 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
                 // Slot `last` no longer exists: every series labelled with it
                 // goes. The renumbered worker continues under the freed
                 // slot's label — its routed counter is re-pointed here, its
-                // other series at its next micro-batch.
+                // other series at the flush below.
                 if let Some(r) = &registry {
                     r.unregister_labelled("shard", &last.to_string());
                     if freed != last {
@@ -719,6 +718,13 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
             r.counter(total, &[]).inc();
             r.histogram(names::REBALANCE_PAUSE_US, &[])
                 .record_micros(pause_started.elapsed());
+        }
+        // A renumbered worker relabels its series when it next takes a
+        // message, before it steps; a flush through its inbox makes that
+        // happen before the merge returns, so no scrape after it shows the
+        // freed slot's series with the retired worker's values.
+        if let Some(freed) = plan.freed_slot.filter(|&freed| freed != last) {
+            self.flush_slots(|slot| slot == freed);
         }
         Ok(Reshaped {
             source_seqs,
@@ -1041,7 +1047,7 @@ mod tests {
         let persistence = || {
             PersistenceConfig::new(&dir)
                 .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(3)
+                .with_snapshot_every_updates(12)
         };
         let updates = skewed_updates();
         let mut reference = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
@@ -1057,7 +1063,7 @@ mod tests {
         .unwrap();
         let (head, tail) = updates.split_at(2 * updates.len() / 3);
         // Flush per chunk so each chunk is its own micro-batch and the
-        // checkpoint cadence (every 3 micro-batches) actually fires.
+        // checkpoint cadence (every 12 updates) actually fires.
         for chunk in head.chunks(4) {
             fleet.apply_batch(chunk);
             fleet.flush();
@@ -1102,7 +1108,7 @@ mod tests {
         let persistence = || {
             PersistenceConfig::new(&dir)
                 .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(3)
+                .with_snapshot_every_updates(12)
         };
         let updates = skewed_updates();
         let mut reference = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));
@@ -1335,23 +1341,24 @@ mod tests {
         fleet.validate().unwrap();
     }
 
-    #[test]
-    fn engine_gauges_show_each_slots_published_ledger_after_a_merge() {
-        let registry = Arc::new(dyndens_obs::Registry::new());
-        let config = shard_config(2).with_obs(Arc::clone(&registry));
+    /// A fleet split twice, with every slot having applied something, slot
+    /// 3 (residue 3 mod 4) included.
+    fn four_busy_slots(registry: &Arc<dyndens_obs::Registry>) -> ShardedDynDens<AvgWeight> {
+        let config = shard_config(2).with_obs(Arc::clone(registry));
         let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), config);
         fleet.apply_batch(&skewed_updates());
         fleet.split_shard(0).unwrap();
         fleet.split_shard(1).unwrap();
-        // Every slot applies something, slot 3 (residue 3 mod 4) included.
         let mut ingest = skewed_updates();
         ingest.extend([update(3, 7, 0.6), update(7, 11, 0.6), update(3, 11, 0.6)]);
         fleet.apply_batch(&ingest);
-        // Slot 0 becomes a fresh worker on the merged engine; worker 3 moves
-        // into slot 2. Neither publishes before the scrape.
-        let report = fleet.merge_shards(0, 2).unwrap();
-        assert_eq!(report.moved_slot, Some(3));
-        fleet.flush();
+        fleet
+    }
+
+    fn assert_engine_gauges_match_the_feeds(
+        fleet: &ShardedDynDens<AvgWeight>,
+        registry: &dyndens_obs::Registry,
+    ) {
         let view = fleet.view();
         let scrape = registry.snapshot();
         for slot in 0..fleet.n_shards() {
@@ -1362,6 +1369,30 @@ mod tests {
                 "slot {slot}"
             );
         }
+    }
+
+    #[test]
+    fn engine_gauges_show_each_slots_published_ledger_after_a_merge() {
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let mut fleet = four_busy_slots(&registry);
+        // Slot 0 becomes a fresh worker on the merged engine; worker 3 moves
+        // into slot 2. Neither publishes before the scrape.
+        let report = fleet.merge_shards(0, 2).unwrap();
+        assert_eq!(report.moved_slot, Some(3));
+        fleet.flush();
+        assert_engine_gauges_match_the_feeds(&fleet, &registry);
+    }
+
+    #[test]
+    fn a_merge_returns_with_the_moved_workers_series_relabelled() {
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let mut fleet = four_busy_slots(&registry);
+        // Every slot has published and set its gauges; from here on only the
+        // merge sends worker 3 a message.
+        fleet.flush();
+        let report = fleet.merge_shards(0, 2).unwrap();
+        assert_eq!(report.moved_slot, Some(3));
+        assert_engine_gauges_match_the_feeds(&fleet, &registry);
     }
 
     #[test]
@@ -1381,7 +1412,7 @@ mod tests {
         let persistence = || {
             PersistenceConfig::new(&dir)
                 .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(3)
+                .with_snapshot_every_updates(12)
         };
         let updates = skewed_updates();
         let mut reference = ShardedDynDens::new(AvgWeight, engine_config(), shard_config(2));

@@ -5,8 +5,9 @@
 //! * **snapshots** (`snap-<seq>.snap`) — the engine's full
 //!   [`DynDens::snapshot`] image at sequence number `seq`, wrapped
 //!   in a CRC-framed file header, written atomically (temp file + rename)
-//!   every [`PersistenceConfig::snapshot_every_batches`] micro-batches. The
-//!   worker serialises the image and rotates the WAL at `seq`; its
+//!   at the end of the micro-batch that brings the updates applied since the
+//!   last one to [`PersistenceConfig::snapshot_every_updates`]. The worker
+//!   serialises the image and rotates the WAL at `seq`; its
 //!   checkpoint writer thread runs [`write_snapshot`], and the worker prunes
 //!   the WAL only after the writer reports the snapshot durable;
 //! * **WAL segments** (see [`crate::wal`]) — every routed micro-batch,

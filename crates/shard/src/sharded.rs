@@ -332,8 +332,8 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
     /// directory simply starts fresh), then spawns workers that write each
     /// micro-batch to their shard's WAL **before** applying it and
     /// checkpoint their engine every
-    /// [`snapshot_every_batches`](PersistenceConfig::snapshot_every_batches)
-    /// micro-batches.
+    /// [`snapshot_every_updates`](PersistenceConfig::snapshot_every_updates)
+    /// updates.
     ///
     /// The deployment `MANIFEST` carries the **generational shard map**: a
     /// directory refined by live splits reopens with the refined topology
@@ -569,16 +569,26 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
     /// Blocks until every update routed so far has been applied and
     /// published.
     pub fn flush(&self) {
+        self.flush_slots(|_| true);
+    }
+
+    /// Blocks until every update routed so far to each slot `pick` selects
+    /// has been applied and published.
+    pub(crate) fn flush_slots(&self, pick: impl Fn(usize) -> bool) {
         let (ack_tx, ack_rx) = channel();
         let expected = {
             let routing = self.routing.read().expect("routing poisoned");
-            for route in &routing.slots {
-                route
-                    .tx
-                    .send(WorkerMsg::Flush(ack_tx.clone()))
-                    .expect(WORKER_GONE);
+            let mut expected = 0;
+            for (slot, route) in routing.slots.iter().enumerate() {
+                if pick(slot) {
+                    route
+                        .tx
+                        .send(WorkerMsg::Flush(ack_tx.clone()))
+                        .expect(WORKER_GONE);
+                    expected += 1;
+                }
             }
-            routing.slots.len()
+            expected
         };
         drop(ack_tx);
         for _ in 0..expected {
@@ -963,7 +973,10 @@ mod tests {
         let persistence = || {
             PersistenceConfig::new(&dir)
                 .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(2)
+                // Two of the run's micro-batches: each shard gets one
+                // 100-update message, so no checkpoint fires and recovery
+                // replays the whole WAL.
+                .with_snapshot_every_updates(200)
         };
         let updates: Vec<EdgeUpdate> = (0..200)
             .map(|i| {
@@ -1060,7 +1073,7 @@ mod tests {
         let persistence = || {
             PersistenceConfig::new(&dir)
                 .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(1_000_000)
+                .with_snapshot_every_updates(1_000_000)
         };
         let mut fleet = ShardedDynDens::with_persistence(
             AvgWeight,
@@ -1171,7 +1184,7 @@ mod tests {
                     .with_shard_fn(ShardFn::Modulo)
                     .with_max_batch(7)
                     .with_top_k(3),
-                PersistenceConfig::new(&dir).with_snapshot_every_batches(5),
+                PersistenceConfig::new(&dir).with_snapshot_every_updates(35),
             )
             .unwrap();
             assert_eq!(d.output_dense_count(), 1);

@@ -58,10 +58,10 @@ enum Control {
 pub(crate) struct WorkerPersistence {
     /// The shard's WAL, positioned to append.
     pub wal: WalWriter,
-    /// Snapshot every N micro-batches.
+    /// Snapshot once this many updates are applied since the last one.
     pub snapshot_every: usize,
-    /// Micro-batches applied since the last snapshot was handed off.
-    pub batches_since_snapshot: usize,
+    /// Updates applied since the last snapshot was handed off.
+    pub updates_since_snapshot: usize,
     /// Writes the handed-off images into the shard's directory.
     writer: CheckpointWriter,
 }
@@ -72,8 +72,8 @@ impl WorkerPersistence {
     pub(crate) fn new(wal: WalWriter, dir: PathBuf, p: &PersistenceConfig) -> Self {
         WorkerPersistence {
             wal,
-            snapshot_every: p.snapshot_every_batches,
-            batches_since_snapshot: 0,
+            snapshot_every: p.snapshot_every_updates,
+            updates_since_snapshot: 0,
             writer: CheckpointWriter::new(dir),
         }
     }
@@ -88,7 +88,7 @@ impl WorkerPersistence {
         if let Err(e) = self.wal.rotate(seq) {
             eprintln!("shard {shard}: WAL rotate failed: {e}");
         }
-        self.batches_since_snapshot = 0;
+        self.updates_since_snapshot = 0;
         self.writer.submit(seq, bytes);
     }
 
@@ -113,7 +113,7 @@ impl WorkerPersistence {
             }
             Err(e) => {
                 eprintln!("shard {shard}: checkpoint write failed: {e}");
-                self.batches_since_snapshot = self.snapshot_every;
+                self.updates_since_snapshot = self.snapshot_every;
             }
         }
     }
@@ -258,7 +258,7 @@ pub(crate) struct WorkerSetup {
     /// freed slot by storing into this cell. The worker labels its metrics
     /// and log lines with the current value.
     pub slot: Arc<AtomicU32>,
-    /// Micro-batch drain bound.
+    /// Micro-batch drain bound, in updates.
     pub max_batch: usize,
     /// Stories kept per published snapshot.
     pub top_k: usize,
@@ -277,12 +277,12 @@ pub(crate) struct WorkerSetup {
 /// back (see [`run`]).
 pub(crate) type WorkerHandle = JoinHandle<Option<WorkerPersistence>>;
 
-/// The worker loop: block on the inbox, drain up to `max_batch` pending
-/// messages, run the drained micro-batch through [`Worker::step`],
-/// acknowledge flushes, repeat. A compaction pass is one more step. On
-/// shutdown it waits for the checkpoint in flight, then returns its
-/// durability half, WAL writer positioned at the shard's sequence number,
-/// so an aborted reshape can respawn the shard on it.
+/// The worker loop: block on the inbox, drain what else is queued until the
+/// drain holds `max_batch` updates, run the drained micro-batch through
+/// [`Worker::step`], acknowledge flushes, repeat. A compaction pass is one
+/// more step. On shutdown it waits for the checkpoint in flight, then
+/// returns its durability half, WAL writer positioned at the shard's
+/// sequence number, so an aborted reshape can respawn the shard on it.
 pub(crate) fn run<D: DensityMeasure>(
     setup: WorkerSetup,
     inbox: Receiver<WorkerMsg>,
@@ -321,7 +321,10 @@ pub(crate) fn run<D: DensityMeasure>(
         };
         let mut control = absorb(first, &mut pending, &mut acks);
         // Micro-batching: drain whatever else is already queued, up to the
-        // configured bound, so channel wakeups and engine locking amortise.
+        // configured bound in updates, so channel wakeups, engine locking and
+        // the publication amortise. A paced shard finds little queued and
+        // publishes what one wakeup brought; under backlog one step serves up
+        // to `max_batch` updates.
         // A control message (shutdown, compact) ends the drain so it acts at
         // its position in the queue order.
         while control.is_none() && pending.len() < max_batch {
@@ -439,8 +442,8 @@ impl<D: DensityMeasure> Worker<D> {
             // due again, so a failed checkpoint (e.g. disk full) is retried
             // on the next micro-batch instead of a full cadence later.
             let checkpoint = self.persist.as_mut().and_then(|p| {
-                p.batches_since_snapshot += 1;
-                (force_checkpoint || p.batches_since_snapshot >= p.snapshot_every)
+                p.updates_since_snapshot += batch_len;
+                (force_checkpoint || p.updates_since_snapshot >= p.snapshot_every)
                     .then(|| guard.snapshot())
             });
             // Publish latency: top-k selection, ring push, epoch swap and
@@ -546,14 +549,15 @@ mod tests {
     use dyndens_core::DynDensConfig;
     use dyndens_density::AvgWeight;
     use dyndens_graph::VertexId;
+    use dyndens_obs::{names, Registry};
 
     use super::*;
     use crate::config::{FsyncPolicy, ShardConfig};
     use crate::wal::{list_segments, scan_segment};
     use crate::ShardedDynDens;
 
-    /// Updates per batch: with one shard, a checkpoint every micro-batch and
-    /// a flush after every batch, batch `k` ends (and checkpoints) at
+    /// Updates per batch: with one shard, a checkpoint every `BATCH` updates
+    /// and a flush after every batch, batch `k` ends (and checkpoints) at
     /// sequence number `BATCH * (k + 1)`.
     const BATCH: u64 = 4;
 
@@ -563,16 +567,41 @@ mod tests {
         dir
     }
 
+    fn engine_config() -> DynDensConfig {
+        DynDensConfig::new(1.0, 4).with_delta_it(0.15)
+    }
+
     fn open(dir: &Path) -> ShardedDynDens<AvgWeight> {
+        open_every(dir, BATCH as usize, ShardConfig::new(1))
+    }
+
+    fn open_every(dir: &Path, updates: usize, config: ShardConfig) -> ShardedDynDens<AvgWeight> {
         ShardedDynDens::with_persistence(
             AvgWeight,
-            DynDensConfig::new(1.0, 4).with_delta_it(0.15),
-            ShardConfig::new(1),
+            engine_config(),
+            config,
             PersistenceConfig::new(dir)
                 .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(1),
+                .with_snapshot_every_updates(updates),
         )
         .unwrap()
+    }
+
+    /// A one-shard in-memory fleet recording into `registry`.
+    fn instrumented(registry: &Arc<Registry>) -> ShardedDynDens<AvgWeight> {
+        let config = ShardConfig::new(1).with_obs(Arc::clone(registry));
+        ShardedDynDens::new(AvgWeight, engine_config(), config)
+    }
+
+    /// The `i`-th of a run of disjoint edges.
+    fn edge(i: u32) -> EdgeUpdate {
+        EdgeUpdate::new(VertexId(2 * i), VertexId(2 * i + 1), 1.0)
+    }
+
+    /// Shard 0's counter `name`.
+    fn shard_counter(registry: &Registry, name: &str) -> u64 {
+        let scrape = registry.snapshot();
+        scrape.counter(name, &[("shard", "0")]).unwrap_or(0)
     }
 
     fn batch(k: u32) -> Vec<EdgeUpdate> {
@@ -677,5 +706,68 @@ mod tests {
         assert_eq!(snapshot_seqs(&shard).last(), Some(&(BATCH + 2)));
         drop(fleet);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_backlog_behind_a_held_lock_lands_in_at_most_two_publications() {
+        let registry = Arc::new(Registry::new());
+        let fleet = instrumented(&registry);
+        // The worker blocks on the engine lock with whatever it drained
+        // first; everything queued behind that waits in its inbox.
+        let engine = Arc::clone(&fleet.workers[0].engine);
+        let held = engine.lock().unwrap();
+        for i in 0..200 {
+            fleet.apply_update(edge(i));
+        }
+        drop(held);
+        fleet.flush();
+        assert_eq!(fleet.view().snapshot().seq, 200);
+        assert_eq!(
+            shard_counter(&registry, names::SHARD_UPDATES_APPLIED_TOTAL),
+            200
+        );
+        // The batch drained before the lock was released, then one for the
+        // rest: not one per 64 updates.
+        let publications = shard_counter(&registry, names::SHARD_BATCHES_APPLIED_TOTAL);
+        assert!(publications <= 2, "{publications} publications");
+    }
+
+    #[test]
+    fn a_paced_update_is_published_on_its_own() {
+        let registry = Arc::new(Registry::new());
+        let fleet = instrumented(&registry);
+        for i in 0..5 {
+            fleet.apply_update(edge(i));
+            fleet.flush();
+            let published = u64::from(i) + 1;
+            assert_eq!(fleet.view().snapshot().seq, published);
+            assert_eq!(
+                shard_counter(&registry, names::SHARD_BATCHES_APPLIED_TOTAL),
+                published
+            );
+        }
+    }
+
+    #[test]
+    fn the_checkpoint_cadence_counts_updates_not_micro_batches() {
+        // 32 updates at a cadence of 8, as 32 micro-batches of one update
+        // and as 4 of eight: checkpoints at 8, 16, 24 and 32 either way.
+        for size in [1, 8] {
+            let dir = temp_dir(&format!("ckpt-cadence-{size}"));
+            let registry = Arc::new(Registry::new());
+            let config = ShardConfig::new(1).with_obs(Arc::clone(&registry));
+            let mut fleet = open_every(&dir, 8, config);
+            let shard = shard_dir(&dir, &fleet);
+            let updates: Vec<EdgeUpdate> = (0..32).map(edge).collect();
+            for chunk in updates.chunks(size) {
+                fleet.apply_batch(chunk);
+                fleet.flush();
+            }
+            drop(fleet);
+            let checkpoints = shard_counter(&registry, names::CHECKPOINTS_TOTAL);
+            assert_eq!(checkpoints, 4, "micro-batches of {size}");
+            assert_eq!(snapshot_seqs(&shard), [24, 32], "micro-batches of {size}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -419,7 +419,7 @@ mod tests {
         let persistence = || {
             PersistenceConfig::new(&dir)
                 .with_fsync(FsyncPolicy::Never)
-                .with_snapshot_every_batches(4)
+                .with_snapshot_every_updates(32)
         };
         let build = |p: PersistenceConfig| {
             ShardedStoryPipeline::with_persistence(

@@ -512,11 +512,12 @@ pub fn top_q_density_ratio(got: &[(VertexSet, u64)], referee: &[(VertexSet, u64)
 }
 
 /// The persistent legs' setup: no fsync (their kills are polite drops) and a
-/// checkpoint every 8 micro-batches, so rebuilds see snapshot + WAL tail.
+/// checkpoint every 512 updates (eight of [`shard_config`]'s 64-update
+/// micro-batches), so rebuilds see snapshot + WAL tail.
 fn leg_persistence(dir: &Path) -> PersistenceConfig {
     PersistenceConfig::new(dir)
         .with_fsync(FsyncPolicy::Never)
-        .with_snapshot_every_batches(8)
+        .with_snapshot_every_updates(512)
 }
 
 fn leg_ok(leg: &'static str, detail: String) -> LegReport {

@@ -51,9 +51,7 @@ fn main() {
         2.0 * 3600.0,
         AvgWeight,
         DynDensConfig::new(0.4, 5).with_delta_it_fraction(0.25),
-        ShardConfig::new(2)
-            .with_max_batch(64)
-            .with_obs(Arc::clone(&registry)),
+        ShardConfig::new(2).with_obs(Arc::clone(&registry)),
     );
 
     let server = StoryServer::builder(pipeline.view())

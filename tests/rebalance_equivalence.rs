@@ -47,7 +47,7 @@ fn split_mid_stream_matches_never_split_bit_identically() {
     drop(reference);
 
     let dir = temp_dir("rebeq");
-    let persistence = || persistence_every(&dir, 16);
+    let persistence = || persistence_every(&dir, 1024);
 
     let mut fleet = ShardedDynDens::with_persistence(
         AvgWeight,
@@ -191,7 +191,7 @@ fn merge_mid_stream_matches_never_merged_bit_identically() {
     drop(reference);
 
     let dir = temp_dir("mergeeq");
-    let persistence = || persistence_every(&dir, 16);
+    let persistence = || persistence_every(&dir, 1024);
 
     let mut fleet = ShardedDynDens::with_persistence(
         AvgWeight,
@@ -341,7 +341,7 @@ fn aborted_reshape_resurrects_and_retries(direction: Direction) {
         AvgWeight,
         engine_config(),
         shard_config(2).with_obs(Arc::clone(&registry)),
-        persistence_every(&dir, 16),
+        persistence_every(&dir, 1024),
     )
     .unwrap();
     let (head, rest) = updates.split_at(6_000);
@@ -421,7 +421,7 @@ fn aborted_reshape_resurrects_and_retries(direction: Direction) {
         AvgWeight,
         engine_config(),
         shard_config(2).with_obs(Arc::clone(&registry)),
-        persistence_every(&dir, 16),
+        persistence_every(&dir, 1024),
     )
     .unwrap();
     let recovered: u64 = fleet

@@ -56,21 +56,22 @@ pub fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// The canonical crash-recovery persistence setup: no fsync (the tests kill
-/// the process politely), a snapshot every 8 batches, small WAL segments so
+/// the process politely), a snapshot every 512 updates (eight of the
+/// canonical configuration's 64-update micro-batches), small WAL segments so
 /// rotation is exercised.
 pub fn persistence(dir: &Path) -> PersistenceConfig {
     PersistenceConfig::new(dir)
         .with_fsync(FsyncPolicy::Never)
-        .with_snapshot_every_batches(8)
+        .with_snapshot_every_updates(512)
         .with_segment_max_bytes(64 << 10)
 }
 
 /// Persistence with a custom snapshot cadence (the rebalance suite uses a
 /// sparser cadence so split checkpoints dominate WAL-slice replay).
-pub fn persistence_every(dir: &Path, snapshot_every_batches: usize) -> PersistenceConfig {
+pub fn persistence_every(dir: &Path, snapshot_every_updates: usize) -> PersistenceConfig {
     PersistenceConfig::new(dir)
         .with_fsync(FsyncPolicy::Never)
-        .with_snapshot_every_batches(snapshot_every_batches)
+        .with_snapshot_every_updates(snapshot_every_updates)
 }
 
 /// The weighted tweet stream of the repo benchmark's `weighted_dense`

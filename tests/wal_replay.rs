@@ -234,7 +234,12 @@ fn recovered_stats_do_not_double_count_replayed_updates() {
             persistence(&dir),
         )
         .unwrap();
-        doomed.apply_batch(&updates);
+        // Each shard checkpoints at the end of the bulk and logs a tail
+        // below the cadence (512 updates) that recovery must replay.
+        let (bulk, tail) = updates.split_at(updates.len() - 100);
+        doomed.apply_batch(bulk);
+        doomed.flush();
+        doomed.apply_batch(tail);
         doomed.flush();
     }
     let recovered = ShardedDynDens::with_persistence(
