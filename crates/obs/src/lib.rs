@@ -41,7 +41,7 @@
 //!
 //! let registry = Arc::new(Registry::new());
 //! let obs = ObsHandle::new(registry.clone());
-//! let applies = registry.histogram(dyndens_obs::names::SHARD_APPLY_LATENCY_US, &[("shard", "0")]);
+//! let applies = registry.histogram(dyndens_obs::names::SHARD_APPLY_LATENCY_US, &[("engine", "0")]);
 //! applies.record(180);
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.merged_histogram(dyndens_obs::names::SHARD_APPLY_LATENCY_US).count, 1);
@@ -113,57 +113,62 @@ impl ObsHandle {
 /// The metric-name catalog: every name the DynDens subsystems register,
 /// as constants so instrumentation sites, benches, CI gates and
 /// `docs/OBSERVABILITY.md` cannot drift apart. Label keys are noted per
-/// constant; units are in the name suffix (`_us` microseconds, `_bytes`,
+/// constant (`{engine}` is the id of the engine a per-shard series belongs
+/// to); units are in the name suffix (`_us` microseconds, `_bytes`,
 /// `_total` monotone counts).
 pub mod names {
-    /// Counter `{shard}`: updates routed to a shard's queue (adopted from
+    /// Counter `{engine}`: updates routed to a shard's queue (adopted from
     /// the router's hot-path cell).
     pub const SHARD_ROUTED_TOTAL: &str = "dyndens_shard_routed_total";
-    /// Counter `{shard}`: micro-batches applied by the worker.
+    /// Counter `{engine}`: micro-batches applied by the worker.
     pub const SHARD_BATCHES_APPLIED_TOTAL: &str = "dyndens_shard_batches_applied_total";
-    /// Counter `{shard}`: updates applied by the worker.
+    /// Counter `{engine}`: updates applied by the worker.
     pub const SHARD_UPDATES_APPLIED_TOTAL: &str = "dyndens_shard_updates_applied_total";
-    /// Histogram `{shard}`: engine apply latency per micro-batch, µs.
+    /// Histogram `{engine}`: engine apply latency per micro-batch, µs.
     pub const SHARD_APPLY_LATENCY_US: &str = "dyndens_shard_apply_latency_us";
-    /// Histogram `{shard}`: publication latency per micro-batch — top-k
+    /// Histogram `{engine}`: publication latency per micro-batch — top-k
     /// selection, delta-ring push, epoch swap and wakers — µs.
     pub const SHARD_PUBLISH_LATENCY_US: &str = "dyndens_shard_publish_latency_us";
-    /// Histogram `{shard}`: updates per applied micro-batch.
+    /// Histogram `{engine}`: updates per applied micro-batch.
     pub const SHARD_BATCH_SIZE: &str = "dyndens_shard_batch_size";
-    /// Gauge `{shard}`: routed-minus-applied backlog, refreshed on
+    /// Gauge `{engine}`: routed-minus-applied backlog, refreshed on
     /// `queue_depths()` probes (rebalancer cadence).
     pub const SHARD_QUEUE_DEPTH: &str = "dyndens_shard_queue_depth";
+    /// Gauge `{engine}`: the live engine's roster slot, the index that
+    /// `StoryView` and the serve protocol's `Stats`/`Poll` replies use; set
+    /// at fleet start and at every split or merge commit.
+    pub const SHARD_SLOT: &str = "dyndens_shard_slot";
 
-    /// Counter `{shard}`: WAL records appended.
+    /// Counter `{engine}`: WAL records appended.
     pub const WAL_APPENDS_TOTAL: &str = "dyndens_wal_appends_total";
-    /// Counter `{shard}`: WAL payload bytes appended.
+    /// Counter `{engine}`: WAL payload bytes appended.
     pub const WAL_APPEND_BYTES_TOTAL: &str = "dyndens_wal_append_bytes_total";
-    /// Histogram `{shard}`: WAL append (buffer + write) latency, µs.
+    /// Histogram `{engine}`: WAL append (buffer + write) latency, µs.
     pub const WAL_APPEND_LATENCY_US: &str = "dyndens_wal_append_latency_us";
-    /// Counter `{shard}`: `sync_data` calls issued.
+    /// Counter `{engine}`: `sync_data` calls issued.
     pub const WAL_FSYNCS_TOTAL: &str = "dyndens_wal_fsyncs_total";
-    /// Histogram `{shard}`: `sync_data` latency, µs.
+    /// Histogram `{engine}`: `sync_data` latency, µs.
     pub const WAL_FSYNC_LATENCY_US: &str = "dyndens_wal_fsync_latency_us";
-    /// Counter `{shard}`: WAL segment rotations.
+    /// Counter `{engine}`: WAL segment rotations.
     pub const WAL_ROTATIONS_TOTAL: &str = "dyndens_wal_rotations_total";
-    /// Counter `{shard}`: WAL segments deleted by pruning.
+    /// Counter `{engine}`: WAL segments deleted by pruning.
     pub const WAL_SEGMENTS_PRUNED_TOTAL: &str = "dyndens_wal_segments_pruned_total";
-    /// Gauge `{shard}`: live WAL segment count.
+    /// Gauge `{engine}`: live WAL segment count.
     pub const WAL_SEGMENTS: &str = "dyndens_wal_segments";
-    /// Gauge `{shard}`: bytes in the active WAL segment.
+    /// Gauge `{engine}`: bytes in the active WAL segment.
     pub const WAL_SEGMENT_BYTES: &str = "dyndens_wal_segment_bytes";
 
-    /// Counter `{shard}`: engine checkpoints written.
+    /// Counter `{engine}`: engine checkpoints written.
     pub const CHECKPOINTS_TOTAL: &str = "dyndens_checkpoints_total";
-    /// Histogram `{shard}`: checkpoint write latency on the shard's checkpoint
+    /// Histogram `{engine}`: checkpoint write latency on the shard's checkpoint
     /// writer thread, µs.
     pub const CHECKPOINT_LATENCY_US: &str = "dyndens_checkpoint_latency_us";
-    /// Gauge `{shard}`: size of the last checkpoint, bytes.
+    /// Gauge `{engine}`: size of the last checkpoint, bytes.
     pub const CHECKPOINT_BYTES: &str = "dyndens_checkpoint_bytes";
 
-    /// Counter `{shard}`: crash recoveries performed at startup.
+    /// Counter `{engine}`: crash recoveries performed at startup.
     pub const RECOVERIES_TOTAL: &str = "dyndens_recoveries_total";
-    /// Counter `{shard}`: WAL updates replayed during recovery.
+    /// Counter `{engine}`: WAL updates replayed during recovery.
     pub const RECOVERY_REPLAYED_TOTAL: &str = "dyndens_recovery_replayed_total";
 
     /// Counter: shard splits committed.

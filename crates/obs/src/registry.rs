@@ -154,8 +154,7 @@ impl Registry {
     /// replacing any previous registration under that key. This is how
     /// pre-existing hot-path counters (the router's per-shard routed cells)
     /// join the registry without adding a single instruction to their update
-    /// path — and how they are re-registered when a split or merge swaps the
-    /// underlying cell.
+    /// path.
     pub fn adopt_counter(&self, name: &str, labels: &[(&str, &str)], cell: Arc<AtomicU64>) {
         let key = MetricName::new(name, labels);
         let mut metrics = self.metrics.lock().expect("registry poisoned");
@@ -163,8 +162,8 @@ impl Registry {
     }
 
     /// Removes every metric carrying the label `key="value"`, whatever its
-    /// name. Used when a label value stops naming anything (the shard slot a
-    /// merge retires).
+    /// name. Used when a label value stops naming anything (the engines a
+    /// split or merge retires).
     pub fn unregister_labelled(&self, key: &str, value: &str) {
         let mut metrics = self.metrics.lock().expect("registry poisoned");
         metrics.retain(|name, _| name.label(key) != Some(value));

@@ -24,7 +24,7 @@ use crate::journal::{ObsRecord, OBS_RECORD_MIN_ENCODED};
 pub struct MetricName {
     /// The metric name, e.g. `dyndens_wal_appends_total`.
     pub name: String,
-    /// Label pairs, sorted by key, e.g. `[("shard", "0")]`.
+    /// Label pairs, sorted by key, e.g. `[("engine", "0")]`.
     pub labels: Vec<(String, String)>,
 }
 

@@ -1,24 +1,28 @@
 //! Internal instrumentation bundles: pre-registered metric handles for the
 //! shard subsystem's hot paths.
 //!
+//! Every per-shard series is labelled `engine="<id>"`, the engine id that
+//! names the slice's `shard-<id>` directory. The routing map never reuses an
+//! id, so a series belongs to one engine for its whole life: a reshape adds
+//! the targets' series and drops the retired sources' ones, and nothing is
+//! ever relabelled. `dyndens_shard_slot{engine}` maps each live engine to
+//! its roster slot.
+//!
 //! All registration (name interning, label formatting) happens once, at
-//! worker spawn or at a slot renumber; the hot paths then touch only the
-//! `Arc`'d atomic handles inside these bundles. Every site is gated on the
-//! deployment's [`ObsHandle`](dyndens_obs::ObsHandle) being enabled, so the
+//! worker spawn; the hot paths then touch only the `Arc`'d atomic handles
+//! inside these bundles. Every site is gated on the deployment's
+//! [`ObsHandle`](dyndens_obs::ObsHandle) being enabled, so the
 //! uninstrumented fast path stays a branch on `None`.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use dyndens_core::EngineStats;
 use dyndens_obs::{names, Counter, Gauge, Histogram, Registry};
 
 /// A worker's pre-registered handles: batch/apply metrics plus the engine
-/// gauge block. Rebuilt (cheaply) if a merge renumbers the worker's slot.
+/// gauge block.
 #[derive(Debug)]
 pub(crate) struct ShardObs {
-    pub registry: Arc<Registry>,
-    pub slot: u32,
     batches: Counter,
     updates: Counter,
     apply_us: Histogram,
@@ -31,17 +35,14 @@ pub(crate) struct ShardObs {
 }
 
 impl ShardObs {
-    /// The handles labelled `slot`, with the engine gauges set from
-    /// `stats`, the ledger the slot's feed publishes now. Interning hands back
-    /// a series' existing cell, and after a reshape that cell still holds the
-    /// retired engine's ledger until the next publication; setting the
-    /// gauges here keeps a scrape taken before then in step with the feed.
-    pub(crate) fn for_slot(registry: &Arc<Registry>, slot: u32, stats: &EngineStats) -> Self {
-        let label = slot.to_string();
-        let labels: &[(&str, &str)] = &[("shard", label.as_str())];
+    /// The handles labelled with engine `id`, with the engine gauges set
+    /// from `stats`, the ledger the engine's feed publishes now: a reshape's
+    /// target starts from its sources' ledger, and a scrape taken before its
+    /// first publication shows that ledger, not zeros.
+    pub(crate) fn for_engine(registry: &Registry, id: u64, stats: &EngineStats) -> Self {
+        let label = id.to_string();
+        let labels: &[(&str, &str)] = &[("engine", label.as_str())];
         let obs = ShardObs {
-            registry: Arc::clone(registry),
-            slot,
             batches: registry.counter(names::SHARD_BATCHES_APPLIED_TOTAL, labels),
             updates: registry.counter(names::SHARD_UPDATES_APPLIED_TOTAL, labels),
             apply_us: registry.histogram(names::SHARD_APPLY_LATENCY_US, labels),
@@ -101,9 +102,9 @@ pub(crate) struct WalObs {
 }
 
 impl WalObs {
-    pub(crate) fn for_slot(registry: &Arc<Registry>, slot: u32) -> Self {
-        let label = slot.to_string();
-        let labels: &[(&str, &str)] = &[("shard", label.as_str())];
+    pub(crate) fn for_engine(registry: &Registry, id: u64) -> Self {
+        let label = id.to_string();
+        let labels: &[(&str, &str)] = &[("engine", label.as_str())];
         WalObs {
             appends: registry.counter(names::WAL_APPENDS_TOTAL, labels),
             append_bytes: registry.counter(names::WAL_APPEND_BYTES_TOTAL, labels),

@@ -25,18 +25,18 @@
 //!              reads the parent through its lock; a merge absorbs clones)
 //!  4 persist   per target: directory, snapshot @ ΣS, fresh WAL; then ONE atomic MANIFEST
 //!              rewrite — the commit point
-//!  5 commit    install each target as one record per owner — roster: a fresh feed (cell
-//!              @ ΣS, empty delta ring); facade: engine, worker, slot number; routing:
-//!              inbox + routed counter — and publish the roster in one store:
+//!  5 commit    drop every series labelled with a source's engine id; install each target
+//!              as one record per owner — roster: a fresh feed (cell @ ΣS, empty delta
+//!              ring); facade: engine, worker, engine id; routing: inbox + routed
+//!              counter — and publish the roster in one store, then each engine's slot:
 //!              grown by the new slot                 shrunk; the last slot's records move
 //!                                                    into the freed one, its worker
-//!                                                    renumbered, not respawned; series
-//!                                                    labelled with the last slot dropped
+//!                                                    not respawned
 //!  6 drain     parked backlog re-routed, in arrival order, through the new map; routing
 //!              serves the new map; source directories retired
 //!  ──────────  ───────────────────────────────────────────────────────────────────────────
 //!  abort       any failure in 4: restart every source's worker on its existing records
-//!              (engine, slot number, feed, routing entry) and its handed-back WAL
+//!              (engine and id, feed, routing entry) and its handed-back WAL
 //!              writer, through the start path 5 uses; drain the backlog through the
 //!              *unchanged* map
 //! ```
@@ -629,6 +629,13 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         };
         // The sources' WALs end here: their directories retire at commit.
         drop(source_persists);
+        // So do their engines, whose ids no map reuses: every series
+        // labelled with one goes.
+        if let Some(r) = &registry {
+            for seat in &plan.sources {
+                r.unregister_labelled("engine", &seat.engine.to_string());
+            }
+        }
         observer(RebalanceStage::Rebuilt);
         if let (Some(r), Some(span)) = (&registry, span) {
             r.note(span, plan.event(RebalanceStage::Rebuilt, 0));
@@ -642,7 +649,6 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         // Each target is one record per owner: its feed goes into the
         // roster, its worker slot into the facade, and its routing entry
         // into the routing table at step 6.
-        let last = roster.len() - 1;
         let mut feeds = (*roster).clone();
         let mut routes = Vec::with_capacity(plan.targets.len());
         for ((seat, engine), persist) in plan.targets.iter().zip(engines).zip(persists) {
@@ -651,24 +657,20 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
                 seq,
                 persist,
             };
-            let (feed, route, worker) = install_slot(seat.slot, &self.config, seed, &self.wakers);
+            let (feed, route, worker) = install_slot(seat.engine, &self.config, seed, &self.wakers);
             place(&mut feeds, seat.slot, feed);
             place(&mut self.workers, seat.slot, worker);
             routes.push((seat.slot, route));
         }
         if let Some(freed) = plan.freed_slot {
             // The last slot moves into the freed one keeping its feed and
-            // worker: the worker is renumbered in place (no respawn) and
-            // relabels its metrics at the flush that ends the commit.
+            // worker (no respawn); its series keep their engine label.
             feeds.swap_remove(freed);
             self.workers.swap_remove(freed);
-            if freed != last {
-                let moved = &self.workers[freed];
-                moved.number.store(freed as u32, Ordering::Relaxed);
-            }
         }
         self.roster.store(Arc::new(feeds));
         self.wakers.notify();
+        self.set_slot_gauges();
 
         // 6. Commit routing: install the targets and the new map, then drain
         // the parked backlog through them, in arrival order. Holding the
@@ -681,20 +683,6 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
             }
             if let Some(freed) = plan.freed_slot {
                 routing.slots.swap_remove(freed);
-                // Slot `last` no longer exists: every series labelled with it
-                // goes. The renumbered worker continues under the freed
-                // slot's label — its routed counter is re-pointed here, its
-                // other series at the flush below.
-                if let Some(r) = &registry {
-                    r.unregister_labelled("shard", &last.to_string());
-                    if freed != last {
-                        r.adopt_counter(
-                            names::SHARD_ROUTED_TOTAL,
-                            &[("shard", &freed.to_string())],
-                            Arc::clone(&routing.slots[freed].routed),
-                        );
-                    }
-                }
             }
             // The old map dies with the plan.
             std::mem::swap(&mut routing.map, &mut plan.map);
@@ -718,13 +706,6 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
             r.counter(total, &[]).inc();
             r.histogram(names::REBALANCE_PAUSE_US, &[])
                 .record_micros(pause_started.elapsed());
-        }
-        // A renumbered worker relabels its series when it next takes a
-        // message, before it steps; a flush through its inbox makes that
-        // happen before the merge returns, so no scrape after it shows the
-        // freed slot's series with the retired worker's values.
-        if let Some(freed) = plan.freed_slot.filter(|&freed| freed != last) {
-            self.flush_slots(|slot| slot == freed);
         }
         Ok(Reshaped {
             source_seqs,
@@ -836,7 +817,7 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
 
     /// The abort path: restarts every parked source on its own records —
     /// its engine (intact, ledger included: its worker stopped cleanly at
-    /// the quiesce point), slot number, feed (no resync for its pollers) and
+    /// the quiesce point) and id, feed (no resync for its pollers) and
     /// routing entry — with the durability half its worker handed back, then
     /// re-routes the parked backlog through the unchanged map. Nothing is
     /// read from disk. Like an installed slot's, each source's routed counter
@@ -931,6 +912,8 @@ mod tests {
     use dyndens_core::DynDensConfig;
     use dyndens_density::AvgWeight;
     use dyndens_graph::{EdgeUpdate, VertexId, VertexSet};
+    use dyndens_obs::MetricName;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn update(a: u32, b: u32, delta: f64) -> EdgeUpdate {
         EdgeUpdate::new(VertexId(a), VertexId(b), delta)
@@ -1278,66 +1261,89 @@ mod tests {
         assert_eq!(fleet.queue_depths(), vec![0, 0, 0]);
     }
 
-    /// The names of every series in `registry` labelled `shard="<slot>"`.
-    fn series_of(registry: &dyndens_obs::Registry, slot: usize) -> Vec<String> {
+    /// Every series in `registry`: counters, gauges and histograms.
+    fn all_series(registry: &dyndens_obs::Registry) -> Vec<MetricName> {
         let scrape = registry.snapshot();
         let counters = scrape.counters.iter().map(|c| &c.name);
         let gauges = scrape.gauges.iter().map(|g| &g.name);
         let histograms = scrape.histograms.iter().map(|h| &h.name);
-        let label = slot.to_string();
-        counters
-            .chain(gauges)
-            .chain(histograms)
-            .filter(|name| name.label("shard") == Some(label.as_str()))
-            .map(|name| name.name.clone())
+        counters.chain(gauges).chain(histograms).cloned().collect()
+    }
+
+    /// The names of every series in `registry` labelled `engine="<id>"`.
+    fn series_of(registry: &dyndens_obs::Registry, id: u64) -> Vec<String> {
+        let label = id.to_string();
+        all_series(registry)
+            .into_iter()
+            .filter(|name| name.label("engine") == Some(label.as_str()))
+            .map(|name| name.name)
             .collect()
     }
 
+    /// The engine ids that label at least one series in `registry`.
+    fn labelled_engines(registry: &dyndens_obs::Registry) -> BTreeSet<u64> {
+        let series = all_series(registry);
+        let labels = series.iter().filter_map(|name| name.label("engine"));
+        labels.map(|id| id.parse().unwrap()).collect()
+    }
+
+    fn live_engines(fleet: &ShardedDynDens<AvgWeight>) -> BTreeSet<u64> {
+        fleet.shard_map().worker_engines().into_iter().collect()
+    }
+
     #[test]
-    fn a_merge_drops_every_series_of_the_vanished_slot() {
+    fn a_reshape_drops_every_series_of_its_retired_engines() {
         let registry = Arc::new(dyndens_obs::Registry::new());
-        let instrumented = || shard_config(2).with_obs(Arc::clone(&registry));
-        let applied_by_slot_2 = || {
-            let labels = [("shard", "2")];
+        let config = shard_config(2).with_obs(Arc::clone(&registry));
+        let applied_by = |id: u64| {
             let scrape = registry.snapshot();
-            scrape.counter(names::SHARD_UPDATES_APPLIED_TOTAL, &labels)
+            let label = id.to_string();
+            scrape.counter(names::SHARD_UPDATES_APPLIED_TOTAL, &[("engine", &label)])
         };
 
         // The freed slot is a middle one: worker 3 moves into slot 2.
-        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), instrumented());
+        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), config);
         fleet.apply_batch(&skewed_updates());
-        fleet.split_shard(0).unwrap();
-        fleet.split_shard(1).unwrap();
+        let zero = fleet.split_shard(0).unwrap();
+        let one = fleet.split_shard(1).unwrap();
         fleet.queue_depths();
-        assert!(series_of(&registry, 3).len() > 1, "slot 3 is instrumented");
+        let moved = one.child_engines.1;
+        assert!(
+            series_of(&registry, moved).len() > 1,
+            "engine {moved} is instrumented"
+        );
         let report = fleet.merge_shards(0, 2).unwrap();
         assert_eq!(report.moved_slot, Some(3));
-        fleet.flush();
-        assert_eq!(series_of(&registry, 3), Vec::<String>::new());
-        // The moved worker continues under the freed slot's label.
-        let moved = [update(3, 7, 1.1), update(7, 11, 1.2), update(3, 11, 1.0)];
-        assert_eq!(fleet.shard_of(&moved[0]), 2);
-        let before = applied_by_slot_2().expect("slot 2 is instrumented");
-        fleet.apply_batch(&moved);
-        fleet.flush();
         fleet.queue_depths();
-        assert!(applied_by_slot_2().unwrap() > before);
-        assert_eq!(series_of(&registry, 3), Vec::<String>::new());
+        let (a, b) = report.child_engines;
+        for id in [zero.parent_engine, one.parent_engine, a, b] {
+            assert!(series_of(&registry, id).is_empty(), "engine {id} retired");
+        }
+        assert_eq!(labelled_engines(&registry), live_engines(&fleet));
+        // The moved worker counts on under its own label.
+        let batch = [update(3, 7, 1.1), update(7, 11, 1.2), update(3, 11, 1.0)];
+        assert_eq!(fleet.shard_of(&batch[0]), 2);
+        let before = applied_by(moved).expect("the moved engine is instrumented");
+        fleet.apply_batch(&batch);
+        fleet.flush();
+        assert_eq!(applied_by(moved), Some(before + 3));
         fleet.validate().unwrap();
         drop(fleet);
 
-        // The freed slot is the last one: nothing moves, slot 2 goes.
+        // The freed slot is the last one: nothing moves.
         let registry = Arc::new(dyndens_obs::Registry::new());
         let config = shard_config(2).with_obs(Arc::clone(&registry));
         let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), config);
         fleet.apply_batch(&skewed_updates());
-        fleet.split_shard(0).unwrap();
+        let split = fleet.split_shard(0).unwrap();
         fleet.queue_depths();
-        assert!(series_of(&registry, 2).len() > 1, "slot 2 is instrumented");
         let report = fleet.merge_shards(0, 2).unwrap();
         assert_eq!((report.freed_slot, report.moved_slot), (2, None));
-        fleet.flush();
-        assert_eq!(series_of(&registry, 2), Vec::<String>::new());
+        let (child_zero, child_one) = split.child_engines;
+        for id in [split.parent_engine, child_zero, child_one] {
+            assert!(series_of(&registry, id).is_empty(), "engine {id} retired");
+        }
+        assert_eq!(labelled_engines(&registry), live_engines(&fleet));
         fleet.validate().unwrap();
     }
 
@@ -1349,10 +1355,15 @@ mod tests {
         fleet.apply_batch(&skewed_updates());
         fleet.split_shard(0).unwrap();
         fleet.split_shard(1).unwrap();
+        fleet.apply_batch(&busy_slot_three());
+        fleet
+    }
+
+    /// Another round of the skewed stream plus a triangle on residue 3 mod 4.
+    fn busy_slot_three() -> Vec<EdgeUpdate> {
         let mut ingest = skewed_updates();
         ingest.extend([update(3, 7, 0.6), update(7, 11, 0.6), update(3, 11, 0.6)]);
-        fleet.apply_batch(&ingest);
-        fleet
+        ingest
     }
 
     fn assert_engine_gauges_match_the_feeds(
@@ -1361,12 +1372,12 @@ mod tests {
     ) {
         let view = fleet.view();
         let scrape = registry.snapshot();
-        for slot in 0..fleet.n_shards() {
-            let label = slot.to_string();
+        for (slot, id) in fleet.shard_map().worker_engines().into_iter().enumerate() {
+            let label = id.to_string();
             assert_eq!(
-                scrape.gauge("dyndens_engine_updates", &[("shard", &label)]),
+                scrape.gauge("dyndens_engine_updates", &[("engine", &label)]),
                 Some(view.shard_snapshot(slot).stats.updates),
-                "slot {slot}"
+                "slot {slot}, engine {id}"
             );
         }
     }
@@ -1384,15 +1395,126 @@ mod tests {
     }
 
     #[test]
-    fn a_merge_returns_with_the_moved_workers_series_relabelled() {
+    fn a_moved_worker_keeps_its_series_through_a_merge() {
         let registry = Arc::new(dyndens_obs::Registry::new());
         let mut fleet = four_busy_slots(&registry);
-        // Every slot has published and set its gauges; from here on only the
-        // merge sends worker 3 a message.
         fleet.flush();
+        let moved = fleet.shard_map().engine_of(3).unwrap();
+        let label = moved.to_string();
+        let counters_of_moved = || {
+            let scrape = registry.snapshot();
+            let counters = scrape.counters.into_iter();
+            let own = counters.filter(|c| c.name.label("engine") == Some(label.as_str()));
+            own.map(|c| (c.name, c.value)).collect::<Vec<_>>()
+        };
+        let slot_of_moved = || {
+            registry
+                .snapshot()
+                .gauge(names::SHARD_SLOT, &[("engine", &label)])
+        };
+        let before = counters_of_moved();
+        let applied = |(name, value): &(MetricName, u64)| {
+            name.name == names::SHARD_UPDATES_APPLIED_TOTAL && *value > 0
+        };
+        assert!(before.iter().any(applied), "{before:?}");
+        assert_eq!(slot_of_moved(), Some(3));
+        // The merge sends the moved worker nothing: the same series, at the
+        // same values, and only the slot gauge follows the move.
         let report = fleet.merge_shards(0, 2).unwrap();
         assert_eq!(report.moved_slot, Some(3));
+        assert_eq!(counters_of_moved(), before);
+        assert_eq!(slot_of_moved(), Some(2));
         assert_engine_gauges_match_the_feeds(&fleet, &registry);
+    }
+
+    /// Every `_total` counter in `registry`, by series.
+    fn totals(registry: &dyndens_obs::Registry) -> BTreeMap<MetricName, u64> {
+        let counters = registry.snapshot().counters.into_iter();
+        let totals = counters.filter(|c| c.name.name.ends_with("_total"));
+        totals.map(|c| (c.name, c.value)).collect()
+    }
+
+    #[test]
+    fn no_total_counter_decreases_across_splits_and_a_merge() {
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let config = shard_config(2).with_obs(Arc::clone(&registry));
+        let mut fleet = ShardedDynDens::new(AvgWeight, engine_config(), config);
+        let mut previous = BTreeMap::new();
+        // Scrapes after `step` and compares with the scrape before it.
+        let mut scrape_after = |step: &str| {
+            let now = totals(&registry);
+            for (series, &value) in &now {
+                if let Some(&before) = previous.get(series) {
+                    assert!(
+                        value >= before,
+                        "after {step}: {series} fell from {before} to {value}"
+                    );
+                }
+            }
+            previous = now;
+        };
+        fleet.apply_batch(&skewed_updates());
+        scrape_after("the first ingest");
+        fleet.split_shard(0).unwrap();
+        scrape_after("split 0");
+        fleet.split_shard(1).unwrap();
+        scrape_after("split 1");
+        fleet.apply_batch(&busy_slot_three());
+        scrape_after("the second ingest");
+        fleet.merge_shards(0, 2).unwrap();
+        scrape_after("merge(0, 2)");
+        fleet.apply_batch(&busy_slot_three());
+        scrape_after("the third ingest");
+        fleet.flush();
+        scrape_after("the flush");
+    }
+
+    #[test]
+    fn a_persistent_fleets_series_are_labelled_by_its_engine_ids() {
+        let dir = std::env::temp_dir().join(format!("dyndens-labels-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Arc::new(dyndens_obs::Registry::new());
+        let mut fleet = ShardedDynDens::with_persistence(
+            AvgWeight,
+            engine_config(),
+            shard_config(2).with_obs(Arc::clone(&registry)),
+            PersistenceConfig::new(&dir)
+                .with_fsync(FsyncPolicy::Never)
+                .with_snapshot_every_updates(12),
+        )
+        .unwrap();
+        for chunk in skewed_updates().chunks(4) {
+            fleet.apply_batch(chunk);
+            fleet.flush();
+        }
+        fleet.split_shard(0).unwrap();
+        fleet.split_shard(1).unwrap();
+        fleet.merge_shards(0, 2).unwrap();
+        fleet.queue_depths();
+
+        let engines = fleet.shard_map().worker_engines();
+        let on_disk: BTreeSet<u64> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|entry| {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                name.strip_prefix("shard-").map(|id| id.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(labelled_engines(&registry), live_engines(&fleet));
+        assert_eq!(on_disk, live_engines(&fleet));
+        let scrape = registry.snapshot();
+        for (slot, id) in engines.iter().enumerate() {
+            let label = id.to_string();
+            let gauge = scrape.gauge(names::SHARD_SLOT, &[("engine", &label)]);
+            assert_eq!(gauge, Some(slot as u64), "engine {id}");
+        }
+        let slot_labelled: Vec<_> = all_series(&registry)
+            .into_iter()
+            .filter(|name| name.label("shard").is_some())
+            .collect();
+        assert_eq!(slot_labelled, Vec::new());
+        drop(fleet);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

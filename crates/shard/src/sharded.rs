@@ -1,7 +1,7 @@
 //! The [`ShardedDynDens`] facade: the single-engine API, scaled across cores,
 //! with a generational routing table that supports live shard splits.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -213,10 +213,10 @@ pub(crate) struct WorkerSlot<D: DensityMeasure> {
     /// The worker thread; `None` between a reshape's quiesce and its commit
     /// or abort.
     pub(crate) thread: Option<WorkerHandle>,
-    /// The slot number, shared with the worker (see
-    /// [`worker::WorkerSetup::slot`]): a merge renumbers the last worker into
-    /// a freed middle slot by storing into it, without respawning the thread.
-    pub(crate) number: Arc<AtomicU32>,
+    /// The engine's id, which names its `shard-<id>` directory and labels
+    /// its metric series. A merge that moves the worker to another slot
+    /// leaves it as it is.
+    pub(crate) engine_id: u64,
 }
 
 impl<D: DensityMeasure> WorkerSlot<D> {
@@ -232,18 +232,18 @@ impl<D: DensityMeasure> WorkerSlot<D> {
         feed: &Arc<ShardFeed>,
         wakers: &Arc<PublishWakers>,
     ) -> SyncSender<WorkerMsg> {
-        let slot = self.number.load(Ordering::Relaxed);
+        let id = self.engine_id;
         let (tx, rx) = sync_channel(config.channel_capacity);
         // Registration happens here, once per spawn — the worker loop itself
         // only ever touches the pre-registered handles.
         let obs = config.obs.registry().map(|registry| {
             if let Some(p) = persist.as_mut() {
-                p.wal.set_obs(Some(WalObs::for_slot(registry, slot)));
+                p.wal.set_obs(Some(WalObs::for_engine(registry, id)));
             }
-            ShardObs::for_slot(registry, slot, &feed.cell.load().stats)
+            ShardObs::for_engine(registry, id, &feed.cell.load().stats)
         });
         let setup = worker::WorkerSetup {
-            slot: Arc::clone(&self.number),
+            engine_id: id,
             max_batch: config.max_batch,
             top_k: config.top_k,
             initial_seq: feed.cell.seq(),
@@ -254,7 +254,7 @@ impl<D: DensityMeasure> WorkerSlot<D> {
         let engine = Arc::clone(&self.engine);
         let feed = Arc::clone(feed);
         let thread = std::thread::Builder::new()
-            .name(format!("dyndens-shard-{slot}"))
+            .name(format!("dyndens-shard-{id}"))
             .spawn(move || worker::run(setup, rx, engine, feed))
             .expect("failed to spawn shard worker");
         self.thread = Some(thread);
@@ -262,18 +262,19 @@ impl<D: DensityMeasure> WorkerSlot<D> {
     }
 }
 
-/// Brings `slot` to life on `seed`: a fresh feed whose cell already publishes
-/// the seed engine's answer at `seed.seq` (readers see recovered or rebuilt
-/// state immediately, not an empty snapshot that fills in after the first
-/// micro-batch) and whose delta ring is **empty** (there is no event stream
-/// from before `seed.seq`, so pollers resynchronise from the snapshot), a
-/// worker thread, and a routed-update counter seeded at `seed.seq` and
-/// adopted by the registry's per-shard routed series (zero added cost on the
-/// routing path). Returns the slot's record for each owner: the roster's
-/// feed, the routing entry and the facade's worker slot. Used at fleet
-/// start-up and at the commit of every reshape.
+/// Brings engine `engine_id` to life on `seed`: a fresh feed whose cell
+/// already publishes the seed engine's answer at `seed.seq` (readers see
+/// recovered or rebuilt state immediately, not an empty snapshot that fills
+/// in after the first micro-batch) and whose delta ring is **empty** (there
+/// is no event stream from before `seed.seq`, so pollers resynchronise from
+/// the snapshot), a worker thread, and a routed-update counter seeded at
+/// `seed.seq` and adopted by the registry's routed series of the engine
+/// (zero added cost on the routing path). Returns the slot's record for each
+/// owner: the roster's feed, the routing entry and the facade's worker slot,
+/// which the caller places at the engine's slot. Used at fleet start-up and
+/// at the commit of every reshape.
 pub(crate) fn install_slot<D: DensityMeasure>(
-    slot: usize,
+    engine_id: u64,
     config: &ShardConfig,
     seed: ShardSeed<D>,
     wakers: &Arc<PublishWakers>,
@@ -292,14 +293,14 @@ pub(crate) fn install_slot<D: DensityMeasure>(
     let mut worker = WorkerSlot {
         engine: Arc::new(Mutex::new(engine)),
         thread: None,
-        number: Arc::new(AtomicU32::new(slot as u32)),
+        engine_id,
     };
     let tx = worker.start(config, persist, &feed, wakers);
     let routed = Arc::new(AtomicU64::new(seq));
     if let Some(registry) = config.obs.registry() {
         registry.adopt_counter(
             names::SHARD_ROUTED_TOTAL,
-            &[("shard", &slot.to_string())],
+            &[("engine", &engine_id.to_string())],
             Arc::clone(&routed),
         );
     }
@@ -400,8 +401,8 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
                 // The journal form of the RecoveryReport: a crash recovery
                 // that happened hours ago stays explainable from a scrape.
                 let report = &recovered.report;
-                let label = slot.to_string();
-                let labels: &[(&str, &str)] = &[("shard", label.as_str())];
+                let label = engine_ids[slot].to_string();
+                let labels: &[(&str, &str)] = &[("engine", label.as_str())];
                 registry.counter(names::RECOVERIES_TOTAL, labels).inc();
                 registry
                     .counter(names::RECOVERY_REPLAYED_TOTAL, labels)
@@ -449,13 +450,13 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         let wakers = Arc::new(PublishWakers::default());
         let (feeds, (slots, workers)): (Vec<_>, (Vec<_>, Vec<_>)) = seeds
             .into_iter()
-            .enumerate()
-            .map(|(slot, seed)| {
-                let (feed, route, worker) = install_slot(slot, &config, seed, &wakers);
+            .zip(map.worker_engines())
+            .map(|(seed, engine_id)| {
+                let (feed, route, worker) = install_slot(engine_id, &config, seed, &wakers);
                 (feed, (route, worker))
             })
             .unzip();
-        ShardedDynDens {
+        let fleet = ShardedDynDens {
             route_scratch: vec![Vec::new(); workers.len()],
             config,
             measure,
@@ -466,6 +467,23 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
             workers,
             recovery,
             persistence,
+        };
+        fleet.set_slot_gauges();
+        fleet
+    }
+
+    /// Sets `dyndens_shard_slot{engine}` to each live engine's slot: the
+    /// link from the engine-labelled series to the slot numbers that
+    /// [`StoryView`] and the serve protocol's replies use. Called at start
+    /// and at every reshape commit, the only times a slot changes engine.
+    pub(crate) fn set_slot_gauges(&self) {
+        if let Some(registry) = self.config.obs.registry() {
+            for (slot, worker) in self.workers.iter().enumerate() {
+                let label = worker.engine_id.to_string();
+                registry
+                    .gauge(names::SHARD_SLOT, &[("engine", label.as_str())])
+                    .set(slot as u64);
+            }
         }
     }
 
@@ -533,9 +551,10 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
         if let Some(registry) = self.config.obs.registry() {
             // Refreshed at probe cadence (the rebalancer's), not per update:
             // a gauge of a derived quantity is only as fresh as its probe.
-            for (slot, &depth) in depths.iter().enumerate() {
+            for (worker, &depth) in self.workers.iter().zip(&depths) {
+                let label = worker.engine_id.to_string();
                 registry
-                    .gauge(names::SHARD_QUEUE_DEPTH, &[("shard", &slot.to_string())])
+                    .gauge(names::SHARD_QUEUE_DEPTH, &[("engine", label.as_str())])
                     .set(depth);
             }
         }
@@ -569,26 +588,16 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
     /// Blocks until every update routed so far has been applied and
     /// published.
     pub fn flush(&self) {
-        self.flush_slots(|_| true);
-    }
-
-    /// Blocks until every update routed so far to each slot `pick` selects
-    /// has been applied and published.
-    pub(crate) fn flush_slots(&self, pick: impl Fn(usize) -> bool) {
         let (ack_tx, ack_rx) = channel();
         let expected = {
             let routing = self.routing.read().expect("routing poisoned");
-            let mut expected = 0;
-            for (slot, route) in routing.slots.iter().enumerate() {
-                if pick(slot) {
-                    route
-                        .tx
-                        .send(WorkerMsg::Flush(ack_tx.clone()))
-                        .expect(WORKER_GONE);
-                    expected += 1;
-                }
+            for route in &routing.slots {
+                route
+                    .tx
+                    .send(WorkerMsg::Flush(ack_tx.clone()))
+                    .expect(WORKER_GONE);
             }
-            expected
+            routing.slots.len()
         };
         drop(ack_tx);
         for _ in 0..expected {
@@ -711,18 +720,16 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
     /// Runs each shard engine's internal consistency check (flushes first),
     /// returning the first violation in slot order, then checks the slot
     /// bookkeeping: the routing map, the routing table, the roster and the
-    /// facade agree on the slot count, and each worker's slot number is its
-    /// index.
+    /// facade agree on the slot count, and each slot's worker runs the
+    /// engine the map names for that slot.
     pub fn validate(&self) -> Result<(), String> {
         let checks = self.read_engines(|e| e.validate());
         checks
             .into_iter()
             .enumerate()
             .try_for_each(|(shard, check)| check.map_err(|e| format!("shard {shard}: {e}")))?;
-        let (mapped, routed) = {
-            let routing = self.routing.read().expect("routing poisoned");
-            (routing.map.n_workers(), routing.slots.len())
-        };
+        let routing = self.routing.read().expect("routing poisoned");
+        let (mapped, routed) = (routing.map.n_workers(), routing.slots.len());
         let (rostered, workers) = (self.roster.load().len(), self.workers.len());
         if [mapped, routed, rostered] != [workers; 3] {
             return Err(format!(
@@ -730,10 +737,13 @@ impl<D: DensityMeasure> ShardedDynDens<D> {
                  facade {workers}"
             ));
         }
-        for (slot, worker) in self.workers.iter().enumerate() {
-            let number = worker.number.load(Ordering::Relaxed) as usize;
-            if number != slot {
-                return Err(format!("the worker in slot {slot} is numbered {number}"));
+        let engines = routing.map.worker_engines();
+        for (slot, (worker, &mapped)) in self.workers.iter().zip(&engines).enumerate() {
+            if worker.engine_id != mapped {
+                let id = worker.engine_id;
+                return Err(format!(
+                    "the worker in slot {slot} runs engine {id}, the map names {mapped}"
+                ));
             }
         }
         Ok(())
@@ -873,11 +883,11 @@ mod tests {
 
     #[test]
     fn validate_checks_the_slot_bookkeeping() {
-        let fleet = sharded(3);
+        let mut fleet = sharded(3);
         fleet.validate().unwrap();
-        fleet.workers[1].number.store(2, Ordering::Relaxed);
+        fleet.workers[1].engine_id = 2;
         let err = fleet.validate().unwrap_err();
-        assert_eq!(err, "the worker in slot 1 is numbered 2");
+        assert_eq!(err, "the worker in slot 1 runs engine 2, the map names 1");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -13,7 +12,7 @@ use dyndens_density::DensityMeasure;
 use dyndens_graph::EdgeUpdate;
 
 use crate::config::PersistenceConfig;
-use crate::obs::{ShardObs, WalObs};
+use crate::obs::ShardObs;
 use crate::recovery;
 use crate::view::{DeltaBatch, PublishWakers, ShardFeed, ShardSnapshot};
 use crate::wal::WalWriter;
@@ -83,10 +82,10 @@ impl WorkerPersistence {
     /// most one is).
     /// The WAL rotates at `seq` now, so that the segments behind the image
     /// are whole files once the writer reports it durable.
-    fn hand_off(&mut self, obs: Option<&ShardObs>, shard: usize, seq: u64, bytes: Vec<u8>) {
-        self.settle(obs, shard, true);
+    fn hand_off(&mut self, obs: Option<&ShardObs>, engine: u64, seq: u64, bytes: Vec<u8>) {
+        self.settle(obs, engine, true);
         if let Err(e) = self.wal.rotate(seq) {
-            eprintln!("shard {shard}: WAL rotate failed: {e}");
+            eprintln!("shard-{engine}: WAL rotate failed: {e}");
         }
         self.updates_since_snapshot = 0;
         self.writer.submit(seq, bytes);
@@ -98,7 +97,7 @@ impl WorkerPersistence {
     /// WAL still covers the whole history since the last durable snapshot,
     /// nothing is pruned, and the cadence stays due, so the next micro-batch
     /// retries.
-    fn settle(&mut self, obs: Option<&ShardObs>, shard: usize, wait: bool) {
+    fn settle(&mut self, obs: Option<&ShardObs>, engine: u64, wait: bool) {
         let Some(report) = self.writer.report(wait) else {
             return;
         };
@@ -108,11 +107,11 @@ impl WorkerPersistence {
                     o.record_checkpoint(report.bytes, report.elapsed);
                 }
                 if let Err(e) = self.wal.prune_to(oldest_retained) {
-                    eprintln!("shard {shard}: WAL prune failed: {e}");
+                    eprintln!("shard-{engine}: WAL prune failed: {e}");
                 }
             }
             Err(e) => {
-                eprintln!("shard {shard}: checkpoint write failed: {e}");
+                eprintln!("shard-{engine}: checkpoint write failed: {e}");
                 self.updates_since_snapshot = self.snapshot_every;
             }
         }
@@ -253,11 +252,9 @@ impl Drop for CheckpointWriter {
 /// Everything a worker thread is parameterised by at spawn time (beyond its
 /// shared engine and feed).
 pub(crate) struct WorkerSetup {
-    /// The worker's slot number, shared with the facade: a shard **merge**
-    /// that frees a middle slot renumbers the last live worker into the
-    /// freed slot by storing into this cell. The worker labels its metrics
-    /// and log lines with the current value.
-    pub slot: Arc<AtomicU32>,
+    /// The id of the engine the worker applies to, which names its
+    /// `shard-<id>` directory; its log lines carry it.
+    pub engine_id: u64,
     /// Micro-batch drain bound, in updates.
     pub max_batch: usize,
     /// Stories kept per published snapshot.
@@ -290,7 +287,7 @@ pub(crate) fn run<D: DensityMeasure>(
     feed: Arc<ShardFeed>,
 ) -> Option<WorkerPersistence> {
     let WorkerSetup {
-        slot,
+        engine_id,
         max_batch,
         top_k,
         initial_seq,
@@ -300,6 +297,7 @@ pub(crate) fn run<D: DensityMeasure>(
     } = setup;
     let mut worker = Worker {
         engine,
+        engine_id,
         feed,
         wakers,
         top_k,
@@ -334,22 +332,7 @@ pub(crate) fn run<D: DensityMeasure>(
             }
         }
 
-        let shard = slot.load(Ordering::Relaxed) as usize;
-        // A shard merge can renumber this worker's slot; relabel the metric
-        // handles (a rare, registration-cost path) so per-shard series keep
-        // matching the slot's position in the roster.
-        if let Some(o) = worker.obs.as_mut() {
-            if o.slot != shard as u32 {
-                let registry = Arc::clone(&o.registry);
-                let stats = &worker.feed.cell.load().stats;
-                *o = ShardObs::for_slot(&registry, shard as u32, stats);
-                if let Some(p) = worker.persist.as_mut() {
-                    p.wal
-                        .set_obs(Some(WalObs::for_slot(&registry, shard as u32)));
-                }
-            }
-        }
-        worker.step(shard, &mut pending, false);
+        worker.step(&mut pending, false);
         if let Some(Control::Compact { min_weight, ack }) = &control {
             // The decayed-out edges' cancelling updates are an ordinary
             // micro-batch — WAL first, then the update path, which is what
@@ -362,11 +345,11 @@ pub(crate) fn run<D: DensityMeasure>(
                 .expect(POISONED)
                 .edges_below(*min_weight);
             let evicted = victims.len() as u64;
-            worker.step(shard, &mut victims, true);
+            worker.step(&mut victims, true);
             worker.engine.lock().expect(POISONED).reclaim_idle();
             // The pass is acknowledged once its checkpoint is durable and
             // the WAL pruned behind it.
-            worker.settle(shard, true);
+            worker.settle(true);
             // A dropped compaction waiter is not an error.
             let _ = ack.send(evicted);
         }
@@ -379,13 +362,14 @@ pub(crate) fn run<D: DensityMeasure>(
         }
     }
     // The durability half goes back with no checkpoint in flight.
-    worker.settle(slot.load(Ordering::Relaxed) as usize, true);
+    worker.settle(true);
     worker.persist
 }
 
 /// A worker thread's state between micro-batches.
 struct Worker<D: DensityMeasure> {
     engine: Arc<Mutex<DynDens<D>>>,
+    engine_id: u64,
     feed: Arc<ShardFeed>,
     wakers: Arc<PublishWakers>,
     top_k: usize,
@@ -406,8 +390,8 @@ impl<D: DensityMeasure> Worker<D> {
     /// to the writer on the cadence — or regardless of it when
     /// `force_checkpoint`. An empty batch appends and publishes nothing; a
     /// forced checkpoint still runs.
-    fn step(&mut self, shard: usize, batch: &mut Vec<EdgeUpdate>, force_checkpoint: bool) {
-        self.settle(shard, false);
+    fn step(&mut self, batch: &mut Vec<EdgeUpdate>, force_checkpoint: bool) {
+        self.settle(false);
         if batch.is_empty() && !force_checkpoint {
             return;
         }
@@ -420,7 +404,7 @@ impl<D: DensityMeasure> Worker<D> {
         if let Some(p) = self.persist.as_mut().filter(|_| batch_len > 0) {
             p.wal
                 .append(self.seq, batch)
-                .unwrap_or_else(|e| panic!("shard {shard}: WAL append failed: {e}"));
+                .unwrap_or_else(|e| panic!("shard-{}: WAL append failed: {e}", self.engine_id));
         }
         let base_seq = self.seq;
         let apply_started = self.obs.as_ref().map(|_| Instant::now());
@@ -462,15 +446,15 @@ impl<D: DensityMeasure> Worker<D> {
             }
         }
         if let (Some(bytes), Some(p)) = (checkpoint, self.persist.as_mut()) {
-            p.hand_off(self.obs.as_ref(), shard, self.seq, bytes);
+            p.hand_off(self.obs.as_ref(), self.engine_id, self.seq, bytes);
         }
     }
 
     /// Acts on the checkpoint writer's report, if any, waiting for it when
     /// `wait` (see [`WorkerPersistence::settle`]).
-    fn settle(&mut self, shard: usize, wait: bool) {
+    fn settle(&mut self, wait: bool) {
         if let Some(p) = self.persist.as_mut() {
-            p.settle(self.obs.as_ref(), shard, wait);
+            p.settle(self.obs.as_ref(), self.engine_id, wait);
         }
     }
 }
@@ -598,10 +582,10 @@ mod tests {
         EdgeUpdate::new(VertexId(2 * i), VertexId(2 * i + 1), 1.0)
     }
 
-    /// Shard 0's counter `name`.
+    /// Engine 0's counter `name`.
     fn shard_counter(registry: &Registry, name: &str) -> u64 {
         let scrape = registry.snapshot();
-        scrape.counter(name, &[("shard", "0")]).unwrap_or(0)
+        scrape.counter(name, &[("engine", "0")]).unwrap_or(0)
     }
 
     fn batch(k: u32) -> Vec<EdgeUpdate> {

@@ -44,7 +44,7 @@ fn posts_through_sharded_pipeline() {
         2.0 * 3600.0,
         AvgWeight,
         DynDensConfig::new(0.4, 5).with_delta_it_fraction(0.25),
-        ShardConfig::new(4).with_max_batch(64),
+        ShardConfig::new(4),
     );
 
     // A serving handle that could live on another thread: reads never block
@@ -114,10 +114,7 @@ fn scaling_on_aligned_stream() {
         let mut fleet = ShardedDynDens::new(
             AvgWeight,
             engine_config.clone(),
-            ShardConfig::new(n_shards)
-                .with_shard_fn(ShardFn::Modulo)
-                .with_max_batch(128)
-                .with_channel_capacity(4096),
+            ShardConfig::new(n_shards).with_shard_fn(ShardFn::Modulo),
         );
         let start = Instant::now();
         for chunk in updates.chunks(512) {
